@@ -11,12 +11,12 @@ points only; the locally-Minkowski verdict is chart-relative by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from . import frame as frame_mod, geometry, metrics
+from . import frame as frame_mod, geometry, jets, metrics
 from .frame import FrameError
 from .metrics import MetricSpec, SamplePlan
 
@@ -131,7 +131,7 @@ def classify_metric(
     for idx, (x, y) in enumerate(points):
         try:
             records.append(_evaluate_record(spec, idx, x, y))
-        except (geometry.GeometryError, metrics.MetricError) as err:
+        except (geometry.GeometryError, metrics.MetricError, jets.JetError) as err:
             records.append(
                 PointRecord(
                     index=idx, x=np.asarray(x), y=np.asarray(y),
@@ -180,15 +180,7 @@ def classify_metric(
         notes=notes,
         tol=tol,
     )
-    agreement = theorem_crosscheck(report, strict=False)
-    return ClassificationReport(
-        points=records,
-        verdicts=verdicts,
-        deciding_residuals=deciding,
-        route_agreement=agreement,
-        notes=notes,
-        tol=tol,
-    )
+    return replace(report, route_agreement=theorem_crosscheck(report, strict=False))
 
 
 def _three_way(value: float, scale: float, tol: float) -> Optional[bool]:

@@ -100,14 +100,21 @@ class _Tables:
         self.fact = np.array(
             [math.prod(math.factorial(d) for d in m) for m in monos], dtype=float
         )
+        # Pair each monomial only with the partners that fit its leftover
+        # degree budget.  Partners stay in ascending index order, which fixes
+        # the summation order of JetScalar.__mul__ and so every reported digit.
+        degs = [(sum(m[:4]), sum(m[4:])) for m in monos]
+        fits = {
+            (bx, by): [j for j, (dx, dy) in enumerate(degs) if dx <= bx and dy <= by]
+            for bx in range(caps.x_max + 1)
+            for by in range(caps.y_max + 1)
+        }
         ii, jj, kk = [], [], []
-        for i, a in enumerate(monos):
-            for j, b in enumerate(monos):
-                s = tuple(p + q for p, q in zip(a, b))
-                if sum(s[:4]) <= caps.x_max and sum(s[4:]) <= caps.y_max:
-                    ii.append(i)
-                    jj.append(j)
-                    kk.append(self.index[s])
+        for i, (a, (dx, dy)) in enumerate(zip(monos, degs)):
+            for j in fits[caps.x_max - dx, caps.y_max - dy]:
+                ii.append(i)
+                jj.append(j)
+                kk.append(self.index[tuple(p + q for p, q in zip(a, monos[j]))])
         self.mul_i = np.array(ii, dtype=np.intp)
         self.mul_j = np.array(jj, dtype=np.intp)
         self.mul_k = np.array(kk, dtype=np.intp)

@@ -115,3 +115,18 @@ def test_spray_cubic_route_matches_hderiv_route():
             cubic_zero = rec.max_spray_cubic <= 1e-6 * rec.hderiv_scale
             hderiv_zero = rec.max_cartan_hderiv <= 1e-6 * rec.hderiv_scale
             assert cubic_zero == hderiv_zero
+
+
+def test_point_outside_randers_domain_becomes_eval_error_record():
+    spec = make_builtin_metric("randers", {"b": ["1.1*sin(3*x1)", 0, 0, 0]})
+    report = classify_metric(spec, SamplePlan(count=16, seed=1))
+    assert len(report.points) == 16
+    outside = [abs(1.1 * np.sin(3 * r.x[0])) >= 1 for r in report.points]
+    assert any(outside) and not all(outside)
+    for r, out in zip(report.points, outside):
+        if out:
+            assert "|b(x)| >= 1" in r.eval_error
+            assert r.frame is None and np.isnan(r.max_cartan)
+        else:
+            assert r.eval_error is None
+    assert report.verdicts["berwald"] == "no"

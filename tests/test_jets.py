@@ -137,6 +137,35 @@ def test_restrict_and_derivative_jet():
         )
 
 
+def _all_pairs_product_table(tables):
+    # reference: test every monomial pair and keep those within the caps
+    caps = tables.caps
+    ii, jj, kk = [], [], []
+    for i, a in enumerate(tables.monos):
+        for j, b in enumerate(tables.monos):
+            s = tuple(p + q for p, q in zip(a, b))
+            if sum(s[:4]) <= caps.x_max and sum(s[4:]) <= caps.y_max:
+                ii.append(i)
+                jj.append(j)
+                kk.append(tables.index[s])
+    return ii, jj, kk
+
+
+@pytest.mark.parametrize("caps", [(1, 1), (0, 3), (1, 2), (2, 2), (1, 3)])
+def test_product_table_matches_all_pairs_reference(caps):
+    # the order matters too: it fixes the summation order of every product
+    tables = jets._Tables(DegreeCaps(*caps))
+    for got, want in zip((tables.mul_i, tables.mul_j, tables.mul_k),
+                         _all_pairs_product_table(tables)):
+        assert np.array_equal(got, np.array(want, dtype=np.intp))
+
+
+def test_master_caps_table_size():
+    tables = jets._tables(DegreeCaps(1, 5))
+    assert tables.n == 630
+    assert len(tables.mul_i) == 11583
+
+
 # -- property tests ----------------------------------------------------------
 
 _SMALL_CAPS = DegreeCaps(1, 3)
