@@ -33,11 +33,8 @@ from .geometry import (
     CartanTensorAt,
     MetricTensorAt,
     SprayAt,
-    cartan_hderivatives_of_C,
     covariant_derivatives,
-    fundamental_tensors,
     point_eval,
-    spray_and_connections,
 )
 from .jets import DegreeCaps, JetScalar, partial_extract
 from .metrics import (

@@ -172,7 +172,9 @@ def cmd_conformal(args) -> int:
     points = []
     for rep in audit.reports:
         doc = {"x": rep.x, "y": rep.y}
-        if rep.frame_error is not None:
+        if rep.eval_error is not None:
+            doc["eval_error"] = rep.eval_error
+        elif rep.frame_error is not None:
             doc["frame_error"] = rep.frame_error
         else:
             doc.update(

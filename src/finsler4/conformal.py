@@ -30,7 +30,7 @@ import numpy as np
 from . import exprdsl, frame as frame_mod, geometry, jets, metrics
 from .frame import FrameError, ProfileResult, SCALAR_NAMES, ScalarProfile
 from .geometry import PointEval
-from .jets import DegreeCaps, multi, partial_extract
+from .jets import DegreeCaps, derivative_tensor
 from .metrics import MetricSpec, SamplePlan
 
 TAU_SIGMA = 1e-8
@@ -127,7 +127,7 @@ def sigma_gradient(pair: ConformalPair, x: Sequence[float]) -> tuple[float, np.n
     val = exprdsl.eval_expr(pair.sigma_ast, env)
     if not isinstance(val, jets.JetScalar):
         return float(val), np.zeros(4)
-    grad = np.array([partial_extract(val, multi(i)) for i in range(4)])
+    grad = derivative_tensor(val, 1, 0)
     return val.base, grad
 
 
@@ -361,8 +361,7 @@ def invariance_check(
     )
 
     if base_locally_minkowski is None:
-        base_pe = geometry.point_eval(pair.base, x, y)
-        base_locally_minkowski = float(np.max(np.abs(base_pe.dx_g))) < 1e-9
+        base_locally_minkowski = _flat_in_chart(geometry.point_eval(pair.base, x, y))
     if base_locally_minkowski:
         vd = base.profile.v_derivs
         for row, name in enumerate(SCALAR_NAMES):
@@ -388,6 +387,11 @@ class PointConformalReport:
     direct_barred: dict = field(default_factory=dict)
     invariance_residuals: dict = field(default_factory=dict)
     frame_error: Optional[str] = None
+    eval_error: Optional[str] = None
+
+
+def _flat_in_chart(pe: PointEval) -> bool:
+    return float(np.max(np.abs(pe.dx_g))) < 1e-9
 
 
 def _h_deriv_scale(pe: PointEval) -> float:
@@ -426,7 +430,7 @@ def evaluate_point(
         "max_cartan_hderiv_transvected": float(np.max(np.abs(c_0))),
         "hderiv_scale": _h_deriv_scale(lifted_pe),
     }
-    inv = invariance_check(pair, x, y, base_prof, lifted_prof, sc)
+    inv = invariance_check(pair, x, y, base_prof, lifted_prof, sc, _flat_in_chart(base_pe))
     return PointConformalReport(
         x=x, y=y, case=case, near_degenerate=near, sigma=sc,
         landsberg_residuals=lands, berwald_residuals=berw,
@@ -481,11 +485,22 @@ def audit_pair(
     """Co-occurrence audit over sampled points: do the condition blocks
     agree with the directly measured character of the rescaled space?"""
     points = metrics.sample_domain(pair.base.domain, plan)
-    reports = [evaluate_point(pair, x, y) for x, y in points]
+    reports = []
+    for x, y in points:
+        try:
+            reports.append(evaluate_point(pair, x, y))
+        except (geometry.GeometryError, metrics.MetricError, jets.JetError,
+                ConformalError) as err:
+            reports.append(PointConformalReport(
+                x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float),
+                eval_error=str(err),
+            ))
 
     def summarise(kind: str) -> dict:
         agree = disagree = inconclusive = skipped = 0
         for rep in reports:
+            if rep.eval_error is not None:
+                continue
             if rep.frame_error is not None:
                 skipped += 1
                 continue

@@ -41,7 +41,7 @@ from .geometry import (
     PointEval,
     SprayAt,
 )
-from .jets import base_of, multi, partial_extract
+from .jets import base_of, derivative_tensor
 TAU_TORSION = 1e-7  # below this the torsion direction is numerically meaningless
 _SEED_SKIP_TOL = 1e-6
 _SIGN_TOL = 1e-9
@@ -299,6 +299,7 @@ class _JetFrameContext:
             g_j, g_inv_j, C_j, y_j, L_j, tau_c
         )
         self.C_jets = C_j
+        self.L_jet = L_j
         self.frame = FrameBundle(
             e=np.array([[v.base for v in row] for row in self.e_jets]),
             e_flat=np.array([[v.base for v in row] for row in self.e_flat_jets]),
@@ -307,7 +308,6 @@ class _JetFrameContext:
 
     def scalar_jets(self) -> dict:
         """The eight main scalars as first-order jets in (x, y)."""
-        L_j = jets.restrict(self.pe.L_jet, geometry.FRAME_CAPS)
         m, n, p = self.e_jets[1], self.e_jets[2], self.e_jets[3]
         vecs = {1: m, 2: n, 3: p}
         # contract the first index once per needed frame vector
@@ -330,7 +330,7 @@ class _JetFrameContext:
                 for k in range(4):
                     term = first[a][j][k] * vecs[b][j] * vecs[c][k]
                     acc = term if acc is None else acc + term
-            out[name] = acc * L_j
+            out[name] = acc * self.L_jet
         return out
 
 
@@ -424,7 +424,7 @@ def scalar_profile(
     h_derivs = np.empty((8, 4))
     for row, name in enumerate(SCALAR_NAMES):
         S = scalar_jets[name]
-        dy = np.array([partial_extract(S, multi(4 + r)) for r in range(4)])
+        dy = derivative_tensor(S, 0, 1)
         delta = geometry.scalar_h_derivative(S, spray)
         v_derivs[row] = L0 * (e @ dy)
         h_derivs[row] = e @ delta

@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import jets, metrics
-from .jets import DegreeCaps, JetScalar, derivative_jet, multi, partial_extract, restrict
+from .jets import DegreeCaps, JetScalar, derivative_tensor
 from .metrics import MetricSpec
 
 # master caps: one x-derivative beside four y-derivatives covers every
@@ -113,15 +113,9 @@ class PointEval:
         self.L2_jet = self.L_jet * self.L_jet
         self.L = self.L_jet.base
 
-    def d(self, *slots: int) -> float:
-        return partial_extract(self.L2_jet, multi(*slots))
-
     @cached_property
     def metric(self) -> MetricTensorAt:
-        g = np.empty((4, 4))
-        for i in range(4):
-            for j in range(i, 4):
-                g[i, j] = g[j, i] = 0.5 * self.d(4 + i, 4 + j)
+        g = 0.5 * derivative_tensor(self.L2_jet, 0, 2)
         row_norms = np.linalg.norm(g, axis=1)
         scale = float(np.exp(np.mean(np.log(np.maximum(row_norms, 1e-300)))))
         det = float(np.linalg.det(g))
@@ -133,14 +127,7 @@ class PointEval:
 
     @cached_property
     def cartan(self) -> CartanTensorAt:
-        C = np.empty((4, 4, 4))
-        for i in range(4):
-            for j in range(i, 4):
-                for k in range(j, 4):
-                    val = 0.25 * self.d(4 + i, 4 + j, 4 + k)
-                    for p in ((i, j, k), (i, k, j), (j, i, k),
-                              (j, k, i), (k, i, j), (k, j, i)):
-                        C[p] = val
+        C = 0.25 * derivative_tensor(self.L2_jet, 0, 3)
         g_inv = self.metric.g_inv
         C_vec = np.einsum("ijk,jk->i", C, g_inv)
         square = float(C_vec @ g_inv @ C_vec)
@@ -152,23 +139,16 @@ class PointEval:
     @cached_property
     def _spray_jets(self):
         """G^i as jets deep enough for three more y-derivatives."""
-        g_jets = [[None] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                gij = restrict(
-                    derivative_jet(self.L2_jet, multi(4 + i, 4 + j)), _SPRAY_CAPS
-                ) * 0.5
-                g_jets[i][j] = gij
-                g_jets[j][i] = gij
+        g_jets = 0.5 * derivative_tensor(self.L2_jet, 0, 2, _SPRAY_CAPS)
         g_inv_jets = _jet_matrix_inverse(g_jets, _SPRAY_CAPS)
         y_jets = [jets.variable(4 + k, self.y[k], _SPRAY_CAPS) for k in range(4)]
+        dx = derivative_tensor(self.L2_jet, 1, 0, _SPRAY_CAPS)
+        dxdy = derivative_tensor(self.L2_jet, 1, 1, _SPRAY_CAPS)
         e_vec = []
         for r in range(4):
-            acc = -restrict(derivative_jet(self.L2_jet, multi(r)), _SPRAY_CAPS)
+            acc = -dx[r]
             for k in range(4):
-                acc = acc + y_jets[k] * restrict(
-                    derivative_jet(self.L2_jet, multi(k, 4 + r)), _SPRAY_CAPS
-                )
+                acc = acc + y_jets[k] * dxdy[k, r]
             e_vec.append(acc)
         return [
             sum((g_inv_jets[i][r] * e_vec[r] for r in range(4)),
@@ -180,28 +160,14 @@ class PointEval:
     def spray(self) -> SprayAt:
         gj = self._spray_jets
         G = np.array([gj[i].base for i in range(4)])
-        N = np.array([[partial_extract(gj[i], multi(4 + j)) for j in range(4)]
-                      for i in range(4)])
-        hess = np.empty((4, 4, 4, 4))
-        for i in range(4):
-            for h in range(4):
-                for j in range(h, 4):
-                    for k in range(j, 4):
-                        val = partial_extract(gj[i], multi(4 + h, 4 + j, 4 + k))
-                        for p in ((h, j, k), (h, k, j), (j, h, k),
-                                  (j, k, h), (k, h, j), (k, j, h)):
-                            hess[(i,) + p] = val
+        N = np.array([derivative_tensor(gi, 0, 1) for gi in gj])
+        hess = np.array([derivative_tensor(gi, 0, 3) for gi in gj])
         return SprayAt(G=G, N=N, G_hess3=hess)
 
     @cached_property
     def dx_g(self) -> np.ndarray:
         """dxg[k, i, j] = x_k-derivative of g_ij."""
-        out = np.empty((4, 4, 4))
-        for k in range(4):
-            for i in range(4):
-                for j in range(i, 4):
-                    out[k, i, j] = out[k, j, i] = 0.5 * self.d(k, 4 + i, 4 + j)
-        return out
+        return 0.5 * derivative_tensor(self.L2_jet, 1, 2)
 
     @cached_property
     def connection(self) -> ConnectionAt:
@@ -225,18 +191,8 @@ class PointEval:
         C = self.cartan.C
         N = self.spray.N
         F = self.connection.F
-        dC_x = np.empty((4, 4, 4, 4))  # [h, i, j, k]
-        dC_y = np.empty((4, 4, 4, 4))
-        for h in range(4):
-            for i in range(4):
-                for j in range(i, 4):
-                    for k in range(j, 4):
-                        vx = 0.25 * self.d(h, 4 + i, 4 + j, 4 + k)
-                        vy = 0.25 * self.d(4 + h, 4 + i, 4 + j, 4 + k)
-                        for p in ((i, j, k), (i, k, j), (j, i, k),
-                                  (j, k, i), (k, i, j), (k, j, i)):
-                            dC_x[(h,) + p] = vx
-                            dC_y[(h,) + p] = vy
+        dC_x = 0.25 * derivative_tensor(self.L2_jet, 1, 3)  # [h, i, j, k]
+        dC_y = 0.25 * derivative_tensor(self.L2_jet, 0, 4)
         delta_C = np.einsum("hijk->ijkh", dC_x) - np.einsum(
             "mh,mijk->ijkh", N, dC_y
         )
@@ -249,47 +205,18 @@ class PointEval:
         C_0 = np.einsum("ijkh,h->ijk", C_h, self.y)
         return C_h, C_0
 
-    def frame_field_jets(self, caps: DegreeCaps = FRAME_CAPS):
-        """g, C, y, and L as jets with first-order x/y information, the
-        inputs for differentiating frame fields through the whole build."""
-        g = [[None] * 4 for _ in range(4)]
-        C = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                gij = restrict(derivative_jet(self.L2_jet, multi(4 + i, 4 + j)), caps) * 0.5
-                g[i][j] = gij
-                g[j][i] = gij
-        for i in range(4):
-            for j in range(i, 4):
-                for k in range(j, 4):
-                    val = restrict(
-                        derivative_jet(self.L2_jet, multi(4 + i, 4 + j, 4 + k)), caps
-                    ) * 0.25
-                    for p in ((i, j, k), (i, k, j), (j, i, k),
-                              (j, k, i), (k, i, j), (k, j, i)):
-                        C[p[0]][p[1]][p[2]] = val
-        y = [jets.variable(4 + k, self.y[k], caps) for k in range(4)]
-        L = restrict(self.L_jet, caps)
+    def frame_field_jets(self):
+        """g, C, y, and L as FRAME_CAPS jets with first-order x/y information,
+        the inputs for differentiating frame fields through the whole build."""
+        g = 0.5 * derivative_tensor(self.L2_jet, 0, 2, FRAME_CAPS)
+        C = 0.25 * derivative_tensor(self.L2_jet, 0, 3, FRAME_CAPS)
+        y = [jets.variable(4 + k, self.y[k], FRAME_CAPS) for k in range(4)]
+        L = jets.restrict(self.L_jet, FRAME_CAPS)
         return g, C, y, L
 
 
 def point_eval(spec: MetricSpec, x, y) -> PointEval:
     return PointEval(spec, x, y)
-
-
-def fundamental_tensors(spec: MetricSpec, x, y):
-    pe = PointEval(spec, x, y)
-    return pe.metric, pe.cartan
-
-
-def spray_and_connections(spec: MetricSpec, x, y):
-    pe = PointEval(spec, x, y)
-    return pe.spray, pe.connection
-
-
-def cartan_hderivatives_of_C(spec: MetricSpec, x, y):
-    pe = PointEval(spec, x, y)
-    return pe.cartan_h_derivatives
 
 
 # -- covariant derivatives --------------------------------------------------
@@ -312,8 +239,8 @@ def _require_depth(jet: JetScalar) -> None:
 
 def scalar_h_derivative(field: JetScalar, spray: SprayAt) -> np.ndarray:
     _require_depth(field)
-    dx = np.array([partial_extract(field, multi(k)) for k in range(4)])
-    dy = np.array([partial_extract(field, multi(4 + r)) for r in range(4)])
+    dx = derivative_tensor(field, 1, 0)
+    dy = derivative_tensor(field, 0, 1)
     return dx - spray.N.T @ dy
 
 
@@ -328,7 +255,7 @@ def covariant_derivatives(
     if isinstance(field, JetScalar):
         _require_depth(field)
         h = scalar_h_derivative(field, spray)
-        v = np.array([partial_extract(field, multi(4 + k)) for k in range(4)])
+        v = derivative_tensor(field, 0, 1)
         return CovariantDerivatives(h=h, v=v)
     comps = list(field)
     if len(comps) != 4:
@@ -336,8 +263,8 @@ def covariant_derivatives(
     for c in comps:
         _require_depth(c)
     vals = np.array([c.base for c in comps])
-    dx = np.array([[partial_extract(c, multi(k)) for k in range(4)] for c in comps])
-    dy = np.array([[partial_extract(c, multi(4 + k)) for k in range(4)] for c in comps])
+    dx = np.array([derivative_tensor(c, 1, 0) for c in comps])
+    dy = np.array([derivative_tensor(c, 0, 1) for c in comps])
     delta = dx - dy @ spray.N  # delta_k X_i = d_k X_i - N^r_k dy_r X_i
     h = delta - np.einsum("r,rik->ik", vals, conn.F)
     v = dy - np.einsum("r,rik->ik", vals, conn.Cmix)

@@ -10,7 +10,9 @@ ring yields every mixed partial the downstream tensor calculus reads.
 Coefficients are stored in Taylor normalisation: the entry for a
 multi-index ``a`` equals the mixed partial divided by ``a!``, which keeps
 multiplication a plain truncated convolution.  :func:`partial_extract`
-multiplies the factorial back.
+multiplies the factorial back for one partial; :func:`derivative_tensor`
+gathers every partial of a given x/y order as one array, either as floats
+or as jets truncated to smaller caps.
 
 All values are immutable; every operation allocates a fresh jet, so jets
 are safe to share between concurrent evaluators.
@@ -18,6 +20,7 @@ are safe to share between concurrent evaluators.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,6 +73,7 @@ class DegreeCaps:
 
 
 DEFAULT_CAPS = DegreeCaps(1, 4)
+_FLOAT_CAPS = DegreeCaps(0, 0)  # a jet with these caps is just its base value
 
 
 def _group_monos(n: int, max_total: int) -> list[tuple[int, ...]]:
@@ -120,6 +124,7 @@ class _Tables:
         self.mul_k = np.array(kk, dtype=np.intp)
         self._shift_cache: dict = {}
         self._restrict_cache: dict = {}
+        self._tensor_cache: dict = {}
 
     def shift_map(self, beta: tuple[int, ...], dst: "_Tables"):
         """Index/scale arrays realising the derivative-by-beta extraction."""
@@ -138,6 +143,21 @@ class _Tables:
             )
         self._shift_cache[key] = (src_idx, scale)
         return src_idx, scale
+
+    def tensor_map(self, nx: int, ny: int, dst: "_Tables"):
+        """Stacked shift maps of every order-(nx, ny) partial, x slots first
+        in row-major order: index and scale arrays of shape (4**(nx+ny), dst.n)."""
+        key = (nx, ny, dst.caps)
+        hit = self._tensor_cache.get(key)
+        if hit is not None:
+            return hit
+        maps = [
+            self.shift_map(multi(*s[:nx], *(4 + k for k in s[nx:])), dst)
+            for s in itertools.product(range(4), repeat=nx + ny)
+        ]
+        hit = (np.array([m[0] for m in maps]), np.array([m[1] for m in maps]))
+        self._tensor_cache[key] = hit
+        return hit
 
     def restrict_map(self, dst: "_Tables") -> np.ndarray:
         key = dst.caps
@@ -309,6 +329,29 @@ def derivative_jet(f: JetScalar, order: OrderLike) -> JetScalar:
     dst = _tables(dst_caps)
     src_idx, scale = src.shift_map(beta, dst)
     return JetScalar(dst_caps, f.c[src_idx] * scale)
+
+
+def derivative_tensor(f: JetScalar, nx: int, ny: int, caps: DegreeCaps = _FLOAT_CAPS):
+    """Every partial of f of order nx in x and ny in y, x axes first.
+
+    With the default caps the result is the float tensor of shape
+    ``(4,) * (nx + ny)``.  With larger caps each entry is the jet of that
+    derivative truncated to ``caps``, i.e. ``restrict(derivative_jet(...))``,
+    and the result is an object array of jets of the same shape.
+    """
+    if nx > f.caps.x_max or ny > f.caps.y_max:
+        raise OrderExceedsCaps(f"order ({nx}, {ny}) exceeds caps {f.caps}")
+    if caps.x_max > f.caps.x_max - nx or caps.y_max > f.caps.y_max - ny:
+        raise CapMismatch(f"order ({nx}, {ny}) of caps {f.caps} leaves less than {caps}")
+    idx, scale = _tables(f.caps).tensor_map(nx, ny, _tables(caps))
+    coeffs = f.c[idx] * scale
+    shape = (4,) * (nx + ny)
+    if caps == _FLOAT_CAPS:
+        return coeffs.reshape(shape)
+    out = np.empty(len(coeffs), dtype=object)
+    for r, c in enumerate(coeffs):
+        out[r] = JetScalar(caps, c)
+    return out.reshape(shape)
 
 
 def restrict(f: JetScalar, caps: DegreeCaps) -> JetScalar:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -164,6 +165,12 @@ GOLDENS = [
     (["frame", "{d}/quartic_small.json", "--x", "0,0,0,0", "--y", "1,2,1,1"],
      "frame_quartic.json"),
     (["conformal", "{d}/conformal_small.json"], "conformal_quartic.json"),
+    # Randers b=0.1*x2: x-derivatives of g, the spray and C_h do not vanish,
+    # so these pin the axis order of every derivative tensor
+    (["classify", "{d}/randers_small.json"], "classify_randers.json"),
+    (["frame", "{d}/randers_small.json", "--x", "0.1,0.2,0.3,0.4", "--y", "1,2,1,1"],
+     "frame_randers.json"),
+    (["conformal", "{d}/randers_conformal_small.json"], "conformal_randers.json"),
 ]
 
 
@@ -231,3 +238,31 @@ def test_classify_schema_keys(capsys, quartic_spec):
         "notes", "points", "route_agreement",
     ]
     assert "summary" in doc["route_agreement"]
+
+
+def test_conformal_records_points_outside_the_domain(capsys, tmp_path):
+    # the drift passes the Randers validity probe but reaches |b| >= 1 at
+    # some samples; those points become records instead of aborting the run
+    path = tmp_path / "drift.json"
+    path.write_text(
+        json.dumps(
+            {"family": "randers", "params": {"b": ["1.1*sin(3*x1)", 0, 0, 0]},
+             "sigma": "0.1*x1", "samples": 16, "seed": 1}
+        )
+    )
+    code, out, _ = _run(capsys, ["conformal", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["points"]) == 16
+    outside = [abs(1.1 * math.sin(3 * p["x"][0])) >= 1 for p in doc["points"]]
+    assert any(outside) and not all(outside)
+    for point, out_of_domain in zip(doc["points"], outside):
+        if out_of_domain:
+            assert point["eval_error"] == "randers drift reached |b(x)| >= 1"
+            assert list(point) == ["x", "y", "eval_error"]
+        else:
+            assert "eval_error" not in point and "case" in point
+    for key in ("landsberg_cooccurrence", "berwald_cooccurrence"):
+        summary = doc[key]
+        assert list(summary) == ["agree", "disagree", "inconclusive", "skipped_frame_errors"]
+        assert sum(summary.values()) == outside.count(False)

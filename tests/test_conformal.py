@@ -230,3 +230,17 @@ def test_every_point_gets_exactly_one_case():
         if rep.frame_error:
             continue
         assert rep.case in all_cases
+
+
+def test_evaluate_point_builds_one_point_eval_per_space(monkeypatch):
+    # base and rescaled space once each; invariance_check reuses the base one
+    calls = []
+    init = geometry.PointEval.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.PointEval, "__init__", counting_init)
+    evaluate_point(make_pair(QUARTIC, "0.1*x1"), X1, YGEN)
+    assert len(calls) == 2

@@ -11,7 +11,7 @@ from finsler4.frame import (
     scalar_components,
     scalar_profile,
 )
-from finsler4.geometry import fundamental_tensors, point_eval
+from finsler4.geometry import point_eval
 from finsler4.metrics import SamplePlan, make_builtin_metric, make_conformal, sample_domain
 
 X0 = np.zeros(4)
@@ -22,7 +22,8 @@ QUARTIC = make_builtin_metric("quartic_minkowski")
 
 
 def _frame_at(spec, x, y):
-    metric, cartan = fundamental_tensors(spec, x, y)
+    pe = point_eval(spec, x, y)
+    metric, cartan = pe.metric, pe.cartan
     return build_miron_frame(metric, cartan, x, y), metric, cartan
 
 

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from finsler4 import geometry, metrics, oracle
-from finsler4.geometry import (
-    SingularMetric,
-    cartan_hderivatives_of_C,
-    covariant_derivatives,
-    fundamental_tensors,
-    point_eval,
-    spray_and_connections,
-)
+from finsler4 import geometry, jets, metrics, oracle
+from finsler4.geometry import SingularMetric, covariant_derivatives, point_eval
 from finsler4.jets import DegreeCaps, OrderExceedsCaps
 from finsler4.metrics import SamplePlan, make_builtin_metric, sample_domain
 
@@ -33,7 +26,8 @@ def berwald_moor_g_closed_form(y: np.ndarray) -> np.ndarray:
 
 def test_quartic_metric_at_symmetric_point():
     spec = make_builtin_metric("quartic_minkowski")
-    metric, cartan = fundamental_tensors(spec, X0, ONES)
+    pe = point_eval(spec, X0, ONES)
+    metric, cartan = pe.metric, pe.cartan
     assert np.allclose(np.diag(metric.g), 1.25, atol=1e-12)
     off = metric.g[~np.eye(4, dtype=bool)]
     assert np.allclose(off, -0.25, atol=1e-12)
@@ -44,19 +38,19 @@ def test_quartic_metric_at_symmetric_point():
 
 def test_quartic_metric_generic_point_closed_form():
     spec = make_builtin_metric("quartic_minkowski")
-    metric, _ = fundamental_tensors(spec, X0, Y2)
+    metric = point_eval(spec, X0, Y2).metric
     assert np.max(np.abs(metric.g - quartic_g_closed_form(Y2))) < 1e-12
 
 
 def test_berwald_moor_indefinite():
     spec = make_builtin_metric("berwald_moor")
-    metric, _ = fundamental_tensors(spec, X0, ONES)
+    metric = point_eval(spec, X0, ONES).metric
     assert np.allclose(np.diag(metric.g), -0.125, atol=1e-12)
     off = metric.g[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 0.125, atol=1e-12)
     assert not metric.positive_definite
     y = np.array([0.7, 1.3, 0.9, 1.8])
-    metric2, _ = fundamental_tensors(spec, X0, y)
+    metric2 = point_eval(spec, X0, y).metric
     assert np.max(np.abs(metric2.g - berwald_moor_g_closed_form(y))) < 1e-12
 
 
@@ -75,7 +69,9 @@ def test_metric_inverse_and_euler_identities():
             assert np.max(np.abs(g @ pe.metric.g_inv - np.eye(4))) < 1e-9
             assert abs(y @ g @ y - pe.L**2) <= 1e-9 * (1 + pe.L**2)
             # g y = (1/2) dL^2/dy, torsion transvection vanishes
-            half_grad = 0.5 * np.array([pe.d(4 + i) for i in range(4)])
+            half_grad = 0.5 * np.array(
+                [jets.partial_extract(pe.L2_jet, jets.multi(4 + i)) for i in range(4)]
+            )
             assert np.max(np.abs(g @ y - half_grad)) < 1e-9
             assert np.max(np.abs(np.einsum("ijk,k->ij", pe.cartan.C, y))) < 1e-9
             # symmetry is structural; this guards the index bookkeeping
@@ -88,7 +84,8 @@ def test_locally_minkowski_has_flat_connections():
     for family in ("quartic_minkowski", "berwald_moor"):
         spec = make_builtin_metric(family)
         for x, y in sample_domain(spec.domain, SamplePlan(count=4, seed=31)):
-            spray, conn = spray_and_connections(spec, x, y)
+            pe = point_eval(spec, x, y)
+            spray, conn = pe.spray, pe.connection
             assert np.max(np.abs(spray.G)) < 1e-12
             assert np.max(np.abs(spray.N)) < 1e-12
             assert np.max(np.abs(spray.G_hess3)) < 1e-12
@@ -99,15 +96,15 @@ def test_homothety_keeps_spray():
     base = make_builtin_metric("quartic_minkowski")
     lifted = metrics.make_conformal(base, "0.3")
     for x, y in sample_domain(base.domain, SamplePlan(count=4, seed=37)):
-        spray_b, _ = spray_and_connections(base, x, y)
-        spray_l, _ = spray_and_connections(lifted, x, y)
+        spray_b = point_eval(base, x, y).spray
+        spray_l = point_eval(lifted, x, y).spray
         assert np.max(np.abs(spray_l.G - spray_b.G)) < 1e-10
 
 
 def test_randers_nonconstant_drift_curves():
     spec = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
     x, y = sample_domain(spec.domain, SamplePlan(count=1, seed=41))[0]
-    spray, _ = spray_and_connections(spec, x, y)
+    spray = point_eval(spec, x, y).spray
     assert np.max(np.abs(spray.N)) > 1e-4
     ora = oracle.oracle_tensors(spec, x, y)
     assert oracle.relative_error(spray.N, ora.N) < 1e-5
@@ -161,7 +158,7 @@ def test_locally_minkowski_cartan_hderivs_vanish():
     for family in ("quartic_minkowski", "berwald_moor"):
         spec = make_builtin_metric(family)
         for x, y in sample_domain(spec.domain, SamplePlan(count=4, seed=53)):
-            c_h, c_0 = cartan_hderivatives_of_C(spec, x, y)
+            c_h, c_0 = point_eval(spec, x, y).cartan_h_derivatives
             assert np.max(np.abs(c_h)) < 1e-9
             assert np.max(np.abs(c_0)) < 1e-9
 
@@ -170,7 +167,7 @@ def test_randers_nonconstant_is_not_landsberg():
     spec = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
     maxima = []
     for x, y in sample_domain(spec.domain, SamplePlan(count=4, seed=59)):
-        _, c_0 = cartan_hderivatives_of_C(spec, x, y)
+        _, c_0 = point_eval(spec, x, y).cartan_h_derivatives
         maxima.append(np.max(np.abs(c_0)))
     assert max(maxima) > 1e-4
 
@@ -190,15 +187,13 @@ def test_singular_metric_guard():
         {"g0": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1e-20]]},
     )
     with pytest.raises(SingularMetric):
-        fundamental_tensors(spec, X0, Y2)
+        point_eval(spec, X0, Y2).metric
 
 
 def test_covariant_derivative_of_constant_scalar():
     spec = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
     x, y = sample_domain(spec.domain, SamplePlan(count=1, seed=67))[0]
     pe = point_eval(spec, x, y)
-    from finsler4 import jets
-
     field = jets.const(3.0, geometry.FRAME_CAPS)
     cov = covariant_derivatives(field, pe.spray, pe.connection)
     assert np.max(np.abs(cov.h)) == 0.0
@@ -206,8 +201,6 @@ def test_covariant_derivative_of_constant_scalar():
 
 
 def test_covariant_derivative_requires_depth():
-    from finsler4 import jets
-
     spec = make_builtin_metric("quartic_minkowski")
     pe = point_eval(spec, X0, Y2)
     shallow = jets.const(1.0, DegreeCaps(0, 1))
@@ -218,12 +211,10 @@ def test_covariant_derivative_requires_depth():
 def test_master_caps_are_necessary_for_spray_cubic():
     # with only four y-derivatives the cubic spray test is unreachable:
     # the inverse-metric factor consumes two, the extraction three more
-    from finsler4 import jets
-
     spec = make_builtin_metric("quartic_minkowski")
     jet = metrics.eval_L(spec, X0, Y2, DegreeCaps(1, 4))
     L2 = jet * jet
-    gij = geometry.derivative_jet(L2, geometry.multi(4, 4))
+    gij = jets.derivative_jet(L2, jets.multi(4, 4))
     assert gij.caps.y_max == 2
     with pytest.raises(OrderExceedsCaps):
-        geometry.derivative_jet(gij, geometry.multi(4, 4, 4))
+        jets.derivative_jet(gij, jets.multi(4, 4, 4))

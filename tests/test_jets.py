@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from finsler4.jets import (
     OrderExceedsCaps,
     const,
     derivative_jet,
+    derivative_tensor,
     multi,
     partial_extract,
     restrict,
@@ -135,6 +137,55 @@ def test_restrict_and_derivative_jet():
         assert partial_extract(df, multi(*order)) == pytest.approx(
             partial_extract(f, multi(4, *order)), rel=1e-12
         )
+
+
+MASTER = DegreeCaps(1, 5)
+
+
+def _generic_master_jet():
+    # exp * sin of two unrelated linear forms: no two mixed partials coincide
+    vs = [variable(i, 0.1 * i + 0.3, MASTER) for i in range(8)]
+    a = sum(((-1) ** i * (0.2 + 0.05 * i)) * v for i, v in enumerate(vs))
+    b = sum((0.4 - 0.07 * i) * v for i, v in enumerate(vs))
+    return jets.exp(a) * jets.sin(b) + vs[0] * vs[4] * vs[5] * vs[5]
+
+
+def _order(slots, nx):
+    return multi(*slots[:nx], *(4 + k for k in slots[nx:]))
+
+
+@pytest.mark.parametrize("nx,ny", [(nx, ny) for nx in range(2) for ny in range(6)])
+def test_derivative_tensor_matches_per_entry_extraction(nx, ny):
+    f = _generic_master_jet()
+    entries = list(itertools.product(range(4), repeat=nx + ny))
+    shape = (4,) * (nx + ny)
+    want = np.array([partial_extract(f, _order(s, nx)) for s in entries]).reshape(shape)
+    got = derivative_tensor(f, nx, ny)
+    assert got.dtype == float and np.array_equal(got, want)
+    # any permutation of the y axes leaves the tensor unchanged
+    for perm in itertools.permutations(range(nx, nx + ny)):
+        assert np.array_equal(got, got.transpose(tuple(range(nx)) + perm))
+    for caps in (DegreeCaps(1, 1), DegreeCaps(0, 3)):
+        if caps.x_max > 1 - nx or caps.y_max > 5 - ny:
+            continue
+        tensor = derivative_tensor(f, nx, ny, caps)
+        assert tensor.shape == shape
+        for s in entries:
+            ref = restrict(derivative_jet(f, _order(s, nx)), caps)
+            assert tensor[s].caps == caps
+            assert np.array_equal(tensor[s].c, ref.c)
+
+
+def test_derivative_tensor_rejects_orders_and_caps_beyond_the_jet():
+    f = _generic_master_jet()
+    with pytest.raises(OrderExceedsCaps):
+        derivative_tensor(f, 2, 0)
+    with pytest.raises(OrderExceedsCaps):
+        derivative_tensor(f, 0, 6)
+    with pytest.raises(CapMismatch):
+        derivative_tensor(f, 0, 3, DegreeCaps(1, 3))
+    with pytest.raises(CapMismatch):
+        derivative_tensor(f, 1, 0, DegreeCaps(1, 0))
 
 
 def _all_pairs_product_table(tables):
