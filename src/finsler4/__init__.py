@@ -36,7 +36,7 @@ from .geometry import (
     covariant_derivatives,
     point_eval,
 )
-from .jets import DegreeCaps, JetScalar, partial_extract
+from .jets import DegreeCaps, Finsler4Error, JetScalar, partial_extract
 from .metrics import (
     DomainSpec,
     MetricSpec,

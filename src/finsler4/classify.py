@@ -24,7 +24,7 @@ DEFAULT_TOL = 1e-6
 VERDICT_KEYS = ("riemannian", "locally_minkowski_in_chart", "berwald", "landsberg")
 
 
-class ClassifyError(Exception):
+class ClassifyError(jets.Finsler4Error):
     pass
 
 
@@ -131,7 +131,7 @@ def classify_metric(
     for idx, (x, y) in enumerate(points):
         try:
             records.append(_evaluate_record(spec, idx, x, y))
-        except (geometry.GeometryError, metrics.MetricError, jets.JetError) as err:
+        except jets.Finsler4Error as err:
             records.append(
                 PointRecord(
                     index=idx, x=np.asarray(x), y=np.asarray(y),

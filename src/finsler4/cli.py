@@ -215,19 +215,19 @@ def cmd_frame(args) -> int:
     x = _parse_point(args.x, "x")
     y = _parse_point(args.y, "y")
     try:
-        prof = frame_mod.scalar_profile(spec, x, y)
+        prof = frame_mod.scalar_profile(geometry.point_eval(spec, x, y))
     except frame_mod.FrameError as err:
         _emit(
             {"command": "frame", "error": {"type": type(err).__name__, "message": str(err)}},
             args.output,
         )
         return 4
-    scalars = {name: getattr(prof.scalars, name) for name in frame_mod.SCALAR_NAMES}
+    scalars = {name: getattr(prof.profile.scalars, name) for name in frame_mod.SCALAR_NAMES}
     doc = {
         "command": "frame",
         "x": x,
         "y": y,
-        "L": prof.metric.L,
+        "L": prof.pe.L,
         "frame": {
             "l": prof.frame.e[0], "m": prof.frame.e[1],
             "n": prof.frame.e[2], "p": prof.frame.e[3],
@@ -238,7 +238,7 @@ def cmd_frame(args) -> int:
             },
         },
         "orthonormality_residual": prof.residuals["orthonormality"],
-        "torsion_norm": prof.cartan.C_norm,
+        "torsion_norm": prof.pe.cartan.C_norm,
         "main_scalars": scalars,
         "unified_scalar_residual": prof.residuals["unified_scalar_sum"],
         "scalar_v_derivs": prof.profile.v_derivs,

@@ -30,7 +30,7 @@ import numpy as np
 from . import exprdsl, frame as frame_mod, geometry, jets, metrics
 from .frame import FrameError, ProfileResult, SCALAR_NAMES, ScalarProfile
 from .geometry import PointEval
-from .jets import DegreeCaps, derivative_tensor
+from .jets import DegreeCaps, Finsler4Error, derivative_tensor
 from .metrics import MetricSpec, SamplePlan
 
 TAU_SIGMA = 1e-8
@@ -57,7 +57,7 @@ _PATTERN_TO_CASE = {
 }
 
 
-class ConformalError(Exception):
+class ConformalError(Finsler4Error):
     pass
 
 
@@ -132,21 +132,15 @@ def sigma_gradient(pair: ConformalPair, x: Sequence[float]) -> tuple[float, np.n
 
 
 def sigma_components(
-    pair: ConformalPair,
-    x: Sequence[float],
-    y: Sequence[float],
-    base_pe: Optional[PointEval] = None,
-    lifted_pe: Optional[PointEval] = None,
-    base_frame=None,
+    pair: ConformalPair, base: ProfileResult, lifted: ProfileResult
 ) -> SigmaComponents:
     """Frame components of the sigma gradient plus the six scalars read off
-    the frame-projected nonlinear-connection difference."""
-    base_pe = base_pe or geometry.point_eval(pair.base, x, y)
-    lifted_pe = lifted_pe or geometry.point_eval(pair.lifted, x, y)
-    if base_frame is None:
-        base_frame = frame_mod.build_miron_frame(base_pe.metric, base_pe.cartan, x, y)
+    the frame-projected nonlinear-connection difference, from the profiles
+    of the base and the rescaled space at the same point."""
+    base_pe, lifted_pe, base_frame = base.pe, lifted.pe, base.frame
+    y = base_pe.y
 
-    sigma_value, grad = sigma_gradient(pair, x)
+    sigma_value, grad = sigma_gradient(pair, base_pe.x)
     s_frame = base_frame.e @ grad  # sigma_alpha = (d sigma)_i e_(alpha)^i
 
     L0 = base_pe.L
@@ -175,9 +169,9 @@ def sigma_components(
     }
     # transvecting the connection difference recovers the spray difference:
     # delta G^i = sigma0 y^i - (L^2/2) grad-sharp^i, with sigma0 = grad . y
-    sigma0 = float(grad @ np.asarray(y, dtype=float))
+    sigma0 = float(grad @ y)
     grad_sharp = base_pe.metric.g_inv @ grad
-    delta_g_pred = sigma0 * np.asarray(y, dtype=float) - 0.5 * L0**2 * grad_sharp
+    delta_g_pred = sigma0 * y - 0.5 * L0**2 * grad_sharp
     delta_g = lifted_pe.spray.G - base_pe.spray.G
     resid["spray_transvection"] = float(
         np.max(np.abs(delta_g - delta_g_pred)) / (1.0 + np.max(np.abs(delta_g_pred)))
@@ -308,20 +302,11 @@ def berwald_case_conditions(
 
 
 def invariance_check(
-    pair: ConformalPair,
-    x: Sequence[float],
-    y: Sequence[float],
-    base: Optional[ProfileResult] = None,
-    lifted: Optional[ProfileResult] = None,
-    sc: Optional[SigmaComponents] = None,
-    base_locally_minkowski: Optional[bool] = None,
+    base: ProfileResult, lifted: ProfileResult, sc: SigmaComponents
 ) -> dict:
     """Residuals of the rescaling laws relating the two spaces at a point."""
-    base = base or frame_mod.scalar_profile(pair.base, x, y)
-    lifted = lifted or frame_mod.scalar_profile(pair.lifted, x, y)
-    if sc is None:
-        sc = sigma_components(pair, x, y)
     es = math.exp(sc.sigma_value)
+    bpe, lpe = base.pe, lifted.pe
 
     out: dict = {}
     if base.frame.gauge_tag != lifted.frame.gauge_tag:
@@ -335,17 +320,17 @@ def invariance_check(
         out[f"vector_scale:{name}"] = float(
             np.max(np.abs(lifted.frame.e[idx] - base.frame.e[idx] / es))
         )
-    out["metric_scale"] = float(np.max(np.abs(lifted.metric.g - es**2 * base.metric.g)))
+    out["metric_scale"] = float(np.max(np.abs(lpe.metric.g - es**2 * bpe.metric.g)))
     out["inverse_metric_scale"] = float(
-        np.max(np.abs(lifted.metric.g_inv - base.metric.g_inv / es**2))
+        np.max(np.abs(lpe.metric.g_inv - bpe.metric.g_inv / es**2))
     )
-    out["torsion_scale"] = float(np.max(np.abs(lifted.cartan.C - es**2 * base.cartan.C)))
+    out["torsion_scale"] = float(np.max(np.abs(lpe.cartan.C - es**2 * bpe.cartan.C)))
     out["mixed_torsion_invariance"] = float(
-        np.max(np.abs(lifted.connection.Cmix - base.connection.Cmix))
+        np.max(np.abs(lpe.connection.Cmix - bpe.connection.Cmix))
     )
     for name in SCALAR_NAMES:
         out[f"main_scalar:{name}"] = abs(
-            getattr(lifted.scalars, name) - getattr(base.scalars, name)
+            getattr(lifted.profile.scalars, name) - getattr(base.profile.scalars, name)
         )
 
     bvec, lvec = base.profile.vectors, lifted.profile.vectors
@@ -360,9 +345,7 @@ def invariance_check(
         lvec.k[0] - (bvec.k[0] + s2 * bvec.w[1] + s3 * bvec.w[2] + s4 * bvec.w[3]) / es
     )
 
-    if base_locally_minkowski is None:
-        base_locally_minkowski = _flat_in_chart(geometry.point_eval(pair.base, x, y))
-    if base_locally_minkowski:
+    if _flat_in_chart(bpe):
         vd = base.profile.v_derivs
         for row, name in enumerate(SCALAR_NAMES):
             predicted = (s2 * vd[row, 1] + s3 * vd[row, 2] + s4 * vd[row, 3]) / es
@@ -416,7 +399,7 @@ def evaluate_point(
     except FrameError as err:
         return PointConformalReport(x=x, y=y, frame_error=type(err).__name__)
 
-    sc = sigma_components(pair, x, y, base_pe, lifted_pe, base_prof.frame)
+    sc = sigma_components(pair, base_prof, lifted_prof)
     case, near, lands = landsberg_case_conditions(base_prof.profile, sc, tau_sigma)
     _, _, berw = berwald_case_conditions(base_prof.profile, sc, tau_sigma)
 
@@ -430,7 +413,7 @@ def evaluate_point(
         "max_cartan_hderiv_transvected": float(np.max(np.abs(c_0))),
         "hderiv_scale": _h_deriv_scale(lifted_pe),
     }
-    inv = invariance_check(pair, x, y, base_prof, lifted_prof, sc, _flat_in_chart(base_pe))
+    inv = invariance_check(base_prof, lifted_prof, sc)
     return PointConformalReport(
         x=x, y=y, case=case, near_degenerate=near, sigma=sc,
         landsberg_residuals=lands, berwald_residuals=berw,
@@ -489,8 +472,7 @@ def audit_pair(
     for x, y in points:
         try:
             reports.append(evaluate_point(pair, x, y))
-        except (geometry.GeometryError, metrics.MetricError, jets.JetError,
-                ConformalError) as err:
+        except Finsler4Error as err:
             reports.append(PointConformalReport(
                 x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float),
                 eval_error=str(err),

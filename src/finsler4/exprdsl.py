@@ -31,7 +31,7 @@ FUNCTIONS = {
 }
 
 
-class ExprError(Exception):
+class ExprError(jets.Finsler4Error):
     def __init__(self, message: str, offset: int | None = None) -> None:
         if offset is not None:
             message = f"{message} (at offset {offset})"

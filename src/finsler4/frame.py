@@ -34,14 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry, jets
-from .geometry import (
-    CartanTensorAt,
-    ConnectionAt,
-    MetricTensorAt,
-    PointEval,
-    SprayAt,
-)
-from .jets import base_of, derivative_tensor
+from .geometry import CartanTensorAt, MetricTensorAt, PointEval
+from .jets import Finsler4Error, base_of, derivative_tensor, ring_sum
+
 TAU_TORSION = 1e-7  # below this the torsion direction is numerically meaningless
 _SEED_SKIP_TOL = 1e-6
 _SIGN_TOL = 1e-9
@@ -60,7 +55,7 @@ SCALAR_SLOTS = {
 }
 
 
-class FrameError(Exception):
+class FrameError(Finsler4Error):
     pass
 
 
@@ -138,13 +133,9 @@ class ScalarProfile:
 
 @dataclass(frozen=True)
 class ProfileResult:
+    pe: PointEval
     frame: FrameBundle
-    scalars: MainScalars
     profile: ScalarProfile
-    metric: MetricTensorAt
-    cartan: CartanTensorAt
-    spray: SprayAt
-    connection: ConnectionAt
     residuals: dict
 
 
@@ -155,35 +146,22 @@ def _ring_zero(like):
     return like * 0.0
 
 
-def _frame_from_ring(g, g_inv, C, y, L, tau_c: float):
+def _frame_from_ring(g, g_inv, C, y, L):
     """Frame vectors/covectors over any ring with float/JetScalar arithmetic.
 
     g, g_inv: 4x4 indexable; C: 4x4x4 indexable; y: 4 ring values; L ring.
     Raises VanishingTorsion / DegenerateSeed based on base values.
     """
     l = [y[i] / L for i in range(4)]
-    C_low = []
-    for i in range(4):
-        acc = None
-        for j in range(4):
-            for k in range(4):
-                term = C[i][j][k] * g_inv[j][k]
-                acc = term if acc is None else acc + term
-        C_low.append(acc)
-    C_up = []
-    for i in range(4):
-        acc = None
-        for j in range(4):
-            term = g_inv[i][j] * C_low[j]
-            acc = term if acc is None else acc + term
-        C_up.append(acc)
-    q = None
-    for i in range(4):
-        term = C_up[i] * C_low[i]
-        q = term if q is None else q + term
-    if base_of(q) < tau_c**2:
+    C_low = [
+        ring_sum(C[i][j][k] * g_inv[j][k] for j in range(4) for k in range(4))
+        for i in range(4)
+    ]
+    C_up = [ring_sum(g_inv[i][j] * C_low[j] for j in range(4)) for i in range(4)]
+    q = ring_sum(C_up[i] * C_low[i] for i in range(4))
+    if base_of(q) < TAU_TORSION**2:
         raise VanishingTorsion(
-            f"torsion length {max(base_of(q), 0.0) ** 0.5:.3e} below {tau_c:.1e}"
+            f"torsion length {max(base_of(q), 0.0) ** 0.5:.3e} below {TAU_TORSION:.1e}"
         )
     C_norm = jets.sqrt(q)
     m = [C_up[i] / C_norm for i in range(4)]
@@ -198,16 +176,9 @@ def _frame_from_ring(g, g_inv, C, y, L, tau_c: float):
         r[seed] = r[seed] + 1.0
         for vec in frame:
             # g-inner product of the seed with an already-built vector
-            coeff = None
-            for jj in range(4):
-                term = g[seed][jj] * vec[jj]
-                coeff = term if coeff is None else coeff + term
+            coeff = ring_sum(g[seed][jj] * vec[jj] for jj in range(4))
             r = [ri - coeff * vi for ri, vi in zip(r, vec)]
-        norm2 = None
-        for i in range(4):
-            for jj in range(4):
-                term = g[i][jj] * r[i] * r[jj]
-                norm2 = term if norm2 is None else norm2 + term
+        norm2 = ring_sum(g[i][jj] * r[i] * r[jj] for i in range(4) for jj in range(4))
         if base_of(norm2) < _SEED_SKIP_TOL**2:
             continue
         norm = jets.sqrt(norm2)
@@ -226,32 +197,22 @@ def _frame_from_ring(g, g_inv, C, y, L, tau_c: float):
     if len(frame) != 4:
         raise DegenerateSeed("ran out of seeds completing the frame")
 
-    e_flat = []
-    for vec in frame:
-        row = []
-        for i in range(4):
-            acc = None
-            for jj in range(4):
-                term = g[i][jj] * vec[jj]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        e_flat.append(row)
+    e_flat = [
+        [ring_sum(g[i][jj] * vec[jj] for jj in range(4)) for i in range(4)]
+        for vec in frame
+    ]
     gauge = {"seeds": tuple(seeds_used), "sign_flips": tuple(flips)}
     return frame, e_flat, gauge
 
 
 def build_miron_frame(
-    metric: MetricTensorAt,
-    cartan: CartanTensorAt,
-    x: Sequence[float],
-    y: Sequence[float],
-    tau_c: float = TAU_TORSION,
+    metric: MetricTensorAt, cartan: CartanTensorAt, y: Sequence[float]
 ) -> FrameBundle:
     """Frame at a point from the already-computed tensors (float route)."""
     if not metric.positive_definite:
         raise NotPositiveDefinite("the fundamental tensor is not positive definite")
     e, e_flat, gauge = _frame_from_ring(
-        metric.g, metric.g_inv, cartan.C, np.asarray(y, dtype=float), metric.L, tau_c
+        metric.g, metric.g_inv, cartan.C, np.asarray(y, dtype=float), metric.L
     )
     return FrameBundle(
         e=np.array(e, dtype=float), e_flat=np.array(e_flat, dtype=float), gauge_tag=gauge
@@ -286,83 +247,42 @@ def main_scalars(cartan: CartanTensorAt, frame: FrameBundle, L: float) -> MainSc
 # -- jet route: frame fields, scalar jets, derivative tables -----------------
 
 
-class _JetFrameContext:
-    """Frame fields, main-scalar jets, and base-value views for one point."""
-
-    def __init__(self, pe: PointEval, tau_c: float = TAU_TORSION) -> None:
-        if not pe.metric.positive_definite:
-            raise NotPositiveDefinite("the fundamental tensor is not positive definite")
-        self.pe = pe
-        g_j, C_j, y_j, L_j = pe.frame_field_jets()
-        g_inv_j = geometry._jet_matrix_inverse(g_j, geometry.FRAME_CAPS)
-        self.e_jets, self.e_flat_jets, self.gauge = _frame_from_ring(
-            g_j, g_inv_j, C_j, y_j, L_j, tau_c
-        )
-        self.C_jets = C_j
-        self.L_jet = L_j
-        self.frame = FrameBundle(
-            e=np.array([[v.base for v in row] for row in self.e_jets]),
-            e_flat=np.array([[v.base for v in row] for row in self.e_flat_jets]),
-            gauge_tag=self.gauge,
-        )
-
-    def scalar_jets(self) -> dict:
-        """The eight main scalars as first-order jets in (x, y)."""
-        m, n, p = self.e_jets[1], self.e_jets[2], self.e_jets[3]
-        vecs = {1: m, 2: n, 3: p}
-        # contract the first index once per needed frame vector
-        first = {}
-        for a in (1, 2):
-            rows = [[None] * 4 for _ in range(4)]
-            for j in range(4):
-                for k in range(4):
-                    acc = None
-                    for i in range(4):
-                        term = self.C_jets[i][j][k] * vecs[a][i]
-                        acc = term if acc is None else acc + term
-                    rows[j][k] = acc
-            first[a] = rows
-        out = {}
-        for name in SCALAR_NAMES:
-            a, b, c = SCALAR_SLOTS[name]
-            acc = None
-            for j in range(4):
-                for k in range(4):
-                    term = first[a][j][k] * vecs[b][j] * vecs[c][k]
-                    acc = term if acc is None else acc + term
-            out[name] = acc * self.L_jet
-        return out
+def _scalar_jets(C, e, L) -> dict:
+    """The eight main scalars as first-order jets in (x, y), from the C,
+    frame-vector and L jets."""
+    # contract the first index once per needed frame vector
+    first = {
+        a: [
+            [ring_sum(C[i][j][k] * e[a][i] for i in range(4)) for k in range(4)]
+            for j in range(4)
+        ]
+        for a in (1, 2)
+    }
+    out = {}
+    for name in SCALAR_NAMES:
+        a, b, c = SCALAR_SLOTS[name]
+        out[name] = ring_sum(
+            first[a][j][k] * e[b][j] * e[c][k] for j in range(4) for k in range(4)
+        ) * L
+    return out
 
 
-def connection_vectors(
-    spec_or_pe, x=None, y=None, tau_c: float = TAU_TORSION
+def _connection_vectors(
+    pe: PointEval, frame: FrameBundle, e_flat_jets
 ) -> tuple[ConnectionVectors, dict]:
     """Frame components of the h- and v-connection vectors, plus the
     residuals of the frame-derivative reconstruction identities."""
-    ctx = _context(spec_or_pe, x, y, tau_c)
-    return _connection_vectors(ctx)
-
-
-def _context(spec_or_pe, x, y, tau_c) -> _JetFrameContext:
-    if isinstance(spec_or_pe, _JetFrameContext):
-        return spec_or_pe
-    if isinstance(spec_or_pe, PointEval):
-        return _JetFrameContext(spec_or_pe, tau_c)
-    return _JetFrameContext(geometry.point_eval(spec_or_pe, x, y), tau_c)
-
-
-def _connection_vectors(ctx: _JetFrameContext) -> tuple[ConnectionVectors, dict]:
-    pe = ctx.pe
     spray, conn = pe.spray, pe.connection
     L0 = pe.L
-    e = ctx.frame.e
-    e_flat = ctx.frame.e_flat
+    e = frame.e
+    e_flat = frame.e_flat
     g = pe.metric.g
 
     cov = {
-        name: geometry.covariant_derivatives(ctx.e_flat_jets[idx], spray, conn)
+        name: geometry.covariant_derivatives(e_flat_jets[idx], spray, conn)
         for name, idx in (("l", 0), ("m", 1), ("n", 2), ("p", 3))
     }
+
     l_up, m_up, n_up, p_up = e
     l_lo, m_lo, n_lo, p_lo = e_flat
 
@@ -409,17 +329,23 @@ def _connection_vectors(ctx: _JetFrameContext) -> tuple[ConnectionVectors, dict]
     return vectors, residuals
 
 
-def scalar_profile(
-    spec_or_pe, x=None, y=None, tau_c: float = TAU_TORSION
-) -> ProfileResult:
+def scalar_profile(pe: PointEval) -> ProfileResult:
     """Full per-point frame profile: scalars, derivative tables, vectors."""
-    ctx = _context(spec_or_pe, x, y, tau_c)
-    pe = ctx.pe
+    if not pe.metric.positive_definite:
+        raise NotPositiveDefinite("the fundamental tensor is not positive definite")
+    g_j, C_j, y_j, L_j = pe.frame_field_jets()
+    g_inv_j = geometry._jet_matrix_inverse(g_j, geometry.FRAME_CAPS)
+    e_jets, e_flat_jets, gauge = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
+    frame = FrameBundle(
+        e=np.array([[v.base for v in row] for row in e_jets]),
+        e_flat=np.array([[v.base for v in row] for row in e_flat_jets]),
+        gauge_tag=gauge,
+    )
     spray = pe.spray
     L0 = pe.L
-    e = ctx.frame.e
+    e = frame.e
 
-    scalar_jets = ctx.scalar_jets()
+    scalar_jets = _scalar_jets(C_j, e_jets, L_j)
     v_derivs = np.empty((8, 4))
     h_derivs = np.empty((8, 4))
     for row, name in enumerate(SCALAR_NAMES):
@@ -429,24 +355,13 @@ def scalar_profile(
         v_derivs[row] = L0 * (e @ dy)
         h_derivs[row] = e @ delta
 
-    vectors, residuals = _connection_vectors(ctx)
+    vectors, residuals = _connection_vectors(pe, frame, e_flat_jets)
     scalars = MainScalars(**{n: scalar_jets[n].base for n in SCALAR_NAMES})
-    cartan = pe.cartan
-    residuals = dict(residuals)
     residuals["unified_scalar_sum"] = abs(
-        scalars.H + scalars.I + scalars.K - L0 * cartan.C_norm
+        scalars.H + scalars.I + scalars.K - L0 * pe.cartan.C_norm
     )
 
     profile = ScalarProfile(
         scalars=scalars, v_derivs=v_derivs, h_derivs=h_derivs, vectors=vectors
     )
-    return ProfileResult(
-        frame=ctx.frame,
-        scalars=scalars,
-        profile=profile,
-        metric=pe.metric,
-        cartan=cartan,
-        spray=spray,
-        connection=pe.connection,
-        residuals=residuals,
-    )
+    return ProfileResult(pe=pe, frame=frame, profile=profile, residuals=residuals)

@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import jets, metrics
-from .jets import DegreeCaps, JetScalar, derivative_tensor
+from .jets import DegreeCaps, Finsler4Error, JetScalar, derivative_tensor
 from .metrics import MetricSpec
 
 # master caps: one x-derivative beside four y-derivatives covers every
@@ -37,7 +37,7 @@ _SPRAY_CAPS = DegreeCaps(0, 3)
 _DET_GUARD = 1e-12
 
 
-class GeometryError(Exception):
+class GeometryError(Finsler4Error):
     pass
 
 

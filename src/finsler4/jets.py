@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -35,7 +36,11 @@ Y_SLOTS = (4, 5, 6, 7)
 Number = Union[int, float]
 
 
-class JetError(Exception):
+class Finsler4Error(Exception):
+    """Root of every error the package raises."""
+
+
+class JetError(Finsler4Error):
     """Base class for jet arithmetic failures."""
 
 
@@ -435,14 +440,15 @@ def power(f, r: Number):
             return const(1.0, f.caps)
         inv = n < 0
         n = abs(n)
-        acc = None
+        factors = []
         base = f
         while n:
             if n & 1:
-                acc = base if acc is None else acc * base
+                factors.append(base)
             n >>= 1
             if n:
                 base = base * base
+        acc = reduce(operator.mul, factors)
         return _recip(acc) if inv else acc
     return exp(log(f) * float(r))
 
@@ -476,3 +482,8 @@ def cos(f):
 def base_of(v) -> float:
     """Base value of a jet, or the number itself."""
     return v.base if isinstance(v, JetScalar) else float(v)
+
+
+def ring_sum(terms):
+    """Left-to-right sum of floats or jets, starting from the first term."""
+    return reduce(operator.add, terms)

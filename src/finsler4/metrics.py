@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exprdsl, jets
 from .exprdsl import ExprAst
-from .jets import DEFAULT_CAPS, DegreeCaps, DomainViolation, JetScalar
+from .jets import DEFAULT_CAPS, DegreeCaps, DomainViolation, Finsler4Error, JetScalar
 
 Y_CONES = ("all_nonzero", "all_positive", "unit_ball_interior_shifted")
 
@@ -28,7 +28,7 @@ _SHIFTED_BALL_CENTER = 1.5
 _CONE_MARGIN = 1e-3
 
 
-class MetricError(Exception):
+class MetricError(Finsler4Error):
     pass
 
 
@@ -215,11 +215,11 @@ def _eval_family(spec: MetricSpec, env: list):
             raise DomainViolation("berwald_moor needs a product of positive y's")
         return jets.power(p, 0.25)
     if spec.family == "riemannian":
-        q = None
-        for i in range(4):
-            for j in range(4):
-                term = exprdsl.eval_expr(spec.g0_ast[i][j], env) * ys[i] * ys[j]
-                q = term if q is None else q + term
+        q = jets.ring_sum(
+            exprdsl.eval_expr(spec.g0_ast[i][j], env) * ys[i] * ys[j]
+            for i in range(4)
+            for j in range(4)
+        )
         return jets.sqrt(q)
     if spec.family == "randers":
         alpha = jets.sqrt(sum(v * v for v in ys))

@@ -12,7 +12,6 @@ the metric's validity cone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
@@ -20,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .jets import OrderExceedsCaps
+from .jets import Finsler4Error, OrderExceedsCaps
 from .metrics import MetricSpec
 
 _EPS = np.finfo(float).eps
@@ -28,7 +27,7 @@ _EPS = np.finfo(float).eps
 MAX_ORDER = 3
 
 
-class StencilLeavesDomain(Exception):
+class StencilLeavesDomain(Finsler4Error):
     pass
 
 
@@ -239,43 +238,6 @@ def oracle_tensors(
     dg_inv = -2.0 * np.einsum("ia,abj,br->irj", g_inv, C, g_inv)
     N = 0.25 * (np.einsum("irj,r->ij", dg_inv, e_vec) + g_inv @ de_vec)
     return OracleTensors(g=g, g_inv=g_inv, C=C, G=G, N=N)
-
-
-def gram_schmidt_metric(
-    g: np.ndarray, start: list, seeds: Optional[list] = None, skip_tol: float = 1e-6
-) -> np.ndarray:
-    """Orthonormal frame for the inner product g, straight numpy route.
-
-    Starts from the given vectors (normalised and assumed independent),
-    extends with standard basis seeds in index order, skipping seeds whose
-    residual is shorter than `skip_tol`, and makes the first nonzero
-    component of each appended vector positive.
-    """
-    frame = []
-    for v in start:
-        v = np.asarray(v, dtype=float)
-        frame.append(v / math.sqrt(v @ g @ v))
-    if seeds is None:
-        seeds = [np.eye(4)[k] for k in range(4)]
-    for seed in seeds:
-        if len(frame) == 4:
-            break
-        r = np.asarray(seed, dtype=float).copy()
-        for v in frame:
-            r -= (r @ g @ v) * v
-        norm = math.sqrt(max(r @ g @ r, 0.0))
-        if norm < skip_tol:
-            continue
-        r /= norm
-        for comp in r:
-            if abs(comp) > 1e-9:
-                if comp < 0:
-                    r = -r
-                break
-        frame.append(r)
-    if len(frame) != 4:
-        raise ValueError("could not complete an orthonormal frame")
-    return np.array(frame)
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

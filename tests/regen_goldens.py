@@ -29,12 +29,15 @@ SPECS = {
     },
 }
 
-# CLI arguments ({d} is the goldens directory) -> golden report
+# CLI arguments ({d} is the goldens directory) -> golden report; tests/test_cli.py
+# checks each against a fresh run
 REPORTS = (
     (["classify", "{d}/quartic_small.json"], "classify_quartic.json"),
     (["frame", "{d}/quartic_small.json", "--x", "0,0,0,0", "--y", "1,2,1,1"],
      "frame_quartic.json"),
     (["conformal", "{d}/conformal_small.json"], "conformal_quartic.json"),
+    # Randers b=0.1*x2: x-derivatives of g, the spray and C_h do not vanish,
+    # so these pin the axis order of every derivative tensor
     (["classify", "{d}/randers_small.json"], "classify_randers.json"),
     (["frame", "{d}/randers_small.json", "--x", "0.1,0.2,0.3,0.4", "--y", "1,2,1,1"],
      "frame_randers.json"),

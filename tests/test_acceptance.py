@@ -90,12 +90,12 @@ def test_c02_euler_identities():
 @criterion(3, "Miron frame: orthonormal at valid points, torsion guard trips, H+I+K = LC")
 def test_c03_miron_frame():
     with pytest.raises(VanishingTorsion):
-        scalar_profile(QUARTIC, np.zeros(4), np.ones(4))
+        scalar_profile(geometry.point_eval(QUARTIC, np.zeros(4), np.ones(4)))
     seen = 0
     for name, spec in FRAME_CORPUS:
         for x, y in metrics.sample_domain(spec.domain, PLAN16):
             try:
-                prof = scalar_profile(spec, x, y)
+                prof = scalar_profile(geometry.point_eval(spec, x, y))
             except frame.FrameError:
                 continue
             seen += 1
@@ -110,7 +110,7 @@ def test_c04_frame_derivative_identities():
     for name, spec in FRAME_CORPUS:
         for x, y in metrics.sample_domain(spec.domain, SamplePlan(count=8, seed=5)):
             try:
-                prof = scalar_profile(spec, x, y)
+                prof = scalar_profile(geometry.point_eval(spec, x, y))
             except frame.FrameError:
                 continue
             res = prof.residuals
@@ -143,13 +143,19 @@ def test_c05_conformal_invariance_suite():
     assert checked >= 14
 
 
+def _sigma_at(pair, x, y):
+    base, lifted = (scalar_profile(geometry.point_eval(spec, x, y))
+                    for spec in (pair.base, pair.lifted))
+    return sigma_components(pair, base, lifted)
+
+
 @criterion(6, "projected spray difference: sign layout to 1e-7, transvection "
              "identity to 1e-7, homothety gives zero to 1e-10")
 def test_c06_spray_difference_structure():
     pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
     for x, y in metrics.sample_domain(QUARTIC.domain, PLAN16):
         try:
-            sc = sigma_components(pair, x, y)
+            sc = _sigma_at(pair, x, y)
         except frame.FrameError:
             continue
         scale = sc.extraction_residuals["_scale"]
@@ -162,7 +168,7 @@ def test_c06_spray_difference_structure():
     hom = make_pair(QUARTIC, "0.35")
     for x, y in metrics.sample_domain(QUARTIC.domain, SamplePlan(count=8, seed=9)):
         try:
-            sc = sigma_components(hom, x, y)
+            sc = _sigma_at(hom, x, y)
         except frame.FrameError:
             continue
         assert np.max(np.abs(sc.frame_grad())) <= 1e-10

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from finsler4 import cli
+from regen_goldens import REPORTS
 
 
 @pytest.fixture()
@@ -160,21 +161,7 @@ def test_selftest_passes(capsys, tmp_path):
     assert all(c["ok"] for c in doc["checks"])
 
 
-GOLDENS = [
-    (["classify", "{d}/quartic_small.json"], "classify_quartic.json"),
-    (["frame", "{d}/quartic_small.json", "--x", "0,0,0,0", "--y", "1,2,1,1"],
-     "frame_quartic.json"),
-    (["conformal", "{d}/conformal_small.json"], "conformal_quartic.json"),
-    # Randers b=0.1*x2: x-derivatives of g, the spray and C_h do not vanish,
-    # so these pin the axis order of every derivative tensor
-    (["classify", "{d}/randers_small.json"], "classify_randers.json"),
-    (["frame", "{d}/randers_small.json", "--x", "0.1,0.2,0.3,0.4", "--y", "1,2,1,1"],
-     "frame_randers.json"),
-    (["conformal", "{d}/randers_conformal_small.json"], "conformal_randers.json"),
-]
-
-
-@pytest.mark.parametrize("argv,golden", GOLDENS)
+@pytest.mark.parametrize("argv,golden", REPORTS)
 def test_output_matches_golden(capsys, argv, golden):
     import pathlib
 

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from finsler4 import conformal, frame, geometry, metrics
+from finsler4 import conformal, geometry, metrics
 from finsler4.conformal import (
     CASE_ALL,
     CASE_HOMOTHETIC,
@@ -27,6 +28,22 @@ X1 = np.array([0.5, -0.3, 0.2, 0.1])
 YGEN = np.array([1.1, 2.0, 0.9, 1.3])
 
 
+def profiles(pair, x, y):
+    """Frame profiles of the base and the rescaled space at one point."""
+    return tuple(
+        scalar_profile(geometry.point_eval(spec, x, y)) for spec in (pair.base, pair.lifted)
+    )
+
+
+def sigma_at(pair, x, y):
+    return sigma_components(pair, *profiles(pair, x, y))
+
+
+def invariance_at(pair, x, y):
+    base, lifted = profiles(pair, x, y)
+    return invariance_check(base, lifted, sigma_components(pair, base, lifted))
+
+
 def test_lift_rejects_direction_dependent_factor():
     with pytest.raises(metrics.SigmaUsesY):
         make_pair(QUARTIC, "0.1*y1")
@@ -34,7 +51,7 @@ def test_lift_rejects_direction_dependent_factor():
 
 def test_zero_factor_is_identity():
     pair = make_pair(QUARTIC, "0")
-    rep = invariance_check(pair, X1, YGEN)
+    rep = invariance_at(pair, X1, YGEN)
     finite = {k: v for k, v in rep.items() if not math.isnan(v)}
     assert max(finite.values()) < 1e-10
 
@@ -48,7 +65,7 @@ def test_constant_factor_scales_metric():
 
 def test_homothety_zero_components():
     pair = make_pair(QUARTIC, "0.3")
-    sc = sigma_components(pair, X1, YGEN)
+    sc = sigma_at(pair, X1, YGEN)
     assert max(abs(v) for v in (sc.sigma1, sc.sigma2, sc.sigma3, sc.sigma4)) <= 1e-10
     assert np.max(np.abs(sc.spray_block())) <= 1e-10
     assert case_of(sc)[0] == CASE_HOMOTHETIC
@@ -56,15 +73,16 @@ def test_homothety_zero_components():
 
 def test_sigma_gradient_reconstruction():
     pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
-    sc = sigma_components(pair, X1, YGEN)
-    bundle = frame.scalar_profile(pair.base, X1, YGEN).frame
+    base, lifted = profiles(pair, X1, YGEN)
+    sc = sigma_components(pair, base, lifted)
+    bundle = base.frame
     recon = sc.frame_grad() @ bundle.e_flat
     assert np.max(np.abs(recon - sc.sigma_grad)) <= 1e-9
 
 
 def test_extraction_residuals_small_and_layout_holds():
     pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
-    sc = sigma_components(pair, X1, YGEN)
+    sc = sigma_at(pair, X1, YGEN)
     scale = sc.extraction_residuals["_scale"]
     for key, val in sc.extraction_residuals.items():
         if key.startswith("_"):
@@ -75,37 +93,37 @@ def test_extraction_residuals_small_and_layout_holds():
 def test_spray_difference_transvection_identity():
     pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
     for x, y in sample_domain(QUARTIC.domain, SamplePlan(count=6, seed=71)):
-        sc = sigma_components(pair, x, y)
+        sc = sigma_at(pair, x, y)
         assert sc.extraction_residuals["spray_transvection"] <= 1e-7
 
 
 def test_case_dispatch_constructed_gradients():
     # aim the gradient along chosen frame covectors at the evaluation point
-    prof = scalar_profile(QUARTIC, X1, YGEN)
+    prof = scalar_profile(geometry.point_eval(QUARTIC, X1, YGEN))
     flat = prof.frame.e_flat
 
     def pair_for(cov):
         src = "+".join(f"({format(float(c), '.17g')})*x{i+1}" for i, c in enumerate(cov))
         return make_pair(QUARTIC, src)
 
-    sc = sigma_components(pair_for(flat[2] + flat[3]), X1, YGEN)
+    sc = sigma_at(pair_for(flat[2] + flat[3]), X1, YGEN)
     case, _ = case_of(sc)
     assert case == CASE_N_P
     assert abs(sc.sigma2) < 1e-9
     assert sc.sigma3 == pytest.approx(1.0, rel=1e-9)
     assert sc.sigma4 == pytest.approx(1.0, rel=1e-9)
 
-    sc = sigma_components(pair_for(flat[1]), X1, YGEN)
+    sc = sigma_at(pair_for(flat[1]), X1, YGEN)
     assert case_of(sc)[0] == CASE_M
 
-    sc = sigma_components(pair_for(flat[1] + flat[2] + flat[3]), X1, YGEN)
+    sc = sigma_at(pair_for(flat[1] + flat[2] + flat[3]), X1, YGEN)
     assert case_of(sc)[0] == CASE_ALL
 
 
 def test_landsberg_conditions_homothetic_all_zero():
     pair = make_pair(QUARTIC, "0.25")
-    prof = scalar_profile(pair.base, X1, YGEN)
-    sc = sigma_components(pair, X1, YGEN)
+    prof, lifted = profiles(pair, X1, YGEN)
+    sc = sigma_components(pair, prof, lifted)
     case, near, out = landsberg_case_conditions(prof.profile, sc)
     assert case == CASE_HOMOTHETIC
     assert not near
@@ -134,16 +152,16 @@ def test_landsberg_conditions_fail_with_nonlandsberg_lift():
 
 def test_berwald_conditions_homothetic_zero():
     pair = make_pair(QUARTIC, "0.25")
-    prof = scalar_profile(pair.base, X1, YGEN)
-    sc = sigma_components(pair, X1, YGEN)
+    prof, lifted = profiles(pair, X1, YGEN)
+    sc = sigma_components(pair, prof, lifted)
     _, _, out = berwald_case_conditions(prof.profile, sc)
     assert max(v["residual"] for v in out.values()) <= 1e-10
 
 
 def test_berwald_conditions_reject_bad_extraction():
     pair = make_pair(QUARTIC, "0.1*x1")
-    prof = scalar_profile(pair.base, X1, YGEN)
-    sc = sigma_components(pair, X1, YGEN)
+    prof, lifted = profiles(pair, X1, YGEN)
+    sc = sigma_components(pair, prof, lifted)
     corrupted = conformal.SigmaComponents(
         sigma1=sc.sigma1, sigma2=sc.sigma2, sigma3=sc.sigma3, sigma4=sc.sigma4,
         sigma5=sc.sigma5, sigma6=sc.sigma6, sigma7=sc.sigma7, sigma8=sc.sigma8,
@@ -158,7 +176,7 @@ def test_berwald_conditions_reject_bad_extraction():
 def test_invariance_suite_nonhomothetic():
     pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
     for x, y in sample_domain(QUARTIC.domain, SamplePlan(count=16, seed=79)):
-        out = invariance_check(pair, x, y)
+        out = invariance_at(pair, x, y)
         assert out["gauge_match"] == 0.0
         for k, v in out.items():
             if k.startswith(("covector_scale", "vector_scale")):
@@ -179,7 +197,7 @@ def test_first_component_laws_on_drift_base():
     base = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
     pair = make_pair(base, "0.1*x1")
     for x, y in sample_domain(base.domain, SamplePlan(count=6, seed=83)):
-        out = invariance_check(pair, x, y)
+        out = invariance_at(pair, x, y)
         for key in ("hbar1_law", "jbar1_law", "kbar1_law"):
             assert out[key] <= 1e-6, (key, out[key])
         # the scalar law needs a position-independent base, so it is gated off
@@ -201,7 +219,7 @@ def test_audit_cooccurrence_homothetic_and_generic():
 
 
 def test_case_dispatch_flags_near_threshold_components():
-    prof = scalar_profile(QUARTIC, X1, YGEN)
+    prof = scalar_profile(geometry.point_eval(QUARTIC, X1, YGEN))
     flat = prof.frame.e_flat
 
     def pair_for(cov):
@@ -209,11 +227,11 @@ def test_case_dispatch_flags_near_threshold_components():
         return make_pair(QUARTIC, src)
 
     # an m-component hovering just above the dispatch threshold is flagged
-    sc = sigma_components(pair_for(1.5e-8 * flat[1] + 1.0 * flat[2]), X1, YGEN)
+    sc = sigma_at(pair_for(1.5e-8 * flat[1] + 1.0 * flat[2]), X1, YGEN)
     case, near = case_of(sc)
     assert near
     # gradient along the supporting covector alone: anomalous pattern
-    sc = sigma_components(pair_for(flat[0]), X1, YGEN)
+    sc = sigma_at(pair_for(flat[0]), X1, YGEN)
     case, near = case_of(sc)
     assert case == conformal.CASE_SUPPORTING_ONLY
 
@@ -232,8 +250,28 @@ def test_every_point_gets_exactly_one_case():
         assert rep.case in all_cases
 
 
+def test_profile_functions_match_evaluate_point_bit_for_bit():
+    # the public functions, fed the two profiles, report what evaluate_point does
+    drift = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+    cases = [(make_pair(QUARTIC, "0.1*x1+0.05*x2^2"), X1, YGEN)]
+    cases += [(make_pair(drift, "0.1*x1"), x, y)
+              for x, y in sample_domain(drift.domain, SamplePlan(count=3, seed=97))]
+    for pair, x, y in cases:
+        rep = evaluate_point(pair, x, y)
+        base, lifted = profiles(pair, x, y)
+        sc = sigma_components(pair, base, lifted)
+        for f in dataclasses.fields(sc):
+            got, want = getattr(sc, f.name), getattr(rep.sigma, f.name)
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, want), f.name
+            else:
+                assert got == want, f.name
+        assert invariance_check(base, lifted, sc) == rep.invariance_residuals
+
+
 def test_evaluate_point_builds_one_point_eval_per_space(monkeypatch):
-    # base and rescaled space once each; invariance_check reuses the base one
+    # base and rescaled space once each; the profiles, sigma_components and
+    # invariance_check all read them
     calls = []
     init = geometry.PointEval.__init__
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from finsler4 import frame, oracle
+from finsler4 import frame
 from finsler4.frame import (
     NotPositiveDefinite,
     VanishingTorsion,
@@ -24,7 +26,7 @@ QUARTIC = make_builtin_metric("quartic_minkowski")
 def _frame_at(spec, x, y):
     pe = point_eval(spec, x, y)
     metric, cartan = pe.metric, pe.cartan
-    return build_miron_frame(metric, cartan, x, y), metric, cartan
+    return build_miron_frame(metric, cartan, y), metric, cartan
 
 
 def test_vanishing_torsion_at_symmetric_point():
@@ -65,12 +67,57 @@ def test_frame_determinism_bit_identical():
     assert a.gauge_tag == b.gauge_tag
 
 
+def gram_schmidt_metric(g, start, skip_tol=1e-6):
+    """Orthonormal frame for the inner product g, straight numpy route.
+
+    Starts from the given vectors (normalised and assumed independent),
+    extends with standard basis seeds in index order, skipping seeds whose
+    residual is shorter than `skip_tol`, and makes the first nonzero
+    component of each appended vector positive.
+    """
+    frame = []
+    for v in start:
+        v = np.asarray(v, dtype=float)
+        frame.append(v / math.sqrt(v @ g @ v))
+    for seed in np.eye(4):
+        if len(frame) == 4:
+            break
+        r = seed.copy()
+        for v in frame:
+            r -= (r @ g @ v) * v
+        norm = math.sqrt(max(r @ g @ r, 0.0))
+        if norm < skip_tol:
+            continue
+        r /= norm
+        for comp in r:
+            if abs(comp) > 1e-9:
+                if comp < 0:
+                    r = -r
+                break
+        frame.append(r)
+    if len(frame) != 4:
+        raise ValueError("could not complete an orthonormal frame")
+    return np.array(frame)
+
+
+def test_gram_schmidt_metric_orthonormal():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(4, 4))
+    g = a @ a.T + 4 * np.eye(4)
+    start = [np.array([1.0, 0.5, 0.0, 0.0]), np.array([-0.3, 1.0, 0.2, 0.0])]
+    # orthogonalise the second start vector against the first
+    v0 = start[0] / math.sqrt(start[0] @ g @ start[0])
+    w = start[1] - (start[1] @ g @ v0) * v0
+    frame = gram_schmidt_metric(g, [v0, w])
+    assert np.max(np.abs(frame @ g @ frame.T - np.eye(4))) < 1e-12
+
+
 def test_frame_matches_independent_gram_schmidt():
     bundle, metric, cartan = _frame_at(QUARTIC, X0, Y2)
     l = Y2 / metric.L
     m = metric.g_inv @ cartan.C_vec
     m = m / np.sqrt(m @ metric.g @ m)
-    other = oracle.gram_schmidt_metric(metric.g, [l, m])
+    other = gram_schmidt_metric(metric.g, [l, m])
     assert np.max(np.abs(other - bundle.e)) < 1e-9
 
 
@@ -113,10 +160,22 @@ def test_torsion_trace_constraints():
     assert abs(M[1, 1, 3] + M[2, 2, 3] + M[3, 3, 3]) <= 1e-8
 
 
+def test_float_and_jet_routes_give_the_same_frame():
+    randers = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+    for spec in (QUARTIC, randers):
+        for x, y in sample_domain(spec.domain, SamplePlan(count=6, seed=29)):
+            pe = point_eval(spec, x, y)
+            jet = scalar_profile(pe).frame
+            flt = build_miron_frame(pe.metric, pe.cartan, pe.y)
+            assert flt.gauge_tag == jet.gauge_tag
+            assert np.max(np.abs(flt.e - jet.e)) <= 1e-12
+            assert np.max(np.abs(flt.e_flat - jet.e_flat)) <= 1e-12
+
+
 def test_profile_locally_minkowski():
     for spec in (QUARTIC, make_builtin_metric("randers", {"b": [0.2, 0.1, 0, 0]})):
         for x, y in sample_domain(spec.domain, SamplePlan(count=6, seed=11)):
-            prof = scalar_profile(spec, x, y)
+            prof = scalar_profile(point_eval(spec, x, y))
             vec = prof.profile.vectors
             assert np.max(np.abs(vec.h)) <= 1e-7
             assert np.max(np.abs(vec.j)) <= 1e-7
@@ -128,7 +187,7 @@ def test_profile_locally_minkowski():
 def test_profile_reconstruction_residuals_randers():
     spec = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
     for x, y in sample_domain(spec.domain, SamplePlan(count=6, seed=13)):
-        prof = scalar_profile(spec, x, y)
+        prof = scalar_profile(point_eval(spec, x, y))
         res = prof.residuals
         assert res["l_hderiv_zero"] <= 1e-8
         assert res["l_vderiv_angular"] <= 1e-8
@@ -145,20 +204,20 @@ def test_scalar_v_derivatives_match_finite_differences():
     # neighbouring evaluations can pick a different gauge branch
     spec = QUARTIC
     x, y = X0, np.array([1.1, 2.0, 0.9, 1.3])
-    prof = scalar_profile(spec, x, y)
+    prof = scalar_profile(point_eval(spec, x, y))
     h = 1e-5
     for row, name in enumerate(frame.SCALAR_NAMES):
         for r in range(4):
             yp, ym = y.copy(), y.copy()
             yp[r] += h
             ym[r] -= h
-            sp = scalar_profile(spec, x, yp).scalars
-            sm = scalar_profile(spec, x, ym).scalars
+            sp = scalar_profile(point_eval(spec, x, yp)).profile.scalars
+            sm = scalar_profile(point_eval(spec, x, ym)).profile.scalars
             fd = (getattr(sp, name) - getattr(sm, name)) / (2 * h)
             jet_val = 0.0
             # S;_alpha = L * dS/dy^r e_alpha^r: invert via covector components
             # compare the raw y-gradient instead: sum_a S;_a e_flat[a, r] / L
-            jet_val = prof.profile.v_derivs[row] @ prof.frame.e_flat[:, r] / prof.metric.L
+            jet_val = prof.profile.v_derivs[row] @ prof.frame.e_flat[:, r] / prof.pe.L
             assert jet_val == pytest.approx(fd, rel=1e-5, abs=1e-5), (name, r)
 
 
@@ -177,8 +236,8 @@ def test_main_scalar_conformal_invariance():
     lifted = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
     x = np.array([0.4, 0.8, -0.5, 0.2])
     for _, y in sample_domain(QUARTIC.domain, SamplePlan(count=4, seed=19)):
-        sb = scalar_profile(QUARTIC, x, y).scalars
-        sl = scalar_profile(lifted, x, y).scalars
+        sb = scalar_profile(point_eval(QUARTIC, x, y)).profile.scalars
+        sl = scalar_profile(point_eval(lifted, x, y)).profile.scalars
         for name in frame.SCALAR_NAMES:
             assert abs(getattr(sl, name) - getattr(sb, name)) <= 1e-7
 

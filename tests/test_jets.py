@@ -300,3 +300,27 @@ def test_elementary_functions_match_finite_differences():
                 got = partial_extract(j, order)
                 want = oracle.fd_partial(func, point, order, cfg)
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (name, order)
+
+
+def test_ring_sum_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so only the left-to-right order gives 0
+    assert jets.ring_sum([1e16, 1.0, -1e16]) == 0.0
+    caps = DegreeCaps(1, 1)
+    terms = [jets.variable(i, 0.5 * i, caps) for i in range(8)]
+    want = terms[0]
+    for t in terms[1:]:
+        want = want + t
+    got = jets.ring_sum(t for t in terms)
+    assert np.array_equal(got.c, want.c)
+
+
+def test_every_error_class_derives_from_the_root():
+    import finsler4
+    from finsler4 import classify, conformal, exprdsl, frame, geometry, metrics
+
+    roots = (jets.JetError, exprdsl.ExprError, metrics.MetricError,
+             geometry.GeometryError, frame.FrameError, conformal.ConformalError,
+             classify.ClassifyError, oracle.StencilLeavesDomain)
+    for cls in roots:
+        assert issubclass(cls, finsler4.Finsler4Error), cls
+    assert finsler4.Finsler4Error is jets.Finsler4Error

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finsler4 import geometry, metrics, oracle
+from finsler4 import geometry, metrics
 from finsler4.jets import OrderExceedsCaps
 from finsler4.metrics import SamplePlan, make_builtin_metric
 from finsler4.oracle import FDConfig, fd_partial, oracle_tensors, relative_error
@@ -65,15 +65,3 @@ def test_oracle_matches_jets_on_randers():
         ora = oracle_tensors(spec, x, y)
         assert relative_error(pe.spray.N, ora.N) < 1e-5
         assert relative_error(pe.metric.g, ora.g) < 1e-5
-
-
-def test_gram_schmidt_metric_orthonormal():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(4, 4))
-    g = a @ a.T + 4 * np.eye(4)
-    start = [np.array([1.0, 0.5, 0.0, 0.0]), np.array([-0.3, 1.0, 0.2, 0.0])]
-    # orthogonalise the second start vector against the first
-    v0 = start[0] / math.sqrt(start[0] @ g @ start[0])
-    w = start[1] - (start[1] @ g @ v0) * v0
-    frame = oracle.gram_schmidt_metric(g, [v0, w])
-    assert np.max(np.abs(frame @ g @ frame.T - np.eye(4))) < 1e-12
