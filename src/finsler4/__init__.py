@@ -36,7 +36,7 @@ from .geometry import (
     covariant_derivatives,
     point_eval,
 )
-from .jets import DegreeCaps, Finsler4Error, JetScalar, partial_extract
+from .jets import DegreeCaps, Finsler4Error, InvalidArgument, JetScalar, partial_extract
 from .metrics import (
     DomainSpec,
     MetricSpec,
@@ -45,6 +45,6 @@ from .metrics import (
     make_builtin_metric,
     sample_domain,
 )
-from .oracle import FDConfig, fd_partial, oracle_tensors
+from .oracle import FDConfig, fd_partial, fd_partials, oracle_tensors
 
 __version__ = "0.1.0"

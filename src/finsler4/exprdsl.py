@@ -8,8 +8,9 @@ deliberately no abs/min/max.
 
 Precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 ``^`` takes a single literal exponent (chains like ``a^2^3`` are
-rejected).  Evaluation is ring-polymorphic: the same AST runs on floats
-or on :class:`~finsler4.jets.JetScalar` values.
+rejected).  Evaluation is ring-polymorphic: the same AST runs on floats,
+on NumPy arrays (elementwise) or on :class:`~finsler4.jets.JetScalar`
+values.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from . import jets
 
@@ -263,6 +266,10 @@ def eval_expr(ast: ExprAst, env: Env):
             return lhs - rhs
         if ast.op == "*":
             return lhs * rhs
+        if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
+            if np.any(np.equal(rhs, 0.0)):
+                raise jets.DomainViolation("division by zero")
+            return lhs / rhs
         try:
             return lhs / rhs
         except ZeroDivisionError:

@@ -24,7 +24,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import jets, metrics
-from .jets import DegreeCaps, Finsler4Error, JetScalar, derivative_tensor
+from .jets import DegreeCaps, Finsler4Error, InvalidArgument, JetScalar, derivative_tensor
 from .metrics import MetricSpec
 
 # master caps: one x-derivative beside four y-derivatives covers every
@@ -259,7 +259,7 @@ def covariant_derivatives(
         return CovariantDerivatives(h=h, v=v)
     comps = list(field)
     if len(comps) != 4:
-        raise ValueError("covector fields need exactly four components")
+        raise InvalidArgument("covector fields need exactly four components")
     for c in comps:
         _require_depth(c)
     vals = np.array([c.base for c in comps])

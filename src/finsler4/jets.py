@@ -14,6 +14,11 @@ multiplies the factorial back for one partial; :func:`derivative_tensor`
 gathers every partial of a given x/y order as one array, either as floats
 or as jets truncated to smaller caps.
 
+The elementary functions (:func:`exp`, :func:`log`, :func:`power`,
+:func:`sqrt`, :func:`sin`, :func:`cos`) also take floats, through
+:mod:`math`, and NumPy arrays, elementwise; on an array a domain check
+fails if any element fails it.
+
 All values are immutable; every operation allocates a fresh jet, so jets
 are safe to share between concurrent evaluators.
 """
@@ -44,6 +49,10 @@ class JetError(Finsler4Error):
     """Base class for jet arithmetic failures."""
 
 
+class InvalidArgument(Finsler4Error, ValueError):
+    """A library function was called with an argument outside its contract."""
+
+
 class DomainViolation(JetError):
     """An elementary function was evaluated outside its real domain."""
 
@@ -69,7 +78,7 @@ class DegreeCaps:
 
     def __post_init__(self) -> None:
         if self.x_max < 0 or self.y_max < 0:
-            raise ValueError("degree caps must be non-negative")
+            raise InvalidArgument("degree caps must be non-negative")
 
     @property
     def series_order(self) -> int:
@@ -402,7 +411,7 @@ def _recip(f: JetScalar) -> JetScalar:
 
 def exp(f):
     if not isinstance(f, JetScalar):
-        return math.exp(f)
+        return np.exp(f) if isinstance(f, np.ndarray) else math.exp(f)
     m = f.caps.series_order
     e = math.exp(f.base)
     return _compose(f, [e] * (m + 1))
@@ -410,9 +419,9 @@ def exp(f):
 
 def log(f):
     if not isinstance(f, JetScalar):
-        if f <= 0:
+        if np.any(f <= 0):
             raise DomainViolation("log of a non-positive value")
-        return math.log(f)
+        return np.log(f) if isinstance(f, np.ndarray) else math.log(f)
     b = f.base
     if b <= 0.0:
         raise DomainViolation("log of a jet with non-positive base value")
@@ -431,9 +440,9 @@ def power(f, r: Number):
     require a strictly positive base.
     """
     if not isinstance(f, JetScalar):
-        if float(r) != int(r) and f <= 0:
+        if float(r) != int(r) and np.any(f <= 0):
             raise DomainViolation("fractional power of a non-positive value")
-        return float(f) ** float(r)
+        return np.power(f, float(r)) if isinstance(f, np.ndarray) else float(f) ** float(r)
     if float(r) == int(r):
         n = int(r)
         if n == 0:
@@ -455,15 +464,15 @@ def power(f, r: Number):
 
 def sqrt(f):
     if not isinstance(f, JetScalar):
-        if f <= 0:
+        if np.any(f <= 0):
             raise DomainViolation("sqrt of a non-positive value")
-        return math.sqrt(f)
+        return np.sqrt(f) if isinstance(f, np.ndarray) else math.sqrt(f)
     return power(f, 0.5)
 
 
 def sin(f):
     if not isinstance(f, JetScalar):
-        return math.sin(f)
+        return np.sin(f) if isinstance(f, np.ndarray) else math.sin(f)
     m = f.caps.series_order
     s, c = math.sin(f.base), math.cos(f.base)
     cycle = [s, c, -s, -c]
@@ -472,16 +481,18 @@ def sin(f):
 
 def cos(f):
     if not isinstance(f, JetScalar):
-        return math.cos(f)
+        return np.cos(f) if isinstance(f, np.ndarray) else math.cos(f)
     m = f.caps.series_order
     s, c = math.sin(f.base), math.cos(f.base)
     cycle = [c, -s, -c, s]
     return _compose(f, [cycle[k % 4] for k in range(m + 1)])
 
 
-def base_of(v) -> float:
-    """Base value of a jet, or the number itself."""
-    return v.base if isinstance(v, JetScalar) else float(v)
+def base_of(v):
+    """Base value of a jet; an array passes through, a number becomes a float."""
+    if isinstance(v, JetScalar):
+        return v.base
+    return v if isinstance(v, np.ndarray) else float(v)
 
 
 def ring_sum(terms):

@@ -4,8 +4,8 @@ A :class:`MetricSpec` describes a fundamental function L(x, y) on the
 four-dimensional slit tangent bundle, either as one of the built-in
 families or as a parsed expression, optionally composed with a
 position-only conformal factor.  Evaluation is ring-polymorphic: the same
-family formula runs on floats (for the finite-difference oracle) or on
-jets (for the tensor pipeline).
+family formula runs on floats, on NumPy arrays of points (for the
+finite-difference oracle) or on jets (for the tensor pipeline).
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def _eval_family(spec: MetricSpec, env: list):
         return jets.power(q, 0.25)
     if spec.family == "berwald_moor":
         p = ys[0] * ys[1] * ys[2] * ys[3]
-        if jets.base_of(p) <= 0:
+        if np.any(jets.base_of(p) <= 0):
             raise DomainViolation("berwald_moor needs a product of positive y's")
         return jets.power(p, 0.25)
     if spec.family == "riemannian":
@@ -225,7 +225,7 @@ def _eval_family(spec: MetricSpec, env: list):
         alpha = jets.sqrt(sum(v * v for v in ys))
         bvals = [exprdsl.eval_expr(e, env) for e in spec.b_ast]
         b_norm2 = sum(jets.base_of(b) ** 2 for b in bvals)
-        if b_norm2 >= 1.0:
+        if np.any(b_norm2 >= 1.0):
             raise DomainViolation("randers drift reached |b(x)| >= 1")
         drift = sum(b * v for b, v in zip(bvals, ys))
         return alpha + drift
@@ -254,13 +254,28 @@ def eval_L(
     return out
 
 
-def eval_L_value(spec: MetricSpec, x: Sequence[float], y: Sequence[float]) -> float:
-    """Plain float evaluation of L (used by the finite-difference oracle)."""
-    env = [float(v) for v in x] + [float(v) for v in y]
-    try:
-        return float(_eval_family(spec, env))
-    except ValueError as err:  # math domain errors in the float ring
-        raise DomainViolation(str(err)) from None
+def eval_L_value(spec: MetricSpec, x: Sequence, y: Sequence):
+    """Plain evaluation of L, used by the finite-difference oracle.
+
+    With four numbers each for ``x`` and ``y`` the result is a float.  With
+    four equal-shaped arrays each, L is evaluated elementwise and the result
+    is an array of that shape; a domain check fails if any element fails it,
+    and any non-finite element raises :class:`DomainViolation`.
+    """
+    env = [np.asarray(v, dtype=float) for v in (*x, *y)]
+    if all(v.ndim == 0 for v in env):
+        try:
+            out = float(_eval_family(spec, [float(v) for v in env]))
+        except (ValueError, ArithmeticError) as err:  # math errors in the float ring
+            raise DomainViolation(str(err)) from None
+    else:
+        with np.errstate(all="ignore"):  # overflow and 0**-n become inf, checked below
+            out = _eval_family(spec, env)
+        if np.ndim(out) == 0:  # L does not depend on the point
+            out = np.full(env[0].shape, float(out))
+    if not np.all(np.isfinite(out)):
+        raise DomainViolation("L is not finite at some points")
+    return out
 
 
 # -- sampling -------------------------------------------------------------

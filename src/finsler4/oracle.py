@@ -2,27 +2,34 @@
 
 Everything here differentiates plain float evaluations of L^2; no jet
 code is on this path.  It exists to cross-validate the jet pipeline in
-tests and in the ``selftest`` CLI command, so clarity beats speed.
+tests and in the ``selftest`` CLI command.
+
+The differentiated function ``f`` takes an ``(8, M)`` block of points,
+variables first (rows x1..x4, y1..y4), and returns the ``M`` values at
+its columns; it must act on each column independently, as a NumPy ufunc
+expression or :func:`metrics.eval_L_value` does.  :func:`fd_partials`
+stacks every stencil point of every requested partial and every step
+into one block, so each call of :func:`oracle_tensors` evaluates L^2
+exactly once.
 
 Steps are chosen per derivative order (balancing truncation against
-rounding for second-order central stencils), optionally sharpened by one
-level of Richardson extrapolation, and clamped so stencils never leave
-the metric's validity cone.
+rounding for second-order central stencils), optionally sharpened by
+Richardson extrapolation, and clamped so stencils never leave the
+metric's validity cone.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import metrics
-from .jets import Finsler4Error, OrderExceedsCaps
+from .jets import Finsler4Error, InvalidArgument, OrderExceedsCaps, multi
 from .metrics import MetricSpec
-
-_EPS = np.finfo(float).eps
 
 MAX_ORDER = 3
 
@@ -47,6 +54,10 @@ class FDConfig:
     step: Optional[float] = None
     richardson: bool = True
 
+    def __post_init__(self) -> None:
+        if self.step is not None and not 0.0 < self.step < np.inf:
+            raise InvalidArgument("finite-difference step must be positive and finite")
+
 
 # step ladder for the adaptive default: relative anchor, ratio 2, depth 8
 _LADDER_ANCHOR = 0.02
@@ -59,24 +70,6 @@ _STENCILS = {
     2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
     3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
 }
-
-
-def _stencil_eval(
-    f: Callable[[np.ndarray], float],
-    at: np.ndarray,
-    vars_orders: list,
-    steps: np.ndarray,
-) -> float:
-    total = 0.0
-    axes = [_STENCILS[order] for _, order in vars_orders]
-    for combo in product(*axes):
-        z = at.copy()
-        weight = 1.0
-        for (slot, order), (offset, w) in zip(vars_orders, combo):
-            z[slot] += offset * steps[slot]
-            weight *= w / steps[slot] ** order
-        total += weight * f(z)
-    return total
 
 
 def _clamped_steps(
@@ -94,50 +87,49 @@ def _clamped_steps(
     return steps
 
 
-def fd_partial(
-    f: Callable[[np.ndarray], float],
-    at: Sequence[float],
-    order,
-    cfg: FDConfig = FDConfig(),
-    room: Optional[np.ndarray] = None,
-) -> float:
-    """Central-difference mixed partial of f at `at`.
+@lru_cache(maxsize=None)
+def _product_stencil(degs: tuple) -> tuple:
+    """Offsets and weights, each ``(n, len(degs))``, of the tensor-product
+    stencil for one derivative degree per variable."""
+    combos = list(itertools.product(*(_STENCILS[deg] for deg in degs)))
+    offsets = np.array([[o for o, _ in c] for c in combos], dtype=float)
+    weights = np.array([[w for _, w in c] for c in combos])
+    return offsets, weights
 
-    `order` is an 8-tuple (or mapping slot->degree) with total order <= 3.
-    `room` optionally bounds how far the stencil may move each variable.
+
+def _stencil(at: np.ndarray, order: tuple, cfg: FDConfig, room) -> tuple:
+    """Every stencil point of one partial at every step level, as columns.
+
+    Returns ``points`` of shape ``(8, levels * n)``, level-major, and
+    ``weights`` of shape ``(levels, n)``, which turn the values at
+    ``points`` into one difference quotient per step level.
     """
-    at = np.asarray(at, dtype=float)
-    if isinstance(order, dict):
-        full = [0] * len(at)
-        for slot, deg in order.items():
-            full[slot] = deg
-        order = tuple(full)
-    order = tuple(int(d) for d in order)
-    total = sum(order)
-    if total == 0:
-        return f(at)
-    if total > MAX_ORDER:
-        raise OrderExceedsCaps(
-            f"finite-difference depth is {MAX_ORDER}; got total order {total}"
-        )
     vars_orders = [(slot, deg) for slot, deg in enumerate(order) if deg > 0]
+    if not vars_orders:
+        return at[:, None], np.ones((1, 1))
+    if cfg.step is None:
+        h_rel, levels = _LADDER_ANCHOR, _LADDER_LEVELS
+    else:
+        h_rel, levels = cfg.step, 2 if cfg.richardson else 1
+    # exact halving keeps every extrapolation ratio at 2
+    steps0 = _clamped_steps(at, vars_orders, h_rel, room)
+    steps = steps0 / 2.0 ** np.arange(levels)[:, None]  # (levels, 8)
+    slots = [slot for slot, _ in vars_orders]
+    degs = tuple(deg for _, deg in vars_orders)
+    offsets, w = _product_stencil(degs)
+    h = steps[:, None, slots]  # (levels, 1, v)
+    z = np.tile(at, (levels, len(offsets), 1))
+    z[:, :, slots] += offsets * h
+    return z.reshape(-1, len(at)).T, np.prod(w / h ** np.array(degs), axis=-1)
 
-    if cfg.step is not None:
-        if cfg.step <= 0:
-            raise ValueError("finite-difference step must be positive")
-        steps = _clamped_steps(at, vars_orders, cfg.step, room)
-        d_h = _stencil_eval(f, at, vars_orders, steps)
-        if not cfg.richardson:
-            return d_h
-        d_h2 = _stencil_eval(f, at, vars_orders, steps / 2.0)
-        return (4.0 * d_h2 - d_h) / 3.0
 
-    # adaptive ladder: exact halving keeps every extrapolation ratio at 2
-    steps0 = _clamped_steps(at, vars_orders, _LADDER_ANCHOR, room)
-    d_vals = [
-        _stencil_eval(f, at, vars_orders, steps0 / 2.0**i)
-        for i in range(_LADDER_LEVELS)
-    ]
+def _pick(d_vals: list, cfg: FDConfig) -> float:
+    """The partial from its difference quotients, one per step level."""
+    if len(d_vals) == 1:
+        return d_vals[0]
+    if cfg.step is not None:  # step and half step
+        return (4.0 * d_vals[1] - d_vals[0]) / 3.0
+
     if not cfg.richardson:
         # walk the ladder while the neighbour disagreement keeps shrinking;
         # growth past the best estimate means rounding noise took over
@@ -170,6 +162,61 @@ def fd_partial(
     return best
 
 
+def _full_order(order, n: int) -> tuple:
+    if isinstance(order, dict):
+        if not all(0 <= slot < n for slot in order):
+            raise InvalidArgument(f"order slots must lie in 0..{n - 1}; got {sorted(order)}")
+        full = [0] * n
+        for slot, deg in order.items():
+            full[slot] = deg
+        order = full
+    order = tuple(int(d) for d in order)
+    if len(order) != n or min(order) < 0:
+        raise InvalidArgument(f"order must be {n} non-negative degrees; got {order}")
+    if sum(order) > MAX_ORDER:
+        raise OrderExceedsCaps(
+            f"finite-difference depth is {MAX_ORDER}; got total order {sum(order)}"
+        )
+    return order
+
+
+def fd_partials(
+    f: Callable[[np.ndarray], np.ndarray],
+    at: Sequence[float],
+    orders: Sequence,
+    cfg: FDConfig = FDConfig(),
+    room: Optional[np.ndarray] = None,
+) -> list:
+    """Central-difference mixed partials of f at `at`, one per order.
+
+    Each order is an 8-tuple (or mapping slot->degree) with total order
+    <= 3.  `room` optionally bounds how far a stencil may move each
+    variable.  `f` is called once, on the ``(8, M)`` block of every
+    stencil point of every order.
+    """
+    at = np.asarray(at, dtype=float)
+    stencils = [_stencil(at, _full_order(o, len(at)), cfg, room) for o in orders]
+    values = np.asarray(f(np.concatenate([p for p, _ in stencils], axis=1)), dtype=float)
+    out, start = [], 0
+    for points, weights in stencils:
+        stop = start + points.shape[1]
+        d_vals = np.sum(values[start:stop].reshape(weights.shape) * weights, axis=1)
+        out.append(_pick(d_vals.tolist(), cfg))
+        start = stop
+    return out
+
+
+def fd_partial(
+    f: Callable[[np.ndarray], np.ndarray],
+    at: Sequence[float],
+    order,
+    cfg: FDConfig = FDConfig(),
+    room: Optional[np.ndarray] = None,
+) -> float:
+    """One central-difference mixed partial of f at `at` (see fd_partials)."""
+    return fd_partials(f, at, [order], cfg, room)[0]
+
+
 # -- tensor recomputation ---------------------------------------------------
 
 
@@ -195,45 +242,42 @@ def oracle_tensors(
     at = np.concatenate([x, y])
     room = spec.domain.stencil_radius(y)
 
-    def f2(z: np.ndarray) -> float:
+    def f2(z: np.ndarray) -> np.ndarray:
         return metrics.eval_L_value(spec, z[:4], z[4:]) ** 2
 
-    def d(order: dict) -> float:
-        return fd_partial(f2, at, order, cfg, room)
+    # the 90 distinct partials: g, C, d_x, d_xy and d_xyy, in that order
+    g_idx = [(i, j) for i in range(4) for j in range(i, 4)]
+    c_idx = [(i, j, k) for i in range(4) for j in range(i, 4) for k in range(j, 4)]
+    xyy_idx = [(k, r, j) for k in range(4) for r in range(4) for j in range(r, 4)]
+    orders = (
+        [multi(4 + i, 4 + j) for i, j in g_idx]
+        + [multi(4 + i, 4 + j, 4 + k) for i, j, k in c_idx]
+        + [multi(r) for r in range(4)]
+        + [multi(k, 4 + r) for k in range(4) for r in range(4)]
+        + [multi(k, 4 + r, 4 + j) for k, r, j in xyy_idx]
+    )
+    vals = iter(fd_partials(f2, at, orders, cfg, room))
 
     g = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            g[i, j] = g[j, i] = 0.5 * d({4 + i: 1, 4 + j: 1} if i != j else {4 + i: 2})
-
+    for i, j in g_idx:
+        g[i, j] = g[j, i] = 0.5 * next(vals)
     C = np.empty((4, 4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            for k in range(j, 4):
-                order: dict = {}
-                for slot in (4 + i, 4 + j, 4 + k):
-                    order[slot] = order.get(slot, 0) + 1
-                val = 0.25 * d(order)
-                for p in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-                    C[p] = val
-
+    for idx in c_idx:
+        val = 0.25 * next(vals)
+        for p in itertools.permutations(idx):
+            C[p] = val
     g_inv = np.linalg.inv(g)
 
-    d_x = np.array([d({r: 1}) for r in range(4)])
-    d_xy = np.array([[d({k: 1, 4 + r: 1}) for r in range(4)] for k in range(4)])
+    d_x = np.array([next(vals) for _ in range(4)])
+    d_xy = np.array([next(vals) for _ in range(16)]).reshape(4, 4)
     e_vec = y @ d_xy - d_x  # E_r = y^k d_k dy_r L^2 - d_r L^2
     G = 0.25 * g_inv @ e_vec
 
     # N^i_j by differentiating the spray formula itself, keeping every
     # finite-difference application at depth <= 3
     d_xyy = np.empty((4, 4, 4))
-    for k in range(4):
-        for r in range(4):
-            for j in range(r, 4):
-                order = {k: 1}
-                for slot in (4 + r, 4 + j):
-                    order[slot] = order.get(slot, 0) + 1
-                d_xyy[k, r, j] = d_xyy[k, j, r] = d(order)
+    for k, r, j in xyy_idx:
+        d_xyy[k, r, j] = d_xyy[k, j, r] = next(vals)
     de_vec = d_xy.T + np.einsum("k,krj->rj", y, d_xyy) - d_xy
     dg_inv = -2.0 * np.einsum("ia,abj,br->irj", g_inv, C, g_inv)
     N = 0.25 * (np.einsum("irj,r->ij", dg_inv, e_vec) + g_inv @ de_vec)

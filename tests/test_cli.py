@@ -161,6 +161,17 @@ def test_selftest_passes(capsys, tmp_path):
     assert all(c["ok"] for c in doc["checks"])
 
 
+def test_selftest_is_byte_deterministic(capsys, tmp_path):
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        assert cli.main(["selftest", "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    doc = json.loads(paths[0].read_text())
+    assert doc["failed"] == 0
+    assert all(c["relative_error"] <= 1e-7 for c in doc["checks"])
+
+
 @pytest.mark.parametrize("argv,golden", REPORTS)
 def test_output_matches_golden(capsys, argv, golden):
     import pathlib

@@ -208,6 +208,14 @@ def test_covariant_derivative_requires_depth():
         covariant_derivatives(shallow, pe.spray, pe.connection)
 
 
+def test_covector_field_needs_four_components():
+    spec = make_builtin_metric("quartic_minkowski")
+    pe = point_eval(spec, X0, Y2)
+    field = [jets.const(1.0, geometry.FRAME_CAPS)] * 3
+    with pytest.raises(jets.InvalidArgument):
+        covariant_derivatives(field, pe.spray, pe.connection)
+
+
 def test_master_caps_are_necessary_for_spray_cubic():
     # with only four y-derivatives the cubic spray test is unreachable:
     # the inverse-metric factor consumes two, the extraction three more

@@ -71,7 +71,7 @@ def test_exp_first_partial_matches_closed_form_and_fd():
     e = jets.exp(j)
     d = partial_extract(e, multi(0))
     assert d == pytest.approx(math.exp(0.2), rel=1e-12)
-    fd = oracle.fd_partial(lambda z: math.exp(z[0]), np.array([0.2] + [0.0] * 7), multi(0))
+    fd = oracle.fd_partial(lambda z: np.exp(z[0]), np.array([0.2] + [0.0] * 7), multi(0))
     assert d == pytest.approx(fd, abs=1e-9)
 
 
@@ -81,7 +81,7 @@ def test_quartic_norm_first_partial():
     f = jets.sqrt(sum(jets.power(v, 4) for v in ys))
     assert partial_extract(f, multi(4)) == pytest.approx(1.0, rel=1e-12)
     fd = oracle.fd_partial(
-        lambda z: math.sqrt(sum(v**4 for v in z[4:])),
+        lambda z: np.sqrt(sum(v**4 for v in z[4:])),
         np.array([0.0] * 4 + [1.0] * 4),
         multi(4),
     )
@@ -266,11 +266,11 @@ def test_elementary_functions_match_finite_differences():
     # first and second partials of fn(a*z + b) vs central differences
     rng = np.random.default_rng(42)
     funcs = {
-        "exp": (math.exp, lambda: rng.uniform(-1, 1)),
-        "log": (math.log, lambda: rng.uniform(0.5, 3.0)),
-        "sqrt": (math.sqrt, lambda: rng.uniform(0.5, 3.0)),
-        "sin": (math.sin, lambda: rng.uniform(-2, 2)),
-        "cos": (math.cos, lambda: rng.uniform(-2, 2)),
+        "exp": (np.exp, lambda: rng.uniform(-1, 1)),
+        "log": (np.log, lambda: rng.uniform(0.5, 3.0)),
+        "sqrt": (np.sqrt, lambda: rng.uniform(0.5, 3.0)),
+        "sin": (np.sin, lambda: rng.uniform(-2, 2)),
+        "cos": (np.cos, lambda: rng.uniform(-2, 2)),
         "recip": (lambda t: 1.0 / t, lambda: rng.uniform(0.5, 3.0)),
     }
     jet_funcs = {
@@ -320,7 +320,17 @@ def test_every_error_class_derives_from_the_root():
 
     roots = (jets.JetError, exprdsl.ExprError, metrics.MetricError,
              geometry.GeometryError, frame.FrameError, conformal.ConformalError,
-             classify.ClassifyError, oracle.StencilLeavesDomain)
+             classify.ClassifyError, oracle.StencilLeavesDomain, jets.InvalidArgument)
     for cls in roots:
         assert issubclass(cls, finsler4.Finsler4Error), cls
     assert finsler4.Finsler4Error is jets.Finsler4Error
+    # bad library arguments stay catchable as ValueError too
+    assert issubclass(jets.InvalidArgument, ValueError)
+    assert finsler4.InvalidArgument is jets.InvalidArgument
+
+
+def test_negative_degree_caps_are_invalid_arguments():
+    with pytest.raises(jets.InvalidArgument):
+        DegreeCaps(-1, 2)
+    with pytest.raises(ValueError):
+        DegreeCaps(1, -1)

@@ -156,3 +156,72 @@ def test_json_schema_sigma_wraps_conformal():
     spec, _ = spec_from_json_dict({"family": "quartic_minkowski", "sigma": "0.1*x1"})
     assert spec.family == "conformal"
     assert spec.base.family == "quartic_minkowski"
+
+
+# -- the array ring ---------------------------------------------------------
+
+CURVED_G0 = [["1+0.1*sin(x1)", 0, 0, 0], [0, "1+0.05*x2^2", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+EXPRESSION_L = "(y1^4+y2^4+y3^4+y4^4+0.5*(y1^2+y2^2+y3^2+y4^2)^2)^0.25*exp(0.1*x1)"
+ARRAY_SPECS = {
+    "quartic": ("quartic_minkowski", None, None),
+    "berwald_moor": ("berwald_moor", None, None),
+    "randers": ("randers", {"b": ["0.1*x2", 0, 0, 0]}, None),
+    "riemannian_curved": ("riemannian", {"g0": CURVED_G0}, None),
+    "expression": ("expression", {"L": EXPRESSION_L}, None),
+    "conformal_randers": ("randers", {"b": ["0.1*x2", 0, 0, 0]}, "0.2*x1+0.1*sin(x2)"),
+}
+
+
+def _columns(points):
+    xs = np.array([x for x, _ in points]).T
+    ys = np.array([y for _, y in points]).T
+    return xs, ys
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_SPECS))
+def test_array_eval_matches_scalar_columns(name):
+    family, params, sigma = ARRAY_SPECS[name]
+    spec = make_builtin_metric(family, params)
+    if sigma is not None:
+        spec = make_conformal(spec, sigma)
+    points = sample_domain(spec.domain, SamplePlan(count=64, seed=5))
+    got = eval_L_value(spec, *_columns(points))
+    want = np.array([eval_L_value(spec, x, y) for x, y in points])
+    assert isinstance(want[0], float) and got.shape == (64,)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_array_eval_of_a_constant_has_the_point_shape():
+    spec = make_builtin_metric("expression", {"L": "2"})
+    got = eval_L_value(spec, np.zeros((4, 3)), np.ones((4, 3)))
+    assert np.array_equal(got, np.full(3, 2.0))
+
+
+# (family, params, x and y of the one bad column): every other column is fine;
+# "overflow" is where the float ring used to raise a bare OverflowError
+BAD_COLUMNS = {
+    "berwald_moor_product": ("berwald_moor", None, [0, 0, 0, 0], [1, -1, 1, 1]),
+    "randers_drift_too_long": ("randers", {"b": ["0.6*x1", 0, 0, 0]}, [2, 0, 0, 0], [1, 1, 1, 1]),
+    "sqrt_non_positive": ("expression", {"L": "sqrt(y1)"}, [0, 0, 0, 0], [-1, 1, 1, 1]),
+    "log_non_positive": ("expression", {"L": "log(y1)+2"}, [0, 0, 0, 0], [0, 1, 1, 1]),
+    "fractional_power_non_positive": ("expression", {"L": "y1^0.5"}, [0, 0, 0, 0], [-1, 1, 1, 1]),
+    "division_by_zero": ("expression", {"L": "y1/(x1-0.75)"}, [0.75, 0, 0, 0], [1, 1, 1, 1]),
+    "overflow": ("expression", {"L": "exp(1000*x1)*(y1^2+y2^2+y3^2+y4^2)^0.5"},
+                 [1, 0, 0, 0], [1, 1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COLUMNS))
+def test_array_domain_violation_in_one_column(name):
+    family, params, x_bad, y_bad = BAD_COLUMNS[name]
+    spec = make_builtin_metric(family, params)
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-0.5, 0.5, (4, 8))
+    ys = rng.uniform(0.5, 1.0, (4, 8))
+    eval_L_value(spec, xs, ys)  # the good columns evaluate
+    xs[:, 5], ys[:, 5] = x_bad, y_bad
+    with pytest.raises(jets.DomainViolation):
+        eval_L_value(spec, xs, ys)
+    with pytest.raises(jets.DomainViolation):
+        eval_L_value(spec, xs[:, 5], ys[:, 5])
+
