@@ -24,7 +24,6 @@ from .frame import (
     FrameBundle,
     MainScalars,
     ScalarProfile,
-    build_miron_frame,
     main_scalars,
     scalar_components,
     scalar_profile,

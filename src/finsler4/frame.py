@@ -3,12 +3,15 @@
 The orthonormal frame {l, m, n, p} is built from the normalised
 supporting element and the normalised torsion vector, completed by
 metric Gram-Schmidt over the standard basis seeds in index order.  The
-construction is ring-generic: run on floats it yields the frame at a
-point; run on first-order jets it yields the frame fields together with
-their x- and y-derivatives, which is what the connection vectors and the
-scalar derivative tables require.  Discrete gauge choices (seed
-selection, sign fixing) are made on base values only, so both routes
-agree and the construction commutes with uniform metric rescaling.
+build runs once, on first-order jets in (x, y): every frame field is a
+FRAME_CAPS coefficient array (tensor axes, then the Taylor coefficient
+axis), every product is one :func:`jets.contract`, and g^-1 is
+:func:`jets.inverse`.  The frame at the point is the base slice
+``[..., 0]`` of these arrays; the other coefficients are the x- and
+y-derivatives that the connection vectors and the scalar derivative
+tables read.  Discrete gauge choices (seed selection, sign fixing) read
+base values only, so the construction commutes with uniform metric
+rescaling.
 
 Main scalar convention
 ----------------------
@@ -34,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry, jets
-from .geometry import CartanTensorAt, MetricTensorAt, PointEval
-from .jets import Finsler4Error, base_of, derivative_tensor, ring_sum
+from .geometry import FRAME_CAPS, CartanTensorAt, PointEval
+from .jets import Finsler4Error, JetScalar, contract
 
 TAU_TORSION = 1e-7  # below this the torsion direction is numerically meaningless
 _SEED_SKIP_TOL = 1e-6
@@ -139,32 +142,29 @@ class ProfileResult:
     residuals: dict
 
 
-# -- ring-generic construction ----------------------------------------------
+# -- frame fields as FRAME_CAPS coefficient arrays ---------------------------
 
 
-def _ring_zero(like):
-    return like * 0.0
+def _rsqrt(q: np.ndarray) -> np.ndarray:
+    return jets.power(JetScalar(FRAME_CAPS, q), -0.5).c
 
 
 def _frame_from_ring(g, g_inv, C, y, L):
-    """Frame vectors/covectors over any ring with float/JetScalar arithmetic.
+    """Frame vectors and covectors as FRAME_CAPS coefficient arrays.
 
-    g, g_inv: 4x4 indexable; C: 4x4x4 indexable; y: 4 ring values; L ring.
-    Raises VanishingTorsion / DegenerateSeed based on base values.
+    g, g_inv: (4, 4, n); C: (4, 4, 4, n); y: (4, n); L: a FRAME_CAPS jet.
+    Returns e and e_flat of shape (4, 4, n), rows l, m, n, p, and the
+    gauge tag.  Raises VanishingTorsion / DegenerateSeed on base values.
     """
-    l = [y[i] / L for i in range(4)]
-    C_low = [
-        ring_sum(C[i][j][k] * g_inv[j][k] for j in range(4) for k in range(4))
-        for i in range(4)
-    ]
-    C_up = [ring_sum(g_inv[i][j] * C_low[j] for j in range(4)) for i in range(4)]
-    q = ring_sum(C_up[i] * C_low[i] for i in range(4))
-    if base_of(q) < TAU_TORSION**2:
+    l = contract("i,->i", y, (1.0 / L).c, FRAME_CAPS)
+    C_low = contract("ijk,jk->i", C, g_inv, FRAME_CAPS)
+    C_up = contract("ij,j->i", g_inv, C_low, FRAME_CAPS)
+    q = contract("i,i->", C_up, C_low, FRAME_CAPS)
+    if q[0] < TAU_TORSION**2:
         raise VanishingTorsion(
-            f"torsion length {max(base_of(q), 0.0) ** 0.5:.3e} below {TAU_TORSION:.1e}"
+            f"torsion length {max(q[0], 0.0) ** 0.5:.3e} below {TAU_TORSION:.1e}"
         )
-    C_norm = jets.sqrt(q)
-    m = [C_up[i] / C_norm for i in range(4)]
+    m = contract("i,->i", C_up, _rsqrt(q), FRAME_CAPS)
 
     frame = [l, m]
     seeds_used: list[int] = []
@@ -172,51 +172,28 @@ def _frame_from_ring(g, g_inv, C, y, L):
     for seed in range(4):
         if len(frame) == 4:
             break
-        r = [_ring_zero(L) for _ in range(4)]
-        r[seed] = r[seed] + 1.0
-        for vec in frame:
-            # g-inner product of the seed with an already-built vector
-            coeff = ring_sum(g[seed][jj] * vec[jj] for jj in range(4))
-            r = [ri - coeff * vi for ri, vi in zip(r, vec)]
-        norm2 = ring_sum(g[i][jj] * r[i] * r[jj] for i in range(4) for jj in range(4))
-        if base_of(norm2) < _SEED_SKIP_TOL**2:
+        built = np.array(frame)
+        # the seed minus its g-projections on the vectors built so far
+        coeffs = contract("j,aj->a", g[seed], built, FRAME_CAPS)
+        r = -contract("a,ai->i", coeffs, built, FRAME_CAPS)
+        r[seed, 0] += 1.0
+        norm2 = contract("i,i->", r, contract("ij,j->i", g, r, FRAME_CAPS), FRAME_CAPS)
+        if norm2[0] < _SEED_SKIP_TOL**2:
             continue
-        norm = jets.sqrt(norm2)
-        vec = [ri / norm for ri in r]
-        sign = 1.0
-        for comp in vec:
-            if abs(base_of(comp)) > _SIGN_TOL:
-                if base_of(comp) < 0:
-                    sign = -1.0
-                break
-        if sign < 0:
-            vec = [-vi for vi in vec]
-        frame.append(vec)
+        vec = contract("i,->i", r, _rsqrt(norm2), FRAME_CAPS)
+        # the first component clear of round-off decides the sign
+        lead = vec[np.abs(vec[:, 0]) > _SIGN_TOL, 0]
+        sign = -1.0 if lead.size and lead[0] < 0 else 1.0
+        frame.append(sign * vec)
         seeds_used.append(seed)
         flips.append(int(sign))
     if len(frame) != 4:
         raise DegenerateSeed("ran out of seeds completing the frame")
 
-    e_flat = [
-        [ring_sum(g[i][jj] * vec[jj] for jj in range(4)) for i in range(4)]
-        for vec in frame
-    ]
+    e = np.array(frame)
+    e_flat = contract("ij,aj->ai", g, e, FRAME_CAPS)
     gauge = {"seeds": tuple(seeds_used), "sign_flips": tuple(flips)}
-    return frame, e_flat, gauge
-
-
-def build_miron_frame(
-    metric: MetricTensorAt, cartan: CartanTensorAt, y: Sequence[float]
-) -> FrameBundle:
-    """Frame at a point from the already-computed tensors (float route)."""
-    if not metric.positive_definite:
-        raise NotPositiveDefinite("the fundamental tensor is not positive definite")
-    e, e_flat, gauge = _frame_from_ring(
-        metric.g, metric.g_inv, cartan.C, np.asarray(y, dtype=float), metric.L
-    )
-    return FrameBundle(
-        e=np.array(e, dtype=float), e_flat=np.array(e_flat, dtype=float), gauge_tag=gauge
-    )
+    return e, e_flat, gauge
 
 
 def scalar_components(T: np.ndarray, variance: Sequence[str], frame: FrameBundle) -> np.ndarray:
@@ -244,27 +221,19 @@ def main_scalars(cartan: CartanTensorAt, frame: FrameBundle, L: float) -> MainSc
     return MainScalars(**{name: float(M[SCALAR_SLOTS[name]]) for name in SCALAR_NAMES})
 
 
-# -- jet route: frame fields, scalar jets, derivative tables -----------------
+# -- main scalars and derivative tables -------------------------------------
+
+_SLOT_ROWS = tuple(np.array(axis) for axis in zip(*(SCALAR_SLOTS[n] for n in SCALAR_NAMES)))
 
 
-def _scalar_jets(C, e, L) -> dict:
-    """The eight main scalars as first-order jets in (x, y), from the C,
-    frame-vector and L jets."""
-    # contract the first index once per needed frame vector
-    first = {
-        a: [
-            [ring_sum(C[i][j][k] * e[a][i] for i in range(4)) for k in range(4)]
-            for j in range(4)
-        ]
-        for a in (1, 2)
-    }
-    out = {}
-    for name in SCALAR_NAMES:
-        a, b, c = SCALAR_SLOTS[name]
-        out[name] = ring_sum(
-            first[a][j][k] * e[b][j] * e[c][k] for j in range(4) for k in range(4)
-        ) * L
-    return out
+def _scalar_jets(C, e, L) -> np.ndarray:
+    """The eight main scalars, rows in SCALAR_NAMES order, as an (8, n)
+    FRAME_CAPS coefficient array from the C, frame-vector and L jets."""
+    a, b, c = (e[rows] for rows in _SLOT_ROWS)
+    first = contract("ijk,si->sjk", C, a, FRAME_CAPS)
+    second = contract("sjk,sj->sk", first, b, FRAME_CAPS)
+    M = contract("sk,sk->s", second, c, FRAME_CAPS)
+    return contract("s,->s", M, L.c, FRAME_CAPS)
 
 
 def _connection_vectors(
@@ -272,26 +241,25 @@ def _connection_vectors(
 ) -> tuple[ConnectionVectors, dict]:
     """Frame components of the h- and v-connection vectors, plus the
     residuals of the frame-derivative reconstruction identities."""
-    spray, conn = pe.spray, pe.connection
     L0 = pe.L
     e = frame.e
     e_flat = frame.e_flat
     g = pe.metric.g
 
-    cov = {
-        name: geometry.covariant_derivatives(e_flat_jets[idx], spray, conn)
-        for name, idx in (("l", 0), ("m", 1), ("n", 2), ("p", 3))
-    }
+    # [frame vector, i, k]: nabla_k of each frame covector field
+    cov = geometry.covariant_derivatives(e_flat_jets, pe.spray, pe.connection)
+    l_h, m_h, n_h, p_h = cov.h
+    l_v, m_v, n_v, p_v = cov.v
 
     l_up, m_up, n_up, p_up = e
     l_lo, m_lo, n_lo, p_lo = e_flat
 
-    h_cov = n_up @ cov["m"].h
-    j_cov = p_up @ cov["m"].h
-    k_cov = p_up @ cov["n"].h
-    u_cov = L0 * (n_up @ cov["m"].v)
-    v_cov = L0 * (p_up @ cov["m"].v)
-    w_cov = L0 * (p_up @ cov["n"].v)
+    h_cov = n_up @ m_h
+    j_cov = p_up @ m_h
+    k_cov = p_up @ n_h
+    u_cov = L0 * (n_up @ m_v)
+    v_cov = L0 * (p_up @ m_v)
+    w_cov = L0 * (p_up @ n_v)
 
     def comps(covec: np.ndarray) -> np.ndarray:
         return e @ covec
@@ -305,25 +273,25 @@ def _connection_vectors(
         return float(np.max(np.abs(a)))
 
     residuals = {
-        "l_hderiv_zero": mx(cov["l"].h),
-        "l_vderiv_angular": mx(L0 * cov["l"].v - (g - np.outer(l_lo, l_lo))),
-        "recon_hderiv_m": mx(cov["m"].h - (np.outer(n_lo, h_cov) + np.outer(p_lo, j_cov))),
-        "recon_hderiv_n": mx(cov["n"].h - (-np.outer(m_lo, h_cov) + np.outer(p_lo, k_cov))),
-        "recon_hderiv_p": mx(cov["p"].h - (-np.outer(m_lo, j_cov) - np.outer(n_lo, k_cov))),
+        "l_hderiv_zero": mx(l_h),
+        "l_vderiv_angular": mx(L0 * l_v - (g - np.outer(l_lo, l_lo))),
+        "recon_hderiv_m": mx(m_h - (np.outer(n_lo, h_cov) + np.outer(p_lo, j_cov))),
+        "recon_hderiv_n": mx(n_h - (-np.outer(m_lo, h_cov) + np.outer(p_lo, k_cov))),
+        "recon_hderiv_p": mx(p_h - (-np.outer(m_lo, j_cov) - np.outer(n_lo, k_cov))),
         "recon_vderiv_m": mx(
-            L0 * cov["m"].v
+            L0 * m_v
             - (-np.outer(l_lo, m_lo) + np.outer(n_lo, u_cov) + np.outer(p_lo, v_cov))
         ),
         "recon_vderiv_n": mx(
-            L0 * cov["n"].v
+            L0 * n_v
             - (-np.outer(l_lo, n_lo) - np.outer(m_lo, u_cov) + np.outer(p_lo, w_cov))
         ),
         "recon_vderiv_p": mx(
-            L0 * cov["p"].v
+            L0 * p_v
             - (-np.outer(l_lo, p_lo) - np.outer(m_lo, v_cov) - np.outer(n_lo, w_cov))
         ),
-        "hderiv_m_l_component": mx(l_up @ cov["m"].h),
-        "hderiv_m_m_component": mx(m_up @ cov["m"].h),
+        "hderiv_m_l_component": mx(l_up @ m_h),
+        "hderiv_m_m_component": mx(m_up @ m_h),
         "orthonormality": mx(e @ g @ e.T - np.eye(4)),
     }
     return vectors, residuals
@@ -333,30 +301,20 @@ def scalar_profile(pe: PointEval) -> ProfileResult:
     """Full per-point frame profile: scalars, derivative tables, vectors."""
     if not pe.metric.positive_definite:
         raise NotPositiveDefinite("the fundamental tensor is not positive definite")
-    g_j, C_j, y_j, L_j = pe.frame_field_jets()
-    g_inv_j = geometry._jet_matrix_inverse(g_j, geometry.FRAME_CAPS)
+    g_j, g_inv_j, C_j, y_j, L_j = pe.frame_field_jets()
     e_jets, e_flat_jets, gauge = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
-    frame = FrameBundle(
-        e=np.array([[v.base for v in row] for row in e_jets]),
-        e_flat=np.array([[v.base for v in row] for row in e_flat_jets]),
-        gauge_tag=gauge,
-    )
-    spray = pe.spray
+    frame = FrameBundle(e=e_jets[..., 0].copy(), e_flat=e_flat_jets[..., 0].copy(),
+                        gauge_tag=gauge)
     L0 = pe.L
     e = frame.e
 
     scalar_jets = _scalar_jets(C_j, e_jets, L_j)
-    v_derivs = np.empty((8, 4))
-    h_derivs = np.empty((8, 4))
-    for row, name in enumerate(SCALAR_NAMES):
-        S = scalar_jets[name]
-        dy = derivative_tensor(S, 0, 1)
-        delta = geometry.scalar_h_derivative(S, spray)
-        v_derivs[row] = L0 * (e @ dy)
-        h_derivs[row] = e @ delta
+    derivs = geometry.scalar_derivatives(scalar_jets, pe.spray)
+    v_derivs = L0 * (derivs.v @ e.T)
+    h_derivs = derivs.h @ e.T
 
     vectors, residuals = _connection_vectors(pe, frame, e_flat_jets)
-    scalars = MainScalars(**{n: scalar_jets[n].base for n in SCALAR_NAMES})
+    scalars = MainScalars(**dict(zip(SCALAR_NAMES, scalar_jets[:, 0].tolist())))
     residuals["unified_scalar_sum"] = abs(
         scalars.H + scalars.I + scalars.K - L0 * pe.cartan.C_norm
     )

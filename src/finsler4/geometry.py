@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import jets, metrics
-from .jets import DegreeCaps, Finsler4Error, InvalidArgument, JetScalar, derivative_tensor
+from .jets import (
+    DegreeCaps, Finsler4Error, InvalidArgument, JetScalar, contract, derivative_tensor,
+)
 from .metrics import MetricSpec
 
 # master caps: one x-derivative beside four y-derivatives covers every
@@ -77,27 +79,9 @@ class ConnectionAt:
     Cmix: np.ndarray
 
 
-def _jet_matrix_inverse(m, caps: DegreeCaps):
-    """Gauss-Jordan inverse of a 4x4 matrix of jets (partial pivoting on
-    base values; pivots must have nonzero base)."""
-    n = 4
-    aug = [[m[i][j] for j in range(n)] + [jets.const(1.0 if i == j else 0.0, caps)
-                                          for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col].base))
-        if abs(aug[pivot][col].base) == 0.0:
-            raise SingularMetric("jet matrix inverse hit a zero pivot")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_piv = 1.0 / aug[col][col]
-        aug[col] = [entry * inv_piv for entry in aug[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = aug[row][col]
-            if abs(factor.base) == 0.0 and not np.any(factor.c):
-                continue
-            aug[row] = [a - factor * b for a, b in zip(aug[row], aug[col])]
-    return [row[n:] for row in aug]
+def _y_jets(y: np.ndarray, caps: DegreeCaps) -> np.ndarray:
+    """The direction variables y1..y4 as a (4, n) coefficient array."""
+    return np.array([jets.variable(4 + k, y[k], caps).c for k in range(4)])
 
 
 class PointEval:
@@ -137,32 +121,24 @@ class PointEval:
         return CartanTensorAt(C=C, C_vec=C_vec, C_norm=C_norm)
 
     @cached_property
-    def _spray_jets(self):
-        """G^i as jets deep enough for three more y-derivatives."""
-        g_jets = 0.5 * derivative_tensor(self.L2_jet, 0, 2, _SPRAY_CAPS)
-        g_inv_jets = _jet_matrix_inverse(g_jets, _SPRAY_CAPS)
-        y_jets = [jets.variable(4 + k, self.y[k], _SPRAY_CAPS) for k in range(4)]
-        dx = derivative_tensor(self.L2_jet, 1, 0, _SPRAY_CAPS)
-        dxdy = derivative_tensor(self.L2_jet, 1, 1, _SPRAY_CAPS)
-        e_vec = []
-        for r in range(4):
-            acc = -dx[r]
-            for k in range(4):
-                acc = acc + y_jets[k] * dxdy[k, r]
-            e_vec.append(acc)
-        return [
-            sum((g_inv_jets[i][r] * e_vec[r] for r in range(4)),
-                jets.const(0.0, _SPRAY_CAPS)) * 0.25
-            for i in range(4)
-        ]
+    def _spray_jets(self) -> np.ndarray:
+        """G^i as a (4, n) coefficient array at _SPRAY_CAPS, deep enough for
+        three more y-derivatives."""
+        caps = _SPRAY_CAPS
+        g = 0.5 * derivative_tensor(self.L2_jet, 0, 2, caps)
+        g_inv = jets.inverse(g, self.metric.g_inv, caps)
+        dx = derivative_tensor(self.L2_jet, 1, 0, caps)
+        dxdy = derivative_tensor(self.L2_jet, 1, 1, caps)  # [k, r]: d_xk d_yr
+        # E_r = y^k d_xk d_yr L^2 - d_xr L^2, and G^i = g^ir E_r / 4
+        e_vec = contract("k,kr->r", _y_jets(self.y, caps), dxdy, caps) - dx
+        return 0.25 * contract("ir,r->i", g_inv, e_vec, caps)
 
     @cached_property
     def spray(self) -> SprayAt:
         gj = self._spray_jets
-        G = np.array([gj[i].base for i in range(4)])
-        N = np.array([derivative_tensor(gi, 0, 1) for gi in gj])
-        hess = np.array([derivative_tensor(gi, 0, 3) for gi in gj])
-        return SprayAt(G=G, N=N, G_hess3=hess)
+        N = derivative_tensor(gj, 0, 1, f_caps=_SPRAY_CAPS)
+        hess = derivative_tensor(gj, 0, 3, f_caps=_SPRAY_CAPS)
+        return SprayAt(G=gj[:, 0].copy(), N=N, G_hess3=hess)
 
     @cached_property
     def dx_g(self) -> np.ndarray:
@@ -206,13 +182,15 @@ class PointEval:
         return C_h, C_0
 
     def frame_field_jets(self):
-        """g, C, y, and L as FRAME_CAPS jets with first-order x/y information,
-        the inputs for differentiating frame fields through the whole build."""
+        """g, g^-1, C and y as FRAME_CAPS coefficient arrays, and L as a
+        FRAME_CAPS jet: first-order x/y information for differentiating
+        frame fields through the whole build."""
         g = 0.5 * derivative_tensor(self.L2_jet, 0, 2, FRAME_CAPS)
+        g_inv = jets.inverse(g, self.metric.g_inv, FRAME_CAPS)
         C = 0.25 * derivative_tensor(self.L2_jet, 0, 3, FRAME_CAPS)
-        y = [jets.variable(4 + k, self.y[k], FRAME_CAPS) for k in range(4)]
+        y = _y_jets(self.y, FRAME_CAPS)
         L = jets.restrict(self.L_jet, FRAME_CAPS)
-        return g, C, y, L
+        return g, g_inv, C, y, L
 
 
 def point_eval(spec: MetricSpec, x, y) -> PointEval:
@@ -221,8 +199,6 @@ def point_eval(spec: MetricSpec, x, y) -> PointEval:
 
 # -- covariant derivatives --------------------------------------------------
 
-Field = Union[JetScalar, Sequence[JetScalar]]
-
 
 @dataclass(frozen=True)
 class CovariantDerivatives:
@@ -230,42 +206,35 @@ class CovariantDerivatives:
     v: np.ndarray  # vertical: plain y-derivative with torsion terms
 
 
-def _require_depth(jet: JetScalar) -> None:
-    if jet.caps.x_max < 1 or jet.caps.y_max < 1:
-        raise InsufficientJetDepth(
-            f"field jets need one x- and one y-derivative, got caps {jet.caps}"
-        )
-
-
-def scalar_h_derivative(field: JetScalar, spray: SprayAt) -> np.ndarray:
-    _require_depth(field)
-    dx = derivative_tensor(field, 1, 0)
-    dy = derivative_tensor(field, 0, 1)
-    return dx - spray.N.T @ dy
-
-
-def covariant_derivatives(
-    field: Field, spray: SprayAt, conn: ConnectionAt
+def scalar_derivatives(
+    fields: np.ndarray, spray: SprayAt, caps: DegreeCaps = FRAME_CAPS
 ) -> CovariantDerivatives:
+    """Covariant derivatives of a stack of scalar fields, given as a
+    coefficient array of shape S + (n,) at ``caps``; results have shape
+    S + (4,): delta_k f = d_xk f - N^r_k d_yr f, and d_yk f."""
+    dx = derivative_tensor(fields, 1, 0, f_caps=caps)
+    dy = derivative_tensor(fields, 0, 1, f_caps=caps)
+    return CovariantDerivatives(h=dx - dy @ spray.N, v=dy)
+
+
+def covariant_derivatives(field, spray: SprayAt, conn: ConnectionAt) -> CovariantDerivatives:
     """Horizontal and vertical covariant derivatives.
 
-    A single jet is treated as a scalar; a sequence of four jets as a
-    covector field (one jet per lower component).
+    A JetScalar is a scalar field.  A FRAME_CAPS coefficient array of shape
+    S + (4, n) is a stack S of covector fields, one jet per lower component;
+    the results then have shape S + (4, 4), [..., i, k] = nabla_k X_i.
     """
     if isinstance(field, JetScalar):
-        _require_depth(field)
-        h = scalar_h_derivative(field, spray)
-        v = derivative_tensor(field, 0, 1)
-        return CovariantDerivatives(h=h, v=v)
-    comps = list(field)
-    if len(comps) != 4:
-        raise InvalidArgument("covector fields need exactly four components")
-    for c in comps:
-        _require_depth(c)
-    vals = np.array([c.base for c in comps])
-    dx = np.array([derivative_tensor(c, 1, 0) for c in comps])
-    dy = np.array([derivative_tensor(c, 0, 1) for c in comps])
-    delta = dx - dy @ spray.N  # delta_k X_i = d_k X_i - N^r_k dy_r X_i
-    h = delta - np.einsum("r,rik->ik", vals, conn.F)
-    v = dy - np.einsum("r,rik->ik", vals, conn.Cmix)
+        if field.caps.x_max < 1 or field.caps.y_max < 1:
+            raise InsufficientJetDepth(
+                f"field jets need one x- and one y-derivative, got caps {field.caps}"
+            )
+        return scalar_derivatives(field.c, spray, field.caps)
+    field = np.asarray(field, dtype=float)
+    if field.ndim < 2 or field.shape[-2] != 4:
+        raise InvalidArgument(f"covector fields need four components, got shape {field.shape}")
+    cov = scalar_derivatives(field, spray)
+    vals = field[..., 0]
+    h = cov.h - np.einsum("...r,rik->...ik", vals, conn.F)
+    v = cov.v - np.einsum("...r,rik->...ik", vals, conn.Cmix)
     return CovariantDerivatives(h=h, v=v)

@@ -10,9 +10,21 @@ ring yields every mixed partial the downstream tensor calculus reads.
 Coefficients are stored in Taylor normalisation: the entry for a
 multi-index ``a`` equals the mixed partial divided by ``a!``, which keeps
 multiplication a plain truncated convolution.  :func:`partial_extract`
-multiplies the factorial back for one partial; :func:`derivative_tensor`
-gathers every partial of a given x/y order as one array, either as floats
-or as jets truncated to smaller caps.
+multiplies the factorial back for one partial.
+
+A jet tensor (a tensor field expanded around the base point) is a float
+array of shape ``tensor_shape + (n,)`` at one caps: the trailing axis holds
+the ``n`` Taylor-normalised coefficients, and the base slice ``[..., 0]``
+is the tensor at the point.  :func:`derivative_tensor` gathers every
+partial of a given x/y order of a jet, or of a whole stack of jets, as one
+such array (or as floats at the default caps).  :func:`contract` is the
+product of two jet tensors contracted over tensor axes: gather the
+coefficient pairs, one ``np.einsum``, scatter onto monomials.
+:func:`inverse` inverts a jet matrix by a truncated Neumann series around
+the inverse of its base value.  This is truncated Taylor arithmetic in
+vector mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+ch. 13).  A :class:`JetScalar` is the 0-d case, with the elementary
+functions below.
 
 The elementary functions (:func:`exp`, :func:`log`, :func:`power`,
 :func:`sqrt`, :func:`sin`, :func:`cos`) also take floats, through
@@ -29,7 +41,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -139,6 +151,14 @@ class _Tables:
         self._shift_cache: dict = {}
         self._restrict_cache: dict = {}
         self._tensor_cache: dict = {}
+
+    @cached_property
+    def scatter(self) -> np.ndarray:
+        """0/1 matrix of shape (n_products, n) that sums each product of
+        coefficients (mul_i, mul_j) onto its monomial mul_k."""
+        out = np.zeros((len(self.mul_k), self.n))
+        out[np.arange(len(self.mul_k)), self.mul_k] = 1.0
+        return out
 
     def shift_map(self, beta: tuple[int, ...], dst: "_Tables"):
         """Index/scale arrays realising the derivative-by-beta extraction."""
@@ -345,27 +365,30 @@ def derivative_jet(f: JetScalar, order: OrderLike) -> JetScalar:
     return JetScalar(dst_caps, f.c[src_idx] * scale)
 
 
-def derivative_tensor(f: JetScalar, nx: int, ny: int, caps: DegreeCaps = _FLOAT_CAPS):
+def derivative_tensor(
+    f, nx: int, ny: int, caps: DegreeCaps = _FLOAT_CAPS, f_caps: DegreeCaps | None = None
+) -> np.ndarray:
     """Every partial of f of order nx in x and ny in y, x axes first.
 
-    With the default caps the result is the float tensor of shape
-    ``(4,) * (nx + ny)``.  With larger caps each entry is the jet of that
-    derivative truncated to ``caps``, i.e. ``restrict(derivative_jet(...))``,
-    and the result is an object array of jets of the same shape.
+    ``f`` is a JetScalar, or a stack of jets at ``f_caps`` given as a
+    coefficient array of shape ``S + (n,)``; one gather reads the whole
+    stack, and the derivative axes follow ``S``.  With the default caps the
+    result is the float tensor of shape ``S + (4,) * (nx + ny)``.  With
+    larger caps each entry is the jet of that derivative truncated to
+    ``caps``, i.e. ``restrict(derivative_jet(...))``, and the result is its
+    coefficient array, of shape ``S + (4,) * (nx + ny) + (n_caps,)``.
     """
-    if nx > f.caps.x_max or ny > f.caps.y_max:
-        raise OrderExceedsCaps(f"order ({nx}, {ny}) exceeds caps {f.caps}")
-    if caps.x_max > f.caps.x_max - nx or caps.y_max > f.caps.y_max - ny:
-        raise CapMismatch(f"order ({nx}, {ny}) of caps {f.caps} leaves less than {caps}")
-    idx, scale = _tables(f.caps).tensor_map(nx, ny, _tables(caps))
-    coeffs = f.c[idx] * scale
-    shape = (4,) * (nx + ny)
-    if caps == _FLOAT_CAPS:
-        return coeffs.reshape(shape)
-    out = np.empty(len(coeffs), dtype=object)
-    for r, c in enumerate(coeffs):
-        out[r] = JetScalar(caps, c)
-    return out.reshape(shape)
+    if isinstance(f, JetScalar):
+        f, f_caps = f.c, f.caps
+    if nx > f_caps.x_max or ny > f_caps.y_max:
+        raise OrderExceedsCaps(f"order ({nx}, {ny}) exceeds caps {f_caps}")
+    if caps.x_max > f_caps.x_max - nx or caps.y_max > f_caps.y_max - ny:
+        raise CapMismatch(f"order ({nx}, {ny}) of caps {f_caps} leaves less than {caps}")
+    idx, scale = _tables(f_caps).tensor_map(nx, ny, _tables(caps))
+    shape = f.shape[:-1] + (4,) * (nx + ny)
+    if caps != _FLOAT_CAPS:
+        shape += (idx.shape[1],)
+    return (f[..., idx] * scale).reshape(shape)
 
 
 def restrict(f: JetScalar, caps: DegreeCaps) -> JetScalar:
@@ -377,6 +400,45 @@ def restrict(f: JetScalar, caps: DegreeCaps) -> JetScalar:
     src = _tables(f.caps)
     dst = _tables(caps)
     return JetScalar(caps, f.c[src.restrict_map(dst)].copy())
+
+
+# -- jet tensors ---------------------------------------------------------
+
+
+def contract(spec: str, a: np.ndarray, b: np.ndarray, caps: DegreeCaps) -> np.ndarray:
+    """Ring product of two jet tensors, contracted as the einsum ``spec``.
+
+    ``a`` and ``b`` are coefficient arrays at ``caps`` (tensor axes, then
+    the coefficient axis), and ``spec`` names their tensor axes only, e.g.
+    ``"ij,j->i"`` for a matrix times a vector or ``"i,->i"`` for a vector
+    times a scalar jet.  Every pair of coefficients whose monomials multiply
+    within the caps is gathered once, the tensor axes are contracted in one
+    ``np.einsum``, and the products are scattered onto their monomials.
+    """
+    t = _tables(caps)
+    ins, out = spec.split("->")
+    left, right = ins.split(",")
+    pairs = np.einsum(f"{left}...,{right}...->{out}...", a[..., t.mul_i], b[..., t.mul_j])
+    return pairs @ t.scatter
+
+
+def inverse(m: np.ndarray, m0_inv: np.ndarray, caps: DegreeCaps) -> np.ndarray:
+    """Inverse of a (k, k) jet matrix, given the inverse of its base value.
+
+    With ``d = m - m0`` (no constant term, so nilpotent in the ring) the
+    truncated Neumann series ``sum_{j <= caps.series_order} (-m0_inv d)^j
+    m0_inv`` is exact; it needs neither pivots nor branches, and a singular
+    base is the caller's check, made where ``m0_inv`` is formed.
+    """
+    base = np.zeros_like(m)
+    base[..., 0] = m0_inv
+    d = m.copy()
+    d[..., 0] = 0.0
+    step = -np.einsum("ij,jk...->ik...", m0_inv, d)
+    out = base
+    for _ in range(caps.series_order):
+        out = base + contract("ij,jk->ik", step, out, caps)
+    return out
 
 
 # -- elementary functions ----------------------------------------------
@@ -442,7 +504,11 @@ def power(f, r: Number):
     if not isinstance(f, JetScalar):
         if float(r) != int(r) and np.any(f <= 0):
             raise DomainViolation("fractional power of a non-positive value")
-        return np.power(f, float(r)) if isinstance(f, np.ndarray) else float(f) ** float(r)
+        if isinstance(f, np.ndarray):
+            return np.power(f, float(r))
+        if f == 0 and r < 0:
+            raise DomainViolation("negative power of zero")
+        return float(f) ** float(r)
     if float(r) == int(r):
         n = int(r)
         if n == 0:

@@ -185,7 +185,12 @@ def _check_randers_valid(b_ast, dom: DomainSpec) -> None:
                [(iv[0] + iv[1]) / 2 for iv in dom.x_box]]
     for x in corners:
         env = list(x) + [0.0] * 4
-        norm2 = sum(exprdsl.eval_expr(e, env) ** 2 for e in b_ast)
+        try:
+            norm2 = sum(exprdsl.eval_expr(e, env) ** 2 for e in b_ast)
+        except DomainViolation as err:
+            raise InvalidParameters(
+                f"randers drift cannot be evaluated at x={x}: {err}"
+            ) from None
         if norm2 >= 1.0:
             raise InvalidParameters(
                 f"randers drift has |b(x)| >= 1 at x={x}; metric degenerates"

@@ -208,6 +208,17 @@ def test_bad_point_syntax_exits_2(capsys, quartic_spec):
     assert code == 2
 
 
+def test_randers_drift_undefined_at_a_probe_exits_2(capsys, tmp_path):
+    # 0.1/x1 cannot be evaluated at the centre of the default box
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(
+        {"family": "randers", "params": {"b": ["0.1*x1^-1", 0, 0, 0]}, "samples": 2}
+    ))
+    code, _, err = _run(capsys, ["classify", str(path)])
+    assert code == 2
+    assert "spec error" in err and "x=[0.0, 0.0, 0.0, 0.0]" in err
+
+
 def test_conformal_homothetic_case_everywhere(capsys, tmp_path):
     path = tmp_path / "hom.json"
     path.write_text(

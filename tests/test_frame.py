@@ -8,7 +8,6 @@ from finsler4.frame import (
     NotPositiveDefinite,
     VanishingTorsion,
     VarianceMismatch,
-    build_miron_frame,
     main_scalars,
     scalar_components,
     scalar_profile,
@@ -25,8 +24,7 @@ QUARTIC = make_builtin_metric("quartic_minkowski")
 
 def _frame_at(spec, x, y):
     pe = point_eval(spec, x, y)
-    metric, cartan = pe.metric, pe.cartan
-    return build_miron_frame(metric, cartan, y), metric, cartan
+    return scalar_profile(pe).frame, pe.metric, pe.cartan
 
 
 def test_vanishing_torsion_at_symmetric_point():
@@ -113,12 +111,20 @@ def test_gram_schmidt_metric_orthonormal():
 
 
 def test_frame_matches_independent_gram_schmidt():
-    bundle, metric, cartan = _frame_at(QUARTIC, X0, Y2)
-    l = Y2 / metric.L
-    m = metric.g_inv @ cartan.C_vec
-    m = m / np.sqrt(m @ metric.g @ m)
-    other = gram_schmidt_metric(metric.g, [l, m])
-    assert np.max(np.abs(other - bundle.e)) < 1e-9
+    randers = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+    cases = [(QUARTIC, X0, Y2)] + [
+        (spec, x, y)
+        for spec in (QUARTIC, randers)
+        for x, y in sample_domain(spec.domain, SamplePlan(count=6, seed=29))
+    ]
+    for spec, x, y in cases:
+        bundle, metric, cartan = _frame_at(spec, x, y)
+        l = y / metric.L
+        m = metric.g_inv @ cartan.C_vec
+        m = m / np.sqrt(m @ metric.g @ m)
+        other = gram_schmidt_metric(metric.g, [l, m])
+        assert np.max(np.abs(other - bundle.e)) <= 1e-12
+        assert np.max(np.abs(other @ metric.g - bundle.e_flat)) <= 1e-12
 
 
 def test_scalar_components_identity_and_metric():
@@ -158,18 +164,6 @@ def test_torsion_trace_constraints():
     M = metric.L * scalar_components(cartan.C, ("down",) * 3, bundle)
     assert abs(M[1, 1, 2] + M[2, 2, 2] + M[2, 3, 3]) <= 1e-8
     assert abs(M[1, 1, 3] + M[2, 2, 3] + M[3, 3, 3]) <= 1e-8
-
-
-def test_float_and_jet_routes_give_the_same_frame():
-    randers = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
-    for spec in (QUARTIC, randers):
-        for x, y in sample_domain(spec.domain, SamplePlan(count=6, seed=29)):
-            pe = point_eval(spec, x, y)
-            jet = scalar_profile(pe).frame
-            flt = build_miron_frame(pe.metric, pe.cartan, pe.y)
-            assert flt.gauge_tag == jet.gauge_tag
-            assert np.max(np.abs(flt.e - jet.e)) <= 1e-12
-            assert np.max(np.abs(flt.e_flat - jet.e_flat)) <= 1e-12
 
 
 def test_profile_locally_minkowski():

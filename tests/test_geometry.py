@@ -188,6 +188,8 @@ def test_singular_metric_guard():
     )
     with pytest.raises(SingularMetric):
         point_eval(spec, X0, Y2).metric
+    with pytest.raises(SingularMetric):
+        point_eval(spec, X0, Y2).spray
 
 
 def test_covariant_derivative_of_constant_scalar():
@@ -211,7 +213,7 @@ def test_covariant_derivative_requires_depth():
 def test_covector_field_needs_four_components():
     spec = make_builtin_metric("quartic_minkowski")
     pe = point_eval(spec, X0, Y2)
-    field = [jets.const(1.0, geometry.FRAME_CAPS)] * 3
+    field = np.array([jets.const(1.0, geometry.FRAME_CAPS).c] * 3)
     with pytest.raises(jets.InvalidArgument):
         covariant_derivatives(field, pe.spray, pe.connection)
 

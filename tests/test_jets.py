@@ -101,6 +101,8 @@ def test_log_sqrt_domain():
         jets.sqrt(neg)
     with pytest.raises(DomainViolation):
         jets.power(neg, 0.5)
+    with pytest.raises(DomainViolation):
+        jets.power(0.0, -1)
 
 
 def test_integer_power_allows_negative_base():
@@ -169,11 +171,46 @@ def test_derivative_tensor_matches_per_entry_extraction(nx, ny):
         if caps.x_max > 1 - nx or caps.y_max > 5 - ny:
             continue
         tensor = derivative_tensor(f, nx, ny, caps)
-        assert tensor.shape == shape
         for s in entries:
             ref = restrict(derivative_jet(f, _order(s, nx)), caps)
-            assert tensor[s].caps == caps
-            assert np.array_equal(tensor[s].c, ref.c)
+            assert tensor.shape == shape + (ref.c.size,)
+            assert np.array_equal(tensor[s], ref.c)
+
+
+@pytest.mark.parametrize("caps", [DegreeCaps(1, 1), DegreeCaps(0, 3)])
+@pytest.mark.parametrize("spec", ["ij,j->i", "ijk,jk->i", "i,->i", "i,i->", "ij,aj->ai"])
+def test_contract_matches_looped_jet_products(caps, spec):
+    rng = np.random.default_rng(31)
+    n = const(0.0, caps).c.size
+    ins, out = spec.split("->")
+    left, right = ins.split(",")
+    a = rng.normal(size=(4,) * len(left) + (n,))
+    b = rng.normal(size=(4,) * len(right) + (n,))
+    got = jets.contract(spec, a, b, caps)
+    assert got.shape == (4,) * len(out) + (n,)
+    letters = sorted(set(left + right))
+    want = np.zeros_like(got)
+    for vals in itertools.product(range(4), repeat=len(letters)):
+        at = dict(zip(letters, vals))
+        term = JetScalar(caps, a[tuple(at[c] for c in left)]) * JetScalar(
+            caps, b[tuple(at[c] for c in right)]
+        )
+        want[tuple(at[c] for c in out)] += term.c
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("caps", [DegreeCaps(1, 1), DegreeCaps(0, 3)])
+def test_inverse_times_matrix_is_the_identity_jet(caps):
+    rng = np.random.default_rng(37)
+    n = const(0.0, caps).c.size
+    a = rng.normal(size=(4, 4))
+    g = rng.normal(size=(4, 4, n)) * 0.3
+    g[..., 0] = a @ a.T + 4 * np.eye(4)
+    inv = jets.inverse(g, np.linalg.inv(g[..., 0]), caps)
+    eye = np.zeros((4, 4, n))
+    eye[..., 0] = np.eye(4)
+    assert np.max(np.abs(jets.contract("ij,jk->ik", inv, g, caps) - eye)) <= 1e-15
+    assert np.max(np.abs(jets.contract("ij,jk->ik", g, inv, caps) - eye)) <= 1e-15
 
 
 def test_derivative_tensor_rejects_orders_and_caps_beyond_the_jet():
