@@ -12,7 +12,6 @@ from .conformal import (
     SigmaComponents,
     audit_pair,
     berwald_case_conditions,
-    conformal_lift,
     invariance_check,
     landsberg_case_conditions,
     make_pair,

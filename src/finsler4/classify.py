@@ -5,14 +5,17 @@ scalar derivative tables).
 
 Verdicts are three-valued with a 10x hysteresis band: numerical sampling
 cannot certify exact vanishing, and the band keeps borderline points from
-flapping between yes and no.  Every aggregate claim is over the sampled
-points only; the locally-Minkowski verdict is chart-relative by design.
+flapping between yes and no.  The judge (``band``, ``all3``, ``agreement``)
+and the h-derivative measurement are shared with the conformal audit.
+Every aggregate claim is over the sampled points only; the
+locally-Minkowski verdict is chart-relative by design.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -22,14 +25,56 @@ from .metrics import MetricSpec, SamplePlan
 
 DEFAULT_TOL = 1e-6
 VERDICT_KEYS = ("riemannian", "locally_minkowski_in_chart", "berwald", "landsberg")
+AGREEMENT = ("agree", "disagree", "inconclusive")
+_WORDS = {True: "yes", False: "no", None: "undetermined"}
 
 
-class ClassifyError(jets.Finsler4Error):
-    pass
+# -- the judge ---------------------------------------------------------------
 
 
-class NoFrameValidPoints(ClassifyError):
-    pass
+def band(value: float, scale: float, small: float, large: float) -> Optional[bool]:
+    """True if value vanishes relative to scale (<= small * scale), False if
+    it clearly does not (> large * scale), None in the band between them and
+    for NaN."""
+    if value <= small * scale:
+        return True
+    if value > large * scale:
+        return False
+    return None
+
+
+def all3(flags: Iterable[Optional[bool]]) -> Optional[bool]:
+    """Three-valued AND: any False decides False, else any None (or no flag
+    at all) gives None."""
+    flags = list(flags)
+    if False in flags:
+        return False
+    if not flags or None in flags:
+        return None
+    return True
+
+
+def agreement(a: Optional[bool], b: Optional[bool]) -> str:
+    """Compare two three-valued flags; None on either side is inconclusive."""
+    if a is None or b is None:
+        return "inconclusive"
+    return "agree" if a == b else "disagree"
+
+
+def hderiv_measurement(pe: geometry.PointEval) -> dict:
+    """The h-derivative maxima of the torsion tensor and the scale they are
+    judged against, (1 + max|C|) * (1 + (max|F| + max|N|))."""
+    c_h, c_0 = pe.cartan_h_derivatives
+    c = float(np.max(np.abs(pe.cartan.C)))
+    conn = float(np.max(np.abs(pe.connection.F))) + float(np.max(np.abs(pe.spray.N)))
+    return {
+        "max_cartan_hderiv": float(np.max(np.abs(c_h))),
+        "max_cartan_hderiv_transvected": float(np.max(np.abs(c_0))),
+        "hderiv_scale": (1.0 + c) * (1.0 + conn),
+    }
+
+
+# -- classification ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -37,16 +82,16 @@ class PointRecord:
     index: int
     x: np.ndarray
     y: np.ndarray
-    torsion_norm: Optional[float]
-    metric_scale: float
-    hderiv_scale: float
-    max_cartan: float
-    max_dx_metric: float
-    max_spray_cubic: float
-    max_cartan_hderiv: float
-    max_cartan_hderiv_transvected: float
-    frame: Optional[dict]
-    frame_error: Optional[str]
+    torsion_norm: Optional[float] = None
+    metric_scale: float = 1.0
+    hderiv_scale: float = 1.0
+    max_cartan: float = math.nan
+    max_dx_metric: float = math.nan
+    max_spray_cubic: float = math.nan
+    max_cartan_hderiv: float = math.nan
+    max_cartan_hderiv_transvected: float = math.nan
+    frame: Optional[dict] = None
+    frame_error: Optional[str] = None
     eval_error: Optional[str] = None
 
 
@@ -60,30 +105,10 @@ class ClassificationReport:
     tol: float = DEFAULT_TOL
 
 
-def _verdict(ratios: list, tol: float) -> str:
-    """yes if every point vanishes at tol, no if any clearly does not."""
-    if not ratios:
-        return "undetermined"
-    if all(r <= tol for r in ratios):
-        return "yes"
-    if any(r > 10 * tol for r in ratios):
-        return "no"
-    return "undetermined"
-
-
 def _evaluate_record(spec: MetricSpec, index: int, x, y) -> PointRecord:
     pe = geometry.point_eval(spec, x, y)
     metric = pe.metric
     cartan = pe.cartan
-    spray = pe.spray
-    c_h, c_0 = pe.cartan_h_derivatives
-
-    metric_scale = 1.0 + float(np.max(np.abs(metric.g)))
-    hderiv_scale = (1.0 + float(np.max(np.abs(cartan.C)))) * (
-        1.0
-        + float(np.max(np.abs(pe.connection.F)))
-        + float(np.max(np.abs(spray.N)))
-    )
 
     frame_data: Optional[dict] = None
     frame_error: Optional[str] = None
@@ -111,15 +136,13 @@ def _evaluate_record(spec: MetricSpec, index: int, x, y) -> PointRecord:
         x=np.asarray(x, dtype=float),
         y=np.asarray(y, dtype=float),
         torsion_norm=None if np.isnan(c_norm) else float(c_norm),
-        metric_scale=metric_scale,
-        hderiv_scale=hderiv_scale,
+        metric_scale=1.0 + float(np.max(np.abs(metric.g))),
         max_cartan=float(np.max(np.abs(cartan.C))),
         max_dx_metric=float(np.max(np.abs(pe.dx_g))),
-        max_spray_cubic=float(np.max(np.abs(spray.G_hess3))),
-        max_cartan_hderiv=float(np.max(np.abs(c_h))),
-        max_cartan_hderiv_transvected=float(np.max(np.abs(c_0))),
+        max_spray_cubic=float(np.max(np.abs(pe.spray.G_hess3))),
         frame=frame_data,
         frame_error=frame_error,
+        **hderiv_measurement(pe),
     )
 
 
@@ -132,29 +155,24 @@ def classify_metric(
         try:
             records.append(_evaluate_record(spec, idx, x, y))
         except jets.Finsler4Error as err:
-            records.append(
-                PointRecord(
-                    index=idx, x=np.asarray(x), y=np.asarray(y),
-                    torsion_norm=None, metric_scale=1.0, hderiv_scale=1.0,
-                    max_cartan=float("nan"), max_dx_metric=float("nan"),
-                    max_spray_cubic=float("nan"), max_cartan_hderiv=float("nan"),
-                    max_cartan_hderiv_transvected=float("nan"),
-                    frame=None, frame_error=None, eval_error=str(err),
-                )
-            )
+            records.append(PointRecord(
+                index=idx, x=np.asarray(x), y=np.asarray(y), eval_error=str(err)
+            ))
 
     usable = [r for r in records if r.eval_error is None]
 
-    def ratios(attr: str, scale_attr: str) -> list:
-        return [getattr(r, attr) / getattr(r, scale_attr) for r in usable]
+    def verdict(attr: str, scale_attr: str) -> str:
+        """yes if every point vanishes at tol, no if any clearly does not."""
+        return _WORDS[all3(
+            band(getattr(r, attr) / getattr(r, scale_attr), 1.0, tol, 10 * tol)
+            for r in usable
+        )]
 
     verdicts = {
-        "riemannian": _verdict(ratios("max_cartan", "metric_scale"), tol),
-        "locally_minkowski_in_chart": _verdict(ratios("max_dx_metric", "metric_scale"), tol),
-        "berwald": _verdict(ratios("max_cartan_hderiv", "hderiv_scale"), tol),
-        "landsberg": _verdict(
-            ratios("max_cartan_hderiv_transvected", "hderiv_scale"), tol
-        ),
+        "riemannian": verdict("max_cartan", "metric_scale"),
+        "locally_minkowski_in_chart": verdict("max_dx_metric", "metric_scale"),
+        "berwald": verdict("max_cartan_hderiv", "hderiv_scale"),
+        "landsberg": verdict("max_cartan_hderiv_transvected", "hderiv_scale"),
     }
     notes = []
     if verdicts["berwald"] == "yes" and verdicts["landsberg"] == "undetermined":
@@ -180,65 +198,38 @@ def classify_metric(
         notes=notes,
         tol=tol,
     )
-    return replace(report, route_agreement=theorem_crosscheck(report, strict=False))
+    return replace(report, route_agreement=theorem_crosscheck(report))
 
 
-def _three_way(value: float, scale: float, tol: float) -> Optional[bool]:
-    if value <= tol * scale:
-        return True
-    if value > 10 * tol * scale:
-        return False
-    return None
-
-
-def theorem_crosscheck(
-    report: ClassificationReport, strict: bool = True, tol: Optional[float] = None
-) -> dict:
-    """Per-point agreement between the tensor route and the frame route.
+def theorem_crosscheck(report: ClassificationReport) -> dict:
+    """Per-point agreement between the tensor route and the frame route, at
+    the report's tolerance.
 
     The transvected-h-derivative test must match the vanishing of the
     l-components (h_1, j_1, k_1 and the l-column of the scalar derivative
     table); the full h-derivative test must match the vanishing of all
-    connection-vector and scalar-derivative components.
+    connection-vector and scalar-derivative components.  Points without a
+    Miron frame are left out; ``frame_valid_points`` counts the rest.
     """
-    tol = tol if tol is not None else report.tol
+    tol = report.tol
     frame_points = [
         r for r in report.points if r.frame is not None and r.eval_error is None
     ]
-    if strict and not frame_points:
-        raise NoFrameValidPoints("no sampled point admits a Miron frame")
+
+    def judge(value: float, r: PointRecord) -> Optional[bool]:
+        return band(value, r.hderiv_scale, tol, 10 * tol)
 
     per_point = []
-    counts = {
-        "landsberg_agree": 0, "landsberg_disagree": 0, "landsberg_inconclusive": 0,
-        "berwald_agree": 0, "berwald_disagree": 0, "berwald_inconclusive": 0,
-    }
+    counts = {f"{kind}_{word}": 0 for kind in ("landsberg", "berwald") for word in AGREEMENT}
     for r in frame_points:
-        tensor_landsberg = _three_way(
-            r.max_cartan_hderiv_transvected, r.hderiv_scale, tol
-        )
-        frame_landsberg = _three_way(
-            max(r.frame["max_hjk_l"], r.frame["max_scalar_hderiv_l"]),
-            r.hderiv_scale, tol,
-        )
-        tensor_berwald = _three_way(r.max_cartan_hderiv, r.hderiv_scale, tol)
-        frame_berwald = _three_way(
-            max(r.frame["max_hjk"], r.frame["max_scalar_hderiv"]),
-            r.hderiv_scale, tol,
-        )
         entry = {"index": r.index}
-        for kind, a, b in (
-            ("landsberg", tensor_landsberg, frame_landsberg),
-            ("berwald", tensor_berwald, frame_berwald),
+        for kind, tensor, frame in (
+            ("landsberg", r.max_cartan_hderiv_transvected,
+             max(r.frame["max_hjk_l"], r.frame["max_scalar_hderiv_l"])),
+            ("berwald", r.max_cartan_hderiv,
+             max(r.frame["max_hjk"], r.frame["max_scalar_hderiv"])),
         ):
-            if a is None or b is None:
-                entry[kind] = "inconclusive"
-                counts[f"{kind}_inconclusive"] += 1
-            elif a == b:
-                entry[kind] = "agree"
-                counts[f"{kind}_agree"] += 1
-            else:
-                entry[kind] = "disagree"
-                counts[f"{kind}_disagree"] += 1
+            entry[kind] = agreement(judge(tensor, r), judge(frame, r))
+            counts[f"{kind}_{entry[kind]}"] += 1
         per_point.append(entry)
     return {"points": per_point, "summary": counts, "frame_valid_points": len(frame_points)}

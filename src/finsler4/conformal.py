@@ -28,12 +28,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exprdsl, frame as frame_mod, geometry, jets, metrics
+from .classify import AGREEMENT, agreement, all3, band, hderiv_measurement
 from .frame import FrameError, ProfileResult, SCALAR_NAMES, ScalarProfile
 from .geometry import PointEval
 from .jets import DegreeCaps, Finsler4Error, derivative_tensor
 from .metrics import MetricSpec, SamplePlan
 
 TAU_SIGMA = 1e-8
+# spray-difference extraction residuals above this share of the extraction
+# scale make the Berwald conditions unusable at a point
+EXTRACTION_TOL = 1e-6
 
 # support patterns of (sigma2, sigma3, sigma4), named by frame directions
 CASE_ALL = "m_n_p"
@@ -79,13 +83,9 @@ class ConformalPair:
         return self.lifted.sigma_ast
 
 
-def conformal_lift(base: MetricSpec, sigma) -> MetricSpec:
-    """Rescale a base metric by a position-only factor e^sigma(x)."""
-    return metrics.make_conformal(base, sigma)
-
-
 def make_pair(base: MetricSpec, sigma) -> ConformalPair:
-    return ConformalPair(base=base, lifted=conformal_lift(base, sigma))
+    """The base metric and its rescaling by a position-only factor e^sigma(x)."""
+    return ConformalPair(base=base, lifted=metrics.make_conformal(base, sigma))
 
 
 def pair_from_spec(spec: MetricSpec) -> ConformalPair:
@@ -188,14 +188,14 @@ def sigma_components(
     )
 
 
-def case_of(sc: SigmaComponents, tau_sigma: float = TAU_SIGMA) -> tuple[str, bool]:
+def case_of(sc: SigmaComponents) -> tuple[str, bool]:
     """Support pattern of (sigma2, sigma3, sigma4); near-degenerate points
     (components hovering around the threshold) are flagged, not hidden."""
     comps = (sc.sigma2, sc.sigma3, sc.sigma4)
-    pattern = tuple(abs(c) >= tau_sigma for c in comps)
-    near = any(tau_sigma / 2 < abs(c) < 2 * tau_sigma for c in comps)
+    pattern = tuple(abs(c) >= TAU_SIGMA for c in comps)
+    near = any(TAU_SIGMA / 2 < abs(c) < 2 * TAU_SIGMA for c in comps)
     if not any(pattern):
-        if abs(sc.sigma1) < tau_sigma:
+        if abs(sc.sigma1) < TAU_SIGMA:
             return CASE_HOMOTHETIC, near
         return CASE_SUPPORTING_ONLY, near
     return _PATTERN_TO_CASE[pattern], near
@@ -209,11 +209,11 @@ def _entry(*terms: float) -> dict:
 
 
 def landsberg_case_conditions(
-    profile: ScalarProfile, sc: SigmaComponents, tau_sigma: float = TAU_SIGMA
+    profile: ScalarProfile, sc: SigmaComponents
 ) -> tuple[str, bool, dict]:
     """The rescaled space is Landsberg iff these all vanish (base space
     locally Minkowski).  Returns (case, near_degenerate, labelled residuals)."""
-    case, near = case_of(sc, tau_sigma)
+    case, near = case_of(sc)
     s2, s3, s4 = sc.sigma2, sc.sigma3, sc.sigma4
     vd = profile.v_derivs
     vec = profile.vectors
@@ -241,10 +241,7 @@ def landsberg_case_conditions(
 
 
 def berwald_case_conditions(
-    profile: ScalarProfile,
-    sc: SigmaComponents,
-    tau_sigma: float = TAU_SIGMA,
-    extraction_tol: float = 1e-6,
+    profile: ScalarProfile, sc: SigmaComponents
 ) -> tuple[str, bool, dict]:
     """Scalar part of the Berwald conditions for the rescaled space.
 
@@ -255,13 +252,13 @@ def berwald_case_conditions(
     bad = {
         k: v
         for k, v in sc.extraction_residuals.items()
-        if not k.startswith("_") and v > extraction_tol * sc.extraction_residuals["_scale"]
+        if not k.startswith("_") and v > EXTRACTION_TOL * sc.extraction_residuals["_scale"]
     }
     if bad:
         raise ExtractionUnreliable(
             f"spray-difference extraction residuals above tolerance: {bad}"
         )
-    case, near = case_of(sc, tau_sigma)
+    case, near = case_of(sc)
     s5, s6, s7 = sc.sigma5, sc.sigma6, sc.sigma7
     s8, s9, s10 = sc.sigma8, sc.sigma9, sc.sigma10
     vd = profile.v_derivs
@@ -377,17 +374,8 @@ def _flat_in_chart(pe: PointEval) -> bool:
     return float(np.max(np.abs(pe.dx_g))) < 1e-9
 
 
-def _h_deriv_scale(pe: PointEval) -> float:
-    c = float(np.max(np.abs(pe.cartan.C)))
-    conn = float(np.max(np.abs(pe.connection.F))) + float(np.max(np.abs(pe.spray.N)))
-    return (1.0 + c) * (1.0 + conn)
-
-
 def evaluate_point(
-    pair: ConformalPair,
-    x: Sequence[float],
-    y: Sequence[float],
-    tau_sigma: float = TAU_SIGMA,
+    pair: ConformalPair, x: Sequence[float], y: Sequence[float]
 ) -> PointConformalReport:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -400,18 +388,15 @@ def evaluate_point(
         return PointConformalReport(x=x, y=y, frame_error=type(err).__name__)
 
     sc = sigma_components(pair, base_prof, lifted_prof)
-    case, near, lands = landsberg_case_conditions(base_prof.profile, sc, tau_sigma)
-    _, _, berw = berwald_case_conditions(base_prof.profile, sc, tau_sigma)
+    case, near, lands = landsberg_case_conditions(base_prof.profile, sc)
+    _, _, berw = berwald_case_conditions(base_prof.profile, sc)
 
-    c_h, c_0 = lifted_pe.cartan_h_derivatives
     direct = {
         "h_bar": lifted_prof.profile.vectors.h.tolist(),
         "j_bar": lifted_prof.profile.vectors.j.tolist(),
         "k_bar": lifted_prof.profile.vectors.k.tolist(),
         "scalar_hderiv_l_bar": lifted_prof.profile.h_derivs[:, 0].tolist(),
-        "max_cartan_hderiv": float(np.max(np.abs(c_h))),
-        "max_cartan_hderiv_transvected": float(np.max(np.abs(c_0))),
-        "hderiv_scale": _h_deriv_scale(lifted_pe),
+        **hderiv_measurement(lifted_pe),
     }
     inv = invariance_check(base_prof, lifted_prof, sc)
     return PointConformalReport(
@@ -424,31 +409,10 @@ def evaluate_point(
 def _block_satisfied(residuals: dict, prefix: tuple, tol: float) -> Optional[bool]:
     """True if every matching label vanishes relative to its scale, False
     if some label clearly fails, None in the hysteresis band."""
-    checked = [v for k, v in residuals.items() if k.startswith(prefix)]
-    if not checked:
-        return None
-    ratios = [v["residual"] / (v["scale"] + 1e-12) for v in checked]
-    if all(r <= tol for r in ratios):
-        return True
-    if any(r > 100 * tol for r in ratios):
-        return False
-    return None
-
-
-def _bar_small(value: float, scale: float, small: float, large: float) -> Optional[bool]:
-    if value <= small * scale:
-        return True
-    if value > large * scale:
-        return False
-    return None
-
-
-def _and3(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
-    if a is False or b is False:
-        return False
-    if a is None or b is None:
-        return None
-    return True
+    return all3(
+        band(v["residual"] / (v["scale"] + 1e-12), 1.0, tol, 100 * tol)
+        for k, v in residuals.items() if k.startswith(prefix)
+    )
 
 
 @dataclass(frozen=True)
@@ -479,45 +443,33 @@ def audit_pair(
             ))
 
     def summarise(kind: str) -> dict:
-        agree = disagree = inconclusive = skipped = 0
+        counts = dict.fromkeys(AGREEMENT + ("skipped_frame_errors",), 0)
         for rep in reports:
             if rep.eval_error is not None:
                 continue
             if rep.frame_error is not None:
-                skipped += 1
+                counts["skipped_frame_errors"] += 1
                 continue
-            scale = rep.direct_barred["hderiv_scale"]
+            direct = rep.direct_barred
+            scale = direct["hderiv_scale"]
             if kind == "landsberg":
                 cond = _block_satisfied(rep.landsberg_residuals, ("landsberg:", "reduced:"), tol)
-                meas = _bar_small(
-                    rep.direct_barred["max_cartan_hderiv_transvected"],
-                    scale, bar_small, bar_large,
+                meas = band(
+                    direct["max_cartan_hderiv_transvected"], scale, bar_small, bar_large
                 )
             else:
-                cond_scalars = _block_satisfied(
-                    rep.berwald_residuals, ("berwald:", "ratio:"), tol
-                )
                 hjk = max(
-                    float(np.max(np.abs(rep.direct_barred["h_bar"]))),
-                    float(np.max(np.abs(rep.direct_barred["j_bar"]))),
-                    float(np.max(np.abs(rep.direct_barred["k_bar"]))),
+                    float(np.max(np.abs(direct["h_bar"]))),
+                    float(np.max(np.abs(direct["j_bar"]))),
+                    float(np.max(np.abs(direct["k_bar"]))),
                 )
-                cond = _and3(cond_scalars, _bar_small(hjk, scale, tol, 100 * tol))
-                meas = _bar_small(
-                    rep.direct_barred["max_cartan_hderiv"], scale, bar_small, bar_large
-                )
-            if cond is None or meas is None:
-                inconclusive += 1
-            elif cond == meas:
-                agree += 1
-            else:
-                disagree += 1
-        return {
-            "agree": agree,
-            "disagree": disagree,
-            "inconclusive": inconclusive,
-            "skipped_frame_errors": skipped,
-        }
+                cond = all3((
+                    _block_satisfied(rep.berwald_residuals, ("berwald:", "ratio:"), tol),
+                    band(hjk, scale, tol, 100 * tol),
+                ))
+                meas = band(direct["max_cartan_hderiv"], scale, bar_small, bar_large)
+            counts[agreement(cond, meas)] += 1
+        return counts
 
     return ConformalAudit(
         reports=reports,

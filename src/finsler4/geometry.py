@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jets, metrics
 from .jets import (
-    DegreeCaps, Finsler4Error, InvalidArgument, JetScalar, contract, derivative_tensor,
+    DegreeCaps, Finsler4Error, InvalidArgument, contract, derivative_tensor,
 )
 from .metrics import MetricSpec
 
@@ -44,10 +44,6 @@ class GeometryError(Finsler4Error):
 
 
 class SingularMetric(GeometryError):
-    pass
-
-
-class InsufficientJetDepth(GeometryError):
     pass
 
 
@@ -218,18 +214,11 @@ def scalar_derivatives(
 
 
 def covariant_derivatives(field, spray: SprayAt, conn: ConnectionAt) -> CovariantDerivatives:
-    """Horizontal and vertical covariant derivatives.
-
-    A JetScalar is a scalar field.  A FRAME_CAPS coefficient array of shape
-    S + (4, n) is a stack S of covector fields, one jet per lower component;
-    the results then have shape S + (4, 4), [..., i, k] = nabla_k X_i.
+    """Horizontal and vertical covariant derivatives of a stack S of covector
+    fields, given as a FRAME_CAPS coefficient array of shape S + (4, n), one
+    jet per lower component; the results have shape S + (4, 4),
+    [..., i, k] = nabla_k X_i.  Scalar fields go through scalar_derivatives.
     """
-    if isinstance(field, JetScalar):
-        if field.caps.x_max < 1 or field.caps.y_max < 1:
-            raise InsufficientJetDepth(
-                f"field jets need one x- and one y-derivative, got caps {field.caps}"
-            )
-        return scalar_derivatives(field.c, spray, field.caps)
     field = np.asarray(field, dtype=float)
     if field.ndim < 2 or field.shape[-2] != 4:
         raise InvalidArgument(f"covector fields need four components, got shape {field.shape}")

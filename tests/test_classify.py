@@ -1,7 +1,8 @@
-import numpy as np
-import pytest
+import math
 
-from finsler4.classify import NoFrameValidPoints, classify_metric, theorem_crosscheck
+import numpy as np
+
+from finsler4.classify import agreement, all3, band, classify_metric
 from finsler4.metrics import SamplePlan, make_builtin_metric, make_conformal
 
 PLAN = SamplePlan(count=8, seed=101)
@@ -55,8 +56,7 @@ def test_riemannian_verdict():
     assert report.verdicts["berwald"] == "yes"
     assert report.verdicts["landsberg"] == "yes"
     assert all(r.frame_error == "VanishingTorsion" for r in report.points)
-    with pytest.raises(NoFrameValidPoints):
-        theorem_crosscheck(report)
+    assert report.route_agreement["frame_valid_points"] == 0
 
 
 def test_conformal_lift_classified_not_flat():
@@ -130,3 +130,20 @@ def test_point_outside_randers_domain_becomes_eval_error_record():
         else:
             assert r.eval_error is None
     assert report.verdicts["berwald"] == "no"
+
+
+def test_judge_truth_table():
+    small, large, scale = 1e-6, 1e-5, 3.0
+    assert band(small * scale, scale, small, large) is True
+    assert band(large * scale, scale, small, large) is None
+    assert band(2 * large * scale, scale, small, large) is False
+    assert band(math.nan, scale, small, large) is None
+    assert all3([]) is None
+    assert all3([True, True]) is True
+    assert all3([True, None]) is None
+    assert all3([None, False, True]) is False
+    assert all3(iter([None, False])) is False
+    assert agreement(True, True) == agreement(False, False) == "agree"
+    assert agreement(True, False) == agreement(False, True) == "disagree"
+    for a in (True, False, None):
+        assert agreement(a, None) == agreement(None, a) == "inconclusive"

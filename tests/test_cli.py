@@ -275,3 +275,20 @@ def test_conformal_records_points_outside_the_domain(capsys, tmp_path):
         summary = doc[key]
         assert list(summary) == ["agree", "disagree", "inconclusive", "skipped_frame_errors"]
         assert sum(summary.values()) == outside.count(False)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "quartic_minkowski"},
+    {"family": "randers", "params": {"b": [0.2, 0.1, 0, 0]}},
+    {"family": "randers", "params": {"b": ["0.1*x2", 0, 0, 0]}},
+])
+def test_homothetic_factor_preserves_every_verdict(capsys, tmp_path, spec):
+    # a constant sigma rescales every tensor uniformly, so no character changes
+    verdicts = []
+    for doc in (spec, {**spec, "sigma": "0.4"}):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**doc, "samples": 8, "seed": 5}))
+        code, out, _ = _run(capsys, ["classify", str(path)])
+        assert code == 0
+        verdicts.append(json.loads(out)["verdicts"])
+    assert verdicts[0] == verdicts[1]

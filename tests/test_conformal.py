@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from finsler4 import conformal, geometry, metrics
+from finsler4.classify import classify_metric
 from finsler4.conformal import (
     CASE_ALL,
     CASE_HOMOTHETIC,
@@ -282,3 +283,18 @@ def test_evaluate_point_builds_one_point_eval_per_space(monkeypatch):
     monkeypatch.setattr(geometry.PointEval, "__init__", counting_init)
     evaluate_point(make_pair(QUARTIC, "0.1*x1"), X1, YGEN)
     assert len(calls) == 2
+
+
+def test_direct_barred_measurement_equals_classify_of_the_lifted_space():
+    # one h-derivative measurement: the audit reports for the rescaled space
+    # exactly what classify records for it, scale grouping included
+    pair = make_pair(make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]}), "0.1*x1")
+    plan = SamplePlan(count=8, seed=3)
+    records = classify_metric(pair.lifted, plan).points
+    points = sample_domain(pair.lifted.domain, plan)
+    assert len(records) == len(points) == 8
+    for rec, (x, y) in zip(records, points):
+        assert np.array_equal(rec.x, x) and np.array_equal(rec.y, y)
+        direct = evaluate_point(pair, x, y).direct_barred
+        for key in ("max_cartan_hderiv", "max_cartan_hderiv_transvected", "hderiv_scale"):
+            assert direct[key] == getattr(rec, key), key

@@ -197,7 +197,7 @@ def test_covariant_derivative_of_constant_scalar():
     x, y = sample_domain(spec.domain, SamplePlan(count=1, seed=67))[0]
     pe = point_eval(spec, x, y)
     field = jets.const(3.0, geometry.FRAME_CAPS)
-    cov = covariant_derivatives(field, pe.spray, pe.connection)
+    cov = geometry.scalar_derivatives(field.c, pe.spray, field.caps)
     assert np.max(np.abs(cov.h)) == 0.0
     assert np.max(np.abs(cov.v)) == 0.0
 
@@ -206,8 +206,8 @@ def test_covariant_derivative_requires_depth():
     spec = make_builtin_metric("quartic_minkowski")
     pe = point_eval(spec, X0, Y2)
     shallow = jets.const(1.0, DegreeCaps(0, 1))
-    with pytest.raises(geometry.InsufficientJetDepth):
-        covariant_derivatives(shallow, pe.spray, pe.connection)
+    with pytest.raises(OrderExceedsCaps):
+        geometry.scalar_derivatives(shallow.c, pe.spray, shallow.caps)
 
 
 def test_covector_field_needs_four_components():

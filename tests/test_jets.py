@@ -353,11 +353,11 @@ def test_ring_sum_adds_left_to_right():
 
 def test_every_error_class_derives_from_the_root():
     import finsler4
-    from finsler4 import classify, conformal, exprdsl, frame, geometry, metrics
+    from finsler4 import conformal, exprdsl, frame, geometry, metrics
 
     roots = (jets.JetError, exprdsl.ExprError, metrics.MetricError,
              geometry.GeometryError, frame.FrameError, conformal.ConformalError,
-             classify.ClassifyError, oracle.StencilLeavesDomain, jets.InvalidArgument)
+             oracle.StencilLeavesDomain, jets.InvalidArgument)
     for cls in roots:
         assert issubclass(cls, finsler4.Finsler4Error), cls
     assert finsler4.Finsler4Error is jets.Finsler4Error
