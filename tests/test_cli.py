@@ -4,7 +4,7 @@ import math
 import pytest
 
 from finsler4 import cli
-from regen_goldens import REPORTS
+from regen_goldens import REPORTS, SPECS
 
 
 @pytest.fixture()
@@ -182,6 +182,15 @@ def test_output_matches_golden(capsys, argv, golden):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (d / golden).read_text()
+
+
+@pytest.mark.parametrize("name,doc", SPECS.items())
+def test_golden_spec_file_matches_regen(name, doc):
+    # perfbench and the golden reports read these inputs; regen writes them
+    import pathlib
+
+    path = pathlib.Path(__file__).parent / "goldens" / name
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_classify_output_file(tmp_path, quartic_spec, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from finsler4.conformal import (
     make_pair,
     sigma_components,
 )
-from finsler4.frame import scalar_profile
+from finsler4.frame import SCALAR_NAMES, scalar_profile
 from finsler4.metrics import SamplePlan, make_builtin_metric, sample_domain
 
 QUARTIC = make_builtin_metric("quartic_minkowski")
@@ -43,6 +44,12 @@ def sigma_at(pair, x, y):
 def invariance_at(pair, x, y):
     base, lifted = profiles(pair, x, y)
     return invariance_check(base, lifted, sigma_components(pair, base, lifted))
+
+
+def gradient_pair(spec, cov):
+    """spec rescaled by the linear factor whose gradient is the covector cov."""
+    src = "+".join(f"({format(float(c), '.17g')})*x{i+1}" for i, c in enumerate(cov))
+    return make_pair(spec, src)
 
 
 def test_lift_rejects_direction_dependent_factor():
@@ -103,21 +110,17 @@ def test_case_dispatch_constructed_gradients():
     prof = scalar_profile(geometry.point_eval(QUARTIC, X1, YGEN))
     flat = prof.frame.e_flat
 
-    def pair_for(cov):
-        src = "+".join(f"({format(float(c), '.17g')})*x{i+1}" for i, c in enumerate(cov))
-        return make_pair(QUARTIC, src)
-
-    sc = sigma_at(pair_for(flat[2] + flat[3]), X1, YGEN)
+    sc = sigma_at(gradient_pair(QUARTIC, flat[2] + flat[3]), X1, YGEN)
     case, _ = case_of(sc)
     assert case == CASE_N_P
     assert abs(sc.sigma2) < 1e-9
     assert sc.sigma3 == pytest.approx(1.0, rel=1e-9)
     assert sc.sigma4 == pytest.approx(1.0, rel=1e-9)
 
-    sc = sigma_at(pair_for(flat[1]), X1, YGEN)
+    sc = sigma_at(gradient_pair(QUARTIC, flat[1]), X1, YGEN)
     assert case_of(sc)[0] == CASE_M
 
-    sc = sigma_at(pair_for(flat[1] + flat[2] + flat[3]), X1, YGEN)
+    sc = sigma_at(gradient_pair(QUARTIC, flat[1] + flat[2] + flat[3]), X1, YGEN)
     assert case_of(sc)[0] == CASE_ALL
 
 
@@ -223,16 +226,12 @@ def test_case_dispatch_flags_near_threshold_components():
     prof = scalar_profile(geometry.point_eval(QUARTIC, X1, YGEN))
     flat = prof.frame.e_flat
 
-    def pair_for(cov):
-        src = "+".join(f"({format(float(c), '.17g')})*x{i+1}" for i, c in enumerate(cov))
-        return make_pair(QUARTIC, src)
-
     # an m-component hovering just above the dispatch threshold is flagged
-    sc = sigma_at(pair_for(1.5e-8 * flat[1] + 1.0 * flat[2]), X1, YGEN)
+    sc = sigma_at(gradient_pair(QUARTIC, 1.5e-8 * flat[1] + 1.0 * flat[2]), X1, YGEN)
     case, near = case_of(sc)
     assert near
     # gradient along the supporting covector alone: anomalous pattern
-    sc = sigma_at(pair_for(flat[0]), X1, YGEN)
+    sc = sigma_at(gradient_pair(QUARTIC, flat[0]), X1, YGEN)
     case, near = case_of(sc)
     assert case == conformal.CASE_SUPPORTING_ONLY
 
@@ -298,3 +297,158 @@ def test_direct_barred_measurement_equals_classify_of_the_lifted_space():
         direct = evaluate_point(pair, x, y).direct_barred
         for key in ("max_cartan_hderiv", "max_cartan_hderiv_transvected", "hderiv_scale"):
             assert direct[key] == getattr(rec, key), key
+
+
+# -- the condition systems written out term by term ---------------------------
+#
+# The reference below spells out, label by label, the Landsberg and Berwald
+# condition systems and the first-component and scalar h-derivative laws, with
+# one hand-signed term list per label.  conformal.py derives the same systems
+# from the sigma support and the symmetric spray block; each of its terms must
+# equal the written-out term or its negation, so every residual and scale is
+# bit-identical.
+
+_REF_CASES = {
+    (True, True, True): CASE_ALL,
+    (True, True, False): conformal.CASE_M_N,
+    (True, False, True): conformal.CASE_M_P,
+    (False, True, True): CASE_N_P,
+    (True, False, False): CASE_M,
+    (False, True, False): conformal.CASE_N,
+    (False, False, True): conformal.CASE_P,
+}
+
+
+def _ref_entry(*terms):
+    return {"residual": abs(math.fsum(terms)), "scale": math.fsum(abs(t) for t in terms)}
+
+
+def _ref_case(sc):
+    pattern = tuple(abs(c) >= conformal.TAU_SIGMA for c in (sc.sigma2, sc.sigma3, sc.sigma4))
+    if any(pattern):
+        return _REF_CASES[pattern]
+    if abs(sc.sigma1) < conformal.TAU_SIGMA:
+        return CASE_HOMOTHETIC
+    return conformal.CASE_SUPPORTING_ONLY
+
+
+def _ref_landsberg(profile, sc):
+    case = _ref_case(sc)
+    s2, s3, s4 = sc.sigma2, sc.sigma3, sc.sigma4
+    vd, vec = profile.v_derivs, profile.vectors
+    out = {}
+    for row, name in enumerate(SCALAR_NAMES):
+        out[f"landsberg:scalar:{name}"] = _ref_entry(
+            s2 * vd[row, 1], s3 * vd[row, 2], s4 * vd[row, 3]
+        )
+    out["landsberg:h1"] = _ref_entry(vec.h[0], s2 * vec.u[1], s3 * vec.u[2], s4 * vec.u[3])
+    out["landsberg:j1"] = _ref_entry(vec.j[0], s2 * vec.v[1], s3 * vec.v[2], s4 * vec.v[3])
+    out["landsberg:k1"] = _ref_entry(vec.k[0], s2 * vec.w[1], s3 * vec.w[2], s4 * vec.w[3])
+    reduced = {
+        conformal.CASE_M_N: lambda row: _ref_entry(s2 * vd[row, 1], s3 * vd[row, 2]),
+        conformal.CASE_M_P: lambda row: _ref_entry(s2 * vd[row, 1], s4 * vd[row, 3]),
+        CASE_N_P: lambda row: _ref_entry(s3 * vd[row, 2], s4 * vd[row, 3]),
+        CASE_M: lambda row: _ref_entry(vd[row, 1]),
+        conformal.CASE_N: lambda row: _ref_entry(vd[row, 2]),
+        conformal.CASE_P: lambda row: _ref_entry(vd[row, 3]),
+    }.get(case)
+    if reduced is not None:
+        for row, name in enumerate(SCALAR_NAMES):
+            out[f"reduced:{case}:{name}"] = reduced(row)
+    return out
+
+
+def _ref_berwald(profile, sc):
+    case = _ref_case(sc)
+    s5, s6, s7 = sc.sigma5, sc.sigma6, sc.sigma7
+    s8, s9, s10 = sc.sigma8, sc.sigma9, sc.sigma10
+    vd = profile.v_derivs
+    out = {}
+    for row, name in enumerate(SCALAR_NAMES):
+        a2, a3, a4 = vd[row, 1], vd[row, 2], vd[row, 3]
+        out[f"berwald:{name}:m"] = _ref_entry(-s5 * a2, s6 * a3, s7 * a4)
+        out[f"berwald:{name}:n"] = _ref_entry(s6 * a2, -s8 * a3, -s9 * a4)
+        out[f"berwald:{name}:p"] = _ref_entry(s7 * a2, -s9 * a3, -s10 * a4)
+    if case == CASE_M:
+        for row, name in enumerate(SCALAR_NAMES):
+            a3, a4 = vd[row, 2], vd[row, 3]
+            out[f"ratio:{case}:{name}:a"] = _ref_entry(s6 * a3, s7 * a4)
+            out[f"ratio:{case}:{name}:b"] = _ref_entry(s8 * a3, s9 * a4)
+            out[f"ratio:{case}:{name}:c"] = _ref_entry(s9 * a3, s10 * a4)
+        out[f"ratio:{case}:chain:a"] = _ref_entry(s7 * s8, -s6 * s9)
+        out[f"ratio:{case}:chain:b"] = _ref_entry(s9 * s9, -s8 * s10)
+    elif case == conformal.CASE_N:
+        for row, name in enumerate(SCALAR_NAMES):
+            a2, a4 = vd[row, 1], vd[row, 3]
+            out[f"ratio:{case}:{name}:a"] = _ref_entry(s5 * a2, -s7 * a4)
+            out[f"ratio:{case}:{name}:b"] = _ref_entry(s6 * a2, -s9 * a4)
+            out[f"ratio:{case}:{name}:c"] = _ref_entry(s7 * a2, -s10 * a4)
+        out[f"ratio:{case}:chain:a"] = _ref_entry(s7 * s6, -s9 * s5)
+        out[f"ratio:{case}:chain:b"] = _ref_entry(s9 * s7, -s10 * s6)
+    elif case == conformal.CASE_P:
+        for row, name in enumerate(SCALAR_NAMES):
+            a2, a3 = vd[row, 1], vd[row, 2]
+            out[f"ratio:{case}:{name}:a"] = _ref_entry(s5 * a2, -s6 * a3)
+            out[f"ratio:{case}:{name}:b"] = _ref_entry(s6 * a2, -s8 * a3)
+            out[f"ratio:{case}:{name}:c"] = _ref_entry(s7 * a2, -s9 * a3)
+        out[f"ratio:{case}:chain:a"] = _ref_entry(s6 * s6, -s5 * s8)
+        out[f"ratio:{case}:chain:b"] = _ref_entry(s8 * s7, -s6 * s9)
+    return out
+
+
+def _ref_laws(base, lifted, sc):
+    es = math.exp(sc.sigma_value)
+    bvec, lvec = base.profile.vectors, lifted.profile.vectors
+    s2, s3, s4 = sc.sigma2, sc.sigma3, sc.sigma4
+    out = {
+        "hbar1_law": abs(
+            lvec.h[0] - (bvec.h[0] + s2 * bvec.u[1] + s3 * bvec.u[2] + s4 * bvec.u[3]) / es
+        ),
+        "jbar1_law": abs(
+            lvec.j[0] - (bvec.j[0] + s2 * bvec.v[1] + s3 * bvec.v[2] + s4 * bvec.v[3]) / es
+        ),
+        "kbar1_law": abs(
+            lvec.k[0] - (bvec.k[0] + s2 * bvec.w[1] + s3 * bvec.w[2] + s4 * bvec.w[3]) / es
+        ),
+    }
+    if np.max(np.abs(base.pe.dx_g)) < 1e-9:
+        vd = base.profile.v_derivs
+        for row, name in enumerate(SCALAR_NAMES):
+            predicted = (s2 * vd[row, 1] + s3 * vd[row, 2] + s4 * vd[row, 3]) / es
+            out[f"scalar_hderiv_l_law:{name}"] = abs(
+                lifted.profile.h_derivs[row, 0] - predicted
+            )
+    return out
+
+
+def test_condition_systems_equal_the_written_out_formulas_in_every_case():
+    # sigma's gradient is aimed along each subset of the four frame covectors
+    # (a constant for the empty subset), which reaches all nine cases at a
+    # flat base point and at a Randers drift point
+    drift = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+    seen = set()
+    for spec, x, y in ((QUARTIC, X1, YGEN), (drift, np.array([0.1, 0.2, 0.3, 0.4]), YGEN)):
+        flat = scalar_profile(geometry.point_eval(spec, x, y)).frame.e_flat
+        for size in range(5):
+            for subset in itertools.combinations(range(4), size):
+                pair = gradient_pair(spec, sum(flat[i] for i in subset)) if subset \
+                    else make_pair(spec, "0.3")
+                base, lifted = profiles(pair, x, y)
+                sc = sigma_components(pair, base, lifted)
+                case, _, lands = landsberg_case_conditions(base.profile, sc)
+                berw_case, _, berw = berwald_case_conditions(base.profile, sc)
+                assert case == berw_case == _ref_case(sc), subset
+                seen.add(case)
+                for got, want in ((lands, _ref_landsberg(base.profile, sc)),
+                                  (berw, _ref_berwald(base.profile, sc))):
+                    assert list(got) == list(want), (case, subset)
+                    for label, entry in want.items():
+                        assert got[label] == entry, (case, label)
+                inv = invariance_check(base, lifted, sc)
+                want = _ref_laws(base, lifted, sc)
+                laws = {k: v for k, v in inv.items()
+                        if k.endswith("bar1_law") or k.startswith("scalar_hderiv_l_law:")}
+                assert list(laws) == list(want), subset
+                for key, value in want.items():
+                    assert laws[key] == value, (case, key)
+    assert seen == set(_REF_CASES.values()) | {CASE_HOMOTHETIC, conformal.CASE_SUPPORTING_ONLY}
