@@ -24,7 +24,13 @@ from .frame import FrameError
 from .metrics import MetricSpec, SamplePlan
 
 DEFAULT_TOL = 1e-6
-VERDICT_KEYS = ("riemannian", "locally_minkowski_in_chart", "berwald", "landsberg")
+# verdict key -> (PointRecord residual, the scale it is judged against)
+VERDICTS = {
+    "riemannian": ("max_cartan", "metric_scale"),
+    "locally_minkowski_in_chart": ("max_dx_metric", "metric_scale"),
+    "berwald": ("max_cartan_hderiv", "hderiv_scale"),
+    "landsberg": ("max_cartan_hderiv_transvected", "hderiv_scale"),
+}
 AGREEMENT = ("agree", "disagree", "inconclusive")
 _WORDS = {True: "yes", False: "no", None: "undetermined"}
 
@@ -168,12 +174,7 @@ def classify_metric(
             for r in usable
         )]
 
-    verdicts = {
-        "riemannian": verdict("max_cartan", "metric_scale"),
-        "locally_minkowski_in_chart": verdict("max_dx_metric", "metric_scale"),
-        "berwald": verdict("max_cartan_hderiv", "hderiv_scale"),
-        "landsberg": verdict("max_cartan_hderiv_transvected", "hderiv_scale"),
-    }
+    verdicts = {key: verdict(*attrs) for key, attrs in VERDICTS.items()}
     notes = []
     if verdicts["berwald"] == "yes" and verdicts["landsberg"] == "undetermined":
         # transvecting by |y| <= 2 cannot grow the residual past the band
@@ -181,13 +182,9 @@ def classify_metric(
         notes.append("landsberg promoted to yes: transvection of a vanishing h-derivative")
 
     deciding = {
-        "max_cartan": max((r.max_cartan for r in usable), default=float("nan")),
-        "max_dx_metric": max((r.max_dx_metric for r in usable), default=float("nan")),
-        "max_spray_cubic": max((r.max_spray_cubic for r in usable), default=float("nan")),
-        "max_cartan_hderiv": max((r.max_cartan_hderiv for r in usable), default=float("nan")),
-        "max_cartan_hderiv_transvected": max(
-            (r.max_cartan_hderiv_transvected for r in usable), default=float("nan")
-        ),
+        attr: max((getattr(r, attr) for r in usable), default=float("nan"))
+        for attr in ("max_cartan", "max_dx_metric", "max_spray_cubic",
+                     "max_cartan_hderiv", "max_cartan_hderiv_transvected")
     }
 
     report = ClassificationReport(

@@ -157,9 +157,7 @@ def _sigma_doc(sc) -> dict:
         "grad": sc.sigma_grad,
         "frame_components": sc.frame_grad(),
         "spray_block": sc.spray_block(),
-        "extraction_residuals": {
-            k: v for k, v in sc.extraction_residuals.items() if not k.startswith("_")
-        },
+        "extraction_residuals": sc.extraction_residuals,
     }
 
 

@@ -6,23 +6,28 @@ frame directions with the base space (vectors shrink by e^-sigma,
 covectors grow by e^sigma), the mixed torsion tensor and all eight main
 scalars are invariant, and the nonlinear-connection difference projected
 into the base frame carries a rigid sign layout: the first row and
-column hold the frame components of the sigma gradient
-(antisymmetrically), while the symmetric lower block supplies six more
-scalars (named sigma5..sigma10 here) that feed the Berwald-type
-conditions.  The layout is verified numerically on every extraction; the
-residuals travel with the result.
+column hold the frame components sigma1..sigma4 of the sigma gradient
+(antisymmetrically), while the symmetric (m, n, p) block supplies six
+more scalars, sigma5..sigma10.  The layout is verified numerically on
+every extraction; the residuals travel with the result.
 
-Condition blocks are labelled by what they test, with per-label scales
-(the sum of the absolute values of the combined terms) so that
-"satisfied" can be judged relative to the size of the ingredients;
-ratio-type conditions are evaluated in cross-multiplied form to avoid
-dividing by vanishing scalar derivatives.
+The condition systems are one algebra over the support of sigma (the
+directions a of (m, n, p) with |sigma_a| >= TAU_SIGMA, which name the
+case) and B, minus the symmetrised (m, n, p) block: Landsberg asks
+sigma_a S;_a = 0 for each main scalar S and h_1 + sigma_a u_a = 0
+(likewise j/v, k/w); Berwald asks B (S;_m, S;_n, S;_p) = 0.  Each label
+carries |sum of its terms| and the sum of their absolute values as its
+scale; ratio-type conditions are cross-multiplied (2x2 minors), so a
+vanishing scalar derivative never divides.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,15 +55,7 @@ CASE_P = "p_only"
 CASE_HOMOTHETIC = "homothetic"
 CASE_SUPPORTING_ONLY = "supporting_only"  # gradient along l alone (anomalous)
 
-_PATTERN_TO_CASE = {
-    (True, True, True): CASE_ALL,
-    (True, True, False): CASE_M_N,
-    (True, False, True): CASE_M_P,
-    (False, True, True): CASE_N_P,
-    (True, False, False): CASE_M,
-    (False, True, False): CASE_N,
-    (False, False, True): CASE_P,
-}
+_FRAME_NAMES = "lmnp"
 
 
 class ConformalError(Finsler4Error):
@@ -109,6 +106,8 @@ class SigmaComponents:
     sigma_value: float
     sigma_grad: np.ndarray
     extraction_residuals: dict
+    # 1 + max |projected connection difference|; residuals are judged against it
+    extraction_scale: float
 
     def frame_grad(self) -> np.ndarray:
         return np.array([self.sigma1, self.sigma2, self.sigma3, self.sigma4])
@@ -154,19 +153,16 @@ def sigma_components(
     sigma9 = 0.5 * (D[2, 3] + D[3, 2])
     sigma10 = D[3, 3]
 
-    scale = 1.0 + float(np.max(np.abs(D)))
+    # the (m, n, p) block is symmetric, the l row and column antisymmetric,
+    # and the l row holds the frame gradient
     resid = {
-        "sym_mn": abs(D[1, 2] - D[2, 1]),
-        "sym_mp": abs(D[1, 3] - D[3, 1]),
-        "sym_np": abs(D[2, 3] - D[3, 2]),
-        "antisym_lm": abs(D[0, 1] + D[1, 0]),
-        "antisym_ln": abs(D[0, 2] + D[2, 0]),
-        "antisym_lp": abs(D[0, 3] + D[3, 0]),
-        "grad_slot_l": abs(D[0, 0] - s_frame[0]),
-        "grad_slot_m": abs(D[0, 1] - s_frame[1]),
-        "grad_slot_n": abs(D[0, 2] - s_frame[2]),
-        "grad_slot_p": abs(D[0, 3] - s_frame[3]),
+        f"sym_{_FRAME_NAMES[a]}{_FRAME_NAMES[b]}": abs(D[a, b] - D[b, a])
+        for a, b in itertools.combinations((1, 2, 3), 2)
     }
+    for b in (1, 2, 3):
+        resid[f"antisym_l{_FRAME_NAMES[b]}"] = abs(D[0, b] + D[b, 0])
+    for a in range(4):
+        resid[f"grad_slot_{_FRAME_NAMES[a]}"] = abs(D[0, a] - s_frame[a])
     # transvecting the connection difference recovers the spray difference:
     # delta G^i = sigma0 y^i - (L^2/2) grad-sharp^i, with sigma0 = grad . y
     sigma0 = float(grad @ y)
@@ -176,7 +172,6 @@ def sigma_components(
     resid["spray_transvection"] = float(
         np.max(np.abs(delta_g - delta_g_pred)) / (1.0 + np.max(np.abs(delta_g_pred)))
     )
-    resid["_scale"] = scale
 
     return SigmaComponents(
         sigma1=float(s_frame[0]), sigma2=float(s_frame[1]),
@@ -185,65 +180,84 @@ def sigma_components(
         sigma8=float(sigma8), sigma9=float(sigma9), sigma10=float(sigma10),
         sigma_value=float(sigma_value), sigma_grad=grad,
         extraction_residuals=resid,
+        extraction_scale=1.0 + float(np.max(np.abs(D))),
+    )
+
+
+def _support(sc: SigmaComponents) -> tuple:
+    """Indices into (m, n, p) where |sigma2|, |sigma3|, |sigma4| >= TAU_SIGMA."""
+    return tuple(
+        a for a, s in enumerate((sc.sigma2, sc.sigma3, sc.sigma4)) if abs(s) >= TAU_SIGMA
     )
 
 
 def case_of(sc: SigmaComponents) -> tuple[str, bool]:
-    """Support pattern of (sigma2, sigma3, sigma4); near-degenerate points
-    (components hovering around the threshold) are flagged, not hidden."""
+    """The case the support names ("m_n", "p_only", ...); near-degenerate
+    points (components hovering around the threshold) are flagged, not hidden."""
     comps = (sc.sigma2, sc.sigma3, sc.sigma4)
-    pattern = tuple(abs(c) >= TAU_SIGMA for c in comps)
     near = any(TAU_SIGMA / 2 < abs(c) < 2 * TAU_SIGMA for c in comps)
-    if not any(pattern):
+    support = _support(sc)
+    if not support:
         if abs(sc.sigma1) < TAU_SIGMA:
             return CASE_HOMOTHETIC, near
         return CASE_SUPPORTING_ONLY, near
-    return _PATTERN_TO_CASE[pattern], near
+    name = "_".join(_FRAME_NAMES[a + 1] for a in support)
+    return (f"{name}_only" if len(support) == 1 else name), near
 
 
 def _entry(*terms: float) -> dict:
     return {
         "residual": abs(math.fsum(terms)),
-        "scale": math.fsum(abs(t) for t in terms),
+        "scale": math.fsum(map(abs, terms)),
     }
+
+
+def _scalar_terms(profile: ScalarProfile, sc: SigmaComponents) -> list:
+    """Terms of sigma_a S;_a, one list per main scalar S."""
+    sigma = (sc.sigma2, sc.sigma3, sc.sigma4)
+    return [[s * d for s, d in zip(sigma, row)] for row in profile.v_derivs[:, 1:].tolist()]
+
+
+def _first_component_terms(profile: ScalarProfile, sc: SigmaComponents) -> list:
+    """Terms of h_1 + sigma_a u_a, j_1 + sigma_a v_a and k_1 + sigma_a w_a."""
+    sigma, vec = (sc.sigma2, sc.sigma3, sc.sigma4), profile.vectors
+    return [
+        [f[0]] + [s * c for s, c in zip(sigma, g[1:].tolist())]
+        for f, g in ((vec.h, vec.u), (vec.j, vec.v), (vec.k, vec.w))
+    ]
 
 
 def landsberg_case_conditions(
     profile: ScalarProfile, sc: SigmaComponents
 ) -> tuple[str, bool, dict]:
     """The rescaled space is Landsberg iff these all vanish (base space
-    locally Minkowski).  Returns (case, near_degenerate, labelled residuals)."""
+    locally Minkowski): the sigma_a S;_a rows, the first-component laws, and
+    the reduced rows (S;_a alone for one supported direction, sigma_a S;_a
+    over the support for two).  Returns (case, near_degenerate, residuals)."""
     case, near = case_of(sc)
-    s2, s3, s4 = sc.sigma2, sc.sigma3, sc.sigma4
-    vd = profile.v_derivs
-    vec = profile.vectors
+    support = _support(sc)
+    scalar_terms = _scalar_terms(profile, sc)
     out: dict = {}
-    for row, name in enumerate(SCALAR_NAMES):
-        out[f"landsberg:scalar:{name}"] = _entry(
-            s2 * vd[row, 1], s3 * vd[row, 2], s4 * vd[row, 3]
-        )
-    out["landsberg:h1"] = _entry(vec.h[0], s2 * vec.u[1], s3 * vec.u[2], s4 * vec.u[3])
-    out["landsberg:j1"] = _entry(vec.j[0], s2 * vec.v[1], s3 * vec.v[2], s4 * vec.v[3])
-    out["landsberg:k1"] = _entry(vec.k[0], s2 * vec.w[1], s3 * vec.w[2], s4 * vec.w[3])
-
-    reduced = {
-        CASE_M_N: lambda row: _entry(s2 * vd[row, 1], s3 * vd[row, 2]),
-        CASE_M_P: lambda row: _entry(s2 * vd[row, 1], s4 * vd[row, 3]),
-        CASE_N_P: lambda row: _entry(s3 * vd[row, 2], s4 * vd[row, 3]),
-        CASE_M: lambda row: _entry(vd[row, 1]),
-        CASE_N: lambda row: _entry(vd[row, 2]),
-        CASE_P: lambda row: _entry(vd[row, 3]),
-    }.get(case)
-    if reduced is not None:
+    for name, terms in zip(SCALAR_NAMES, scalar_terms):
+        out[f"landsberg:scalar:{name}"] = _entry(*terms)
+    for vec, terms in zip("hjk", _first_component_terms(profile, sc)):
+        out[f"landsberg:{vec}1"] = _entry(*terms)
+    if len(support) == 1:
         for row, name in enumerate(SCALAR_NAMES):
-            out[f"reduced:{case}:{name}"] = reduced(row)
+            out[f"reduced:{case}:{name}"] = _entry(profile.v_derivs[row, support[0] + 1])
+    elif len(support) == 2:
+        for name, terms in zip(SCALAR_NAMES, scalar_terms):
+            out[f"reduced:{case}:{name}"] = _entry(*(terms[a] for a in support))
     return case, near, out
 
 
 def berwald_case_conditions(
     profile: ScalarProfile, sc: SigmaComponents
 ) -> tuple[str, bool, dict]:
-    """Scalar part of the Berwald conditions for the rescaled space.
+    """Scalar part of the Berwald conditions for the rescaled space: each
+    row of B times (S;_m, S;_n, S;_p), and for one supported direction the
+    ratio rows (rows of B over the two other columns) and the chains (2x2
+    minors of rows (m, n) and (n, p) over those columns).
 
     The h/j/k part involves second-derivative data of sigma that this
     engine does not model symbolically; callers pair these residuals with
@@ -252,46 +266,34 @@ def berwald_case_conditions(
     bad = {
         k: v
         for k, v in sc.extraction_residuals.items()
-        if not k.startswith("_") and v > EXTRACTION_TOL * sc.extraction_residuals["_scale"]
+        if v > EXTRACTION_TOL * sc.extraction_scale
     }
     if bad:
         raise ExtractionUnreliable(
             f"spray-difference extraction residuals above tolerance: {bad}"
         )
     case, near = case_of(sc)
-    s5, s6, s7 = sc.sigma5, sc.sigma6, sc.sigma7
-    s8, s9, s10 = sc.sigma8, sc.sigma9, sc.sigma10
-    vd = profile.v_derivs
+    support = _support(sc)
+    # B: minus the symmetrised (m, n, p) block of the connection difference
+    rows = (
+        (-sc.sigma5, sc.sigma6, sc.sigma7),
+        (sc.sigma6, -sc.sigma8, -sc.sigma9),
+        (sc.sigma7, -sc.sigma9, -sc.sigma10),
+    )
+    v_derivs = profile.v_derivs[:, 1:].tolist()
     out: dict = {}
-    for row, name in enumerate(SCALAR_NAMES):
-        a2, a3, a4 = vd[row, 1], vd[row, 2], vd[row, 3]
-        out[f"berwald:{name}:m"] = _entry(-s5 * a2, s6 * a3, s7 * a4)
-        out[f"berwald:{name}:n"] = _entry(s6 * a2, -s8 * a3, -s9 * a4)
-        out[f"berwald:{name}:p"] = _entry(s7 * a2, -s9 * a3, -s10 * a4)
-    if case == CASE_M:
-        for row, name in enumerate(SCALAR_NAMES):
-            a3, a4 = vd[row, 2], vd[row, 3]
-            out[f"ratio:{case}:{name}:a"] = _entry(s6 * a3, s7 * a4)
-            out[f"ratio:{case}:{name}:b"] = _entry(s8 * a3, s9 * a4)
-            out[f"ratio:{case}:{name}:c"] = _entry(s9 * a3, s10 * a4)
-        out[f"ratio:{case}:chain:a"] = _entry(s7 * s8, -s6 * s9)
-        out[f"ratio:{case}:chain:b"] = _entry(s9 * s9, -s8 * s10)
-    elif case == CASE_N:
-        for row, name in enumerate(SCALAR_NAMES):
-            a2, a4 = vd[row, 1], vd[row, 3]
-            out[f"ratio:{case}:{name}:a"] = _entry(s5 * a2, -s7 * a4)
-            out[f"ratio:{case}:{name}:b"] = _entry(s6 * a2, -s9 * a4)
-            out[f"ratio:{case}:{name}:c"] = _entry(s7 * a2, -s10 * a4)
-        out[f"ratio:{case}:chain:a"] = _entry(s7 * s6, -s9 * s5)
-        out[f"ratio:{case}:chain:b"] = _entry(s9 * s7, -s10 * s6)
-    elif case == CASE_P:
-        for row, name in enumerate(SCALAR_NAMES):
-            a2, a3 = vd[row, 1], vd[row, 2]
-            out[f"ratio:{case}:{name}:a"] = _entry(s5 * a2, -s6 * a3)
-            out[f"ratio:{case}:{name}:b"] = _entry(s6 * a2, -s8 * a3)
-            out[f"ratio:{case}:{name}:c"] = _entry(s7 * a2, -s9 * a3)
-        out[f"ratio:{case}:chain:a"] = _entry(s6 * s6, -s5 * s8)
-        out[f"ratio:{case}:chain:b"] = _entry(s8 * s7, -s6 * s9)
+    for name, d_s in zip(SCALAR_NAMES, v_derivs):
+        for direction, row in zip("mnp", rows):
+            out[f"berwald:{name}:{direction}"] = _entry(*[b * d for b, d in zip(row, d_s)])
+    if len(support) == 1:
+        i, j = (c for c in range(3) if c != support[0])
+        for name, d_s in zip(SCALAR_NAMES, v_derivs):
+            for label, row in zip("abc", rows):
+                out[f"ratio:{case}:{name}:{label}"] = _entry(row[i] * d_s[i], row[j] * d_s[j])
+        for label, (upper, lower) in zip("ab", zip(rows, rows[1:])):
+            out[f"ratio:{case}:chain:{label}"] = _entry(
+                upper[i] * lower[j], -(upper[j] * lower[i])
+            )
     return case, near, out
 
 
@@ -310,7 +312,7 @@ def invariance_check(
         out["gauge_match"] = float("nan")
     else:
         out["gauge_match"] = 0.0
-    for idx, name in enumerate(("l", "m", "n", "p")):
+    for idx, name in enumerate(_FRAME_NAMES):
         out[f"covector_scale:{name}"] = float(
             np.max(np.abs(lifted.frame.e_flat[idx] - es * base.frame.e_flat[idx]))
         )
@@ -330,24 +332,18 @@ def invariance_check(
             getattr(lifted.profile.scalars, name) - getattr(base.profile.scalars, name)
         )
 
-    bvec, lvec = base.profile.vectors, lifted.profile.vectors
-    s2, s3, s4 = sc.sigma2, sc.sigma3, sc.sigma4
-    out["hbar1_law"] = abs(
-        lvec.h[0] - (bvec.h[0] + s2 * bvec.u[1] + s3 * bvec.u[2] + s4 * bvec.u[3]) / es
-    )
-    out["jbar1_law"] = abs(
-        lvec.j[0] - (bvec.j[0] + s2 * bvec.v[1] + s3 * bvec.v[2] + s4 * bvec.v[3]) / es
-    )
-    out["kbar1_law"] = abs(
-        lvec.k[0] - (bvec.k[0] + s2 * bvec.w[1] + s3 * bvec.w[2] + s4 * bvec.w[3]) / es
-    )
-
+    # barred first components and l-derivatives: the Landsberg terms summed
+    # left to right, over e^sigma
+    lvec = lifted.profile.vectors
+    for vec, barred, terms in zip(
+        "hjk", (lvec.h, lvec.j, lvec.k), _first_component_terms(base.profile, sc)
+    ):
+        out[f"{vec}bar1_law"] = abs(barred[0] - reduce(add, terms) / es)
     if _flat_in_chart(bpe):
-        vd = base.profile.v_derivs
-        for row, name in enumerate(SCALAR_NAMES):
-            predicted = (s2 * vd[row, 1] + s3 * vd[row, 2] + s4 * vd[row, 3]) / es
+        scalar_terms = _scalar_terms(base.profile, sc)
+        for row, (name, terms) in enumerate(zip(SCALAR_NAMES, scalar_terms)):
             out[f"scalar_hderiv_l_law:{name}"] = abs(
-                lifted.profile.h_derivs[row, 0] - predicted
+                lifted.profile.h_derivs[row, 0] - reduce(add, terms) / es
             )
     return out
 

@@ -10,6 +10,7 @@ finite-difference oracle) or on jets (for the tensor pipeline).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -180,10 +181,11 @@ def make_builtin_metric(
 
 
 def _check_randers_valid(b_ast, dom: DomainSpec) -> None:
-    # probe corners and centre of the x box: |b(x)| must stay below 1
-    corners = [[iv[0] for iv in dom.x_box], [iv[1] for iv in dom.x_box],
-               [(iv[0] + iv[1]) / 2 for iv in dom.x_box]]
-    for x in corners:
+    # probe the 16 corners and the centre of the x box: |b(x)| must stay
+    # below 1; |b|^2 is convex for an affine drift, so there the corners decide
+    probes = [list(x) for x in itertools.product(*dom.x_box)]
+    probes.append([(iv[0] + iv[1]) / 2 for iv in dom.x_box])
+    for x in probes:
         env = list(x) + [0.0] * 4
         try:
             norm2 = sum(exprdsl.eval_expr(e, env) ** 2 for e in b_ast)

@@ -228,6 +228,19 @@ def test_randers_drift_undefined_at_a_probe_exits_2(capsys, tmp_path):
     assert "spec error" in err and "x=[0.0, 0.0, 0.0, 0.0]" in err
 
 
+def test_randers_drift_reaching_one_at_an_inner_corner_exits_2(capsys, tmp_path):
+    # |b| vanishes at the all-lower corner, the all-upper corner and the
+    # centre, but reaches 1.8 at the corners where x1 = -x2 = +-1
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(
+        {"family": "randers", "params": {"b": ["0.9*(x1-x2)", 0, 0, 0]},
+         "samples": 32, "seed": 1}
+    ))
+    code, out, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert "|b(x)| >= 1" in err and "x=[-1.0, 1.0, -1.0, -1.0]" in err
+
+
 def test_conformal_homothetic_case_everywhere(capsys, tmp_path):
     path = tmp_path / "hom.json"
     path.write_text(

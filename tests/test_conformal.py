@@ -91,11 +91,8 @@ def test_sigma_gradient_reconstruction():
 def test_extraction_residuals_small_and_layout_holds():
     pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
     sc = sigma_at(pair, X1, YGEN)
-    scale = sc.extraction_residuals["_scale"]
     for key, val in sc.extraction_residuals.items():
-        if key.startswith("_"):
-            continue
-        assert val <= 1e-7 * scale, (key, val)
+        assert val <= 1e-7 * sc.extraction_scale, (key, val)
 
 
 def test_spray_difference_transvection_identity():
@@ -171,7 +168,7 @@ def test_berwald_conditions_reject_bad_extraction():
         sigma5=sc.sigma5, sigma6=sc.sigma6, sigma7=sc.sigma7, sigma8=sc.sigma8,
         sigma9=sc.sigma9, sigma10=sc.sigma10, sigma_value=sc.sigma_value,
         sigma_grad=sc.sigma_grad,
-        extraction_residuals={"sym_mn": 1.0, "_scale": 1.0},
+        extraction_residuals={"sym_mn": 1.0}, extraction_scale=1.0,
     )
     with pytest.raises(ExtractionUnreliable):
         berwald_case_conditions(prof.profile, corrupted)
