@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finsler4 import frame
+from finsler4 import frame, geometry
 from finsler4.frame import (
     NotPositiveDefinite,
     VanishingTorsion,
@@ -272,3 +272,74 @@ def test_landsberg_frame_conditions_both_directions():
         )
         assert big > 1e-6
     assert hits > 0
+
+
+def _written_out_connection_vectors(pe):
+    """The frame-derivative formulas written out one by one, with their
+    signs placed by hand: m_i|j = n_i h_j + p_i j_j, n_i|j = -m_i h_j +
+    p_i k_j, p_i|j = -m_i j_j - n_i k_j, and L m_i|_j = -l_i m_j + n_i u_j
+    + p_i v_j and so on.  This is the reference the connection-form algebra
+    of frame._connection_vectors must reproduce bit for bit."""
+    e_jets, e_flat_jets, _ = frame._frame_from_ring(*pe.frame_field_jets())
+    e, e_flat = e_jets[..., 0].copy(), e_flat_jets[..., 0].copy()
+    L0, g = pe.L, pe.metric.g
+    cov = geometry.covariant_derivatives(e_flat_jets, pe.spray, pe.connection)
+    l_h, m_h, n_h, p_h = cov.h
+    l_v, m_v, n_v, p_v = cov.v
+    l_up, m_up, n_up, p_up = e
+    l_lo, m_lo, n_lo, p_lo = e_flat
+
+    h_cov = n_up @ m_h
+    j_cov = p_up @ m_h
+    k_cov = p_up @ n_h
+    u_cov = L0 * (n_up @ m_v)
+    v_cov = L0 * (p_up @ m_v)
+    w_cov = L0 * (p_up @ n_v)
+    vectors = {name: e @ c for name, c in zip(
+        "hjkuvw", (h_cov, j_cov, k_cov, u_cov, v_cov, w_cov))}
+
+    def mx(a):
+        return float(np.max(np.abs(a)))
+
+    residuals = {
+        "l_hderiv_zero": mx(l_h),
+        "l_vderiv_angular": mx(L0 * l_v - (g - np.outer(l_lo, l_lo))),
+        "recon_hderiv_m": mx(m_h - (np.outer(n_lo, h_cov) + np.outer(p_lo, j_cov))),
+        "recon_hderiv_n": mx(n_h - (-np.outer(m_lo, h_cov) + np.outer(p_lo, k_cov))),
+        "recon_hderiv_p": mx(p_h - (-np.outer(m_lo, j_cov) - np.outer(n_lo, k_cov))),
+        "recon_vderiv_m": mx(
+            L0 * m_v
+            - (-np.outer(l_lo, m_lo) + np.outer(n_lo, u_cov) + np.outer(p_lo, v_cov))
+        ),
+        "recon_vderiv_n": mx(
+            L0 * n_v
+            - (-np.outer(l_lo, n_lo) - np.outer(m_lo, u_cov) + np.outer(p_lo, w_cov))
+        ),
+        "recon_vderiv_p": mx(
+            L0 * p_v
+            - (-np.outer(l_lo, p_lo) - np.outer(m_lo, v_cov) - np.outer(n_lo, w_cov))
+        ),
+        "hderiv_m_l_component": mx(l_up @ m_h),
+        "hderiv_m_m_component": mx(m_up @ m_h),
+        "orthonormality": mx(e @ g @ e.T - np.eye(4)),
+    }
+    return vectors, residuals
+
+
+def test_connection_vectors_equal_the_written_out_formulas():
+    randers_x2 = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+    randers_const = make_builtin_metric("randers", {"b": [0.2, 0.1, 0, 0]})
+    lifted = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
+    cases = [(QUARTIC, X0, Y2), (QUARTIC, X0, np.array([1.1, 2.0, 0.9, 1.3]))]
+    for spec, seed in ((QUARTIC, 31), (randers_x2, 37), (randers_const, 41), (lifted, 43)):
+        cases += [(spec, x, y) for x, y in sample_domain(spec.domain, SamplePlan(6, seed))]
+    for spec, x, y in cases:
+        pe = point_eval(spec, x, y)
+        vectors, residuals = _written_out_connection_vectors(pe)
+        prof = scalar_profile(pe)
+        for name, want in vectors.items():
+            got = getattr(prof.profile.vectors, name)
+            assert np.array_equal(got, want), (name, got, want)
+        assert list(prof.residuals)[: len(residuals)] == list(residuals)
+        for key, want in residuals.items():
+            assert prof.residuals[key] == want, (key, prof.residuals[key], want)
