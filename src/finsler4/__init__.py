@@ -23,8 +23,6 @@ from .frame import (
     FrameBundle,
     MainScalars,
     ScalarProfile,
-    main_scalars,
-    scalar_components,
     scalar_profile,
 )
 from .geometry import (

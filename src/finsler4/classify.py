@@ -125,7 +125,6 @@ def _evaluate_record(spec: MetricSpec, index: int, x, y) -> PointRecord:
             "h": vec.h.tolist(),
             "j": vec.j.tolist(),
             "k": vec.k.tolist(),
-            "scalar_hderivs": prof.profile.h_derivs.tolist(),
             "max_hjk": float(
                 max(np.max(np.abs(vec.h)), np.max(np.abs(vec.j)), np.max(np.abs(vec.k)))
             ),

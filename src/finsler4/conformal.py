@@ -43,6 +43,9 @@ TAU_SIGMA = 1e-8
 # spray-difference extraction residuals above this share of the extraction
 # scale make the Berwald conditions unusable at a point
 EXTRACTION_TOL = 1e-6
+# band edges for the measured character of the rescaled space
+BAR_SMALL = 1e-6
+BAR_LARGE = 1e-4
 
 # support patterns of (sigma2, sigma3, sigma4), named by frame directions
 CASE_ALL = "m_n_p"
@@ -422,8 +425,6 @@ def audit_pair(
     pair: ConformalPair,
     plan: SamplePlan,
     tol: float = 1e-6,
-    bar_small: float = 1e-6,
-    bar_large: float = 1e-4,
 ) -> ConformalAudit:
     """Co-occurrence audit over sampled points: do the condition blocks
     agree with the directly measured character of the rescaled space?"""
@@ -451,7 +452,7 @@ def audit_pair(
             if kind == "landsberg":
                 cond = _block_satisfied(rep.landsberg_residuals, ("landsberg:", "reduced:"), tol)
                 meas = band(
-                    direct["max_cartan_hderiv_transvected"], scale, bar_small, bar_large
+                    direct["max_cartan_hderiv_transvected"], scale, BAR_SMALL, BAR_LARGE
                 )
             else:
                 hjk = max(
@@ -463,7 +464,7 @@ def audit_pair(
                     _block_satisfied(rep.berwald_residuals, ("berwald:", "ratio:"), tol),
                     band(hjk, scale, tol, 100 * tol),
                 ))
-                meas = band(direct["max_cartan_hderiv"], scale, bar_small, bar_large)
+                meas = band(direct["max_cartan_hderiv"], scale, BAR_SMALL, BAR_LARGE)
             counts[agreement(cond, meas)] += 1
         return counts
 

@@ -27,18 +27,35 @@ and from the torsion-trace constraints (the m-direction carries the whole
 torsion trace, so H + I + K equals L times the torsion length and the
 n/p traces vanish).  The mapping lives only in :data:`SCALAR_SLOTS`; tests
 that do not pin the convention stick to convention-independent facts.
+
+Connection forms
+----------------
+With e_a the frame covectors g_ij e_a^j, their h- and v-covariant
+derivatives are two antisymmetric 4x4 matrices of covectors in the frame,
+nabla e_a = sum_b e_b (x) A[a, b] with A[b, a] = -A[a, b], so
+A[a, b] = e_b^i nabla e_a_i:
+
+    h-form   A[m,n] = h     A[m,p] = j     A[n,p] = k     A[l,b] = 0
+    v-form   L A[m,n] = u   L A[m,p] = v   L A[n,p] = w   L A[l,b] = e_b
+
+The connection covectors are the (m, n, p) block entries at the frame
+pairs :data:`_PAIRS`, and the vectors h, j, k, u, v, w are their frame
+components.  ``recon_{h,v}deriv_{m,n,p}`` is the largest entry of
+nabla e_a (L nabla e_a for the v-form) minus the model row
+sum_b e_b (x) A[a, b].  The l row is checked on its own: ``l_hderiv_zero``
+is |nabla_h l| and ``l_vderiv_angular`` compares L nabla_v l with the
+angular metric g - l (x) l.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import geometry, jets
-from .geometry import FRAME_CAPS, CartanTensorAt, PointEval
-from .jets import Finsler4Error, JetScalar, contract
+from .geometry import FRAME_CAPS, PointEval
+from .jets import Finsler4Error, JetScalar, contract, ring_sum
 
 TAU_TORSION = 1e-7  # below this the torsion direction is numerically meaningless
 _SEED_SKIP_TOL = 1e-6
@@ -74,31 +91,11 @@ class DegenerateSeed(FrameError):
     pass
 
 
-class VarianceMismatch(FrameError):
-    pass
-
-
 @dataclass(frozen=True)
 class FrameBundle:
     e: np.ndarray  # rows are the contravariant vectors l, m, n, p
     e_flat: np.ndarray  # rows are the covectors g_ij e^j
     gauge_tag: dict
-
-    @property
-    def l(self) -> np.ndarray:
-        return self.e[0]
-
-    @property
-    def m(self) -> np.ndarray:
-        return self.e[1]
-
-    @property
-    def n(self) -> np.ndarray:
-        return self.e[2]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.e[3]
 
 
 @dataclass(frozen=True)
@@ -196,31 +193,6 @@ def _frame_from_ring(g, g_inv, C, y, L):
     return e, e_flat, gauge
 
 
-def scalar_components(T: np.ndarray, variance: Sequence[str], frame: FrameBundle) -> np.ndarray:
-    """Frame components of a tensor; 'up' indices contract with covectors,
-    'down' indices with vectors.  The inverse contraction reconstructs T."""
-    T = np.asarray(T, dtype=float)
-    if T.ndim != len(variance) or not 1 <= T.ndim <= 3:
-        raise VarianceMismatch(
-            f"tensor of rank {T.ndim} with variance tuple of length {len(variance)}"
-        )
-    out = T
-    for axis, var in enumerate(variance):
-        if var == "up":
-            mat = frame.e_flat
-        elif var == "down":
-            mat = frame.e
-        else:
-            raise VarianceMismatch(f"variance entries must be 'up' or 'down', got {var!r}")
-        out = np.moveaxis(np.tensordot(mat, out, axes=(1, axis)), 0, axis)
-    return out
-
-
-def main_scalars(cartan: CartanTensorAt, frame: FrameBundle, L: float) -> MainScalars:
-    M = L * scalar_components(cartan.C, ("down", "down", "down"), frame)
-    return MainScalars(**{name: float(M[SCALAR_SLOTS[name]]) for name in SCALAR_NAMES})
-
-
 # -- main scalars and derivative tables -------------------------------------
 
 _SLOT_ROWS = tuple(np.array(axis) for axis in zip(*(SCALAR_SLOTS[n] for n in SCALAR_NAMES)))
@@ -236,11 +208,16 @@ def _scalar_jets(C, e, L) -> np.ndarray:
     return contract("s,->s", M, L.c, FRAME_CAPS)
 
 
+# frame pairs (a, b) of the (m, n, p) block, in the order h, j, k (u, v, w)
+_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
 def _connection_vectors(
     pe: PointEval, frame: FrameBundle, e_flat_jets
 ) -> tuple[ConnectionVectors, dict]:
     """Frame components of the h- and v-connection vectors, plus the
-    residuals of the frame-derivative reconstruction identities."""
+    residuals of the frame-derivative reconstruction identities (module
+    doc, "Connection forms")."""
     L0 = pe.L
     e = frame.e
     e_flat = frame.e_flat
@@ -248,53 +225,35 @@ def _connection_vectors(
 
     # [frame vector, i, k]: nabla_k of each frame covector field
     cov = geometry.covariant_derivatives(e_flat_jets, pe.spray, pe.connection)
-    l_h, m_h, n_h, p_h = cov.h
-    l_v, m_v, n_v, p_v = cov.v
+    h_form = [e[b] @ cov.h[a] for a, b in _PAIRS]
+    v_form = [L0 * (e[b] @ cov.v[a]) for a, b in _PAIRS]
+    vectors = ConnectionVectors(*(e @ c for c in h_form + v_form))
 
-    l_up, m_up, n_up, p_up = e
-    l_lo, m_lo, n_lo, p_lo = e_flat
-
-    h_cov = n_up @ m_h
-    j_cov = p_up @ m_h
-    k_cov = p_up @ n_h
-    u_cov = L0 * (n_up @ m_v)
-    v_cov = L0 * (p_up @ m_v)
-    w_cov = L0 * (p_up @ n_v)
-
-    def comps(covec: np.ndarray) -> np.ndarray:
-        return e @ covec
-
-    vectors = ConnectionVectors(
-        h=comps(h_cov), j=comps(j_cov), k=comps(k_cov),
-        u=comps(u_cov), v=comps(v_cov), w=comps(w_cov),
-    )
+    # A[form, a, b]: the h-form and L times the v-form, antisymmetric in (a, b)
+    A = np.zeros((2, 4, 4, 4))
+    A[1, 0, 1:] = e_flat[1:]
+    for (a, b), h, v in zip(_PAIRS, h_form, v_form):
+        A[:, a, b] = h, v
+    A = A - A.transpose(0, 2, 1, 3)
+    # rows m, n, p of the model sum_b e_b (x) A[a, b], summed in frame order
+    model = ring_sum(e_flat[b, :, None] * A[:, 1:, b, None, :] for b in range(4))
+    gap = np.max(np.abs(np.array([cov.h[1:], L0 * cov.v[1:]]) - model), axis=(2, 3))
 
     def mx(a) -> float:
         return float(np.max(np.abs(a)))
 
-    residuals = {
-        "l_hderiv_zero": mx(l_h),
-        "l_vderiv_angular": mx(L0 * l_v - (g - np.outer(l_lo, l_lo))),
-        "recon_hderiv_m": mx(m_h - (np.outer(n_lo, h_cov) + np.outer(p_lo, j_cov))),
-        "recon_hderiv_n": mx(n_h - (-np.outer(m_lo, h_cov) + np.outer(p_lo, k_cov))),
-        "recon_hderiv_p": mx(p_h - (-np.outer(m_lo, j_cov) - np.outer(n_lo, k_cov))),
-        "recon_vderiv_m": mx(
-            L0 * m_v
-            - (-np.outer(l_lo, m_lo) + np.outer(n_lo, u_cov) + np.outer(p_lo, v_cov))
-        ),
-        "recon_vderiv_n": mx(
-            L0 * n_v
-            - (-np.outer(l_lo, n_lo) - np.outer(m_lo, u_cov) + np.outer(p_lo, w_cov))
-        ),
-        "recon_vderiv_p": mx(
-            L0 * p_v
-            - (-np.outer(l_lo, p_lo) - np.outer(m_lo, v_cov) - np.outer(n_lo, w_cov))
-        ),
-        "hderiv_m_l_component": mx(l_up @ m_h),
-        "hderiv_m_m_component": mx(m_up @ m_h),
+    return vectors, {
+        "l_hderiv_zero": mx(cov.h[0]),
+        "l_vderiv_angular": mx(L0 * cov.v[0] - (g - np.outer(e_flat[0], e_flat[0]))),
+        **{
+            f"recon_{kind}deriv_{name}": float(gap[f, a])
+            for f, kind in enumerate("hv")
+            for a, name in enumerate("mnp")
+        },
+        "hderiv_m_l_component": mx(e[0] @ cov.h[1]),
+        "hderiv_m_m_component": mx(e[1] @ cov.h[1]),
         "orthonormality": mx(e @ g @ e.T - np.eye(4)),
     }
-    return vectors, residuals
 
 
 def scalar_profile(pe: PointEval) -> ProfileResult:

@@ -90,7 +90,10 @@ class PointEval:
         self.L_jet = metrics.eval_L(spec, self.x, self.y, MASTER_CAPS)
         if self.L_jet.base <= 0:
             raise metrics.DomainViolation("fundamental function not positive here")
-        self.L2_jet = self.L_jet * self.L_jet
+        with np.errstate(all="ignore"):  # overflow becomes inf, checked below
+            self.L2_jet = self.L_jet * self.L_jet
+        if not np.all(np.isfinite(self.L2_jet.c)):
+            raise metrics.DomainViolation("the jet of L^2 is not finite here")
         self.L = self.L_jet.base
 
     @cached_property

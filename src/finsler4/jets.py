@@ -127,9 +127,6 @@ class _Tables:
         self.monos = monos
         self.n = len(monos)
         self.index = {m: i for i, m in enumerate(monos)}
-        self.fact = np.array(
-            [math.prod(math.factorial(d) for d in m) for m in monos], dtype=float
-        )
         # Pair each monomial only with the partners that fit its leftover
         # degree budget.  Partners stay in ascending index order, which fixes
         # the summation order of JetScalar.__mul__ and so every reported digit.
@@ -149,7 +146,6 @@ class _Tables:
         self.mul_j = np.array(jj, dtype=np.intp)
         self.mul_k = np.array(kk, dtype=np.intp)
         self._shift_cache: dict = {}
-        self._restrict_cache: dict = {}
         self._tensor_cache: dict = {}
 
     @cached_property
@@ -161,7 +157,9 @@ class _Tables:
         return out
 
     def shift_map(self, beta: tuple[int, ...], dst: "_Tables"):
-        """Index/scale arrays realising the derivative-by-beta extraction."""
+        """Index/scale arrays realising the derivative-by-beta extraction:
+        beta = 0 truncates to smaller caps, and caps (0, 0) reads the
+        partial at the base point."""
         key = (beta, dst.caps)
         hit = self._shift_cache.get(key)
         if hit is not None:
@@ -192,15 +190,6 @@ class _Tables:
         hit = (np.array([m[0] for m in maps]), np.array([m[1] for m in maps]))
         self._tensor_cache[key] = hit
         return hit
-
-    def restrict_map(self, dst: "_Tables") -> np.ndarray:
-        key = dst.caps
-        hit = self._restrict_cache.get(key)
-        if hit is not None:
-            return hit
-        src_idx = np.array([self.index[m] for m in dst.monos], dtype=np.intp)
-        self._restrict_cache[key] = src_idx
-        return src_idx
 
 
 @lru_cache(maxsize=None)
@@ -341,28 +330,28 @@ def variable(slot: int, value: float, caps: DegreeCaps = DEFAULT_CAPS) -> JetSca
     return JetScalar(caps, c)
 
 
+def _shift(f: JetScalar, order: OrderLike, caps: DegreeCaps | None = None):
+    """(caps, coefficients) of the derivative-by-`order` of f, truncated to
+    ``caps`` (default: the caps the derivative leaves).  The one reader
+    behind :func:`partial_extract`, :func:`derivative_jet` and :func:`restrict`."""
+    beta = _as_order(order)
+    dx, dy = sum(beta[:4]), sum(beta[4:])
+    if dx > f.caps.x_max or dy > f.caps.y_max:
+        raise OrderExceedsCaps(f"order {beta} exceeds caps {f.caps}")
+    if caps is None:
+        caps = DegreeCaps(f.caps.x_max - dx, f.caps.y_max - dy)
+    src_idx, scale = _tables(f.caps).shift_map(beta, _tables(caps))
+    return caps, f.c[src_idx] * scale
+
+
 def partial_extract(f: JetScalar, order: OrderLike) -> float:
     """Mixed partial of f at the base point (coefficient times factorials)."""
-    order = _as_order(order)
-    t = _tables(f.caps)
-    idx = t.index.get(order)
-    if idx is None:
-        raise OrderExceedsCaps(f"order {order} exceeds caps {f.caps}")
-    return float(f.c[idx] * t.fact[idx])
+    return float(_shift(f, order, _FLOAT_CAPS)[1][0])
 
 
 def derivative_jet(f: JetScalar, order: OrderLike) -> JetScalar:
     """Jet of the derivative-by-`order` of f, with correspondingly reduced caps."""
-    beta = _as_order(order)
-    dx = sum(beta[:4])
-    dy = sum(beta[4:])
-    if dx > f.caps.x_max or dy > f.caps.y_max:
-        raise OrderExceedsCaps(f"order {beta} exceeds caps {f.caps}")
-    dst_caps = DegreeCaps(f.caps.x_max - dx, f.caps.y_max - dy)
-    src = _tables(f.caps)
-    dst = _tables(dst_caps)
-    src_idx, scale = src.shift_map(beta, dst)
-    return JetScalar(dst_caps, f.c[src_idx] * scale)
+    return JetScalar(*_shift(f, order))
 
 
 def derivative_tensor(
@@ -397,9 +386,7 @@ def restrict(f: JetScalar, caps: DegreeCaps) -> JetScalar:
         return f
     if caps.x_max > f.caps.x_max or caps.y_max > f.caps.y_max:
         raise CapMismatch(f"cannot restrict caps {f.caps} to larger {caps}")
-    src = _tables(f.caps)
-    dst = _tables(caps)
-    return JetScalar(caps, f.c[src.restrict_map(dst)].copy())
+    return JetScalar(*_shift(f, (0,) * N_VARS, caps))
 
 
 # -- jet tensors ---------------------------------------------------------

@@ -27,6 +27,7 @@ Y_CONES = ("all_nonzero", "all_positive", "unit_ball_interior_shifted")
 # centred at this point (a blunt cone of directions around the y1 axis)
 _SHIFTED_BALL_CENTER = 1.5
 _CONE_MARGIN = 1e-3
+_EPS_Y = 1e-6  # the minimum |y| ever accepted
 
 
 class MetricError(Finsler4Error):
@@ -49,16 +50,14 @@ class SigmaUsesY(MetricError):
 class DomainSpec:
     """Sampling box for x and admissible cone for y.
 
-    ``eps_y`` is the minimum |y| ever accepted; ``component_margin`` keeps
-    sampled directions away from the cone boundary (and, for the
-    all_nonzero cone, away from the coordinate hyperplanes where quartic
-    metrics degenerate).  Cone membership itself only uses the 1e-3
-    predicate margin.
+    ``component_margin`` keeps sampled directions away from the cone
+    boundary (and, for the all_nonzero cone, away from the coordinate
+    hyperplanes where quartic metrics degenerate).  Cone membership itself
+    only uses the 1e-3 predicate margin and rejects |y| below 1e-6.
     """
 
     x_box: tuple = (((-1.0, 1.0),) * 4)
     y_cone: str = "all_nonzero"
-    eps_y: float = 1e-6
     component_margin: float = 0.05
 
     def __post_init__(self) -> None:
@@ -72,7 +71,7 @@ class DomainSpec:
     def contains(self, x: Sequence[float], y: Sequence[float]) -> bool:
         y = np.asarray(y, dtype=float)
         norm = float(np.linalg.norm(y))
-        if norm < self.eps_y:
+        if norm < _EPS_Y:
             return False
         if self.y_cone == "all_positive":
             return bool(np.all(y > _CONE_MARGIN * norm))
@@ -189,7 +188,7 @@ def _check_randers_valid(b_ast, dom: DomainSpec) -> None:
         env = list(x) + [0.0] * 4
         try:
             norm2 = sum(exprdsl.eval_expr(e, env) ** 2 for e in b_ast)
-        except DomainViolation as err:
+        except (DomainViolation, ArithmeticError) as err:
             raise InvalidParameters(
                 f"randers drift cannot be evaluated at x={x}: {err}"
             ) from None
@@ -250,14 +249,26 @@ def eval_L(
     y: Sequence[float],
     caps: DegreeCaps = DEFAULT_CAPS,
 ) -> JetScalar:
-    """Jet of L at (x, y); one evaluation carries all needed partials."""
+    """Jet of L at (x, y); one evaluation carries all needed partials.
+
+    A math error or an overflow on the way, and any non-finite coefficient
+    of the result, raise :class:`DomainViolation`.
+    """
     if not spec.domain.contains(x, y):
         raise DomainViolation(f"point y={list(y)} outside the {spec.domain.y_cone} cone")
     env = [jets.variable(i, float(x[i]), caps) for i in range(4)]
     env += [jets.variable(4 + i, float(y[i]), caps) for i in range(4)]
-    out = _eval_family(spec, env)
+    try:
+        with np.errstate(all="ignore"):  # overflow becomes inf, checked below
+            out = _eval_family(spec, env)
+    except Finsler4Error:
+        raise
+    except (ValueError, ArithmeticError) as err:  # math errors of the base values
+        raise DomainViolation(str(err)) from None
     if not isinstance(out, JetScalar):
         out = jets.const(float(out), caps)
+    if not np.all(np.isfinite(out.c)):
+        raise DomainViolation("the jet of L is not finite here")
     return out
 
 

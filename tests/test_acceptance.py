@@ -223,7 +223,7 @@ def test_c09_condition_cooccurrence():
         ("curved", make_pair(QUARTIC, "0.1*x1+0.05*x2^2")),
     ]
     for name, pair in pairs:
-        audit = audit_pair(pair, plan, tol=1e-6, bar_small=1e-6, bar_large=1e-4)
+        audit = audit_pair(pair, plan, tol=1e-6)
         for summary in (audit.landsberg_summary, audit.berwald_summary):
             assert summary["disagree"] == 0, (name, summary)
             assert summary["inconclusive"] == 0, (name, summary)

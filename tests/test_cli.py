@@ -241,6 +241,40 @@ def test_randers_drift_reaching_one_at_an_inner_corner_exits_2(capsys, tmp_path)
     assert "|b(x)| >= 1" in err and "x=[-1.0, 1.0, -1.0, -1.0]" in err
 
 
+def test_randers_drift_overflowing_at_a_probe_exits_2(capsys, tmp_path):
+    # exp(1000) overflows at the first probed corner with x1 = 1
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(
+        {"family": "randers", "params": {"b": ["0.1*exp(1000*x1)", 0, 0, 0]},
+         "samples": 8, "seed": 1}
+    ))
+    code, out, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert "spec error" in err and "x=[1.0, -1.0, -1.0, -1.0]" in err
+
+
+@pytest.mark.parametrize("command, spec, messages", [
+    ("classify", {"family": "quartic_minkowski", "sigma": "exp(1000*x1)"},
+     {"math range error"}),
+    ("conformal", {"family": "quartic_minkowski", "sigma": "exp(1000*x1)"},
+     {"math range error"}),
+    ("classify", {"family": "expression",
+                  "L": "(x1+2)^2000*(y1^2+y2^2+y3^2+y4^2)^0.5"},
+     {"the jet of L is not finite here", "the jet of L^2 is not finite here"}),
+])
+def test_overflowing_points_become_eval_error_records(capsys, tmp_path, command, spec, messages):
+    # exp(1000*x1) overflows for x1 > 0.71, and (x1+2)^2000 or its square
+    # on most of the box: each such point is a record, the others evaluate
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**spec, "samples": 8, "seed": 1}))
+    code, out, _ = _run(capsys, [command, str(path)])
+    assert code == 0
+    points = json.loads(out)["points"]
+    failed = [p["eval_error"] for p in points if "eval_error" in p]
+    assert 0 < len(failed) < len(points)
+    assert set(failed) <= messages
+
+
 def test_conformal_homothetic_case_everywhere(capsys, tmp_path):
     path = tmp_path / "hom.json"
     path.write_text(

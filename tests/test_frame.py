@@ -7,9 +7,6 @@ from finsler4 import frame, geometry
 from finsler4.frame import (
     NotPositiveDefinite,
     VanishingTorsion,
-    VarianceMismatch,
-    main_scalars,
-    scalar_components,
     scalar_profile,
 )
 from finsler4.geometry import point_eval
@@ -51,9 +48,9 @@ def test_frame_orthonormality_and_structure():
     bundle, metric, cartan = _frame_at(QUARTIC, X0, Y2)
     gram = bundle.e @ metric.g @ bundle.e.T
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-9
-    assert np.allclose(bundle.l, Y2 / metric.L, atol=1e-14)
+    assert np.allclose(bundle.e[0], Y2 / metric.L, atol=1e-14)
     c_up = metric.g_inv @ cartan.C_vec
-    assert np.max(np.abs(bundle.m * cartan.C_norm - c_up)) <= 1e-9
+    assert np.max(np.abs(bundle.e[1] * cartan.C_norm - c_up)) <= 1e-9
     assert np.max(np.abs(bundle.e_flat - bundle.e @ metric.g)) < 1e-12
 
 
@@ -127,25 +124,14 @@ def test_frame_matches_independent_gram_schmidt():
         assert np.max(np.abs(other @ metric.g - bundle.e_flat)) <= 1e-12
 
 
-def test_scalar_components_identity_and_metric():
-    bundle, metric, _ = _frame_at(QUARTIC, X0, Y2)
-    comp = scalar_components(metric.g, ("down", "down"), bundle)
-    assert np.max(np.abs(comp - np.eye(4))) <= 1e-9
-    rng = np.random.default_rng(5)
-    t = rng.normal(size=(4, 4))
-    mixed = scalar_components(t, ("up", "down"), bundle)
-    # inverse reconstruction: T^i_j = sum_ab mixed[a,b] e_a^i e_flat_b_j
-    recon = np.einsum("ab,ai,bj->ij", mixed, bundle.e, bundle.e_flat)
-    assert np.max(np.abs(recon - t)) < 1e-9
-    with pytest.raises(VarianceMismatch):
-        scalar_components(t, ("up",), bundle)
-    with pytest.raises(VarianceMismatch):
-        scalar_components(t, ("up", "sideways"), bundle)
+def _weighted_torsion_components(bundle, metric, cartan):
+    """M[a, b, c] = L * C(e_a, e_b, e_c), the frame components of L C."""
+    return metric.L * np.einsum("ijk,ai,bj,ck->abc", cartan.C, bundle.e, bundle.e, bundle.e)
 
 
 def test_torsion_frame_components_vanish_on_supporting_slot():
     bundle, metric, cartan = _frame_at(QUARTIC, X0, Y2)
-    comps = scalar_components(cartan.C, ("down",) * 3, bundle)
+    comps = _weighted_torsion_components(bundle, metric, cartan)
     assert np.max(np.abs(comps[0])) <= 1e-8
     assert np.max(np.abs(comps[:, 0])) <= 1e-8
     assert np.max(np.abs(comps[:, :, 0])) <= 1e-8
@@ -153,15 +139,15 @@ def test_torsion_frame_components_vanish_on_supporting_slot():
 
 def test_unified_main_scalar_sum():
     bundle, metric, cartan = _frame_at(QUARTIC, X0, Y2)
-    scal = main_scalars(cartan, bundle, metric.L)
-    total = scal.H + scal.I + scal.K
+    M = _weighted_torsion_components(bundle, metric, cartan)
+    total = sum(M[frame.SCALAR_SLOTS[name]] for name in ("H", "I", "K"))
     assert abs(total - metric.L * cartan.C_norm) <= 1e-8
 
 
 def test_torsion_trace_constraints():
     # the n- and p-traces of the weighted torsion components vanish
     bundle, metric, cartan = _frame_at(QUARTIC, X0, Y2)
-    M = metric.L * scalar_components(cartan.C, ("down",) * 3, bundle)
+    M = _weighted_torsion_components(bundle, metric, cartan)
     assert abs(M[1, 1, 2] + M[2, 2, 2] + M[2, 3, 3]) <= 1e-8
     assert abs(M[1, 1, 3] + M[2, 2, 3] + M[3, 3, 3]) <= 1e-8
 
