@@ -379,7 +379,8 @@ def evaluate_point(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     base_pe = geometry.point_eval(pair.base, x, y)
-    lifted_pe = geometry.point_eval(pair.lifted, x, y)
+    # e^sigma times the base's jet of L; the lifted tensors are measured from it
+    lifted_pe = geometry.point_eval(pair.lifted, x, y, base_pe)
     try:
         base_prof = frame_mod.scalar_profile(base_pe)
         lifted_prof = frame_mod.scalar_profile(lifted_pe)

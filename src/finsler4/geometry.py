@@ -36,7 +36,7 @@ MASTER_CAPS = DegreeCaps(1, 5)
 FRAME_CAPS = DegreeCaps(1, 1)
 _SPRAY_CAPS = DegreeCaps(0, 3)
 
-_DET_GUARD = 1e-12
+_SINGULAR_GUARD = 1e-12
 
 
 class GeometryError(Finsler4Error):
@@ -81,13 +81,31 @@ def _y_jets(y: np.ndarray, caps: DegreeCaps) -> np.ndarray:
 
 
 class PointEval:
-    """All tensors of one metric at one point, computed lazily and shared."""
+    """All tensors of one metric at one point, computed lazily and shared.
 
-    def __init__(self, spec: MetricSpec, x: Sequence[float], y: Sequence[float]):
+    For a conformal spec, ``base`` may be the PointEval of its base metric
+    at the same point: its L jet is rescaled instead of evaluated again.
+    Every tensor is still measured from this space's own jet of L^2.
+    """
+
+    def __init__(
+        self,
+        spec: MetricSpec,
+        x: Sequence[float],
+        y: Sequence[float],
+        base: "PointEval | None" = None,
+    ):
         self.spec = spec
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
-        self.L_jet = metrics.eval_L(spec, self.x, self.y, MASTER_CAPS)
+        base_L = None
+        if base is not None:
+            if base.spec != spec.base or not (
+                np.array_equal(base.x, self.x) and np.array_equal(base.y, self.y)
+            ):
+                raise InvalidArgument("base must evaluate the base metric at the same point")
+            base_L = base.L_jet
+        self.L_jet = metrics.eval_L(spec, self.x, self.y, MASTER_CAPS, base_L)
         if self.L_jet.base <= 0:
             raise metrics.DomainViolation("fundamental function not positive here")
         with np.errstate(all="ignore"):  # overflow becomes inf, checked below
@@ -99,13 +117,15 @@ class PointEval:
     @cached_property
     def metric(self) -> MetricTensorAt:
         g = 0.5 * derivative_tensor(self.L2_jet, 0, 2)
-        row_norms = np.linalg.norm(g, axis=1)
-        scale = float(np.exp(np.mean(np.log(np.maximum(row_norms, 1e-300)))))
-        det = float(np.linalg.det(g))
-        if abs(det) <= _DET_GUARD * max(scale, 1e-300):
-            raise SingularMetric(f"metric determinant {det:.3e} below guard")
+        eig = np.linalg.eigvalsh(g)
+        size = np.abs(eig)
+        # relative to the largest eigenvalue, so a rescaled g is judged alike
+        if size.min() <= _SINGULAR_GUARD * size.max():
+            raise SingularMetric(
+                f"metric eigenvalue {size.min():.3e} below guard of largest {size.max():.3e}"
+            )
         g_inv = np.linalg.inv(g)
-        pos = bool(np.all(np.linalg.eigvalsh(g) > 0))
+        pos = bool(np.all(eig > 0))
         return MetricTensorAt(g=g, g_inv=g_inv, L=self.L, positive_definite=pos)
 
     @cached_property
@@ -192,8 +212,8 @@ class PointEval:
         return g, g_inv, C, y, L
 
 
-def point_eval(spec: MetricSpec, x, y) -> PointEval:
-    return PointEval(spec, x, y)
+def point_eval(spec: MetricSpec, x, y, base: PointEval | None = None) -> PointEval:
+    return PointEval(spec, x, y, base)
 
 
 # -- covariant derivatives --------------------------------------------------

@@ -6,6 +6,8 @@ the position variables ``x1..x4``, slots 4..7 the direction variables
 ``y1..y4``.  Total degree is capped separately per group (see
 :class:`DegreeCaps`); one evaluation of a fundamental function in this
 ring yields every mixed partial the downstream tensor calculus reads.
+Each jet carries a degree bound per group, so a product of factors free
+of x (or of y) forms only the coefficient pairs that can be nonzero.
 
 Coefficients are stored in Taylor normalisation: the entry for a
 multi-index ``a`` equals the mixed partial divided by ``a!``, which keeps
@@ -145,8 +147,28 @@ class _Tables:
         self.mul_i = np.array(ii, dtype=np.intp)
         self.mul_j = np.array(jj, dtype=np.intp)
         self.mul_k = np.array(kk, dtype=np.intp)
+        self.degs = np.array(degs, dtype=np.intp).reshape(self.n, 2)
+        full = (caps.x_max, caps.y_max)
+        self._product_cache: dict = {
+            (full, full): (self.mul_i, self.mul_j, self.mul_k, full)
+        }
         self._shift_cache: dict = {}
         self._tensor_cache: dict = {}
+
+    def products(self, da: tuple, db: tuple):
+        """(mul_i, mul_j, mul_k) restricted to the pairs whose factors fit
+        the degree bounds da and db, in the order of the full table, and
+        the degree bound of their product."""
+        key = (da, db)
+        hit = self._product_cache.get(key)
+        if hit is None:
+            fits_a = np.all(self.degs <= da, axis=1)
+            fits_b = np.all(self.degs <= db, axis=1)
+            keep = fits_a[self.mul_i] & fits_b[self.mul_j]
+            deg = (min(da[0] + db[0], self.caps.x_max), min(da[1] + db[1], self.caps.y_max))
+            hit = (self.mul_i[keep], self.mul_j[keep], self.mul_k[keep], deg)
+            self._product_cache[key] = hit
+        return hit
 
     @cached_property
     def scatter(self) -> np.ndarray:
@@ -225,20 +247,29 @@ def _as_order(order: OrderLike) -> tuple[int, ...]:
 
 
 class JetScalar:
-    """Truncated Taylor expansion of a scalar at a fixed base point."""
+    """Truncated Taylor expansion of a scalar at a fixed base point.
 
-    __slots__ = ("caps", "c")
+    ``deg = (dx, dy)`` bounds the x-degree and the y-degree of every nonzero
+    coefficient; it defaults to the caps.  A product forms only the
+    coefficient pairs inside the bounds of its factors: the pairs it skips
+    hold an exact zero, so every finite coefficient comes out bit for bit
+    as with the full table, and a non-finite one still reaches the output
+    through its pair with the base coefficient of the other factor.
+    """
 
-    def __init__(self, caps: DegreeCaps, coeffs: np.ndarray) -> None:
+    __slots__ = ("caps", "c", "deg")
+
+    def __init__(self, caps: DegreeCaps, coeffs: np.ndarray, deg: tuple | None = None) -> None:
         self.caps = caps
         self.c = coeffs
+        self.deg = (caps.x_max, caps.y_max) if deg is None else deg
 
     @property
     def base(self) -> float:
         return float(self.c[0])
 
     def __repr__(self) -> str:
-        return f"JetScalar(base={self.base!r}, caps={self.caps})"
+        return f"JetScalar(base={self.base!r}, caps={self.caps}, deg={self.deg})"
 
     # -- arithmetic ----------------------------------------------------
 
@@ -253,11 +284,14 @@ class JetScalar:
             return const(float(other), self.caps)
         return NotImplemented  # type: ignore[return-value]
 
+    def _sum_deg(self, o: "JetScalar") -> tuple:
+        return (max(self.deg[0], o.deg[0]), max(self.deg[1], o.deg[1]))
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return JetScalar(self.caps, self.c + o.c)
+        return JetScalar(self.caps, self.c + o.c, self._sum_deg(o))
 
     __radd__ = __add__
 
@@ -265,26 +299,27 @@ class JetScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return JetScalar(self.caps, self.c - o.c)
+        return JetScalar(self.caps, self.c - o.c, self._sum_deg(o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return JetScalar(self.caps, o.c - self.c)
+        return JetScalar(self.caps, o.c - self.c, self._sum_deg(o))
 
     def __neg__(self):
-        return JetScalar(self.caps, -self.c)
+        return JetScalar(self.caps, -self.c, self.deg)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return JetScalar(self.caps, self.c * float(other))
+            return JetScalar(self.caps, self.c * float(other), self.deg)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         t = _tables(self.caps)
-        prod = self.c[t.mul_i] * o.c[t.mul_j]
-        return JetScalar(self.caps, np.bincount(t.mul_k, weights=prod, minlength=t.n))
+        mul_i, mul_j, mul_k, deg = t.products(self.deg, o.deg)
+        prod = self.c[mul_i] * o.c[mul_j]
+        return JetScalar(self.caps, np.bincount(mul_k, weights=prod, minlength=t.n), deg)
 
     __rmul__ = __mul__
 
@@ -292,7 +327,7 @@ class JetScalar:
         if isinstance(other, (int, float)):
             if other == 0:
                 raise DomainViolation("division by zero constant")
-            return JetScalar(self.caps, self.c / float(other))
+            return JetScalar(self.caps, self.c / float(other), self.deg)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -313,7 +348,7 @@ class JetScalar:
 def const(value: float, caps: DegreeCaps = DEFAULT_CAPS) -> JetScalar:
     c = np.zeros(_tables(caps).n)
     c[0] = value
-    return JetScalar(caps, c)
+    return JetScalar(caps, c, (0, 0))
 
 
 def variable(slot: int, value: float, caps: DegreeCaps = DEFAULT_CAPS) -> JetScalar:
@@ -327,7 +362,7 @@ def variable(slot: int, value: float, caps: DegreeCaps = DEFAULT_CAPS) -> JetSca
     c = np.zeros(t.n)
     c[0] = value
     c[t.index[multi(slot)]] = 1.0
-    return JetScalar(caps, c)
+    return JetScalar(caps, c, (0, 1) if slot in Y_SLOTS else (1, 0))
 
 
 def _shift(f: JetScalar, order: OrderLike, caps: DegreeCaps | None = None):
@@ -441,7 +476,7 @@ def _compose(f: JetScalar, derivs: Sequence[float]) -> JetScalar:
     caps = f.caps
     m = min(len(derivs) - 1, caps.series_order)
     coeffs = [derivs[k] / math.factorial(k) for k in range(m + 1)]
-    s = JetScalar(caps, f.c.copy())
+    s = JetScalar(caps, f.c.copy(), f.deg)
     s.c[0] = 0.0
     r = const(coeffs[m], caps)
     for k in range(m - 1, -1, -1):

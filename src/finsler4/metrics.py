@@ -19,7 +19,9 @@ import numpy as np
 
 from . import exprdsl, jets
 from .exprdsl import ExprAst
-from .jets import DEFAULT_CAPS, DegreeCaps, DomainViolation, Finsler4Error, JetScalar
+from .jets import (
+    DEFAULT_CAPS, DegreeCaps, DomainViolation, Finsler4Error, InvalidArgument, JetScalar,
+)
 
 Y_CONES = ("all_nonzero", "all_positive", "unit_ball_interior_shifted")
 
@@ -238,9 +240,13 @@ def _eval_family(spec: MetricSpec, env: list):
     if spec.family == "expression":
         return exprdsl.eval_expr(spec.L_ast, env)
     if spec.family == "conformal":
-        scale = jets.exp(exprdsl.eval_expr(spec.sigma_ast, env))
-        return scale * _eval_family(spec.base, env)
+        return _rescale(spec, env, _eval_family(spec.base, env))
     raise InvalidParameters(f"unknown metric family {spec.family!r}")
+
+
+def _rescale(spec: MetricSpec, env: list, base_L):
+    """e^sigma(x) times the base metric's L: the one formula of a conformal spec."""
+    return jets.exp(exprdsl.eval_expr(spec.sigma_ast, env)) * base_L
 
 
 def eval_L(
@@ -248,19 +254,27 @@ def eval_L(
     x: Sequence[float],
     y: Sequence[float],
     caps: DegreeCaps = DEFAULT_CAPS,
+    base_L: Optional[JetScalar] = None,
 ) -> JetScalar:
     """Jet of L at (x, y); one evaluation carries all needed partials.
 
+    For a conformal spec, ``base_L`` may hold the jet of its base metric at
+    the same point and caps; it is then rescaled, not evaluated again.
     A math error or an overflow on the way, and any non-finite coefficient
     of the result, raise :class:`DomainViolation`.
     """
+    if base_L is not None and (spec.family != "conformal" or base_L.caps != caps):
+        raise InvalidArgument("base_L needs a conformal spec and a jet at the same caps")
     if not spec.domain.contains(x, y):
         raise DomainViolation(f"point y={list(y)} outside the {spec.domain.y_cone} cone")
     env = [jets.variable(i, float(x[i]), caps) for i in range(4)]
     env += [jets.variable(4 + i, float(y[i]), caps) for i in range(4)]
     try:
         with np.errstate(all="ignore"):  # overflow becomes inf, checked below
-            out = _eval_family(spec, env)
+            if base_L is None:
+                out = _eval_family(spec, env)
+            else:
+                out = _rescale(spec, env, base_L)
     except Finsler4Error:
         raise
     except (ValueError, ArithmeticError) as err:  # math errors of the base values

@@ -348,3 +348,18 @@ def test_homothetic_factor_preserves_every_verdict(capsys, tmp_path, spec):
         assert code == 0
         verdicts.append(json.loads(out)["verdicts"])
     assert verdicts[0] == verdicts[1]
+
+
+@pytest.mark.parametrize("sigma, verdict", [("0.1*x1", "no"), ("0.4", "yes")])
+def test_conformal_change_of_a_landsberg_space(capsys, tmp_path, sigma, verdict):
+    # Hashiguchi (1976): a non-homothetic conformal change does not keep a
+    # non-Riemannian Landsberg space Landsberg; a homothetic one does
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"family": "quartic_minkowski", "sigma": sigma, "samples": 4, "seed": 7}
+    ))
+    code, out, _ = _run(capsys, ["classify", str(path)])
+    assert code == 0
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts["riemannian"] == "no"
+    assert verdicts["landsberg"] == verdicts["berwald"] == verdict

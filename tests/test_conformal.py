@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from finsler4 import conformal, geometry, metrics
+from finsler4 import conformal, geometry, jets, metrics
 from finsler4.classify import classify_metric
 from finsler4.conformal import (
     CASE_ALL,
@@ -279,6 +279,59 @@ def test_evaluate_point_builds_one_point_eval_per_space(monkeypatch):
     monkeypatch.setattr(geometry.PointEval, "__init__", counting_init)
     evaluate_point(make_pair(QUARTIC, "0.1*x1"), X1, YGEN)
     assert len(calls) == 2
+
+
+# the two conformal pairs of the benchmark's conformal-audit workload
+_BENCH_PAIRS = (
+    make_pair(make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]}), "0.1*x1"),
+    make_pair(QUARTIC, "0.2*x1+0.1*sin(x2)"),
+)
+
+
+@pytest.mark.parametrize("pair", _BENCH_PAIRS)
+def test_lifted_jets_built_from_the_base_jet_match_a_fresh_evaluation(pair):
+    for x, y in sample_domain(pair.base.domain, SamplePlan(count=4, seed=29)):
+        base = geometry.point_eval(pair.base, x, y)
+        lifted = geometry.point_eval(pair.lifted, x, y, base)
+        fresh = geometry.point_eval(pair.lifted, x, y)
+        assert lifted.L_jet.c.tobytes() == fresh.L_jet.c.tobytes()
+        assert lifted.L2_jet.c.tobytes() == fresh.L2_jet.c.tobytes()
+
+
+def test_lifted_point_eval_needs_the_base_at_the_same_point():
+    pair = _BENCH_PAIRS[1]
+    base = geometry.point_eval(pair.base, X1, YGEN)
+    with pytest.raises(jets.InvalidArgument):
+        geometry.point_eval(pair.lifted, X1, 2 * YGEN, base)
+    with pytest.raises(jets.InvalidArgument):
+        geometry.point_eval(pair.base, X1, YGEN, base)
+    with pytest.raises(jets.InvalidArgument):
+        metrics.eval_L(pair.base, X1, YGEN, geometry.MASTER_CAPS, base.L_jet)
+
+
+def test_audit_runs_the_base_family_once_per_point(monkeypatch):
+    pair = _BENCH_PAIRS[0]
+    calls = []
+    family = metrics._eval_family
+
+    def counting(spec, env):
+        calls.append(spec)
+        return family(spec, env)
+
+    monkeypatch.setattr(metrics, "_eval_family", counting)
+    audit = audit_pair(pair, SamplePlan(count=5, seed=2))
+    assert all(rep.eval_error is None for rep in audit.reports)
+    assert calls == [pair.base] * 5
+
+
+def test_overflowing_factor_keeps_its_eval_error_records():
+    # exp(exp(1000*x1)) overflows for x1 > 0.0066: the audit records exactly
+    # the points and messages that evaluating the rescaled space alone gives
+    pair = make_pair(QUARTIC, "exp(1000*x1)")
+    plan = SamplePlan(count=8, seed=1)
+    errors = [rep.eval_error for rep in audit_pair(pair, plan).reports]
+    assert [e for e in errors if e is not None] == ["math range error"] * 4
+    assert [rec.eval_error for rec in classify_metric(pair.lifted, plan).points] == errors
 
 
 def test_direct_barred_measurement_equals_classify_of_the_lifted_space():

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from finsler4 import geometry, jets, metrics, oracle
+from finsler4.classify import classify_metric
 from finsler4.geometry import SingularMetric, covariant_derivatives, point_eval
 from finsler4.jets import DegreeCaps, OrderExceedsCaps
 from finsler4.metrics import SamplePlan, make_builtin_metric, sample_domain
@@ -190,6 +193,38 @@ def test_singular_metric_guard():
         point_eval(spec, X0, Y2).metric
     with pytest.raises(SingularMetric):
         point_eval(spec, X0, Y2).spray
+
+
+@pytest.mark.parametrize("factor", [1e-5, 1.0, 1e5])
+def test_singular_metric_guard_is_scale_invariant(factor):
+    # g = factor^2 I at every point: perfectly conditioned at any scale
+    spec = make_builtin_metric(
+        "expression", {"L": f"{factor}*(y1^2+y2^2+y3^2+y4^2)^0.5"}
+    )
+    metric = point_eval(spec, X0, Y2).metric
+    assert metric.positive_definite
+    assert np.allclose(metric.g_inv * factor**2, np.eye(4), rtol=1e-12, atol=1e-12)
+    records = classify_metric(spec, SamplePlan(count=2, seed=1)).points
+    assert [r.eval_error for r in records] == [None, None]
+    # a nearly singular g stays singular when scaled up
+    singular = make_builtin_metric(
+        "riemannian",
+        {"g0": [[factor, 0, 0, 0], [0, factor, 0, 0], [0, 0, factor, 0], [0, 0, 0, 1e-20 * factor]]},
+    )
+    with pytest.raises(SingularMetric):
+        point_eval(singular, X0, Y2).metric
+
+
+def test_huge_metric_raises_no_float_warning():
+    # (x1+2)^2000 puts g near the top of the float range; judging it by its
+    # eigenvalues needs no determinant, which would overflow
+    spec = make_builtin_metric(
+        "expression", {"L": "(x1+2)^2000*(y1^2+y2^2+y3^2+y4^2)^0.5"}
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = classify_metric(spec, SamplePlan(count=8, seed=1)).points
+    assert any(r.eval_error is None for r in records)
 
 
 def test_covariant_derivative_of_constant_scalar():

@@ -371,3 +371,86 @@ def test_negative_degree_caps_are_invalid_arguments():
         DegreeCaps(-1, 2)
     with pytest.raises(ValueError):
         DegreeCaps(1, -1)
+
+
+# -- degree bounds -------------------------------------------------------------
+
+_BOUND_CAPS = (DegreeCaps(1, 5), DegreeCaps(1, 1), DegreeCaps(0, 3))
+_VALUES = st.floats(min_value=-3.0, max_value=3.0)
+_OPS = {
+    "add": lambda a, b, r: a + b,
+    "sub": lambda a, b, r: a - b,
+    "mul": lambda a, b, r: _checked_product(a, b),
+    "neg": lambda a, b, r: -a,
+    "scale": lambda a, b, r: a * r,
+    "div": lambda a, b, r: a / (r or 1.0),
+    "exp": lambda a, b, r: jets.exp(a),
+    "recip": lambda a, b, r: 1.0 / a,
+}
+
+
+def _outside_bound(f: JetScalar) -> np.ndarray:
+    return np.any(jets._tables(f.caps).degs > f.deg, axis=1)
+
+
+def _checked_product(a: JetScalar, b: JetScalar) -> JetScalar:
+    got = a * b
+    # the same coefficients under the default bound use the full table
+    want = JetScalar(a.caps, a.c) * JetScalar(b.caps, b.c)
+    assert got.deg == (min(a.deg[0] + b.deg[0], a.caps.x_max),
+                       min(a.deg[1] + b.deg[1], a.caps.y_max))
+    if np.all(np.isfinite(a.c)) and np.all(np.isfinite(b.c)):
+        assert got.c.tobytes() == want.c.tobytes()
+    else:
+        # the full table also forms inf * 0 = nan at pairs the bounds rule
+        # out; every coefficient it keeps finite is the same, and a
+        # non-finite operand still makes the product non-finite
+        finite = np.isfinite(want.c)
+        assert got.c[finite].tobytes() == want.c[finite].tobytes()
+        assert np.all(np.isfinite(got.c)) == np.all(finite)
+    return got
+
+
+@pytest.mark.parametrize("inf_leaf", [False, True])
+@given(
+    st.sampled_from(_BOUND_CAPS),
+    st.lists(st.tuples(st.integers(0, 7), _VALUES, st.booleans()), min_size=2, max_size=4),
+    # products weighted up: they are what the bounds change
+    st.lists(st.tuples(st.sampled_from(sorted(_OPS) + ["mul"] * 5), st.integers(0, 99),
+                       st.integers(0, 99), _VALUES), max_size=10),
+)
+@settings(max_examples=150, deadline=None)
+def test_bounded_products_match_the_full_table(inf_leaf, caps, leaves, ops):
+    slots = [s for s in range(8) if (caps.y_max if s >= 4 else caps.x_max) >= 1]
+    pool = [variable(slots[k % len(slots)], v, caps) if is_var else const(v, caps)
+            for k, v, is_var in leaves]
+    if inf_leaf:
+        pool[0].c[0] = math.inf
+    for op, i, j, r in ops:
+        a, b = pool[i % len(pool)], pool[j % len(pool)]
+        try:
+            with np.errstate(all="ignore"):  # inf operands make nan on purpose
+                out = _OPS[op](a, b, r)
+        except (DomainViolation, ArithmeticError):  # zero base, math overflow
+            continue
+        pool.append(out)
+    for f in pool:
+        assert f.deg[0] <= caps.x_max and f.deg[1] <= caps.y_max
+        assert np.all(f.c[_outside_bound(f)] == 0.0)
+
+
+def test_degree_bounds_of_constants_variables_and_functions():
+    caps = DegreeCaps(1, 5)
+    assert const(2.0, caps).deg == (0, 0)
+    assert variable(1, 0.3, caps).deg == (1, 0)
+    assert variable(6, 0.3, caps).deg == (0, 1)
+    assert JetScalar(caps, const(2.0, caps).c).deg == (1, 5)
+    q = variable(4, 1.0, caps) ** 4 + variable(5, 2.0, caps) ** 4
+    assert q.deg == (0, 4)
+    # a series in q stays free of x; a factor e^(0.2 x1) stays free of y
+    assert jets.power(q, 0.25).deg == (0, 5)
+    assert jets.exp(variable(0, 0.1, caps) * 0.2).deg == (1, 0)
+    # the full product table is the entry for the caps themselves
+    t = jets._tables(caps)
+    assert all(a is b for a, b in zip(t.products((1, 5), (1, 5)), (t.mul_i, t.mul_j, t.mul_k)))
+    assert t.products((0, 4), (1, 2))[3] == (1, 5)
