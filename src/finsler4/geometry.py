@@ -31,9 +31,11 @@ from .metrics import MetricSpec
 
 # master caps: one x-derivative beside four y-derivatives covers every
 # tensor except the cubic spray test, whose route through the inverse
-# metric consumes five y-derivatives of L^2
-MASTER_CAPS = DegreeCaps(1, 5)
-FRAME_CAPS = DegreeCaps(1, 1)
+# metric consumes five y-derivatives of L^2; no reader goes past total
+# degree 5.  The frame build reads values and first derivatives only.
+# Cutting the total keeps every stored coefficient bit for bit.
+MASTER_CAPS = DegreeCaps(1, 5, 5)
+FRAME_CAPS = DegreeCaps(1, 1, 1)
 _SPRAY_CAPS = DegreeCaps(0, 3)
 
 _SINGULAR_GUARD = 1e-12

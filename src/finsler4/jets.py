@@ -3,11 +3,14 @@
 A :class:`JetScalar` holds the Taylor coefficients of a smooth scalar
 quantity around a base point of the slit tangent bundle.  Slots 0..3 are
 the position variables ``x1..x4``, slots 4..7 the direction variables
-``y1..y4``.  Total degree is capped separately per group (see
+``y1..y4``.  Degree is capped per group and in total (see
 :class:`DegreeCaps`); one evaluation of a fundamental function in this
 ring yields every mixed partial the downstream tensor calculus reads.
 Each jet carries a degree bound per group, so a product of factors free
 of x (or of y) forms only the coefficient pairs that can be nonzero.
+A coefficient of total degree d depends only on factor coefficients of
+degree <= d, so a ring cut to a smaller total keeps every coefficient it
+stores bit for bit.
 
 Coefficients are stored in Taylor normalisation: the entry for a
 multi-index ``a`` equals the mixed partial divided by ``a!``, which keeps
@@ -85,19 +88,35 @@ class OrderExceedsCaps(JetError):
 
 @dataclass(frozen=True)
 class DegreeCaps:
-    """Per-group total-degree caps: x-degree <= x_max, y-degree <= y_max."""
+    """Degree caps of a jet ring: x-degree <= x_max, y-degree <= y_max and
+    total degree <= total_max, which defaults to x_max + y_max (no cut).
+
+    ``tables`` holds the ring's index and product tables, shared by every
+    equal caps value.
+    """
 
     x_max: int = 1
     y_max: int = 4
+    total_max: int | None = None
 
     def __post_init__(self) -> None:
         if self.x_max < 0 or self.y_max < 0:
             raise InvalidArgument("degree caps must be non-negative")
+        if self.total_max is None:
+            object.__setattr__(self, "total_max", self.x_max + self.y_max)
+        elif not 0 <= self.total_max <= self.x_max + self.y_max:
+            raise InvalidArgument(
+                f"total degree cap {self.total_max} outside 0..{self.x_max + self.y_max}"
+            )
 
     @property
     def series_order(self) -> int:
         # highest total degree a stored monomial can carry
-        return self.x_max + self.y_max
+        return self.total_max
+
+    @cached_property
+    def tables(self) -> "_Tables":
+        return _tables(self)
 
 
 DEFAULT_CAPS = DegreeCaps(1, 4)
@@ -125,22 +144,30 @@ class _Tables:
         self.caps = caps
         xs = _group_monos(4, caps.x_max)
         ys = _group_monos(4, caps.y_max)
-        monos = sorted((x + y for x in xs for y in ys), key=lambda m: (sum(m), m))
+        # sorted by total degree first, so a cut total keeps a prefix of the
+        # uncut ring and every kept monomial its index
+        monos = sorted(
+            (x + y for x in xs for y in ys if sum(x) + sum(y) <= caps.total_max),
+            key=lambda m: (sum(m), m),
+        )
         self.monos = monos
         self.n = len(monos)
         self.index = {m: i for i, m in enumerate(monos)}
         # Pair each monomial only with the partners that fit its leftover
         # degree budget.  Partners stay in ascending index order, which fixes
-        # the summation order of JetScalar.__mul__ and so every reported digit.
+        # the summation order of JetScalar.__mul__ and so every reported digit:
+        # the pairs are those of the uncut table whose product is kept.
         degs = [(sum(m[:4]), sum(m[4:])) for m in monos]
-        fits = {
-            (bx, by): [j for j, (dx, dy) in enumerate(degs) if dx <= bx and dy <= by]
-            for bx in range(caps.x_max + 1)
-            for by in range(caps.y_max + 1)
-        }
+        fits: dict = {}
         ii, jj, kk = [], [], []
         for i, (a, (dx, dy)) in enumerate(zip(monos, degs)):
-            for j in fits[caps.x_max - dx, caps.y_max - dy]:
+            room = (caps.x_max - dx, caps.y_max - dy, caps.total_max - dx - dy)
+            if room not in fits:
+                fits[room] = [
+                    j for j, (ex, ey) in enumerate(degs)
+                    if ex <= room[0] and ey <= room[1] and ex + ey <= room[2]
+                ]
+            for j in fits[room]:
                 ii.append(i)
                 jj.append(j)
                 kk.append(self.index[tuple(p + q for p, q in zip(a, monos[j]))])
@@ -181,8 +208,9 @@ class _Tables:
     def shift_map(self, beta: tuple[int, ...], dst: "_Tables"):
         """Index/scale arrays realising the derivative-by-beta extraction:
         beta = 0 truncates to smaller caps, and caps (0, 0) reads the
-        partial at the base point."""
-        key = (beta, dst.caps)
+        partial at the base point.  Cached per destination tables object,
+        one per caps value, so a lookup hashes no caps."""
+        key = (beta, dst)
         hit = self._shift_cache.get(key)
         if hit is not None:
             return hit
@@ -201,7 +229,7 @@ class _Tables:
     def tensor_map(self, nx: int, ny: int, dst: "_Tables"):
         """Stacked shift maps of every order-(nx, ny) partial, x slots first
         in row-major order: index and scale arrays of shape (4**(nx+ny), dst.n)."""
-        key = (nx, ny, dst.caps)
+        key = (nx, ny, dst)
         hit = self._tensor_cache.get(key)
         if hit is not None:
             return hit
@@ -275,7 +303,7 @@ class JetScalar:
 
     def _coerce(self, other) -> "JetScalar":
         if isinstance(other, JetScalar):
-            if other.caps != self.caps:
+            if other.caps is not self.caps and other.caps != self.caps:
                 raise CapMismatch(
                     f"operands carry caps {self.caps} and {other.caps}"
                 )
@@ -316,7 +344,7 @@ class JetScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        t = _tables(self.caps)
+        t = self.caps.tables
         mul_i, mul_j, mul_k, deg = t.products(self.deg, o.deg)
         prod = self.c[mul_i] * o.c[mul_j]
         return JetScalar(self.caps, np.bincount(mul_k, weights=prod, minlength=t.n), deg)
@@ -346,7 +374,7 @@ class JetScalar:
 
 
 def const(value: float, caps: DegreeCaps = DEFAULT_CAPS) -> JetScalar:
-    c = np.zeros(_tables(caps).n)
+    c = np.zeros(caps.tables.n)
     c[0] = value
     return JetScalar(caps, c, (0, 0))
 
@@ -356,13 +384,26 @@ def variable(slot: int, value: float, caps: DegreeCaps = DEFAULT_CAPS) -> JetSca
     if not 0 <= slot < N_VARS:
         raise OrderExceedsCaps(f"variable slot {slot} out of range 0..7")
     group_cap = caps.x_max if slot in X_SLOTS else caps.y_max
-    if group_cap < 1:
+    if min(group_cap, caps.total_max) < 1:
         raise CapTooSmall(f"slot {slot} needs degree >= 1 in its group, caps {caps}")
-    t = _tables(caps)
+    t = caps.tables
     c = np.zeros(t.n)
     c[0] = value
     c[t.index[multi(slot)]] = 1.0
     return JetScalar(caps, c, (0, 1) if slot in Y_SLOTS else (1, 0))
+
+
+def _room(caps: DegreeCaps, dx: int, dy: int) -> tuple[int, int, int]:
+    """The (x, y, total) degree budgets a derivative of x-order dx and
+    y-order dy leaves in ``caps``."""
+    room = (caps.x_max - dx, caps.y_max - dy, caps.total_max - dx - dy)
+    if min(room) < 0:
+        raise OrderExceedsCaps(f"order ({dx}, {dy}) exceeds caps {caps}")
+    return room
+
+
+def _fits(caps: DegreeCaps, room: tuple[int, int, int]) -> bool:
+    return caps.x_max <= room[0] and caps.y_max <= room[1] and caps.total_max <= room[2]
 
 
 def _shift(f: JetScalar, order: OrderLike, caps: DegreeCaps | None = None):
@@ -370,12 +411,10 @@ def _shift(f: JetScalar, order: OrderLike, caps: DegreeCaps | None = None):
     ``caps`` (default: the caps the derivative leaves).  The one reader
     behind :func:`partial_extract`, :func:`derivative_jet` and :func:`restrict`."""
     beta = _as_order(order)
-    dx, dy = sum(beta[:4]), sum(beta[4:])
-    if dx > f.caps.x_max or dy > f.caps.y_max:
-        raise OrderExceedsCaps(f"order {beta} exceeds caps {f.caps}")
+    bx, by, bt = _room(f.caps, sum(beta[:4]), sum(beta[4:]))
     if caps is None:
-        caps = DegreeCaps(f.caps.x_max - dx, f.caps.y_max - dy)
-    src_idx, scale = _tables(f.caps).shift_map(beta, _tables(caps))
+        caps = DegreeCaps(min(bx, bt), min(by, bt), bt)
+    src_idx, scale = f.caps.tables.shift_map(beta, caps.tables)
     return caps, f.c[src_idx] * scale
 
 
@@ -404,11 +443,9 @@ def derivative_tensor(
     """
     if isinstance(f, JetScalar):
         f, f_caps = f.c, f.caps
-    if nx > f_caps.x_max or ny > f_caps.y_max:
-        raise OrderExceedsCaps(f"order ({nx}, {ny}) exceeds caps {f_caps}")
-    if caps.x_max > f_caps.x_max - nx or caps.y_max > f_caps.y_max - ny:
+    if not _fits(caps, _room(f_caps, nx, ny)):
         raise CapMismatch(f"order ({nx}, {ny}) of caps {f_caps} leaves less than {caps}")
-    idx, scale = _tables(f_caps).tensor_map(nx, ny, _tables(caps))
+    idx, scale = f_caps.tables.tensor_map(nx, ny, caps.tables)
     shape = f.shape[:-1] + (4,) * (nx + ny)
     if caps != _FLOAT_CAPS:
         shape += (idx.shape[1],)
@@ -419,7 +456,7 @@ def restrict(f: JetScalar, caps: DegreeCaps) -> JetScalar:
     """Truncate a jet to smaller (or equal) caps."""
     if caps == f.caps:
         return f
-    if caps.x_max > f.caps.x_max or caps.y_max > f.caps.y_max:
+    if not _fits(caps, _room(f.caps, 0, 0)):
         raise CapMismatch(f"cannot restrict caps {f.caps} to larger {caps}")
     return JetScalar(*_shift(f, (0,) * N_VARS, caps))
 
@@ -437,7 +474,7 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray, caps: DegreeCaps) -> np.nd
     within the caps is gathered once, the tensor axes are contracted in one
     ``np.einsum``, and the products are scattered onto their monomials.
     """
-    t = _tables(caps)
+    t = caps.tables
     ins, out = spec.split("->")
     left, right = ins.split(",")
     pairs = np.einsum(f"{left}...,{right}...->{out}...", a[..., t.mul_i], b[..., t.mul_j])

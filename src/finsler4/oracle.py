@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,19 +72,23 @@ _STENCILS = {
 }
 
 
-def _clamped_steps(
-    at: np.ndarray, vars_orders: list, h_rel: float, room: Optional[np.ndarray]
-) -> np.ndarray:
-    reach = max(max(abs(o) for o, _ in _STENCILS[deg]) for _, deg in vars_orders)
-    steps = np.zeros(len(at))
-    for slot, _ in vars_orders:
-        h = h_rel * (1.0 + abs(at[slot]))
-        if room is not None and np.isfinite(room[slot]):
-            if room[slot] <= 0:
-                raise StencilLeavesDomain(f"no room to differentiate slot {slot}")
-            h = min(h, 0.2 * room[slot] / reach)
-        steps[slot] = h
-    return steps
+class _StencilPlan(NamedTuple):
+    """Every stencil point of a list of orders, at every step level.
+
+    Rows are stencil points: order-major, then level-major (a zero order
+    has one level and one point), then along the tensor-product stencil
+    of the order.  Each row has one (step, weight) entry per
+    differentiated variable, in slot order, padded to MAX_ORDER entries
+    by (any step, 1.0).
+    """
+
+    step: np.ndarray  # (rows, MAX_ORDER) flat index into the (levels, orders, slots) steps
+    weight: np.ndarray  # (rows, MAX_ORDER) stencil weights in units of h
+    moves: tuple  # (rows, entries, slots, offsets) of every non-padding entry
+    powers: list  # (rows, degrees) per tuple of variable degrees
+    reach: np.ndarray  # (orders,) largest offset of each order, in units of h
+    used: np.ndarray  # (orders, slots) the slots each order differentiates
+    quotients: list  # (orders, rows as (orders, levels, points)) per stencil shape
 
 
 @lru_cache(maxsize=None)
@@ -94,33 +98,85 @@ def _product_stencil(degs: tuple) -> tuple:
     combos = list(itertools.product(*(_STENCILS[deg] for deg in degs)))
     offsets = np.array([[o for o, _ in c] for c in combos], dtype=float)
     weights = np.array([[w for _, w in c] for c in combos])
-    return offsets, weights
+    return offsets.reshape(len(combos), len(degs)), weights.reshape(len(combos), len(degs))
 
 
-def _stencil(at: np.ndarray, order: tuple, cfg: FDConfig, room) -> tuple:
-    """Every stencil point of one partial at every step level, as columns.
+@lru_cache(maxsize=16)  # a plan of the 90 oracle orders holds about 0.7 MB
+def _stencil_plan(orders: tuple, levels: int, n_slots: int) -> _StencilPlan:
+    blocks = []  # (step, offset, weight, real) of each order's rows
+    powers: dict = {}
+    shapes: dict = {}
+    reach = np.ones(len(orders))
+    used = np.zeros((len(orders), n_slots), dtype=bool)
+    first = 0
+    for o, order in enumerate(orders):
+        slots = [s for s, d in enumerate(order) if d > 0]
+        degs = tuple(order[s] for s in slots)
+        offsets, weights = _product_stencil(degs)
+        lev, n, pad = levels if slots else 1, len(offsets), MAX_ORDER - len(slots)
+        used[o, slots] = True
+        reach[o] = np.abs(offsets).max(initial=1.0)
+        rows = np.arange(first, first + lev * n)
+        powers.setdefault(degs, []).append(rows)
+        shapes.setdefault((lev, n), []).append((o, rows.reshape(lev, n)))
+        step = (np.arange(lev) * len(orders) + o)[:, None, None] * n_slots + (slots + [0] * pad)
+        blocks.append((
+            np.broadcast_to(step, (lev, n, MAX_ORDER)).reshape(-1, MAX_ORDER),
+            np.tile(np.pad(offsets, ((0, 0), (0, pad))), (lev, 1)),
+            np.tile(np.pad(weights, ((0, 0), (0, pad)), constant_values=1.0), (lev, 1)),
+            np.broadcast_to(np.arange(MAX_ORDER) < len(slots), (lev * n, MAX_ORDER)),
+        ))
+        first += lev * n
+    step, off, wt, real = (np.concatenate(part) for part in zip(*blocks))
+    rows, cols = np.nonzero(real)
+    return _StencilPlan(
+        step=step,
+        weight=wt,
+        moves=(rows, cols, step[real] % n_slots, off[real]),
+        powers=[(np.concatenate(rows), np.array(degs)) for degs, rows in powers.items() if degs],
+        reach=reach,
+        used=used,
+        quotients=[
+            (np.array([o for o, _ in members]), np.array([r for _, r in members]))
+            for members in shapes.values()
+        ],
+    )
 
-    Returns ``points`` of shape ``(8, levels * n)``, level-major, and
-    ``weights`` of shape ``(levels, n)``, which turn the values at
-    ``points`` into one difference quotient per step level.
+
+def _stencil(at: np.ndarray, orders: tuple, cfg: FDConfig, room) -> tuple:
+    """Every stencil point of every partial at every step level, as columns.
+
+    Returns ``points`` of shape ``(len(at), rows)``, ``weights`` of shape
+    ``(rows,)``, which turn the values at ``points`` into difference
+    quotients, and the plan's ``quotients``, which group the rows into one
+    quotient per order and step level.
     """
-    vars_orders = [(slot, deg) for slot, deg in enumerate(order) if deg > 0]
-    if not vars_orders:
-        return at[:, None], np.ones((1, 1))
     if cfg.step is None:
         h_rel, levels = _LADDER_ANCHOR, _LADDER_LEVELS
     else:
         h_rel, levels = cfg.step, 2 if cfg.richardson else 1
+    plan = _stencil_plan(orders, levels, len(at))
+    steps0 = np.broadcast_to(h_rel * (1.0 + np.abs(at)), plan.used.shape)
+    if room is not None:
+        room = np.asarray(room, dtype=float)
+        bounded = np.isfinite(room)
+        blocked = np.argwhere(plan.used & bounded & (room <= 0))
+        if len(blocked):
+            raise StencilLeavesDomain(f"no room to differentiate slot {blocked[0][1]}")
+        clamp = 0.2 * room / plan.reach[:, None]
+        steps0 = np.where(bounded, np.minimum(steps0, clamp), steps0)
     # exact halving keeps every extrapolation ratio at 2
-    steps0 = _clamped_steps(at, vars_orders, h_rel, room)
-    steps = steps0 / 2.0 ** np.arange(levels)[:, None]  # (levels, 8)
-    slots = [slot for slot, _ in vars_orders]
-    degs = tuple(deg for _, deg in vars_orders)
-    offsets, w = _product_stencil(degs)
-    h = steps[:, None, slots]  # (levels, 1, v)
-    z = np.tile(at, (levels, len(offsets), 1))
-    z[:, :, slots] += offsets * h
-    return z.reshape(-1, len(at)).T, np.prod(w / h ** np.array(degs), axis=-1)
+    steps = steps0 / 2.0 ** np.arange(levels)[:, None, None]  # (levels, orders, slots)
+    h = steps.ravel()[plan.step]
+    rows, cols, slots, offsets = plan.moves
+    points = np.repeat(at[:, None], len(h), axis=1)
+    points[slots, rows] += offsets * h[rows, cols]
+    # each power over the same (points, variables) layout as a single
+    # order's stencil, which fixes its rounding
+    h_pow = np.ones_like(h)
+    for rows, degs in plan.powers:
+        h_pow[rows, :len(degs)] = h[rows, :len(degs)] ** degs
+    return points, np.prod(plan.weight / h_pow, axis=1), plan.quotients
 
 
 def _pick(d_vals: list, cfg: FDConfig) -> float:
@@ -195,14 +251,14 @@ def fd_partials(
     stencil point of every order.
     """
     at = np.asarray(at, dtype=float)
-    stencils = [_stencil(at, _full_order(o, len(at)), cfg, room) for o in orders]
-    values = np.asarray(f(np.concatenate([p for p, _ in stencils], axis=1)), dtype=float)
-    out, start = [], 0
-    for points, weights in stencils:
-        stop = start + points.shape[1]
-        d_vals = np.sum(values[start:stop].reshape(weights.shape) * weights, axis=1)
-        out.append(_pick(d_vals.tolist(), cfg))
-        start = stop
+    orders = tuple(_full_order(o, len(at)) for o in orders)
+    points, weights, groups = _stencil(at, orders, cfg, room)
+    terms = np.asarray(f(points), dtype=float) * weights
+    out = [0.0] * len(orders)
+    for members, rows in groups:
+        # one difference quotient per order and step level
+        for o, d_vals in zip(members.tolist(), np.sum(terms[rows], axis=-1).tolist()):
+            out[o] = _pick(d_vals, cfg)
     return out
 
 

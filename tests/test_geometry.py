@@ -1,9 +1,12 @@
+import dataclasses
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finsler4 import geometry, jets, metrics, oracle
+from finsler4 import frame, geometry, jets, metrics, oracle
 from finsler4.classify import classify_metric
 from finsler4.geometry import SingularMetric, covariant_derivatives, point_eval
 from finsler4.jets import DegreeCaps, OrderExceedsCaps
@@ -263,3 +266,56 @@ def test_master_caps_are_necessary_for_spray_cubic():
     assert gij.caps.y_max == 2
     with pytest.raises(OrderExceedsCaps):
         jets.derivative_jet(gij, jets.multi(4, 4, 4))
+
+
+def _perfbench_specs():
+    # the benchmark's classify specs and conformal pairs, read from its corpus
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(corpus)
+    docs = [doc for _, doc, *_ in corpus.CLASSIFY_CORPUS]
+    docs += [doc for _, doc in corpus.CONFORMAL_PAIRS]
+    return [metrics.spec_from_json_dict(dict(doc))[0] for doc in docs]
+
+
+def _ring_outputs(spec, points):
+    """Every tensor of PointEval and every array of scalar_profile, as bytes."""
+    out = []
+    for x, y in points:
+        pe = point_eval(spec, x, y)
+        arrays = [pe.L_jet.c[0], pe.metric.g, pe.metric.g_inv, pe.cartan.C, pe.cartan.C_vec,
+                  pe.cartan.C_norm, pe.spray.G, pe.spray.N, pe.spray.G_hess3, pe.dx_g,
+                  pe.connection.F, pe.connection.Cmix, *pe.cartan_h_derivatives]
+        try:
+            prof = frame.scalar_profile(pe)
+        except frame.FrameError as err:
+            out.append(type(err).__name__)
+        else:
+            vectors = prof.profile.vectors
+            arrays += [prof.frame.e, prof.frame.e_flat, prof.profile.v_derivs,
+                       prof.profile.h_derivs, *dataclasses.astuple(prof.profile.scalars),
+                       *(getattr(vectors, f.name) for f in dataclasses.fields(vectors)),
+                       *prof.residuals.values()]
+            out.append(repr(prof.frame.gauge_tag))
+        out += [np.asarray(a, dtype=float).tobytes() for a in arrays]
+    return out
+
+
+def test_rings_cut_by_total_degree_change_no_bit(monkeypatch):
+    # a coefficient of total degree d reads only factor coefficients of
+    # degree <= d, so the master and frame rings cut to the degrees their
+    # readers use give every tensor and profile array bit for bit
+    assert geometry.MASTER_CAPS == DegreeCaps(1, 5, 5)
+    assert geometry.FRAME_CAPS == DegreeCaps(1, 1, 1)
+    for spec in _perfbench_specs():
+        points = sample_domain(spec.domain, SamplePlan(count=8, seed=71))
+        cut = _ring_outputs(spec, points)
+        with monkeypatch.context() as m:
+            full_frame = DegreeCaps(1, 1)
+            m.setattr(geometry, "MASTER_CAPS", DegreeCaps(1, 5))
+            m.setattr(geometry, "FRAME_CAPS", full_frame)
+            m.setattr(frame, "FRAME_CAPS", full_frame)
+            m.setattr(geometry.scalar_derivatives, "__defaults__", (full_frame,))
+            full = _ring_outputs(spec, points)
+        assert cut == full

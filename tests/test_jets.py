@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finsler4 import jets, oracle
+from finsler4 import geometry, jets, oracle
 from finsler4.jets import (
     CapMismatch,
     CapTooSmall,
@@ -232,14 +232,16 @@ def _all_pairs_product_table(tables):
     for i, a in enumerate(tables.monos):
         for j, b in enumerate(tables.monos):
             s = tuple(p + q for p, q in zip(a, b))
-            if sum(s[:4]) <= caps.x_max and sum(s[4:]) <= caps.y_max:
+            if (sum(s[:4]) <= caps.x_max and sum(s[4:]) <= caps.y_max
+                    and sum(s) <= caps.total_max):
                 ii.append(i)
                 jj.append(j)
                 kk.append(tables.index[s])
     return ii, jj, kk
 
 
-@pytest.mark.parametrize("caps", [(1, 1), (0, 3), (1, 2), (2, 2), (1, 3)])
+@pytest.mark.parametrize("caps", [(1, 1), (0, 3), (1, 2), (2, 2), (1, 3), (1, 1, 1), (1, 3, 2),
+                                  (2, 2, 3), (1, 5, 5)])
 def test_product_table_matches_all_pairs_reference(caps):
     # the order matters too: it fixes the summation order of every product
     tables = jets._Tables(DegreeCaps(*caps))
@@ -252,6 +254,14 @@ def test_master_caps_table_size():
     tables = jets._tables(DegreeCaps(1, 5))
     assert tables.n == 630
     assert len(tables.mul_i) == 11583
+    # the rings the program uses, cut to the total degree their readers need
+    for caps, n, pairs in ((geometry.MASTER_CAPS, 406, 5247), (geometry.FRAME_CAPS, 9, 17)):
+        cut, full = caps.tables, DegreeCaps(caps.x_max, caps.y_max).tables
+        assert (cut.n, len(cut.mul_i)) == (n, pairs)
+        # the kept monomials are a prefix of the uncut ring, index for index
+        assert cut.monos == full.monos[:n]
+        # one tables object per caps value, held on every equal caps
+        assert DegreeCaps(caps.x_max, caps.y_max, caps.total_max).tables is cut
 
 
 # -- property tests ----------------------------------------------------------
@@ -373,6 +383,44 @@ def test_negative_degree_caps_are_invalid_arguments():
         DegreeCaps(1, -1)
 
 
+@pytest.mark.parametrize("total", [-1, 7])
+def test_total_degree_cap_outside_zero_to_the_group_sum_is_invalid(total):
+    with pytest.raises(jets.InvalidArgument):
+        DegreeCaps(1, 5, total)
+    assert DegreeCaps(1, 5).total_max == 6
+    assert DegreeCaps(1, 5, 6) == DegreeCaps(1, 5)
+
+
+def test_reads_past_the_total_degree_cap_are_rejected():
+    caps = geometry.FRAME_CAPS
+    f = jets.exp(variable(0, 0.2, caps) * variable(4, 1.5, caps))
+    # (1, 1) fits each group's cap but not the total of 1
+    with pytest.raises(OrderExceedsCaps):
+        derivative_tensor(f.c, 1, 1, f_caps=caps)
+    with pytest.raises(OrderExceedsCaps):
+        derivative_jet(f, multi(0, 4))
+    with pytest.raises(OrderExceedsCaps):
+        partial_extract(f, multi(0, 4))
+    with pytest.raises(CapMismatch):
+        restrict(f, DegreeCaps(1, 1))
+    master = variable(4, 1.5, geometry.MASTER_CAPS) ** 3
+    with pytest.raises(OrderExceedsCaps):
+        derivative_tensor(master, 1, 5)
+    # (0, 2) leaves x-degree 1, y-degree 3 and total 3
+    assert derivative_tensor(master, 0, 2, DegreeCaps(0, 3)).shape == (4, 4, 35)
+    with pytest.raises(CapMismatch):
+        derivative_tensor(master, 0, 2, DegreeCaps(1, 3))
+    # (0, 4) leaves total 1: room for the frame ring, not for the uncut (1, 1)
+    assert derivative_tensor(master, 0, 4, caps).shape == (4,) * 4 + (9,)
+    with pytest.raises(CapMismatch):
+        derivative_tensor(master, 0, 4, DegreeCaps(1, 1))
+    # the caps a derivative leaves carry the total budget it leaves
+    assert derivative_jet(master, multi(4, 4)).caps == DegreeCaps(1, 3, 3)
+    assert derivative_jet(master, multi(0)).caps == DegreeCaps(0, 4)
+    with pytest.raises(CapTooSmall):
+        variable(0, 0.2, DegreeCaps(1, 1, 0))
+
+
 # -- degree bounds -------------------------------------------------------------
 
 _BOUND_CAPS = (DegreeCaps(1, 5), DegreeCaps(1, 1), DegreeCaps(0, 3))
@@ -454,3 +502,47 @@ def test_degree_bounds_of_constants_variables_and_functions():
     t = jets._tables(caps)
     assert all(a is b for a, b in zip(t.products((1, 5), (1, 5)), (t.mul_i, t.mul_j, t.mul_k)))
     assert t.products((0, 4), (1, 2))[3] == (1, 5)
+
+
+# -- rings cut by total degree -----------------------------------------------
+
+_CUT_OPS = {
+    "mul": lambda a, b, r: a * b,
+    "add": lambda a, b, r: a + b,
+    "exp": lambda a, b, r: jets.exp(a),
+    "log": lambda a, b, r: jets.log(a),
+    "power": lambda a, b, r: jets.power(a, r),
+    "recip": lambda a, b, r: jets._recip(a),
+}
+
+
+@given(
+    st.sampled_from([DegreeCaps(1, 5, 5), DegreeCaps(1, 1, 1)]),
+    st.lists(st.tuples(st.integers(0, 7), _VALUES, st.booleans()), min_size=2, max_size=4),
+    st.lists(st.tuples(st.sampled_from(sorted(_CUT_OPS)), st.integers(0, 99),
+                       st.integers(0, 99), st.sampled_from([2, 3, -1, 0.5, -0.25, 1.5])),
+             max_size=10),
+)
+@settings(max_examples=150, deadline=None)
+def test_rings_cut_by_total_degree_keep_every_coefficient(caps, leaves, ops):
+    # a coefficient of total degree d reads only factor coefficients of degree
+    # <= d: the cut ring keeps a prefix of the uncut ring's monomials, and every
+    # kept coefficient comes out bit for bit as in the uncut ring
+    full_caps = DegreeCaps(caps.x_max, caps.y_max)
+    n = caps.tables.n
+    pool = [(variable(k, v, caps), variable(k, v, full_caps)) if is_var
+            else (const(v, caps), const(v, full_caps)) for k, v, is_var in leaves]
+    for op, i, j, r in ops:
+        (a, a_full), (b, b_full) = pool[i % len(pool)], pool[j % len(pool)]
+        try:
+            with np.errstate(all="ignore"):
+                out_full = _CUT_OPS[op](a_full, b_full, r)
+        except (DomainViolation, ArithmeticError):  # zero base, math overflow
+            continue
+        # a series coefficient past the cut can overflow (and make inf * 0 =
+        # nan) in the uncut ring alone; the cut ring never forms it
+        if not np.all(np.isfinite(out_full.c)):
+            continue
+        out = _CUT_OPS[op](a, b, r)
+        assert out.c.tobytes() == out_full.c[:n].tobytes()
+        pool.append((out, out_full))

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from finsler4 import cli, geometry, metrics
+from finsler4 import cli, geometry, metrics, oracle
 from finsler4.jets import InvalidArgument, OrderExceedsCaps
 from finsler4.metrics import SamplePlan, make_builtin_metric
 from finsler4.oracle import FDConfig, fd_partial, fd_partials, oracle_tensors, relative_error
@@ -145,3 +147,46 @@ def test_batched_oracle_matches_columnwise_float_reference(monkeypatch):
         ref = oracle_tensors(spec, x, y)
         for name in ("g", "C", "G", "N"):
             assert relative_error(getattr(got, name), getattr(ref, name)) <= 1e-7, name
+
+
+def _stencil_per_order(at, order, cfg, room):
+    # reference: one order at a time, the tensor-product stencil built in loops
+    vars_orders = [(slot, deg) for slot, deg in enumerate(order) if deg > 0]
+    if not vars_orders:
+        return at[:, None], np.ones(1)
+    h_rel, levels = (0.02, 8) if cfg.step is None else (cfg.step, 2 if cfg.richardson else 1)
+    reach = max(max(abs(o) for o, _ in oracle._STENCILS[deg]) for _, deg in vars_orders)
+    steps0 = np.zeros(len(at))
+    for slot, _ in vars_orders:
+        h = h_rel * (1.0 + abs(at[slot]))
+        if np.isfinite(room[slot]):
+            h = min(h, 0.2 * room[slot] / reach)
+        steps0[slot] = h
+    slots = [slot for slot, _ in vars_orders]
+    degs = np.array([deg for _, deg in vars_orders])
+    combos = list(itertools.product(*(oracle._STENCILS[deg] for _, deg in vars_orders)))
+    offsets = np.array([[o for o, _ in c] for c in combos], dtype=float)
+    w = np.array([[w for _, w in c] for c in combos])
+    h = (steps0 / 2.0 ** np.arange(levels)[:, None])[:, None, slots]  # (levels, 1, v)
+    z = np.tile(at, (levels, len(combos), 1))
+    z[:, :, slots] += offsets * h
+    return z.reshape(-1, len(at)).T, np.prod(w / h**degs, axis=-1).ravel()
+
+
+@pytest.mark.parametrize(
+    "cfg", [FDConfig(), FDConfig(step=1e-3), FDConfig(step=1e-3, richardson=False)]
+)
+def test_stencil_of_all_orders_matches_one_order_at_a_time(cfg):
+    # the same points and weights, bit for bit, as stencils built per order
+    rng = np.random.default_rng(5)
+    orders = tuple(oracle._full_order(o, 8) for o in POLY_ORDERS) + tuple(
+        oracle.multi(*slots) for n in (1, 2, 3)
+        for slots in itertools.combinations_with_replacement(range(8), n)
+    )
+    for _ in range(4):
+        at = rng.normal(size=8)
+        room = np.where(rng.random(8) < 0.5, np.inf, rng.random(8) + 0.01)
+        points, weights, _ = oracle._stencil(at, orders, cfg, room)
+        ref = [_stencil_per_order(at, o, cfg, room) for o in orders]
+        assert points.tobytes() == np.concatenate([p for p, _ in ref], axis=1).tobytes()
+        assert weights.tobytes() == np.concatenate([w for _, w in ref]).tobytes()
