@@ -10,8 +10,9 @@ axis), every product is one :func:`jets.contract`, and g^-1 is
 ``[..., 0]`` of these arrays; the other coefficients are the x- and
 y-derivatives that the connection vectors and the scalar derivative
 tables read.  Discrete gauge choices (seed selection, sign fixing) read
-base values only, so the construction commutes with uniform metric
-rescaling.
+base values only, and every refusal threshold (torsion length, seed
+skip, sign) is taken relative to the scale of L, so the construction
+commutes with uniform metric rescaling.
 
 Main scalar convention
 ----------------------
@@ -157,9 +158,11 @@ def _frame_from_ring(g, g_inv, C, y, L):
     C_low = contract("ijk,jk->i", C, g_inv, FRAME_CAPS)
     C_up = contract("ij,j->i", g_inv, C_low, FRAME_CAPS)
     q = contract("i,i->", C_up, C_low, FRAME_CAPS)
-    if q[0] < TAU_TORSION**2:
+    # L^2 q is the square of L |C|, which does not change when L is rescaled
+    weighted = L.base**2 * q[0]
+    if weighted < TAU_TORSION**2:
         raise VanishingTorsion(
-            f"torsion length {max(q[0], 0.0) ** 0.5:.3e} below {TAU_TORSION:.1e}"
+            f"weighted torsion length {max(weighted, 0.0) ** 0.5:.3e} below {TAU_TORSION:.1e}"
         )
     m = contract("i,->i", C_up, _rsqrt(q), FRAME_CAPS)
 
@@ -175,11 +178,15 @@ def _frame_from_ring(g, g_inv, C, y, L):
         r = -contract("a,ai->i", coeffs, built, FRAME_CAPS)
         r[seed, 0] += 1.0
         norm2 = contract("i,i->", r, contract("ij,j->i", g, r, FRAME_CAPS), FRAME_CAPS)
-        if norm2[0] < _SEED_SKIP_TOL**2:
+        # relative to the seed's own g-length: the squared sine of its angle
+        # to the vectors built so far
+        if norm2[0] < _SEED_SKIP_TOL**2 * g[seed, seed, 0]:
             continue
         vec = contract("i,->i", r, _rsqrt(norm2), FRAME_CAPS)
-        # the first component clear of round-off decides the sign
-        lead = vec[np.abs(vec[:, 0]) > _SIGN_TOL, 0]
+        # the first component clear of round-off, relative to the largest,
+        # decides the sign
+        size = np.abs(vec[:, 0])
+        lead = vec[size > _SIGN_TOL * size.max(), 0]
         sign = -1.0 if lead.size and lead[0] < 0 else 1.0
         frame.append(sign * vec)
         seeds_used.append(seed)

@@ -38,6 +38,31 @@ def test_riemannian_always_vanishing_torsion():
             _frame_at(spec, x, y)
 
 
+def _scaled_expression(template, s):
+    return make_builtin_metric("expression", {"L": template.format(s=s)})
+
+
+def test_frame_refusals_do_not_depend_on_the_scale_of_L():
+    """Rescaling L by a constant rescales g, C and the frame, and leaves
+    the weighted torsion, the gauge and the main scalars alone, so every
+    refusal threshold must be scale-free too."""
+    euclid = "{s}*sqrt(y1^2+2*y2^2+y3^2+y4^2)"
+    quartic = "{s}*(y1^4+y2^4+y3^4+y4^4)^0.25"
+    points = list(sample_domain(QUARTIC.domain, SamplePlan(count=4, seed=1)))
+    for s in ("1e-10", "1e-6", "1", "1e10"):
+        for x, y in points:
+            with pytest.raises(VanishingTorsion):
+                _frame_at(_scaled_expression(euclid, s), x, y)
+    for x, y in points:
+        ref = scalar_profile(point_eval(_scaled_expression(quartic, "1"), x, y))
+        ref_scalars = ref.profile.scalars.as_array()
+        for s in ("1e-6", "1e10"):
+            got = scalar_profile(point_eval(_scaled_expression(quartic, s), x, y))
+            assert got.frame.gauge_tag == ref.frame.gauge_tag
+            scalars = got.profile.scalars.as_array()
+            assert np.max(np.abs(scalars - ref_scalars)) <= 1e-12 * np.max(np.abs(ref_scalars))
+
+
 def test_berwald_moor_not_positive_definite():
     spec = make_builtin_metric("berwald_moor")
     with pytest.raises(NotPositiveDefinite):
