@@ -1,13 +1,24 @@
 """Regenerate the CLI golden files.
 
-Run from the repository root after an intentional output-schema change:
+Run from the repository root after an intentional output change:
 
-    python3 tests/regen_goldens.py
+    python3 tests/regen_goldens.py            # rewrite tests/goldens/
+    python3 tests/regen_goldens.py --drift    # rewrite, then compare with HEAD
+
+``--drift`` compares each regenerated file with its committed version
+(``git show HEAD:tests/goldens/<file>``).  Per file it prints how many
+numbers changed and the largest ``|new - old| / (1 + |old|)``.  It exits 1
+on any other change: a key, a string, a bool, an integer, a null, a list
+length or a file that HEAD does not have.  A float that is exactly integral
+prints without a decimal point, so an integer beside a float counts as a
+number.
 """
 
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from finsler4 import cli
@@ -45,19 +56,82 @@ REPORTS = (
 )
 
 
-def main() -> None:
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def drift(old, new, path: str = "$"):
+    """(changed numbers, largest |new - old| / (1 + |old|), other changes)
+    between two parsed JSON documents."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if list(old) != list(new):
+            return 0, 0.0, [f"{path}: keys {list(old)} -> {list(new)}"]
+        parts = [drift(old[k], new[k], f"{path}.{k}") for k in old]
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return 0, 0.0, [f"{path}: length {len(old)} -> {len(new)}"]
+        parts = [drift(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    elif (
+        _is_number(old) and _is_number(new)
+        and (isinstance(old, float) or isinstance(new, float))
+    ):
+        if old == new:
+            return 0, 0.0, []
+        return 1, abs(new - old) / (1.0 + abs(old)), []
+    elif type(old) is type(new) and old == new:
+        return 0, 0.0, []
+    else:
+        return 0, 0.0, [f"{path}: {old!r} -> {new!r}"]
+    return (
+        sum(p[0] for p in parts),
+        max((p[1] for p in parts), default=0.0),
+        [msg for p in parts for msg in p[2]],
+    )
+
+
+def report_drift(goldens: Path, names) -> int:
+    """Print the drift of each regenerated golden against HEAD; 1 if any
+    change is not a number moving."""
+    root = goldens.parent.parent
+    status = 0
+    for name in names:
+        shown = subprocess.run(
+            ["git", "show", f"HEAD:{goldens.relative_to(root).as_posix()}/{name}"],
+            cwd=root, capture_output=True, text=True,
+        )
+        if shown.returncode != 0:
+            print(f"{name}: not in HEAD")
+            status = 1
+            continue
+        changed, worst, other = drift(
+            json.loads(shown.stdout), json.loads((goldens / name).read_text())
+        )
+        print(f"{name}: {changed} numbers changed, max |new-old|/(1+|old|) = {worst:.3g}")
+        for msg in other:
+            print(f"  non-numeric change {msg}")
+        status |= bool(other)
+    return status
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv not in ([], ["--drift"]):
+        raise SystemExit("usage: python3 tests/regen_goldens.py [--drift]")
     goldens = Path(__file__).resolve().parent / "goldens"
     goldens.mkdir(exist_ok=True)
     for name, doc in SPECS.items():
         (goldens / name).write_text(json.dumps(doc, indent=2) + "\n")
-    for argv, report in REPORTS:
-        args = [a.format(d=goldens) for a in argv]
+    for args, report in REPORTS:
+        args = [a.format(d=goldens) for a in args]
         path = goldens / report
         code = cli.main(args + ["--output", str(path)])
         if code != 0:
             raise SystemExit(f"golden command {args} exited {code}")
         print(f"wrote {path}")
+    if argv:
+        return report_drift(goldens, [*SPECS, *(report for _, report in REPORTS)])
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
