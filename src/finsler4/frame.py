@@ -6,7 +6,7 @@ metric Gram-Schmidt over the standard basis seeds in index order.  The
 build runs once, on first-order jets in (x, y): every frame field is a
 FRAME_CAPS coefficient array (tensor axes, then the Taylor coefficient
 axis), every product is one :func:`jets.contract`, and g^-1 is
-:func:`jets.inverse`.  The frame at the point is the base slice
+:func:`jets.solve` on the identity.  The frame at the point is the base slice
 ``[..., 0]`` of these arrays; the other coefficients are the x- and
 y-derivatives that the connection vectors and the scalar derivative
 tables read.  Discrete gauge choices (seed selection, sign fixing) read

@@ -147,12 +147,11 @@ class PointEval:
         three more y-derivatives."""
         caps = _SPRAY_CAPS
         g = 0.5 * derivative_tensor(self.L2_jet, 0, 2, caps)
-        g_inv = jets.inverse(g, self.metric.g_inv, caps)
         dx = derivative_tensor(self.L2_jet, 1, 0, caps)
         dxdy = derivative_tensor(self.L2_jet, 1, 1, caps)  # [k, r]: d_xk d_yr
         # E_r = y^k d_xk d_yr L^2 - d_xr L^2, and G^i = g^ir E_r / 4
         e_vec = contract("k,kr->r", _y_jets(self.y, caps), dxdy, caps) - dx
-        return 0.25 * contract("ir,r->i", g_inv, e_vec, caps)
+        return 0.25 * jets.solve(g, self.metric.g_inv, e_vec, caps)
 
     @cached_property
     def spray(self) -> SprayAt:
@@ -207,7 +206,7 @@ class PointEval:
         FRAME_CAPS jet: first-order x/y information for differentiating
         frame fields through the whole build."""
         g = 0.5 * derivative_tensor(self.L2_jet, 0, 2, FRAME_CAPS)
-        g_inv = jets.inverse(g, self.metric.g_inv, FRAME_CAPS)
+        g_inv = jets.solve(g, self.metric.g_inv, jets.identity(4, FRAME_CAPS), FRAME_CAPS)
         C = 0.25 * derivative_tensor(self.L2_jet, 0, 3, FRAME_CAPS)
         y = _y_jets(self.y, FRAME_CAPS)
         L = jets.restrict(self.L_jet, FRAME_CAPS)

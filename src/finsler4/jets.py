@@ -24,10 +24,13 @@ is the tensor at the point.  :func:`derivative_tensor` gathers every
 partial of a given x/y order of a jet, or of a whole stack of jets, as one
 such array (or as floats at the default caps).  :func:`contract` is the
 product of two jet tensors contracted over tensor axes: gather the
-coefficient pairs, one ``np.einsum``, scatter onto monomials.
-:func:`inverse` inverts a jet matrix by a truncated Neumann series around
-the inverse of its base value.  This is truncated Taylor arithmetic in
-vector mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+coefficient pairs along the coefficient axis, contract them in one
+``np.einsum``, add them onto their monomials with one ``np.bincount``.
+Every sum in it runs left to right: over the contracted index tuples in
+row-major order, then over the pairs of a monomial in table order.
+:func:`solve` applies the inverse of a jet matrix to a jet tensor by a
+truncated Neumann series around the inverse of its base value.  This is
+truncated Taylor arithmetic in vector mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
 ch. 13).  A :class:`JetScalar` is the 0-d case, with the elementary
 functions below.
 
@@ -180,6 +183,7 @@ class _Tables:
             (full, full): (self.mul_i, self.mul_j, self.mul_k, full)
         }
         self._shift_cache: dict = {}
+        self._scatter_cache: dict = {}
         self._tensor_cache: dict = {}
 
     def products(self, da: tuple, db: tuple):
@@ -197,13 +201,15 @@ class _Tables:
             self._product_cache[key] = hit
         return hit
 
-    @cached_property
-    def scatter(self) -> np.ndarray:
-        """0/1 matrix of shape (n_products, n) that sums each product of
-        coefficients (mul_i, mul_j) onto its monomial mul_k."""
-        out = np.zeros((len(self.mul_k), self.n))
-        out[np.arange(len(self.mul_k)), self.mul_k] = 1.0
-        return out
+    def scatter_index(self, rows: int) -> np.ndarray:
+        """Flat ``np.bincount`` index that sums each of ``rows`` stacked rows
+        of coefficient products (mul_i, mul_j) onto its monomials: product
+        p of row r lands on r * n + mul_k[p]."""
+        hit = self._scatter_cache.get(rows)
+        if hit is None:
+            hit = (np.arange(rows)[:, None] * self.n + self.mul_k).ravel()
+            self._scatter_cache[rows] = hit
+        return hit
 
     def shift_map(self, beta: tuple[int, ...], dst: "_Tables"):
         """Index/scale arrays realising the derivative-by-beta extraction:
@@ -449,7 +455,7 @@ def derivative_tensor(
     shape = f.shape[:-1] + (4,) * (nx + ny)
     if caps != _FLOAT_CAPS:
         shape += (idx.shape[1],)
-    return (f[..., idx] * scale).reshape(shape)
+    return (f.take(idx, axis=-1) * scale).reshape(shape)
 
 
 def restrict(f: JetScalar, caps: DegreeCaps) -> JetScalar:
@@ -471,32 +477,53 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray, caps: DegreeCaps) -> np.nd
     the coefficient axis), and ``spec`` names their tensor axes only, e.g.
     ``"ij,j->i"`` for a matrix times a vector or ``"i,->i"`` for a vector
     times a scalar jet.  Every pair of coefficients whose monomials multiply
-    within the caps is gathered once, the tensor axes are contracted in one
-    ``np.einsum``, and the products are scattered onto their monomials.
+    within the caps is gathered once, along the coefficient axis, so the
+    pair axis is innermost in memory.  One ``np.einsum`` then contracts the
+    tensor axes: each pair's sum runs left to right over the contracted
+    index tuples in row-major order, the labels taken as they first appear
+    in ``spec``.  Last, one ``np.bincount`` adds the pairs onto their
+    monomials left to right in table order, as :meth:`JetScalar.__mul__`
+    does.  Every sum is sequential and per entry, so an extra leading
+    axis in ``spec`` (a stack of points) changes no bit of any member.
     """
     t = caps.tables
     ins, out = spec.split("->")
     left, right = ins.split(",")
-    pairs = np.einsum(f"{left}...,{right}...->{out}...", a[..., t.mul_i], b[..., t.mul_j])
-    return pairs @ t.scatter
+    pairs = np.einsum(
+        f"{left}...,{right}...->{out}...", a.take(t.mul_i, axis=-1), b.take(t.mul_j, axis=-1)
+    )
+    rows = pairs.size // len(t.mul_k)
+    coeffs = np.bincount(t.scatter_index(rows), weights=pairs.ravel(), minlength=rows * t.n)
+    return coeffs.reshape(pairs.shape[:-1] + (t.n,))
 
 
-def inverse(m: np.ndarray, m0_inv: np.ndarray, caps: DegreeCaps) -> np.ndarray:
-    """Inverse of a (k, k) jet matrix, given the inverse of its base value.
+def solve(m: np.ndarray, m0_inv: np.ndarray, rhs: np.ndarray, caps: DegreeCaps) -> np.ndarray:
+    """``m^-1 rhs`` for a (k, k) jet matrix ``m``, given the inverse of its
+    base value; ``rhs`` is a jet tensor whose first axis has length k.
 
     With ``d = m - m0`` (no constant term, so nilpotent in the ring) the
     truncated Neumann series ``sum_{j <= caps.series_order} (-m0_inv d)^j
-    m0_inv`` is exact; it needs neither pivots nor branches, and a singular
-    base is the caller's check, made where ``m0_inv`` is formed.
+    m0_inv rhs`` is exact.  It is evaluated by Horner, one contraction of
+    ``-m0_inv d`` with the running sum per degree; it needs neither pivots
+    nor branches, and a singular base is the caller's check, made where
+    ``m0_inv`` is formed.  On the identity jet it gives the inverse of ``m``.
     """
-    base = np.zeros_like(m)
-    base[..., 0] = m0_inv
     d = m.copy()
     d[..., 0] = 0.0
     step = -np.einsum("ij,jk...->ik...", m0_inv, d)
+    base = np.einsum("ij,j...->i...", m0_inv, rhs)
+    rest = "klmnopqr"[: rhs.ndim - 2]
+    spec = f"ij,j{rest}->i{rest}"
     out = base
     for _ in range(caps.series_order):
-        out = base + contract("ij,jk->ik", step, out, caps)
+        out = base + contract(spec, step, out, caps)
+    return out
+
+
+def identity(k: int, caps: DegreeCaps) -> np.ndarray:
+    """The (k, k) identity matrix as a constant jet tensor at ``caps``."""
+    out = np.zeros((k, k, caps.tables.n))
+    out[..., 0] = np.eye(k)
     return out
 
 

@@ -199,18 +199,92 @@ def test_contract_matches_looped_jet_products(caps, spec):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("caps", [DegreeCaps(1, 1), DegreeCaps(0, 3)])
-def test_inverse_times_matrix_is_the_identity_jet(caps):
-    rng = np.random.default_rng(37)
-    n = const(0.0, caps).c.size
+# -- the jet-tensor kernel: summation order, stacking and the Neumann solve ----
+
+# the rings the program contracts in, and a deeper one
+_KERNEL_CAPS = (geometry.FRAME_CAPS, DegreeCaps(0, 3), DegreeCaps(1, 3))
+# every spec the program contracts with, and two with two contracted labels
+_KERNEL_SPECS = (
+    "ij,j->i", "ij,jk->ik", "ijk,jk->i", "i,->i", "i,i->", "k,kr->r", "j,aj->a",
+    "a,ai->i", "ij,aj->ai", "ijk,si->sjk", "sjk,sj->sk", "sk,sk->s", "s,->s",
+    "ijk,ijk->", "ij,ijk->k",
+)
+
+
+def _reference_contract(spec, a, b, caps):
+    """contract written out: per pair, the sum over the contracted index
+    tuples in row-major order of their labels (as they first appear in
+    spec), added left to right; then each monomial's pairs added left to
+    right in table order."""
+    t = caps.tables
+    ins, out = spec.split("->")
+    left, right = ins.split(",")
+    summed = [c for c in dict.fromkeys(left + right) if c not in out]
+    pairs = np.zeros((4,) * len(out) + (len(t.mul_i),))
+    for out_idx in itertools.product(range(4), repeat=len(out)):
+        for sum_idx in itertools.product(range(4), repeat=len(summed)):
+            at = dict(zip(out, out_idx)) | dict(zip(summed, sum_idx))
+            pairs[out_idx] += (a[tuple(at[c] for c in left)][t.mul_i]
+                               * b[tuple(at[c] for c in right)][t.mul_j])
+    coeffs = np.zeros(pairs.shape[:-1] + (t.n,))
+    for p, k in enumerate(t.mul_k):
+        coeffs[..., k] += pairs[..., p]
+    return coeffs
+
+
+def _operands(data, spec, caps, stack=()):
+    ins, _ = spec.split("->")
+    n = caps.tables.n
+    arrays = st.lists(st.floats(-2.0, 2.0, allow_nan=False, width=32), min_size=1, max_size=1)
+    out = []
+    for labels in ins.split(","):
+        shape = stack + (4,) * len(labels) + (n,)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        scale = data.draw(arrays)[0]
+        out.append(np.random.default_rng(seed).normal(size=shape) * (1.0 + scale))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(caps=st.sampled_from(_KERNEL_CAPS), spec=st.sampled_from(_KERNEL_SPECS), data=st.data())
+def test_contract_sums_each_pair_left_to_right_in_index_order(caps, spec, data):
+    a, b = _operands(data, spec, caps)
+    got = jets.contract(spec, a, b, caps)
+    assert got.tobytes() == _reference_contract(spec, a, b, caps).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(caps=st.sampled_from(_KERNEL_CAPS), spec=st.sampled_from(_KERNEL_SPECS),
+       size=st.sampled_from((1, 2, 16)), data=st.data())
+def test_contract_over_a_leading_stack_axis_equals_each_member(caps, spec, size, data):
+    a, b = _operands(data, spec, caps, (size,))
+    ins, out = spec.split("->")
+    left, right = ins.split(",")
+    got = jets.contract(f"z{left},z{right}->z{out}", a, b, caps)
+    for k in range(size):
+        assert got[k].tobytes() == jets.contract(spec, a[k], b[k], caps).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(caps=st.sampled_from(_KERNEL_CAPS), rhs_ndim=st.sampled_from((1, 2)),
+       seed=st.integers(0, 2**32 - 1))
+def test_solve_equals_the_inverse_contracted_with_the_right_side(caps, rhs_ndim, seed):
+    rng = np.random.default_rng(seed)
+    n = caps.tables.n
     a = rng.normal(size=(4, 4))
-    g = rng.normal(size=(4, 4, n)) * 0.3
-    g[..., 0] = a @ a.T + 4 * np.eye(4)
-    inv = jets.inverse(g, np.linalg.inv(g[..., 0]), caps)
-    eye = np.zeros((4, 4, n))
-    eye[..., 0] = np.eye(4)
-    assert np.max(np.abs(jets.contract("ij,jk->ik", inv, g, caps) - eye)) <= 1e-15
-    assert np.max(np.abs(jets.contract("ij,jk->ik", g, inv, caps) - eye)) <= 1e-15
+    m = rng.normal(size=(4, 4, n)) * 0.3
+    m[..., 0] = a @ a.T + 4 * np.eye(4)
+    m0_inv = np.linalg.inv(m[..., 0])
+    rhs = rng.normal(size=(4,) * rhs_ndim + (n,))
+    inv = jets.solve(m, m0_inv, jets.identity(4, caps), caps)
+    eye = jets.identity(4, caps)
+    # the inverse: a two-sided inverse in the ring
+    assert np.max(np.abs(jets.contract("ij,jk->ik", inv, m, caps) - eye)) <= 1e-15
+    assert np.max(np.abs(jets.contract("ij,jk->ik", m, inv, caps) - eye)) <= 1e-15
+    spec = "ij,j->i" if rhs_ndim == 1 else "ij,jk->ik"
+    want = jets.contract(spec, inv, rhs, caps)
+    got = jets.solve(m, m0_inv, rhs, caps)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_derivative_tensor_rejects_orders_and_caps_beyond_the_jet():
