@@ -29,10 +29,11 @@ coefficient pairs along the coefficient axis, contract them in one
 Every sum in it runs left to right: over the contracted index tuples in
 row-major order, then over the pairs of a monomial in table order.
 :func:`solve` applies the inverse of a jet matrix to a jet tensor by a
-truncated Neumann series around the inverse of its base value.  This is
-truncated Taylor arithmetic in vector mode (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-ch. 13).  A :class:`JetScalar` is the 0-d case, with the elementary
-functions below.
+truncated Neumann series around the inverse of its base value, evaluated
+by Horner; on the identity jet it is the inverse.  This is truncated
+Taylor arithmetic in vector mode (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13).  A :class:`JetScalar` is the 0-d case,
+with the elementary functions below.
 
 The elementary functions (:func:`exp`, :func:`log`, :func:`power`,
 :func:`sqrt`, :func:`sin`, :func:`cos`) also take floats, through
