@@ -4,7 +4,7 @@ import math
 import pytest
 
 from finsler4 import cli
-from regen_goldens import REPORTS, SPECS
+from regen_goldens import REPORTS, SPECS, drift
 
 
 @pytest.fixture()
@@ -191,6 +191,26 @@ def test_golden_spec_file_matches_regen(name, doc):
 
     path = pathlib.Path(__file__).parent / "goldens" / name
     assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_golden_drift_counts_numbers_and_flags_every_other_change():
+    old = {"a": [1.5, 0, 3], "b": {"c": "yes", "d": True}, "e": None}
+    assert drift(old, old) == (0, 0.0, [])
+    # a float that is exactly integral prints without a decimal point
+    moved = {"a": [1.5 + 2.5e-16, 1e-17, 3], "b": {"c": "yes", "d": True}, "e": None}
+    changed, worst, other = drift(old, moved)
+    assert (changed, other) == (2, [])
+    assert worst == pytest.approx(1e-16)
+    for new in (
+        {"a": [1.5, 0, 4], "b": {"c": "yes", "d": True}, "e": None},
+        {"a": [1.5, 0, 3], "b": {"c": "no", "d": True}, "e": None},
+        {"a": [1.5, 0, 3], "b": {"c": "yes", "d": False}, "e": None},
+        {"a": [1.5, 0, 3], "b": {"c": "yes", "d": True}, "e": 1.0},
+        {"a": [1.5, 0], "b": {"c": "yes", "d": True}, "e": None},
+        {"a": [1.5, 0, 3], "b": {"d": True, "c": "yes"}, "e": None},
+        {"a": [1.5, 0, 3], "b": {"c": "yes", "d": 1.0}, "e": None},
+    ):
+        assert drift(old, new)[2], new
 
 
 def test_classify_output_file(tmp_path, quartic_spec, capsys):

@@ -233,16 +233,12 @@ def _reference_contract(spec, a, b, caps):
 
 
 def _operands(data, spec, caps, stack=()):
-    ins, _ = spec.split("->")
-    n = caps.tables.n
-    arrays = st.lists(st.floats(-2.0, 2.0, allow_nan=False, width=32), min_size=1, max_size=1)
-    out = []
-    for labels in ins.split(","):
-        shape = stack + (4,) * len(labels) + (n,)
-        seed = data.draw(st.integers(0, 2**32 - 1))
-        scale = data.draw(arrays)[0]
-        out.append(np.random.default_rng(seed).normal(size=shape) * (1.0 + scale))
-    return out
+    """Random coefficient arrays for the two operands of spec, each with
+    the leading shape ``stack``."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.floats(0.1, 4.0))
+    return [rng.normal(size=stack + (4,) * len(labels) + (caps.tables.n,)) * scale
+            for labels in spec.split("->")[0].split(",")]
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,9 +272,9 @@ def test_solve_equals_the_inverse_contracted_with_the_right_side(caps, rhs_ndim,
     m[..., 0] = a @ a.T + 4 * np.eye(4)
     m0_inv = np.linalg.inv(m[..., 0])
     rhs = rng.normal(size=(4,) * rhs_ndim + (n,))
-    inv = jets.solve(m, m0_inv, jets.identity(4, caps), caps)
     eye = jets.identity(4, caps)
-    # the inverse: a two-sided inverse in the ring
+    inv = jets.solve(m, m0_inv, eye, caps)
+    # solve on the identity is a two-sided inverse in the ring
     assert np.max(np.abs(jets.contract("ij,jk->ik", inv, m, caps) - eye)) <= 1e-15
     assert np.max(np.abs(jets.contract("ij,jk->ik", m, inv, caps) - eye)) <= 1e-15
     spec = "ij,j->i" if rhs_ndim == 1 else "ij,jk->ik"
