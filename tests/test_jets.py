@@ -261,6 +261,19 @@ def test_contract_over_a_leading_stack_axis_equals_each_member(caps, spec, size,
         assert got[k].tobytes() == jets.contract(spec, a[k], b[k], caps).tobytes()
 
 
+@pytest.mark.parametrize("caps", [DegreeCaps(1, 1), DegreeCaps(0, 3)])
+def test_inverse_times_matrix_is_the_identity_jet(caps):
+    rng = np.random.default_rng(37)
+    n = const(0.0, caps).c.size
+    a = rng.normal(size=(4, 4))
+    g = rng.normal(size=(4, 4, n)) * 0.3
+    g[..., 0] = a @ a.T + 4 * np.eye(4)
+    eye = jets.identity(4, caps)
+    inv = jets.solve(g, np.linalg.inv(g[..., 0]), eye, caps)
+    assert np.max(np.abs(jets.contract("ij,jk->ik", inv, g, caps) - eye)) <= 1e-15
+    assert np.max(np.abs(jets.contract("ij,jk->ik", g, inv, caps) - eye)) <= 1e-15
+
+
 @settings(max_examples=30, deadline=None)
 @given(caps=st.sampled_from(_KERNEL_CAPS), rhs_ndim=st.sampled_from((1, 2)),
        seed=st.integers(0, 2**32 - 1))
