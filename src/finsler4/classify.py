@@ -71,11 +71,11 @@ def hderiv_measurement(pe: geometry.PointEval) -> dict:
     """The h-derivative maxima of the torsion tensor and the scale they are
     judged against, (1 + max|C|) * (1 + (max|F| + max|N|))."""
     c_h, c_0 = pe.cartan_h_derivatives
-    c = float(np.max(np.abs(pe.cartan.C)))
-    conn = float(np.max(np.abs(pe.connection.F))) + float(np.max(np.abs(pe.spray.N)))
+    c = float(np.abs(pe.cartan.C).max())
+    conn = float(np.abs(pe.connection.F).max()) + float(np.abs(pe.spray.N).max())
     return {
-        "max_cartan_hderiv": float(np.max(np.abs(c_h))),
-        "max_cartan_hderiv_transvected": float(np.max(np.abs(c_0))),
+        "max_cartan_hderiv": float(np.abs(c_h).max()),
+        "max_cartan_hderiv_transvected": float(np.abs(c_0).max()),
         "hderiv_scale": (1.0 + c) * (1.0 + conn),
     }
 
@@ -111,40 +111,59 @@ class ClassificationReport:
     tol: float = DEFAULT_TOL
 
 
-def _evaluate_record(spec: MetricSpec, index: int, x, y) -> PointRecord:
-    pe = geometry.point_eval(spec, x, y)
+def evaluate_stack(pes: list) -> list:
+    """Every stage classify and the conformal audit read, and the frame
+    profile, for the PointEvals ``pes`` run as one stack; a failure is
+    isolated by :func:`geometry.per_member`.  One entry per PointEval: its
+    ProfileResult, the FrameError that refused its frame, or the
+    Finsler4Error that stopped it.  Each member caches its stages."""
+
+    def work(stack: geometry.PointEval) -> list:
+        stack.cartan
+        profiles = frame_mod.scalar_profile(stack)
+        stack.dx_g
+        stack.spray
+        stack.cartan_h_derivatives
+        return profiles
+
+    return geometry.per_member(pes, work)
+
+
+def _evaluate_record(index: int, pe: geometry.PointEval, prof) -> PointRecord:
+    """The record of one point from its PointEval and its frame profile
+    (a ProfileResult, or the FrameError that refused it)."""
     metric = pe.metric
     cartan = pe.cartan
 
     frame_data: Optional[dict] = None
     frame_error: Optional[str] = None
-    try:
-        prof = frame_mod.scalar_profile(pe)
+    if isinstance(prof, FrameError):
+        frame_error = type(prof).__name__
+    else:
         vec = prof.profile.vectors
         frame_data = {
             "h": vec.h.tolist(),
             "j": vec.j.tolist(),
             "k": vec.k.tolist(),
             "max_hjk": float(
-                max(np.max(np.abs(vec.h)), np.max(np.abs(vec.j)), np.max(np.abs(vec.k)))
+                max(np.abs(vec.h).max(), np.abs(vec.j).max(), np.abs(vec.k).max())
             ),
             "max_hjk_l": float(max(abs(vec.h[0]), abs(vec.j[0]), abs(vec.k[0]))),
-            "max_scalar_hderiv": float(np.max(np.abs(prof.profile.h_derivs))),
-            "max_scalar_hderiv_l": float(np.max(np.abs(prof.profile.h_derivs[:, 0]))),
+            "max_scalar_hderiv": float(np.abs(prof.profile.h_derivs).max()),
+            "max_scalar_hderiv_l": float(np.abs(prof.profile.h_derivs[:, 0]).max()),
         }
-    except FrameError as err:
-        frame_error = type(err).__name__
 
     c_norm = cartan.C_norm
     return PointRecord(
         index=index,
-        x=np.asarray(x, dtype=float),
-        y=np.asarray(y, dtype=float),
+        x=pe.x,
+        y=pe.y,
         torsion_norm=None if np.isnan(c_norm) else float(c_norm),
-        metric_scale=1.0 + float(np.max(np.abs(metric.g))),
-        max_cartan=float(np.max(np.abs(cartan.C))),
-        max_dx_metric=float(np.max(np.abs(pe.dx_g))),
-        max_spray_cubic=float(np.max(np.abs(pe.spray.G_hess3))),
+        # C, d_x g and g all scale as L^2, so the verdicts are scale-free
+        metric_scale=float(np.abs(metric.g).max()),
+        max_cartan=float(np.abs(cartan.C).max()),
+        max_dx_metric=float(np.abs(pe.dx_g).max()),
+        max_spray_cubic=float(np.abs(pe.spray.G_hess3).max()),
         frame=frame_data,
         frame_error=frame_error,
         **hderiv_measurement(pe),
@@ -154,15 +173,24 @@ def _evaluate_record(spec: MetricSpec, index: int, x, y) -> PointRecord:
 def classify_metric(
     spec: MetricSpec, plan: SamplePlan, tol: float = DEFAULT_TOL
 ) -> ClassificationReport:
+    """Classify over the sampled points, all of them evaluated as one stack;
+    a point that cannot be evaluated becomes an ``eval_error`` record."""
     points = metrics.sample_domain(spec.domain, plan)
-    records: list = []
+    records: list = [None] * len(points)
+    evaluated = []
     for idx, (x, y) in enumerate(points):
         try:
-            records.append(_evaluate_record(spec, idx, x, y))
+            evaluated.append((idx, geometry.point_eval(spec, x, y)))
         except jets.Finsler4Error as err:
-            records.append(PointRecord(
+            records[idx] = PointRecord(
                 index=idx, x=np.asarray(x), y=np.asarray(y), eval_error=str(err)
-            ))
+            )
+    outcomes = evaluate_stack([pe for _, pe in evaluated])
+    for (idx, pe), outcome in zip(evaluated, outcomes):
+        if isinstance(outcome, jets.Finsler4Error) and not isinstance(outcome, FrameError):
+            records[idx] = PointRecord(index=idx, x=pe.x, y=pe.y, eval_error=str(outcome))
+        else:
+            records[idx] = _evaluate_record(idx, pe, outcome)
 
     usable = [r for r in records if r.eval_error is None]
 

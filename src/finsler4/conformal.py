@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exprdsl, frame as frame_mod, geometry, jets, metrics
-from .classify import AGREEMENT, agreement, all3, band, hderiv_measurement
+from . import exprdsl, geometry, jets, metrics
+from .classify import AGREEMENT, agreement, all3, band, evaluate_stack, hderiv_measurement
 from .frame import FrameError, ProfileResult, SCALAR_NAMES, ScalarProfile
 from .geometry import PointEval
 from .jets import DegreeCaps, Finsler4Error, derivative_tensor
@@ -173,7 +173,7 @@ def sigma_components(
     delta_g_pred = sigma0 * y - 0.5 * L0**2 * grad_sharp
     delta_g = lifted_pe.spray.G - base_pe.spray.G
     resid["spray_transvection"] = float(
-        np.max(np.abs(delta_g - delta_g_pred)) / (1.0 + np.max(np.abs(delta_g_pred)))
+        np.abs(delta_g - delta_g_pred).max() / (1.0 + np.abs(delta_g_pred).max())
     )
 
     return SigmaComponents(
@@ -183,7 +183,7 @@ def sigma_components(
         sigma8=float(sigma8), sigma9=float(sigma9), sigma10=float(sigma10),
         sigma_value=float(sigma_value), sigma_grad=grad,
         extraction_residuals=resid,
-        extraction_scale=1.0 + float(np.max(np.abs(D))),
+        extraction_scale=1.0 + float(np.abs(D).max()),
     )
 
 
@@ -317,18 +317,18 @@ def invariance_check(
         out["gauge_match"] = 0.0
     for idx, name in enumerate(_FRAME_NAMES):
         out[f"covector_scale:{name}"] = float(
-            np.max(np.abs(lifted.frame.e_flat[idx] - es * base.frame.e_flat[idx]))
+            np.abs(lifted.frame.e_flat[idx] - es * base.frame.e_flat[idx]).max()
         )
         out[f"vector_scale:{name}"] = float(
-            np.max(np.abs(lifted.frame.e[idx] - base.frame.e[idx] / es))
+            np.abs(lifted.frame.e[idx] - base.frame.e[idx] / es).max()
         )
-    out["metric_scale"] = float(np.max(np.abs(lpe.metric.g - es**2 * bpe.metric.g)))
+    out["metric_scale"] = float(np.abs(lpe.metric.g - es**2 * bpe.metric.g).max())
     out["inverse_metric_scale"] = float(
-        np.max(np.abs(lpe.metric.g_inv - bpe.metric.g_inv / es**2))
+        np.abs(lpe.metric.g_inv - bpe.metric.g_inv / es**2).max()
     )
-    out["torsion_scale"] = float(np.max(np.abs(lpe.cartan.C - es**2 * bpe.cartan.C)))
+    out["torsion_scale"] = float(np.abs(lpe.cartan.C - es**2 * bpe.cartan.C).max())
     out["mixed_torsion_invariance"] = float(
-        np.max(np.abs(lpe.connection.Cmix - bpe.connection.Cmix))
+        np.abs(lpe.connection.Cmix - bpe.connection.Cmix).max()
     )
     for name in SCALAR_NAMES:
         out[f"main_scalar:{name}"] = abs(
@@ -370,40 +370,68 @@ class PointConformalReport:
 
 
 def _flat_in_chart(pe: PointEval) -> bool:
-    return float(np.max(np.abs(pe.dx_g))) < 1e-9
+    return float(np.abs(pe.dx_g).max()) < 1e-9
 
 
 def evaluate_point(
-    pair: ConformalPair, x: Sequence[float], y: Sequence[float]
+    pair: ConformalPair, base: ProfileResult, lifted: ProfileResult
 ) -> PointConformalReport:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    base_pe = geometry.point_eval(pair.base, x, y)
-    # e^sigma times the base's jet of L; the lifted tensors are measured from it
-    lifted_pe = geometry.point_eval(pair.lifted, x, y, base_pe)
-    try:
-        base_prof = frame_mod.scalar_profile(base_pe)
-        lifted_prof = frame_mod.scalar_profile(lifted_pe)
-    except FrameError as err:
-        return PointConformalReport(x=x, y=y, frame_error=type(err).__name__)
-
-    sc = sigma_components(pair, base_prof, lifted_prof)
-    case, near, lands = landsberg_case_conditions(base_prof.profile, sc)
-    _, _, berw = berwald_case_conditions(base_prof.profile, sc)
+    """The report at one point from the frame profiles of its base and
+    rescaled space (as :func:`evaluate_points` makes them)."""
+    sc = sigma_components(pair, base, lifted)
+    case, near, lands = landsberg_case_conditions(base.profile, sc)
+    _, _, berw = berwald_case_conditions(base.profile, sc)
 
     direct = {
-        "h_bar": lifted_prof.profile.vectors.h.tolist(),
-        "j_bar": lifted_prof.profile.vectors.j.tolist(),
-        "k_bar": lifted_prof.profile.vectors.k.tolist(),
-        "scalar_hderiv_l_bar": lifted_prof.profile.h_derivs[:, 0].tolist(),
-        **hderiv_measurement(lifted_pe),
+        "h_bar": lifted.profile.vectors.h.tolist(),
+        "j_bar": lifted.profile.vectors.j.tolist(),
+        "k_bar": lifted.profile.vectors.k.tolist(),
+        "scalar_hderiv_l_bar": lifted.profile.h_derivs[:, 0].tolist(),
+        **hderiv_measurement(lifted.pe),
     }
-    inv = invariance_check(base_prof, lifted_prof, sc)
+    inv = invariance_check(base, lifted, sc)
     return PointConformalReport(
-        x=x, y=y, case=case, near_degenerate=near, sigma=sc,
+        x=base.pe.x, y=base.pe.y, case=case, near_degenerate=near, sigma=sc,
         landsberg_residuals=lands, berwald_residuals=berw,
         direct_barred=direct, invariance_residuals=inv,
     )
+
+
+def evaluate_points(pair: ConformalPair, points: Sequence) -> list:
+    """One report per (x, y) point.  The base and the rescaled space of
+    every point are evaluated as one stack; a point that cannot be
+    evaluated gets an ``eval_error`` record, and a point whose base or
+    rescaled frame is refused (the base is judged first) a ``frame_error``
+    record."""
+    reports: list = [None] * len(points)
+    spaces = []
+    for i, (x, y) in enumerate(points):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        try:
+            base_pe = geometry.point_eval(pair.base, x, y)
+            # e^sigma times the base's jet of L; the lifted tensors are measured from it
+            spaces.append((i, base_pe, geometry.point_eval(pair.lifted, x, y, base_pe)))
+        except Finsler4Error as err:
+            reports[i] = PointConformalReport(x=x, y=y, eval_error=str(err))
+    outcomes = evaluate_stack([pe for _, base_pe, lifted_pe in spaces
+                               for pe in (base_pe, lifted_pe)])
+    for k, (i, base_pe, _) in enumerate(spaces):
+        base, lifted = outcomes[2 * k], outcomes[2 * k + 1]
+        failed = next((o for o in (base, lifted) if isinstance(o, Finsler4Error)), None)
+        if failed is None:
+            try:
+                reports[i] = evaluate_point(pair, base, lifted)
+                continue
+            except Finsler4Error as err:
+                failed = err
+        if isinstance(failed, FrameError):
+            reports[i] = PointConformalReport(
+                x=base_pe.x, y=base_pe.y, frame_error=type(failed).__name__
+            )
+        else:
+            reports[i] = PointConformalReport(x=base_pe.x, y=base_pe.y, eval_error=str(failed))
+    return reports
 
 
 def _block_satisfied(residuals: dict, prefix: tuple, tol: float) -> Optional[bool]:
@@ -429,16 +457,7 @@ def audit_pair(
 ) -> ConformalAudit:
     """Co-occurrence audit over sampled points: do the condition blocks
     agree with the directly measured character of the rescaled space?"""
-    points = metrics.sample_domain(pair.base.domain, plan)
-    reports = []
-    for x, y in points:
-        try:
-            reports.append(evaluate_point(pair, x, y))
-        except Finsler4Error as err:
-            reports.append(PointConformalReport(
-                x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float),
-                eval_error=str(err),
-            ))
+    reports = evaluate_points(pair, metrics.sample_domain(pair.base.domain, plan))
 
     def summarise(kind: str) -> dict:
         counts = dict.fromkeys(AGREEMENT + ("skipped_frame_errors",), 0)
@@ -457,9 +476,9 @@ def audit_pair(
                 )
             else:
                 hjk = max(
-                    float(np.max(np.abs(direct["h_bar"]))),
-                    float(np.max(np.abs(direct["j_bar"]))),
-                    float(np.max(np.abs(direct["k_bar"]))),
+                    float(np.abs(direct["h_bar"]).max()),
+                    float(np.abs(direct["j_bar"]).max()),
+                    float(np.abs(direct["k_bar"]).max()),
                 )
                 cond = all3((
                     _block_satisfied(rep.berwald_residuals, ("berwald:", "ratio:"), tol),

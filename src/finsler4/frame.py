@@ -50,13 +50,14 @@ angular metric g - l (x) l.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, jets
 from .geometry import FRAME_CAPS, PointEval
-from .jets import Finsler4Error, JetScalar, contract, ring_sum
+from .jets import Finsler4Error, contract, ring_sum
 
 TAU_TORSION = 1e-7  # below this the torsion direction is numerically meaningless
 _SEED_SKIP_TOL = 1e-6
@@ -143,61 +144,145 @@ class ProfileResult:
 # -- frame fields as FRAME_CAPS coefficient arrays ---------------------------
 
 
+def _recip(f: np.ndarray) -> np.ndarray:
+    """1/f of a stack of FRAME_CAPS jets, shape (B, n), formed as the
+    Horner series of ``1.0 / JetScalar`` forms it: 1/f0, then
+    0.0 + (-1/f0**2) f_k (the frame ring is first order)."""
+    b = f[:, 0]
+    if (b == 0.0).any():
+        raise jets.DomainViolation("reciprocal of a jet with zero base value")
+    out = f * np.array([-1 / v**2 for v in b.tolist()])[:, None]
+    out += 0.0
+    out[:, 0] = 1 / b
+    return out
+
+
 def _rsqrt(q: np.ndarray) -> np.ndarray:
-    return jets.power(JetScalar(FRAME_CAPS, q), -0.5).c
+    """q^(-1/2) of a stack of FRAME_CAPS jets, formed as ``jets.power(q,
+    -0.5)`` forms it: s = -0.5 log q, with log q = (log q0, 0.0 + q_k/q0),
+    then exp s = (e, 0.0 + e s_k) with e = exp(s0), math.log and math.exp
+    per member."""
+    b = q[:, 0]
+    if (b <= 0.0).any():
+        raise jets.DomainViolation("log of a jet with non-positive base value")
+    s = q * (1 / b)[:, None]
+    s += 0.0
+    s[:, 0] = [math.log(v) for v in b.tolist()]
+    s *= -0.5
+    e = [math.exp(v) for v in s[:, 0].tolist()]
+    out = s * np.array(e)[:, None]
+    out += 0.0
+    out[:, 0] = e
+    return out
+
+
+def _sign(comps: list) -> float:
+    """The sign that makes the first component clear of round-off (above
+    _SIGN_TOL times the largest) positive; +1 if there is none."""
+    size = [abs(c) for c in comps]
+    if any(s != s for s in size):  # NaN: nothing is clear of it
+        return 1.0
+    top = _SIGN_TOL * max(size)
+    lead = next((c for c, s in zip(comps, size) if s > top), 0.0)
+    return -1.0 if lead < 0 else 1.0
+
+
+def _complete(g, rows, members, seed, picks, done) -> None:
+    """Metric Gram-Schmidt of the seeds ``seed``..3 onto the frame rows
+    built so far, for members that took the same seeds so far: ``rows`` is
+    a (K, 4, 4, n) array whose first ``len(picks) + 2`` rows are built,
+    ``members`` their indices, and ``picks`` the (seed, signs) taken.
+    Members that skip a seed the others take go on in their own sub-stack,
+    so every contraction a member sees is the one it would see alone.
+    Appends (members, rows, picks) to ``done`` for each sub-stack that
+    ends; fewer than two picks means the seeds ran out.
+    """
+    caps = FRAME_CAPS
+    while len(picks) < 2 and seed < 4:
+        built = rows[:, : len(picks) + 2]
+        # the seed minus its g-projections on the vectors built so far
+        coeffs = contract("zj,zaj->za", g[:, seed], built, caps)
+        r = -contract("za,zai->zi", coeffs, built, caps)
+        r[:, seed, 0] += 1.0
+        norm2 = contract("zi,zi->z", r, contract("zij,zj->zi", g, r, caps), caps)
+        # relative to the seed's own g-length: the squared sine of its angle
+        # to the vectors built so far
+        skip = norm2[:, 0] < _SEED_SKIP_TOL**2 * g[:, seed, seed, 0]
+        seed += 1
+        if skip.any():
+            if skip.all():
+                continue
+            _complete(g[skip], rows[skip], members[skip], seed, picks, done)
+            keep = ~skip
+            g, rows, members, r, norm2 = g[keep], rows[keep], members[keep], r[keep], norm2[keep]
+            picks = [(s, signs[keep]) for s, signs in picks]
+        vec = contract("zi,z->zi", r, _rsqrt(norm2), caps)
+        sign = np.array([_sign(comps) for comps in vec[:, :, 0].tolist()])
+        rows[:, len(picks) + 2] = sign[:, None, None] * vec
+        picks = picks + [(seed - 1, sign)]
+    done.append((members, rows, picks))
 
 
 def _frame_from_ring(g, g_inv, C, y, L):
-    """Frame vectors and covectors as FRAME_CAPS coefficient arrays.
+    """Frame vectors and covectors of a stack of points as FRAME_CAPS
+    coefficient arrays.
 
-    g, g_inv: (4, 4, n); C: (4, 4, 4, n); y: (4, n); L: a FRAME_CAPS jet.
-    Returns e and e_flat of shape (4, 4, n), rows l, m, n, p, and the
-    gauge tag.  Raises VanishingTorsion / DegenerateSeed on base values.
+    g, g_inv: (B, 4, 4, n); C: (B, 4, 4, 4, n); y: (B, 4, n); L: (B, n).
+    Returns (built, e, e_flat, gauges, refused): the indices of the members
+    that got a frame, ascending; their e and e_flat, of shape
+    (len(built), 4, 4, n) with rows l, m, n, p; their gauge tags; and a
+    dict from every other member's index to the VanishingTorsion or
+    DegenerateSeed that refused it.  Refusals read base values only.
     """
-    l = contract("i,->i", y, (1.0 / L).c, FRAME_CAPS)
-    C_low = contract("ijk,jk->i", C, g_inv, FRAME_CAPS)
-    C_up = contract("ij,j->i", g_inv, C_low, FRAME_CAPS)
-    q = contract("i,i->", C_up, C_low, FRAME_CAPS)
-    # L^2 q is the square of L |C|, which does not change when L is rescaled
-    weighted = L.base**2 * q[0]
-    if weighted < TAU_TORSION**2:
-        raise VanishingTorsion(
-            f"weighted torsion length {max(weighted, 0.0) ** 0.5:.3e} below {TAU_TORSION:.1e}"
-        )
-    m = contract("i,->i", C_up, _rsqrt(q), FRAME_CAPS)
+    caps = FRAME_CAPS
+    l = contract("zi,z->zi", y, _recip(L), caps)
+    C_low = contract("zijk,zjk->zi", C, g_inv, caps)
+    C_up = contract("zij,zj->zi", g_inv, C_low, caps)
+    q = contract("zi,zi->z", C_up, C_low, caps)
+    refused: dict = {}
+    for b, (L0, q0) in enumerate(zip(L[:, 0].tolist(), q[:, 0].tolist())):
+        # L^2 q is the square of L |C|, which does not change when L is rescaled
+        weighted = L0**2 * q0
+        if weighted < TAU_TORSION**2:
+            refused[b] = VanishingTorsion(
+                f"weighted torsion length {max(weighted, 0.0) ** 0.5:.3e} below {TAU_TORSION:.1e}"
+            )
+    live = np.array([b for b in range(len(L)) if b not in refused], dtype=np.intp)
+    if refused:
+        g_live, l, C_up, q = g[live], l[live], C_up[live], q[live]
+    else:
+        g_live = g
+    done: list = []
+    if live.size:
+        rows = np.empty((len(live),) + g.shape[1:])
+        rows[:, 0] = l
+        rows[:, 1] = contract("zi,z->zi", C_up, _rsqrt(q), caps)
+        _complete(g_live, rows, live, 0, [], done)
 
-    frame = [l, m]
-    seeds_used: list[int] = []
-    flips: list[int] = []
-    for seed in range(4):
-        if len(frame) == 4:
-            break
-        built = np.array(frame)
-        # the seed minus its g-projections on the vectors built so far
-        coeffs = contract("j,aj->a", g[seed], built, FRAME_CAPS)
-        r = -contract("a,ai->i", coeffs, built, FRAME_CAPS)
-        r[seed, 0] += 1.0
-        norm2 = contract("i,i->", r, contract("ij,j->i", g, r, FRAME_CAPS), FRAME_CAPS)
-        # relative to the seed's own g-length: the squared sine of its angle
-        # to the vectors built so far
-        if norm2[0] < _SEED_SKIP_TOL**2 * g[seed, seed, 0]:
+    gauges: dict = {}
+    parts = []
+    for members, rows, picks in done:
+        if len(picks) < 2:
+            for b in members.tolist():
+                refused[b] = DegenerateSeed("ran out of seeds completing the frame")
             continue
-        vec = contract("i,->i", r, _rsqrt(norm2), FRAME_CAPS)
-        # the first component clear of round-off, relative to the largest,
-        # decides the sign
-        size = np.abs(vec[:, 0])
-        lead = vec[size > _SIGN_TOL * size.max(), 0]
-        sign = -1.0 if lead.size and lead[0] < 0 else 1.0
-        frame.append(sign * vec)
-        seeds_used.append(seed)
-        flips.append(int(sign))
-    if len(frame) != 4:
-        raise DegenerateSeed("ran out of seeds completing the frame")
-
-    e = np.array(frame)
-    e_flat = contract("ij,aj->ai", g, e, FRAME_CAPS)
-    gauge = {"seeds": tuple(seeds_used), "sign_flips": tuple(flips)}
-    return e, e_flat, gauge
+        seeds = tuple(s for s, _ in picks)
+        flips = zip(*(signs.astype(int).tolist() for _, signs in picks))
+        for b, f in zip(members.tolist(), flips):
+            gauges[b] = {"seeds": seeds, "sign_flips": f}
+        parts.append((members, rows))
+    if len(parts) == 1:
+        built, e = parts[0]
+    elif parts:
+        built = np.concatenate([p[0] for p in parts])
+        order = np.argsort(built)
+        built, e = built[order], np.concatenate([p[1] for p in parts])[order]
+    else:
+        return live[:0], None, None, [], refused
+    if built.size < len(g):
+        g = g[built]
+    e_flat = contract("zij,zaj->zai", g, e, caps)
+    return built, e, e_flat, [gauges[b] for b in built.tolist()], refused
 
 
 # -- main scalars and derivative tables -------------------------------------
@@ -206,86 +291,142 @@ _SLOT_ROWS = tuple(np.array(axis) for axis in zip(*(SCALAR_SLOTS[n] for n in SCA
 
 
 def _scalar_jets(C, e, L) -> np.ndarray:
-    """The eight main scalars, rows in SCALAR_NAMES order, as an (8, n)
-    FRAME_CAPS coefficient array from the C, frame-vector and L jets."""
-    a, b, c = (e[rows] for rows in _SLOT_ROWS)
-    first = contract("ijk,si->sjk", C, a, FRAME_CAPS)
-    second = contract("sjk,sj->sk", first, b, FRAME_CAPS)
-    M = contract("sk,sk->s", second, c, FRAME_CAPS)
-    return contract("s,->s", M, L.c, FRAME_CAPS)
+    """The eight main scalars of each member, rows in SCALAR_NAMES order, as
+    a (B, 8, n) FRAME_CAPS coefficient array from the C, frame-vector and L
+    jets."""
+    a, b, c = (e[:, rows] for rows in _SLOT_ROWS)
+    first = contract("zijk,zsi->zsjk", C, a, FRAME_CAPS)
+    second = contract("zsjk,zsj->zsk", first, b, FRAME_CAPS)
+    M = contract("zsk,zsk->zs", second, c, FRAME_CAPS)
+    return contract("zs,z->zs", M, L, FRAME_CAPS)
 
 
 # frame pairs (a, b) of the (m, n, p) block, in the order h, j, k (u, v, w)
 _PAIRS = ((1, 2), (1, 3), (2, 3))
+_PAIR_A, _PAIR_B = ([p[i] for p in _PAIRS] for i in (0, 1))
 
 
-def _connection_vectors(
-    pe: PointEval, frame: FrameBundle, e_flat_jets
-) -> tuple[ConnectionVectors, dict]:
-    """Frame components of the h- and v-connection vectors, plus the
+def _connection_vectors(L0, e, e_flat, g, e_flat_jets, spray, conn) -> tuple:
+    """Frame components of the h- and v-connection vectors of a stack of
+    frames, a (K, 6, 4) array in the order h, j, k, u, v, w, plus the
     residuals of the frame-derivative reconstruction identities (module
-    doc, "Connection forms")."""
-    L0 = pe.L
-    e = frame.e
-    e_flat = frame.e_flat
-    g = pe.metric.g
+    doc, "Connection forms"), (K,) each.  ``L0`` is (K,), ``e``,
+    ``e_flat`` and ``g`` (K, 4, 4)."""
+    # [member, frame vector, i, k]: nabla_k of each frame covector field
+    cov = geometry.covariant_derivatives(e_flat_jets, spray, conn)
+    # e[b] @ cov.h[a] for every pair (a, b), as vector-matrix products
+    h_form = (e[:, _PAIR_B, None] @ cov.h[:, _PAIR_A])[:, :, 0]
+    v_form = L0[:, None, None] * (e[:, _PAIR_B, None] @ cov.v[:, _PAIR_A])[:, :, 0]
+    vectors = (e[:, None] @ np.concatenate([h_form, v_form], axis=1)[..., None])[..., 0]
 
-    # [frame vector, i, k]: nabla_k of each frame covector field
-    cov = geometry.covariant_derivatives(e_flat_jets, pe.spray, pe.connection)
-    h_form = [e[b] @ cov.h[a] for a, b in _PAIRS]
-    v_form = [L0 * (e[b] @ cov.v[a]) for a, b in _PAIRS]
-    vectors = ConnectionVectors(*(e @ c for c in h_form + v_form))
-
-    # A[form, a, b]: the h-form and L times the v-form, antisymmetric in (a, b)
-    A = np.zeros((2, 4, 4, 4))
-    A[1, 0, 1:] = e_flat[1:]
-    for (a, b), h, v in zip(_PAIRS, h_form, v_form):
-        A[:, a, b] = h, v
-    A = A - A.transpose(0, 2, 1, 3)
+    # A[member, form, a, b]: the h-form and L times the v-form, antisymmetric in (a, b)
+    A = np.zeros((len(e), 2, 4, 4, 4))
+    A[:, 1, 0, 1:] = e_flat[:, 1:]
+    A[:, 0, _PAIR_A, _PAIR_B] = h_form
+    A[:, 1, _PAIR_A, _PAIR_B] = v_form
+    A = A - A.transpose(0, 1, 3, 2, 4)
     # rows m, n, p of the model sum_b e_b (x) A[a, b], summed in frame order
-    model = ring_sum(e_flat[b, :, None] * A[:, 1:, b, None, :] for b in range(4))
-    gap = np.max(np.abs(np.array([cov.h[1:], L0 * cov.v[1:]]) - model), axis=(2, 3))
+    model = ring_sum(
+        e_flat[:, None, None, b, :, None] * A[:, :, 1:, b, None, :] for b in range(4)
+    )
+    L0v = L0[:, None, None, None]
+    gap = np.abs(np.stack([cov.h[:, 1:], L0v * cov.v[:, 1:]], axis=1) - model).max(axis=(3, 4))
 
-    def mx(a) -> float:
-        return float(np.max(np.abs(a)))
+    def mx(a):
+        return np.abs(a).max(axis=tuple(range(1, a.ndim)))
 
+    l_flat = e_flat[:, 0]
+    angular = g - l_flat[:, :, None] * l_flat[:, None, :]
+    # e[l] @ cov.h[m] and e[m] @ cov.h[m]
+    m_h = (e[:, :2, None] @ cov.h[:, 1, None])[:, :, 0]
     return vectors, {
-        "l_hderiv_zero": mx(cov.h[0]),
-        "l_vderiv_angular": mx(L0 * cov.v[0] - (g - np.outer(e_flat[0], e_flat[0]))),
+        "l_hderiv_zero": mx(cov.h[:, 0]),
+        "l_vderiv_angular": mx(L0[:, None, None] * cov.v[:, 0] - angular),
         **{
-            f"recon_{kind}deriv_{name}": float(gap[f, a])
+            f"recon_{kind}deriv_{name}": gap[:, f, a]
             for f, kind in enumerate("hv")
             for a, name in enumerate("mnp")
         },
-        "hderiv_m_l_component": mx(e[0] @ cov.h[1]),
-        "hderiv_m_m_component": mx(e[1] @ cov.h[1]),
-        "orthonormality": mx(e @ g @ e.T - np.eye(4)),
+        "hderiv_m_l_component": mx(m_h[:, 0]),
+        "hderiv_m_m_component": mx(m_h[:, 1]),
+        "orthonormality": mx(e @ g @ e.transpose(0, 2, 1) - np.eye(4)),
     }
 
 
-def scalar_profile(pe: PointEval) -> ProfileResult:
-    """Full per-point frame profile: scalars, derivative tables, vectors."""
-    if not pe.metric.positive_definite:
-        raise NotPositiveDefinite("the fundamental tensor is not positive definite")
-    g_j, g_inv_j, C_j, y_j, L_j = pe.frame_field_jets()
-    e_jets, e_flat_jets, gauge = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
-    frame = FrameBundle(e=e_jets[..., 0].copy(), e_flat=e_flat_jets[..., 0].copy(),
-                        gauge_tag=gauge)
-    L0 = pe.L
-    e = frame.e
+def _profiles(st: PointEval) -> list:
+    """One entry per member of the stack ``st``: its ProfileResult, or the
+    FrameError that refused it."""
+    pos = st.metric.positive_definite
+    out: list = [
+        None if ok else NotPositiveDefinite("the fundamental tensor is not positive definite")
+        for ok in pos.tolist()
+    ]
+    live = np.flatnonzero(pos)
+    if not live.size:
+        return out
+    fields = st.frame_field_jets
+    if live.size < len(pos):
+        fields = geometry.take(fields, live)
+    g_j, g_inv_j, C_j, y_j, L_j = fields
+    built, e_jets, e_flat_jets, gauges, refused = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
+    for b, err in refused.items():
+        out[live[b]] = err
+    if not built.size:
+        return out
+    if built.size < live.size:
+        C_j, L_j = C_j[built], L_j[built]
+    idx = live[built]
+
+    def sel(value):
+        return value if idx.size == len(pos) else geometry.take(value, idx)
+
+    spray, conn, metric, C_norm = sel(st.spray), sel(st.connection), sel(st.metric), sel(
+        st.cartan.C_norm
+    )
+    L0 = metric.L
+    e = e_jets[..., 0].copy()
+    e_flat = e_flat_jets[..., 0].copy()
 
     scalar_jets = _scalar_jets(C_j, e_jets, L_j)
-    derivs = geometry.scalar_derivatives(scalar_jets, pe.spray)
-    v_derivs = L0 * (derivs.v @ e.T)
-    h_derivs = derivs.h @ e.T
+    derivs = geometry.scalar_derivatives(scalar_jets, spray)
+    e_t = e.transpose(0, 2, 1)
+    v_derivs = L0[:, None, None] * (derivs.v @ e_t)
+    h_derivs = derivs.h @ e_t
 
-    vectors, residuals = _connection_vectors(pe, frame, e_flat_jets)
-    scalars = MainScalars(**dict(zip(SCALAR_NAMES, scalar_jets[:, 0].tolist())))
-    residuals["unified_scalar_sum"] = abs(
-        scalars.H + scalars.I + scalars.K - L0 * pe.cartan.C_norm
-    )
+    vectors, residuals = _connection_vectors(L0, e, e_flat, metric.g, e_flat_jets, spray, conn)
+    scalars = scalar_jets[..., 0]
+    H, I, K = (scalars[:, SCALAR_NAMES.index(name)] for name in ("H", "I", "K"))
+    residuals["unified_scalar_sum"] = np.abs(H + I + K - L0 * C_norm)
+    names = list(residuals)
+    rows = np.array(list(residuals.values())).T.tolist()
+    for i, b in enumerate(idx.tolist()):
+        profile = ScalarProfile(
+            scalars=MainScalars(*scalars[i].tolist()),
+            v_derivs=v_derivs[i],
+            h_derivs=h_derivs[i],
+            vectors=ConnectionVectors(*vectors[i]),
+        )
+        out[b] = ProfileResult(
+            pe=st.members[b],
+            frame=FrameBundle(e=e[i], e_flat=e_flat[i], gauge_tag=gauges[i]),
+            profile=profile,
+            residuals=dict(zip(names, rows[i])),
+        )
+    return out
 
-    profile = ScalarProfile(
-        scalars=scalars, v_derivs=v_derivs, h_derivs=h_derivs, vectors=vectors
-    )
-    return ProfileResult(pe=pe, frame=frame, profile=profile, residuals=residuals)
+
+def scalar_profile(pe: PointEval):
+    """Full frame profile: scalars, derivative tables, vectors.
+
+    For a stack (``PointEval.stack``), a list with one entry per member: its
+    ProfileResult, or the FrameError that refused its frame.  Each refusal
+    (NotPositiveDefinite, VanishingTorsion, DegenerateSeed) takes only its
+    own member out; the others go on as one stack.  For a lone PointEval,
+    its ProfileResult, computed as a stack of one; a refusal is raised.
+    """
+    out = _profiles(pe.as_stack())
+    if pe.is_stack:
+        return out
+    if isinstance(out[0], FrameError):
+        raise out[0]
+    return out[0]

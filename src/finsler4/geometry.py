@@ -1,4 +1,4 @@
-"""Coordinate-tensor computations at a point of the slit tangent bundle.
+"""Coordinate-tensor computations at points of the slit tangent bundle.
 
 One jet evaluation of L^2 per point feeds the fundamental tensor, the
 Cartan torsion tensor, the geodesic spray with its nonlinear connection,
@@ -13,13 +13,32 @@ Index conventions (all arrays are plain float ndarrays):
     G_hess3[i, h, j, k] third y-derivatives of G^i (zero iff spray quadratic)
     F[i, j, k]         horizontal connection F^i_{jk}
     Cmix[i, j, k]      C^i_{jk} = g^{ir} C_{rjk}
+
+Stacks
+------
+Every stage runs over a leading stack axis: ``PointEval.stack(members)``
+joins the jets of several points (of one metric or of several, such as
+the two spaces of a conformal pair) without evaluating L again, and each
+of its stages computes all members at once.  A stage of a stack returns
+its arrays with the stack axis first (``stack.metric.g`` has shape
+``(B, 4, 4)``, ``stack.metric.L`` shape ``(B,)``), and hands every member
+its own slice as that member's cached value, so a reader of a member
+recomputes nothing.  A lone PointEval is computed as a stack of one, by
+the same code.  Each stage is a per-member formula: jet products go
+through :func:`jets.contract` with a leading label, float contractions
+through ``np.einsum`` with a leading label or a stacked ``matmul`` of the
+same per-member shape, and ``np.linalg`` works matrix by matrix.  So
+every member comes out bit for bit as when it is evaluated alone.  A
+stage that fails for one member (a singular metric) raises for the
+stack; :func:`per_member` then runs the members one by one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,13 +96,86 @@ class ConnectionAt:
     Cmix: np.ndarray
 
 
+def _map_leaves(fn, value):
+    """Apply fn to every array or number of a stage value: a tuple of
+    values, a frozen dataclass of them, or a leaf."""
+    if isinstance(value, tuple):
+        return tuple(_map_leaves(fn, v) for v in value)
+    if hasattr(value, "__dataclass_fields__"):
+        return type(value)(*(_map_leaves(fn, v) for v in vars(value).values()))
+    return fn(value)
+
+
+def _member(value, b: int):
+    """Member b of a stacked stage value (an array, or a tuple or stage
+    dataclass of arrays); a per-member number becomes a Python float or
+    bool, as a lone evaluation returns it."""
+    kind = type(value)
+    leaves = (value,) if kind is np.ndarray else value if kind is tuple else value.__dict__.values()
+    out = [a[b] if a.ndim > 1 else a[b].item() for a in leaves]
+    return out[0] if kind is np.ndarray else tuple(out) if kind is tuple else kind(*out)
+
+
+def take(value, idx: np.ndarray):
+    """The members ``idx`` of a stacked stage value (an array, a tuple, or
+    a stage dataclass), as a stacked value of the same kind."""
+    return _map_leaves(lambda a: a[idx], value)
+
+
+# names of the PointEval stages, in definition order
+_STAGES: list = []
+
+
+def _stage(compute: Callable) -> cached_property:
+    """A PointEval stage: ``compute(stack)`` runs once for all members of
+    a stack and each member caches its own slice; a lone PointEval runs
+    it as a stack of one."""
+    name = compute.__name__
+
+    def get(self):
+        members = self._stack_members
+        if members is None:
+            getattr(self.as_stack(), name)
+            return self.__dict__[name]
+        value = compute(self)
+        for b, member in enumerate(members):
+            member.__dict__[name] = _member(value, b)
+        return value
+
+    get.__name__ = name
+    get.__doc__ = compute.__doc__
+    _STAGES.append(name)
+    return cached_property(get)
+
+
+def _length(square: float) -> float:
+    """The square root of a g-square, NaN when it is negative beyond
+    round-off."""
+    if -1e-18 < square < 0:
+        square = 0.0
+    return math.sqrt(square) if square >= 0 else math.nan
+
+
+# the direction variables y1..y4 at y = 0 as a (4, n) coefficient array,
+# per ring tables
+_Y_UNITS: dict = {}
+
+
 def _y_jets(y: np.ndarray, caps: DegreeCaps) -> np.ndarray:
-    """The direction variables y1..y4 as a (4, n) coefficient array."""
-    return np.array([jets.variable(4 + k, y[k], caps).c for k in range(4)])
+    """The direction variables y1..y4 of each point of a (B, 4) array as a
+    (B, 4, n) coefficient array."""
+    t = caps.tables
+    units = _Y_UNITS.get(t)
+    if units is None:
+        units = _Y_UNITS[t] = np.array([jets.variable(4 + k, 0.0, caps).c for k in range(4)])
+    out = np.repeat(units[None], len(y), axis=0)
+    out[:, :, 0] = y
+    return out
 
 
 class PointEval:
-    """All tensors of one metric at one point, computed lazily and shared.
+    """All tensors of one metric at one point, computed lazily and shared,
+    or of a stack of such points (see the module doc, "Stacks").
 
     For a conformal spec, ``base`` may be the PointEval of its base metric
     at the same point: its L jet is rescaled instead of evaluated again.
@@ -112,109 +204,187 @@ class PointEval:
             raise metrics.DomainViolation("fundamental function not positive here")
         with np.errstate(all="ignore"):  # overflow becomes inf, checked below
             self.L2_jet = self.L_jet * self.L_jet
-        if not np.all(np.isfinite(self.L2_jet.c)):
+        if not np.isfinite(self.L2_jet.c).all():
             raise metrics.DomainViolation("the jet of L^2 is not finite here")
         self.L = self.L_jet.base
 
-    @cached_property
-    def metric(self) -> MetricTensorAt:
-        g = 0.5 * derivative_tensor(self.L2_jet, 0, 2)
-        eig = np.linalg.eigvalsh(g)
-        size = np.abs(eig)
-        # relative to the largest eigenvalue, so a rescaled g is judged alike
-        if size.min() <= _SINGULAR_GUARD * size.max():
-            raise SingularMetric(
-                f"metric eigenvalue {size.min():.3e} below guard of largest {size.max():.3e}"
-            )
-        g_inv = np.linalg.inv(g)
-        pos = bool(np.all(eig > 0))
-        return MetricTensorAt(g=g, g_inv=g_inv, L=self.L, positive_definite=pos)
+    @classmethod
+    def stack(cls, members: Sequence["PointEval"]) -> "PointEval":
+        """One PointEval over the given lone PointEvals, which may belong to
+        different metrics; L is not evaluated again.  ``x``, ``y`` and ``L``
+        of a stack carry the stack axis first, and ``spec`` is None."""
+        members = tuple(members)
+        if not members or any(m.is_stack for m in members):
+            raise InvalidArgument("a stack is made of one or more lone PointEvals")
+        caps = members[0].L_jet.caps
+        if any(m.L_jet.caps is not caps and m.L_jet.caps != caps for m in members):
+            raise InvalidArgument("stack members carry jets of different caps")
+        st = cls.__new__(cls)
+        st.spec = None
+        st._stack_members = members
+        st._caps = caps
+        if len(members) == 1:
+            (m,) = members
+            st.x, st.y, st._L, st._L2 = m.x[None], m.y[None], m.L_jet.c[None], m.L2_jet.c[None]
+            st.L = np.array([m.L])
+            return st
+        st.x = np.array([m.x for m in members])
+        st.y = np.array([m.y for m in members])
+        st.L = np.array([m.L for m in members])
+        st._L = np.array([m.L_jet.c for m in members])
+        st._L2 = np.array([m.L2_jet.c for m in members])
+        return st
 
-    @cached_property
+    # the members of a stack; a lone PointEval keeps None (not itself, which
+    # would make every PointEval a reference cycle)
+    _stack_members: tuple | None = None
+
+    @property
+    def members(self) -> tuple:
+        return self._stack_members or (self,)
+
+    @property
+    def is_stack(self) -> bool:
+        return self._stack_members is not None
+
+    def as_stack(self) -> "PointEval":
+        """This stack, or for a lone PointEval a new stack of one that holds
+        the stages this PointEval has already cached."""
+        if self.is_stack:
+            return self
+        st = PointEval.stack([self])
+        for name in _STAGES:
+            if name in self.__dict__:
+                st.__dict__[name] = _map_leaves(lambda a: np.asarray(a)[None], self.__dict__[name])
+        return st
+
+    @_stage
+    def metric(self) -> MetricTensorAt:
+        g = 0.5 * derivative_tensor(self._L2, 0, 2, f_caps=self._caps)
+        eig = np.linalg.eigvalsh(g)
+        pos = []
+        for row in eig.tolist():
+            size = [abs(v) for v in row]
+            # relative to the largest eigenvalue, so a rescaled g is judged alike
+            if min(size) <= _SINGULAR_GUARD * max(size):
+                raise SingularMetric(
+                    f"metric eigenvalue {min(size):.3e} below guard of largest {max(size):.3e}"
+                )
+            pos.append(min(row) > 0)
+        g_inv = np.linalg.inv(g)
+        return MetricTensorAt(g=g, g_inv=g_inv, L=self.L, positive_definite=np.array(pos))
+
+    @_stage
     def cartan(self) -> CartanTensorAt:
-        C = 0.25 * derivative_tensor(self.L2_jet, 0, 3)
+        C = 0.25 * derivative_tensor(self._L2, 0, 3, f_caps=self._caps)
         g_inv = self.metric.g_inv
-        C_vec = np.einsum("ijk,jk->i", C, g_inv)
-        square = float(C_vec @ g_inv @ C_vec)
-        if square < 0 and square > -1e-18:
-            square = 0.0
-        C_norm = float(np.sqrt(square)) if square >= 0 else float("nan")
+        C_vec = np.einsum("zijk,zjk->zi", C, g_inv)
+        square = (C_vec[:, None, :] @ g_inv @ C_vec[:, :, None])[:, 0, 0]
+        C_norm = np.array([_length(v) for v in square.tolist()])
         return CartanTensorAt(C=C, C_vec=C_vec, C_norm=C_norm)
 
     @cached_property
     def _spray_jets(self) -> np.ndarray:
-        """G^i as a (4, n) coefficient array at _SPRAY_CAPS, deep enough for
-        three more y-derivatives."""
-        caps = _SPRAY_CAPS
-        g = 0.5 * derivative_tensor(self.L2_jet, 0, 2, caps)
-        dx = derivative_tensor(self.L2_jet, 1, 0, caps)
-        dxdy = derivative_tensor(self.L2_jet, 1, 1, caps)  # [k, r]: d_xk d_yr
+        """G^i of each member as a (B, 4, n) coefficient array at
+        _SPRAY_CAPS, deep enough for three more y-derivatives."""
+        caps, L2 = _SPRAY_CAPS, self._L2
+        g = 0.5 * derivative_tensor(L2, 0, 2, caps, self._caps)
+        dx = derivative_tensor(L2, 1, 0, caps, self._caps)
+        dxdy = derivative_tensor(L2, 1, 1, caps, self._caps)  # [k, r]: d_xk d_yr
         # E_r = y^k d_xk d_yr L^2 - d_xr L^2, and G^i = g^ir E_r / 4
-        e_vec = contract("k,kr->r", _y_jets(self.y, caps), dxdy, caps) - dx
+        e_vec = contract("zk,zkr->zr", _y_jets(self.y, caps), dxdy, caps) - dx
         return 0.25 * jets.solve(g, self.metric.g_inv, e_vec, caps)
 
-    @cached_property
+    @_stage
     def spray(self) -> SprayAt:
         gj = self._spray_jets
         N = derivative_tensor(gj, 0, 1, f_caps=_SPRAY_CAPS)
         hess = derivative_tensor(gj, 0, 3, f_caps=_SPRAY_CAPS)
-        return SprayAt(G=gj[:, 0].copy(), N=N, G_hess3=hess)
+        return SprayAt(G=gj[..., 0].copy(), N=N, G_hess3=hess)
 
-    @cached_property
+    @_stage
     def dx_g(self) -> np.ndarray:
         """dxg[k, i, j] = x_k-derivative of g_ij."""
-        return 0.5 * derivative_tensor(self.L2_jet, 1, 2)
+        return 0.5 * derivative_tensor(self._L2, 1, 2, f_caps=self._caps)
 
-    @cached_property
+    @_stage
     def connection(self) -> ConnectionAt:
         g_inv = self.metric.g_inv
         C = self.cartan.C
         N = self.spray.N
         # delta_j g_rk = d_j g_rk - N^m_j * dy_m g_rk, with dy g = 2C
-        delta_g = self.dx_g - 2.0 * np.einsum("mj,rkm->jrk", N, C)
+        delta_g = self.dx_g - 2.0 * np.einsum("zmj,zrkm->zjrk", N, C)
         sym = (
             delta_g
-            + np.einsum("krj->jrk", delta_g)
-            - np.einsum("rjk->jrk", delta_g)
+            + np.einsum("zkrj->zjrk", delta_g)
+            - np.einsum("zrjk->zjrk", delta_g)
         )
-        F = 0.5 * np.einsum("ir,jrk->ijk", g_inv, sym)
-        Cmix = np.einsum("ir,rjk->ijk", g_inv, C)
+        F = 0.5 * np.einsum("zir,zjrk->zijk", g_inv, sym)
+        Cmix = np.einsum("zir,zrjk->zijk", g_inv, C)
         return ConnectionAt(F=F, Cmix=Cmix)
 
-    @cached_property
+    @_stage
     def cartan_h_derivatives(self):
         """(C_h[i,j,k,h], C_h transvected by y) for the classification tests."""
         C = self.cartan.C
         N = self.spray.N
         F = self.connection.F
-        dC_x = 0.25 * derivative_tensor(self.L2_jet, 1, 3)  # [h, i, j, k]
-        dC_y = 0.25 * derivative_tensor(self.L2_jet, 0, 4)
-        delta_C = np.einsum("hijk->ijkh", dC_x) - np.einsum(
-            "mh,mijk->ijkh", N, dC_y
+        dC_x = 0.25 * derivative_tensor(self._L2, 1, 3, f_caps=self._caps)  # [h, i, j, k]
+        dC_y = 0.25 * derivative_tensor(self._L2, 0, 4, f_caps=self._caps)
+        delta_C = np.einsum("zhijk->zijkh", dC_x) - np.einsum(
+            "zmh,zmijk->zijkh", N, dC_y
         )
         C_h = (
             delta_C
-            - np.einsum("rjk,rih->ijkh", C, F)
-            - np.einsum("irk,rjh->ijkh", C, F)
-            - np.einsum("ijr,rkh->ijkh", C, F)
+            - np.einsum("zrjk,zrih->zijkh", C, F)
+            - np.einsum("zirk,zrjh->zijkh", C, F)
+            - np.einsum("zijr,zrkh->zijkh", C, F)
         )
-        C_0 = np.einsum("ijkh,h->ijk", C_h, self.y)
+        C_0 = np.einsum("zijkh,zh->zijk", C_h, self.y)
         return C_h, C_0
 
+    @cached_property
     def frame_field_jets(self):
-        """g, g^-1, C and y as FRAME_CAPS coefficient arrays, and L as a
-        FRAME_CAPS jet: first-order x/y information for differentiating
-        frame fields through the whole build."""
-        g = 0.5 * derivative_tensor(self.L2_jet, 0, 2, FRAME_CAPS)
-        g_inv = jets.solve(g, self.metric.g_inv, jets.identity(4, FRAME_CAPS), FRAME_CAPS)
-        C = 0.25 * derivative_tensor(self.L2_jet, 0, 3, FRAME_CAPS)
-        y = _y_jets(self.y, FRAME_CAPS)
-        L = jets.restrict(self.L_jet, FRAME_CAPS)
+        """g, g^-1, C, y and L as FRAME_CAPS coefficient arrays, stack axis
+        first (a lone PointEval gives those of its stack of one): first-order
+        x/y information for differentiating frame fields through the whole
+        build.  Only the frame build reads them, so members keep no slice."""
+        if not self.is_stack:
+            return self.as_stack().frame_field_jets
+        caps = FRAME_CAPS
+        g = 0.5 * derivative_tensor(self._L2, 0, 2, caps, self._caps)
+        eye = np.broadcast_to(jets.identity(4, caps), g.shape)
+        g_inv = jets.solve(g, self.metric.g_inv, eye, caps)
+        C = 0.25 * derivative_tensor(self._L2, 0, 3, caps, self._caps)
+        y = _y_jets(self.y, caps)
+        L = derivative_tensor(self._L, 0, 0, caps, self._caps)  # L truncated to caps
         return g, g_inv, C, y, L
 
 
 def point_eval(spec: MetricSpec, x, y, base: PointEval | None = None) -> PointEval:
     return PointEval(spec, x, y, base)
+
+
+def per_member(members: Sequence[PointEval], work: Callable) -> list:
+    """``work(stack)`` on the stack of ``members``; it returns one result
+    per member.  If it raises a Finsler4Error and there is more than one
+    member, each member runs alone, and a member that raises gets its own
+    error in place of a result.  A stack of one does not run again."""
+    members = list(members)
+    if not members:
+        return []
+    try:
+        return list(work(PointEval.stack(members)))
+    except Finsler4Error as err:
+        if len(members) == 1:
+            return [err]
+    out = []
+    for member in members:
+        try:
+            out += work(PointEval.stack([member]))
+        except Finsler4Error as err:
+            out.append(err)
+    return out
 
 
 # -- covariant derivatives --------------------------------------------------
@@ -230,17 +400,23 @@ def scalar_derivatives(
     fields: np.ndarray, spray: SprayAt, caps: DegreeCaps = FRAME_CAPS
 ) -> CovariantDerivatives:
     """Covariant derivatives of a stack of scalar fields, given as a
-    coefficient array of shape S + (n,) at ``caps``; results have shape
-    S + (4,): delta_k f = d_xk f - N^r_k d_yr f, and d_yk f."""
+    coefficient array of shape S + T + (n,) at ``caps``, where S is the
+    stack shape of ``spray`` (empty for a lone point); results have shape
+    S + T + (4,): delta_k f = d_xk f - N^r_k d_yr f, and d_yk f."""
     dx = derivative_tensor(fields, 1, 0, f_caps=caps)
     dy = derivative_tensor(fields, 0, 1, f_caps=caps)
-    return CovariantDerivatives(h=dx - dy @ spray.N, v=dy)
+    N = spray.N
+    extra = dy.ndim - N.ndim  # axes of T beyond the one the matmul rows run over
+    if extra > 0:
+        N = N.reshape(N.shape[:-2] + (1,) * extra + (4, 4))
+    return CovariantDerivatives(h=dx - dy @ N, v=dy)
 
 
 def covariant_derivatives(field, spray: SprayAt, conn: ConnectionAt) -> CovariantDerivatives:
-    """Horizontal and vertical covariant derivatives of a stack S of covector
-    fields, given as a FRAME_CAPS coefficient array of shape S + (4, n), one
-    jet per lower component; the results have shape S + (4, 4),
+    """Horizontal and vertical covariant derivatives of a stack T of covector
+    fields, given as a FRAME_CAPS coefficient array of shape S + T + (4, n),
+    one jet per lower component, where S is the stack shape of ``spray``
+    and ``conn`` (at most one axis); the results have shape S + T + (4, 4),
     [..., i, k] = nabla_k X_i.  Scalar fields go through scalar_derivatives.
     """
     field = np.asarray(field, dtype=float)
@@ -248,6 +424,8 @@ def covariant_derivatives(field, spray: SprayAt, conn: ConnectionAt) -> Covarian
         raise InvalidArgument(f"covector fields need four components, got shape {field.shape}")
     cov = scalar_derivatives(field, spray)
     vals = field[..., 0]
-    h = cov.h - np.einsum("...r,rik->...ik", vals, conn.F)
-    v = cov.v - np.einsum("...r,rik->...ik", vals, conn.Cmix)
+    z = "z" * (conn.F.ndim - 3)
+    spec = f"{z}...r,{z}rik->{z}...ik"
+    h = cov.h - np.einsum(spec, vals, conn.F)
+    v = cov.v - np.einsum(spec, vals, conn.Cmix)
     return CovariantDerivatives(h=h, v=v)

@@ -235,7 +235,8 @@ class _Tables:
 
     def tensor_map(self, nx: int, ny: int, dst: "_Tables"):
         """Stacked shift maps of every order-(nx, ny) partial, x slots first
-        in row-major order: index and scale arrays of shape (4**(nx+ny), dst.n)."""
+        in row-major order: index and scale arrays of shape (4**(nx+ny), dst.n),
+        flattened."""
         key = (nx, ny, dst)
         hit = self._tensor_cache.get(key)
         if hit is not None:
@@ -244,7 +245,7 @@ class _Tables:
             self.shift_map(multi(*s[:nx], *(4 + k for k in s[nx:])), dst)
             for s in itertools.product(range(4), repeat=nx + ny)
         ]
-        hit = (np.array([m[0] for m in maps]), np.array([m[1] for m in maps]))
+        hit = (np.concatenate([m[0] for m in maps]), np.concatenate([m[1] for m in maps]))
         self._tensor_cache[key] = hit
         return hit
 
@@ -452,10 +453,11 @@ def derivative_tensor(
         f, f_caps = f.c, f.caps
     if not _fits(caps, _room(f_caps, nx, ny)):
         raise CapMismatch(f"order ({nx}, {ny}) of caps {f_caps} leaves less than {caps}")
-    idx, scale = f_caps.tables.tensor_map(nx, ny, caps.tables)
+    dst = caps.tables
+    idx, scale = f_caps.tables.tensor_map(nx, ny, dst)
     shape = f.shape[:-1] + (4,) * (nx + ny)
-    if caps != _FLOAT_CAPS:
-        shape += (idx.shape[1],)
+    if dst is not _FLOAT_CAPS.tables:
+        shape += (dst.n,)
     return (f.take(idx, axis=-1) * scale).reshape(shape)
 
 
@@ -501,6 +503,8 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray, caps: DegreeCaps) -> np.nd
 def solve(m: np.ndarray, m0_inv: np.ndarray, rhs: np.ndarray, caps: DegreeCaps) -> np.ndarray:
     """``m^-1 rhs`` for a (k, k) jet matrix ``m``, given the inverse of its
     base value; ``rhs`` is a jet tensor whose first axis has length k.
+    Leading stack axes of ``m0_inv`` (shape ``S + (k, k)``) lead ``m`` and
+    ``rhs`` too, and each member is solved as if alone.
 
     With ``d = m - m0`` (no constant term, so nilpotent in the ring) the
     truncated Neumann series ``sum_{j <= caps.series_order} (-m0_inv d)^j
@@ -509,12 +513,13 @@ def solve(m: np.ndarray, m0_inv: np.ndarray, rhs: np.ndarray, caps: DegreeCaps) 
     nor branches, and a singular base is the caller's check, made where
     ``m0_inv`` is formed.  On the identity jet it gives the inverse of ``m``.
     """
+    z = "ZYXW"[: m0_inv.ndim - 2]
     d = m.copy()
     d[..., 0] = 0.0
-    step = -np.einsum("ij,jk...->ik...", m0_inv, d)
-    base = np.einsum("ij,j...->i...", m0_inv, rhs)
-    rest = "klmnopqr"[: rhs.ndim - 2]
-    spec = f"ij,j{rest}->i{rest}"
+    step = -np.einsum(f"{z}ij,{z}jk...->{z}ik...", m0_inv, d)
+    base = np.einsum(f"{z}ij,{z}j...->{z}i...", m0_inv, rhs)
+    rest = "klmnopqr"[: rhs.ndim - len(z) - 2]
+    spec = f"{z}ij,{z}j{rest}->{z}i{rest}"
     out = base
     for _ in range(caps.series_order):
         out = base + contract(spec, step, out, caps)

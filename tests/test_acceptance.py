@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from finsler4 import classify, cli, frame, geometry, metrics, oracle
-from finsler4.conformal import audit_pair, evaluate_point, make_pair, sigma_components
+from finsler4.conformal import audit_pair, evaluate_points, make_pair, sigma_components
 from finsler4.frame import SCALAR_NAMES, VanishingTorsion, scalar_profile
 from finsler4.metrics import DomainSpec, SamplePlan, make_builtin_metric, make_conformal
 
@@ -126,8 +126,7 @@ def test_c04_frame_derivative_identities():
 def test_c05_conformal_invariance_suite():
     pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
     checked = 0
-    for x, y in metrics.sample_domain(QUARTIC.domain, PLAN16):
-        rep = evaluate_point(pair, x, y)
+    for rep in evaluate_points(pair, metrics.sample_domain(QUARTIC.domain, PLAN16)):
         if rep.frame_error:
             continue
         checked += 1
@@ -180,8 +179,7 @@ def test_c07_first_component_laws():
     for sigma in ("0.1*x1", "0.1*x1+0.05*x2^2"):
         pair = make_pair(QUARTIC, sigma)
         checked = 0
-        for x, y in metrics.sample_domain(QUARTIC.domain, PLAN16):
-            rep = evaluate_point(pair, x, y)
+        for rep in evaluate_points(pair, metrics.sample_domain(QUARTIC.domain, PLAN16)):
             if rep.frame_error:
                 continue
             checked += 1

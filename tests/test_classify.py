@@ -1,9 +1,15 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
+import pytest
 
+from finsler4 import classify, frame, geometry
 from finsler4.classify import agreement, all3, band, classify_metric
-from finsler4.metrics import SamplePlan, make_builtin_metric, make_conformal
+from finsler4.geometry import SingularMetric, point_eval
+from finsler4.jets import Finsler4Error
+from finsler4.metrics import SamplePlan, make_builtin_metric, make_conformal, sample_domain
 
 PLAN = SamplePlan(count=8, seed=101)
 
@@ -147,3 +153,63 @@ def test_judge_truth_table():
     assert agreement(True, False) == agreement(False, True) == "disagree"
     for a in (True, False, None):
         assert agreement(a, None) == agreement(None, a) == "inconclusive"
+
+
+def _lone_record(spec, index, x, y):
+    """The record of one point evaluated alone, outside any stack."""
+    try:
+        pe = point_eval(spec, x, y)
+        try:
+            prof = frame.scalar_profile(pe)
+        except frame.FrameError as err:
+            prof = err
+        return classify._evaluate_record(index, pe, prof)
+    except Finsler4Error as err:
+        return classify.PointRecord(index=index, x=np.asarray(x), y=np.asarray(y),
+                                    eval_error=str(err))
+
+
+def _as_json(record):
+    return json.dumps(dataclasses.asdict(record), default=lambda a: a.tolist())
+
+
+def test_stacked_sample_gives_the_records_of_lone_points():
+    # (x1+2)^2000 overflows at 7 of these 8 points, which become eval_error
+    # records before the stack; the last is a stack of one
+    overflow = make_builtin_metric(
+        "expression", {"L": "(x1+2)^2000*(y1^2+y2^2+y3^2+y4^2)^0.5"}
+    )
+    randers = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+    for spec, failures in ((overflow, 7), (randers, 0), (make_builtin_metric("berwald_moor"), 0)):
+        plan = SamplePlan(count=8, seed=1)
+        records = classify_metric(spec, plan).points
+        assert sum(r.eval_error is not None for r in records) == failures
+        want = [_lone_record(spec, i, x, y)
+                for i, (x, y) in enumerate(sample_domain(spec.domain, plan))]
+        assert [_as_json(r) for r in records] == [_as_json(r) for r in want]
+
+
+def test_a_stage_failure_reruns_the_stack_member_by_member():
+    # the quartic metric is singular where a direction component vanishes:
+    # that member fails the stack's metric, and each member then runs alone
+    quartic = make_builtin_metric("quartic_minkowski")
+    randers = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+    x = np.array([0.3, -0.2, 0.1, 0.5])
+    members = ((quartic, np.array([1.1, 2.0, 0.9, 1.3])),
+               (quartic, np.array([1.0, 2.0, 0.0, 1.0])),
+               (randers, np.array([1.0, 2.0, 1.0, 1.0])))
+    with pytest.raises(SingularMetric):
+        geometry.PointEval.stack([point_eval(s, x, y) for s, y in members]).metric
+    outcomes = classify.evaluate_stack([point_eval(s, x, y) for s, y in members])
+    assert [type(o).__name__ for o in outcomes] == ["ProfileResult", "SingularMetric",
+                                                   "ProfileResult"]
+    for (spec, y), got in zip(members, outcomes):
+        if isinstance(got, SingularMetric):
+            with pytest.raises(SingularMetric) as lone:
+                point_eval(spec, x, y).metric
+            assert str(lone.value) == str(got)
+            continue
+        want = frame.scalar_profile(point_eval(spec, x, y))
+        assert np.array_equal(got.frame.e, want.frame.e)
+        assert np.array_equal(got.profile.h_derivs, want.profile.h_derivs)
+        assert got.residuals == want.residuals

@@ -383,3 +383,21 @@ def test_conformal_change_of_a_landsberg_space(capsys, tmp_path, sigma, verdict)
     verdicts = json.loads(out)["verdicts"]
     assert verdicts["riemannian"] == "no"
     assert verdicts["landsberg"] == verdicts["berwald"] == verdict
+
+
+@pytest.mark.parametrize("scale", ["1", "1e-6"])
+def test_coordinate_verdicts_do_not_depend_on_the_scale_of_L(capsys, tmp_path, scale):
+    # C, d_x g and g all scale as L^2, so the riemannian and locally
+    # Minkowski verdicts compare C and d_x g with max|g| alone
+    path = tmp_path / "quartic.json"
+    path.write_text(json.dumps({"family": "expression",
+                                "L": f"{scale}*(y1^4+y2^4+y3^4+y4^4)^0.25",
+                                "samples": 4, "seed": 1}))
+    code, out, _ = _run(capsys, ["classify", str(path)])
+    assert code == 0
+    assert json.loads(out)["verdicts"] == {
+        "riemannian": "no",
+        "locally_minkowski_in_chart": "yes",
+        "berwald": "yes",
+        "landsberg": "yes",
+    }

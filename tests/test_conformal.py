@@ -17,6 +17,7 @@ from finsler4.conformal import (
     berwald_case_conditions,
     case_of,
     evaluate_point,
+    evaluate_points,
     invariance_check,
     landsberg_case_conditions,
     make_pair,
@@ -134,8 +135,7 @@ def test_landsberg_conditions_homothetic_all_zero():
 def test_landsberg_conditions_fail_with_nonlandsberg_lift():
     pair = make_pair(QUARTIC, "0.1*x1")
     failures = 0
-    for x, y in sample_domain(QUARTIC.domain, SamplePlan(count=8, seed=73)):
-        rep = evaluate_point(pair, x, y)
+    for rep in evaluate_points(pair, sample_domain(QUARTIC.domain, SamplePlan(count=8, seed=73))):
         if rep.frame_error:
             continue
         ratios = [
@@ -240,21 +240,21 @@ def test_every_point_gets_exactly_one_case():
         conformal.CASE_N_P, conformal.CASE_M, conformal.CASE_N, conformal.CASE_P,
         conformal.CASE_HOMOTHETIC, conformal.CASE_SUPPORTING_ONLY,
     }
-    for x, y in sample_domain(QUARTIC.domain, SamplePlan(count=16, seed=91)):
-        rep = evaluate_point(pair, x, y)
+    for rep in evaluate_points(pair, sample_domain(QUARTIC.domain, SamplePlan(count=16, seed=91))):
         if rep.frame_error:
             continue
         assert rep.case in all_cases
 
 
 def test_profile_functions_match_evaluate_point_bit_for_bit():
-    # the public functions, fed the two profiles, report what evaluate_point does
+    # the public functions, fed the two profiles of lone evaluations, report
+    # what evaluate_points does with both spaces in one stack
     drift = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
     cases = [(make_pair(QUARTIC, "0.1*x1+0.05*x2^2"), X1, YGEN)]
     cases += [(make_pair(drift, "0.1*x1"), x, y)
               for x, y in sample_domain(drift.domain, SamplePlan(count=3, seed=97))]
     for pair, x, y in cases:
-        rep = evaluate_point(pair, x, y)
+        rep = evaluate_points(pair, [(x, y)])[0]
         base, lifted = profiles(pair, x, y)
         sc = sigma_components(pair, base, lifted)
         for f in dataclasses.fields(sc):
@@ -264,6 +264,7 @@ def test_profile_functions_match_evaluate_point_bit_for_bit():
             else:
                 assert got == want, f.name
         assert invariance_check(base, lifted, sc) == rep.invariance_residuals
+        assert evaluate_point(pair, base, lifted).invariance_residuals == rep.invariance_residuals
 
 
 def test_evaluate_point_builds_one_point_eval_per_space(monkeypatch):
@@ -277,7 +278,7 @@ def test_evaluate_point_builds_one_point_eval_per_space(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(geometry.PointEval, "__init__", counting_init)
-    evaluate_point(make_pair(QUARTIC, "0.1*x1"), X1, YGEN)
+    evaluate_points(make_pair(QUARTIC, "0.1*x1"), [(X1, YGEN)])
     assert len(calls) == 2
 
 
@@ -342,9 +343,9 @@ def test_direct_barred_measurement_equals_classify_of_the_lifted_space():
     records = classify_metric(pair.lifted, plan).points
     points = sample_domain(pair.lifted.domain, plan)
     assert len(records) == len(points) == 8
-    for rec, (x, y) in zip(records, points):
+    for rec, (x, y), rep in zip(records, points, evaluate_points(pair, points)):
         assert np.array_equal(rec.x, x) and np.array_equal(rec.y, y)
-        direct = evaluate_point(pair, x, y).direct_barred
+        direct = rep.direct_barred
         for key in ("max_cartan_hderiv", "max_cartan_hderiv_transvected", "hderiv_scale"):
             assert direct[key] == getattr(rec, key), key
 

@@ -291,7 +291,8 @@ def _written_out_connection_vectors(pe):
     p_i k_j, p_i|j = -m_i j_j - n_i k_j, and L m_i|_j = -l_i m_j + n_i u_j
     + p_i v_j and so on.  This is the reference the connection-form algebra
     of frame._connection_vectors must reproduce bit for bit."""
-    e_jets, e_flat_jets, _ = frame._frame_from_ring(*pe.frame_field_jets())
+    _, e_jets, e_flat_jets, _, _ = frame._frame_from_ring(*pe.frame_field_jets)
+    e_jets, e_flat_jets = e_jets[0], e_flat_jets[0]
     e, e_flat = e_jets[..., 0].copy(), e_flat_jets[..., 0].copy()
     L0, g = pe.L, pe.metric.g
     cov = geometry.covariant_derivatives(e_flat_jets, pe.spray, pe.connection)
@@ -354,3 +355,51 @@ def test_connection_vectors_equal_the_written_out_formulas():
         assert list(prof.residuals)[: len(residuals)] == list(residuals)
         for key, want in residuals.items():
             assert prof.residuals[key] == want, (key, prof.residuals[key], want)
+
+
+# members of one mixed stack: (spec, x, y, lone outcome)
+_RANDERS_X2 = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+_CURVED_RIEMANNIAN = make_builtin_metric(
+    "riemannian",
+    {"g0": [["1+0.1*sin(x1)", 0, 0, 0], [0, "1+0.05*x2^2", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+)
+_MIXED = (
+    # y2 alone differs from the other components, so e2 lies in the plane of
+    # l and m and is skipped: this member takes the seeds e1 and e3
+    (QUARTIC, X0, Y2, "profile"),
+    (QUARTIC, np.array([0.3, -0.2, 0.1, 0.5]), np.array([1.1, 2.0, 0.9, 1.3]), "profile"),
+    (_CURVED_RIEMANNIAN, np.array([0.2, 0.4, 0.0, 0.0]), Y2, "VanishingTorsion"),
+    (make_builtin_metric("berwald_moor"), X0, np.array([1.0, 2.0, 1.0, 2.0]),
+     "NotPositiveDefinite"),
+    # y and the torsion vector span the (y1, y2) plane, so the seeds e1 and e2
+    # are skipped and this member completes its frame from e3 and e4 alone
+    (_RANDERS_X2, np.array([0.1, 0.5, 0.0, 0.0]), np.array([1.0, 2.0, 0.0, 0.0]), "profile"),
+)
+
+
+def _profile_bits(prof):
+    vec = prof.profile.vectors
+    arrays = [prof.frame.e, prof.frame.e_flat, prof.profile.v_derivs, prof.profile.h_derivs,
+              prof.profile.scalars.as_array(),
+              *(getattr(vec, name) for name in "hjkuvw"), list(prof.residuals.values())]
+    return [repr(prof.frame.gauge_tag), list(prof.residuals)] + [
+        np.asarray(a, dtype=float).tobytes() for a in arrays
+    ]
+
+
+def test_refusals_take_only_their_own_member_out_of_a_stack():
+    # each member's profile or refusal in one mixed stack is what it gets alone
+    pes = [point_eval(spec, x, y) for spec, x, y, _ in _MIXED]
+    outcomes = scalar_profile(geometry.PointEval.stack(pes))
+    for (spec, x, y, kind), got in zip(_MIXED, outcomes):
+        try:
+            want = scalar_profile(point_eval(spec, x, y))
+        except frame.FrameError as err:
+            want = err
+        assert type(want).__name__ == (kind if kind != "profile" else "ProfileResult")
+        assert type(got) is type(want)
+        if kind == "profile":
+            assert _profile_bits(got) == _profile_bits(want)
+    seeds = [out.frame.gauge_tag["seeds"] for out in outcomes if not isinstance(out, Exception)]
+    # three seed patterns in one stack: each went on in its own sub-stack
+    assert seeds == [(0, 2), (0, 1), (2, 3)]

@@ -268,38 +268,52 @@ def test_master_caps_are_necessary_for_spray_cubic():
         jets.derivative_jet(gij, jets.multi(4, 4, 4))
 
 
-def _perfbench_specs():
-    # the benchmark's classify specs and conformal pairs, read from its corpus
+def _perfbench_corpus():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
     module_spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
     corpus = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(corpus)
+    return corpus
+
+
+def _perfbench_specs():
+    # the benchmark's classify specs and conformal pairs, read from its corpus
+    corpus = _perfbench_corpus()
     docs = [doc for _, doc, *_ in corpus.CLASSIFY_CORPUS]
     docs += [doc for _, doc in corpus.CONFORMAL_PAIRS]
     return [metrics.spec_from_json_dict(dict(doc))[0] for doc in docs]
 
 
+def _outputs(pe, prof):
+    """Every tensor of a PointEval and every array of its profile (or the
+    name of the refusal in its place), as bytes."""
+    arrays = [pe.L_jet.c[0], pe.metric.g, pe.metric.g_inv, pe.cartan.C, pe.cartan.C_vec,
+              pe.cartan.C_norm, pe.spray.G, pe.spray.N, pe.spray.G_hess3, pe.dx_g,
+              pe.connection.F, pe.connection.Cmix, *pe.cartan_h_derivatives]
+    if isinstance(prof, frame.FrameError):
+        out = [type(prof).__name__]
+    else:
+        vectors = prof.profile.vectors
+        arrays += [prof.frame.e, prof.frame.e_flat, prof.profile.v_derivs,
+                   prof.profile.h_derivs, *dataclasses.astuple(prof.profile.scalars),
+                   *(getattr(vectors, f.name) for f in dataclasses.fields(vectors)),
+                   *prof.residuals.values()]
+        out = [repr(prof.frame.gauge_tag), repr(list(prof.residuals))]
+    return out + [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def _lone_outputs(spec, x, y, base=None):
+    pe = point_eval(spec, x, y, base)
+    try:
+        prof = frame.scalar_profile(pe)
+    except frame.FrameError as err:
+        prof = err
+    return _outputs(pe, prof)
+
+
 def _ring_outputs(spec, points):
     """Every tensor of PointEval and every array of scalar_profile, as bytes."""
-    out = []
-    for x, y in points:
-        pe = point_eval(spec, x, y)
-        arrays = [pe.L_jet.c[0], pe.metric.g, pe.metric.g_inv, pe.cartan.C, pe.cartan.C_vec,
-                  pe.cartan.C_norm, pe.spray.G, pe.spray.N, pe.spray.G_hess3, pe.dx_g,
-                  pe.connection.F, pe.connection.Cmix, *pe.cartan_h_derivatives]
-        try:
-            prof = frame.scalar_profile(pe)
-        except frame.FrameError as err:
-            out.append(type(err).__name__)
-        else:
-            vectors = prof.profile.vectors
-            arrays += [prof.frame.e, prof.frame.e_flat, prof.profile.v_derivs,
-                       prof.profile.h_derivs, *dataclasses.astuple(prof.profile.scalars),
-                       *(getattr(vectors, f.name) for f in dataclasses.fields(vectors)),
-                       *prof.residuals.values()]
-            out.append(repr(prof.frame.gauge_tag))
-        out += [np.asarray(a, dtype=float).tobytes() for a in arrays]
-    return out
+    return [b for x, y in points for b in _lone_outputs(spec, x, y)]
 
 
 def test_rings_cut_by_total_degree_change_no_bit(monkeypatch):
@@ -319,3 +333,59 @@ def test_rings_cut_by_total_degree_change_no_bit(monkeypatch):
             m.setattr(geometry.scalar_derivatives, "__defaults__", (full_frame,))
             full = _ring_outputs(spec, points)
         assert cut == full
+
+
+# the curved-alpha Randers metric: Berwald, not locally Minkowski
+CURVED_ALPHA = {"family": "expression",
+                "L": "sqrt(y1^2+(1+0.1*x1^2)^2*y2^2+y3^2+y4^2)+0.3*y3"}
+_STAGES = ("metric", "cartan", "spray", "dx_g", "connection", "cartan_h_derivatives")
+
+
+def _stack_outputs(pes):
+    """Each member's outputs after one stacked evaluation of every stage and
+    of the frame profile; every stage must be cached on the member."""
+    stack = geometry.PointEval.stack(pes)
+    profiles = frame.scalar_profile(stack)
+    for name in _STAGES:
+        getattr(stack, name)
+    for pe in pes:
+        assert all(name in vars(pe) for name in _STAGES)
+    return [_outputs(pe, prof) for pe, prof in zip(pes, profiles)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 16])
+def test_stack_members_equal_lone_evaluations_bit_for_bit(size):
+    # a stack runs every stage once for all members, and each member must
+    # get exactly the bits of its own evaluation alone
+    docs = [{"family": "quartic_minkowski"},
+            {"family": "randers", "params": {"b": ["0.1*x2", 0, 0, 0]}},
+            {"family": "expression", "L": _perfbench_corpus().EXPRESSION_L},
+            CURVED_ALPHA]
+    for doc in docs:
+        spec = metrics.spec_from_json_dict(dict(doc))[0]
+        points = sample_domain(spec.domain, SamplePlan(count=16, seed=83))
+        for start in range(0, 16, size):
+            chunk = points[start:start + size]
+            got = _stack_outputs([point_eval(spec, x, y) for x, y in chunk])
+            assert got == [_lone_outputs(spec, x, y) for x, y in chunk], (doc, start)
+    # both spaces of the benchmark's conformal pairs, stacked together
+    for _, doc in _perfbench_corpus().CONFORMAL_PAIRS:
+        lifted = metrics.spec_from_json_dict(dict(doc))[0]
+        points = sample_domain(lifted.domain, SamplePlan(count=16, seed=89))
+        for start in range(0, 16, size):
+            pes, want = [], []
+            for x, y in points[start:start + size]:
+                base = point_eval(lifted.base, x, y)
+                pes += [base, point_eval(lifted, x, y, base)]
+                want += [_lone_outputs(lifted.base, x, y),
+                         _lone_outputs(lifted, x, y, point_eval(lifted.base, x, y))]
+            assert _stack_outputs(pes) == want, (doc, start)
+
+
+def test_stack_of_stacks_is_refused():
+    spec = make_builtin_metric("quartic_minkowski")
+    stack = geometry.PointEval.stack([point_eval(spec, X0, Y2)])
+    with pytest.raises(jets.InvalidArgument):
+        geometry.PointEval.stack([stack])
+    with pytest.raises(jets.InvalidArgument):
+        geometry.PointEval.stack([])

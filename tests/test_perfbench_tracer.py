@@ -1,17 +1,58 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "perfbench"])}
 
 
 def test_benchmark_tracer_binds_every_traced_name():
     # perfbench/tracer.py wraps functions of src/ by name and raises when
     # one is gone, so a rename shows up here rather than in a benchmark run
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(["src", "perfbench"])}
     proc = subprocess.run(
         [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# one classify_metric and one audit_pair of one point each, as the benchmark's
+# warm loops run them, under the benchmark's tracer; prints the names of the
+# spans that ended without an error
+_TRACED_OPS = """
+import json
+import corpus, tracer
+from finsler4 import classify, conformal, metrics
+from finsler4.metrics import SamplePlan
+
+t = tracer.Tracer()
+tracer.install(t)
+_, doc, *_ = corpus.CLASSIFY_CORPUS[2]
+classify.classify_metric(metrics.spec_from_json_dict(dict(doc))[0], SamplePlan(1, 5))
+_, doc = corpus.CONFORMAL_PAIRS[0]
+pair = conformal.pair_from_spec(metrics.spec_from_json_dict(dict(doc))[0])
+conformal.audit_pair(pair, SamplePlan(1, 5))
+print(json.dumps(sorted({span[0] for span in t.spans if span[6] is None})))
+"""
+
+
+def test_warm_ops_enter_every_span_the_layer_metrics_read():
+    # perfbench/worker.py layer_metrics takes the median of each of these
+    # spans over the warm loop; a span that a stacked evaluation no longer
+    # enters would leave it an empty list and stop the trace run
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_OPS],
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    entered = set(json.loads(proc.stdout.splitlines()[-1]))
+    read = {
+        "metrics.eval_L", "metrics.sample_domain", "exprdsl.eval_expr", "geometry.point_eval",
+        "geometry.metric", "geometry.cartan", "geometry.spray", "geometry.dx_g",
+        "geometry.connection", "geometry.cartan_h", "frame.scalar_profile",
+        "conformal.evaluate_point", "conformal.sigma_components",
+        "conformal.invariance_check", "classify.classify_metric", "classify.crosscheck",
+    }
+    assert read <= entered, sorted(read - entered)
