@@ -14,6 +14,21 @@ base values only, and every refusal threshold (torsion length, seed
 skip, sign) is taken relative to the scale of L, so the construction
 commutes with uniform metric rescaling.
 
+Stacks
+------
+:func:`scalar_profile` builds the frames of a whole stack of points
+(``PointEval.stack``) at once: every frame field carries the stack axis
+first, and every contraction has a leading stack label, so each member
+gets the bits of its own build alone.  The refusals are per-member
+masks on base values: a member whose metric is not positive definite,
+whose torsion vanishes or whose seeds run out leaves the stack with its
+own error, and the others go on.  The seed skip is a mask too: members
+that skip a seed the others take finish their frame in their own
+sub-stack, so the rows built so far, and with them every contraction,
+are those the member would see alone.  The order-1 series of 1/L and of
+q^(-1/2) are array formulas over the stack that form each coefficient as
+the jet series does, with math.log and math.exp per member.
+
 Main scalar convention
 ----------------------
 With M[a,b,c] = L * C(e_a, e_b, e_c) (frame components of the weighted

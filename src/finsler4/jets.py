@@ -236,11 +236,15 @@ class _Tables:
     def tensor_map(self, nx: int, ny: int, dst: "_Tables"):
         """Stacked shift maps of every order-(nx, ny) partial, x slots first
         in row-major order: index and scale arrays of shape (4**(nx+ny), dst.n),
-        flattened."""
+        flattened.  The first call for a key checks that the order fits."""
         key = (nx, ny, dst)
         hit = self._tensor_cache.get(key)
         if hit is not None:
             return hit
+        if not _fits(dst.caps, _room(self.caps, nx, ny)):
+            raise CapMismatch(
+                f"order ({nx}, {ny}) of caps {self.caps} leaves less than {dst.caps}"
+            )
         maps = [
             self.shift_map(multi(*s[:nx], *(4 + k for k in s[nx:])), dst)
             for s in itertools.product(range(4), repeat=nx + ny)
@@ -451,8 +455,6 @@ def derivative_tensor(
     """
     if isinstance(f, JetScalar):
         f, f_caps = f.c, f.caps
-    if not _fits(caps, _room(f_caps, nx, ny)):
-        raise CapMismatch(f"order ({nx}, {ny}) of caps {f_caps} leaves less than {caps}")
     dst = caps.tables
     idx, scale = f_caps.tables.tensor_map(nx, ny, dst)
     shape = f.shape[:-1] + (4,) * (nx + ny)
@@ -473,6 +475,10 @@ def restrict(f: JetScalar, caps: DegreeCaps) -> JetScalar:
 # -- jet tensors ---------------------------------------------------------
 
 
+# contract spec -> the einsum spec over its coefficient pairs
+_PAIR_SPECS: dict = {}
+
+
 def contract(spec: str, a: np.ndarray, b: np.ndarray, caps: DegreeCaps) -> np.ndarray:
     """Ring product of two jet tensors, contracted as the einsum ``spec``.
 
@@ -490,11 +496,12 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray, caps: DegreeCaps) -> np.nd
     axis in ``spec`` (a stack of points) changes no bit of any member.
     """
     t = caps.tables
-    ins, out = spec.split("->")
-    left, right = ins.split(",")
-    pairs = np.einsum(
-        f"{left}...,{right}...->{out}...", a.take(t.mul_i, axis=-1), b.take(t.mul_j, axis=-1)
-    )
+    full = _PAIR_SPECS.get(spec)
+    if full is None:
+        ins, out = spec.split("->")
+        left, right = ins.split(",")
+        full = _PAIR_SPECS[spec] = f"{left}...,{right}...->{out}..."
+    pairs = np.einsum(full, a.take(t.mul_i, axis=-1), b.take(t.mul_j, axis=-1))
     rows = pairs.size // len(t.mul_k)
     coeffs = np.bincount(t.scatter_index(rows), weights=pairs.ravel(), minlength=rows * t.n)
     return coeffs.reshape(pairs.shape[:-1] + (t.n,))
