@@ -223,11 +223,6 @@ class PointEval:
         st.spec = None
         st._stack_members = members
         st._caps = caps
-        if len(members) == 1:
-            (m,) = members
-            st.x, st.y, st._L, st._L2 = m.x[None], m.y[None], m.L_jet.c[None], m.L2_jet.c[None]
-            st.L = np.array([m.L])
-            return st
         st.x = np.array([m.x for m in members])
         st.y = np.array([m.y for m in members])
         st.L = np.array([m.L for m in members])
