@@ -318,7 +318,8 @@ def _scalar_jets(C, e, L) -> np.ndarray:
 
 # frame pairs (a, b) of the (m, n, p) block, in the order h, j, k (u, v, w)
 _PAIRS = ((1, 2), (1, 3), (2, 3))
-_PAIR_A, _PAIR_B = ([p[i] for p in _PAIRS] for i in (0, 1))
+_PAIR_A = [a for a, _ in _PAIRS]
+_PAIR_B = [b for _, b in _PAIRS]
 
 
 def _connection_vectors(L0, e, e_flat, g, e_flat_jets, spray, conn) -> tuple:
@@ -395,9 +396,8 @@ def _profiles(st: PointEval) -> list:
     def sel(value):
         return value if idx.size == len(pos) else geometry.take(value, idx)
 
-    spray, conn, metric, C_norm = sel(st.spray), sel(st.connection), sel(st.metric), sel(
-        st.cartan.C_norm
-    )
+    metric, spray, conn = sel(st.metric), sel(st.spray), sel(st.connection)
+    C_norm = sel(st.cartan.C_norm)
     L0 = metric.L
     e = e_jets[..., 0].copy()
     e_flat = e_flat_jets[..., 0].copy()
