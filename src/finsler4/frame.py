@@ -174,7 +174,7 @@ def _recip(f: np.ndarray) -> np.ndarray:
 
 def _rsqrt(q: np.ndarray) -> np.ndarray:
     """q^(-1/2) of a stack of FRAME_CAPS jets, formed as ``jets.power(q,
-    -0.5)`` forms it: s = -0.5 log q, with log q = (log q0, 0.0 + q_k/q0),
+    -0.5)`` forms it: s = -0.5 log q, with log q = (log q0, 0.0 + q_k (1/q0)),
     then exp s = (e, 0.0 + e s_k) with e = exp(s0), math.log and math.exp
     per member."""
     b = q[:, 0]
