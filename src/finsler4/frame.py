@@ -345,8 +345,8 @@ def _connection_vectors(L0, e, e_flat, g, e_flat_jets, spray, conn) -> tuple:
     model = ring_sum(
         e_flat[:, None, None, b, :, None] * A[:, :, 1:, b, None, :] for b in range(4)
     )
-    L0v = L0[:, None, None, None]
-    gap = np.abs(np.stack([cov.h[:, 1:], L0v * cov.v[:, 1:]], axis=1) - model).max(axis=(3, 4))
+    derivs = (cov.h[:, 1:], L0[:, None, None, None] * cov.v[:, 1:])
+    gap = [np.abs(d - model[:, f]).max(axis=(2, 3)) for f, d in enumerate(derivs)]
 
     def mx(a):
         return np.abs(a).max(axis=tuple(range(1, a.ndim)))
@@ -359,7 +359,7 @@ def _connection_vectors(L0, e, e_flat, g, e_flat_jets, spray, conn) -> tuple:
         "l_hderiv_zero": mx(cov.h[:, 0]),
         "l_vderiv_angular": mx(L0[:, None, None] * cov.v[:, 0] - angular),
         **{
-            f"recon_{kind}deriv_{name}": gap[:, f, a]
+            f"recon_{kind}deriv_{name}": gap[f][:, a]
             for f, kind in enumerate("hv")
             for a, name in enumerate("mnp")
         },
@@ -377,7 +377,7 @@ def _profiles(st: PointEval) -> list:
         None if ok else NotPositiveDefinite("the fundamental tensor is not positive definite")
         for ok in pos.tolist()
     ]
-    live = np.flatnonzero(pos)
+    live = pos.nonzero()[0]
     if not live.size:
         return out
     fields = st.frame_field_jets

@@ -168,7 +168,7 @@ def _y_jets(y: np.ndarray, caps: DegreeCaps) -> np.ndarray:
     units = _Y_UNITS.get(t)
     if units is None:
         units = _Y_UNITS[t] = np.array([jets.variable(4 + k, 0.0, caps).c for k in range(4)])
-    out = np.repeat(units[None], len(y), axis=0)
+    out = units[None].repeat(len(y), axis=0)
     out[:, :, 0] = y
     return out
 
@@ -348,8 +348,7 @@ class PointEval:
             return self.as_stack().frame_field_jets
         caps = FRAME_CAPS
         g = 0.5 * derivative_tensor(self._L2, 0, 2, caps, self._caps)
-        eye = np.broadcast_to(jets.identity(4, caps), g.shape)
-        g_inv = jets.solve(g, self.metric.g_inv, eye, caps)
+        g_inv = jets.solve(g, self.metric.g_inv, jets.identity(4, caps)[None], caps)
         C = 0.25 * derivative_tensor(self._L2, 0, 3, caps, self._caps)
         y = _y_jets(self.y, caps)
         L = derivative_tensor(self._L, 0, 0, caps, self._caps)  # L truncated to caps

@@ -511,7 +511,8 @@ def solve(m: np.ndarray, m0_inv: np.ndarray, rhs: np.ndarray, caps: DegreeCaps) 
     """``m^-1 rhs`` for a (k, k) jet matrix ``m``, given the inverse of its
     base value; ``rhs`` is a jet tensor whose first axis has length k.
     Leading stack axes of ``m0_inv`` (shape ``S + (k, k)``) lead ``m`` and
-    ``rhs`` too, and each member is solved as if alone.
+    ``rhs`` too (``rhs`` may have size 1 there, shared by every member), and
+    each member is solved as if alone.
 
     With ``d = m - m0`` (no constant term, so nilpotent in the ring) the
     truncated Neumann series ``sum_{j <= caps.series_order} (-m0_inv d)^j
