@@ -273,12 +273,8 @@ def cmd_selftest(args) -> int:
     failed = 0
     for name, spec in _selftest_cases():
         points = metrics.sample_domain(spec.domain, SamplePlan(count=4, seed=11))
-        pes = [geometry.point_eval(spec, x, y) for x, y in points]
-        # one pass of the tensor stages for the whole sample
-        stack = geometry.PointEval.stack(pes)
-        stack.cartan
-        stack.spray
-        for idx, ((x, y), pe) in enumerate(zip(points, pes)):
+        for idx, (x, y) in enumerate(points):
+            pe = geometry.point_eval(spec, x, y)
             ora = oracle.oracle_tensors(spec, x, y)
             for tensor, ours, theirs in (
                 ("g", pe.metric.g, ora.g),

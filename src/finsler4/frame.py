@@ -25,9 +25,9 @@ whose torsion vanishes or whose seeds run out leaves the stack with its
 own error, and the others go on.  The seed skip is a mask too: members
 that skip a seed the others take finish their frame in their own
 sub-stack, so the rows built so far, and with them every contraction,
-are those the member would see alone.  The order-1 series of 1/L and of
-q^(-1/2) are array formulas over the stack that form each coefficient as
-the jet series does, with math.log and math.exp per member.
+are those the member would see alone.  1/L and q^(-1/2) are
+:func:`jets.recip_stack` and :func:`jets.power_stack`, the series of the
+jet ring's elementary functions summed over the stack.
 
 Main scalar convention
 ----------------------
@@ -65,7 +65,6 @@ angular metric g - l (x) l.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,38 +158,6 @@ class ProfileResult:
 # -- frame fields as FRAME_CAPS coefficient arrays ---------------------------
 
 
-def _recip(f: np.ndarray) -> np.ndarray:
-    """1/f of a stack of FRAME_CAPS jets, shape (B, n), formed as the
-    Horner series of ``1.0 / JetScalar`` forms it: 1/f0, then
-    0.0 + (-1/f0**2) f_k (the frame ring is first order)."""
-    b = f[:, 0]
-    if (b == 0.0).any():
-        raise jets.DomainViolation("reciprocal of a jet with zero base value")
-    out = f * np.array([-1 / v**2 for v in b.tolist()])[:, None]
-    out += 0.0
-    out[:, 0] = 1 / b
-    return out
-
-
-def _rsqrt(q: np.ndarray) -> np.ndarray:
-    """q^(-1/2) of a stack of FRAME_CAPS jets, formed as ``jets.power(q,
-    -0.5)`` forms it: s = -0.5 log q, with log q = (log q0, 0.0 + q_k (1/q0)),
-    then exp s = (e, 0.0 + e s_k) with e = exp(s0), math.log and math.exp
-    per member."""
-    b = q[:, 0]
-    if (b <= 0.0).any():
-        raise jets.DomainViolation("log of a jet with non-positive base value")
-    s = q * (1 / b)[:, None]
-    s += 0.0
-    s[:, 0] = [math.log(v) for v in b.tolist()]
-    s *= -0.5
-    e = [math.exp(v) for v in s[:, 0].tolist()]
-    out = s * np.array(e)[:, None]
-    out += 0.0
-    out[:, 0] = e
-    return out
-
-
 def _sign(comps: list) -> float:
     """The sign that makes the first component clear of round-off (above
     _SIGN_TOL times the largest) positive; +1 if there is none."""
@@ -206,9 +173,10 @@ def _complete(g, rows, members, seed, picks, done) -> None:
     """Metric Gram-Schmidt of the seeds ``seed``..3 onto the frame rows
     built so far, for members that took the same seeds so far: ``rows`` is
     a (K, 4, 4, n) array whose first ``len(picks) + 2`` rows are built,
-    ``members`` their indices, and ``picks`` the (seed, signs) taken.
-    Members that skip a seed the others take go on in their own sub-stack,
-    so every contraction a member sees is the one it would see alone.
+    ``members`` their indices, and ``picks`` the (seed, signs) taken, one
+    sign per member.  Members that skip a seed the others take go on in
+    their own sub-stack with their own rows and signs, so every contraction
+    a member sees is the one it would see alone.
     Appends (members, rows, picks) to ``done`` for each sub-stack that
     ends; fewer than two picks means the seeds ran out.
     """
@@ -227,11 +195,12 @@ def _complete(g, rows, members, seed, picks, done) -> None:
         if skip.any():
             if skip.all():
                 continue
-            _complete(g[skip], rows[skip], members[skip], seed, picks, done)
+            _complete(g[skip], rows[skip], members[skip], seed,
+                      [(s, signs[skip]) for s, signs in picks], done)
             keep = ~skip
             g, rows, members, r, norm2 = g[keep], rows[keep], members[keep], r[keep], norm2[keep]
             picks = [(s, signs[keep]) for s, signs in picks]
-        vec = contract("zi,z->zi", r, _rsqrt(norm2), caps)
+        vec = contract("zi,z->zi", r, jets.power_stack(norm2, -0.5, caps), caps)
         sign = np.array([_sign(comps) for comps in vec[:, :, 0].tolist()])
         rows[:, len(picks) + 2] = sign[:, None, None] * vec
         picks = picks + [(seed - 1, sign)]
@@ -250,7 +219,7 @@ def _frame_from_ring(g, g_inv, C, y, L):
     DegenerateSeed that refused it.  Refusals read base values only.
     """
     caps = FRAME_CAPS
-    l = contract("zi,z->zi", y, _recip(L), caps)
+    l = contract("zi,z->zi", y, jets.recip_stack(L, caps), caps)
     C_low = contract("zijk,zjk->zi", C, g_inv, caps)
     C_up = contract("zij,zj->zi", g_inv, C_low, caps)
     q = contract("zi,zi->z", C_up, C_low, caps)
@@ -271,7 +240,7 @@ def _frame_from_ring(g, g_inv, C, y, L):
     if live.size:
         rows = np.empty((len(live),) + g.shape[1:])
         rows[:, 0] = l
-        rows[:, 1] = contract("zi,z->zi", C_up, _rsqrt(q), caps)
+        rows[:, 1] = contract("zi,z->zi", C_up, jets.power_stack(q, -0.5, caps), caps)
         _complete(g_live, rows, live, 0, [], done)
 
     gauges: dict = {}

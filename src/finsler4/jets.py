@@ -542,41 +542,98 @@ def identity(k: int, caps: DegreeCaps) -> np.ndarray:
 
 
 # -- elementary functions ----------------------------------------------
+#
+# Each elementary function of a jet is the Taylor series of a univariate h
+# around the jet's base value, its coefficients read from the derivatives
+# of h there (the ``_*_derivs`` lists).  :func:`_compose` sums that series
+# for a whole stack of jets; a JetScalar goes through it as a stack of one,
+# and :func:`recip_stack` and :func:`power_stack` serve stacks of jet rows.
 
 
-def _compose(f: JetScalar, derivs: Sequence[float]) -> JetScalar:
-    """h(f) for a univariate h given its derivatives at f.base.
+def _compose(f: np.ndarray, deg: tuple, caps: DegreeCaps, derivs) -> tuple[np.ndarray, tuple]:
+    """h(f) for each row of a stack of jets, for a univariate h.
 
-    ``derivs[k]`` is the k-th derivative of h at the base value; the series
-    is evaluated by Horner recursion in the jet ring.  Orders beyond the
-    caps' total degree are nilpotent and never requested.
+    ``f`` is a (B, n) coefficient array at ``caps`` whose rows keep the
+    degree bound ``deg``; ``derivs(b, m)`` lists the derivatives 0..m of h
+    at the base value b.  The series runs to ``caps.series_order`` (higher
+    orders are nilpotent) and is evaluated by Horner recursion in the ring,
+    one degree-bounded product per order, so each row comes out bit for bit
+    as on its own.  Returns h(f) and its degree bound.
     """
-    caps = f.caps
-    m = min(len(derivs) - 1, caps.series_order)
-    coeffs = [derivs[k] / math.factorial(k) for k in range(m + 1)]
-    s = JetScalar(caps, f.c.copy(), f.deg)
-    s.c[0] = 0.0
-    r = const(coeffs[m], caps)
-    for k in range(m - 1, -1, -1):
-        r = r * s + coeffs[k]
-    return r
+    t = caps.tables
+    m = caps.series_order
+    # coeffs[k]: the k-th Taylor coefficient of h at each row's base value
+    coeffs = np.array([derivs(b, m) for b in f[:, 0].tolist()]).T / _factorials(m)
+    if m == 0:
+        r = np.zeros_like(f)
+        r[:, 0] = coeffs[0]
+        return r, (0, 0)
+    s = f.copy()
+    s[:, 0] = 0.0
+    # the first Horner step multiplies s by a constant: each pair (0, j)
+    # lands on monomial j alone, so the product is elementwise, and adding
+    # 0.0 gives the 0.0 a ring sum gives for a -0.0
+    _, cols, _, r_deg = t.products((0, 0), deg)
+    if len(cols) == t.n:
+        r = coeffs[m][:, None] * s + 0.0
+    else:
+        r = np.zeros_like(s)
+        r[:, cols] = coeffs[m][:, None] * s.take(cols, axis=1) + 0.0
+    r[:, 0] += coeffs[m - 1]
+    rows = len(f)
+    for k in range(m - 2, -1, -1):
+        mul_i, mul_j, mul_k, r_deg = t.products(r_deg, deg)
+        prod = r.take(mul_i, axis=1) * s.take(mul_j, axis=1)
+        if rows > 1:
+            mul_k = (np.arange(rows)[:, None] * t.n + mul_k).ravel()
+        r = np.bincount(mul_k, weights=prod.ravel(), minlength=rows * t.n).reshape(rows, t.n)
+        r[:, 0] += coeffs[k]
+    return r, r_deg
+
+
+@lru_cache(maxsize=None)
+def _factorials(m: int) -> np.ndarray:
+    """0!..m! as a float column."""
+    return np.array([math.factorial(k) for k in range(m + 1)], dtype=float)[:, None]
+
+
+def _jet_compose(f: JetScalar, derivs) -> JetScalar:
+    c, deg = _compose(f.c[None], f.deg, f.caps, derivs)
+    return JetScalar(f.caps, c[0], deg)
+
+
+def _recip_derivs(b: float, m: int) -> list:
+    return [(-1) ** k * math.factorial(k) / b ** (k + 1) for k in range(m + 1)]
+
+
+def _exp_derivs(b: float, m: int) -> list:
+    return [math.exp(b)] * (m + 1)
+
+
+def _log_derivs(b: float, m: int) -> list:
+    return [math.log(b)] + [(-1) ** (k - 1) * math.factorial(k - 1) / b**k for k in range(1, m + 1)]
+
+
+def _sin_derivs(b: float, m: int) -> list:
+    s, c = math.sin(b), math.cos(b)
+    return [(s, c, -s, -c)[k % 4] for k in range(m + 1)]
+
+
+def _cos_derivs(b: float, m: int) -> list:
+    s, c = math.sin(b), math.cos(b)
+    return [(c, -s, -c, s)[k % 4] for k in range(m + 1)]
 
 
 def _recip(f: JetScalar) -> JetScalar:
-    b = f.base
-    if b == 0.0:
+    if f.base == 0.0:
         raise DomainViolation("reciprocal of a jet with zero base value")
-    m = f.caps.series_order
-    derivs = [(-1) ** k * math.factorial(k) / b ** (k + 1) for k in range(m + 1)]
-    return _compose(f, derivs)
+    return _jet_compose(f, _recip_derivs)
 
 
 def exp(f):
     if not isinstance(f, JetScalar):
         return np.exp(f) if isinstance(f, np.ndarray) else math.exp(f)
-    m = f.caps.series_order
-    e = math.exp(f.base)
-    return _compose(f, [e] * (m + 1))
+    return _jet_compose(f, _exp_derivs)
 
 
 def log(f):
@@ -584,14 +641,27 @@ def log(f):
         if np.any(f <= 0):
             raise DomainViolation("log of a non-positive value")
         return np.log(f) if isinstance(f, np.ndarray) else math.log(f)
-    b = f.base
-    if b <= 0.0:
+    if f.base <= 0.0:
         raise DomainViolation("log of a jet with non-positive base value")
-    m = f.caps.series_order
-    derivs = [math.log(b)] + [
-        (-1) ** (k - 1) * math.factorial(k - 1) / b**k for k in range(1, m + 1)
-    ]
-    return _compose(f, derivs)
+    return _jet_compose(f, _log_derivs)
+
+
+def recip_stack(f: np.ndarray, caps: DegreeCaps) -> np.ndarray:
+    """1/f of each row of a (B, n) stack of jets at ``caps``, each row bit
+    for bit as ``1.0 / JetScalar`` of it."""
+    if (f[:, 0] == 0.0).any():
+        raise DomainViolation("reciprocal of a jet with zero base value")
+    return _compose(f, (caps.x_max, caps.y_max), caps, _recip_derivs)[0]
+
+
+def power_stack(f: np.ndarray, r: float, caps: DegreeCaps) -> np.ndarray:
+    """f**r of each row of a (B, n) stack of jets at ``caps`` for a
+    fractional exponent, each row bit for bit as :func:`power` of it:
+    exp(r log f), so every base value must be positive."""
+    if (f[:, 0] <= 0.0).any():
+        raise DomainViolation("log of a jet with non-positive base value")
+    log_f, deg = _compose(f, (caps.x_max, caps.y_max), caps, _log_derivs)
+    return _compose(log_f * float(r), deg, caps, _exp_derivs)[0]
 
 
 def power(f, r: Number):
@@ -639,19 +709,13 @@ def sqrt(f):
 def sin(f):
     if not isinstance(f, JetScalar):
         return np.sin(f) if isinstance(f, np.ndarray) else math.sin(f)
-    m = f.caps.series_order
-    s, c = math.sin(f.base), math.cos(f.base)
-    cycle = [s, c, -s, -c]
-    return _compose(f, [cycle[k % 4] for k in range(m + 1)])
+    return _jet_compose(f, _sin_derivs)
 
 
 def cos(f):
     if not isinstance(f, JetScalar):
         return np.cos(f) if isinstance(f, np.ndarray) else math.cos(f)
-    m = f.caps.series_order
-    s, c = math.sin(f.base), math.cos(f.base)
-    cycle = [c, -s, -c, s]
-    return _compose(f, [cycle[k % 4] for k in range(m + 1)])
+    return _jet_compose(f, _cos_derivs)
 
 
 def base_of(v):

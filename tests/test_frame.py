@@ -10,7 +10,13 @@ from finsler4.frame import (
     scalar_profile,
 )
 from finsler4.geometry import point_eval
-from finsler4.metrics import SamplePlan, make_builtin_metric, make_conformal, sample_domain
+from finsler4.metrics import (
+    SamplePlan,
+    make_builtin_metric,
+    make_conformal,
+    sample_domain,
+    spec_from_json_dict,
+)
 
 X0 = np.zeros(4)
 ONES = np.ones(4)
@@ -403,3 +409,31 @@ def test_refusals_take_only_their_own_member_out_of_a_stack():
     seeds = [out.frame.gauge_tag["seeds"] for out in outcomes if not isinstance(out, Exception)]
     # three seed patterns in one stack: each went on in its own sub-stack
     assert seeds == [(0, 2), (0, 1), (2, 3)]
+
+
+# an off-diagonal Randers-type metric whose frames can carry a flipped sign
+_SKEWED, _ = spec_from_json_dict(
+    {"family": "expression", "L": "sqrt(y1^2+y2^2+y3^2+y4^2-1.5*y1*y2+0.8*y1*y3)+0.3*y2"}
+)
+_SKIPS = {
+    # seeds (0, 1), both signs flipped
+    "flipped": (_SKEWED, X0, np.array([0.7, -1.5, 0.0, -0.2]),
+                {"seeds": (0, 1), "sign_flips": (-1, -1)}),
+    # seeds (0, 2): skips seed 1 after taking seed 0 unflipped
+    "skip1": (QUARTIC, X0, Y2, {"seeds": (0, 2), "sign_flips": (1, 1)}),
+    # seeds (0, 3): skips seeds 1 and 2 after taking seed 0 flipped
+    "skip12": (_SKEWED, X0, np.array([1.0, 2.6, -0.9, 0.0]),
+               {"seeds": (0, 3), "sign_flips": (-1, 1)}),
+}
+
+
+@pytest.mark.parametrize("names", [("flipped", "skip1"), ("flipped", "skip1", "skip12")])
+def test_members_that_skip_a_later_seed_keep_their_own_sign_flips(names):
+    # a member that leaves the stack after the first pick carries its own
+    # sign of that pick into its sub-stack, and a second split there works
+    members = [_SKIPS[name] for name in names]
+    outcomes = scalar_profile(geometry.PointEval.stack([point_eval(*m[:3]) for m in members]))
+    for (spec, x, y, tag), got in zip(members, outcomes):
+        want = scalar_profile(point_eval(spec, x, y))
+        assert want.frame.gauge_tag == tag
+        assert _profile_bits(got) == _profile_bits(want)

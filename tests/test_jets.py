@@ -629,3 +629,22 @@ def test_rings_cut_by_total_degree_keep_every_coefficient(caps, leaves, ops):
         out = _CUT_OPS[op](a, b, r)
         assert out.c.tobytes() == out_full.c[:n].tobytes()
         pool.append((out, out_full))
+
+
+@pytest.mark.parametrize("caps", [geometry.FRAME_CAPS, DegreeCaps(1, 3)], ids=["frame", "1_3"])
+def test_stacked_series_rows_equal_their_jet_scalar_calls(caps):
+    # 1/f and f^(-1/2) of a stack of coefficient rows: each row bit for bit as
+    # the JetScalar function of that row alone
+    rows = np.random.default_rng(7).uniform(-1.0, 1.0, (3, caps.tables.n))
+    rows[:, 0] = [0.7, 1.3, 2.9]
+    recip = jets.recip_stack(rows, caps)
+    power = jets.power_stack(rows, -0.5, caps)
+    for row, got_recip, got_power in zip(rows, recip, power):
+        f = JetScalar(caps, row.copy())
+        assert got_recip.tobytes() == (1.0 / f).c.tobytes()
+        assert got_power.tobytes() == jets.power(f, -0.5).c.tobytes()
+    rows[1, 0] = 0.0
+    with pytest.raises(DomainViolation):
+        jets.recip_stack(rows, caps)
+    with pytest.raises(DomainViolation):
+        jets.power_stack(rows, -0.5, caps)
