@@ -562,11 +562,13 @@ def _compose(f: np.ndarray, deg: tuple, caps: DegreeCaps, derivs) -> tuple[np.nd
     """
     t = caps.tables
     m = caps.series_order
-    # coeffs[k]: the k-th Taylor coefficient of h at each row's base value
-    coeffs = np.array([derivs(b, m) for b in f[:, 0].tolist()]).T / _factorials(m)
+    # taylor[i][k]: the k-th Taylor coefficient of h at row i's base value
+    taylor = [
+        [d / math.factorial(k) for k, d in enumerate(derivs(b, m))] for b in f[:, 0].tolist()
+    ]
     if m == 0:
-        r = np.zeros_like(f)
-        r[:, 0] = coeffs[0]
+        r = np.zeros(f.shape)
+        _add_to_base(r, taylor, 0)
         return r, (0, 0)
     s = f.copy()
     s[:, 0] = 0.0
@@ -574,12 +576,13 @@ def _compose(f: np.ndarray, deg: tuple, caps: DegreeCaps, derivs) -> tuple[np.nd
     # lands on monomial j alone, so the product is elementwise, and adding
     # 0.0 gives the 0.0 a ring sum gives for a -0.0
     _, cols, _, r_deg = t.products((0, 0), deg)
+    lead = np.array([row[m] for row in taylor])[:, None]
     if len(cols) == t.n:
-        r = coeffs[m][:, None] * s + 0.0
+        r = lead * s + 0.0
     else:
-        r = np.zeros_like(s)
-        r[:, cols] = coeffs[m][:, None] * s.take(cols, axis=1) + 0.0
-    r[:, 0] += coeffs[m - 1]
+        r = np.zeros(s.shape)
+        r[:, cols] = lead * s.take(cols, axis=1) + 0.0
+    _add_to_base(r, taylor, m - 1)
     rows = len(f)
     for k in range(m - 2, -1, -1):
         mul_i, mul_j, mul_k, r_deg = t.products(r_deg, deg)
@@ -587,14 +590,14 @@ def _compose(f: np.ndarray, deg: tuple, caps: DegreeCaps, derivs) -> tuple[np.nd
         if rows > 1:
             mul_k = (np.arange(rows)[:, None] * t.n + mul_k).ravel()
         r = np.bincount(mul_k, weights=prod.ravel(), minlength=rows * t.n).reshape(rows, t.n)
-        r[:, 0] += coeffs[k]
+        _add_to_base(r, taylor, k)
     return r, r_deg
 
 
-@lru_cache(maxsize=None)
-def _factorials(m: int) -> np.ndarray:
-    """0!..m! as a float column."""
-    return np.array([math.factorial(k) for k in range(m + 1)], dtype=float)[:, None]
+def _add_to_base(r: np.ndarray, taylor: list, k: int) -> None:
+    """Add each row's k-th Taylor coefficient to its base value."""
+    for i, row in enumerate(taylor):
+        r[i, 0] += row[k]
 
 
 def _jet_compose(f: JetScalar, derivs) -> JetScalar:
