@@ -24,6 +24,8 @@ from pathlib import Path
 from finsler4 import cli
 
 RANDERS_B = {"b": ["0.1*x2", 0, 0, 0]}
+# a Randers-type metric whose g is indefinite at some sampled points
+INDEFINITE_L = "sqrt(y1^2+y2^2+y3^2+x1*y4^2)+0.1*x2*y1"
 
 # spec file -> spec document
 SPECS = {
@@ -36,6 +38,19 @@ SPECS = {
     },
     "randers_conformal_small.json": {
         "family": "randers", "params": RANDERS_B, "sigma": "0.1*x1",
+        "samples": 2, "seed": 12,
+    },
+    "indefinite_small.json": {
+        "family": "expression", "L": INDEFINITE_L, "samples": 6, "seed": 1,
+    },
+    "indefinite_conformal_small.json": {
+        "family": "expression", "L": INDEFINITE_L, "sigma": "0.1*x2",
+        "samples": 6, "seed": 1,
+    },
+    "riemannian_curved_small.json": {
+        "family": "riemannian",
+        "params": {"g0": [["1+0.1*sin(x1)", 0, 0, 0], [0, "1+0.05*x2^2", 0, 0],
+                          [0, 0, 1, 0], [0, 0, 0, 1]]},
         "samples": 2, "seed": 12,
     },
 }
@@ -53,6 +68,12 @@ REPORTS = (
     (["frame", "{d}/randers_small.json", "--x", "0.1,0.2,0.3,0.4", "--y", "1,2,1,1"],
      "frame_randers.json"),
     (["conformal", "{d}/randers_conformal_small.json"], "conformal_randers.json"),
+    # refused frames: an eval_error, two NotPositiveDefinite and three
+    # profiles in one sample, and a curved Riemannian metric whose torsion
+    # vanishes at every point, so each point is a frame_error record
+    (["classify", "{d}/indefinite_small.json"], "classify_indefinite.json"),
+    (["conformal", "{d}/indefinite_conformal_small.json"], "conformal_indefinite.json"),
+    (["classify", "{d}/riemannian_curved_small.json"], "classify_riemannian_curved.json"),
 )
 
 
