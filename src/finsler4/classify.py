@@ -113,20 +113,35 @@ class ClassificationReport:
 
 def evaluate_stack(pes: list) -> list:
     """Every stage classify and the conformal audit read, and the frame
-    profile, for the PointEvals ``pes`` run as one stack; a failure is
-    isolated by :func:`geometry.per_member`.  One entry per PointEval: its
-    ProfileResult, the FrameError that refused its frame, or the
-    Finsler4Error that stopped it.  Each member caches its stages."""
+    profile, for the PointEvals ``pes`` run as one stack.  One entry per
+    PointEval: its ProfileResult, the FrameError that refused its frame, or
+    the Finsler4Error that stopped it.  Each member caches its stages.
+
+    The tensor stages run first and the frame last, so a frame refusal
+    comes after everything the records read is cached.  If the stack
+    raises a Finsler4Error and has more than one member, each member runs
+    again alone from :meth:`PointEval.as_stack`, which keeps the stages it
+    has cached, and a member that raises gets its own error.  Errors are
+    kept without their traceback, whose frames would hold the stack."""
 
     def work(stack: geometry.PointEval) -> list:
-        stack.cartan
-        profiles = frame_mod.scalar_profile(stack)
-        stack.dx_g
-        stack.spray
-        stack.cartan_h_derivatives
-        return profiles
+        stack.cartan_h_derivatives  # reads every other tensor stage
+        return frame_mod.scalar_profile(stack)
 
-    return geometry.per_member(pes, work)
+    if not pes:
+        return []
+    try:
+        return work(geometry.PointEval.stack(pes))
+    except jets.Finsler4Error as err:
+        if len(pes) == 1:
+            return [err.with_traceback(None)]
+    out = []
+    for pe in pes:
+        try:
+            out += work(pe.as_stack())
+        except jets.Finsler4Error as err:
+            out.append(err.with_traceback(None))
+    return out
 
 
 def _evaluate_record(index: int, pe: geometry.PointEval, prof) -> PointRecord:

@@ -19,15 +19,15 @@ Stacks
 :func:`scalar_profile` builds the frames of a whole stack of points
 (``PointEval.stack``) at once: every frame field carries the stack axis
 first, and every contraction has a leading stack label, so each member
-gets the bits of its own build alone.  The refusals are per-member
-masks on base values: a member whose metric is not positive definite,
-whose torsion vanishes or whose seeds run out leaves the stack with its
-own error, and the others go on.  The seed skip is a mask too: members
-that skip a seed the others take finish their frame in their own
-sub-stack, so the rows built so far, and with them every contraction,
-are those the member would see alone.  1/L and q^(-1/2) are
-:func:`jets.recip_stack` and :func:`jets.power_stack`, the series of the
-jet ring's elementary functions summed over the stack.
+gets the bits of its own build alone.  The stack is built as one or
+refused as one: if any member's metric is not positive definite, its
+torsion vanishes or its seeds run out, the stack raises that refusal,
+and a seed that some members skip and others take raises
+:class:`SeedsDiffer`.  The caller reruns the members one by one
+(:func:`classify.evaluate_stack`), so each gets its own frame or error.
+1/L and q^(-1/2) are :func:`jets.recip_stack` and
+:func:`jets.power_stack`, the series of the jet ring's elementary
+functions summed over the stack.
 
 Main scalar convention
 ----------------------
@@ -107,6 +107,11 @@ class DegenerateSeed(FrameError):
     pass
 
 
+class SeedsDiffer(Finsler4Error):
+    """The members of a stack skip different seeds, so no one build serves
+    them all; a stack of one never raises it."""
+
+
 @dataclass(frozen=True)
 class FrameBundle:
     e: np.ndarray  # rows are the contravariant vectors l, m, n, p
@@ -169,19 +174,16 @@ def _sign(comps: list) -> float:
     return -1.0 if lead < 0 else 1.0
 
 
-def _complete(g, rows, members, seed, picks, done) -> None:
-    """Metric Gram-Schmidt of the seeds ``seed``..3 onto the frame rows
-    built so far, for members that took the same seeds so far: ``rows`` is
-    a (K, 4, 4, n) array whose first ``len(picks) + 2`` rows are built,
-    ``members`` their indices, and ``picks`` the (seed, signs) taken, one
-    sign per member.  Members that skip a seed the others take go on in
-    their own sub-stack with their own rows and signs, so every contraction
-    a member sees is the one it would see alone.
-    Appends (members, rows, picks) to ``done`` for each sub-stack that
-    ends; fewer than two picks means the seeds ran out.
+def _complete(g, rows) -> list:
+    """Metric Gram-Schmidt of the seeds 0..3 onto l and m, filling rows n
+    and p of the (B, 4, 4, n) array ``rows`` in place.  Returns the picks
+    taken, (seed, signs) with one sign per member.  A seed is skipped when
+    every member skips it; a stack whose members disagree on a seed raises
+    SeedsDiffer, and one that runs out of seeds DegenerateSeed.
     """
     caps = FRAME_CAPS
-    while len(picks) < 2 and seed < 4:
+    picks: list = []
+    for seed in range(4):
         built = rows[:, : len(picks) + 2]
         # the seed minus its g-projections on the vectors built so far
         coeffs = contract("zj,zaj->za", g[:, seed], built, caps)
@@ -191,20 +193,17 @@ def _complete(g, rows, members, seed, picks, done) -> None:
         # relative to the seed's own g-length: the squared sine of its angle
         # to the vectors built so far
         skip = norm2[:, 0] < _SEED_SKIP_TOL**2 * g[:, seed, seed, 0]
-        seed += 1
+        if skip.all():
+            continue
         if skip.any():
-            if skip.all():
-                continue
-            _complete(g[skip], rows[skip], members[skip], seed,
-                      [(s, signs[skip]) for s, signs in picks], done)
-            keep = ~skip
-            g, rows, members, r, norm2 = g[keep], rows[keep], members[keep], r[keep], norm2[keep]
-            picks = [(s, signs[keep]) for s, signs in picks]
+            raise SeedsDiffer(f"stack members disagree on skipping seed {seed}")
         vec = contract("zi,z->zi", r, jets.power_stack(norm2, -0.5, caps), caps)
         sign = np.array([_sign(comps) for comps in vec[:, :, 0].tolist()])
         rows[:, len(picks) + 2] = sign[:, None, None] * vec
-        picks = picks + [(seed - 1, sign)]
-    done.append((members, rows, picks))
+        picks.append((seed, sign))
+        if len(picks) == 2:
+            return picks
+    raise DegenerateSeed("ran out of seeds completing the frame")
 
 
 def _frame_from_ring(g, g_inv, C, y, L):
@@ -212,61 +211,32 @@ def _frame_from_ring(g, g_inv, C, y, L):
     coefficient arrays.
 
     g, g_inv: (B, 4, 4, n); C: (B, 4, 4, 4, n); y: (B, 4, n); L: (B, n).
-    Returns (built, e, e_flat, gauges, refused): the indices of the members
-    that got a frame, ascending; their e and e_flat, of shape
-    (len(built), 4, 4, n) with rows l, m, n, p; their gauge tags; and a
-    dict from every other member's index to the VanishingTorsion or
-    DegenerateSeed that refused it.  Refusals read base values only.
+    Returns (e, e_flat, gauge_tags): e and e_flat of shape (B, 4, 4, n)
+    with rows l, m, n, p, and one gauge tag per member.  Raises
+    VanishingTorsion if any member's torsion vanishes, and what
+    :func:`_complete` raises.  Refusals read base values only.
     """
     caps = FRAME_CAPS
     l = contract("zi,z->zi", y, jets.recip_stack(L, caps), caps)
     C_low = contract("zijk,zjk->zi", C, g_inv, caps)
     C_up = contract("zij,zj->zi", g_inv, C_low, caps)
     q = contract("zi,zi->z", C_up, C_low, caps)
-    refused: dict = {}
-    for b, (L0, q0) in enumerate(zip(L[:, 0].tolist(), q[:, 0].tolist())):
+    for L0, q0 in zip(L[:, 0].tolist(), q[:, 0].tolist()):
         # L^2 q is the square of L |C|, which does not change when L is rescaled
         weighted = L0**2 * q0
         if weighted < TAU_TORSION**2:
-            refused[b] = VanishingTorsion(
+            raise VanishingTorsion(
                 f"weighted torsion length {max(weighted, 0.0) ** 0.5:.3e} below {TAU_TORSION:.1e}"
             )
-    live = np.array([b for b in range(len(L)) if b not in refused], dtype=np.intp)
-    if refused:
-        g_live, l, C_up, q = g[live], l[live], C_up[live], q[live]
-    else:
-        g_live = g
-    done: list = []
-    if live.size:
-        rows = np.empty((len(live),) + g.shape[1:])
-        rows[:, 0] = l
-        rows[:, 1] = contract("zi,z->zi", C_up, jets.power_stack(q, -0.5, caps), caps)
-        _complete(g_live, rows, live, 0, [], done)
-
-    gauges: dict = {}
-    parts = []
-    for members, rows, picks in done:
-        if len(picks) < 2:
-            for b in members.tolist():
-                refused[b] = DegenerateSeed("ran out of seeds completing the frame")
-            continue
-        seeds = tuple(s for s, _ in picks)
-        flips = zip(*(signs.astype(int).tolist() for _, signs in picks))
-        for b, f in zip(members.tolist(), flips):
-            gauges[b] = {"seeds": seeds, "sign_flips": f}
-        parts.append((members, rows))
-    if len(parts) == 1:
-        built, e = parts[0]
-    elif parts:
-        built = np.concatenate([p[0] for p in parts])
-        order = np.argsort(built)
-        built, e = built[order], np.concatenate([p[1] for p in parts])[order]
-    else:
-        return live[:0], None, None, [], refused
-    if built.size < len(g):
-        g = g[built]
+    e = np.empty(g.shape)
+    e[:, 0] = l
+    e[:, 1] = contract("zi,z->zi", C_up, jets.power_stack(q, -0.5, caps), caps)
+    picks = _complete(g, e)
+    seeds = tuple(s for s, _ in picks)
+    flips = zip(*(signs.astype(int).tolist() for _, signs in picks))
+    gauges = [{"seeds": seeds, "sign_flips": f} for f in flips]
     e_flat = contract("zij,zaj->zai", g, e, caps)
-    return built, e, e_flat, [gauges[b] for b in built.tolist()], refused
+    return e, e_flat, gauges
 
 
 # -- main scalars and derivative tables -------------------------------------
@@ -339,34 +309,13 @@ def _connection_vectors(L0, e, e_flat, g, e_flat_jets, spray, conn) -> tuple:
 
 
 def _profiles(st: PointEval) -> list:
-    """One entry per member of the stack ``st``: its ProfileResult, or the
-    FrameError that refused it."""
-    pos = st.metric.positive_definite
-    out: list = [
-        None if ok else NotPositiveDefinite("the fundamental tensor is not positive definite")
-        for ok in pos.tolist()
-    ]
-    live = pos.nonzero()[0]
-    if not live.size:
-        return out
-    fields = st.frame_field_jets
-    if live.size < len(pos):
-        fields = geometry.take(fields, live)
-    g_j, g_inv_j, C_j, y_j, L_j = fields
-    built, e_jets, e_flat_jets, gauges, refused = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
-    for b, err in refused.items():
-        out[live[b]] = err
-    if not built.size:
-        return out
-    if built.size < live.size:
-        C_j, L_j = C_j[built], L_j[built]
-    idx = live[built]
-
-    def sel(value):
-        return value if idx.size == len(pos) else geometry.take(value, idx)
-
-    metric, spray, conn = sel(st.metric), sel(st.spray), sel(st.connection)
-    C_norm = sel(st.cartan.C_norm)
+    """The ProfileResult of each member of the stack ``st``; raises the
+    FrameError that refuses any member's frame."""
+    if not st.metric.positive_definite.all():
+        raise NotPositiveDefinite("the fundamental tensor is not positive definite")
+    g_j, g_inv_j, C_j, y_j, L_j = st.frame_field_jets
+    e_jets, e_flat_jets, gauges = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
+    metric, spray, conn = st.metric, st.spray, st.connection
     L0 = metric.L
     e = e_jets[..., 0].copy()
     e_flat = e_flat_jets[..., 0].copy()
@@ -380,37 +329,33 @@ def _profiles(st: PointEval) -> list:
     vectors, residuals = _connection_vectors(L0, e, e_flat, metric.g, e_flat_jets, spray, conn)
     scalars = scalar_jets[..., 0]
     H, I, K = (scalars[:, SCALAR_NAMES.index(name)] for name in ("H", "I", "K"))
-    residuals["unified_scalar_sum"] = np.abs(H + I + K - L0 * C_norm)
+    residuals["unified_scalar_sum"] = np.abs(H + I + K - L0 * st.cartan.C_norm)
     names = list(residuals)
     rows = np.array(list(residuals.values())).T.tolist()
-    for i, b in enumerate(idx.tolist()):
-        profile = ScalarProfile(
-            scalars=MainScalars(*scalars[i].tolist()),
-            v_derivs=v_derivs[i],
-            h_derivs=h_derivs[i],
-            vectors=ConnectionVectors(*vectors[i]),
-        )
-        out[b] = ProfileResult(
-            pe=st.members[b],
+    return [
+        ProfileResult(
+            pe=member,
             frame=FrameBundle(e=e[i], e_flat=e_flat[i], gauge_tag=gauges[i]),
-            profile=profile,
+            profile=ScalarProfile(
+                scalars=MainScalars(*scalars[i].tolist()),
+                v_derivs=v_derivs[i],
+                h_derivs=h_derivs[i],
+                vectors=ConnectionVectors(*vectors[i]),
+            ),
             residuals=dict(zip(names, rows[i])),
         )
-    return out
+        for i, member in enumerate(st.members)
+    ]
 
 
 def scalar_profile(pe: PointEval):
     """Full frame profile: scalars, derivative tables, vectors.
 
-    For a stack (``PointEval.stack``), a list with one entry per member: its
-    ProfileResult, or the FrameError that refused its frame.  Each refusal
-    (NotPositiveDefinite, VanishingTorsion, DegenerateSeed) takes only its
-    own member out; the others go on as one stack.  For a lone PointEval,
-    its ProfileResult, computed as a stack of one; a refusal is raised.
+    For a stack (``PointEval.stack``), a list with one ProfileResult per
+    member; for a lone PointEval, its ProfileResult, computed as a stack of
+    one.  A refusal (NotPositiveDefinite, VanishingTorsion, DegenerateSeed,
+    or SeedsDiffer for a stack whose members take different seeds) is
+    raised for the whole stack.
     """
     out = _profiles(pe.as_stack())
-    if pe.is_stack:
-        return out
-    if isinstance(out[0], FrameError):
-        raise out[0]
-    return out[0]
+    return out if pe.is_stack else out[0]

@@ -30,7 +30,9 @@ through ``np.einsum`` with a leading label or a stacked ``matmul`` of the
 same per-member shape, and ``np.linalg`` works matrix by matrix.  So
 every member comes out bit for bit as when it is evaluated alone.  A
 stage that fails for one member (a singular metric) raises for the
-stack; :func:`per_member` then runs the members one by one.
+stack, and the caller reruns the members one by one, each from
+:meth:`PointEval.as_stack`, which keeps the stages the member has
+cached (``classify.evaluate_stack``).
 """
 
 from __future__ import annotations
@@ -114,12 +116,6 @@ def _member(value, b: int):
     leaves = (value,) if kind is np.ndarray else value if kind is tuple else value.__dict__.values()
     out = [a[b] if a.ndim > 1 else a[b].item() for a in leaves]
     return out[0] if kind is np.ndarray else tuple(out) if kind is tuple else kind(*out)
-
-
-def take(value, idx: np.ndarray):
-    """The members ``idx`` of a stacked stage value (an array, a tuple, or
-    a stage dataclass), as a stacked value of the same kind."""
-    return _map_leaves(lambda a: a[idx], value)
 
 
 # names of the PointEval stages, in definition order
@@ -357,28 +353,6 @@ class PointEval:
 
 def point_eval(spec: MetricSpec, x, y, base: PointEval | None = None) -> PointEval:
     return PointEval(spec, x, y, base)
-
-
-def per_member(members: Sequence[PointEval], work: Callable) -> list:
-    """``work(stack)`` on the stack of ``members``; it returns one result
-    per member.  If it raises a Finsler4Error and there is more than one
-    member, each member runs alone, and a member that raises gets its own
-    error in place of a result.  A stack of one does not run again."""
-    members = list(members)
-    if not members:
-        return []
-    try:
-        return list(work(PointEval.stack(members)))
-    except Finsler4Error as err:
-        if len(members) == 1:
-            return [err]
-    out = []
-    for member in members:
-        try:
-            out += work(PointEval.stack([member]))
-        except Finsler4Error as err:
-            out.append(err)
-    return out
 
 
 # -- covariant derivatives --------------------------------------------------

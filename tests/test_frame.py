@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from finsler4 import frame, geometry
+from finsler4 import classify, frame, geometry
 from finsler4.frame import (
     NotPositiveDefinite,
+    SeedsDiffer,
     VanishingTorsion,
     scalar_profile,
 )
@@ -297,7 +298,7 @@ def _written_out_connection_vectors(pe):
     p_i k_j, p_i|j = -m_i j_j - n_i k_j, and L m_i|_j = -l_i m_j + n_i u_j
     + p_i v_j and so on.  This is the reference the connection-form algebra
     of frame._connection_vectors must reproduce bit for bit."""
-    _, e_jets, e_flat_jets, _, _ = frame._frame_from_ring(*pe.frame_field_jets)
+    e_jets, e_flat_jets, _ = frame._frame_from_ring(*pe.frame_field_jets)
     e_jets, e_flat_jets = e_jets[0], e_flat_jets[0]
     e, e_flat = e_jets[..., 0].copy(), e_flat_jets[..., 0].copy()
     L0, g = pe.L, pe.metric.g
@@ -394,9 +395,12 @@ def _profile_bits(prof):
 
 
 def test_refusals_take_only_their_own_member_out_of_a_stack():
-    # each member's profile or refusal in one mixed stack is what it gets alone
+    # a refusal raises for the whole stack, and the rerun member by member
+    # gives each member the profile or refusal it gets alone
     pes = [point_eval(spec, x, y) for spec, x, y, _ in _MIXED]
-    outcomes = scalar_profile(geometry.PointEval.stack(pes))
+    with pytest.raises(NotPositiveDefinite):
+        scalar_profile(geometry.PointEval.stack(pes))
+    outcomes = classify.evaluate_stack([point_eval(spec, x, y) for spec, x, y, _ in _MIXED])
     for (spec, x, y, kind), got in zip(_MIXED, outcomes):
         try:
             want = scalar_profile(point_eval(spec, x, y))
@@ -407,8 +411,33 @@ def test_refusals_take_only_their_own_member_out_of_a_stack():
         if kind == "profile":
             assert _profile_bits(got) == _profile_bits(want)
     seeds = [out.frame.gauge_tag["seeds"] for out in outcomes if not isinstance(out, Exception)]
-    # three seed patterns in one stack: each went on in its own sub-stack
+    # three seed patterns, one per member left with a frame
     assert seeds == [(0, 2), (0, 1), (2, 3)]
+
+
+def test_the_rerun_builds_only_the_frame_again(monkeypatch):
+    # the stack caches every tensor stage before its frame build refuses,
+    # and each member's rerun starts from those stages
+    calls = {name: 0 for name in ("metric", "cartan", "spray", "dx_g", "connection",
+                                  "cartan_h_derivatives", "scalar_profile")}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in list(calls)[:-1]:
+        prop = geometry.PointEval.__dict__[name]
+        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    monkeypatch.setattr(frame, "scalar_profile", counted("scalar_profile", scalar_profile))
+    outcomes = classify.evaluate_stack([point_eval(spec, x, y) for spec, x, y, _ in _MIXED])
+    assert [type(o).__name__ for o in outcomes] == [
+        "ProfileResult", "ProfileResult", "VanishingTorsion", "NotPositiveDefinite",
+        "ProfileResult",
+    ]
+    assert calls == {**dict.fromkeys(calls, 1), "scalar_profile": 1 + len(_MIXED)}
+    assert all(o.__traceback__ is None for o in outcomes if isinstance(o, Exception))
 
 
 # an off-diagonal Randers-type metric whose frames can carry a flipped sign
@@ -429,10 +458,12 @@ _SKIPS = {
 
 @pytest.mark.parametrize("names", [("flipped", "skip1"), ("flipped", "skip1", "skip12")])
 def test_members_that_skip_a_later_seed_keep_their_own_sign_flips(names):
-    # a member that leaves the stack after the first pick carries its own
-    # sign of that pick into its sub-stack, and a second split there works
+    # members that skip different seeds refuse the stack together, and the
+    # rerun gives each member its own seeds and sign flips
     members = [_SKIPS[name] for name in names]
-    outcomes = scalar_profile(geometry.PointEval.stack([point_eval(*m[:3]) for m in members]))
+    with pytest.raises(SeedsDiffer):
+        scalar_profile(geometry.PointEval.stack([point_eval(*m[:3]) for m in members]))
+    outcomes = classify.evaluate_stack([point_eval(*m[:3]) for m in members])
     for (spec, x, y, tag), got in zip(members, outcomes):
         want = scalar_profile(point_eval(spec, x, y))
         assert want.frame.gauge_tag == tag

@@ -56,3 +56,31 @@ def test_warm_ops_enter_every_span_the_layer_metrics_read():
         "conformal.invariance_check", "classify.classify_metric", "classify.crosscheck",
     }
     assert read <= entered, sorted(read - entered)
+
+
+# one classify_metric on Berwald-Moor, whose fundamental tensor is
+# indefinite, under the benchmark's tracer; prints the error of each
+# frame.scalar_profile span
+_TRACED_REFUSAL = """
+import json
+import tracer
+from finsler4 import classify, metrics
+from finsler4.metrics import SamplePlan
+
+t = tracer.Tracer()
+tracer.install(t)
+spec = metrics.make_builtin_metric("berwald_moor")
+classify.classify_metric(spec, SamplePlan(1, 5))
+print(json.dumps([span[6] for span in t.spans if span[0] == "frame.scalar_profile"]))
+"""
+
+
+def test_a_refused_frame_is_a_profile_span_that_raised():
+    # perfbench/worker.py reads frame.error_share.* from the frame.scalar_profile
+    # spans that raised, so a refusal must leave its profile call as an error
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_REFUSAL],
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["NotPositiveDefinite"]
