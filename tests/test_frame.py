@@ -400,7 +400,7 @@ def test_refusals_take_only_their_own_member_out_of_a_stack():
     pes = [point_eval(spec, x, y) for spec, x, y, _ in _MIXED]
     with pytest.raises(NotPositiveDefinite):
         scalar_profile(geometry.PointEval.stack(pes))
-    outcomes = classify.evaluate_stack([point_eval(spec, x, y) for spec, x, y, _ in _MIXED])
+    outcomes = classify.evaluate_stack(pes)
     for (spec, x, y, kind), got in zip(_MIXED, outcomes):
         try:
             want = scalar_profile(point_eval(spec, x, y))
@@ -418,8 +418,8 @@ def test_refusals_take_only_their_own_member_out_of_a_stack():
 def test_the_rerun_builds_only_the_frame_again(monkeypatch):
     # the stack caches every tensor stage before its frame build refuses,
     # and each member's rerun starts from those stages
-    calls = {name: 0 for name in ("metric", "cartan", "spray", "dx_g", "connection",
-                                  "cartan_h_derivatives", "scalar_profile")}
+    stages = ("metric", "cartan", "spray", "dx_g", "connection", "cartan_h_derivatives")
+    calls = dict.fromkeys(stages + ("scalar_profile",), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -427,7 +427,7 @@ def test_the_rerun_builds_only_the_frame_again(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in list(calls)[:-1]:
+    for name in stages:
         prop = geometry.PointEval.__dict__[name]
         monkeypatch.setattr(prop, "func", counted(name, prop.func))
     monkeypatch.setattr(frame, "scalar_profile", counted("scalar_profile", scalar_profile))
@@ -461,9 +461,10 @@ def test_members_that_skip_a_later_seed_keep_their_own_sign_flips(names):
     # members that skip different seeds refuse the stack together, and the
     # rerun gives each member its own seeds and sign flips
     members = [_SKIPS[name] for name in names]
+    pes = [point_eval(*m[:3]) for m in members]
     with pytest.raises(SeedsDiffer):
-        scalar_profile(geometry.PointEval.stack([point_eval(*m[:3]) for m in members]))
-    outcomes = classify.evaluate_stack([point_eval(*m[:3]) for m in members])
+        scalar_profile(geometry.PointEval.stack(pes))
+    outcomes = classify.evaluate_stack(pes)
     for (spec, x, y, tag), got in zip(members, outcomes):
         want = scalar_profile(point_eval(spec, x, y))
         assert want.frame.gauge_tag == tag
