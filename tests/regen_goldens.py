@@ -74,6 +74,8 @@ REPORTS = (
     (["classify", "{d}/indefinite_small.json"], "classify_indefinite.json"),
     (["conformal", "{d}/indefinite_conformal_small.json"], "conformal_indefinite.json"),
     (["classify", "{d}/riemannian_curved_small.json"], "classify_riemannian_curved.json"),
+    # the jet pipeline against the finite-difference oracle
+    (["selftest"], "selftest.json"),
 )
 
 

@@ -389,3 +389,51 @@ def test_stack_of_stacks_is_refused():
         geometry.PointEval.stack([stack])
     with pytest.raises(jets.InvalidArgument):
         geometry.PointEval.stack([])
+
+
+# -- the Landsberg tensor from the spray ---------------------------------------
+
+_RANDERS_L = "sqrt(y1^2+y2^2+y3^2+y4^2)+0.1*x2*y1"
+LANDSBERG_DOCS = [
+    {"family": "randers", "params": {"b": ["0.2*sin(x1)", "0.1*x3", 0, 0.05]}},
+    # a curved alpha with an alpha-parallel drift: Berwald, not locally Minkowski
+    {"family": "expression", "L": "sqrt(y1^2+(1+0.1*x1^2)^2*y2^2+y3^2+y4^2)+0.3*y3"},
+    # g is indefinite at some of these points
+    {"family": "expression", "L": "sqrt(y1^2+y2^2+y3^2+x1*y4^2)+0.1*x2*y1"},
+    {"family": "randers", "params": {"b": ["0.1*x2", 0, 0, 0]},
+     "sigma": "0.1*x1+0.3*x3^2-0.2*sin(x4)"},
+    {"family": "expression", "L": f"1e-3*({_RANDERS_L})"},
+    {"family": "expression", "L": f"1e3*({_RANDERS_L})"},
+]
+
+
+def _landsberg_points():
+    corpus = _perfbench_corpus()
+    docs = [doc for _, doc, *_ in corpus.CLASSIFY_CORPUS] + LANDSBERG_DOCS
+    for doc in docs:
+        spec = metrics.spec_from_json_dict(dict(doc))[0]
+        for x, y in sample_domain(spec.domain, SamplePlan(8, 5)):
+            yield spec, x, y
+    # the points of the golden frame reports
+    yield make_builtin_metric("quartic_minkowski"), X0, Y2
+    randers = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+    yield randers, np.array([0.1, 0.2, 0.3, 0.4]), Y2
+
+
+def test_landsberg_tensor_is_the_spray_cubic_transvected_by_y():
+    # C_0 = C_h(., ., ., y) is the Landsberg tensor, -1/2 y_i G^i_jkl with
+    # y_i = g_ij y^j (Bao-Chern-Shen 2000): the order-5 h-derivative route and
+    # the spray cubic read different partials of the same L^2 jet
+    checked = 0
+    for spec, x, y in _landsberg_points():
+        pe = point_eval(spec, x, y)
+        try:
+            C_0 = pe.cartan_h_derivatives[1]
+        except jets.Finsler4Error:  # outside the domain, or a singular g
+            continue
+        g, D = pe.metric.g, pe.spray.G_hess3
+        gap = np.abs(C_0 + 0.5 * np.einsum("i,ijkl->jkl", g @ y, D)).max()
+        bound = 1e-12 * np.abs(g).max() * (1.0 + np.linalg.norm(y) * np.abs(D).max())
+        assert gap <= bound, (spec, x, y, gap / bound)
+        checked += 1
+    assert checked == 90

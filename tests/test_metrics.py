@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from finsler4 import jets, metrics
+from finsler4 import exprdsl, geometry, jets, metrics
 from finsler4.metrics import (
     DomainSpec,
     InvalidParameters,
@@ -225,3 +225,69 @@ def test_array_domain_violation_in_one_column(name):
     with pytest.raises(jets.DomainViolation):
         eval_L_value(spec, xs[:, 5], ys[:, 5])
 
+
+
+# -- the family formulas as written out -----------------------------------------
+
+def _entry(v):
+    return exprdsl.parse_expr(v) if isinstance(v, str) else exprdsl.Lit(float(v))
+
+
+def _written_out_L(family, params, env):
+    """L of a built-in family as the hand-written formula it is defined by,
+    in whatever ring ``env`` lives in: the reference for the family's
+    expression."""
+    ys = env[4:]
+    if family == "quartic_minkowski":
+        return jets.power(sum(jets.power(v, 4) for v in ys), 0.25)
+    if family == "berwald_moor":
+        return jets.power(ys[0] * ys[1] * ys[2] * ys[3], 0.25)
+    if family == "riemannian":
+        g0 = [[_entry(v) for v in row] for row in params["g0"]]
+        return jets.sqrt(jets.ring_sum(
+            exprdsl.eval_expr(g0[i][j], env) * ys[i] * ys[j]
+            for i in range(4) for j in range(4)
+        ))
+    assert family == "randers"
+    bvals = [exprdsl.eval_expr(_entry(v), env) for v in params["b"]]
+    return jets.sqrt(sum(v * v for v in ys)) + sum(b * v for b, v in zip(bvals, ys))
+
+
+# name -> (family, params, sigma)
+FORMULA_SPECS = {
+    "quartic": ("quartic_minkowski", None, None),
+    "berwald_moor": ("berwald_moor", None, None),
+    "riemannian_curved": ("riemannian", {"g0": CURVED_G0}, None),
+    "randers_constant": ("randers", {"b": [0.3, 0.1, 0, 0]}, None),
+    "randers_drift": ("randers", {"b": ["0.1*x2", 0, 0, 0]}, None),
+    "conformal_randers": ("randers", {"b": ["0.1*x2", 0, 0, 0]}, "0.2*x1+0.1*sin(x2)"),
+}
+
+
+def _written_out(family, params, sigma, env):
+    L = _written_out_L(family, params, env)
+    if sigma is None:
+        return L
+    return jets.exp(exprdsl.eval_expr(exprdsl.parse_expr(sigma), env)) * L
+
+
+@pytest.mark.parametrize("name", sorted(FORMULA_SPECS))
+def test_family_L_equals_its_written_out_formula_bit_for_bit(name):
+    family, params, sigma = FORMULA_SPECS[name]
+    spec = make_builtin_metric(family, params)
+    if sigma is not None:
+        spec = make_conformal(spec, sigma)
+    points = sample_domain(spec.domain, SamplePlan(8, 3))
+    for caps in (geometry.MASTER_CAPS, geometry.FRAME_CAPS):
+        for x, y in points:
+            env = [jets.variable(i, float(v), caps) for i, v in enumerate((*x, *y))]
+            want = _written_out(family, params, sigma, env)
+            got = eval_L(spec, x, y, caps)
+            assert got.c.tobytes() == want.c.tobytes()
+            assert got.deg == want.deg
+    for x, y in points:
+        want = _written_out(family, params, sigma, [float(v) for v in (*x, *y)])
+        assert eval_L_value(spec, x, y) == want
+    xs, ys = _columns(points)
+    want = _written_out(family, params, sigma, list(xs) + list(ys))
+    assert eval_L_value(spec, xs, ys).tobytes() == want.tobytes()

@@ -84,3 +84,38 @@ def test_a_refused_frame_is_a_profile_span_that_raised():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == ["NotPositiveDefinite"]
+
+
+# compares a recorded reference (JSON on stdin) with perfbench/reference.json
+# entry by entry, as the benchmark's warm-up does; prints the problems
+_COMPARE_REFERENCE = """
+import json, sys
+import worker
+got = json.load(sys.stdin)
+want = json.loads(worker.REFERENCE.read_text())
+problems = [] if list(got) == list(want) else [f"workloads {list(got)} vs {list(want)}"]
+for workload, entries in want.items():
+    if list(got.get(workload, {})) != list(entries):
+        problems.append(f"{workload}: entries {list(got.get(workload, {}))} vs {list(entries)}")
+        continue
+    for name, values in entries.items():
+        problems += worker.compare_reference(f"{workload}/{name}", got[workload][name], values)
+print(json.dumps(problems))
+"""
+
+
+def test_recorded_reference_matches_the_benchmark_reference():
+    # the benchmark counts a warm-up output that leaves perfbench/reference.json
+    # (corpus.REL_TOL relative, corpus.ABS_FLOOR absolute) as a failure; a
+    # change to src/ that would fail that gate fails here first
+    recorded = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "record-reference"],
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=300,
+    )
+    assert recorded.returncode == 0, recorded.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMPARE_REFERENCE], input=recorded.stdout,
+        cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
