@@ -185,11 +185,18 @@ def _evaluate_record(index: int, pe: geometry.PointEval, prof) -> PointRecord:
     )
 
 
+def check_tol(tol: float) -> None:
+    """Raise InvalidArgument unless the tolerance is a finite number > 0."""
+    if not 0.0 < tol < math.inf:
+        raise jets.InvalidArgument(f"tol must be a finite number > 0, got {tol!r}")
+
+
 def classify_metric(
     spec: MetricSpec, plan: SamplePlan, tol: float = DEFAULT_TOL
 ) -> ClassificationReport:
     """Classify over the sampled points, all of them evaluated as one stack;
     a point that cannot be evaluated becomes an ``eval_error`` record."""
+    check_tol(tol)
     points = metrics.sample_domain(spec.domain, plan)
     records: list = [None] * len(points)
     evaluated = []

@@ -99,6 +99,14 @@ def _apply_overrides(plan: SamplePlan, args) -> SamplePlan:
     return SamplePlan(count=count, seed=seed)
 
 
+def _tol(args, default: float) -> float:
+    if args.tol is None:
+        return default
+    if not 0.0 < args.tol < math.inf:
+        raise SpecSchemaError(f"--tol needs a finite number > 0, got {args.tol!r}")
+    return args.tol
+
+
 def _effective_config(plan: SamplePlan, tol: Optional[float]) -> dict:
     cfg = {"samples": plan.count, "seed": plan.seed}
     if tol is not None:
@@ -136,7 +144,7 @@ def _point_record_doc(rec) -> dict:
 def cmd_classify(args) -> int:
     spec, plan = _load_spec(args.spec)
     plan = _apply_overrides(plan, args)
-    tol = args.tol if args.tol is not None else classify_mod.DEFAULT_TOL
+    tol = _tol(args, classify_mod.DEFAULT_TOL)
     report = classify_mod.classify_metric(spec, plan, tol)
     doc = {
         "command": "classify",
@@ -164,7 +172,7 @@ def _sigma_doc(sc) -> dict:
 def cmd_conformal(args) -> int:
     spec, plan = _load_spec(args.spec)
     plan = _apply_overrides(plan, args)
-    tol = args.tol if args.tol is not None else 1e-6
+    tol = _tol(args, 1e-6)
     pair = conformal_mod.pair_from_spec(spec)
     audit = conformal_mod.audit_pair(pair, plan, tol=tol)
     points = []
@@ -203,9 +211,12 @@ def _parse_point(text: str, what: str) -> np.ndarray:
     if len(parts) != 4:
         raise SpecSchemaError(f"--{what} needs four comma-separated numbers")
     try:
-        return np.array([float(p) for p in parts])
+        point = np.array([float(p) for p in parts])
     except ValueError:
         raise SpecSchemaError(f"--{what} needs four comma-separated numbers") from None
+    if not np.all(np.isfinite(point)):
+        raise SpecSchemaError(f"--{what} needs four finite numbers")
+    return point
 
 
 def cmd_frame(args) -> int:

@@ -33,7 +33,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import exprdsl, geometry, jets, metrics
-from .classify import AGREEMENT, agreement, all3, band, evaluate_stack, hderiv_measurement
+from .classify import (
+    AGREEMENT, agreement, all3, band, check_tol, evaluate_stack, hderiv_measurement,
+)
 from .frame import FrameError, ProfileResult, SCALAR_NAMES, ScalarProfile
 from .geometry import PointEval
 from .jets import DegreeCaps, Finsler4Error, derivative_tensor
@@ -457,6 +459,7 @@ def audit_pair(
 ) -> ConformalAudit:
     """Co-occurrence audit over sampled points: do the condition blocks
     agree with the directly measured character of the rescaled space?"""
+    check_tol(tol)
     reports = evaluate_points(pair, metrics.sample_domain(pair.base.domain, plan))
 
     def summarise(kind: str) -> dict:

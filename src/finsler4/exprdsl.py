@@ -10,14 +10,16 @@ Precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 ``^`` takes a single literal exponent (chains like ``a^2^3`` are
 rejected).  Evaluation is ring-polymorphic: the same AST runs on floats,
 on NumPy arrays (elementwise) or on :class:`~finsler4.jets.JetScalar`
-values.
+values, with the eight variable values given by slot.  It is the one
+evaluator of L: every built-in metric family is an expression too
+(:func:`finsler4.metrics.make_builtin_metric`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -55,12 +57,6 @@ class UnknownIdentifier(ExprError):
 class NonConstantExponent(ExprError):
     def __init__(self, offset: int | None = None) -> None:
         super().__init__("exponent must be a numeric literal", offset)
-
-
-class UnboundVariable(ExprError):
-    def __init__(self, name: str) -> None:
-        super().__init__(f"variable {name!r} is not bound in the environment")
-        self.name = name
 
 
 # -- AST -----------------------------------------------------------------
@@ -233,24 +229,15 @@ def parse_expr(text: str) -> ExprAst:
 
 # -- evaluation ----------------------------------------------------------
 
-Env = Union[Sequence, Mapping[str, object]]
+def eval_expr(ast: ExprAst, env: Sequence):
+    """Evaluate bottom-up in whatever ring the environment provides.
 
-
-def _lookup(env: Env, var: Var):
-    if isinstance(env, Mapping):
-        try:
-            return env[var.name]
-        except KeyError:
-            raise UnboundVariable(var.name) from None
-    return env[var.slot]
-
-
-def eval_expr(ast: ExprAst, env: Env):
-    """Evaluate bottom-up in whatever ring the environment provides."""
+    ``env`` holds the values of the eight variable slots, x1..x4 then y1..y4.
+    """
     if isinstance(ast, Lit):
         return ast.value
     if isinstance(ast, Var):
-        return _lookup(env, ast)
+        return env[ast.slot]
     if isinstance(ast, Neg):
         return -eval_expr(ast.arg, env)
     if isinstance(ast, Pow):

@@ -25,9 +25,9 @@ torsion vanishes or its seeds run out, the stack raises that refusal,
 and a seed that some members skip and others take raises
 :class:`SeedsDiffer`.  The caller reruns the members one by one
 (:func:`classify.evaluate_stack`), so each gets its own frame or error.
-1/L and q^(-1/2) are :func:`jets.recip_stack` and
-:func:`jets.power_stack`, the series of the jet ring's elementary
-functions summed over the stack.
+1/L and q^(-1/2) are :func:`jets.recip` and :func:`jets.power` of the
+stack's L and q as one stacked :class:`jets.JetScalar`, each member's row
+bit for bit as its own jet.
 
 Main scalar convention
 ----------------------
@@ -71,7 +71,7 @@ import numpy as np
 
 from . import geometry, jets
 from .geometry import FRAME_CAPS, PointEval
-from .jets import Finsler4Error, contract, ring_sum
+from .jets import Finsler4Error, JetScalar, contract, ring_sum
 
 TAU_TORSION = 1e-7  # below this the torsion direction is numerically meaningless
 _SEED_SKIP_TOL = 1e-6
@@ -197,7 +197,7 @@ def _complete(g, rows) -> list:
             continue
         if skip.any():
             raise SeedsDiffer(f"stack members disagree on skipping seed {seed}")
-        vec = contract("zi,z->zi", r, jets.power_stack(norm2, -0.5, caps), caps)
+        vec = contract("zi,z->zi", r, jets.power(JetScalar(caps, norm2), -0.5).c, caps)
         sign = np.array([_sign(comps) for comps in vec[:, :, 0].tolist()])
         rows[:, len(picks) + 2] = sign[:, None, None] * vec
         picks.append((seed, sign))
@@ -217,7 +217,7 @@ def _frame_from_ring(g, g_inv, C, y, L):
     :func:`_complete` raises.  Refusals read base values only.
     """
     caps = FRAME_CAPS
-    l = contract("zi,z->zi", y, jets.recip_stack(L, caps), caps)
+    l = contract("zi,z->zi", y, jets.recip(JetScalar(caps, L)).c, caps)
     C_low = contract("zijk,zjk->zi", C, g_inv, caps)
     C_up = contract("zij,zj->zi", g_inv, C_low, caps)
     q = contract("zi,zi->z", C_up, C_low, caps)
@@ -230,7 +230,7 @@ def _frame_from_ring(g, g_inv, C, y, L):
             )
     e = np.empty(g.shape)
     e[:, 0] = l
-    e[:, 1] = contract("zi,z->zi", C_up, jets.power_stack(q, -0.5, caps), caps)
+    e[:, 1] = contract("zi,z->zi", C_up, jets.power(JetScalar(caps, q), -0.5).c, caps)
     picks = _complete(g, e)
     seeds = tuple(s for s, _ in picks)
     flips = zip(*(signs.astype(int).tolist() for _, signs in picks))

@@ -32,8 +32,10 @@ row-major order, then over the pairs of a monomial in table order.
 truncated Neumann series around the inverse of its base value, evaluated
 by Horner; on the identity jet it is the inverse.  This is truncated
 Taylor arithmetic in vector mode (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., ch. 13).  A :class:`JetScalar` is the 0-d case,
-with the elementary functions below.
+Derivatives*, 2nd ed., ch. 13).  A :class:`JetScalar` is the case without
+tensor axes, a lone jet or a stack of them (coefficients of shape
+``S + (n,)``), with the elementary functions below; every one of them acts
+on a stack row by row, each row bit for bit as alone.
 
 The elementary functions (:func:`exp`, :func:`log`, :func:`power`,
 :func:`sqrt`, :func:`sin`, :func:`cos`) also take floats, through
@@ -112,11 +114,6 @@ class DegreeCaps:
             raise InvalidArgument(
                 f"total degree cap {self.total_max} outside 0..{self.x_max + self.y_max}"
             )
-
-    @property
-    def series_order(self) -> int:
-        # highest total degree a stored monomial can carry
-        return self.total_max
 
     @cached_property
     def tables(self) -> "_Tables":
@@ -287,7 +284,14 @@ def _as_order(order: OrderLike) -> tuple[int, ...]:
 
 
 class JetScalar:
-    """Truncated Taylor expansion of a scalar at a fixed base point.
+    """Truncated Taylor expansion of a scalar at a fixed base point, or a
+    stack of them.
+
+    ``c`` has shape ``S + (n,)``: a lone jet is ``S = ()``, and a stack of
+    jets at several points (or of several quantities) keeps one coefficient
+    row per member, all at the same caps and within one degree bound.
+    Arithmetic and every elementary function act row by row, each row bit
+    for bit as on that row alone; operands of different ``S`` broadcast.
 
     ``deg = (dx, dy)`` bounds the x-degree and the y-degree of every nonzero
     coefficient; it defaults to the caps.  A product forms only the
@@ -306,10 +310,11 @@ class JetScalar:
 
     @property
     def base(self) -> float:
+        """The value at the base point of a lone jet."""
         return float(self.c[0])
 
     def __repr__(self) -> str:
-        return f"JetScalar(base={self.base!r}, caps={self.caps}, deg={self.deg})"
+        return f"JetScalar(base={self.c[..., 0].tolist()!r}, caps={self.caps}, deg={self.deg})"
 
     # -- arithmetic ----------------------------------------------------
 
@@ -358,8 +363,7 @@ class JetScalar:
             return NotImplemented
         t = self.caps.tables
         mul_i, mul_j, mul_k, deg = t.products(self.deg, o.deg)
-        prod = self.c[mul_i] * o.c[mul_j]
-        return JetScalar(self.caps, np.bincount(mul_k, weights=prod, minlength=t.n), deg)
+        return JetScalar(self.caps, _product(self.c, o.c, mul_i, mul_j, mul_k, t.n), deg)
 
     __rmul__ = __mul__
 
@@ -371,18 +375,32 @@ class JetScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self * _recip(o)
+        return self * recip(o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o * _recip(self)
+        return o * recip(self)
 
     def __pow__(self, r):
         if isinstance(r, (int, float)):
             return power(self, r)
         return NotImplemented
+
+
+def _product(a: np.ndarray, b: np.ndarray, mul_i, mul_j, mul_k, n: int) -> np.ndarray:
+    """Truncated ring product of two coefficient arrays of shape ``S + (n,)``,
+    row by row: each row's coefficient pairs (mul_i, mul_j) are summed onto
+    their monomials mul_k left to right by one ``np.bincount``, the stacked
+    rows offset by ``n`` each, so every row comes out bit for bit as alone."""
+    if a.ndim == b.ndim == 1:
+        return np.bincount(mul_k, weights=a[mul_i] * b[mul_j], minlength=n)
+    prod = a.take(mul_i, axis=-1) * b.take(mul_j, axis=-1)
+    rows = prod.size // len(mul_k)
+    at = (np.arange(rows)[:, None] * n + mul_k).ravel()
+    coeffs = np.bincount(at, weights=prod.ravel(), minlength=rows * n)
+    return coeffs.reshape(prod.shape[:-1] + (n,))
 
 
 def const(value: float, caps: DegreeCaps = DEFAULT_CAPS) -> JetScalar:
@@ -515,7 +533,7 @@ def solve(m: np.ndarray, m0_inv: np.ndarray, rhs: np.ndarray, caps: DegreeCaps) 
     each member is solved as if alone.
 
     With ``d = m - m0`` (no constant term, so nilpotent in the ring) the
-    truncated Neumann series ``sum_{j <= caps.series_order} (-m0_inv d)^j
+    truncated Neumann series ``sum_{j <= caps.total_max} (-m0_inv d)^j
     m0_inv rhs`` is exact.  It is evaluated by Horner, one contraction of
     ``-m0_inv d`` with the running sum per degree; it needs neither pivots
     nor branches, and a singular base is the caller's check, made where
@@ -529,7 +547,7 @@ def solve(m: np.ndarray, m0_inv: np.ndarray, rhs: np.ndarray, caps: DegreeCaps) 
     rest = "klmnopqr"[: rhs.ndim - len(z) - 2]
     spec = f"{z}ij,{z}j{rest}->{z}i{rest}"
     out = base
-    for _ in range(caps.series_order):
+    for _ in range(caps.total_max):
         out = base + contract(spec, step, out, caps)
     return out
 
@@ -545,67 +563,45 @@ def identity(k: int, caps: DegreeCaps) -> np.ndarray:
 #
 # Each elementary function of a jet is the Taylor series of a univariate h
 # around the jet's base value, its coefficients read from the derivatives
-# of h there (the ``_*_derivs`` lists).  :func:`_compose` sums that series
-# for a whole stack of jets; a JetScalar goes through it as a stack of one,
-# and :func:`recip_stack` and :func:`power_stack` serve stacks of jet rows.
+# of h there (the ``_*_derivs`` lists, which also refuse a base value
+# outside h's domain).  :func:`_compose` sums that series for a lone jet
+# and, row by row, for a stack.
 
 
-def _compose(f: np.ndarray, deg: tuple, caps: DegreeCaps, derivs) -> tuple[np.ndarray, tuple]:
-    """h(f) for each row of a stack of jets, for a univariate h.
+def _compose(f: JetScalar, derivs) -> JetScalar:
+    """h(f) for a univariate h, each row of a stack as on its own.
 
-    ``f`` is a (B, n) coefficient array at ``caps`` whose rows keep the
-    degree bound ``deg``; ``derivs(b, m)`` lists the derivatives 0..m of h
-    at the base value b.  The series runs to ``caps.series_order`` (higher
-    orders are nilpotent) and is evaluated by Horner recursion in the ring,
-    one degree-bounded product per order, so each row comes out bit for bit
-    as on its own.  Returns h(f) and its degree bound.
+    ``derivs(b, m)`` lists the derivatives 0..m of h at the base value b.
+    The series runs to ``caps.total_max`` (higher orders are nilpotent) and
+    is evaluated by Horner recursion in the ring, one degree-bounded
+    product per order.
     """
-    t = caps.tables
-    m = caps.series_order
+    t = f.caps.tables
+    m = f.caps.total_max
     # taylor[i][k]: the k-th Taylor coefficient of h at row i's base value
     taylor = [
-        [d / math.factorial(k) for k, d in enumerate(derivs(b, m))] for b in f[:, 0].tolist()
+        [d / math.factorial(k) for k, d in enumerate(derivs(b, m))]
+        for b in f.c[..., 0].ravel().tolist()
     ]
-    if m == 0:
-        r = np.zeros(f.shape)
-        _add_to_base(r, taylor, 0)
-        return r, (0, 0)
-    s = f.copy()
-    s[:, 0] = 0.0
-    # the first Horner step multiplies s by a constant: each pair (0, j)
-    # lands on monomial j alone, so the product is elementwise, and adding
-    # 0.0 gives the 0.0 a ring sum gives for a -0.0
-    _, cols, _, r_deg = t.products((0, 0), deg)
-    lead = np.array([row[m] for row in taylor])[:, None]
-    if len(cols) == t.n:
-        r = lead * s + 0.0
-    else:
-        r = np.zeros(s.shape)
-        r[:, cols] = lead * s.take(cols, axis=1) + 0.0
-    _add_to_base(r, taylor, m - 1)
-    rows = len(f)
-    for k in range(m - 2, -1, -1):
-        mul_i, mul_j, mul_k, r_deg = t.products(r_deg, deg)
-        prod = r.take(mul_i, axis=1) * s.take(mul_j, axis=1)
-        if rows > 1:
-            mul_k = (np.arange(rows)[:, None] * t.n + mul_k).ravel()
-        r = np.bincount(mul_k, weights=prod.ravel(), minlength=rows * t.n).reshape(rows, t.n)
-        _add_to_base(r, taylor, k)
-    return r, r_deg
-
-
-def _add_to_base(r: np.ndarray, taylor: list, k: int) -> None:
-    """Add each row's k-th Taylor coefficient to its base value."""
-    for i, row in enumerate(taylor):
-        r[i, 0] += row[k]
-
-
-def _jet_compose(f: JetScalar, derivs) -> JetScalar:
-    c, deg = _compose(f.c[None], f.deg, f.caps, derivs)
-    return JetScalar(f.caps, c[0], deg)
+    s = f.c.copy()
+    s[..., 0] = 0.0
+    r = np.zeros(s.shape)
+    deg = (0, 0)
+    for k in range(m, -1, -1):
+        if k < m:
+            mul_i, mul_j, mul_k, deg = t.products(deg, f.deg)
+            r = _product(r, s, mul_i, mul_j, mul_k, t.n)
+        if r.ndim == 1:
+            r[0] += taylor[0][k]
+        else:
+            for row, coeffs in zip(r.reshape(-1, t.n), taylor):
+                row[0] += coeffs[k]
+    return JetScalar(f.caps, r, deg)
 
 
 def _recip_derivs(b: float, m: int) -> list:
+    if b == 0.0:
+        raise DomainViolation("reciprocal of a jet with zero base value")
     return [(-1) ** k * math.factorial(k) / b ** (k + 1) for k in range(m + 1)]
 
 
@@ -614,6 +610,8 @@ def _exp_derivs(b: float, m: int) -> list:
 
 
 def _log_derivs(b: float, m: int) -> list:
+    if b <= 0.0:
+        raise DomainViolation("log of a jet with non-positive base value")
     return [math.log(b)] + [(-1) ** (k - 1) * math.factorial(k - 1) / b**k for k in range(1, m + 1)]
 
 
@@ -627,16 +625,15 @@ def _cos_derivs(b: float, m: int) -> list:
     return [(c, -s, -c, s)[k % 4] for k in range(m + 1)]
 
 
-def _recip(f: JetScalar) -> JetScalar:
-    if f.base == 0.0:
-        raise DomainViolation("reciprocal of a jet with zero base value")
-    return _jet_compose(f, _recip_derivs)
+def recip(f: JetScalar) -> JetScalar:
+    """1/f of a jet, or of each jet of a stack."""
+    return _compose(f, _recip_derivs)
 
 
 def exp(f):
     if not isinstance(f, JetScalar):
         return np.exp(f) if isinstance(f, np.ndarray) else math.exp(f)
-    return _jet_compose(f, _exp_derivs)
+    return _compose(f, _exp_derivs)
 
 
 def log(f):
@@ -644,27 +641,7 @@ def log(f):
         if np.any(f <= 0):
             raise DomainViolation("log of a non-positive value")
         return np.log(f) if isinstance(f, np.ndarray) else math.log(f)
-    if f.base <= 0.0:
-        raise DomainViolation("log of a jet with non-positive base value")
-    return _jet_compose(f, _log_derivs)
-
-
-def recip_stack(f: np.ndarray, caps: DegreeCaps) -> np.ndarray:
-    """1/f of each row of a (B, n) stack of jets at ``caps``, each row bit
-    for bit as ``1.0 / JetScalar`` of it."""
-    if (f[:, 0] == 0.0).any():
-        raise DomainViolation("reciprocal of a jet with zero base value")
-    return _compose(f, (caps.x_max, caps.y_max), caps, _recip_derivs)[0]
-
-
-def power_stack(f: np.ndarray, r: float, caps: DegreeCaps) -> np.ndarray:
-    """f**r of each row of a (B, n) stack of jets at ``caps`` for a
-    fractional exponent, each row bit for bit as :func:`power` of it:
-    exp(r log f), so every base value must be positive."""
-    if (f[:, 0] <= 0.0).any():
-        raise DomainViolation("log of a jet with non-positive base value")
-    log_f, deg = _compose(f, (caps.x_max, caps.y_max), caps, _log_derivs)
-    return _compose(log_f * float(r), deg, caps, _exp_derivs)[0]
+    return _compose(f, _log_derivs)
 
 
 def power(f, r: Number):
@@ -685,7 +662,9 @@ def power(f, r: Number):
     if float(r) == int(r):
         n = int(r)
         if n == 0:
-            return const(1.0, f.caps)
+            one = np.zeros(f.c.shape)
+            one[..., 0] = 1.0
+            return JetScalar(f.caps, one, (0, 0))
         inv = n < 0
         n = abs(n)
         factors = []
@@ -697,7 +676,7 @@ def power(f, r: Number):
             if n:
                 base = base * base
         acc = reduce(operator.mul, factors)
-        return _recip(acc) if inv else acc
+        return recip(acc) if inv else acc
     return exp(log(f) * float(r))
 
 
@@ -712,13 +691,13 @@ def sqrt(f):
 def sin(f):
     if not isinstance(f, JetScalar):
         return np.sin(f) if isinstance(f, np.ndarray) else math.sin(f)
-    return _jet_compose(f, _sin_derivs)
+    return _compose(f, _sin_derivs)
 
 
 def cos(f):
     if not isinstance(f, JetScalar):
         return np.cos(f) if isinstance(f, np.ndarray) else math.cos(f)
-    return _jet_compose(f, _cos_derivs)
+    return _compose(f, _cos_derivs)
 
 
 def base_of(v):

@@ -3,16 +3,20 @@
 A :class:`MetricSpec` describes a fundamental function L(x, y) on the
 four-dimensional slit tangent bundle, either as one of the built-in
 families or as a parsed expression, optionally composed with a
-position-only conformal factor.  Evaluation is ring-polymorphic: the same
-family formula runs on floats, on NumPy arrays of points (for the
-finite-difference oracle) or on jets (for the tensor pipeline).
+position-only conformal factor.  Every family's L is an expression
+(``MetricSpec.L_ast``; :func:`make_builtin_metric` writes out the built-in
+formulas), and :func:`exprdsl.eval_expr` is the one evaluator of L.
+Evaluation is ring-polymorphic: the same expression runs on floats, on
+NumPy arrays of points (for the finite-difference oracle) or on jets (for
+the tensor pipeline).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,15 +113,17 @@ class SamplePlan:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Declarative description of a metric family plus its domain."""
+    """Declarative description of a metric family plus its domain.
+
+    ``L_ast`` is L as an expression for every family but ``conformal``,
+    whose L is e^sigma times that of ``base``.
+    """
 
     family: str
     domain: DomainSpec
-    params: dict = field(default_factory=dict)
     L_ast: Optional[ExprAst] = None
     sigma_ast: Optional[ExprAst] = None
     base: Optional["MetricSpec"] = None
-    g0_ast: Optional[tuple] = None  # 4x4 of ExprAst for the riemannian family
     b_ast: Optional[tuple] = None  # 4 of ExprAst for the randers family
 
 
@@ -134,6 +140,20 @@ def _require_x_only(ast: ExprAst, what: str) -> None:
         raise InvalidParameters(f"{what} may depend on x1..x4 only")
 
 
+_Y = tuple(exprdsl.Var(slot, exprdsl.VAR_NAMES[slot]) for slot in range(4, 8))
+_QUARTIC_L = exprdsl.parse_expr("(y1^4+y2^4+y3^4+y4^4)^0.25")
+_BERWALD_MOOR_L = exprdsl.parse_expr("(y1*y2*y3*y4)^0.25")
+
+
+def _sum(terms) -> ExprAst:
+    """Left-to-right sum of expressions, starting from the first term."""
+    return reduce(lambda a, b: exprdsl.BinOp("+", a, b), terms)
+
+
+def _times(*factors) -> ExprAst:
+    return reduce(lambda a, b: exprdsl.BinOp("*", a, b), factors)
+
+
 def make_builtin_metric(
     family: str, params: Optional[dict] = None, domain: Optional[DomainSpec] = None
 ) -> MetricSpec:
@@ -143,24 +163,26 @@ def make_builtin_metric(
         if params:
             raise InvalidParameters("quartic_minkowski takes no parameters")
         dom = domain or DomainSpec(y_cone="all_nonzero")
-        return MetricSpec(family, dom)
+        return MetricSpec(family, dom, L_ast=_QUARTIC_L)
     if family == "berwald_moor":
         if params:
             raise InvalidParameters("berwald_moor takes no parameters")
         dom = domain or DomainSpec(y_cone="all_positive")
         if dom.y_cone != "all_positive":
             raise InvalidParameters("berwald_moor requires the all_positive cone")
-        return MetricSpec(family, dom)
+        return MetricSpec(family, dom, L_ast=_BERWALD_MOOR_L)
     if family == "riemannian":
         g0 = params.get("g0")
         if g0 is None or len(g0) != 4 or any(len(row) != 4 for row in g0):
             raise InvalidParameters("riemannian requires a 4x4 'g0' matrix")
-        g0_ast = tuple(tuple(_parse_entry(v) for v in row) for row in g0)
-        for row in g0_ast:
+        entries = [[_parse_entry(v) for v in row] for row in g0]
+        for row in entries:
             for entry in row:
                 _require_x_only(entry, "riemannian coefficients")
+        # sqrt of the sum of g0_ij y_i y_j over all (i, j), zero entries included
+        q = _sum(_times(entries[i][j], _Y[i], _Y[j]) for i in range(4) for j in range(4))
         dom = domain or DomainSpec(y_cone="all_nonzero")
-        return MetricSpec(family, dom, params={"g0": g0}, g0_ast=g0_ast)
+        return MetricSpec(family, dom, L_ast=exprdsl.Call("sqrt", q))
     if family == "randers":
         b = params.get("b")
         if b is None or len(b) != 4:
@@ -170,14 +192,17 @@ def make_builtin_metric(
             _require_x_only(entry, "randers drift coefficients")
         dom = domain or DomainSpec(y_cone="all_nonzero")
         _check_randers_valid(b_ast, dom)
-        return MetricSpec(family, dom, params={"b": b}, b_ast=b_ast)
+        # sqrt(y1*y1+y2*y2+y3*y3+y4*y4) + (b1*y1+b2*y2+b3*y3+b4*y4)
+        alpha = exprdsl.Call("sqrt", _sum(_times(v, v) for v in _Y))
+        drift = _sum(_times(bi, v) for bi, v in zip(b_ast, _Y))
+        return MetricSpec(family, dom, L_ast=exprdsl.BinOp("+", alpha, drift), b_ast=b_ast)
     if family == "expression":
         src = params.get("L")
         if src is None:
             raise InvalidParameters("expression family requires 'L'")
         ast = exprdsl.parse_expr(src) if isinstance(src, str) else src
         dom = domain or DomainSpec(y_cone="all_nonzero")
-        return MetricSpec(family, dom, params={"L": src}, L_ast=ast)
+        return MetricSpec(family, dom, L_ast=ast)
     raise InvalidParameters(f"unknown metric family {family!r}")
 
 
@@ -213,35 +238,13 @@ def make_conformal(base: MetricSpec, sigma) -> MetricSpec:
 
 def _eval_family(spec: MetricSpec, env: list):
     """L(x, y) in whatever ring the environment elements live in."""
-    ys = env[4:]
-    if spec.family == "quartic_minkowski":
-        q = sum(jets.power(v, 4) for v in ys)
-        return jets.power(q, 0.25)
-    if spec.family == "berwald_moor":
-        p = ys[0] * ys[1] * ys[2] * ys[3]
-        if np.any(jets.base_of(p) <= 0):
-            raise DomainViolation("berwald_moor needs a product of positive y's")
-        return jets.power(p, 0.25)
-    if spec.family == "riemannian":
-        q = jets.ring_sum(
-            exprdsl.eval_expr(spec.g0_ast[i][j], env) * ys[i] * ys[j]
-            for i in range(4)
-            for j in range(4)
-        )
-        return jets.sqrt(q)
-    if spec.family == "randers":
-        alpha = jets.sqrt(sum(v * v for v in ys))
-        bvals = [exprdsl.eval_expr(e, env) for e in spec.b_ast]
-        b_norm2 = sum(jets.base_of(b) ** 2 for b in bvals)
+    if spec.base is not None:
+        return _rescale(spec, env, _eval_family(spec.base, env))
+    if spec.b_ast is not None:
+        b_norm2 = sum(jets.base_of(exprdsl.eval_expr(e, env)) ** 2 for e in spec.b_ast)
         if np.any(b_norm2 >= 1.0):
             raise DomainViolation("randers drift reached |b(x)| >= 1")
-        drift = sum(b * v for b, v in zip(bvals, ys))
-        return alpha + drift
-    if spec.family == "expression":
-        return exprdsl.eval_expr(spec.L_ast, env)
-    if spec.family == "conformal":
-        return _rescale(spec, env, _eval_family(spec.base, env))
-    raise InvalidParameters(f"unknown metric family {spec.family!r}")
+    return exprdsl.eval_expr(spec.L_ast, env)
 
 
 def _rescale(spec: MetricSpec, env: list, base_L):

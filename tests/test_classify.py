@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from finsler4 import classify, frame, geometry
+from finsler4 import classify, conformal, frame, geometry
 from finsler4.classify import agreement, all3, band, classify_metric
 from finsler4.geometry import SingularMetric, point_eval
-from finsler4.jets import Finsler4Error
+from finsler4.jets import Finsler4Error, InvalidArgument
 from finsler4.metrics import SamplePlan, make_builtin_metric, make_conformal, sample_domain
 
 PLAN = SamplePlan(count=8, seed=101)
@@ -213,3 +213,13 @@ def test_a_stage_failure_reruns_the_stack_member_by_member():
         assert np.array_equal(got.frame.e, want.frame.e)
         assert np.array_equal(got.profile.h_derivs, want.profile.h_derivs)
         assert got.residuals == want.residuals
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_tolerance_must_be_a_finite_positive_number(tol):
+    spec = make_builtin_metric("quartic_minkowski")
+    with pytest.raises(InvalidArgument):
+        classify_metric(spec, SamplePlan(1, 0), tol=tol)
+    pair = conformal.pair_from_spec(make_conformal(spec, "0.1*x1"))
+    with pytest.raises(InvalidArgument):
+        conformal.audit_pair(pair, SamplePlan(1, 0), tol=tol)

@@ -126,6 +126,24 @@ def test_frame_dump(capsys, quartic_spec):
     assert doc["frame"]["gauge_tag"]["seeds"]
 
 
+@pytest.mark.parametrize("command", ["classify", "conformal"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tolerance_that_is_not_a_finite_positive_number_exits_2(capsys, conformal_spec,
+                                                                command, tol):
+    code, out, err = _run(capsys, [command, conformal_spec, "--tol", tol])
+    assert code == 2 and out == ""
+    assert "--tol needs a finite number > 0" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--x", "nan,0,0,0"), ("--x", "0,0,inf,0"),
+                                        ("--y", "1,nan,1,1"), ("--y", "1,2,1,-inf")])
+def test_frame_coordinate_that_is_not_finite_exits_2(capsys, quartic_spec, flag, value):
+    point = {"--x": "0,0,0,0", "--y": "1,2,1,1", flag: value}
+    code, out, err = _run(capsys, ["frame", quartic_spec, "--x", point["--x"], "--y", point["--y"]])
+    assert code == 2 and out == ""
+    assert f"{flag} needs four finite numbers" in err
+
+
 def test_frame_vanishing_torsion_exit_4(capsys, quartic_spec):
     code, out, _ = _run(
         capsys, ["frame", quartic_spec, "--x", "0,0,0,0", "--y", "1,1,1,1"]

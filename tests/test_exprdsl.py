@@ -12,7 +12,6 @@ from finsler4.exprdsl import (
     Neg,
     NonConstantExponent,
     Pow,
-    UnboundVariable,
     UnknownIdentifier,
     Var,
     eval_expr,
@@ -81,11 +80,6 @@ def test_eval_jet_partial():
     env += [jets.variable(4 + i, 1.0, caps) for i in range(4)]
     out = eval_expr(ast, env)
     assert jets.partial_extract(out, jets.multi(1)) == pytest.approx(0.3, rel=1e-12)
-
-
-def test_eval_unbound_variable():
-    with pytest.raises(UnboundVariable):
-        eval_expr(parse_expr("x1+y1"), {"x1": 1.0})
 
 
 def test_parse_determinism():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -595,7 +596,7 @@ _CUT_OPS = {
     "exp": lambda a, b, r: jets.exp(a),
     "log": lambda a, b, r: jets.log(a),
     "power": lambda a, b, r: jets.power(a, r),
-    "recip": lambda a, b, r: jets._recip(a),
+    "recip": lambda a, b, r: jets.recip(a),
 }
 
 
@@ -631,20 +632,49 @@ def test_rings_cut_by_total_degree_keep_every_coefficient(caps, leaves, ops):
         pool.append((out, out_full))
 
 
-@pytest.mark.parametrize("caps", [geometry.FRAME_CAPS, DegreeCaps(1, 3)], ids=["frame", "1_3"])
+_STACK_UNARY = {
+    "exp": jets.exp,
+    "log": jets.log,
+    "sin": jets.sin,
+    "cos": jets.cos,
+    "sqrt": jets.sqrt,
+    "recip": jets.recip,
+    "square": lambda f: jets.power(f, 2),
+    "cube": lambda f: f**3,
+    "inverse_square": lambda f: jets.power(f, -2),
+    "rsqrt": lambda f: jets.power(f, -0.5),
+    "power_1.5": lambda f: jets.power(f, 1.5),
+    "constant_over": lambda f: 2.0 / f,
+}
+_STACK_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@pytest.mark.parametrize(
+    "caps", [geometry.FRAME_CAPS, DegreeCaps(1, 3), geometry.MASTER_CAPS],
+    ids=["frame", "1_3", "master"],
+)
 def test_stacked_series_rows_equal_their_jet_scalar_calls(caps):
-    # 1/f and f^(-1/2) of a stack of coefficient rows: each row bit for bit as
-    # the JetScalar function of that row alone
-    rows = np.random.default_rng(7).uniform(-1.0, 1.0, (3, caps.tables.n))
+    # every operation on a (3, n) JetScalar stack: each row bit for bit as the
+    # same operation on that row alone, for stacks with different degree bounds
+    t = caps.tables
+    rows = np.random.default_rng(7).uniform(-1.0, 1.0, (3, t.n))
     rows[:, 0] = [0.7, 1.3, 2.9]
-    recip = jets.recip_stack(rows, caps)
-    power = jets.power_stack(rows, -0.5, caps)
-    for row, got_recip, got_power in zip(rows, recip, power):
-        f = JetScalar(caps, row.copy())
-        assert got_recip.tobytes() == (1.0 / f).c.tobytes()
-        assert got_power.tobytes() == jets.power(f, -0.5).c.tobytes()
+    x_free = rows[::-1].copy()
+    x_free[:, t.degs[:, 0] > 0] = 0.0
+    full = JetScalar(caps, rows)
+    free = JetScalar(caps, x_free, (0, caps.y_max))
+    cases = [(name, fn, (f,)) for name, fn in _STACK_UNARY.items() for f in (full, free)]
+    cases += [(name, fn, pair) for name, fn in _STACK_BINARY.items()
+              for pair in ((full, free), (free, full))]
+    for name, fn, args in cases:
+        got = fn(*args)
+        assert got.c.shape == (3, t.n), name
+        for i in range(3):
+            want = fn(*(JetScalar(caps, f.c[i].copy(), f.deg) for f in args))
+            assert got.c[i].tobytes() == want.c.tobytes(), (name, i)
+            assert got.deg == want.deg, name
     rows[1, 0] = 0.0
     with pytest.raises(DomainViolation):
-        jets.recip_stack(rows, caps)
+        jets.recip(JetScalar(caps, rows))
     with pytest.raises(DomainViolation):
-        jets.power_stack(rows, -0.5, caps)
+        jets.power(JetScalar(caps, rows), -0.5)
