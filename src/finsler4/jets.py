@@ -588,14 +588,24 @@ def _compose(f: JetScalar, derivs) -> JetScalar:
     r = np.zeros(s.shape)
     deg = (0, 0)
     for k in range(m, -1, -1):
-        if k < m:
+        if k == m - 1:
+            # the first product multiplies s by a constant: each pair (0, j)
+            # lands on monomial j alone, so it is elementwise, and adding
+            # 0.0 gives the 0.0 a ring sum gives for a -0.0
+            _, cols, _, deg = t.products(deg, f.deg)
+            if len(cols) == t.n:
+                r = r[..., :1] * s + 0.0
+            else:
+                r[..., cols] = r[..., :1] * s[..., cols] + 0.0
+        elif k < m:
             mul_i, mul_j, mul_k, deg = t.products(deg, f.deg)
             r = _product(r, s, mul_i, mul_j, mul_k, t.n)
         if r.ndim == 1:
             r[0] += taylor[0][k]
         else:
-            for row, coeffs in zip(r.reshape(-1, t.n), taylor):
-                row[0] += coeffs[k]
+            flat = r.reshape(-1, t.n)
+            for i, coeffs in enumerate(taylor):
+                flat[i, 0] += coeffs[k]
     return JetScalar(f.caps, r, deg)
 
 
