@@ -285,13 +285,9 @@ def _as_order(order: OrderLike) -> tuple[int, ...]:
 
 class JetScalar:
     """Truncated Taylor expansion of a scalar at a fixed base point, or a
-    stack of them.
-
-    ``c`` has shape ``S + (n,)``: a lone jet is ``S = ()``, and a stack of
-    jets at several points (or of several quantities) keeps one coefficient
-    row per member, all at the same caps and within one degree bound.
-    Arithmetic and every elementary function act row by row, each row bit
-    for bit as on that row alone; operands of different ``S`` broadcast.
+    stack of them: ``c`` has shape ``S + (n,)``, and a lone jet is
+    ``S = ()``.  Arithmetic and every elementary function act row by row,
+    each row bit for bit as alone.
 
     ``deg = (dx, dy)`` bounds the x-degree and the y-degree of every nonzero
     coefficient; it defaults to the caps.  A product forms only the
@@ -390,10 +386,9 @@ class JetScalar:
 
 
 def _product(a: np.ndarray, b: np.ndarray, mul_i, mul_j, mul_k, n: int) -> np.ndarray:
-    """Truncated ring product of two coefficient arrays of shape ``S + (n,)``,
-    row by row: each row's coefficient pairs (mul_i, mul_j) are summed onto
-    their monomials mul_k left to right by one ``np.bincount``, the stacked
-    rows offset by ``n`` each, so every row comes out bit for bit as alone."""
+    """Ring product of two coefficient arrays of shape ``S + (n,)``, row by
+    row: one ``np.bincount`` sums each row's pairs (mul_i, mul_j) onto its
+    monomials mul_k left to right, each row offset by ``n``."""
     if a.ndim == b.ndim == 1:
         return np.bincount(mul_k, weights=a[mul_i] * b[mul_j], minlength=n)
     prod = a.take(mul_i, axis=-1) * b.take(mul_j, axis=-1)
