@@ -348,6 +348,98 @@ def test_master_caps_table_size():
         assert DegreeCaps(caps.x_max, caps.y_max, caps.total_max).tables is cut
 
 
+# -- tables pinned against a looped reference ----------------------------------
+
+# the rings the program builds, then those perfbench times (corpus.TABLE_CAPS)
+_PROGRAM_RINGS = ((1, 5, 5), (1, 1, 1), (0, 3), (1, 0, 1), (0, 0))
+_BENCH_RINGS = ((1, 5), (1, 3), (0, 5), (0, 4), (0, 3), (1, 2), (1, 1), (1, 0))
+
+# (source ring, destination ring, (nx, ny)) of every derivative read the
+# program makes
+_READ_MAPS = (
+    [((1, 5, 5), (0, 0), o) for o in ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3))]
+    + [((1, 5, 5), (0, 3), o) for o in ((0, 2), (1, 0), (1, 1))]
+    + [((1, 5, 5), (1, 1, 1), o) for o in ((0, 0), (0, 2), (0, 3))]
+    + [((0, 3), (0, 0), o) for o in ((0, 1), (0, 3))]
+    + [((1, 1, 1), (0, 0), o) for o in ((0, 1), (1, 0))]
+    + [((1, 0, 1), (0, 0), (1, 0))]
+)
+
+
+def _ref_ring(caps):
+    """Monomials as exponent tuples, sorted by total degree, then by tuple,
+    with a dict index."""
+    caps = DegreeCaps(*caps)
+
+    def group(cap):
+        return [m for m in itertools.product(range(cap + 1), repeat=4) if sum(m) <= cap]
+
+    monos = sorted((x + y for x in group(caps.x_max) for y in group(caps.y_max)
+                    if sum(x) + sum(y) <= caps.total_max), key=lambda m: (sum(m), m))
+    return caps, monos, {m: i for i, m in enumerate(monos)}
+
+
+def _ref_tables(caps):
+    caps, monos, index = _ref_ring(caps)
+    degs = [(sum(m[:4]), sum(m[4:])) for m in monos]
+    ii, jj, kk = [], [], []
+    for i, a in enumerate(monos):
+        for j, b in enumerate(monos):
+            if (degs[i][0] + degs[j][0] <= caps.x_max and degs[i][1] + degs[j][1] <= caps.y_max
+                    and sum(degs[i]) + sum(degs[j]) <= caps.total_max):
+                ii.append(i)
+                jj.append(j)
+                kk.append(index[tuple(p + q for p, q in zip(a, b))])
+    return len(monos), ii, jj, kk, degs
+
+
+@pytest.mark.parametrize("caps", _PROGRAM_RINGS + _BENCH_RINGS)
+def test_product_tables_and_degrees_match_a_looped_reference(caps):
+    t = DegreeCaps(*caps).tables
+    n, ii, jj, kk, degs = _ref_tables(caps)
+    assert t.n == n
+    for got, want in ((t.mul_i, ii), (t.mul_j, jj), (t.mul_k, kk), (t.degs, degs)):
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.array(want, dtype=np.intp).reshape(got.shape))
+
+
+@pytest.mark.parametrize("src,dst,order", _READ_MAPS)
+def test_derivative_read_maps_match_a_looped_reference(src, dst, order):
+    # a probe of ones reads the scales, and 1..n the source index times them
+    nx, ny = order
+    src_caps, _, src_index = _ref_ring(src)
+    dst_caps, dst_monos, _ = _ref_ring(dst)
+    idx, scale = [], []
+    for s in itertools.product(range(4), repeat=nx + ny):
+        beta = multi(*s[:nx], *(4 + k for k in s[nx:]))
+        for alpha in dst_monos:
+            idx.append(src_index[tuple(a + b for a, b in zip(alpha, beta))])
+            scale.append(float(math.prod(math.factorial(a + b) // math.factorial(a)
+                                         for a, b in zip(alpha, beta))))
+    shape = (4,) * (nx + ny) + ((len(dst_monos),) if dst != (0, 0) else ())
+    want_scale = np.array(scale).reshape(shape)
+    want_idx = (np.array(idx) + 1.0).reshape(shape) * want_scale
+    n = src_caps.tables.n
+    for probe, want in ((np.ones(n), want_scale), (np.arange(n) + 1.0, want_idx)):
+        got = derivative_tensor(probe, nx, ny, dst_caps, src_caps)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("caps", _PROGRAM_RINGS + _BENCH_RINGS)
+def test_coordinate_jets_match_a_looped_reference(caps):
+    caps, monos, index = _ref_ring(caps)
+    for slot in range(8):
+        if min(caps.x_max if slot < 4 else caps.y_max, caps.total_max) < 1:
+            continue
+        want = np.zeros(len(monos))
+        want[0] = 0.25 * slot - 0.5
+        want[index[multi(slot)]] = 1.0
+        got = variable(slot, 0.25 * slot - 0.5, caps)
+        assert got.c.tobytes() == want.tobytes()
+        assert got.deg == ((0, 1) if slot >= 4 else (1, 0))
+
+
 # -- property tests ----------------------------------------------------------
 
 _SMALL_CAPS = DegreeCaps(1, 3)
