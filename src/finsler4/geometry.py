@@ -152,19 +152,10 @@ def _length(square: float) -> float:
     return math.sqrt(square) if square >= 0 else math.nan
 
 
-# the direction variables y1..y4 at y = 0 as a (4, n) coefficient array,
-# per ring tables
-_Y_UNITS: dict = {}
-
-
 def _y_jets(y: np.ndarray, caps: DegreeCaps) -> np.ndarray:
     """The direction variables y1..y4 of each point of a (B, 4) array as a
     (B, 4, n) coefficient array."""
-    t = caps.tables
-    units = _Y_UNITS.get(t)
-    if units is None:
-        units = _Y_UNITS[t] = np.array([jets.variable(4 + k, 0.0, caps).c for k in range(4)])
-    out = units[None].repeat(len(y), axis=0)
+    out = caps.tables.units[None, 4:].repeat(len(y), axis=0)
     out[:, :, 0] = y
     return out
 

@@ -10,7 +10,9 @@ Each jet carries a degree bound per group, so a product of factors free
 of x (or of y) forms only the coefficient pairs that can be nonzero.
 A coefficient of total degree d depends only on factor coefficients of
 degree <= d, so a ring cut to a smaller total keeps every coefficient it
-stores bit for bit.
+stores bit for bit.  Each ring keeps its monomials as one exponent array,
+from which its product table, its derivative read maps and the jets of
+the coordinates are built.
 
 Coefficients are stored in Taylor normalisation: the entry for a
 multi-index ``a`` equals the mixed partial divided by ``a!``, which keeps
@@ -97,8 +99,8 @@ class DegreeCaps:
     """Degree caps of a jet ring: x-degree <= x_max, y-degree <= y_max and
     total degree <= total_max, which defaults to x_max + y_max (no cut).
 
-    ``tables`` holds the ring's index and product tables, shared by every
-    equal caps value.
+    ``tables`` holds the ring's exponent array and the product tables, read
+    maps and coordinate jets built from it, shared by every equal caps value.
     """
 
     x_max: int = 1
@@ -124,63 +126,54 @@ DEFAULT_CAPS = DegreeCaps(1, 4)
 _FLOAT_CAPS = DegreeCaps(0, 0)  # a jet with these caps is just its base value
 
 
-def _group_monos(n: int, max_total: int) -> list[tuple[int, ...]]:
-    monos: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, budget: int) -> None:
-        if remaining == 0:
-            monos.append(prefix)
-            return
-        for d in range(budget + 1):
-            rec(prefix + (d,), remaining - 1, budget - d)
-
-    rec((), n, max_total)
-    return monos
-
-
 class _Tables:
-    """Cached index/multiplication tables for one caps configuration."""
+    """Tables of one caps value, all built from one exponent array.
+
+    ``exps`` holds the ring's monomials as (n, 8) exponent rows, sorted by
+    total degree, then by row, so a cut total keeps a prefix of the uncut
+    ring and every kept monomial its index.  ``code`` (``exps @ weights``)
+    ascends in that order and is additive, the code of a product being the
+    sum of its factors' codes, so one ``searchsorted`` on it finds the index
+    of any monomial of the ring.  From these come ``degs`` (the x- and
+    y-degree of each monomial), the product table ``mul_i``, ``mul_j``,
+    ``mul_k``, the derivative read maps (:meth:`read_map`) and ``units``,
+    the (8, n) jets of the coordinates at 0.
+    """
 
     def __init__(self, caps: DegreeCaps) -> None:
         self.caps = caps
-        xs = _group_monos(4, caps.x_max)
-        ys = _group_monos(4, caps.y_max)
-        # sorted by total degree first, so a cut total keeps a prefix of the
-        # uncut ring and every kept monomial its index
-        monos = sorted(
-            (x + y for x in xs for y in ys if sum(x) + sum(y) <= caps.total_max),
-            key=lambda m: (sum(m), m),
-        )
-        self.monos = monos
-        self.n = len(monos)
-        self.index = {m: i for i, m in enumerate(monos)}
-        # Pair each monomial only with the partners that fit its leftover
-        # degree budget.  Partners stay in ascending index order, which fixes
-        # the summation order of JetScalar.__mul__ and so every reported digit:
-        # the pairs are those of the uncut table whose product is kept.
-        degs = [(sum(m[:4]), sum(m[4:])) for m in monos]
-        fits: dict = {}
-        ii, jj, kk = [], [], []
-        for i, (a, (dx, dy)) in enumerate(zip(monos, degs)):
-            room = (caps.x_max - dx, caps.y_max - dy, caps.total_max - dx - dy)
-            if room not in fits:
-                fits[room] = [
-                    j for j, (ex, ey) in enumerate(degs)
-                    if ex <= room[0] and ey <= room[1] and ex + ey <= room[2]
-                ]
-            for j in fits[room]:
-                ii.append(i)
-                jj.append(j)
-                kk.append(self.index[tuple(p + q for p, q in zip(a, monos[j]))])
-        self.mul_i = np.array(ii, dtype=np.intp)
-        self.mul_j = np.array(jj, dtype=np.intp)
-        self.mul_k = np.array(kk, dtype=np.intp)
-        self.degs = np.array(degs, dtype=np.intp).reshape(self.n, 2)
+        rows = np.indices((caps.x_max + 1,) * 4 + (caps.y_max + 1,) * 4, dtype=np.int8)
+        rows = rows.reshape(N_VARS, -1).T
+        dx, dy = rows[:, :4].sum(1), rows[:, 4:].sum(1)
+        rows = rows[(dx <= caps.x_max) & (dy <= caps.y_max) & (dx + dy <= caps.total_max)]
+        # every exponent of the ring stays below the radix, so codes add
+        # without carries; the total degree weighs most
+        radix = max(caps.x_max, caps.y_max) + 1
+        self.weights = radix ** np.arange(7, -1, -1) + radix**8
+        code = rows.astype(np.intp) @ self.weights
+        order = np.argsort(code)
+        self.exps = rows[order].astype(np.intp)
+        self.code = code[order]
+        self.n = len(code)
+        self.degs = np.stack([self.exps[:, :4].sum(1), self.exps[:, 4:].sum(1)], axis=1)
+        # Pair each monomial with the partners that fit its leftover degree
+        # budget, in ascending (i, j) order: that order fixes the summation
+        # order of JetScalar.__mul__ and so every reported digit.
+        dx, dy = self.degs.T
+        partners = [
+            np.flatnonzero((dx <= caps.x_max - a) & (dy <= caps.y_max - b)
+                           & (dx + dy <= caps.total_max - a - b))
+            for a, b in self.degs.tolist()
+        ]
+        self.mul_i = np.repeat(np.arange(self.n), [len(p) for p in partners])
+        self.mul_j = np.concatenate(partners)
+        self.mul_k = self.code.searchsorted(self.code[self.mul_i] + self.code[self.mul_j])
+        # the coordinate jets at 0: row s is 1 on the monomial of slot s alone
+        self.units = ((self.exps.T == 1) & (dx + dy == 1)).astype(float)
         full = (caps.x_max, caps.y_max)
         self._product_cache: dict = {
             (full, full): (self.mul_i, self.mul_j, self.mul_k, full)
         }
-        self._shift_cache: dict = {}
         self._scatter_cache: dict = {}
         self._tensor_cache: dict = {}
 
@@ -209,30 +202,22 @@ class _Tables:
             self._scatter_cache[rows] = hit
         return hit
 
-    def shift_map(self, beta: tuple[int, ...], dst: "_Tables"):
-        """Index/scale arrays realising the derivative-by-beta extraction:
-        beta = 0 truncates to smaller caps, and caps (0, 0) reads the
-        partial at the base point.  Cached per destination tables object,
-        one per caps value, so a lookup hashes no caps."""
-        key = (beta, dst)
-        hit = self._shift_cache.get(key)
-        if hit is not None:
-            return hit
-        src_idx = np.empty(dst.n, dtype=np.intp)
-        scale = np.empty(dst.n, dtype=float)
-        for d, alpha in enumerate(dst.monos):
-            full = tuple(a + b for a, b in zip(alpha, beta))
-            src_idx[d] = self.index[full]
-            scale[d] = math.prod(
-                math.factorial(a + b) // math.factorial(a)
-                for a, b in zip(alpha, beta)
-            )
-        self._shift_cache[key] = (src_idx, scale)
-        return src_idx, scale
+    def read_map(self, betas: np.ndarray, dst: "_Tables"):
+        """Index and scale arrays, of shape ``betas.shape[:-1] + (dst.n,)``,
+        that read the derivative by each multi-index row of ``betas``
+        truncated to ``dst``: entry alpha of a derivative is coefficient
+        alpha + beta times the exact integer prod (a + b)! / a!.  beta = 0
+        truncates to smaller caps, and caps (0, 0) reads the partial at the
+        base point.  The orders must fit; the callers check."""
+        full = dst.exps + betas[..., None, :]
+        r = max(self.caps.x_max, self.caps.y_max) + 1
+        perm = np.array([[math.perm(a + b, b) for b in range(r)] for a in range(r)])
+        scale = perm[dst.exps, betas[..., None, :]].prod(axis=-1).astype(float)
+        return self.code.searchsorted(full @ self.weights), scale
 
     def tensor_map(self, nx: int, ny: int, dst: "_Tables"):
-        """Stacked shift maps of every order-(nx, ny) partial, x slots first
-        in row-major order: index and scale arrays of shape (4**(nx+ny), dst.n),
+        """Read maps of every order-(nx, ny) partial, x slots first in
+        row-major order: index and scale arrays of shape (4**(nx+ny), dst.n),
         flattened.  The first call for a key checks that the order fits."""
         key = (nx, ny, dst)
         hit = self._tensor_cache.get(key)
@@ -242,11 +227,12 @@ class _Tables:
             raise CapMismatch(
                 f"order ({nx}, {ny}) of caps {self.caps} leaves less than {dst.caps}"
             )
-        maps = [
-            self.shift_map(multi(*s[:nx], *(4 + k for k in s[nx:])), dst)
+        betas = np.array([
+            multi(*s[:nx], *(4 + k for k in s[nx:]))
             for s in itertools.product(range(4), repeat=nx + ny)
-        ]
-        hit = (np.concatenate([m[0] for m in maps]), np.concatenate([m[1] for m in maps]))
+        ])
+        idx, scale = self.read_map(betas, dst)
+        hit = (idx.ravel(), scale.ravel())
         self._tensor_cache[key] = hit
         return hit
 
@@ -411,10 +397,8 @@ def variable(slot: int, value: float, caps: DegreeCaps = DEFAULT_CAPS) -> JetSca
     group_cap = caps.x_max if slot in X_SLOTS else caps.y_max
     if min(group_cap, caps.total_max) < 1:
         raise CapTooSmall(f"slot {slot} needs degree >= 1 in its group, caps {caps}")
-    t = caps.tables
-    c = np.zeros(t.n)
+    c = caps.tables.units[slot].copy()
     c[0] = value
-    c[t.index[multi(slot)]] = 1.0
     return JetScalar(caps, c, (0, 1) if slot in Y_SLOTS else (1, 0))
 
 
@@ -439,7 +423,7 @@ def _shift(f: JetScalar, order: OrderLike, caps: DegreeCaps | None = None):
     bx, by, bt = _room(f.caps, sum(beta[:4]), sum(beta[4:]))
     if caps is None:
         caps = DegreeCaps(min(bx, bt), min(by, bt), bt)
-    src_idx, scale = f.caps.tables.shift_map(beta, caps.tables)
+    src_idx, scale = f.caps.tables.read_map(np.array(beta), caps.tables)
     return caps, f.c[src_idx] * scale
 
 
