@@ -76,18 +76,21 @@ class DomainSpec:
 
     def contains(self, x: Sequence[float], y: Sequence[float]) -> bool:
         y = np.asarray(y, dtype=float)
-        norm = float(np.linalg.norm(y))
-        if norm < _EPS_Y:
-            return False
-        if self.y_cone == "all_positive":
-            return bool(np.all(y > _CONE_MARGIN * norm))
-        if self.y_cone == "unit_ball_interior_shifted":
-            # ray through y must meet the open ball around the axis point
-            sin_half = 1.0 / _SHIFTED_BALL_CENTER
-            if y[0] <= 0:
+        # a huge y overflows to an inf or nan norm, which the tests below
+        # decide without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(np.linalg.norm(y))
+            if norm < _EPS_Y:
                 return False
-            perp = math.sqrt(max(norm**2 - y[0] ** 2, 0.0)) / norm
-            return perp < sin_half - _CONE_MARGIN
+            if self.y_cone == "all_positive":
+                return bool(np.all(y > _CONE_MARGIN * norm))
+            if self.y_cone == "unit_ball_interior_shifted":
+                # ray through y must meet the open ball around the axis point
+                sin_half = 1.0 / _SHIFTED_BALL_CENTER
+                if y[0] <= 0:
+                    return False
+                perp = math.sqrt(max(norm**2 - y[0] ** 2, 0.0)) / norm
+                return perp < sin_half - _CONE_MARGIN
         return True
 
     def stencil_radius(self, y: Sequence[float]) -> np.ndarray:
@@ -109,6 +112,8 @@ class SamplePlan:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise InvalidParameters("sample count must be non-negative")
+        if self.seed < 0:
+            raise InvalidParameters("sample seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,35 @@ def test_frame_outside_domain_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "evaluation failed" in err
+
+
+def test_negative_seed_option_exits_2(capsys):
+    golden = str(Path(__file__).parent / "goldens" / "quartic_small.json")
+    code, out, err = _run(capsys, ["classify", golden, "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert err == "finsler4: spec error: sample seed must be non-negative\n"
+
+
+def test_negative_seed_in_the_spec_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"family": "quartic_minkowski", "samples": 2, "seed": -3}))
+    code, out, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert err == "finsler4: spec error: sample seed must be non-negative\n"
+
+
+def test_huge_direction_exits_3_with_one_line_on_stderr():
+    # a fresh process, so a NumPy warning would reach stderr as it does for a user
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "finsler4.cli", "frame", "tests/goldens/quartic_small.json",
+         "--x", "0,0,0,0", "--y", "1e200,1,1,1"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("finsler4: evaluation failed: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 def test_bad_point_syntax_exits_2(capsys, quartic_spec):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ def test_sampling_deterministic_and_in_cone():
 def test_sampling_count_zero():
     spec = make_builtin_metric("quartic_minkowski")
     assert sample_domain(spec.domain, SamplePlan(count=0, seed=1)) == []
+
+
+def test_negative_sample_seed_is_invalid():
+    with pytest.raises(InvalidParameters):
+        SamplePlan(1, -1)
+    assert SamplePlan(1, 0).seed == 0
+
+
+@pytest.mark.parametrize("cone", metrics.Y_CONES)
+def test_huge_direction_is_decided_without_a_warning(cone):
+    dom = DomainSpec(y_cone=cone)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [dom.contains(np.zeros(4), [big, 1, 1, 1]) for big in (1e200, 1e160)]
+    if cone != "unit_ball_interior_shifted":
+        assert got == [cone == "all_nonzero"] * 2
 
 
 def test_shifted_ball_cone_sampling():
