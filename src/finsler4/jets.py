@@ -142,17 +142,17 @@ class _Tables:
 
     def __init__(self, caps: DegreeCaps) -> None:
         self.caps = caps
-        rows = np.indices((caps.x_max + 1,) * 4 + (caps.y_max + 1,) * 4, dtype=np.int8)
-        rows = rows.reshape(N_VARS, -1).T
-        dx, dy = rows[:, :4].sum(1), rows[:, 4:].sum(1)
-        rows = rows[(dx <= caps.x_max) & (dy <= caps.y_max) & (dx + dy <= caps.total_max)]
+        xs, ys = (np.indices((cap + 1,) * 4).reshape(4, -1).T for cap in (caps.x_max, caps.y_max))
+        xs, ys = xs[xs.sum(1) <= caps.x_max], ys[ys.sum(1) <= caps.y_max]
+        rows = np.hstack([xs.repeat(len(ys), axis=0), np.tile(ys, (len(xs), 1))])
+        rows = rows[rows.sum(1) <= caps.total_max]
         # every exponent of the ring stays below the radix, so codes add
         # without carries; the total degree weighs most
         radix = max(caps.x_max, caps.y_max) + 1
         self.weights = radix ** np.arange(7, -1, -1) + radix**8
-        code = rows.astype(np.intp) @ self.weights
+        code = rows @ self.weights
         order = np.argsort(code)
-        self.exps = rows[order].astype(np.intp)
+        self.exps = rows[order]
         self.code = code[order]
         self.n = len(code)
         self.degs = np.stack([self.exps[:, :4].sum(1), self.exps[:, 4:].sum(1)], axis=1)
