@@ -172,7 +172,7 @@ def _sigma_doc(sc) -> dict:
 def cmd_conformal(args) -> int:
     spec, plan = _load_spec(args.spec)
     plan = _apply_overrides(plan, args)
-    tol = _tol(args, 1e-6)
+    tol = _tol(args, classify_mod.DEFAULT_TOL)
     pair = conformal_mod.pair_from_spec(spec)
     audit = conformal_mod.audit_pair(pair, plan, tol=tol)
     points = []

@@ -34,7 +34,8 @@ import numpy as np
 
 from . import exprdsl, geometry, jets, metrics
 from .classify import (
-    AGREEMENT, agreement, all3, band, check_tol, evaluate_stack, hderiv_measurement,
+    AGREEMENT, DEFAULT_TOL, agreement, all3, band, check_tol, evaluate_stack,
+    hderiv_measurement,
 )
 from .frame import FrameError, ProfileResult, SCALAR_NAMES, ScalarProfile
 from .geometry import PointEval
@@ -184,7 +185,7 @@ def sigma_components(
         sigma5=float(sigma5), sigma6=float(sigma6), sigma7=float(sigma7),
         sigma8=float(sigma8), sigma9=float(sigma9), sigma10=float(sigma10),
         sigma_value=float(sigma_value), sigma_grad=grad,
-        extraction_residuals=resid,
+        extraction_residuals={k: float(v) for k, v in resid.items()},
         extraction_scale=1.0 + float(np.abs(D).max()),
     )
 
@@ -455,7 +456,7 @@ class ConformalAudit:
 def audit_pair(
     pair: ConformalPair,
     plan: SamplePlan,
-    tol: float = 1e-6,
+    tol: float = DEFAULT_TOL,
 ) -> ConformalAudit:
     """Co-occurrence audit over sampled points: do the condition blocks
     agree with the directly measured character of the rescaled space?"""

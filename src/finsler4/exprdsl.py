@@ -8,10 +8,11 @@ deliberately no abs/min/max.
 
 Precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 ``^`` takes a single literal exponent (chains like ``a^2^3`` are
-rejected).  Evaluation is ring-polymorphic: the same AST runs on floats,
-on NumPy arrays (elementwise) or on :class:`~finsler4.jets.JetScalar`
-values, with the eight variable values given by slot.  It is the one
-evaluator of L: every built-in metric family is an expression too
+rejected).  Evaluation is ring-polymorphic: the same AST runs on NumPy
+values (a plain number is a 0-d value, an array is taken elementwise) or
+on :class:`~finsler4.jets.JetScalar` values, with the eight variable
+values given by slot.  It is the one evaluator of L: every built-in
+metric family is an expression too
 (:func:`finsler4.metrics.make_builtin_metric`).
 """
 
@@ -253,14 +254,10 @@ def eval_expr(ast: ExprAst, env: Sequence):
             return lhs - rhs
         if ast.op == "*":
             return lhs * rhs
-        if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
-            if np.any(np.equal(rhs, 0.0)):
-                raise jets.DomainViolation("division by zero")
-            return lhs / rhs
-        try:
-            return lhs / rhs
-        except ZeroDivisionError:
-            raise jets.DomainViolation("division by zero") from None
+        # a jet divisor checks its own base value
+        if not isinstance(rhs, jets.JetScalar) and np.any(rhs == 0):
+            raise jets.DomainViolation("division by zero")
+        return lhs / rhs
     raise TypeError(f"not an expression node: {ast!r}")
 
 

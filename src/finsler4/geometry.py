@@ -189,10 +189,7 @@ class PointEval:
         self.L_jet = metrics.eval_L(spec, self.x, self.y, MASTER_CAPS, base_L)
         if self.L_jet.base <= 0:
             raise metrics.DomainViolation("fundamental function not positive here")
-        with np.errstate(all="ignore"):  # overflow becomes inf, checked below
-            self.L2_jet = self.L_jet * self.L_jet
-        if not np.isfinite(self.L2_jet.c).all():
-            raise metrics.DomainViolation("the jet of L^2 is not finite here")
+        self.L2_jet = metrics.guarded(lambda: self.L_jet * self.L_jet, "the jet of L^2")
         self.L = self.L_jet.base
 
     @classmethod

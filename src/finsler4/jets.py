@@ -40,9 +40,9 @@ tensor axes, a lone jet or a stack of them (coefficients of shape
 on a stack row by row, each row bit for bit as alone.
 
 The elementary functions (:func:`exp`, :func:`log`, :func:`power`,
-:func:`sqrt`, :func:`sin`, :func:`cos`) also take floats, through
-:mod:`math`, and NumPy arrays, elementwise; on an array a domain check
-fails if any element fails it.
+:func:`sqrt`, :func:`sin`, :func:`cos`) also take numbers and NumPy
+arrays, through NumPy, elementwise; a domain check fails if any element
+fails it.
 
 All values are immutable; every operation allocates a fresh jet, so jets
 are safe to share between concurrent evaluators.
@@ -284,6 +284,8 @@ class JetScalar:
     """
 
     __slots__ = ("caps", "c", "deg")
+    # a NumPy number meeting a jet in an operator hands it to the jet
+    __array_ufunc__ = None
 
     def __init__(self, caps: DegreeCaps, coeffs: np.ndarray, deg: tuple | None = None) -> None:
         self.caps = caps
@@ -424,7 +426,7 @@ def _shift(f: JetScalar, order: OrderLike, caps: DegreeCaps | None = None):
     if caps is None:
         caps = DegreeCaps(min(bx, bt), min(by, bt), bt)
     src_idx, scale = f.caps.tables.read_map(np.array(beta), caps.tables)
-    return caps, f.c[src_idx] * scale
+    return caps, f.c[..., src_idx] * scale
 
 
 def partial_extract(f: JetScalar, order: OrderLike) -> float:
@@ -621,7 +623,7 @@ def recip(f: JetScalar) -> JetScalar:
 
 def exp(f):
     if not isinstance(f, JetScalar):
-        return np.exp(f) if isinstance(f, np.ndarray) else math.exp(f)
+        return np.exp(f)
     return _compose(f, _exp_derivs)
 
 
@@ -629,7 +631,7 @@ def log(f):
     if not isinstance(f, JetScalar):
         if np.any(f <= 0):
             raise DomainViolation("log of a non-positive value")
-        return np.log(f) if isinstance(f, np.ndarray) else math.log(f)
+        return np.log(f)
     return _compose(f, _log_derivs)
 
 
@@ -643,11 +645,9 @@ def power(f, r: Number):
     if not isinstance(f, JetScalar):
         if float(r) != int(r) and np.any(f <= 0):
             raise DomainViolation("fractional power of a non-positive value")
-        if isinstance(f, np.ndarray):
-            return np.power(f, float(r))
-        if f == 0 and r < 0:
+        if r < 0 and np.any(f == 0):
             raise DomainViolation("negative power of zero")
-        return float(f) ** float(r)
+        return np.power(f, float(r))
     if float(r) == int(r):
         n = int(r)
         if n == 0:
@@ -673,27 +673,25 @@ def sqrt(f):
     if not isinstance(f, JetScalar):
         if np.any(f <= 0):
             raise DomainViolation("sqrt of a non-positive value")
-        return np.sqrt(f) if isinstance(f, np.ndarray) else math.sqrt(f)
+        return np.sqrt(f)
     return power(f, 0.5)
 
 
 def sin(f):
     if not isinstance(f, JetScalar):
-        return np.sin(f) if isinstance(f, np.ndarray) else math.sin(f)
+        return np.sin(f)
     return _compose(f, _sin_derivs)
 
 
 def cos(f):
     if not isinstance(f, JetScalar):
-        return np.cos(f) if isinstance(f, np.ndarray) else math.cos(f)
+        return np.cos(f)
     return _compose(f, _cos_derivs)
 
 
 def base_of(v):
-    """Base value of a jet; an array passes through, a number becomes a float."""
-    if isinstance(v, JetScalar):
-        return v.base
-    return v if isinstance(v, np.ndarray) else float(v)
+    """Base value of a jet; any other value passes through."""
+    return v.base if isinstance(v, JetScalar) else v
 
 
 def ring_sum(terms):

@@ -6,9 +6,10 @@ families or as a parsed expression, optionally composed with a
 position-only conformal factor.  Every family's L is an expression
 (``MetricSpec.L_ast``; :func:`make_builtin_metric` writes out the built-in
 formulas), and :func:`exprdsl.eval_expr` is the one evaluator of L.
-Evaluation is ring-polymorphic: the same expression runs on floats, on
-NumPy arrays of points (for the finite-difference oracle) or on jets (for
-the tensor pipeline).
+Evaluation is ring-polymorphic: the same expression runs on NumPy values,
+a lone point or arrays of points (for the finite-difference oracle), or on
+jets (for the tensor pipeline).  :func:`guarded` decides every failed
+evaluation.
 """
 
 from __future__ import annotations
@@ -76,21 +77,25 @@ class DomainSpec:
 
     def contains(self, x: Sequence[float], y: Sequence[float]) -> bool:
         y = np.asarray(y, dtype=float)
-        # a huge y overflows to an inf or nan norm, which the tests below
-        # decide without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm = float(np.linalg.norm(y))
-            if norm < _EPS_Y:
+        # scale y by the power of two 2**k that brings its largest component
+        # into [0.5, 1): that is exact, so every test decides as for y itself,
+        # and no square overflows however long y is
+        k = math.frexp(max(map(abs, y.tolist())))[1]
+        u = np.ldexp(y, -k)
+        norm = float(np.linalg.norm(u))
+        # the true length is norm * 2**k, at least 0.5 for k >= 0; a zero
+        # direction, or one with an inf or nan component, is in no cone
+        if not 0.0 < norm < math.inf or (k < 0 and math.ldexp(norm, k) < _EPS_Y):
+            return False
+        if self.y_cone == "all_positive":
+            return bool(np.all(u > _CONE_MARGIN * norm))
+        if self.y_cone == "unit_ball_interior_shifted":
+            # ray through y must meet the open ball around the axis point
+            sin_half = 1.0 / _SHIFTED_BALL_CENTER
+            if u[0] <= 0:
                 return False
-            if self.y_cone == "all_positive":
-                return bool(np.all(y > _CONE_MARGIN * norm))
-            if self.y_cone == "unit_ball_interior_shifted":
-                # ray through y must meet the open ball around the axis point
-                sin_half = 1.0 / _SHIFTED_BALL_CENTER
-                if y[0] <= 0:
-                    return False
-                perp = math.sqrt(max(norm**2 - y[0] ** 2, 0.0)) / norm
-                return perp < sin_half - _CONE_MARGIN
+            perp = math.sqrt(max(norm**2 - u[0] ** 2, 0.0)) / norm
+            return perp < sin_half - _CONE_MARGIN
         return True
 
     def stencil_radius(self, y: Sequence[float]) -> np.ndarray:
@@ -217,10 +222,12 @@ def _check_randers_valid(b_ast, dom: DomainSpec) -> None:
     probes = [list(x) for x in itertools.product(*dom.x_box)]
     probes.append([(iv[0] + iv[1]) / 2 for iv in dom.x_box])
     for x in probes:
-        env = list(x) + [0.0] * 4
+        env = np.array([*x, 0.0, 0.0, 0.0, 0.0])
         try:
-            norm2 = sum(exprdsl.eval_expr(e, env) ** 2 for e in b_ast)
-        except (DomainViolation, ArithmeticError) as err:
+            norm2 = guarded(
+                lambda: sum(exprdsl.eval_expr(e, env) ** 2 for e in b_ast), "|b(x)|^2"
+            )
+        except DomainViolation as err:
             raise InvalidParameters(
                 f"randers drift cannot be evaluated at x={x}: {err}"
             ) from None
@@ -239,6 +246,22 @@ def make_conformal(base: MetricSpec, sigma) -> MetricSpec:
 
 
 # -- evaluation -----------------------------------------------------------
+
+
+def guarded(compute, what: str):
+    """``compute()``, quiet on NumPy overflow and invalid results; a math
+    error on the way (of the series coefficients of a jet) or a non-finite
+    result ``what`` (a number, an array or a jet) raises :class:`DomainViolation`."""
+    try:
+        with np.errstate(all="ignore"):
+            out = compute()
+    except Finsler4Error:
+        raise
+    except (ValueError, ArithmeticError) as err:
+        raise DomainViolation(str(err)) from None
+    if not np.isfinite(out.c if isinstance(out, JetScalar) else out).all():
+        raise DomainViolation(f"{what} is not finite here")
+    return out
 
 
 def _eval_family(spec: MetricSpec, env: list):
@@ -274,24 +297,16 @@ def eval_L(
     if base_L is not None and (spec.family != "conformal" or base_L.caps != caps):
         raise InvalidArgument("base_L needs a conformal spec and a jet at the same caps")
     if not spec.domain.contains(x, y):
-        raise DomainViolation(f"point y={list(y)} outside the {spec.domain.y_cone} cone")
+        raise DomainViolation(
+            f"point y={np.asarray(y, dtype=float).tolist()} outside the {spec.domain.y_cone} cone"
+        )
     env = [jets.variable(i, float(x[i]), caps) for i in range(4)]
     env += [jets.variable(4 + i, float(y[i]), caps) for i in range(4)]
-    try:
-        with np.errstate(all="ignore"):  # overflow becomes inf, checked below
-            if base_L is None:
-                out = _eval_family(spec, env)
-            else:
-                out = _rescale(spec, env, base_L)
-    except Finsler4Error:
-        raise
-    except (ValueError, ArithmeticError) as err:  # math errors of the base values
-        raise DomainViolation(str(err)) from None
-    if not isinstance(out, JetScalar):
-        out = jets.const(float(out), caps)
-    if not np.all(np.isfinite(out.c)):
-        raise DomainViolation("the jet of L is not finite here")
-    return out
+    out = guarded(
+        lambda: _eval_family(spec, env) if base_L is None else _rescale(spec, env, base_L),
+        "the jet of L",
+    )
+    return out if isinstance(out, JetScalar) else jets.const(float(out), caps)
 
 
 def eval_L_value(spec: MetricSpec, x: Sequence, y: Sequence):
@@ -299,23 +314,13 @@ def eval_L_value(spec: MetricSpec, x: Sequence, y: Sequence):
 
     With four numbers each for ``x`` and ``y`` the result is a float.  With
     four equal-shaped arrays each, L is evaluated elementwise and the result
-    is an array of that shape; a domain check fails if any element fails it,
-    and any non-finite element raises :class:`DomainViolation`.
+    is an array of that shape; a number is a 0-d array, so both give the same
+    bits.  A domain check fails if any element fails it, and any non-finite
+    element raises :class:`DomainViolation`.
     """
     env = [np.asarray(v, dtype=float) for v in (*x, *y)]
-    if all(v.ndim == 0 for v in env):
-        try:
-            out = float(_eval_family(spec, [float(v) for v in env]))
-        except (ValueError, ArithmeticError) as err:  # math errors in the float ring
-            raise DomainViolation(str(err)) from None
-    else:
-        with np.errstate(all="ignore"):  # overflow and 0**-n become inf, checked below
-            out = _eval_family(spec, env)
-        if np.ndim(out) == 0:  # L does not depend on the point
-            out = np.full(env[0].shape, float(out))
-    if not np.all(np.isfinite(out)):
-        raise DomainViolation("L is not finite at some points")
-    return out
+    out = np.full(env[0].shape, guarded(lambda: _eval_family(spec, env), "L"))
+    return out if out.ndim else float(out)
 
 
 # -- sampling -------------------------------------------------------------

@@ -223,3 +223,14 @@ def test_tolerance_must_be_a_finite_positive_number(tol):
     pair = conformal.pair_from_spec(make_conformal(spec, "0.1*x1"))
     with pytest.raises(InvalidArgument):
         conformal.audit_pair(pair, SamplePlan(1, 0), tol=tol)
+
+
+def test_a_stage_error_of_every_point_becomes_its_record():
+    # L does not depend on y1, so g is singular at every point: each point
+    # fails the stack's metric stage, and no verdict can be decided
+    spec = make_builtin_metric("expression", {"L": "sqrt(y2^2+y3^2+y4^2)"})
+    report = classify_metric(spec, SamplePlan(3, 1))
+    assert [r.eval_error for r in report.points] == [
+        "metric eigenvalue 0.000e+00 below guard of largest 1.000e+00"
+    ] * 3
+    assert set(report.verdicts.values()) == {"undetermined"}

@@ -282,6 +282,15 @@ def test_huge_direction_exits_3_with_one_line_on_stderr():
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
+def test_point_outside_the_cone_prints_plain_floats(capsys, tmp_path):
+    path = tmp_path / "bm.json"
+    path.write_text(json.dumps({"family": "berwald_moor"}))
+    code, out, err = _run(capsys, ["frame", str(path), "--x", "0,0,0,0", "--y", "1,-1,1,1"])
+    assert code == 3 and out == ""
+    assert "point y=[1.0, -1.0, 1.0, 1.0] outside the all_positive cone" in err
+    assert "np.float64" not in err
+
+
 def test_bad_point_syntax_exits_2(capsys, quartic_spec):
     code = cli.main(["frame", quartic_spec, "--x", "0,0,0", "--y", "1,2,1,1"])
     capsys.readouterr()
@@ -322,6 +331,18 @@ def test_randers_drift_overflowing_at_a_probe_exits_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["classify", str(path)])
     assert code == 2 and out == ""
     assert "spec error" in err and "x=[1.0, -1.0, -1.0, -1.0]" in err
+
+
+def test_randers_drift_turning_nan_at_a_probe_exits_2(capsys, tmp_path):
+    # 1e200*1e200 overflows to inf, and sin(-inf) at the first probed corner
+    # is nan: a spec error, not a math error of the evaluation
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(
+        {"family": "randers", "params": {"b": ["0.1*sin(1e200*1e200*x1)", 0, 0, 0]}}
+    ))
+    code, out, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert "spec error" in err and "x=[-1.0, -1.0, -1.0, -1.0]" in err
 
 
 @pytest.mark.parametrize("command, spec, messages", [

@@ -503,3 +503,19 @@ def test_condition_systems_equal_the_written_out_formulas_in_every_case():
                 for key, value in want.items():
                     assert laws[key] == value, (case, key)
     assert seen == set(_REF_CASES.values()) | {CASE_HOMOTHETIC, conformal.CASE_SUPPORTING_ONLY}
+
+
+def test_an_unreliable_extraction_becomes_an_eval_error_record(monkeypatch):
+    # with a negative tolerance every extraction is refused: each point is
+    # an eval_error record, its residuals printed as plain floats, and no
+    # point is counted
+    monkeypatch.setattr(conformal, "EXTRACTION_TOL", -1.0)
+    base = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+    audit = audit_pair(make_pair(base, "0.1*x1"), SamplePlan(2, 1))
+    errors = [rep.eval_error for rep in audit.reports]
+    assert len(errors) == 2
+    for err in errors:
+        assert err.startswith("spray-difference extraction residuals above tolerance: {'sym_mn': ")
+        assert "np.float64" not in err
+    for summary in (audit.landsberg_summary, audit.berwald_summary):
+        assert set(summary.values()) == {0}

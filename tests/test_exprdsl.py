@@ -135,3 +135,16 @@ def test_real_ring_matches_jet_base_on_corpus():
         jet = eval_expr(ast, env_jet)
         base = jet.base if isinstance(jet, jets.JetScalar) else jet
         assert base == pytest.approx(real, rel=1e-14, abs=1e-14)
+
+
+def test_a_numpy_number_meets_a_jet_on_either_side():
+    # sqrt(2) and exp(0.5) evaluate to NumPy numbers, which hand every
+    # operator with a jet to the jet
+    ast = parse_expr("sqrt(2)*y1 + y1*exp(0.5) - cos(0)/y1 + (sin(1)+y1)")
+    caps = jets.DegreeCaps(0, 1)
+    env = [0.0] * 4 + [jets.variable(4 + i, 2.0, caps) for i in range(4)]
+    out = eval_expr(ast, env)
+    assert isinstance(out, jets.JetScalar) and out.c.dtype == np.float64
+    assert jets.partial_extract(out, jets.multi(4)) == pytest.approx(
+        math.sqrt(2.0) + math.exp(0.5) + 0.25 + 1.0, rel=1e-14
+    )

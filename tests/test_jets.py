@@ -772,3 +772,22 @@ def test_stacked_series_rows_equal_their_jet_scalar_calls(caps):
         jets.recip(JetScalar(caps, rows))
     with pytest.raises(DomainViolation):
         jets.power(JetScalar(caps, rows), -0.5)
+
+
+@pytest.mark.parametrize(
+    "caps", [DegreeCaps(1, 3), geometry.MASTER_CAPS], ids=["1_3", "master"],
+)
+def test_stacked_reads_equal_each_row_alone(caps):
+    # restrict and derivative_jet of a (3, n) stack read the coefficient
+    # axis: each row bit for bit as the same read of that row alone
+    rows = np.random.default_rng(11).uniform(-1.0, 1.0, (3, caps.tables.n))
+    reads = {
+        "restrict": lambda f: restrict(f, DegreeCaps(1, 1)),
+        "derivative_jet": lambda f: derivative_jet(f, multi(4)),
+    }
+    for name, read in reads.items():
+        got = read(JetScalar(caps, rows))
+        for i in range(3):
+            want = read(JetScalar(caps, rows[i].copy()))
+            assert got.caps == want.caps and got.c.shape == (3, want.caps.tables.n), name
+            assert got.c[i].tobytes() == want.c.tobytes(), (name, i)

@@ -130,8 +130,8 @@ def test_huge_direction_is_decided_without_a_warning(cone):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = [dom.contains(np.zeros(4), [big, 1, 1, 1]) for big in (1e200, 1e160)]
-    if cone != "unit_ball_interior_shifted":
-        assert got == [cone == "all_nonzero"] * 2
+    # both directions lie on the shifted-ball cone's axis to within 1e-160
+    assert got == [cone != "all_positive"] * 2
 
 
 def test_shifted_ball_cone_sampling():
@@ -205,7 +205,7 @@ def test_array_eval_matches_scalar_columns(name):
     got = eval_L_value(spec, *_columns(points))
     want = np.array([eval_L_value(spec, x, y) for x, y in points])
     assert isinstance(want[0], float) and got.shape == (64,)
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_array_eval_of_a_constant_has_the_point_shape():
