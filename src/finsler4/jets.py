@@ -39,10 +39,11 @@ tensor axes, a lone jet or a stack of them (coefficients of shape
 ``S + (n,)``), with the elementary functions below; every one of them acts
 on a stack row by row, each row bit for bit as alone.
 
-The elementary functions (:func:`exp`, :func:`log`, :func:`power`,
-:func:`sqrt`, :func:`sin`, :func:`cos`) also take numbers and NumPy
-arrays, through NumPy, elementwise; a domain check fails if any element
-fails it.
+Each elementary function (:func:`exp`, :func:`log`, :func:`recip`,
+:func:`power`, :func:`sqrt`, :func:`sin`, :func:`cos`) is one NumPy series
+at an array of base values.  A number or a NumPy array, elementwise, takes
+its constant term, so the base value of a jet is the number bit for bit;
+a domain check fails if any element fails it.
 
 All values are immutable; every operation allocates a fresh jet, so jets
 are safe to share between concurrent evaluators.
@@ -429,9 +430,11 @@ def _shift(f: JetScalar, order: OrderLike, caps: DegreeCaps | None = None):
     return caps, f.c[..., src_idx] * scale
 
 
-def partial_extract(f: JetScalar, order: OrderLike) -> float:
-    """Mixed partial of f at the base point (coefficient times factorials)."""
-    return float(_shift(f, order, _FLOAT_CAPS)[1][0])
+def partial_extract(f: JetScalar, order: OrderLike):
+    """Mixed partial of f at the base point (coefficient times factorials):
+    a float for a lone jet, an array of shape ``S`` for a stack."""
+    v = _shift(f, order, _FLOAT_CAPS)[1][..., 0]
+    return float(v) if v.ndim == 0 else v
 
 
 def derivative_jet(f: JetScalar, order: OrderLike) -> JetScalar:
@@ -542,29 +545,31 @@ def identity(k: int, caps: DegreeCaps) -> np.ndarray:
 
 # -- elementary functions ----------------------------------------------
 #
-# Each elementary function of a jet is the Taylor series of a univariate h
-# around the jet's base value, its coefficients read from the derivatives
-# of h there (the ``_*_derivs`` lists, which also refuse a base value
-# outside h's domain).  :func:`_compose` sums that series for a lone jet
-# and, row by row, for a stack.
+# Each elementary function h is written once, as its Taylor series at an
+# array of base values b: a unit u and the coefficients a[k] of h(b + u t)
+# in t.  A number or an array takes a[0]; a jet sums the series in
+# t = (f - b)/u.  log, 1/f and fractional powers take u = b, so their
+# coefficients do not depend on the scale of f.
 
 
-def _compose(f: JetScalar, derivs) -> JetScalar:
-    """h(f) for a univariate h, each row of a stack as on its own.
+def _base(f):
+    """(base values, series order): a jet's constant coefficients and its
+    caps' total degree, or a number or array itself and 0."""
+    if isinstance(f, JetScalar):
+        return f.c[..., 0], f.caps.total_max
+    return f, 0
 
-    ``derivs(b, m)`` lists the derivatives 0..m of h at the base value b.
-    The series runs to ``caps.total_max`` (higher orders are nilpotent) and
-    is evaluated by Horner recursion in the ring, one degree-bounded
-    product per order.
-    """
+
+def _compose(f, u, a):
+    """h(f) from the coefficients ``a[k]`` of h(b + u t) in t: ``a[0]`` for
+    a number or an array, and for a jet the series in t = (f - b)/u up to
+    ``caps.total_max`` (higher orders are nilpotent), each row of a stack as
+    on its own, by Horner recursion, one degree-bounded product per order."""
+    if not isinstance(f, JetScalar):
+        return a[0]
     t = f.caps.tables
     m = f.caps.total_max
-    # taylor[i][k]: the k-th Taylor coefficient of h at row i's base value
-    taylor = [
-        [d / math.factorial(k) for k, d in enumerate(derivs(b, m))]
-        for b in f.c[..., 0].ravel().tolist()
-    ]
-    s = f.c.copy()
+    s = f.c / np.expand_dims(u, -1)  # the jet of t, once its base is 0
     s[..., 0] = 0.0
     r = np.zeros(s.shape)
     deg = (0, 0)
@@ -581,112 +586,102 @@ def _compose(f: JetScalar, derivs) -> JetScalar:
         elif k < m:
             mul_i, mul_j, mul_k, deg = t.products(deg, f.deg)
             r = _product(r, s, mul_i, mul_j, mul_k, t.n)
-        if r.ndim == 1:
-            r[0] += taylor[0][k]
-        else:
-            flat = r.reshape(-1, t.n)
-            for i, coeffs in enumerate(taylor):
-                flat[i, 0] += coeffs[k]
+        r[..., 0] += a[k]
     return JetScalar(f.caps, r, deg)
 
 
-def _recip_derivs(b: float, m: int) -> list:
-    if b == 0.0:
-        raise DomainViolation("reciprocal of a jet with zero base value")
-    return [(-1) ** k * math.factorial(k) / b ** (k + 1) for k in range(m + 1)]
+def _binomial(f, r: float, p):
+    """f**r from p = b**r: u = b and a_k = p C(r, k), the series of (1 + t)**r."""
+    b, m = _base(f)
+    coeffs, c = [p], 1.0
+    for k in range(1, m + 1):
+        c *= (r - k + 1) / k
+        coeffs.append(p * c)
+    return _compose(f, b, coeffs)
 
 
-def _exp_derivs(b: float, m: int) -> list:
-    return [math.exp(b)] * (m + 1)
-
-
-def _log_derivs(b: float, m: int) -> list:
-    if b <= 0.0:
-        raise DomainViolation("log of a jet with non-positive base value")
-    return [math.log(b)] + [(-1) ** (k - 1) * math.factorial(k - 1) / b**k for k in range(1, m + 1)]
-
-
-def _sin_derivs(b: float, m: int) -> list:
-    s, c = math.sin(b), math.cos(b)
-    return [(s, c, -s, -c)[k % 4] for k in range(m + 1)]
-
-
-def _cos_derivs(b: float, m: int) -> list:
-    s, c = math.sin(b), math.cos(b)
-    return [(c, -s, -c, s)[k % 4] for k in range(m + 1)]
-
-
-def recip(f: JetScalar) -> JetScalar:
-    """1/f of a jet, or of each jet of a stack."""
-    return _compose(f, _recip_derivs)
+def recip(f):
+    """1/f: u = b and a_k = (-1)**k / b."""
+    b, m = _base(f)
+    if np.any(b == 0):
+        raise DomainViolation("reciprocal of zero")
+    inv = 1.0 / b
+    return _compose(f, b, [-inv if k % 2 else inv for k in range(m + 1)])
 
 
 def exp(f):
-    if not isinstance(f, JetScalar):
-        return np.exp(f)
-    return _compose(f, _exp_derivs)
+    """e**f: u = 1 and a_k = e**b / k!."""
+    b, m = _base(f)
+    e = np.exp(b)
+    return _compose(f, 1.0, [e / math.factorial(k) for k in range(m + 1)])
 
 
 def log(f):
-    if not isinstance(f, JetScalar):
-        if np.any(f <= 0):
-            raise DomainViolation("log of a non-positive value")
-        return np.log(f)
-    return _compose(f, _log_derivs)
+    """log f: u = b, a_0 = log b and a_k = (-1)**(k-1) / k."""
+    b, m = _base(f)
+    if np.any(b <= 0):
+        raise DomainViolation("log of a non-positive value")
+    return _compose(f, b, [np.log(b)] + [(-1) ** (k - 1) / k for k in range(1, m + 1)])
 
 
 def power(f, r: Number):
     """f**r for a constant exponent.
 
     Integer exponents reduce to repeated multiplication (valid for any
-    base); fractional exponents go through exp(r*log(f)) and therefore
-    require a strictly positive base.
+    base but zero to a negative power); a fractional exponent needs a
+    strictly positive base and sums the binomial series around b**r.
     """
-    if not isinstance(f, JetScalar):
-        if float(r) != int(r) and np.any(f <= 0):
+    b, _ = _base(f)
+    if float(r) != int(r):
+        if np.any(b <= 0):
             raise DomainViolation("fractional power of a non-positive value")
-        if r < 0 and np.any(f == 0):
-            raise DomainViolation("negative power of zero")
+        return _binomial(f, float(r), np.power(b, float(r)))
+    if r < 0 and np.any(b == 0):
+        raise DomainViolation("negative power of zero")
+    if not isinstance(f, JetScalar):
         return np.power(f, float(r))
-    if float(r) == int(r):
-        n = int(r)
-        if n == 0:
-            one = np.zeros(f.c.shape)
-            one[..., 0] = 1.0
-            return JetScalar(f.caps, one, (0, 0))
-        inv = n < 0
-        n = abs(n)
-        factors = []
-        base = f
-        while n:
-            if n & 1:
-                factors.append(base)
-            n >>= 1
-            if n:
-                base = base * base
-        acc = reduce(operator.mul, factors)
-        return recip(acc) if inv else acc
-    return exp(log(f) * float(r))
+    n = int(r)
+    if n == 0:
+        one = np.zeros(f.c.shape)
+        one[..., 0] = 1.0
+        return JetScalar(f.caps, one, (0, 0))
+    inv = n < 0
+    n = abs(n)
+    factors = []
+    base = f
+    while n:
+        if n & 1:
+            factors.append(base)
+        n >>= 1
+        if n:
+            base = base * base
+    acc = reduce(operator.mul, factors)
+    return recip(acc) if inv else acc
 
 
 def sqrt(f):
-    if not isinstance(f, JetScalar):
-        if np.any(f <= 0):
-            raise DomainViolation("sqrt of a non-positive value")
-        return np.sqrt(f)
-    return power(f, 0.5)
+    """f**0.5, its base value from ``np.sqrt``."""
+    b, _ = _base(f)
+    if np.any(b <= 0):
+        raise DomainViolation("sqrt of a non-positive value")
+    return _binomial(f, 0.5, np.sqrt(b))
+
+
+def _sin_cos(f, first: int):
+    """sin f (first = 0) or cos f (first = 1): u = 1 and a_k is the k-th
+    derivative, cycling sin, cos, -sin, -cos, over k!."""
+    b, m = _base(f)
+    s, c = np.sin(b), np.cos(b)
+    cycle = (s, c, -s, -c)
+    return _compose(f, 1.0, [cycle[(first + k) % 4] / math.factorial(k) for k in range(m + 1)])
 
 
 def sin(f):
-    if not isinstance(f, JetScalar):
-        return np.sin(f)
-    return _compose(f, _sin_derivs)
+    return _sin_cos(f, 0)
 
 
 def cos(f):
-    if not isinstance(f, JetScalar):
-        return np.cos(f)
-    return _compose(f, _cos_derivs)
+    return _sin_cos(f, 1)
 
 
 def base_of(v):

@@ -249,9 +249,10 @@ def make_conformal(base: MetricSpec, sigma) -> MetricSpec:
 
 
 def guarded(compute, what: str):
-    """``compute()``, quiet on NumPy overflow and invalid results; a math
-    error on the way (of the series coefficients of a jet) or a non-finite
-    result ``what`` (a number, an array or a jet) raises :class:`DomainViolation`."""
+    """``compute()``, quiet on NumPy overflow and invalid results; a Python
+    arithmetic or value error on the way (an infinite exponent, say) or a
+    non-finite result ``what`` (a number, an array or a jet, whose series
+    coefficients overflow to inf) raises :class:`DomainViolation`."""
     try:
         with np.errstate(all="ignore"):
             out = compute()
@@ -291,8 +292,8 @@ def eval_L(
 
     For a conformal spec, ``base_L`` may hold the jet of its base metric at
     the same point and caps; it is then rescaled, not evaluated again.
-    A math error or an overflow on the way, and any non-finite coefficient
-    of the result, raise :class:`DomainViolation`.
+    An arithmetic error on the way, and any non-finite coefficient of the
+    result, raise :class:`DomainViolation`.
     """
     if base_L is not None and (spec.family != "conformal" or base_L.caps != caps):
         raise InvalidArgument("base_L needs a conformal spec and a jet at the same caps")

@@ -7,7 +7,8 @@ Run from the repository root after an intentional output change:
 
 ``--drift`` compares each regenerated file with its committed version
 (``git show HEAD:tests/goldens/<file>``).  Per file it prints how many
-numbers changed and the largest ``|new - old| / (1 + |old|)``.  It exits 1
+numbers changed, the largest ``|new - old| / (1 + |old|)`` and the JSON
+path of the number that moved by it.  It exits 1
 on any other change: a key, a string, a bool, an integer, a null, a list
 length or a file that HEAD does not have.  A float that is exactly integral
 prints without a decimal point, so an integer beside a float counts as a
@@ -84,31 +85,34 @@ def _is_number(v) -> bool:
 
 
 def drift(old, new, path: str = "$"):
-    """(changed numbers, largest |new - old| / (1 + |old|), other changes)
-    between two parsed JSON documents."""
+    """(changed numbers, largest |new - old| / (1 + |old|), the JSON path of
+    the first number that moved by it or None, other changes) between two
+    parsed JSON documents."""
     if isinstance(old, dict) and isinstance(new, dict):
         if list(old) != list(new):
-            return 0, 0.0, [f"{path}: keys {list(old)} -> {list(new)}"]
+            return 0, 0.0, None, [f"{path}: keys {list(old)} -> {list(new)}"]
         parts = [drift(old[k], new[k], f"{path}.{k}") for k in old]
     elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
-            return 0, 0.0, [f"{path}: length {len(old)} -> {len(new)}"]
+            return 0, 0.0, None, [f"{path}: length {len(old)} -> {len(new)}"]
         parts = [drift(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
     elif (
         _is_number(old) and _is_number(new)
         and (isinstance(old, float) or isinstance(new, float))
     ):
         if old == new:
-            return 0, 0.0, []
-        return 1, abs(new - old) / (1.0 + abs(old)), []
+            return 0, 0.0, None, []
+        return 1, abs(new - old) / (1.0 + abs(old)), path, []
     elif type(old) is type(new) and old == new:
-        return 0, 0.0, []
+        return 0, 0.0, None, []
     else:
-        return 0, 0.0, [f"{path}: {old!r} -> {new!r}"]
+        return 0, 0.0, None, [f"{path}: {old!r} -> {new!r}"]
+    worst = max(parts, key=lambda p: p[1], default=(0, 0.0, None, []))
     return (
         sum(p[0] for p in parts),
-        max((p[1] for p in parts), default=0.0),
-        [msg for p in parts for msg in p[2]],
+        worst[1],
+        worst[2],
+        [msg for p in parts for msg in p[3]],
     )
 
 
@@ -126,10 +130,11 @@ def report_drift(goldens: Path, names) -> int:
             print(f"{name}: not in HEAD")
             status = 1
             continue
-        changed, worst, other = drift(
+        changed, worst, where, other = drift(
             json.loads(shown.stdout), json.loads((goldens / name).read_text())
         )
-        print(f"{name}: {changed} numbers changed, max |new-old|/(1+|old|) = {worst:.3g}")
+        at = f" at {where}" if where else ""
+        print(f"{name}: {changed} numbers changed, max |new-old|/(1+|old|) = {worst:.3g}{at}")
         for msg in other:
             print(f"  non-numeric change {msg}")
         status |= bool(other)

@@ -234,3 +234,15 @@ def test_a_stage_error_of_every_point_becomes_its_record():
         "metric eigenvalue 0.000e+00 below guard of largest 1.000e+00"
     ] * 3
     assert set(report.verdicts.values()) == {"undetermined"}
+
+
+def test_a_tiny_scale_of_L_classifies_like_scale_one():
+    # sqrt's series is scale-free, so L = 1e-40 |y| evaluates at every point
+    plan = SamplePlan(2, 1)
+    tiny, one = (
+        classify_metric(make_builtin_metric("expression", {"L": L}), plan)
+        for L in ("sqrt(1e-80*(y1^2+y2^2+y3^2+y4^2))", "sqrt(y1^2+y2^2+y3^2+y4^2)")
+    )
+    assert [p.eval_error for p in tiny.points] == [None, None]
+    assert tiny.verdicts == one.verdicts
+    assert [p.frame_error for p in tiny.points] == [p.frame_error for p in one.points]

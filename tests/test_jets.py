@@ -778,16 +778,69 @@ def test_stacked_series_rows_equal_their_jet_scalar_calls(caps):
     "caps", [DegreeCaps(1, 3), geometry.MASTER_CAPS], ids=["1_3", "master"],
 )
 def test_stacked_reads_equal_each_row_alone(caps):
-    # restrict and derivative_jet of a (3, n) stack read the coefficient
-    # axis: each row bit for bit as the same read of that row alone
+    # restrict, derivative_jet and partial_extract of a (3, n) stack read the
+    # coefficient axis: each row bit for bit as the same read of that row alone
     rows = np.random.default_rng(11).uniform(-1.0, 1.0, (3, caps.tables.n))
     reads = {
         "restrict": lambda f: restrict(f, DegreeCaps(1, 1)),
         "derivative_jet": lambda f: derivative_jet(f, multi(4)),
+        "partial_extract": lambda f: partial_extract(f, multi(0, 4, 5)),
     }
     for name, read in reads.items():
         got = read(JetScalar(caps, rows))
         for i in range(3):
             want = read(JetScalar(caps, rows[i].copy()))
+            if name == "partial_extract":
+                # an array of shape S for a stack, a float for a lone jet
+                assert type(want) is float and got.shape == (3,)
+                assert got[i].tobytes() == np.float64(want).tobytes(), i
+                continue
             assert got.caps == want.caps and got.c.shape == (3, want.caps.tables.n), name
             assert got.c[i].tobytes() == want.c.tobytes(), (name, i)
+
+
+_ELEMENTARY = {
+    "exp": jets.exp,
+    "log": jets.log,
+    "sqrt": jets.sqrt,
+    "sin": jets.sin,
+    "cos": jets.cos,
+    "power_0.25": lambda f: jets.power(f, 0.25),
+    "power_-0.5": lambda f: jets.power(f, -0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_ELEMENTARY))
+def test_jet_base_value_equals_the_number_bit_for_bit(name):
+    # one series per function: the base value of h(jet) is h(number)
+    h = _ELEMENTARY[name]
+    for b in np.random.default_rng(5).uniform(0.01, 3.0, 300).tolist():
+        assert float(h(b)) == h(variable(4, b, CAPS)).base, b
+
+
+# h -> (h(s f) from h(f) and s), the rescaling a scale-free series keeps
+_RESCALED = {
+    "log": (jets.log, lambda c, s: np.concatenate([c[:1] + math.log(s), c[1:]])),
+    "recip": (jets.recip, lambda c, s: c / s),
+    "power_0.25": (lambda f: jets.power(f, 0.25), lambda c, s: c * s**0.25),
+    "power_-0.5": (lambda f: jets.power(f, -0.5), lambda c, s: c * s**-0.5),
+    "sqrt": (jets.sqrt, lambda c, s: c * s**0.5),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("name", list(_RESCALED))
+def test_series_of_a_rescaled_jet_are_finite_and_rescale(name, scale):
+    # log, 1/f and fractional powers sum their series in t = (f - b)/b, so a
+    # base value near the ends of the float range leaves every coefficient
+    # finite, and each matches the scale-1 jet under the known rescaling
+    h, rescale = _RESCALED[name]
+    caps = geometry.MASTER_CAPS
+    c = np.random.default_rng(3).uniform(-0.3, 0.3, caps.tables.n)
+    c[0] = 1.4
+    got = h(JetScalar(caps, c * scale)).c
+    want = rescale(h(JetScalar(caps, c)).c, scale)
+    assert np.isfinite(got).all()
+    # within a few ulp: of the base value, and of the largest other coefficient
+    assert abs(got[0] - want[0]) <= 4 * np.spacing(abs(want[0]))
+    assert np.abs(got[1:] - want[1:]).max() <= 8 * np.spacing(np.abs(want[1:]).max())
