@@ -553,11 +553,12 @@ def identity(k: int, caps: DegreeCaps) -> np.ndarray:
 
 
 def _base(f):
-    """(base values, series order): a jet's constant coefficients and its
-    caps' total degree, or a number or array itself and 0."""
+    """(base values, series order): a jet's constant coefficients (a NumPy
+    number for a lone jet) and its caps' total degree, or a number or array
+    as an array and 0."""
     if isinstance(f, JetScalar):
-        return f.c[..., 0], f.caps.total_max
-    return f, 0
+        return f.c[..., 0][()], f.caps.total_max
+    return np.asarray(f), 0
 
 
 def _compose(f, u, a):
@@ -569,7 +570,7 @@ def _compose(f, u, a):
         return a[0]
     t = f.caps.tables
     m = f.caps.total_max
-    s = f.c / np.expand_dims(u, -1)  # the jet of t, once its base is 0
+    s = f.c / np.asarray(u)[..., None]  # the jet of t, once its base is 0
     s[..., 0] = 0.0
     r = np.zeros(s.shape)
     deg = (0, 0)
@@ -603,7 +604,7 @@ def _binomial(f, r: float, p):
 def recip(f):
     """1/f: u = b and a_k = (-1)**k / b."""
     b, m = _base(f)
-    if np.any(b == 0):
+    if (b == 0).any():
         raise DomainViolation("reciprocal of zero")
     inv = 1.0 / b
     return _compose(f, b, [-inv if k % 2 else inv for k in range(m + 1)])
@@ -619,7 +620,7 @@ def exp(f):
 def log(f):
     """log f: u = b, a_0 = log b and a_k = (-1)**(k-1) / k."""
     b, m = _base(f)
-    if np.any(b <= 0):
+    if (b <= 0).any():
         raise DomainViolation("log of a non-positive value")
     return _compose(f, b, [np.log(b)] + [(-1) ** (k - 1) / k for k in range(1, m + 1)])
 
@@ -633,10 +634,10 @@ def power(f, r: Number):
     """
     b, _ = _base(f)
     if float(r) != int(r):
-        if np.any(b <= 0):
+        if (b <= 0).any():
             raise DomainViolation("fractional power of a non-positive value")
         return _binomial(f, float(r), np.power(b, float(r)))
-    if r < 0 and np.any(b == 0):
+    if r < 0 and (b == 0).any():
         raise DomainViolation("negative power of zero")
     if not isinstance(f, JetScalar):
         return np.power(f, float(r))
@@ -662,7 +663,7 @@ def power(f, r: Number):
 def sqrt(f):
     """f**0.5, its base value from ``np.sqrt``."""
     b, _ = _base(f)
-    if np.any(b <= 0):
+    if (b <= 0).any():
         raise DomainViolation("sqrt of a non-positive value")
     return _binomial(f, 0.5, np.sqrt(b))
 
