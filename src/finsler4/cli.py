@@ -22,10 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import classify as classify_mod
-from . import conformal as conformal_mod
-from . import frame as frame_mod
-from . import geometry, metrics, oracle
+from . import geometry, metrics
 from .exprdsl import ExprError
 from .metrics import MetricError, SamplePlan, SpecSchemaError
 
@@ -142,6 +139,8 @@ def _point_record_doc(rec) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from . import classify as classify_mod
+
     spec, plan = _load_spec(args.spec)
     plan = _apply_overrides(plan, args)
     tol = _tol(args, classify_mod.DEFAULT_TOL)
@@ -170,10 +169,16 @@ def _sigma_doc(sc) -> dict:
 
 
 def cmd_conformal(args) -> int:
+    from . import classify as classify_mod
+    from . import conformal as conformal_mod
+
     spec, plan = _load_spec(args.spec)
     plan = _apply_overrides(plan, args)
     tol = _tol(args, classify_mod.DEFAULT_TOL)
-    pair = conformal_mod.pair_from_spec(spec)
+    try:
+        pair = conformal_mod.pair_from_spec(spec)
+    except conformal_mod.MissingSigma as err:
+        raise SpecSchemaError(str(err)) from None
     audit = conformal_mod.audit_pair(pair, plan, tol=tol)
     points = []
     for rep in audit.reports:
@@ -220,6 +225,8 @@ def _parse_point(text: str, what: str) -> np.ndarray:
 
 
 def cmd_frame(args) -> int:
+    from . import frame as frame_mod
+
     spec, _ = _load_spec(args.spec)
     x = _parse_point(args.x, "x")
     y = _parse_point(args.y, "y")
@@ -280,6 +287,8 @@ def _selftest_cases():
 
 
 def cmd_selftest(args) -> int:
+    from . import oracle
+
     checks = []
     failed = 0
     for name, spec in _selftest_cases():
@@ -355,7 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecSchemaError, MetricError, ExprError, conformal_mod.MissingSigma) as err:
+    except (SpecSchemaError, MetricError, ExprError) as err:
         print(f"finsler4: spec error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - CLI boundary

@@ -18,6 +18,7 @@ metric family is an expression too
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -132,6 +133,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # -- parser --------------------------------------------------------------
 
 
+def _finite(text: str, offset: int) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ExprSyntaxError(f"number {text!r} is not finite", offset)
+    return value
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -193,7 +201,7 @@ class _Parser:
             kind, text, off = self.peek()
         if kind == "number":
             self.advance()
-            return sign * float(text)
+            return sign * _finite(text, off)
         if kind == "ident":
             raise NonConstantExponent(off)
         raise ExprSyntaxError("expected a numeric exponent", off)
@@ -201,7 +209,7 @@ class _Parser:
     def atom(self) -> ExprAst:
         kind, text, off = self.advance()
         if kind == "number":
-            return Lit(float(text))
+            return Lit(_finite(text, off))
         if kind == "ident":
             if text in FUNCTIONS:
                 self.expect_op("(")

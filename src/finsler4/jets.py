@@ -138,7 +138,9 @@ class _Tables:
     of any monomial of the ring.  From these come ``degs`` (the x- and
     y-degree of each monomial), the product table ``mul_i``, ``mul_j``,
     ``mul_k``, the derivative read maps (:meth:`read_map`) and ``units``,
-    the (8, n) jets of the coordinates at 0.
+    the (8, n) jets of the coordinates at 0.  The pairs (``mul_i``,
+    ``mul_j``) are ``np.nonzero`` of one (n, n) mask of the pairs whose
+    degrees fit the caps, so they come in ascending (i, j) order.
     """
 
     def __init__(self, caps: DegreeCaps) -> None:
@@ -157,20 +159,18 @@ class _Tables:
         self.code = code[order]
         self.n = len(code)
         self.degs = np.stack([self.exps[:, :4].sum(1), self.exps[:, 4:].sum(1)], axis=1)
-        # Pair each monomial with the partners that fit its leftover degree
-        # budget, in ascending (i, j) order: that order fixes the summation
+        # Pair each monomial i with the partners j that fit its leftover
+        # degree budget; np.nonzero reads the (n, n) fit mask row by row, so
+        # the pairs come in ascending (i, j) order, which fixes the summation
         # order of JetScalar.__mul__ and so every reported digit.
         dx, dy = self.degs.T
-        partners = [
-            np.flatnonzero((dx <= caps.x_max - a) & (dy <= caps.y_max - b)
-                           & (dx + dy <= caps.total_max - a - b))
-            for a, b in self.degs.tolist()
-        ]
-        self.mul_i = np.repeat(np.arange(self.n), [len(p) for p in partners])
-        self.mul_j = np.concatenate(partners)
+        tot = dx + dy
+        fits = ((dx <= caps.x_max - dx[:, None]) & (dy <= caps.y_max - dy[:, None])
+                & (tot <= caps.total_max - tot[:, None]))
+        self.mul_i, self.mul_j = np.nonzero(fits)
         self.mul_k = self.code.searchsorted(self.code[self.mul_i] + self.code[self.mul_j])
         # the coordinate jets at 0: row s is 1 on the monomial of slot s alone
-        self.units = ((self.exps.T == 1) & (dx + dy == 1)).astype(float)
+        self.units = ((self.exps.T == 1) & (tot == 1)).astype(float)
         full = (caps.x_max, caps.y_max)
         self._product_cache: dict = {
             (full, full): (self.mul_i, self.mul_j, self.mul_k, full)

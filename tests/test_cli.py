@@ -105,6 +105,32 @@ def test_conformal_requires_sigma(capsys, quartic_spec):
     assert "conformal factor" in err
 
 
+def test_conformal_requires_sigma_in_a_fresh_process():
+    # the CLI loads the conformal module only inside its command, so only a
+    # fresh process shows that the missing factor is still a spec error
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "finsler4.cli", "conformal", "tests/goldens/quartic_small.json"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "finsler4: spec error: the spec carries no conformal factor\n"
+
+
+@pytest.mark.parametrize("L", [
+    "sqrt(y1^2+y2^2+y3^2+y4^2)^1e400",
+    "sqrt(y1^2+y2^2+y3^2+y4^2)^-1e400",
+    "sqrt(y1^2+y2^2+y3^2+y4^2)*1e400",
+])
+def test_number_that_is_not_finite_exits_2(capsys, tmp_path, L):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({"family": "expression", "L": L, "samples": 2, "seed": 1}))
+    code, out, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("finsler4: spec error: ") and "'1e400' is not finite" in err
+
+
 def test_conformal_report(capsys, conformal_spec):
     code, out, _ = _run(capsys, ["conformal", conformal_spec])
     assert code == 0

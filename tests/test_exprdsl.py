@@ -61,6 +61,16 @@ def test_syntax_error_offset():
         parse_expr("y1 ^ 2 ^ 3")  # exponent chains are not part of the grammar
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("y1^1e400", 3), ("y1^-1e400", 4), ("y1*1e400", 3), ("-1e400*y1", 1),
+])
+def test_number_that_is_not_finite_is_a_syntax_error(text, offset):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr(text)
+    assert exc.value.offset == offset
+    assert "'1e400' is not finite" in str(exc.value)
+
+
 def test_eval_unit_point():
     ast = parse_expr("(y1*y2*y3*y4)^0.25")
     env = [0.0] * 4 + [1.0, 1.0, 1.0, 1.0]
