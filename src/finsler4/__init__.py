@@ -18,13 +18,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classify": ("ClassificationReport", "classify_metric", "theorem_crosscheck"),
     "conformal": (
-        "ConformalPair",
         "SigmaComponents",
         "audit_pair",
         "berwald_case_conditions",
         "invariance_check",
         "landsberg_case_conditions",
-        "make_pair",
         "sigma_components",
     ),
     "exprdsl": ("ExprError", "eval_expr", "parse_expr", "pretty"),
@@ -34,7 +32,7 @@ _EXPORTS = {
                  "point_eval"),
     "jets": ("DegreeCaps", "Finsler4Error", "InvalidArgument", "JetScalar", "partial_extract"),
     "metrics": ("DomainSpec", "MetricSpec", "SamplePlan", "eval_L", "make_builtin_metric",
-                "sample_domain"),
+                "make_conformal", "sample_domain"),
     "oracle": ("FDConfig", "fd_partial", "fd_partials", "oracle_tensors"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

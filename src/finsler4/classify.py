@@ -5,8 +5,9 @@ scalar derivative tables).
 
 Verdicts are three-valued with a 10x hysteresis band: numerical sampling
 cannot certify exact vanishing, and the band keeps borderline points from
-flapping between yes and no.  The judge (``band``, ``all3``, ``agreement``)
-and the h-derivative measurement are shared with the conformal audit.
+flapping between yes and no.  The judge (``band``, ``all3``, ``agreement``),
+the h-derivative measurement and the per-point loop (``point_records``)
+are shared with the conformal audit.
 Every aggregate claim is over the sampled points only; the
 locally-Minkowski verdict is chart-relative by design.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -144,18 +145,59 @@ def evaluate_stack(pes: list) -> list:
     return out
 
 
+def error_fields(err: jets.Finsler4Error) -> dict:
+    """The record fields of a point that ``err`` stopped: the type name of
+    a FrameError that refused a frame as ``frame_error``, the message of
+    any other Finsler4Error as ``eval_error``."""
+    if isinstance(err, FrameError):
+        return {"frame_error": type(err).__name__}
+    return {"eval_error": str(err)}
+
+
+def profile_of(outcome) -> frame_mod.ProfileResult:
+    """The ProfileResult of an :func:`evaluate_stack` outcome; an error
+    outcome is raised."""
+    if isinstance(outcome, jets.Finsler4Error):
+        raise outcome
+    return outcome
+
+
+def point_records(points: Sequence, spaces: Callable, read: Callable, failed: Callable) -> list:
+    """One record per (x, y) of ``points``, every point's PointEvals
+    ``spaces(x, y)`` evaluated as one stack (:func:`evaluate_stack`).
+    ``read(i, pes, outcomes)`` makes point i's record from its PointEvals
+    and their outcomes; if ``spaces`` or ``read`` raise a Finsler4Error,
+    ``failed(i, x, y, error_fields(err))`` makes it."""
+    records: list = [None] * len(points)
+    built = []
+    for i, (x, y) in enumerate(points):
+        try:
+            built.append((i, spaces(x, y)))
+        except jets.Finsler4Error as err:
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            records[i] = failed(i, x, y, error_fields(err))
+    outcomes = iter(evaluate_stack([pe for _, pes in built for pe in pes]))
+    for i, pes in built:
+        got = [next(outcomes) for _ in pes]
+        try:
+            records[i] = read(i, pes, got)
+        except jets.Finsler4Error as err:
+            # an outcome raised again holds a traceback, whose frames would hold the stack
+            records[i] = failed(i, pes[0].x, pes[0].y, error_fields(err.with_traceback(None)))
+    return records
+
+
 def _evaluate_record(index: int, pe: geometry.PointEval, prof) -> PointRecord:
     """The record of one point from its PointEval and its frame profile
-    (a ProfileResult, or the FrameError that refused it)."""
-    metric = pe.metric
-    cartan = pe.cartan
-
+    (a ProfileResult, or the FrameError that refused it; any other error
+    is raised)."""
     frame_data: Optional[dict] = None
-    frame_error: Optional[str] = None
+    refusal: dict = {}
     if isinstance(prof, FrameError):
-        frame_error = type(prof).__name__
+        refusal = error_fields(prof)
     else:
-        vec = prof.profile.vectors
+        profile = profile_of(prof).profile
+        vec = profile.vectors
         frame_data = {
             "h": vec.h.tolist(),
             "j": vec.j.tolist(),
@@ -164,10 +206,12 @@ def _evaluate_record(index: int, pe: geometry.PointEval, prof) -> PointRecord:
                 max(np.abs(vec.h).max(), np.abs(vec.j).max(), np.abs(vec.k).max())
             ),
             "max_hjk_l": float(max(abs(vec.h[0]), abs(vec.j[0]), abs(vec.k[0]))),
-            "max_scalar_hderiv": float(np.abs(prof.profile.h_derivs).max()),
-            "max_scalar_hderiv_l": float(np.abs(prof.profile.h_derivs[:, 0]).max()),
+            "max_scalar_hderiv": float(np.abs(profile.h_derivs).max()),
+            "max_scalar_hderiv_l": float(np.abs(profile.h_derivs[:, 0]).max()),
         }
 
+    metric = pe.metric
+    cartan = pe.cartan
     c_norm = cartan.C_norm
     return PointRecord(
         index=index,
@@ -180,7 +224,7 @@ def _evaluate_record(index: int, pe: geometry.PointEval, prof) -> PointRecord:
         max_dx_metric=float(np.abs(pe.dx_g).max()),
         max_spray_cubic=float(np.abs(pe.spray.G_hess3).max()),
         frame=frame_data,
-        frame_error=frame_error,
+        **refusal,
         **hderiv_measurement(pe),
     )
 
@@ -194,25 +238,16 @@ def check_tol(tol: float) -> None:
 def classify_metric(
     spec: MetricSpec, plan: SamplePlan, tol: float = DEFAULT_TOL
 ) -> ClassificationReport:
-    """Classify over the sampled points, all of them evaluated as one stack;
-    a point that cannot be evaluated becomes an ``eval_error`` record."""
+    """Classify over the sampled points, all of them evaluated as one stack
+    (:func:`point_records`); a point that cannot be evaluated becomes an
+    ``eval_error`` record."""
     check_tol(tol)
-    points = metrics.sample_domain(spec.domain, plan)
-    records: list = [None] * len(points)
-    evaluated = []
-    for idx, (x, y) in enumerate(points):
-        try:
-            evaluated.append((idx, geometry.point_eval(spec, x, y)))
-        except jets.Finsler4Error as err:
-            records[idx] = PointRecord(
-                index=idx, x=np.asarray(x), y=np.asarray(y), eval_error=str(err)
-            )
-    outcomes = evaluate_stack([pe for _, pe in evaluated])
-    for (idx, pe), outcome in zip(evaluated, outcomes):
-        if isinstance(outcome, jets.Finsler4Error) and not isinstance(outcome, FrameError):
-            records[idx] = PointRecord(index=idx, x=pe.x, y=pe.y, eval_error=str(outcome))
-        else:
-            records[idx] = _evaluate_record(idx, pe, outcome)
+    records = point_records(
+        metrics.sample_domain(spec.domain, plan),
+        lambda x, y: (geometry.point_eval(spec, x, y),),
+        lambda i, pes, outcomes: _evaluate_record(i, pes[0], outcomes[0]),
+        lambda i, x, y, fields: PointRecord(index=i, x=x, y=y, **fields),
+    )
 
     usable = [r for r in records if r.eval_error is None]
 

@@ -176,10 +176,9 @@ def cmd_conformal(args) -> int:
     plan = _apply_overrides(plan, args)
     tol = _tol(args, classify_mod.DEFAULT_TOL)
     try:
-        pair = conformal_mod.pair_from_spec(spec)
+        audit = conformal_mod.audit_pair(spec, plan, tol=tol)
     except conformal_mod.MissingSigma as err:
         raise SpecSchemaError(str(err)) from None
-    audit = conformal_mod.audit_pair(pair, plan, tol=tol)
     points = []
     for rep in audit.reports:
         doc = {"x": rep.x, "y": rep.y}

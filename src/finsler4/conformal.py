@@ -34,10 +34,10 @@ import numpy as np
 
 from . import exprdsl, geometry, jets, metrics
 from .classify import (
-    AGREEMENT, DEFAULT_TOL, agreement, all3, band, check_tol, evaluate_stack,
-    hderiv_measurement,
+    AGREEMENT, DEFAULT_TOL, agreement, all3, band, check_tol, hderiv_measurement, point_records,
+    profile_of,
 )
-from .frame import FrameError, ProfileResult, SCALAR_NAMES, ScalarProfile
+from .frame import ProfileResult, SCALAR_NAMES, ScalarProfile
 from .geometry import PointEval
 from .jets import DegreeCaps, Finsler4Error, derivative_tensor
 from .metrics import MetricSpec, SamplePlan
@@ -76,25 +76,12 @@ class MissingSigma(ConformalError):
     pass
 
 
-@dataclass(frozen=True)
-class ConformalPair:
-    base: MetricSpec
-    lifted: MetricSpec
-
-    @property
-    def sigma_ast(self):
-        return self.lifted.sigma_ast
-
-
-def make_pair(base: MetricSpec, sigma) -> ConformalPair:
-    """The base metric and its rescaling by a position-only factor e^sigma(x)."""
-    return ConformalPair(base=base, lifted=metrics.make_conformal(base, sigma))
-
-
-def pair_from_spec(spec: MetricSpec) -> ConformalPair:
+def pair_from_spec(spec: MetricSpec) -> MetricSpec:
+    """The spec, if it is a conformal rescaling (its ``base`` and
+    ``sigma_ast`` fix both spaces); MissingSigma if it is not."""
     if spec.family != "conformal":
         raise MissingSigma("the spec carries no conformal factor")
-    return ConformalPair(base=spec.base, lifted=spec)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -125,27 +112,27 @@ class SigmaComponents:
         )
 
 
-def sigma_gradient(pair: ConformalPair, x: Sequence[float]) -> tuple[float, np.ndarray]:
-    """(sigma(x), d sigma / dx) via a first-order jet evaluation."""
+def sigma_gradient(spec: MetricSpec, x: Sequence[float]) -> tuple[float, np.ndarray]:
+    """(sigma(x), d sigma / dx) of a conformal spec via a first-order jet
+    evaluation."""
     caps = DegreeCaps(1, 0)
     env = [jets.variable(i, float(x[i]), caps) for i in range(4)] + [0.0] * 4
-    val = exprdsl.eval_expr(pair.sigma_ast, env)
+    val = exprdsl.eval_expr(spec.sigma_ast, env)
     if not isinstance(val, jets.JetScalar):
         return float(val), np.zeros(4)
     grad = derivative_tensor(val, 1, 0)
     return val.base, grad
 
 
-def sigma_components(
-    pair: ConformalPair, base: ProfileResult, lifted: ProfileResult
-) -> SigmaComponents:
+def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaComponents:
     """Frame components of the sigma gradient plus the six scalars read off
     the frame-projected nonlinear-connection difference, from the profiles
-    of the base and the rescaled space at the same point."""
+    of the base and the rescaled space at the same point; sigma is that of
+    the rescaled space's spec (MissingSigma if it has none)."""
     base_pe, lifted_pe, base_frame = base.pe, lifted.pe, base.frame
     y = base_pe.y
 
-    sigma_value, grad = sigma_gradient(pair, base_pe.x)
+    sigma_value, grad = sigma_gradient(pair_from_spec(lifted_pe.spec), base_pe.x)
     s_frame = base_frame.e @ grad  # sigma_alpha = (d sigma)_i e_(alpha)^i
 
     L0 = base_pe.L
@@ -376,12 +363,10 @@ def _flat_in_chart(pe: PointEval) -> bool:
     return float(np.abs(pe.dx_g).max()) < 1e-9
 
 
-def evaluate_point(
-    pair: ConformalPair, base: ProfileResult, lifted: ProfileResult
-) -> PointConformalReport:
+def evaluate_point(base: ProfileResult, lifted: ProfileResult) -> PointConformalReport:
     """The report at one point from the frame profiles of its base and
     rescaled space (as :func:`evaluate_points` makes them)."""
-    sc = sigma_components(pair, base, lifted)
+    sc = sigma_components(base, lifted)
     case, near, lands = landsberg_case_conditions(base.profile, sc)
     _, _, berw = berwald_case_conditions(base.profile, sc)
 
@@ -400,41 +385,25 @@ def evaluate_point(
     )
 
 
-def evaluate_points(pair: ConformalPair, points: Sequence) -> list:
-    """One report per (x, y) point.  The base and the rescaled space of
-    every point are evaluated as one stack; a point that cannot be
-    evaluated gets an ``eval_error`` record, and a point whose base or
-    rescaled frame is refused (the base is judged first) a ``frame_error``
-    record."""
-    reports: list = [None] * len(points)
-    spaces = []
-    for i, (x, y) in enumerate(points):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        try:
-            base_pe = geometry.point_eval(pair.base, x, y)
-            # e^sigma times the base's jet of L; the lifted tensors are measured from it
-            spaces.append((i, base_pe, geometry.point_eval(pair.lifted, x, y, base_pe)))
-        except Finsler4Error as err:
-            reports[i] = PointConformalReport(x=x, y=y, eval_error=str(err))
-    outcomes = evaluate_stack([pe for _, base_pe, lifted_pe in spaces
-                               for pe in (base_pe, lifted_pe)])
-    for k, (i, base_pe, _) in enumerate(spaces):
-        base, lifted = outcomes[2 * k], outcomes[2 * k + 1]
-        failed = next((o for o in (base, lifted) if isinstance(o, Finsler4Error)), None)
-        if failed is None:
-            try:
-                reports[i] = evaluate_point(pair, base, lifted)
-                continue
-            except Finsler4Error as err:
-                failed = err
-        if isinstance(failed, FrameError):
-            reports[i] = PointConformalReport(
-                x=base_pe.x, y=base_pe.y, frame_error=type(failed).__name__
-            )
-        else:
-            reports[i] = PointConformalReport(x=base_pe.x, y=base_pe.y, eval_error=str(failed))
-    return reports
+def evaluate_points(spec: MetricSpec, points: Sequence) -> list:
+    """One report per (x, y) point of a conformal spec (MissingSigma for
+    any other).  The base and the rescaled space of every point are
+    evaluated as one stack (:func:`classify.point_records`); a point that
+    cannot be evaluated gets an ``eval_error`` record, and a point whose
+    base or rescaled frame is refused (the base is judged first) a
+    ``frame_error`` record."""
+    pair_from_spec(spec)
+
+    def spaces(x, y) -> tuple:
+        base = geometry.point_eval(spec.base, x, y)
+        # e^sigma times the base's jet of L; the lifted tensors are measured from it
+        return base, geometry.point_eval(spec, x, y, base)
+
+    return point_records(
+        points, spaces,
+        lambda i, pes, outcomes: evaluate_point(*map(profile_of, outcomes)),
+        lambda i, x, y, fields: PointConformalReport(x=x, y=y, **fields),
+    )
 
 
 def _block_satisfied(residuals: dict, prefix: tuple, tol: float) -> Optional[bool]:
@@ -453,15 +422,12 @@ class ConformalAudit:
     berwald_summary: dict
 
 
-def audit_pair(
-    pair: ConformalPair,
-    plan: SamplePlan,
-    tol: float = DEFAULT_TOL,
-) -> ConformalAudit:
-    """Co-occurrence audit over sampled points: do the condition blocks
-    agree with the directly measured character of the rescaled space?"""
+def audit_pair(spec: MetricSpec, plan: SamplePlan, tol: float = DEFAULT_TOL) -> ConformalAudit:
+    """Co-occurrence audit of a conformal spec over sampled points: do the
+    condition blocks agree with the directly measured character of the
+    rescaled space?"""
     check_tol(tol)
-    reports = evaluate_points(pair, metrics.sample_domain(pair.base.domain, plan))
+    reports = evaluate_points(spec, metrics.sample_domain(spec.domain, plan))
 
     def summarise(kind: str) -> dict:
         counts = dict.fromkeys(AGREEMENT + ("skipped_frame_errors",), 0)

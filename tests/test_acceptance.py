@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from finsler4 import classify, cli, frame, geometry, metrics, oracle
-from finsler4.conformal import audit_pair, evaluate_points, make_pair, sigma_components
+from finsler4.conformal import audit_pair, evaluate_points, sigma_components
 from finsler4.frame import SCALAR_NAMES, VanishingTorsion, scalar_profile
 from finsler4.metrics import DomainSpec, SamplePlan, make_builtin_metric, make_conformal
 
@@ -124,7 +124,7 @@ def test_c04_frame_derivative_identities():
 @criterion(5, "conformal invariance: covector/vector scaling, mixed torsion, and "
              "all eight main scalars invariant to 1e-7")
 def test_c05_conformal_invariance_suite():
-    pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
+    pair = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
     checked = 0
     for rep in evaluate_points(pair, metrics.sample_domain(QUARTIC.domain, PLAN16)):
         if rep.frame_error:
@@ -144,14 +144,14 @@ def test_c05_conformal_invariance_suite():
 
 def _sigma_at(pair, x, y):
     base, lifted = (scalar_profile(geometry.point_eval(spec, x, y))
-                    for spec in (pair.base, pair.lifted))
-    return sigma_components(pair, base, lifted)
+                    for spec in (pair.base, pair))
+    return sigma_components(base, lifted)
 
 
 @criterion(6, "projected spray difference: sign layout to 1e-7, transvection "
              "identity to 1e-7, homothety gives zero to 1e-10")
 def test_c06_spray_difference_structure():
-    pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
+    pair = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
     for x, y in metrics.sample_domain(QUARTIC.domain, PLAN16):
         try:
             sc = _sigma_at(pair, x, y)
@@ -163,7 +163,7 @@ def test_c06_spray_difference_structure():
             assert val <= 1e-7 * sc.extraction_scale, (key, val)
         assert sc.extraction_residuals["spray_transvection"] <= 1e-7
 
-    hom = make_pair(QUARTIC, "0.35")
+    hom = make_conformal(QUARTIC, "0.35")
     for x, y in metrics.sample_domain(QUARTIC.domain, SamplePlan(count=8, seed=9)):
         try:
             sc = _sigma_at(hom, x, y)
@@ -177,7 +177,7 @@ def test_c06_spray_difference_structure():
              "law hold to 1e-6 on position-independent bases")
 def test_c07_first_component_laws():
     for sigma in ("0.1*x1", "0.1*x1+0.05*x2^2"):
-        pair = make_pair(QUARTIC, sigma)
+        pair = make_conformal(QUARTIC, sigma)
         checked = 0
         for rep in evaluate_points(pair, metrics.sample_domain(QUARTIC.domain, PLAN16)):
             if rep.frame_error:
@@ -216,9 +216,9 @@ def test_c08_route_crosschecks():
 def test_c09_condition_cooccurrence():
     plan = SamplePlan(count=8, seed=55)
     pairs = [
-        ("homothetic", make_pair(QUARTIC, "0.4")),
-        ("linear", make_pair(QUARTIC, "0.1*x1")),
-        ("curved", make_pair(QUARTIC, "0.1*x1+0.05*x2^2")),
+        ("homothetic", make_conformal(QUARTIC, "0.4")),
+        ("linear", make_conformal(QUARTIC, "0.1*x1")),
+        ("curved", make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")),
     ]
     for name, pair in pairs:
         audit = audit_pair(pair, plan, tol=1e-6)

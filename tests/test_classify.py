@@ -220,9 +220,8 @@ def test_tolerance_must_be_a_finite_positive_number(tol):
     spec = make_builtin_metric("quartic_minkowski")
     with pytest.raises(InvalidArgument):
         classify_metric(spec, SamplePlan(1, 0), tol=tol)
-    pair = conformal.pair_from_spec(make_conformal(spec, "0.1*x1"))
     with pytest.raises(InvalidArgument):
-        conformal.audit_pair(pair, SamplePlan(1, 0), tol=tol)
+        conformal.audit_pair(make_conformal(spec, "0.1*x1"), SamplePlan(1, 0), tol=tol)
 
 
 def test_a_stage_error_of_every_point_becomes_its_record():

@@ -20,11 +20,10 @@ from finsler4.conformal import (
     evaluate_points,
     invariance_check,
     landsberg_case_conditions,
-    make_pair,
     sigma_components,
 )
 from finsler4.frame import SCALAR_NAMES, scalar_profile
-from finsler4.metrics import SamplePlan, make_builtin_metric, sample_domain
+from finsler4.metrics import SamplePlan, make_builtin_metric, make_conformal, sample_domain
 
 QUARTIC = make_builtin_metric("quartic_minkowski")
 X1 = np.array([0.5, -0.3, 0.2, 0.1])
@@ -34,46 +33,46 @@ YGEN = np.array([1.1, 2.0, 0.9, 1.3])
 def profiles(pair, x, y):
     """Frame profiles of the base and the rescaled space at one point."""
     return tuple(
-        scalar_profile(geometry.point_eval(spec, x, y)) for spec in (pair.base, pair.lifted)
+        scalar_profile(geometry.point_eval(spec, x, y)) for spec in (pair.base, pair)
     )
 
 
 def sigma_at(pair, x, y):
-    return sigma_components(pair, *profiles(pair, x, y))
+    return sigma_components(*profiles(pair, x, y))
 
 
 def invariance_at(pair, x, y):
     base, lifted = profiles(pair, x, y)
-    return invariance_check(base, lifted, sigma_components(pair, base, lifted))
+    return invariance_check(base, lifted, sigma_components(base, lifted))
 
 
 def gradient_pair(spec, cov):
     """spec rescaled by the linear factor whose gradient is the covector cov."""
     src = "+".join(f"({format(float(c), '.17g')})*x{i+1}" for i, c in enumerate(cov))
-    return make_pair(spec, src)
+    return make_conformal(spec, src)
 
 
 def test_lift_rejects_direction_dependent_factor():
     with pytest.raises(metrics.SigmaUsesY):
-        make_pair(QUARTIC, "0.1*y1")
+        make_conformal(QUARTIC, "0.1*y1")
 
 
 def test_zero_factor_is_identity():
-    pair = make_pair(QUARTIC, "0")
+    pair = make_conformal(QUARTIC, "0")
     rep = invariance_at(pair, X1, YGEN)
     finite = {k: v for k, v in rep.items() if not math.isnan(v)}
     assert max(finite.values()) < 1e-10
 
 
 def test_constant_factor_scales_metric():
-    pair = make_pair(QUARTIC, "0.3")
+    pair = make_conformal(QUARTIC, "0.3")
     base = geometry.point_eval(pair.base, X1, YGEN)
-    lifted = geometry.point_eval(pair.lifted, X1, YGEN)
+    lifted = geometry.point_eval(pair, X1, YGEN)
     assert np.max(np.abs(lifted.metric.g - math.exp(0.6) * base.metric.g)) <= 1e-10
 
 
 def test_homothety_zero_components():
-    pair = make_pair(QUARTIC, "0.3")
+    pair = make_conformal(QUARTIC, "0.3")
     sc = sigma_at(pair, X1, YGEN)
     assert max(abs(v) for v in (sc.sigma1, sc.sigma2, sc.sigma3, sc.sigma4)) <= 1e-10
     assert np.max(np.abs(sc.spray_block())) <= 1e-10
@@ -81,23 +80,23 @@ def test_homothety_zero_components():
 
 
 def test_sigma_gradient_reconstruction():
-    pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
+    pair = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
     base, lifted = profiles(pair, X1, YGEN)
-    sc = sigma_components(pair, base, lifted)
+    sc = sigma_components(base, lifted)
     bundle = base.frame
     recon = sc.frame_grad() @ bundle.e_flat
     assert np.max(np.abs(recon - sc.sigma_grad)) <= 1e-9
 
 
 def test_extraction_residuals_small_and_layout_holds():
-    pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
+    pair = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
     sc = sigma_at(pair, X1, YGEN)
     for key, val in sc.extraction_residuals.items():
         assert val <= 1e-7 * sc.extraction_scale, (key, val)
 
 
 def test_spray_difference_transvection_identity():
-    pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
+    pair = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
     for x, y in sample_domain(QUARTIC.domain, SamplePlan(count=6, seed=71)):
         sc = sigma_at(pair, x, y)
         assert sc.extraction_residuals["spray_transvection"] <= 1e-7
@@ -123,9 +122,9 @@ def test_case_dispatch_constructed_gradients():
 
 
 def test_landsberg_conditions_homothetic_all_zero():
-    pair = make_pair(QUARTIC, "0.25")
+    pair = make_conformal(QUARTIC, "0.25")
     prof, lifted = profiles(pair, X1, YGEN)
-    sc = sigma_components(pair, prof, lifted)
+    sc = sigma_components(prof, lifted)
     case, near, out = landsberg_case_conditions(prof.profile, sc)
     assert case == CASE_HOMOTHETIC
     assert not near
@@ -133,7 +132,7 @@ def test_landsberg_conditions_homothetic_all_zero():
 
 
 def test_landsberg_conditions_fail_with_nonlandsberg_lift():
-    pair = make_pair(QUARTIC, "0.1*x1")
+    pair = make_conformal(QUARTIC, "0.1*x1")
     failures = 0
     for rep in evaluate_points(pair, sample_domain(QUARTIC.domain, SamplePlan(count=8, seed=73))):
         if rep.frame_error:
@@ -152,17 +151,17 @@ def test_landsberg_conditions_fail_with_nonlandsberg_lift():
 
 
 def test_berwald_conditions_homothetic_zero():
-    pair = make_pair(QUARTIC, "0.25")
+    pair = make_conformal(QUARTIC, "0.25")
     prof, lifted = profiles(pair, X1, YGEN)
-    sc = sigma_components(pair, prof, lifted)
+    sc = sigma_components(prof, lifted)
     _, _, out = berwald_case_conditions(prof.profile, sc)
     assert max(v["residual"] for v in out.values()) <= 1e-10
 
 
 def test_berwald_conditions_reject_bad_extraction():
-    pair = make_pair(QUARTIC, "0.1*x1")
+    pair = make_conformal(QUARTIC, "0.1*x1")
     prof, lifted = profiles(pair, X1, YGEN)
-    sc = sigma_components(pair, prof, lifted)
+    sc = sigma_components(prof, lifted)
     corrupted = conformal.SigmaComponents(
         sigma1=sc.sigma1, sigma2=sc.sigma2, sigma3=sc.sigma3, sigma4=sc.sigma4,
         sigma5=sc.sigma5, sigma6=sc.sigma6, sigma7=sc.sigma7, sigma8=sc.sigma8,
@@ -175,7 +174,7 @@ def test_berwald_conditions_reject_bad_extraction():
 
 
 def test_invariance_suite_nonhomothetic():
-    pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
+    pair = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
     for x, y in sample_domain(QUARTIC.domain, SamplePlan(count=16, seed=79)):
         out = invariance_at(pair, x, y)
         assert out["gauge_match"] == 0.0
@@ -196,7 +195,7 @@ def test_invariance_suite_nonhomothetic():
 def test_first_component_laws_on_drift_base():
     # base need not be flat for the first-component transformation laws
     base = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
-    pair = make_pair(base, "0.1*x1")
+    pair = make_conformal(base, "0.1*x1")
     for x, y in sample_domain(base.domain, SamplePlan(count=6, seed=83)):
         out = invariance_at(pair, x, y)
         for key in ("hbar1_law", "jbar1_law", "kbar1_law"):
@@ -207,12 +206,12 @@ def test_first_component_laws_on_drift_base():
 
 def test_audit_cooccurrence_homothetic_and_generic():
     plan = SamplePlan(count=8, seed=89)
-    hom = audit_pair(make_pair(QUARTIC, "0.4"), plan)
+    hom = audit_pair(make_conformal(QUARTIC, "0.4"), plan)
     assert hom.landsberg_summary["disagree"] == 0
     assert hom.berwald_summary["disagree"] == 0
     assert hom.landsberg_summary["agree"] > 0
 
-    gen = audit_pair(make_pair(QUARTIC, "0.1*x1"), plan)
+    gen = audit_pair(make_conformal(QUARTIC, "0.1*x1"), plan)
     assert gen.landsberg_summary["disagree"] == 0
     assert gen.berwald_summary["disagree"] == 0
     assert gen.landsberg_summary["agree"] > 0
@@ -234,7 +233,7 @@ def test_case_dispatch_flags_near_threshold_components():
 
 
 def test_every_point_gets_exactly_one_case():
-    pair = make_pair(QUARTIC, "0.1*x1+0.05*x2^2")
+    pair = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
     all_cases = {
         conformal.CASE_ALL, conformal.CASE_M_N, conformal.CASE_M_P,
         conformal.CASE_N_P, conformal.CASE_M, conformal.CASE_N, conformal.CASE_P,
@@ -250,13 +249,13 @@ def test_profile_functions_match_evaluate_point_bit_for_bit():
     # the public functions, fed the two profiles of lone evaluations, report
     # what evaluate_points does with both spaces in one stack
     drift = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
-    cases = [(make_pair(QUARTIC, "0.1*x1+0.05*x2^2"), X1, YGEN)]
-    cases += [(make_pair(drift, "0.1*x1"), x, y)
+    cases = [(make_conformal(QUARTIC, "0.1*x1+0.05*x2^2"), X1, YGEN)]
+    cases += [(make_conformal(drift, "0.1*x1"), x, y)
               for x, y in sample_domain(drift.domain, SamplePlan(count=3, seed=97))]
     for pair, x, y in cases:
         rep = evaluate_points(pair, [(x, y)])[0]
         base, lifted = profiles(pair, x, y)
-        sc = sigma_components(pair, base, lifted)
+        sc = sigma_components(base, lifted)
         for f in dataclasses.fields(sc):
             got, want = getattr(sc, f.name), getattr(rep.sigma, f.name)
             if isinstance(got, np.ndarray):
@@ -264,7 +263,7 @@ def test_profile_functions_match_evaluate_point_bit_for_bit():
             else:
                 assert got == want, f.name
         assert invariance_check(base, lifted, sc) == rep.invariance_residuals
-        assert evaluate_point(pair, base, lifted).invariance_residuals == rep.invariance_residuals
+        assert evaluate_point(base, lifted).invariance_residuals == rep.invariance_residuals
 
 
 def test_evaluate_point_builds_one_point_eval_per_space(monkeypatch):
@@ -278,14 +277,14 @@ def test_evaluate_point_builds_one_point_eval_per_space(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(geometry.PointEval, "__init__", counting_init)
-    evaluate_points(make_pair(QUARTIC, "0.1*x1"), [(X1, YGEN)])
+    evaluate_points(make_conformal(QUARTIC, "0.1*x1"), [(X1, YGEN)])
     assert len(calls) == 2
 
 
 # the two conformal pairs of the benchmark's conformal-audit workload
 _BENCH_PAIRS = (
-    make_pair(make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]}), "0.1*x1"),
-    make_pair(QUARTIC, "0.2*x1+0.1*sin(x2)"),
+    make_conformal(make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]}), "0.1*x1"),
+    make_conformal(QUARTIC, "0.2*x1+0.1*sin(x2)"),
 )
 
 
@@ -293,8 +292,8 @@ _BENCH_PAIRS = (
 def test_lifted_jets_built_from_the_base_jet_match_a_fresh_evaluation(pair):
     for x, y in sample_domain(pair.base.domain, SamplePlan(count=4, seed=29)):
         base = geometry.point_eval(pair.base, x, y)
-        lifted = geometry.point_eval(pair.lifted, x, y, base)
-        fresh = geometry.point_eval(pair.lifted, x, y)
+        lifted = geometry.point_eval(pair, x, y, base)
+        fresh = geometry.point_eval(pair, x, y)
         assert lifted.L_jet.c.tobytes() == fresh.L_jet.c.tobytes()
         assert lifted.L2_jet.c.tobytes() == fresh.L2_jet.c.tobytes()
 
@@ -303,7 +302,7 @@ def test_lifted_point_eval_needs_the_base_at_the_same_point():
     pair = _BENCH_PAIRS[1]
     base = geometry.point_eval(pair.base, X1, YGEN)
     with pytest.raises(jets.InvalidArgument):
-        geometry.point_eval(pair.lifted, X1, 2 * YGEN, base)
+        geometry.point_eval(pair, X1, 2 * YGEN, base)
     with pytest.raises(jets.InvalidArgument):
         geometry.point_eval(pair.base, X1, YGEN, base)
     with pytest.raises(jets.InvalidArgument):
@@ -328,20 +327,20 @@ def test_audit_runs_the_base_family_once_per_point(monkeypatch):
 def test_overflowing_factor_keeps_its_eval_error_records():
     # exp(exp(1000*x1)) overflows for x1 > 0.0066: the audit records exactly
     # the points and messages that evaluating the rescaled space alone gives
-    pair = make_pair(QUARTIC, "exp(1000*x1)")
+    pair = make_conformal(QUARTIC, "exp(1000*x1)")
     plan = SamplePlan(count=8, seed=1)
     errors = [rep.eval_error for rep in audit_pair(pair, plan).reports]
     assert [e for e in errors if e is not None] == ["the jet of L is not finite here"] * 4
-    assert [rec.eval_error for rec in classify_metric(pair.lifted, plan).points] == errors
+    assert [rec.eval_error for rec in classify_metric(pair, plan).points] == errors
 
 
 def test_direct_barred_measurement_equals_classify_of_the_lifted_space():
     # one h-derivative measurement: the audit reports for the rescaled space
     # exactly what classify records for it, scale grouping included
-    pair = make_pair(make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]}), "0.1*x1")
+    pair = make_conformal(make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]}), "0.1*x1")
     plan = SamplePlan(count=8, seed=3)
-    records = classify_metric(pair.lifted, plan).points
-    points = sample_domain(pair.lifted.domain, plan)
+    records = classify_metric(pair, plan).points
+    points = sample_domain(pair.domain, plan)
     assert len(records) == len(points) == 8
     for rec, (x, y), rep in zip(records, points, evaluate_points(pair, points)):
         assert np.array_equal(rec.x, x) and np.array_equal(rec.y, y)
@@ -483,9 +482,9 @@ def test_condition_systems_equal_the_written_out_formulas_in_every_case():
         for size in range(5):
             for subset in itertools.combinations(range(4), size):
                 pair = gradient_pair(spec, sum(flat[i] for i in subset)) if subset \
-                    else make_pair(spec, "0.3")
+                    else make_conformal(spec, "0.3")
                 base, lifted = profiles(pair, x, y)
-                sc = sigma_components(pair, base, lifted)
+                sc = sigma_components(base, lifted)
                 case, _, lands = landsberg_case_conditions(base.profile, sc)
                 berw_case, _, berw = berwald_case_conditions(base.profile, sc)
                 assert case == berw_case == _ref_case(sc), subset
@@ -511,7 +510,7 @@ def test_an_unreliable_extraction_becomes_an_eval_error_record(monkeypatch):
     # point is counted
     monkeypatch.setattr(conformal, "EXTRACTION_TOL", -1.0)
     base = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
-    audit = audit_pair(make_pair(base, "0.1*x1"), SamplePlan(2, 1))
+    audit = audit_pair(make_conformal(base, "0.1*x1"), SamplePlan(2, 1))
     errors = [rep.eval_error for rep in audit.reports]
     assert len(errors) == 2
     for err in errors:

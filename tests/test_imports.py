@@ -29,9 +29,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("finsler4"))))
 # the names the package exports, each with the module that defines it
 PUBLIC = {
     "classify": ["ClassificationReport", "classify_metric", "theorem_crosscheck"],
-    "conformal": ["ConformalPair", "SigmaComponents", "audit_pair", "berwald_case_conditions",
-                  "invariance_check", "landsberg_case_conditions", "make_pair",
-                  "sigma_components"],
+    "conformal": ["SigmaComponents", "audit_pair", "berwald_case_conditions",
+                  "invariance_check", "landsberg_case_conditions", "sigma_components"],
     "exprdsl": ["ExprError", "eval_expr", "parse_expr", "pretty"],
     "frame": ["ConnectionVectors", "FrameBundle", "MainScalars", "ScalarProfile",
               "scalar_profile"],
@@ -39,7 +38,7 @@ PUBLIC = {
                  "point_eval"],
     "jets": ["DegreeCaps", "Finsler4Error", "InvalidArgument", "JetScalar", "partial_extract"],
     "metrics": ["DomainSpec", "MetricSpec", "SamplePlan", "eval_L", "make_builtin_metric",
-                "sample_domain"],
+                "make_conformal", "sample_domain"],
     "oracle": ["FDConfig", "fd_partial", "fd_partials", "oracle_tensors"],
 }
 

@@ -32,8 +32,7 @@ tracer.install(t)
 _, doc, *_ = corpus.CLASSIFY_CORPUS[2]
 classify.classify_metric(metrics.spec_from_json_dict(dict(doc))[0], SamplePlan(1, 5))
 _, doc = corpus.CONFORMAL_PAIRS[0]
-pair = conformal.pair_from_spec(metrics.spec_from_json_dict(dict(doc))[0])
-conformal.audit_pair(pair, SamplePlan(1, 5))
+conformal.audit_pair(metrics.spec_from_json_dict(dict(doc))[0], SamplePlan(1, 5))
 print(json.dumps(sorted({span[0] for span in t.spans if span[6] is None})))
 """
 
