@@ -108,16 +108,6 @@ def _map_leaves(fn, value):
     return fn(value)
 
 
-def _member(value, b: int):
-    """Member b of a stacked stage value (an array, or a tuple or stage
-    dataclass of arrays); a per-member number becomes a Python float or
-    bool, as a lone evaluation returns it."""
-    kind = type(value)
-    leaves = (value,) if kind is np.ndarray else value if kind is tuple else value.__dict__.values()
-    out = [a[b] if a.ndim > 1 else a[b].item() for a in leaves]
-    return out[0] if kind is np.ndarray else tuple(out) if kind is tuple else kind(*out)
-
-
 # names of the PointEval stages, in definition order
 _STAGES: list = []
 
@@ -135,7 +125,11 @@ def _stage(compute: Callable) -> cached_property:
             return self.__dict__[name]
         value = compute(self)
         for b, member in enumerate(members):
-            member.__dict__[name] = _member(value, b)
+            # a per-member number becomes a Python float or bool, as a lone
+            # evaluation returns it
+            member.__dict__[name] = _map_leaves(
+                lambda a: a[b] if a.ndim > 1 else a[b].item(), value
+            )
         return value
 
     get.__name__ = name
