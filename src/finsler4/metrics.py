@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
@@ -72,6 +73,9 @@ class DomainSpec:
             raise InvalidParameters(f"unknown y_cone {self.y_cone!r}")
         if len(self.x_box) != 4 or any(len(iv) != 2 for iv in self.x_box):
             raise InvalidParameters("x_box must be four [lo, hi] intervals")
+        # hi - lo is not finite if a bound is not, or if the width overflows
+        if not all(math.isfinite(hi - lo) for lo, hi in self.x_box):
+            raise InvalidParameters("x_box bounds and widths must be finite")
         if any(iv[0] > iv[1] for iv in self.x_box):
             raise EmptyDomain("x_box interval with lo > hi")
 
@@ -140,9 +144,11 @@ class MetricSpec:
 def _parse_entry(value) -> ExprAst:
     if isinstance(value, str):
         return exprdsl.parse_expr(value)
-    if isinstance(value, (int, float)):
-        return exprdsl.Lit(float(value))
-    raise InvalidParameters(f"expected a number or expression string, got {value!r}")
+    # a bool is an int to Python, and an int past the float range is not finite
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return exprdsl.Lit(float(value))
+    raise InvalidParameters(f"expected a finite number or expression string, got {value!r}")
 
 
 def _require_x_only(ast: ExprAst, what: str) -> None:
@@ -406,8 +412,10 @@ def spec_from_json_dict(doc: dict):
         if "x_box" in dom:
             box = dom["x_box"]
             try:
+                if any(isinstance(v, bool) for iv in box for v in iv):
+                    raise TypeError
                 kwargs["x_box"] = tuple((float(lo), float(hi)) for lo, hi in box)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise SpecSchemaError("'x_box' must be four [lo, hi] pairs") from None
             if len(kwargs["x_box"]) != 4:
                 raise SpecSchemaError("'x_box' must have exactly four intervals")

@@ -131,6 +131,40 @@ def test_number_that_is_not_finite_exits_2(capsys, tmp_path, L):
     assert err.startswith("finsler4: spec error: ") and "'1e400' is not finite" in err
 
 
+def _box(lo, hi):
+    return {"family": "quartic_minkowski", "domain": {"x_box": [[0, 1]] * 3 + [[lo, hi]]}}
+
+
+def _g0(entry):
+    return {"family": "riemannian",
+            "params": {"g0": [[entry, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}}
+
+
+_NOT_FINITE = "expected a finite number or expression string, got "
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_box(0, math.nan), "x_box bounds and widths must be finite"),
+    (_box(0, math.inf), "x_box bounds and widths must be finite"),
+    (_box(-math.inf, 1), "x_box bounds and widths must be finite"),
+    (_box(-1e308, 1e308), "x_box bounds and widths must be finite"),
+    (_box(0, True), "'x_box' must be four [lo, hi] pairs"),
+    (_g0(math.inf), _NOT_FINITE + "inf"),
+    (_g0(math.nan), _NOT_FINITE + "nan"),
+    (_g0(True), _NOT_FINITE + "True"),
+    (_g0(10**400), _NOT_FINITE + "1000"),
+], ids=["box_nan", "box_inf", "box_minus_inf", "box_too_wide", "box_true", "g0_inf", "g0_nan",
+        "g0_true", "g0_int_past_float"])
+def test_number_in_the_spec_that_is_not_finite_or_is_a_bool_exits_2(capsys, tmp_path, doc,
+                                                                     message):
+    # json writes and reads NaN and Infinity, and Python takes true for 1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("finsler4: spec error: ") and message in err
+
+
 def test_conformal_report(capsys, conformal_spec):
     code, out, _ = _run(capsys, ["conformal", conformal_spec])
     assert code == 0
