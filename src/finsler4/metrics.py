@@ -399,6 +399,11 @@ def spec_from_json_dict(doc: dict):
             raise SpecSchemaError("'L' is only valid for the expression family")
         params = dict(params)
         params["L"] = doc["L"]
+    # the library also takes parsed expressions; a JSON document gives strings
+    if family == "expression" and not isinstance(params.get("L", ""), str):
+        raise SpecSchemaError("'L' must be an expression string")
+    if not isinstance(doc.get("sigma", ""), str):
+        raise SpecSchemaError("'sigma' must be an expression string")
 
     domain = None
     if "domain" in doc:

@@ -165,6 +165,27 @@ def test_number_in_the_spec_that_is_not_finite_or_is_a_bool_exits_2(capsys, tmp_
     assert err.startswith("finsler4: spec error: ") and message in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("sigma", 0.3), ("sigma", None), ("L", 5), ("L", ["y1"]),
+])
+def test_expression_field_that_is_not_a_string_exits_2(capsys, tmp_path, field, value):
+    doc = {"family": "quartic_minkowski" if field == "sigma" else "expression", field: value}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    for command in ("classify", "conformal"):
+        code, out, err = _run(capsys, [command, str(path)])
+        assert code == 2 and out == ""
+        assert err == f"finsler4: spec error: '{field}' must be an expression string\n"
+
+
+def test_expression_in_params_that_is_not_a_string_exits_2(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "expression", "params": {"L": 5}}))
+    code, out, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert err == "finsler4: spec error: 'L' must be an expression string\n"
+
+
 def test_conformal_report(capsys, conformal_spec):
     code, out, _ = _run(capsys, ["conformal", conformal_spec])
     assert code == 0
