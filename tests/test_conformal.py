@@ -57,6 +57,22 @@ def test_lift_rejects_direction_dependent_factor():
         make_conformal(QUARTIC, "0.1*y1")
 
 
+def test_a_spec_without_a_factor_is_refused_before_any_point():
+    with pytest.raises(conformal.MissingSigma):
+        audit_pair(QUARTIC, SamplePlan(count=0))
+    with pytest.raises(conformal.MissingSigma):
+        evaluate_points(QUARTIC, [(X1, YGEN)])
+
+
+def test_profiles_of_a_space_without_a_factor_are_refused():
+    # sigma is read from the spec of the rescaled space's profile
+    base = scalar_profile(geometry.point_eval(QUARTIC, X1, YGEN))
+    other = scalar_profile(geometry.point_eval(QUARTIC, X1, 2 * YGEN))
+    for fn in (sigma_components, evaluate_point):
+        with pytest.raises(conformal.MissingSigma):
+            fn(base, other)
+
+
 def test_zero_factor_is_identity():
     pair = make_conformal(QUARTIC, "0")
     rep = invariance_at(pair, X1, YGEN)
