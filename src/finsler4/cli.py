@@ -237,7 +237,7 @@ def cmd_frame(args) -> int:
             args.output,
         )
         return 4
-    scalars = {name: getattr(prof.profile.scalars, name) for name in frame_mod.SCALAR_NAMES}
+    scalars = dict(zip(frame_mod.SCALAR_NAMES, prof.profile.scalars.tolist()))
     doc = {
         "command": "frame",
         "x": x,

@@ -86,16 +86,7 @@ def pair_from_spec(spec: MetricSpec) -> MetricSpec:
 
 @dataclass(frozen=True)
 class SigmaComponents:
-    sigma1: float
-    sigma2: float
-    sigma3: float
-    sigma4: float
-    sigma5: float
-    sigma6: float
-    sigma7: float
-    sigma8: float
-    sigma9: float
-    sigma10: float
+    components: np.ndarray  # (10,): sigma_k at index k - 1
     sigma_value: float
     sigma_grad: np.ndarray
     extraction_residuals: dict
@@ -103,13 +94,10 @@ class SigmaComponents:
     extraction_scale: float
 
     def frame_grad(self) -> np.ndarray:
-        return np.array([self.sigma1, self.sigma2, self.sigma3, self.sigma4])
+        return self.components[:4]
 
     def spray_block(self) -> np.ndarray:
-        return np.array(
-            [self.sigma5, self.sigma6, self.sigma7,
-             self.sigma8, self.sigma9, self.sigma10]
-        )
+        return self.components[4:]
 
 
 def sigma_gradient(spec: MetricSpec, x: Sequence[float]) -> tuple[float, np.ndarray]:
@@ -139,12 +127,10 @@ def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaCompone
     delta_n = lifted_pe.spray.N - base_pe.spray.N
     D = base_frame.e_flat @ delta_n @ base_frame.e.T / L0
 
-    sigma5 = D[1, 1]
-    sigma6 = -0.5 * (D[1, 2] + D[2, 1])
-    sigma7 = -0.5 * (D[1, 3] + D[3, 1])
-    sigma8 = D[2, 2]
-    sigma9 = 0.5 * (D[2, 3] + D[3, 2])
-    sigma10 = D[3, 3]
+    spray_block = (
+        D[1, 1], -0.5 * (D[1, 2] + D[2, 1]), -0.5 * (D[1, 3] + D[3, 1]),
+        D[2, 2], 0.5 * (D[2, 3] + D[3, 2]), D[3, 3],
+    )
 
     # the (m, n, p) block is symmetric, the l row and column antisymmetric,
     # and the l row holds the frame gradient
@@ -167,10 +153,7 @@ def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaCompone
     )
 
     return SigmaComponents(
-        sigma1=float(s_frame[0]), sigma2=float(s_frame[1]),
-        sigma3=float(s_frame[2]), sigma4=float(s_frame[3]),
-        sigma5=float(sigma5), sigma6=float(sigma6), sigma7=float(sigma7),
-        sigma8=float(sigma8), sigma9=float(sigma9), sigma10=float(sigma10),
+        components=np.array([*s_frame, *spray_block]),
         sigma_value=float(sigma_value), sigma_grad=grad,
         extraction_residuals={k: float(v) for k, v in resid.items()},
         extraction_scale=1.0 + float(np.abs(D).max()),
@@ -179,19 +162,16 @@ def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaCompone
 
 def _support(sc: SigmaComponents) -> tuple:
     """Indices into (m, n, p) where |sigma2|, |sigma3|, |sigma4| >= TAU_SIGMA."""
-    return tuple(
-        a for a, s in enumerate((sc.sigma2, sc.sigma3, sc.sigma4)) if abs(s) >= TAU_SIGMA
-    )
+    return tuple(a for a, s in enumerate(sc.components[1:4].tolist()) if abs(s) >= TAU_SIGMA)
 
 
 def case_of(sc: SigmaComponents) -> tuple[str, bool]:
     """The case the support names ("m_n", "p_only", ...); near-degenerate
     points (components hovering around the threshold) are flagged, not hidden."""
-    comps = (sc.sigma2, sc.sigma3, sc.sigma4)
-    near = any(TAU_SIGMA / 2 < abs(c) < 2 * TAU_SIGMA for c in comps)
+    near = any(TAU_SIGMA / 2 < abs(c) < 2 * TAU_SIGMA for c in sc.components[1:4].tolist())
     support = _support(sc)
     if not support:
-        if abs(sc.sigma1) < TAU_SIGMA:
+        if abs(sc.components[0]) < TAU_SIGMA:
             return CASE_HOMOTHETIC, near
         return CASE_SUPPORTING_ONLY, near
     name = "_".join(_FRAME_NAMES[a + 1] for a in support)
@@ -207,13 +187,13 @@ def _entry(*terms: float) -> dict:
 
 def _scalar_terms(profile: ScalarProfile, sc: SigmaComponents) -> list:
     """Terms of sigma_a S;_a, one list per main scalar S."""
-    sigma = (sc.sigma2, sc.sigma3, sc.sigma4)
+    sigma = sc.components[1:4].tolist()
     return [[s * d for s, d in zip(sigma, row)] for row in profile.v_derivs[:, 1:].tolist()]
 
 
 def _first_component_terms(profile: ScalarProfile, sc: SigmaComponents) -> list:
     """Terms of h_1 + sigma_a u_a, j_1 + sigma_a v_a and k_1 + sigma_a w_a."""
-    sigma, vec = (sc.sigma2, sc.sigma3, sc.sigma4), profile.vectors
+    sigma, vec = sc.components[1:4].tolist(), profile.vectors
     return [
         [f[0]] + [s * c for s, c in zip(sigma, g[1:].tolist())]
         for f, g in ((vec.h, vec.u), (vec.j, vec.v), (vec.k, vec.w))
@@ -268,11 +248,8 @@ def berwald_case_conditions(
     case, near = case_of(sc)
     support = _support(sc)
     # B: minus the symmetrised (m, n, p) block of the connection difference
-    rows = (
-        (-sc.sigma5, sc.sigma6, sc.sigma7),
-        (sc.sigma6, -sc.sigma8, -sc.sigma9),
-        (sc.sigma7, -sc.sigma9, -sc.sigma10),
-    )
+    s5, s6, s7, s8, s9, s10 = sc.spray_block().tolist()
+    rows = ((-s5, s6, s7), (s6, -s8, -s9), (s7, -s9, -s10))
     v_derivs = profile.v_derivs[:, 1:].tolist()
     out: dict = {}
     for name, d_s in zip(SCALAR_NAMES, v_derivs):
@@ -320,10 +297,9 @@ def invariance_check(
     out["mixed_torsion_invariance"] = float(
         np.abs(lpe.connection.Cmix - bpe.connection.Cmix).max()
     )
-    for name in SCALAR_NAMES:
-        out[f"main_scalar:{name}"] = abs(
-            getattr(lifted.profile.scalars, name) - getattr(base.profile.scalars, name)
-        )
+    gaps = np.abs(lifted.profile.scalars - base.profile.scalars).tolist()
+    for name, gap in zip(SCALAR_NAMES, gaps):
+        out[f"main_scalar:{name}"] = gap
 
     # barred first components and l-derivatives: the Landsberg terms summed
     # left to right, over e^sigma

@@ -120,21 +120,6 @@ class FrameBundle:
 
 
 @dataclass(frozen=True)
-class MainScalars:
-    H: float
-    I: float
-    J: float
-    K: float
-    Hp: float
-    Ip: float
-    Jp: float
-    Kp: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in SCALAR_NAMES])
-
-
-@dataclass(frozen=True)
 class ConnectionVectors:
     h: np.ndarray
     j: np.ndarray
@@ -146,7 +131,7 @@ class ConnectionVectors:
 
 @dataclass(frozen=True)
 class ScalarProfile:
-    scalars: MainScalars
+    scalars: np.ndarray  # (8,): order SCALAR_NAMES
     v_derivs: np.ndarray  # (8, 4): row order SCALAR_NAMES, columns frame index
     h_derivs: np.ndarray  # (8, 4)
     vectors: ConnectionVectors
@@ -327,7 +312,7 @@ def _profiles(st: PointEval) -> list:
     h_derivs = derivs.h @ e_t
 
     vectors, residuals = _connection_vectors(L0, e, e_flat, metric.g, e_flat_jets, spray, conn)
-    scalars = scalar_jets[..., 0]
+    scalars = scalar_jets[..., 0].copy()
     H, I, K = (scalars[:, SCALAR_NAMES.index(name)] for name in ("H", "I", "K"))
     residuals["unified_scalar_sum"] = np.abs(H + I + K - L0 * st.cartan.C_norm)
     names = list(residuals)
@@ -337,7 +322,7 @@ def _profiles(st: PointEval) -> list:
             pe=member,
             frame=FrameBundle(e=e[i], e_flat=e_flat[i], gauge_tag=gauges[i]),
             profile=ScalarProfile(
-                scalars=MainScalars(*scalars[i].tolist()),
+                scalars=scalars[i],
                 v_derivs=v_derivs[i],
                 h_derivs=h_derivs[i],
                 vectors=ConnectionVectors(*vectors[i]),

@@ -90,7 +90,7 @@ def test_constant_factor_scales_metric():
 def test_homothety_zero_components():
     pair = make_conformal(QUARTIC, "0.3")
     sc = sigma_at(pair, X1, YGEN)
-    assert max(abs(v) for v in (sc.sigma1, sc.sigma2, sc.sigma3, sc.sigma4)) <= 1e-10
+    assert max(abs(v) for v in sc.components[:4]) <= 1e-10
     assert np.max(np.abs(sc.spray_block())) <= 1e-10
     assert case_of(sc)[0] == CASE_HOMOTHETIC
 
@@ -126,9 +126,9 @@ def test_case_dispatch_constructed_gradients():
     sc = sigma_at(gradient_pair(QUARTIC, flat[2] + flat[3]), X1, YGEN)
     case, _ = case_of(sc)
     assert case == CASE_N_P
-    assert abs(sc.sigma2) < 1e-9
-    assert sc.sigma3 == pytest.approx(1.0, rel=1e-9)
-    assert sc.sigma4 == pytest.approx(1.0, rel=1e-9)
+    assert abs(sc.components[1]) < 1e-9
+    assert sc.components[2] == pytest.approx(1.0, rel=1e-9)
+    assert sc.components[3] == pytest.approx(1.0, rel=1e-9)
 
     sc = sigma_at(gradient_pair(QUARTIC, flat[1]), X1, YGEN)
     assert case_of(sc)[0] == CASE_M
@@ -178,12 +178,8 @@ def test_berwald_conditions_reject_bad_extraction():
     pair = make_conformal(QUARTIC, "0.1*x1")
     prof, lifted = profiles(pair, X1, YGEN)
     sc = sigma_components(prof, lifted)
-    corrupted = conformal.SigmaComponents(
-        sigma1=sc.sigma1, sigma2=sc.sigma2, sigma3=sc.sigma3, sigma4=sc.sigma4,
-        sigma5=sc.sigma5, sigma6=sc.sigma6, sigma7=sc.sigma7, sigma8=sc.sigma8,
-        sigma9=sc.sigma9, sigma10=sc.sigma10, sigma_value=sc.sigma_value,
-        sigma_grad=sc.sigma_grad,
-        extraction_residuals={"sym_mn": 1.0}, extraction_scale=1.0,
+    corrupted = dataclasses.replace(
+        sc, extraction_residuals={"sym_mn": 1.0}, extraction_scale=1.0
     )
     with pytest.raises(ExtractionUnreliable):
         berwald_case_conditions(prof.profile, corrupted)
@@ -390,17 +386,17 @@ def _ref_entry(*terms):
 
 
 def _ref_case(sc):
-    pattern = tuple(abs(c) >= conformal.TAU_SIGMA for c in (sc.sigma2, sc.sigma3, sc.sigma4))
+    pattern = tuple(abs(c) >= conformal.TAU_SIGMA for c in sc.components[1:4])
     if any(pattern):
         return _REF_CASES[pattern]
-    if abs(sc.sigma1) < conformal.TAU_SIGMA:
+    if abs(sc.components[0]) < conformal.TAU_SIGMA:
         return CASE_HOMOTHETIC
     return conformal.CASE_SUPPORTING_ONLY
 
 
 def _ref_landsberg(profile, sc):
     case = _ref_case(sc)
-    s2, s3, s4 = sc.sigma2, sc.sigma3, sc.sigma4
+    s2, s3, s4 = sc.components[1:4]
     vd, vec = profile.v_derivs, profile.vectors
     out = {}
     for row, name in enumerate(SCALAR_NAMES):
@@ -426,8 +422,7 @@ def _ref_landsberg(profile, sc):
 
 def _ref_berwald(profile, sc):
     case = _ref_case(sc)
-    s5, s6, s7 = sc.sigma5, sc.sigma6, sc.sigma7
-    s8, s9, s10 = sc.sigma8, sc.sigma9, sc.sigma10
+    s5, s6, s7, s8, s9, s10 = sc.components[4:]
     vd = profile.v_derivs
     out = {}
     for row, name in enumerate(SCALAR_NAMES):
@@ -465,7 +460,7 @@ def _ref_berwald(profile, sc):
 def _ref_laws(base, lifted, sc):
     es = math.exp(sc.sigma_value)
     bvec, lvec = base.profile.vectors, lifted.profile.vectors
-    s2, s3, s4 = sc.sigma2, sc.sigma3, sc.sigma4
+    s2, s3, s4 = sc.components[1:4]
     out = {
         "hbar1_law": abs(
             lvec.h[0] - (bvec.h[0] + s2 * bvec.u[1] + s3 * bvec.u[2] + s4 * bvec.u[3]) / es

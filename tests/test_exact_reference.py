@@ -161,7 +161,7 @@ def jet_route(name):
     pe = point_eval(spec, x, y)
     prof = scalar_profile(pe)
     tables = {
-        "e": prof.frame.e, "scalars": prof.profile.scalars.as_array(),
+        "e": prof.frame.e, "scalars": prof.profile.scalars,
         "v_derivs": prof.profile.v_derivs, "h_derivs": prof.profile.h_derivs,
         "N": pe.spray.N, "G_hess3": pe.spray.G_hess3,
     }

@@ -295,7 +295,7 @@ def _outputs(pe, prof):
     else:
         vectors = prof.profile.vectors
         arrays += [prof.frame.e, prof.frame.e_flat, prof.profile.v_derivs,
-                   prof.profile.h_derivs, *dataclasses.astuple(prof.profile.scalars),
+                   prof.profile.h_derivs, prof.profile.scalars,
                    *(getattr(vectors, f.name) for f in dataclasses.fields(vectors)),
                    *prof.residuals.values()]
         out = [repr(prof.frame.gauge_tag), repr(list(prof.residuals))]
