@@ -301,7 +301,7 @@ def _profiles(st: PointEval) -> list:
     g_j, g_inv_j, C_j, y_j, L_j = st.frame_field_jets
     e_jets, e_flat_jets, gauges = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
     metric, spray, conn = st.metric, st.spray, st.connection
-    L0 = metric.L
+    L0 = st.L
     e = e_jets[..., 0].copy()
     e_flat = e_flat_jets[..., 0].copy()
 

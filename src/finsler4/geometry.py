@@ -21,7 +21,7 @@ joins the jets of several points (of one metric or of several, such as
 the two spaces of a conformal pair) without evaluating L again, and each
 of its stages computes all members at once.  A stage of a stack returns
 its arrays with the stack axis first (``stack.metric.g`` has shape
-``(B, 4, 4)``, ``stack.metric.L`` shape ``(B,)``), and hands every member
+``(B, 4, 4)``, ``stack.cartan.C_norm`` shape ``(B,)``), and hands every member
 its own slice as that member's cached value, so a reader of a member
 recomputes nothing.  A lone PointEval is computed as a stack of one, by
 the same code.  Each stage is a per-member formula: jet products go
@@ -74,7 +74,6 @@ class SingularMetric(GeometryError):
 class MetricTensorAt:
     g: np.ndarray
     g_inv: np.ndarray
-    L: float
     positive_definite: bool
 
 
@@ -245,7 +244,7 @@ class PointEval:
                 )
             pos.append(min(row) > 0)
         g_inv = np.linalg.inv(g)
-        return MetricTensorAt(g=g, g_inv=g_inv, L=self.L, positive_definite=np.array(pos))
+        return MetricTensorAt(g=g, g_inv=g_inv, positive_definite=np.array(pos))
 
     @_stage
     def cartan(self) -> CartanTensorAt:

@@ -28,7 +28,7 @@ QUARTIC = make_builtin_metric("quartic_minkowski")
 
 def _frame_at(spec, x, y):
     pe = point_eval(spec, x, y)
-    return scalar_profile(pe).frame, pe.metric, pe.cartan
+    return scalar_profile(pe).frame, pe
 
 
 def test_vanishing_torsion_at_symmetric_point():
@@ -77,18 +77,19 @@ def test_berwald_moor_not_positive_definite():
 
 
 def test_frame_orthonormality_and_structure():
-    bundle, metric, cartan = _frame_at(QUARTIC, X0, Y2)
+    bundle, pe = _frame_at(QUARTIC, X0, Y2)
+    metric, cartan = pe.metric, pe.cartan
     gram = bundle.e @ metric.g @ bundle.e.T
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-9
-    assert np.allclose(bundle.e[0], Y2 / metric.L, atol=1e-14)
+    assert np.allclose(bundle.e[0], Y2 / pe.L, atol=1e-14)
     c_up = metric.g_inv @ cartan.C_vec
     assert np.max(np.abs(bundle.e[1] * cartan.C_norm - c_up)) <= 1e-9
     assert np.max(np.abs(bundle.e_flat - bundle.e @ metric.g)) < 1e-12
 
 
 def test_frame_determinism_bit_identical():
-    a, _, _ = _frame_at(QUARTIC, X0, Y2)
-    b, _, _ = _frame_at(QUARTIC, X0, Y2)
+    a, _ = _frame_at(QUARTIC, X0, Y2)
+    b, _ = _frame_at(QUARTIC, X0, Y2)
     assert np.array_equal(a.e, b.e)
     assert np.array_equal(a.e_flat, b.e_flat)
     assert a.gauge_tag == b.gauge_tag
@@ -147,8 +148,9 @@ def test_frame_matches_independent_gram_schmidt():
         for x, y in sample_domain(spec.domain, SamplePlan(count=6, seed=29))
     ]
     for spec, x, y in cases:
-        bundle, metric, cartan = _frame_at(spec, x, y)
-        l = y / metric.L
+        bundle, pe = _frame_at(spec, x, y)
+        metric, cartan = pe.metric, pe.cartan
+        l = y / pe.L
         m = metric.g_inv @ cartan.C_vec
         m = m / np.sqrt(m @ metric.g @ m)
         other = gram_schmidt_metric(metric.g, [l, m])
@@ -156,30 +158,28 @@ def test_frame_matches_independent_gram_schmidt():
         assert np.max(np.abs(other @ metric.g - bundle.e_flat)) <= 1e-12
 
 
-def _weighted_torsion_components(bundle, metric, cartan):
+def _weighted_torsion_components(bundle, pe):
     """M[a, b, c] = L * C(e_a, e_b, e_c), the frame components of L C."""
-    return metric.L * np.einsum("ijk,ai,bj,ck->abc", cartan.C, bundle.e, bundle.e, bundle.e)
+    return pe.L * np.einsum("ijk,ai,bj,ck->abc", pe.cartan.C, bundle.e, bundle.e, bundle.e)
 
 
 def test_torsion_frame_components_vanish_on_supporting_slot():
-    bundle, metric, cartan = _frame_at(QUARTIC, X0, Y2)
-    comps = _weighted_torsion_components(bundle, metric, cartan)
+    comps = _weighted_torsion_components(*_frame_at(QUARTIC, X0, Y2))
     assert np.max(np.abs(comps[0])) <= 1e-8
     assert np.max(np.abs(comps[:, 0])) <= 1e-8
     assert np.max(np.abs(comps[:, :, 0])) <= 1e-8
 
 
 def test_unified_main_scalar_sum():
-    bundle, metric, cartan = _frame_at(QUARTIC, X0, Y2)
-    M = _weighted_torsion_components(bundle, metric, cartan)
+    bundle, pe = _frame_at(QUARTIC, X0, Y2)
+    M = _weighted_torsion_components(bundle, pe)
     total = sum(M[frame.SCALAR_SLOTS[name]] for name in ("H", "I", "K"))
-    assert abs(total - metric.L * cartan.C_norm) <= 1e-8
+    assert abs(total - pe.L * pe.cartan.C_norm) <= 1e-8
 
 
 def test_torsion_trace_constraints():
     # the n- and p-traces of the weighted torsion components vanish
-    bundle, metric, cartan = _frame_at(QUARTIC, X0, Y2)
-    M = _weighted_torsion_components(bundle, metric, cartan)
+    M = _weighted_torsion_components(*_frame_at(QUARTIC, X0, Y2))
     assert abs(M[1, 1, 2] + M[2, 2, 2] + M[2, 3, 3]) <= 1e-8
     assert abs(M[1, 1, 3] + M[2, 2, 3] + M[3, 3, 3]) <= 1e-8
 
@@ -237,8 +237,8 @@ def test_conformal_gauge_commutes():
     lifted = make_conformal(QUARTIC, "0.1*x1")
     x = np.array([0.7, -0.2, 0.3, 0.1])
     for _, y in sample_domain(QUARTIC.domain, SamplePlan(count=4, seed=17)):
-        base_b, base_m, _ = _frame_at(QUARTIC, x, y)
-        lift_b, lift_m, _ = _frame_at(lifted, x, y)
+        base_b, _ = _frame_at(QUARTIC, x, y)
+        lift_b, _ = _frame_at(lifted, x, y)
         es = np.exp(0.1 * x[0])
         assert base_b.gauge_tag == lift_b.gauge_tag
         assert np.max(np.abs(lift_b.e - base_b.e / es)) <= 1e-9
