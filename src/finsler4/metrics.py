@@ -151,6 +151,11 @@ def _parse_entry(value) -> ExprAst:
     raise InvalidParameters(f"expected a finite number or expression string, got {value!r}")
 
 
+def _is_list_of(value, n: int) -> bool:
+    """True for a list or tuple of n entries (a string or a number is not one)."""
+    return isinstance(value, (list, tuple)) and len(value) == n
+
+
 def _require_x_only(ast: ExprAst, what: str) -> None:
     if any(slot >= 4 for slot in exprdsl.variables_used(ast)):
         raise InvalidParameters(f"{what} may depend on x1..x4 only")
@@ -189,7 +194,7 @@ def make_builtin_metric(
         return MetricSpec(family, dom, L_ast=_BERWALD_MOOR_L)
     if family == "riemannian":
         g0 = params.get("g0")
-        if g0 is None or len(g0) != 4 or any(len(row) != 4 for row in g0):
+        if not (_is_list_of(g0, 4) and all(_is_list_of(row, 4) for row in g0)):
             raise InvalidParameters("riemannian requires a 4x4 'g0' matrix")
         entries = [[_parse_entry(v) for v in row] for row in g0]
         for row in entries:
@@ -201,7 +206,7 @@ def make_builtin_metric(
         return MetricSpec(family, dom, L_ast=exprdsl.Call("sqrt", q))
     if family == "randers":
         b = params.get("b")
-        if b is None or len(b) != 4:
+        if not _is_list_of(b, 4):
             raise InvalidParameters("randers requires four 'b' entries")
         b_ast = tuple(_parse_entry(v) for v in b)
         for entry in b_ast:

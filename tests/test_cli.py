@@ -186,6 +186,26 @@ def test_expression_in_params_that_is_not_a_string_exits_2(capsys, tmp_path):
     assert err == "finsler4: spec error: 'L' must be an expression string\n"
 
 
+_G0_MESSAGE = "riemannian requires a 4x4 'g0' matrix"
+_B_MESSAGE = "randers requires four 'b' entries"
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"g0": ["1000", "0100", "0010", "0001"]}, _G0_MESSAGE),
+    ({"g0": 5}, _G0_MESSAGE),
+    ({"b": "0000"}, _B_MESSAGE),
+    ({"b": 7}, _B_MESSAGE),
+], ids=["g0_rows_are_strings", "g0_number", "b_string", "b_number"])
+def test_g0_and_b_that_are_not_lists_exit_2(capsys, tmp_path, params, message):
+    # a string has a length, and its characters would be read as entries
+    family = "riemannian" if "g0" in params else "randers"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": family, "params": params, "samples": 2}))
+    code, out, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"finsler4: spec error: {message}\n"
+
+
 def test_conformal_report(capsys, conformal_spec):
     code, out, _ = _run(capsys, ["conformal", conformal_spec])
     assert code == 0
