@@ -36,6 +36,7 @@ Y_CONES = ("all_nonzero", "all_positive", "unit_ball_interior_shifted")
 _SHIFTED_BALL_CENTER = 1.5
 _CONE_MARGIN = 1e-3
 _EPS_Y = 1e-6  # the minimum |y| ever accepted
+_ECHO_CHARS = 40  # a rejected spec value is echoed up to this many characters
 
 
 class MetricError(Finsler4Error):
@@ -148,7 +149,10 @@ def _parse_entry(value) -> ExprAst:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if abs(value) <= sys.float_info.max:
             return exprdsl.Lit(float(value))
-    raise InvalidParameters(f"expected a finite number or expression string, got {value!r}")
+    text = repr(value)
+    if len(text) > _ECHO_CHARS:
+        text = text[:_ECHO_CHARS] + "..."
+    raise InvalidParameters(f"expected a finite number or expression string, got {text}")
 
 
 def _is_list_of(value, n: int) -> bool:

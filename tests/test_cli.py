@@ -206,6 +206,15 @@ def test_g0_and_b_that_are_not_lists_exit_2(capsys, tmp_path, params, message):
     assert err == f"finsler4: spec error: {message}\n"
 
 
+def test_rejected_spec_value_is_echoed_short(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_g0(10**400)))
+    code, out, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert err.endswith(_NOT_FINITE + "1" + "0" * 39 + "...\n")
+    assert len(err.encode()) < 200
+
+
 def test_conformal_report(capsys, conformal_spec):
     code, out, _ = _run(capsys, ["conformal", conformal_spec])
     assert code == 0
