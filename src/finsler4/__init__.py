@@ -26,7 +26,7 @@ _EXPORTS = {
         "sigma_components",
     ),
     "exprdsl": ("ExprError", "eval_expr", "parse_expr", "pretty"),
-    "frame": ("ConnectionVectors", "FrameBundle", "ScalarProfile", "scalar_profile"),
+    "frame": ("ProfileResult", "scalar_profile"),
     "geometry": ("CartanTensorAt", "MetricTensorAt", "SprayAt", "covariant_derivatives",
                  "point_eval"),
     "jets": ("DegreeCaps", "Finsler4Error", "InvalidArgument", "JetScalar", "partial_extract"),

@@ -196,16 +196,12 @@ def _evaluate_record(index: int, pe: geometry.PointEval, prof) -> PointRecord:
     if isinstance(prof, FrameError):
         refusal = error_fields(prof)
     else:
-        profile = profile_of(prof).profile
-        vec = profile.vectors
+        profile = profile_of(prof)
+        hjk = profile.vectors[:3]
         frame_data = {
-            "h": vec.h.tolist(),
-            "j": vec.j.tolist(),
-            "k": vec.k.tolist(),
-            "max_hjk": float(
-                max(np.abs(vec.h).max(), np.abs(vec.j).max(), np.abs(vec.k).max())
-            ),
-            "max_hjk_l": float(max(abs(vec.h[0]), abs(vec.j[0]), abs(vec.k[0]))),
+            **dict(zip("hjk", hjk.tolist())),
+            "max_hjk": float(np.abs(hjk).max()),
+            "max_hjk_l": float(np.abs(hjk[:, 0]).max()),
             "max_scalar_hderiv": float(np.abs(profile.h_derivs).max()),
             "max_scalar_hderiv_l": float(np.abs(profile.h_derivs[:, 0]).max()),
         }

@@ -237,32 +237,24 @@ def cmd_frame(args) -> int:
             args.output,
         )
         return 4
-    scalars = dict(zip(frame_mod.SCALAR_NAMES, prof.profile.scalars.tolist()))
+    scalars = dict(zip(frame_mod.SCALAR_NAMES, prof.scalars.tolist()))
     doc = {
         "command": "frame",
         "x": x,
         "y": y,
         "L": prof.pe.L,
         "frame": {
-            "l": prof.frame.e[0], "m": prof.frame.e[1],
-            "n": prof.frame.e[2], "p": prof.frame.e[3],
-            "covectors": prof.frame.e_flat,
-            "gauge_tag": {
-                "seeds": list(prof.frame.gauge_tag["seeds"]),
-                "sign_flips": list(prof.frame.gauge_tag["sign_flips"]),
-            },
+            **dict(zip("lmnp", prof.e)),
+            "covectors": prof.e_flat,
+            "gauge_tag": prof.gauge_tag,
         },
         "orthonormality_residual": prof.residuals["orthonormality"],
         "torsion_norm": prof.pe.cartan.C_norm,
         "main_scalars": scalars,
         "unified_scalar_residual": prof.residuals["unified_scalar_sum"],
-        "scalar_v_derivs": prof.profile.v_derivs,
-        "scalar_h_derivs": prof.profile.h_derivs,
-        "connection_vectors": {
-            "h": prof.profile.vectors.h, "j": prof.profile.vectors.j,
-            "k": prof.profile.vectors.k, "u": prof.profile.vectors.u,
-            "v": prof.profile.vectors.v, "w": prof.profile.vectors.w,
-        },
+        "scalar_v_derivs": prof.v_derivs,
+        "scalar_h_derivs": prof.h_derivs,
+        "connection_vectors": dict(zip(frame_mod.VECTOR_NAMES, prof.vectors)),
         "reconstruction_residuals": {
             k: v for k, v in prof.residuals.items() if k.startswith("recon")
         },

@@ -37,7 +37,7 @@ from .classify import (
     AGREEMENT, DEFAULT_TOL, agreement, all3, band, check_tol, hderiv_measurement, point_records,
     profile_of,
 )
-from .frame import ProfileResult, SCALAR_NAMES, ScalarProfile
+from .frame import ProfileResult, SCALAR_NAMES
 from .geometry import PointEval
 from .jets import DegreeCaps, Finsler4Error, derivative_tensor
 from .metrics import MetricSpec, SamplePlan
@@ -117,15 +117,15 @@ def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaCompone
     the frame-projected nonlinear-connection difference, from the profiles
     of the base and the rescaled space at the same point; sigma is that of
     the rescaled space's spec (MissingSigma if it has none)."""
-    base_pe, lifted_pe, base_frame = base.pe, lifted.pe, base.frame
+    base_pe, lifted_pe = base.pe, lifted.pe
     y = base_pe.y
 
     sigma_value, grad = sigma_gradient(pair_from_spec(lifted_pe.spec), base_pe.x)
-    s_frame = base_frame.e @ grad  # sigma_alpha = (d sigma)_i e_(alpha)^i
+    s_frame = base.e @ grad  # sigma_alpha = (d sigma)_i e_(alpha)^i
 
     L0 = base_pe.L
     delta_n = lifted_pe.spray.N - base_pe.spray.N
-    D = base_frame.e_flat @ delta_n @ base_frame.e.T / L0
+    D = base.e_flat @ delta_n @ base.e.T / L0
 
     spray_block = (
         D[1, 1], -0.5 * (D[1, 2] + D[2, 1]), -0.5 * (D[1, 3] + D[3, 1]),
@@ -185,23 +185,23 @@ def _entry(*terms: float) -> dict:
     }
 
 
-def _scalar_terms(profile: ScalarProfile, sc: SigmaComponents) -> list:
+def _scalar_terms(profile: ProfileResult, sc: SigmaComponents) -> list:
     """Terms of sigma_a S;_a, one list per main scalar S."""
     sigma = sc.components[1:4].tolist()
     return [[s * d for s, d in zip(sigma, row)] for row in profile.v_derivs[:, 1:].tolist()]
 
 
-def _first_component_terms(profile: ScalarProfile, sc: SigmaComponents) -> list:
+def _first_component_terms(profile: ProfileResult, sc: SigmaComponents) -> list:
     """Terms of h_1 + sigma_a u_a, j_1 + sigma_a v_a and k_1 + sigma_a w_a."""
-    sigma, vec = sc.components[1:4].tolist(), profile.vectors
+    sigma = sc.components[1:4].tolist()
     return [
-        [f[0]] + [s * c for s, c in zip(sigma, g[1:].tolist())]
-        for f, g in ((vec.h, vec.u), (vec.j, vec.v), (vec.k, vec.w))
+        [f[0]] + [s * c for s, c in zip(sigma, g[1:])]
+        for f, g in zip(profile.vectors[:3].tolist(), profile.vectors[3:].tolist())
     ]
 
 
 def landsberg_case_conditions(
-    profile: ScalarProfile, sc: SigmaComponents
+    profile: ProfileResult, sc: SigmaComponents
 ) -> tuple[str, bool, dict]:
     """The rescaled space is Landsberg iff these all vanish (base space
     locally Minkowski): the sigma_a S;_a rows, the first-component laws, and
@@ -225,7 +225,7 @@ def landsberg_case_conditions(
 
 
 def berwald_case_conditions(
-    profile: ScalarProfile, sc: SigmaComponents
+    profile: ProfileResult, sc: SigmaComponents
 ) -> tuple[str, bool, dict]:
     """Scalar part of the Berwald conditions for the rescaled space: each
     row of B times (S;_m, S;_n, S;_p), and for one supported direction the
@@ -278,16 +278,16 @@ def invariance_check(
     bpe, lpe = base.pe, lifted.pe
 
     out: dict = {}
-    if base.frame.gauge_tag != lifted.frame.gauge_tag:
+    if base.gauge_tag != lifted.gauge_tag:
         out["gauge_match"] = float("nan")
     else:
         out["gauge_match"] = 0.0
     for idx, name in enumerate(_FRAME_NAMES):
         out[f"covector_scale:{name}"] = float(
-            np.abs(lifted.frame.e_flat[idx] - es * base.frame.e_flat[idx]).max()
+            np.abs(lifted.e_flat[idx] - es * base.e_flat[idx]).max()
         )
         out[f"vector_scale:{name}"] = float(
-            np.abs(lifted.frame.e[idx] - base.frame.e[idx] / es).max()
+            np.abs(lifted.e[idx] - base.e[idx] / es).max()
         )
     out["metric_scale"] = float(np.abs(lpe.metric.g - es**2 * bpe.metric.g).max())
     out["inverse_metric_scale"] = float(
@@ -297,22 +297,21 @@ def invariance_check(
     out["mixed_torsion_invariance"] = float(
         np.abs(lpe.connection.Cmix - bpe.connection.Cmix).max()
     )
-    gaps = np.abs(lifted.profile.scalars - base.profile.scalars).tolist()
+    gaps = np.abs(lifted.scalars - base.scalars).tolist()
     for name, gap in zip(SCALAR_NAMES, gaps):
         out[f"main_scalar:{name}"] = gap
 
     # barred first components and l-derivatives: the Landsberg terms summed
     # left to right, over e^sigma
-    lvec = lifted.profile.vectors
     for vec, barred, terms in zip(
-        "hjk", (lvec.h, lvec.j, lvec.k), _first_component_terms(base.profile, sc)
+        "hjk", lifted.vectors[:3, 0].tolist(), _first_component_terms(base, sc)
     ):
-        out[f"{vec}bar1_law"] = abs(barred[0] - reduce(add, terms) / es)
+        out[f"{vec}bar1_law"] = abs(barred - reduce(add, terms) / es)
     if _flat_in_chart(bpe):
-        scalar_terms = _scalar_terms(base.profile, sc)
+        scalar_terms = _scalar_terms(base, sc)
         for row, (name, terms) in enumerate(zip(SCALAR_NAMES, scalar_terms)):
             out[f"scalar_hderiv_l_law:{name}"] = abs(
-                lifted.profile.h_derivs[row, 0] - reduce(add, terms) / es
+                lifted.h_derivs[row, 0] - reduce(add, terms) / es
             )
     return out
 
@@ -343,14 +342,12 @@ def evaluate_point(base: ProfileResult, lifted: ProfileResult) -> PointConformal
     """The report at one point from the frame profiles of its base and
     rescaled space (as :func:`evaluate_points` makes them)."""
     sc = sigma_components(base, lifted)
-    case, near, lands = landsberg_case_conditions(base.profile, sc)
-    _, _, berw = berwald_case_conditions(base.profile, sc)
+    case, near, lands = landsberg_case_conditions(base, sc)
+    _, _, berw = berwald_case_conditions(base, sc)
 
     direct = {
-        "h_bar": lifted.profile.vectors.h.tolist(),
-        "j_bar": lifted.profile.vectors.j.tolist(),
-        "k_bar": lifted.profile.vectors.k.tolist(),
-        "scalar_hderiv_l_bar": lifted.profile.h_derivs[:, 0].tolist(),
+        **{f"{name}_bar": row for name, row in zip("hjk", lifted.vectors[:3].tolist())},
+        "scalar_hderiv_l_bar": lifted.h_derivs[:, 0].tolist(),
         **hderiv_measurement(lifted.pe),
     }
     inv = invariance_check(base, lifted, sc)

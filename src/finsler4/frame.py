@@ -78,6 +78,7 @@ _SEED_SKIP_TOL = 1e-6
 _SIGN_TOL = 1e-9
 
 SCALAR_NAMES = ("H", "I", "J", "K", "Hp", "Ip", "Jp", "Kp")
+VECTOR_NAMES = ("h", "j", "k", "u", "v", "w")
 # 0-based frame-index triples of the independent components (see module doc)
 SCALAR_SLOTS = {
     "H": (1, 1, 1),
@@ -113,35 +114,15 @@ class SeedsDiffer(Finsler4Error):
 
 
 @dataclass(frozen=True)
-class FrameBundle:
+class ProfileResult:
+    pe: PointEval
     e: np.ndarray  # rows are the contravariant vectors l, m, n, p
     e_flat: np.ndarray  # rows are the covectors g_ij e^j
     gauge_tag: dict
-
-
-@dataclass(frozen=True)
-class ConnectionVectors:
-    h: np.ndarray
-    j: np.ndarray
-    k: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-
-@dataclass(frozen=True)
-class ScalarProfile:
     scalars: np.ndarray  # (8,): order SCALAR_NAMES
     v_derivs: np.ndarray  # (8, 4): row order SCALAR_NAMES, columns frame index
     h_derivs: np.ndarray  # (8, 4)
-    vectors: ConnectionVectors
-
-
-@dataclass(frozen=True)
-class ProfileResult:
-    pe: PointEval
-    frame: FrameBundle
-    profile: ScalarProfile
+    vectors: np.ndarray  # (6, 4): row order VECTOR_NAMES, columns frame index
     residuals: dict
 
 
@@ -248,7 +229,7 @@ _PAIR_B = [b for _, b in _PAIRS]
 
 def _connection_vectors(L0, e, e_flat, g, e_flat_jets, spray, conn) -> tuple:
     """Frame components of the h- and v-connection vectors of a stack of
-    frames, a (K, 6, 4) array in the order h, j, k, u, v, w, plus the
+    frames, a (K, 6, 4) array in VECTOR_NAMES order, plus the
     residuals of the frame-derivative reconstruction identities (module
     doc, "Connection forms"), (K,) each.  ``L0`` is (K,), ``e``,
     ``e_flat`` and ``g`` (K, 4, 4)."""
@@ -319,14 +300,8 @@ def _profiles(st: PointEval) -> list:
     rows = np.array(list(residuals.values())).T.tolist()
     return [
         ProfileResult(
-            pe=member,
-            frame=FrameBundle(e=e[i], e_flat=e_flat[i], gauge_tag=gauges[i]),
-            profile=ScalarProfile(
-                scalars=scalars[i],
-                v_derivs=v_derivs[i],
-                h_derivs=h_derivs[i],
-                vectors=ConnectionVectors(*vectors[i]),
-            ),
+            pe=member, e=e[i], e_flat=e_flat[i], gauge_tag=gauges[i], scalars=scalars[i],
+            v_derivs=v_derivs[i], h_derivs=h_derivs[i], vectors=vectors[i],
             residuals=dict(zip(names, rows[i])),
         )
         for i, member in enumerate(st.members)

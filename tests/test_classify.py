@@ -210,8 +210,8 @@ def test_a_stage_failure_reruns_the_stack_member_by_member():
             assert str(lone.value) == str(got)
             continue
         want = frame.scalar_profile(point_eval(spec, x, y))
-        assert np.array_equal(got.frame.e, want.frame.e)
-        assert np.array_equal(got.profile.h_derivs, want.profile.h_derivs)
+        assert np.array_equal(got.e, want.e)
+        assert np.array_equal(got.h_derivs, want.h_derivs)
         assert got.residuals == want.residuals
 
 

@@ -99,8 +99,7 @@ def test_sigma_gradient_reconstruction():
     pair = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
     base, lifted = profiles(pair, X1, YGEN)
     sc = sigma_components(base, lifted)
-    bundle = base.frame
-    recon = sc.frame_grad() @ bundle.e_flat
+    recon = sc.frame_grad() @ base.e_flat
     assert np.max(np.abs(recon - sc.sigma_grad)) <= 1e-9
 
 
@@ -121,7 +120,7 @@ def test_spray_difference_transvection_identity():
 def test_case_dispatch_constructed_gradients():
     # aim the gradient along chosen frame covectors at the evaluation point
     prof = scalar_profile(geometry.point_eval(QUARTIC, X1, YGEN))
-    flat = prof.frame.e_flat
+    flat = prof.e_flat
 
     sc = sigma_at(gradient_pair(QUARTIC, flat[2] + flat[3]), X1, YGEN)
     case, _ = case_of(sc)
@@ -141,7 +140,7 @@ def test_landsberg_conditions_homothetic_all_zero():
     pair = make_conformal(QUARTIC, "0.25")
     prof, lifted = profiles(pair, X1, YGEN)
     sc = sigma_components(prof, lifted)
-    case, near, out = landsberg_case_conditions(prof.profile, sc)
+    case, near, out = landsberg_case_conditions(prof, sc)
     assert case == CASE_HOMOTHETIC
     assert not near
     assert max(v["residual"] for v in out.values()) <= 1e-10
@@ -170,7 +169,7 @@ def test_berwald_conditions_homothetic_zero():
     pair = make_conformal(QUARTIC, "0.25")
     prof, lifted = profiles(pair, X1, YGEN)
     sc = sigma_components(prof, lifted)
-    _, _, out = berwald_case_conditions(prof.profile, sc)
+    _, _, out = berwald_case_conditions(prof, sc)
     assert max(v["residual"] for v in out.values()) <= 1e-10
 
 
@@ -182,7 +181,7 @@ def test_berwald_conditions_reject_bad_extraction():
         sc, extraction_residuals={"sym_mn": 1.0}, extraction_scale=1.0
     )
     with pytest.raises(ExtractionUnreliable):
-        berwald_case_conditions(prof.profile, corrupted)
+        berwald_case_conditions(prof, corrupted)
 
 
 def test_invariance_suite_nonhomothetic():
@@ -232,7 +231,7 @@ def test_audit_cooccurrence_homothetic_and_generic():
 
 def test_case_dispatch_flags_near_threshold_components():
     prof = scalar_profile(geometry.point_eval(QUARTIC, X1, YGEN))
-    flat = prof.frame.e_flat
+    flat = prof.e_flat
 
     # an m-component hovering just above the dispatch threshold is flagged
     sc = sigma_at(gradient_pair(QUARTIC, 1.5e-8 * flat[1] + 1.0 * flat[2]), X1, YGEN)
@@ -397,15 +396,16 @@ def _ref_case(sc):
 def _ref_landsberg(profile, sc):
     case = _ref_case(sc)
     s2, s3, s4 = sc.components[1:4]
-    vd, vec = profile.v_derivs, profile.vectors
+    vd = profile.v_derivs
+    h, j, k, u, v, w = profile.vectors
     out = {}
     for row, name in enumerate(SCALAR_NAMES):
         out[f"landsberg:scalar:{name}"] = _ref_entry(
             s2 * vd[row, 1], s3 * vd[row, 2], s4 * vd[row, 3]
         )
-    out["landsberg:h1"] = _ref_entry(vec.h[0], s2 * vec.u[1], s3 * vec.u[2], s4 * vec.u[3])
-    out["landsberg:j1"] = _ref_entry(vec.j[0], s2 * vec.v[1], s3 * vec.v[2], s4 * vec.v[3])
-    out["landsberg:k1"] = _ref_entry(vec.k[0], s2 * vec.w[1], s3 * vec.w[2], s4 * vec.w[3])
+    out["landsberg:h1"] = _ref_entry(h[0], s2 * u[1], s3 * u[2], s4 * u[3])
+    out["landsberg:j1"] = _ref_entry(j[0], s2 * v[1], s3 * v[2], s4 * v[3])
+    out["landsberg:k1"] = _ref_entry(k[0], s2 * w[1], s3 * w[2], s4 * w[3])
     reduced = {
         conformal.CASE_M_N: lambda row: _ref_entry(s2 * vd[row, 1], s3 * vd[row, 2]),
         conformal.CASE_M_P: lambda row: _ref_entry(s2 * vd[row, 1], s4 * vd[row, 3]),
@@ -459,25 +459,26 @@ def _ref_berwald(profile, sc):
 
 def _ref_laws(base, lifted, sc):
     es = math.exp(sc.sigma_value)
-    bvec, lvec = base.profile.vectors, lifted.profile.vectors
+    bh, bj, bk, bu, bv, bw = base.vectors
+    lh, lj, lk = lifted.vectors[:3]
     s2, s3, s4 = sc.components[1:4]
     out = {
         "hbar1_law": abs(
-            lvec.h[0] - (bvec.h[0] + s2 * bvec.u[1] + s3 * bvec.u[2] + s4 * bvec.u[3]) / es
+            lh[0] - (bh[0] + s2 * bu[1] + s3 * bu[2] + s4 * bu[3]) / es
         ),
         "jbar1_law": abs(
-            lvec.j[0] - (bvec.j[0] + s2 * bvec.v[1] + s3 * bvec.v[2] + s4 * bvec.v[3]) / es
+            lj[0] - (bj[0] + s2 * bv[1] + s3 * bv[2] + s4 * bv[3]) / es
         ),
         "kbar1_law": abs(
-            lvec.k[0] - (bvec.k[0] + s2 * bvec.w[1] + s3 * bvec.w[2] + s4 * bvec.w[3]) / es
+            lk[0] - (bk[0] + s2 * bw[1] + s3 * bw[2] + s4 * bw[3]) / es
         ),
     }
     if np.max(np.abs(base.pe.dx_g)) < 1e-9:
-        vd = base.profile.v_derivs
+        vd = base.v_derivs
         for row, name in enumerate(SCALAR_NAMES):
             predicted = (s2 * vd[row, 1] + s3 * vd[row, 2] + s4 * vd[row, 3]) / es
             out[f"scalar_hderiv_l_law:{name}"] = abs(
-                lifted.profile.h_derivs[row, 0] - predicted
+                lifted.h_derivs[row, 0] - predicted
             )
     return out
 
@@ -489,19 +490,19 @@ def test_condition_systems_equal_the_written_out_formulas_in_every_case():
     drift = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
     seen = set()
     for spec, x, y in ((QUARTIC, X1, YGEN), (drift, np.array([0.1, 0.2, 0.3, 0.4]), YGEN)):
-        flat = scalar_profile(geometry.point_eval(spec, x, y)).frame.e_flat
+        flat = scalar_profile(geometry.point_eval(spec, x, y)).e_flat
         for size in range(5):
             for subset in itertools.combinations(range(4), size):
                 pair = gradient_pair(spec, sum(flat[i] for i in subset)) if subset \
                     else make_conformal(spec, "0.3")
                 base, lifted = profiles(pair, x, y)
                 sc = sigma_components(base, lifted)
-                case, _, lands = landsberg_case_conditions(base.profile, sc)
-                berw_case, _, berw = berwald_case_conditions(base.profile, sc)
+                case, _, lands = landsberg_case_conditions(base, sc)
+                berw_case, _, berw = berwald_case_conditions(base, sc)
                 assert case == berw_case == _ref_case(sc), subset
                 seen.add(case)
-                for got, want in ((lands, _ref_landsberg(base.profile, sc)),
-                                  (berw, _ref_berwald(base.profile, sc))):
+                for got, want in ((lands, _ref_landsberg(base, sc)),
+                                  (berw, _ref_berwald(base, sc))):
                     assert list(got) == list(want), (case, subset)
                     for label, entry in want.items():
                         assert got[label] == entry, (case, label)

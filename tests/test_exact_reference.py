@@ -161,11 +161,11 @@ def jet_route(name):
     pe = point_eval(spec, x, y)
     prof = scalar_profile(pe)
     tables = {
-        "e": prof.frame.e, "scalars": prof.profile.scalars,
-        "v_derivs": prof.profile.v_derivs, "h_derivs": prof.profile.h_derivs,
+        "e": prof.e, "scalars": prof.scalars,
+        "v_derivs": prof.v_derivs, "h_derivs": prof.h_derivs,
         "N": pe.spray.N, "G_hess3": pe.spray.G_hess3,
     }
-    return tables, prof.frame.gauge_tag
+    return tables, prof.gauge_tag
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

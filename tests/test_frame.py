@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from finsler4 import classify, frame, geometry
 from finsler4.frame import (
+    VECTOR_NAMES,
     NotPositiveDefinite,
     SeedsDiffer,
     VanishingTorsion,
@@ -28,7 +30,7 @@ QUARTIC = make_builtin_metric("quartic_minkowski")
 
 def _frame_at(spec, x, y):
     pe = point_eval(spec, x, y)
-    return scalar_profile(pe).frame, pe
+    return scalar_profile(pe), pe
 
 
 def test_vanishing_torsion_at_symmetric_point():
@@ -62,11 +64,11 @@ def test_frame_refusals_do_not_depend_on_the_scale_of_L():
                 _frame_at(_scaled_expression(euclid, s), x, y)
     for x, y in points:
         ref = scalar_profile(point_eval(_scaled_expression(quartic, "1"), x, y))
-        ref_scalars = ref.profile.scalars
+        ref_scalars = ref.scalars
         for s in ("1e-6", "1e10"):
             got = scalar_profile(point_eval(_scaled_expression(quartic, s), x, y))
-            assert got.frame.gauge_tag == ref.frame.gauge_tag
-            scalars = got.profile.scalars
+            assert got.gauge_tag == ref.gauge_tag
+            scalars = got.scalars
             assert np.max(np.abs(scalars - ref_scalars)) <= 1e-12 * np.max(np.abs(ref_scalars))
 
 
@@ -188,12 +190,12 @@ def test_profile_locally_minkowski():
     for spec in (QUARTIC, make_builtin_metric("randers", {"b": [0.2, 0.1, 0, 0]})):
         for x, y in sample_domain(spec.domain, SamplePlan(count=6, seed=11)):
             prof = scalar_profile(point_eval(spec, x, y))
-            vec = prof.profile.vectors
-            assert np.max(np.abs(vec.h)) <= 1e-7
-            assert np.max(np.abs(vec.j)) <= 1e-7
-            assert np.max(np.abs(vec.k)) <= 1e-7
-            assert np.max(np.abs(prof.profile.h_derivs)) <= 1e-7
-            assert np.max(np.abs(prof.profile.v_derivs[:, 0])) <= 1e-8
+            h, j, k = prof.vectors[:3]
+            assert np.max(np.abs(h)) <= 1e-7
+            assert np.max(np.abs(j)) <= 1e-7
+            assert np.max(np.abs(k)) <= 1e-7
+            assert np.max(np.abs(prof.h_derivs)) <= 1e-7
+            assert np.max(np.abs(prof.v_derivs[:, 0])) <= 1e-8
 
 
 def test_profile_reconstruction_residuals_randers():
@@ -223,13 +225,13 @@ def test_scalar_v_derivatives_match_finite_differences():
             yp, ym = y.copy(), y.copy()
             yp[r] += h
             ym[r] -= h
-            sp = scalar_profile(point_eval(spec, x, yp)).profile.scalars
-            sm = scalar_profile(point_eval(spec, x, ym)).profile.scalars
+            sp = scalar_profile(point_eval(spec, x, yp)).scalars
+            sm = scalar_profile(point_eval(spec, x, ym)).scalars
             fd = (sp[row] - sm[row]) / (2 * h)
             jet_val = 0.0
             # S;_alpha = L * dS/dy^r e_alpha^r: invert via covector components
             # compare the raw y-gradient instead: sum_a S;_a e_flat[a, r] / L
-            jet_val = prof.profile.v_derivs[row] @ prof.frame.e_flat[:, r] / prof.pe.L
+            jet_val = prof.v_derivs[row] @ prof.e_flat[:, r] / prof.pe.L
             assert jet_val == pytest.approx(fd, rel=1e-5, abs=1e-5), (name, r)
 
 
@@ -248,8 +250,8 @@ def test_main_scalar_conformal_invariance():
     lifted = make_conformal(QUARTIC, "0.1*x1+0.05*x2^2")
     x = np.array([0.4, 0.8, -0.5, 0.2])
     for _, y in sample_domain(QUARTIC.domain, SamplePlan(count=4, seed=19)):
-        sb = scalar_profile(point_eval(QUARTIC, x, y)).profile.scalars
-        sl = scalar_profile(point_eval(lifted, x, y)).profile.scalars
+        sb = scalar_profile(point_eval(QUARTIC, x, y)).scalars
+        sl = scalar_profile(point_eval(lifted, x, y)).scalars
         for row in range(len(frame.SCALAR_NAMES)):
             assert abs(sl[row] - sb[row]) <= 1e-7
 
@@ -265,10 +267,10 @@ def test_landsberg_frame_conditions_both_directions():
     scale = 1.0 + np.max(np.abs(pe.cartan.C))
     assert np.max(np.abs(c0)) <= 1e-8 * scale
     small = max(
-        abs(prof.profile.vectors.h[0]),
-        abs(prof.profile.vectors.j[0]),
-        abs(prof.profile.vectors.k[0]),
-        np.max(np.abs(prof.profile.h_derivs[:, 0])),
+        abs(prof.vectors[0, 0]),
+        abs(prof.vectors[1, 0]),
+        abs(prof.vectors[2, 0]),
+        np.max(np.abs(prof.h_derivs[:, 0])),
     )
     assert small <= 1e-6
 
@@ -283,10 +285,10 @@ def test_landsberg_frame_conditions_both_directions():
         hits += 1
         prof = scalar_profile(pe)
         big = max(
-            abs(prof.profile.vectors.h[0]),
-            abs(prof.profile.vectors.j[0]),
-            abs(prof.profile.vectors.k[0]),
-            np.max(np.abs(prof.profile.h_derivs[:, 0])),
+            abs(prof.vectors[0, 0]),
+            abs(prof.vectors[1, 0]),
+            abs(prof.vectors[2, 0]),
+            np.max(np.abs(prof.h_derivs[:, 0])),
         )
         assert big > 1e-6
     assert hits > 0
@@ -357,11 +359,23 @@ def test_connection_vectors_equal_the_written_out_formulas():
         vectors, residuals = _written_out_connection_vectors(pe)
         prof = scalar_profile(pe)
         for name, want in vectors.items():
-            got = getattr(prof.profile.vectors, name)
+            got = prof.vectors[VECTOR_NAMES.index(name)]
             assert np.array_equal(got, want), (name, got, want)
         assert list(prof.residuals)[: len(residuals)] == list(residuals)
         for key, want in residuals.items():
             assert prof.residuals[key] == want, (key, prof.residuals[key], want)
+
+
+def test_profile_result_is_one_flat_record_of_arrays():
+    prof = scalar_profile(point_eval(QUARTIC, X0, Y2))
+    assert [f.name for f in dataclasses.fields(prof)] == [
+        "pe", "e", "e_flat", "gauge_tag", "scalars", "v_derivs", "h_derivs", "vectors",
+        "residuals",
+    ]
+    assert VECTOR_NAMES == ("h", "j", "k", "u", "v", "w")
+    shapes = [a.shape for a in (prof.e, prof.e_flat, prof.scalars, prof.v_derivs,
+                                prof.h_derivs, prof.vectors)]
+    assert shapes == [(4, 4), (4, 4), (8,), (8, 4), (8, 4), (6, 4)]
 
 
 # members of one mixed stack: (spec, x, y, lone outcome)
@@ -385,11 +399,9 @@ _MIXED = (
 
 
 def _profile_bits(prof):
-    vec = prof.profile.vectors
-    arrays = [prof.frame.e, prof.frame.e_flat, prof.profile.v_derivs, prof.profile.h_derivs,
-              prof.profile.scalars,
-              *(getattr(vec, name) for name in "hjkuvw"), list(prof.residuals.values())]
-    return [repr(prof.frame.gauge_tag), list(prof.residuals)] + [
+    arrays = [prof.e, prof.e_flat, prof.v_derivs, prof.h_derivs,
+              prof.scalars, *prof.vectors, list(prof.residuals.values())]
+    return [repr(prof.gauge_tag), list(prof.residuals)] + [
         np.asarray(a, dtype=float).tobytes() for a in arrays
     ]
 
@@ -410,7 +422,7 @@ def test_refusals_take_only_their_own_member_out_of_a_stack():
         assert type(got) is type(want)
         if kind == "profile":
             assert _profile_bits(got) == _profile_bits(want)
-    seeds = [out.frame.gauge_tag["seeds"] for out in outcomes if not isinstance(out, Exception)]
+    seeds = [out.gauge_tag["seeds"] for out in outcomes if not isinstance(out, Exception)]
     # three seed patterns, one per member left with a frame
     assert seeds == [(0, 2), (0, 1), (2, 3)]
 
@@ -467,5 +479,5 @@ def test_members_that_skip_a_later_seed_keep_their_own_sign_flips(names):
     outcomes = classify.evaluate_stack(pes)
     for (spec, x, y, tag), got in zip(members, outcomes):
         want = scalar_profile(point_eval(spec, x, y))
-        assert want.frame.gauge_tag == tag
+        assert want.gauge_tag == tag
         assert _profile_bits(got) == _profile_bits(want)

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import warnings
 from pathlib import Path
@@ -293,12 +292,10 @@ def _outputs(pe, prof):
     if isinstance(prof, frame.FrameError):
         out = [type(prof).__name__]
     else:
-        vectors = prof.profile.vectors
-        arrays += [prof.frame.e, prof.frame.e_flat, prof.profile.v_derivs,
-                   prof.profile.h_derivs, prof.profile.scalars,
-                   *(getattr(vectors, f.name) for f in dataclasses.fields(vectors)),
+        arrays += [prof.e, prof.e_flat, prof.v_derivs,
+                   prof.h_derivs, prof.scalars, *prof.vectors,
                    *prof.residuals.values()]
-        out = [repr(prof.frame.gauge_tag), repr(list(prof.residuals))]
+        out = [repr(prof.gauge_tag), repr(list(prof.residuals))]
     return out + [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
 
