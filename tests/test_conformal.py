@@ -117,6 +117,48 @@ def test_spray_difference_transvection_identity():
         assert sc.extraction_residuals["spray_transvection"] <= 1e-7
 
 
+_SPRAY_LAW_PAIRS = (
+    ({"family": "randers", "params": {"b": ["0.1*x2", 0, 0, 0]}},
+     "0.1*x1+0.3*x3^2-0.2*sin(x4)"),
+    ({"family": "quartic_minkowski"}, "0.2*x1+0.1*sin(x2)"),
+    # a curved alpha with an alpha-parallel beta: Berwald, not flat in the chart
+    ({"family": "expression", "L": "sqrt(y1^2+(1+0.1*x1^2)^2*y2^2+y3^2+y4^2)+0.3*y3"},
+     "0.1*x2-0.05*x1*x3"),
+)
+
+
+def _spray_law_cases():
+    from regen_goldens import SPECS
+
+    for doc in SPECS.values():
+        if "sigma" in doc:
+            yield metrics.spec_from_json_dict(doc)
+    for doc, sigma in _SPRAY_LAW_PAIRS:
+        spec, _ = metrics.spec_from_json_dict({**doc, "sigma": sigma})
+        yield spec, SamplePlan(8, 5)
+
+
+def test_conformal_spray_law():
+    """G-bar = G + sigma_0 y - L^2/2 g^-1 d sigma with sigma_0 = d sigma . y
+    (Hashiguchi 1976), the rescaled space measured from its own jet of L."""
+    checked = 0
+    for spec, plan in _spray_law_cases():
+        for x, y in sample_domain(spec.domain, plan):
+            try:
+                base = geometry.point_eval(spec.base, x, y)
+                lifted = geometry.point_eval(spec, x, y)
+                g_bar = lifted.spray.G
+            except jets.Finsler4Error:
+                continue
+            _, grad = conformal.sigma_gradient(spec, x)
+            predicted = (base.spray.G + (grad @ y) * y
+                         - 0.5 * base.L**2 * (base.metric.g_inv @ grad))
+            assert np.abs(predicted - g_bar).max() <= 1e-14 * np.abs(g_bar).max(), (spec, x, y)
+            checked += 1
+    # every point but the one eval_error of the golden indefinite conformal sample
+    assert checked == 33
+
+
 def test_case_dispatch_constructed_gradients():
     # aim the gradient along chosen frame covectors at the evaluation point
     prof = scalar_profile(geometry.point_eval(QUARTIC, X1, YGEN))
