@@ -73,8 +73,11 @@ def dumps(obj, indent: int = 0) -> str:
 def _emit(doc: dict, output: Optional[str]) -> None:
     text = dumps(doc) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise SpecSchemaError(f"cannot write report: {err}") from None
     else:
         sys.stdout.write(text)
 

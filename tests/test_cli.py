@@ -215,6 +215,15 @@ def test_rejected_spec_value_is_echoed_short(capsys, tmp_path):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_report_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, quartic_spec, where):
+    output = tmp_path / "missing" / "out.json" if where == "missing_directory" else tmp_path
+    code, out, err = _run(capsys, ["classify", quartic_spec, "--output", str(output)])
+    assert code == 2 and out == ""
+    assert err.startswith("finsler4: spec error: cannot write report: ")
+    assert err.count("\n") == 1
+
+
 def test_conformal_report(capsys, conformal_spec):
     code, out, _ = _run(capsys, ["conformal", conformal_spec])
     assert code == 0
