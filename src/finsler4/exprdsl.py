@@ -36,6 +36,7 @@ FUNCTIONS = {
     "sin": jets.sin,
     "cos": jets.cos,
 }
+ECHO_CHARS = 40  # a rejected input is echoed up to this many characters
 
 
 class ExprError(jets.Finsler4Error):
@@ -50,9 +51,14 @@ class ExprSyntaxError(ExprError):
     pass
 
 
+def echo(text: str) -> str:
+    """``text`` cut to ECHO_CHARS characters, marked with "..." if cut."""
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
 class UnknownIdentifier(ExprError):
     def __init__(self, name: str, offset: int | None = None) -> None:
-        super().__init__(f"unknown identifier {name!r}", offset)
+        super().__init__(f"unknown identifier {echo(name)!r}", offset)
         self.name = name
 
 
@@ -136,7 +142,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 def _finite(text: str, offset: int) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ExprSyntaxError(f"number {text!r} is not finite", offset)
+        raise ExprSyntaxError(f"number {echo(text)!r} is not finite", offset)
     return value
 
 
@@ -157,7 +163,7 @@ class _Parser:
     def expect_op(self, op: str) -> None:
         kind, text, off = self.peek()
         if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected {op!r}, found {text or 'end of input'!r}", off)
+            raise ExprSyntaxError(f"expected {op!r}, found {echo(text) or 'end of input'!r}", off)
         self.advance()
 
     def expression(self) -> ExprAst:
@@ -224,7 +230,7 @@ class _Parser:
             node = self.expression()
             self.expect_op(")")
             return node
-        raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", off)
+        raise ExprSyntaxError(f"unexpected {echo(text) or 'end of input'!r}", off)
 
 
 def parse_expr(text: str) -> ExprAst:
@@ -232,7 +238,7 @@ def parse_expr(text: str) -> ExprAst:
     node = parser.expression()
     kind, tok, off = parser.peek()
     if kind != "eof":
-        raise ExprSyntaxError(f"unexpected trailing {tok!r}", off)
+        raise ExprSyntaxError(f"unexpected trailing {echo(tok)!r}", off)
     return node
 
 

@@ -215,6 +215,33 @@ def test_rejected_spec_value_is_echoed_short(capsys, tmp_path):
     assert len(err.encode()) < 200
 
 
+_SQRT = "sqrt(y1^2+y2^2+y3^2+y4^2)"
+
+
+def _spec_file(tmp_path, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**doc, "samples": 2, "seed": 1}))
+    return str(path)
+
+
+def _one_spec_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("finsler4: spec error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("L, message", [
+    (_SQRT + "*" + "1" * 401, "is not finite"),
+    (_SQRT + "*" + "y5" * 200, "unknown identifier"),
+    (_SQRT + " " + "y1" * 200, "unexpected trailing"),
+], ids=["long_number", "long_identifier", "long_trailing_token"])
+def test_parser_error_echoes_a_short_token(capsys, tmp_path, L, message):
+    path = _spec_file(tmp_path, {"family": "expression", "L": L})
+    code, out, err = _run(capsys, ["classify", path])
+    _one_spec_error(code, out, err)
+    assert message in err and "...'" in err
+
+
 @pytest.mark.parametrize("where", ["missing_directory", "directory"])
 def test_report_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, quartic_spec, where):
     output = tmp_path / "missing" / "out.json" if where == "missing_directory" else tmp_path
