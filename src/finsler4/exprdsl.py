@@ -36,6 +36,11 @@ FUNCTIONS = {
     "sin": jets.sin,
     "cos": jets.cos,
 }
+# The deepest nesting (brackets, calls, unary minus) and the deepest tree an
+# expression may have.  The parser takes up to four Python frames per
+# nesting level and the evaluator one per tree level (two under a tracing
+# wrapper), so both stay well below Python's default recursion limit of 1000.
+MAX_DEPTH = 150
 ECHO_CHARS = 40  # a rejected input is echoed up to this many characters
 
 
@@ -151,6 +156,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -166,7 +172,16 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}, found {echo(text) or 'end of input'!r}", off)
         self.advance()
 
+    def enter(self) -> None:
+        """Go one nesting level down (the caller comes back up); refused
+        past MAX_DEPTH levels."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                  self.peek()[2])
+
     def expression(self) -> ExprAst:
+        self.enter()
         node = self.term()
         while True:
             kind, text, _ = self.peek()
@@ -174,6 +189,7 @@ class _Parser:
                 self.advance()
                 node = BinOp(text, node, self.term())
             else:
+                self.nesting -= 1
                 return node
 
     def term(self) -> ExprAst:
@@ -190,7 +206,10 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
+            self.enter()
+            node = Neg(self.factor())
+            self.nesting -= 1
+            return node
         node = self.atom()
         kind, text, _ = self.peek()
         if kind == "op" and text == "^":
@@ -239,7 +258,27 @@ def parse_expr(text: str) -> ExprAst:
     kind, tok, off = parser.peek()
     if kind != "eof":
         raise ExprSyntaxError(f"unexpected trailing {echo(tok)!r}", off)
+    if _depth(node) > MAX_DEPTH:
+        raise ExprSyntaxError(
+            f"expression deeper than {MAX_DEPTH} levels (each term of a sum or product adds one)"
+        )
     return node
+
+
+def _depth(node: ExprAst) -> int:
+    """The levels of the tree under ``node``, a leaf being one, counted
+    without recursion."""
+    deepest, todo = 0, [(node, 1)]
+    while todo:
+        node, level = todo.pop()
+        deepest = max(deepest, level)
+        if isinstance(node, BinOp):
+            todo += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, Pow):
+            todo.append((node.base, level + 1))
+        elif isinstance(node, (Neg, Call)):
+            todo.append((node.arg, level + 1))
+    return deepest
 
 
 # -- evaluation ----------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from finsler4 import cli
+from finsler4 import cli, exprdsl
 from regen_goldens import REPORTS, SPECS, drift
 
 
@@ -215,7 +215,8 @@ def test_rejected_spec_value_is_echoed_short(capsys, tmp_path):
     assert len(err.encode()) < 200
 
 
-_SQRT = "sqrt(y1^2+y2^2+y3^2+y4^2)"
+_SQRT = "sqrt(y1^2+y2^2+y3^2+y4^2)"  # six levels deep
+_DEPTH = exprdsl.MAX_DEPTH
 
 
 def _spec_file(tmp_path, doc):
@@ -228,6 +229,45 @@ def _one_spec_error(code, out, err):
     assert code == 2 and out == ""
     assert err.startswith("finsler4: spec error: ") and err.count("\n") == 1
     assert len(err.encode()) < 200
+
+
+# (L, sigma) at the depth bound; each term of a sum and each bracket adds a level
+_AT_DEPTH_BOUND = {
+    "L_terms": (_SQRT + "+0*y1" * (_DEPTH - 6), "0.1*x1"),
+    "L_brackets": ("(" * (_DEPTH - 2) + _SQRT + ")" * (_DEPTH - 2), "0.1*x1"),
+    "sigma_terms": (_SQRT, "0.1*x1" + "+0*x2" * (_DEPTH - 2)),
+    "sigma_brackets": (_SQRT, "(" * (_DEPTH - 1) + "0.1*x1" + ")" * (_DEPTH - 1)),
+}
+_PAST_DEPTH_BOUND = {
+    "L_terms": (_SQRT + "+0*y1" * (_DEPTH - 5), "0.1*x1"),
+    "L_brackets": ("(" * (_DEPTH - 1) + _SQRT + ")" * (_DEPTH - 1), "0.1*x1"),
+    "sigma_terms": (_SQRT, "0.1*x1" + "+0*x2" * (_DEPTH - 1)),
+    "sigma_brackets": (_SQRT, "(" * _DEPTH + "0.1*x1" + ")" * _DEPTH),
+    "L_3000_terms": (_SQRT + "+0*y1" * 3000, "0.1*x1"),
+    "L_1200_brackets": ("(" * 1200 + _SQRT + ")" * 1200, "0.1*x1"),
+    "sigma_3000_terms": (_SQRT, "0.1*x1" + "+0*x2" * 3000),
+    "L_3000_signs": ("-" * 3000 + _SQRT, "0.1*x1"),
+}
+
+
+@pytest.mark.parametrize("name", list(_AT_DEPTH_BOUND))
+def test_expression_at_the_depth_bound_evaluates(capsys, tmp_path, name):
+    L, sigma = _AT_DEPTH_BOUND[name]
+    path = _spec_file(tmp_path, {"family": "expression", "L": L, "sigma": sigma})
+    for command in ("classify", "conformal"):
+        code, out, err = _run(capsys, [command, path])
+        assert code == 0 and err == ""
+        assert not any("eval_error" in p for p in json.loads(out)["points"])
+
+
+@pytest.mark.parametrize("name", list(_PAST_DEPTH_BOUND))
+def test_expression_past_the_depth_bound_is_a_spec_error(capsys, tmp_path, name):
+    L, sigma = _PAST_DEPTH_BOUND[name]
+    path = _spec_file(tmp_path, {"family": "expression", "L": L, "sigma": sigma})
+    for command in ("classify", "conformal"):
+        code, out, err = _run(capsys, [command, path])
+        _one_spec_error(code, out, err)
+        assert f"deeper than {_DEPTH} levels" in err
 
 
 @pytest.mark.parametrize("L, message", [
