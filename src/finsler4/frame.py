@@ -69,10 +69,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, jets
-from .geometry import FRAME_CAPS, PointEval
-from .jets import Finsler4Error, JetScalar, contract, ring_sum
+from . import jets
+from .geometry import ConnectionAt, PointEval, SprayAt, _y_jets
+from .jets import (
+    DegreeCaps, Finsler4Error, InvalidArgument, JetScalar, contract, derivative_tensor, ring_sum,
+)
 
+# the frame ring: the frame build reads values and first derivatives only,
+# and cutting the total keeps every stored coefficient bit for bit
+FRAME_CAPS = DegreeCaps(1, 1, 1)
 TAU_TORSION = 1e-7  # below this the torsion direction is numerically meaningless
 _SEED_SKIP_TOL = 1e-6
 _SIGN_TOL = 1e-9
@@ -127,6 +132,19 @@ class ProfileResult:
 
 
 # -- frame fields as FRAME_CAPS coefficient arrays ---------------------------
+
+
+def _field_jets(st: PointEval) -> tuple:
+    """g, g^-1, C, y and L of the stack ``st`` as FRAME_CAPS coefficient
+    arrays, stack axis first: first-order x/y information for
+    differentiating frame fields through the whole build."""
+    caps = FRAME_CAPS
+    g = 0.5 * derivative_tensor(st._L2, 0, 2, caps, st._caps)
+    g_inv = jets.solve(g, st.metric.g_inv, jets.identity(4, caps)[None], caps)
+    C = 0.25 * derivative_tensor(st._L2, 0, 3, caps, st._caps)
+    y = _y_jets(st.y, caps)
+    L = derivative_tensor(st._L, 0, 0, caps, st._caps)  # L truncated to caps
+    return g, g_inv, C, y, L
 
 
 def _sign(comps: list) -> float:
@@ -221,6 +239,48 @@ def _scalar_jets(C, e, L) -> np.ndarray:
     return contract("zs,z->zs", M, L, FRAME_CAPS)
 
 
+# -- covariant derivatives --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CovariantDerivatives:
+    h: np.ndarray  # horizontal: delta-derivative with connection terms
+    v: np.ndarray  # vertical: plain y-derivative with torsion terms
+
+
+def scalar_derivatives(fields: np.ndarray, spray: SprayAt) -> CovariantDerivatives:
+    """Covariant derivatives of a stack of scalar fields, given as a
+    FRAME_CAPS coefficient array of shape S + T + (n,), where S is the
+    stack shape of ``spray`` (empty for a lone point); results have shape
+    S + T + (4,): delta_k f = d_xk f - N^r_k d_yr f, and d_yk f."""
+    dx = derivative_tensor(fields, 1, 0, f_caps=FRAME_CAPS)
+    dy = derivative_tensor(fields, 0, 1, f_caps=FRAME_CAPS)
+    N = spray.N
+    extra = dy.ndim - N.ndim  # axes of T beyond the one the matmul rows run over
+    if extra > 0:
+        N = N.reshape(N.shape[:-2] + (1,) * extra + (4, 4))
+    return CovariantDerivatives(h=dx - dy @ N, v=dy)
+
+
+def covariant_derivatives(field, spray: SprayAt, conn: ConnectionAt) -> CovariantDerivatives:
+    """Horizontal and vertical covariant derivatives of a stack T of covector
+    fields, given as a FRAME_CAPS coefficient array of shape S + T + (4, n),
+    one jet per lower component, where S is the stack shape of ``spray``
+    and ``conn`` (at most one axis); the results have shape S + T + (4, 4),
+    [..., i, k] = nabla_k X_i.  Scalar fields go through scalar_derivatives.
+    """
+    field = np.asarray(field, dtype=float)
+    if field.ndim < 2 or field.shape[-2] != 4:
+        raise InvalidArgument(f"covector fields need four components, got shape {field.shape}")
+    cov = scalar_derivatives(field, spray)
+    vals = field[..., 0]
+    z = "z" * (conn.F.ndim - 3)
+    spec = f"{z}...r,{z}rik->{z}...ik"
+    h = cov.h - np.einsum(spec, vals, conn.F)
+    v = cov.v - np.einsum(spec, vals, conn.Cmix)
+    return CovariantDerivatives(h=h, v=v)
+
+
 # frame pairs (a, b) of the (m, n, p) block, in the order h, j, k (u, v, w)
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 _PAIR_A = [a for a, _ in _PAIRS]
@@ -234,7 +294,7 @@ def _connection_vectors(L0, e, e_flat, g, e_flat_jets, spray, conn) -> tuple:
     doc, "Connection forms"), (K,) each.  ``L0`` is (K,), ``e``,
     ``e_flat`` and ``g`` (K, 4, 4)."""
     # [member, frame vector, i, k]: nabla_k of each frame covector field
-    cov = geometry.covariant_derivatives(e_flat_jets, spray, conn)
+    cov = covariant_derivatives(e_flat_jets, spray, conn)
     # e[b] @ cov.h[a] for every pair (a, b), as vector-matrix products
     h_form = (e[:, _PAIR_B, None] @ cov.h[:, _PAIR_A])[:, :, 0]
     v_form = L0[:, None, None] * (e[:, _PAIR_B, None] @ cov.v[:, _PAIR_A])[:, :, 0]
@@ -279,7 +339,7 @@ def _profiles(st: PointEval) -> list:
     FrameError that refuses any member's frame."""
     if not st.metric.positive_definite.all():
         raise NotPositiveDefinite("the fundamental tensor is not positive definite")
-    g_j, g_inv_j, C_j, y_j, L_j = st.frame_field_jets
+    g_j, g_inv_j, C_j, y_j, L_j = _field_jets(st)
     e_jets, e_flat_jets, gauges = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
     metric, spray, conn = st.metric, st.spray, st.connection
     L0 = st.L
@@ -287,7 +347,7 @@ def _profiles(st: PointEval) -> list:
     e_flat = e_flat_jets[..., 0].copy()
 
     scalar_jets = _scalar_jets(C_j, e_jets, L_j)
-    derivs = geometry.scalar_derivatives(scalar_jets, spray)
+    derivs = scalar_derivatives(scalar_jets, spray)
     e_t = e.transpose(0, 2, 1)
     v_derivs = L0[:, None, None] * (derivs.v @ e_t)
     h_derivs = derivs.h @ e_t

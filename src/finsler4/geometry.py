@@ -53,10 +53,8 @@ from .metrics import MetricSpec
 # master caps: one x-derivative beside four y-derivatives covers every
 # tensor except the cubic spray test, whose route through the inverse
 # metric consumes five y-derivatives of L^2; no reader goes past total
-# degree 5.  The frame build reads values and first derivatives only.
-# Cutting the total keeps every stored coefficient bit for bit.
+# degree 5.  Cutting the total keeps every stored coefficient bit for bit.
 MASTER_CAPS = DegreeCaps(1, 5, 5)
-FRAME_CAPS = DegreeCaps(1, 1, 1)
 _SPRAY_CAPS = DegreeCaps(0, 3)
 
 _SINGULAR_GUARD = 1e-12
@@ -255,23 +253,19 @@ class PointEval:
         C_norm = np.array([_length(v) for v in square.tolist()])
         return CartanTensorAt(C=C, C_vec=C_vec, C_norm=C_norm)
 
-    @cached_property
-    def _spray_jets(self) -> np.ndarray:
-        """G^i of each member as a (B, 4, n) coefficient array at
-        _SPRAY_CAPS, deep enough for three more y-derivatives."""
+    @_stage
+    def spray(self) -> SprayAt:
+        # G^i of each member as a (B, 4, n) coefficient array at _SPRAY_CAPS,
+        # deep enough for three more y-derivatives
         caps, L2 = _SPRAY_CAPS, self._L2
         g = 0.5 * derivative_tensor(L2, 0, 2, caps, self._caps)
         dx = derivative_tensor(L2, 1, 0, caps, self._caps)
         dxdy = derivative_tensor(L2, 1, 1, caps, self._caps)  # [k, r]: d_xk d_yr
         # E_r = y^k d_xk d_yr L^2 - d_xr L^2, and G^i = g^ir E_r / 4
         e_vec = contract("zk,zkr->zr", _y_jets(self.y, caps), dxdy, caps) - dx
-        return 0.25 * jets.solve(g, self.metric.g_inv, e_vec, caps)
-
-    @_stage
-    def spray(self) -> SprayAt:
-        gj = self._spray_jets
-        N = derivative_tensor(gj, 0, 1, f_caps=_SPRAY_CAPS)
-        hess = derivative_tensor(gj, 0, 3, f_caps=_SPRAY_CAPS)
+        gj = 0.25 * jets.solve(g, self.metric.g_inv, e_vec, caps)
+        N = derivative_tensor(gj, 0, 1, f_caps=caps)
+        hess = derivative_tensor(gj, 0, 3, f_caps=caps)
         return SprayAt(G=gj[..., 0].copy(), N=N, G_hess3=hess)
 
     @_stage
@@ -315,66 +309,7 @@ class PointEval:
         C_0 = np.einsum("zijkh,zh->zijk", C_h, self.y)
         return C_h, C_0
 
-    @cached_property
-    def frame_field_jets(self):
-        """g, g^-1, C, y and L as FRAME_CAPS coefficient arrays, stack axis
-        first (a lone PointEval gives those of its stack of one): first-order
-        x/y information for differentiating frame fields through the whole
-        build.  Only the frame build reads them, so members keep no slice."""
-        if not self.is_stack:
-            return self.as_stack().frame_field_jets
-        caps = FRAME_CAPS
-        g = 0.5 * derivative_tensor(self._L2, 0, 2, caps, self._caps)
-        g_inv = jets.solve(g, self.metric.g_inv, jets.identity(4, caps)[None], caps)
-        C = 0.25 * derivative_tensor(self._L2, 0, 3, caps, self._caps)
-        y = _y_jets(self.y, caps)
-        L = derivative_tensor(self._L, 0, 0, caps, self._caps)  # L truncated to caps
-        return g, g_inv, C, y, L
-
 
 def point_eval(spec: MetricSpec, x, y, base: PointEval | None = None) -> PointEval:
     return PointEval(spec, x, y, base)
 
-
-# -- covariant derivatives --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CovariantDerivatives:
-    h: np.ndarray  # horizontal: delta-derivative with connection terms
-    v: np.ndarray  # vertical: plain y-derivative with torsion terms
-
-
-def scalar_derivatives(
-    fields: np.ndarray, spray: SprayAt, caps: DegreeCaps = FRAME_CAPS
-) -> CovariantDerivatives:
-    """Covariant derivatives of a stack of scalar fields, given as a
-    coefficient array of shape S + T + (n,) at ``caps``, where S is the
-    stack shape of ``spray`` (empty for a lone point); results have shape
-    S + T + (4,): delta_k f = d_xk f - N^r_k d_yr f, and d_yk f."""
-    dx = derivative_tensor(fields, 1, 0, f_caps=caps)
-    dy = derivative_tensor(fields, 0, 1, f_caps=caps)
-    N = spray.N
-    extra = dy.ndim - N.ndim  # axes of T beyond the one the matmul rows run over
-    if extra > 0:
-        N = N.reshape(N.shape[:-2] + (1,) * extra + (4, 4))
-    return CovariantDerivatives(h=dx - dy @ N, v=dy)
-
-
-def covariant_derivatives(field, spray: SprayAt, conn: ConnectionAt) -> CovariantDerivatives:
-    """Horizontal and vertical covariant derivatives of a stack T of covector
-    fields, given as a FRAME_CAPS coefficient array of shape S + T + (4, n),
-    one jet per lower component, where S is the stack shape of ``spray``
-    and ``conn`` (at most one axis); the results have shape S + T + (4, 4),
-    [..., i, k] = nabla_k X_i.  Scalar fields go through scalar_derivatives.
-    """
-    field = np.asarray(field, dtype=float)
-    if field.ndim < 2 or field.shape[-2] != 4:
-        raise InvalidArgument(f"covector fields need four components, got shape {field.shape}")
-    cov = scalar_derivatives(field, spray)
-    vals = field[..., 0]
-    z = "z" * (conn.F.ndim - 3)
-    spec = f"{z}...r,{z}rik->{z}...ik"
-    h = cov.h - np.einsum(spec, vals, conn.F)
-    v = cov.v - np.einsum(spec, vals, conn.Cmix)
-    return CovariantDerivatives(h=h, v=v)

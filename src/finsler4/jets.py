@@ -104,8 +104,8 @@ class DegreeCaps:
     maps and coordinate jets built from it, shared by every equal caps value.
     """
 
-    x_max: int = 1
-    y_max: int = 4
+    x_max: int
+    y_max: int
     total_max: int | None = None
 
     def __post_init__(self) -> None:
@@ -123,7 +123,6 @@ class DegreeCaps:
         return _tables(self)
 
 
-DEFAULT_CAPS = DegreeCaps(1, 4)
 _FLOAT_CAPS = DegreeCaps(0, 0)  # a jet with these caps is just its base value
 
 
@@ -387,13 +386,13 @@ def _product(a: np.ndarray, b: np.ndarray, mul_i, mul_j, mul_k, n: int) -> np.nd
     return coeffs.reshape(prod.shape[:-1] + (n,))
 
 
-def const(value: float, caps: DegreeCaps = DEFAULT_CAPS) -> JetScalar:
+def const(value: float, caps: DegreeCaps) -> JetScalar:
     c = np.zeros(caps.tables.n)
     c[0] = value
     return JetScalar(caps, c, (0, 0))
 
 
-def variable(slot: int, value: float, caps: DegreeCaps = DEFAULT_CAPS) -> JetScalar:
+def variable(slot: int, value: float, caps: DegreeCaps) -> JetScalar:
     """Jet of the coordinate function of one slot at the given value."""
     if not 0 <= slot < N_VARS:
         raise OrderExceedsCaps(f"variable slot {slot} out of range 0..7")

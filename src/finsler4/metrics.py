@@ -26,7 +26,7 @@ import numpy as np
 from . import exprdsl, jets
 from .exprdsl import ExprAst
 from .jets import (
-    DEFAULT_CAPS, DegreeCaps, DomainViolation, Finsler4Error, InvalidArgument, JetScalar,
+    DegreeCaps, DomainViolation, Finsler4Error, InvalidArgument, JetScalar,
 )
 
 Y_CONES = ("all_nonzero", "all_positive", "unit_ball_interior_shifted")
@@ -298,7 +298,7 @@ def eval_L(
     spec: MetricSpec,
     x: Sequence[float],
     y: Sequence[float],
-    caps: DegreeCaps = DEFAULT_CAPS,
+    caps: DegreeCaps,
     base_L: Optional[JetScalar] = None,
 ) -> JetScalar:
     """Jet of L at (x, y); one evaluation carries all needed partials.

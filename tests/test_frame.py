@@ -300,11 +300,11 @@ def _written_out_connection_vectors(pe):
     p_i k_j, p_i|j = -m_i j_j - n_i k_j, and L m_i|_j = -l_i m_j + n_i u_j
     + p_i v_j and so on.  This is the reference the connection-form algebra
     of frame._connection_vectors must reproduce bit for bit."""
-    e_jets, e_flat_jets, _ = frame._frame_from_ring(*pe.frame_field_jets)
+    e_jets, e_flat_jets, _ = frame._frame_from_ring(*frame._field_jets(pe.as_stack()))
     e_jets, e_flat_jets = e_jets[0], e_flat_jets[0]
     e, e_flat = e_jets[..., 0].copy(), e_flat_jets[..., 0].copy()
     L0, g = pe.L, pe.metric.g
-    cov = geometry.covariant_derivatives(e_flat_jets, pe.spray, pe.connection)
+    cov = frame.covariant_derivatives(e_flat_jets, pe.spray, pe.connection)
     l_h, m_h, n_h, p_h = cov.h
     l_v, m_v, n_v, p_v = cov.v
     l_up, m_up, n_up, p_up = e

@@ -7,7 +7,8 @@ import pytest
 
 from finsler4 import frame, geometry, jets, metrics, oracle
 from finsler4.classify import classify_metric
-from finsler4.geometry import SingularMetric, covariant_derivatives, point_eval
+from finsler4.frame import covariant_derivatives
+from finsler4.geometry import SingularMetric, point_eval
 from finsler4.jets import DegreeCaps, OrderExceedsCaps
 from finsler4.metrics import SamplePlan, make_builtin_metric, sample_domain
 
@@ -233,24 +234,25 @@ def test_covariant_derivative_of_constant_scalar():
     spec = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
     x, y = sample_domain(spec.domain, SamplePlan(count=1, seed=67))[0]
     pe = point_eval(spec, x, y)
-    field = jets.const(3.0, geometry.FRAME_CAPS)
-    cov = geometry.scalar_derivatives(field.c, pe.spray, field.caps)
+    field = jets.const(3.0, frame.FRAME_CAPS)
+    cov = frame.scalar_derivatives(field.c, pe.spray)
     assert np.max(np.abs(cov.h)) == 0.0
     assert np.max(np.abs(cov.v)) == 0.0
 
 
-def test_covariant_derivative_requires_depth():
+def test_covariant_derivative_requires_depth(monkeypatch):
     spec = make_builtin_metric("quartic_minkowski")
     pe = point_eval(spec, X0, Y2)
     shallow = jets.const(1.0, DegreeCaps(0, 1))
+    monkeypatch.setattr(frame, "FRAME_CAPS", shallow.caps)
     with pytest.raises(OrderExceedsCaps):
-        geometry.scalar_derivatives(shallow.c, pe.spray, shallow.caps)
+        frame.scalar_derivatives(shallow.c, pe.spray)
 
 
 def test_covector_field_needs_four_components():
     spec = make_builtin_metric("quartic_minkowski")
     pe = point_eval(spec, X0, Y2)
-    field = np.array([jets.const(1.0, geometry.FRAME_CAPS).c] * 3)
+    field = np.array([jets.const(1.0, frame.FRAME_CAPS).c] * 3)
     with pytest.raises(jets.InvalidArgument):
         covariant_derivatives(field, pe.spray, pe.connection)
 
@@ -318,16 +320,13 @@ def test_rings_cut_by_total_degree_change_no_bit(monkeypatch):
     # degree <= d, so the master and frame rings cut to the degrees their
     # readers use give every tensor and profile array bit for bit
     assert geometry.MASTER_CAPS == DegreeCaps(1, 5, 5)
-    assert geometry.FRAME_CAPS == DegreeCaps(1, 1, 1)
+    assert frame.FRAME_CAPS == DegreeCaps(1, 1, 1)
     for spec in _perfbench_specs():
         points = sample_domain(spec.domain, SamplePlan(count=8, seed=71))
         cut = _ring_outputs(spec, points)
         with monkeypatch.context() as m:
-            full_frame = DegreeCaps(1, 1)
             m.setattr(geometry, "MASTER_CAPS", DegreeCaps(1, 5))
-            m.setattr(geometry, "FRAME_CAPS", full_frame)
-            m.setattr(frame, "FRAME_CAPS", full_frame)
-            m.setattr(geometry.scalar_derivatives, "__defaults__", (full_frame,))
+            m.setattr(frame, "FRAME_CAPS", DegreeCaps(1, 1))
             full = _ring_outputs(spec, points)
         assert cut == full
 

@@ -32,9 +32,8 @@ PUBLIC = {
     "conformal": ["SigmaComponents", "audit_pair", "berwald_case_conditions",
                   "invariance_check", "landsberg_case_conditions", "sigma_components"],
     "exprdsl": ["ExprError", "eval_expr", "parse_expr", "pretty"],
-    "frame": ["ProfileResult", "scalar_profile"],
-    "geometry": ["CartanTensorAt", "MetricTensorAt", "SprayAt", "covariant_derivatives",
-                 "point_eval"],
+    "frame": ["ProfileResult", "covariant_derivatives", "scalar_profile"],
+    "geometry": ["CartanTensorAt", "MetricTensorAt", "SprayAt", "point_eval"],
     "jets": ["DegreeCaps", "Finsler4Error", "InvalidArgument", "JetScalar", "partial_extract"],
     "metrics": ["DomainSpec", "MetricSpec", "SamplePlan", "eval_L", "make_builtin_metric",
                 "make_conformal", "sample_domain"],

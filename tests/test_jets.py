@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finsler4 import geometry, jets, oracle
+from finsler4 import frame, geometry, jets, oracle
 from finsler4.jets import (
     CapMismatch,
     CapTooSmall,
@@ -203,7 +203,7 @@ def test_contract_matches_looped_jet_products(caps, spec):
 # -- the jet-tensor kernel: summation order, stacking and the Neumann solve ----
 
 # the rings the program contracts in, and a deeper one
-_KERNEL_CAPS = (geometry.FRAME_CAPS, DegreeCaps(0, 3), DegreeCaps(1, 3))
+_KERNEL_CAPS = (frame.FRAME_CAPS, DegreeCaps(0, 3), DegreeCaps(1, 3))
 # every spec the program contracts with, and two with two contracted labels
 _KERNEL_SPECS = (
     "ij,j->i", "ij,jk->ik", "ijk,jk->i", "i,->i", "i,i->", "k,kr->r", "j,aj->a",
@@ -341,7 +341,7 @@ def test_master_caps_table_size():
     assert tables.n == 630
     assert len(tables.mul_i) == 11583
     # the rings the program uses, cut to the total degree their readers need
-    for caps, n, pairs in ((geometry.MASTER_CAPS, 406, 5247), (geometry.FRAME_CAPS, 9, 17)):
+    for caps, n, pairs in ((geometry.MASTER_CAPS, 406, 5247), (frame.FRAME_CAPS, 9, 17)):
         cut, full = caps.tables, DegreeCaps(caps.x_max, caps.y_max).tables
         assert (cut.n, len(cut.mul_i)) == (n, pairs)
         # the kept monomials are a prefix of the uncut ring, index for index
@@ -570,7 +570,7 @@ def test_total_degree_cap_outside_zero_to_the_group_sum_is_invalid(total):
 
 
 def test_reads_past_the_total_degree_cap_are_rejected():
-    caps = geometry.FRAME_CAPS
+    caps = frame.FRAME_CAPS
     f = jets.exp(variable(0, 0.2, caps) * variable(4, 1.5, caps))
     # (1, 1) fits each group's cap but not the total of 1
     with pytest.raises(OrderExceedsCaps):
@@ -744,7 +744,7 @@ _STACK_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": o
 
 
 @pytest.mark.parametrize(
-    "caps", [geometry.FRAME_CAPS, DegreeCaps(1, 3), geometry.MASTER_CAPS],
+    "caps", [frame.FRAME_CAPS, DegreeCaps(1, 3), geometry.MASTER_CAPS],
     ids=["frame", "1_3", "master"],
 )
 def test_stacked_series_rows_equal_their_jet_scalar_calls(caps):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finsler4 import exprdsl, geometry, jets, metrics
+from finsler4 import exprdsl, frame, geometry, jets, metrics
 from finsler4.metrics import (
     DomainSpec,
     InvalidParameters,
@@ -44,20 +44,20 @@ def test_unknown_family():
 
 def test_eval_quartic_at_ones():
     spec = make_builtin_metric("quartic_minkowski")
-    jet = eval_L(spec, X0, ONES)
+    jet = eval_L(spec, X0, ONES, jets.DegreeCaps(1, 4))
     assert jet.base == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_eval_berwald_moor():
     spec = make_builtin_metric("berwald_moor")
-    jet = eval_L(spec, X0, np.array([1.0, 2.0, 1.0, 2.0]))
+    jet = eval_L(spec, X0, np.array([1.0, 2.0, 1.0, 2.0]), jets.DegreeCaps(1, 4))
     assert jet.base == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_eval_conformal_scales_base():
     base = make_builtin_metric("quartic_minkowski")
     spec = make_conformal(base, "0.1*x1")
-    jet = eval_L(spec, np.array([1.0, 0, 0, 0]), ONES)
+    jet = eval_L(spec, np.array([1.0, 0, 0, 0]), ONES, jets.DegreeCaps(1, 4))
     assert jet.base == pytest.approx(math.exp(0.1) * math.sqrt(2.0), rel=1e-12)
 
 
@@ -144,7 +144,7 @@ def test_shifted_ball_cone_sampling():
 def test_domain_rejects_outside_cone():
     spec = make_builtin_metric("berwald_moor")
     with pytest.raises(jets.DomainViolation):
-        eval_L(spec, X0, np.array([1.0, -1.0, 1.0, 1.0]))
+        eval_L(spec, X0, np.array([1.0, -1.0, 1.0, 1.0]), jets.DegreeCaps(1, 4))
 
 
 def test_json_schema_roundtrip():
@@ -295,7 +295,7 @@ def test_family_L_equals_its_written_out_formula_bit_for_bit(name):
     if sigma is not None:
         spec = make_conformal(spec, sigma)
     points = sample_domain(spec.domain, SamplePlan(8, 3))
-    for caps in (geometry.MASTER_CAPS, geometry.FRAME_CAPS):
+    for caps in (geometry.MASTER_CAPS, frame.FRAME_CAPS):
         for x, y in points:
             env = [jets.variable(i, float(v), caps) for i, v in enumerate((*x, *y))]
             want = _written_out(family, params, sigma, env)
