@@ -1,6 +1,8 @@
 """Regenerate the CLI golden files.
 
-Run from the repository root after an intentional output change:
+Run from the repository root after an intentional output change; the
+tool imports ``finsler4`` from this checkout's ``src``, so it needs no
+install and no ``PYTHONPATH``:
 
     python3 tests/regen_goldens.py            # rewrite tests/goldens/
     python3 tests/regen_goldens.py --drift    # rewrite, then compare with HEAD
@@ -22,7 +24,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from finsler4 import cli
+# the checkout's own source, ahead of any installed copy of the package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from finsler4 import cli  # noqa: E402
 
 RANDERS_B = {"b": ["0.1*x2", 0, 0, 0]}
 # a Randers-type metric whose g is indefinite at some sampled points
