@@ -15,6 +15,7 @@ significant digits, no timestamps.  Exit codes: 0 evaluation succeeded
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -70,16 +71,34 @@ def dumps(obj, indent: int = 0) -> str:
     raise TypeError(f"not serialisable: {type(obj)!r}")
 
 
-def _emit(doc: dict, output: Optional[str]) -> None:
+def _open_output(path: Optional[str]):
+    """The report file at ``path``, opened before the command evaluates
+    anything, so that a path that cannot be written is refused at once; no
+    path (None or empty) gives a context of None, the report going to
+    stdout.  Append mode leaves an existing file's bytes as they are until
+    :func:`_emit` replaces them."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "a", encoding="utf-8")
+    except OSError as err:
+        raise SpecSchemaError(f"cannot write report: {err}") from None
+
+
+def _emit(doc: dict, output) -> None:
+    """Write the report to the file :func:`_open_output` opened, or to
+    stdout for None."""
     text = dumps(doc) + "\n"
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise SpecSchemaError(f"cannot write report: {err}") from None
-    else:
+    if output is None:
         sys.stdout.write(text)
+        return
+    try:
+        if output.seekable():
+            output.truncate(0)
+        output.write(text)
+        output.flush()
+    except OSError as err:
+        raise SpecSchemaError(f"cannot write report: {err}") from None
 
 
 def _load_spec(path: str):
@@ -357,7 +376,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # the command writes its report to the open file in place of the path
+        with _open_output(args.output) as args.output:
+            return args.fn(args)
     except (SpecSchemaError, MetricError, ExprError) as err:
         print(f"finsler4: spec error: {err}", file=sys.stderr)
         return 2

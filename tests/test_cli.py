@@ -291,6 +291,41 @@ def test_report_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, quarti
     assert err.count("\n") == 1
 
 
+_GOLDENS = Path(__file__).parent / "goldens"
+
+
+def test_unwritable_report_is_refused_before_a_failing_evaluation(capsys, tmp_path):
+    # y = 0 is outside every cone (exit 3), but the output path is checked first
+    output = tmp_path / "missing" / "out.json"
+    code, out, err = _run(capsys, ["frame", str(_GOLDENS / "quartic_small.json"), "--x", "0,0,0,0",
+                                   "--y", "0,0,0,0", "--output", str(output)])
+    _one_spec_error(code, out, err)
+    assert "cannot write report" in err
+
+
+def test_unwritable_report_is_refused_before_any_point_is_evaluated(capsys, tmp_path, monkeypatch):
+    from finsler4 import classify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_metric ran before the output path was checked")
+
+    monkeypatch.setattr(classify, "classify_metric", refuse)
+    output = tmp_path / "missing" / "out.json"
+    code, out, err = _run(capsys, ["classify", str(_GOLDENS / "randers_small.json"),
+                                   "--samples", "200", "--output", str(output)])
+    _one_spec_error(code, out, err)
+    assert "cannot write report" in err
+
+
+def test_failed_run_keeps_the_bytes_of_an_existing_report(capsys, tmp_path):
+    output = tmp_path / "out.json"
+    output.write_bytes(b"an earlier report\n")
+    code, out, err = _run(capsys, ["frame", str(_GOLDENS / "quartic_small.json"), "--x", "0,0,0,0",
+                                   "--y", "0,0,0,0", "--output", str(output)])
+    assert code == 3 and out == "" and "DomainViolation" in err
+    assert output.read_bytes() == b"an earlier report\n"
+
+
 def test_conformal_report(capsys, conformal_spec):
     code, out, _ = _run(capsys, ["conformal", conformal_spec])
     assert code == 0
