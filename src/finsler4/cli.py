@@ -28,14 +28,6 @@ from .exprdsl import ExprError
 from .metrics import MetricError, SamplePlan, SpecSchemaError
 
 
-def _json_default(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    raise TypeError(f"not serialisable: {type(value)!r}")
-
-
 def dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON: insertion order kept, floats at 17 significant
     digits, non-finite values mapped to null."""
@@ -59,7 +51,7 @@ def dumps(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, (np.floating, np.integer, np.ndarray)):
-        return dumps(_json_default(obj), indent)
+        return dumps(obj.tolist(), indent)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -126,11 +118,8 @@ def _tol(args, default: float) -> float:
     return args.tol
 
 
-def _effective_config(plan: SamplePlan, tol: Optional[float]) -> dict:
-    cfg = {"samples": plan.count, "seed": plan.seed}
-    if tol is not None:
-        cfg["tol"] = tol
-    return cfg
+def _effective_config(plan: SamplePlan, tol: float) -> dict:
+    return {"samples": plan.count, "seed": plan.seed, "tol": tol}
 
 
 def _point_record_doc(rec) -> dict:
