@@ -337,6 +337,26 @@ def test_conformal_report(capsys, conformal_spec):
     assert "max_cartan_hderiv" in point["direct_barred"]
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("classify", {"family": "randers", "params": {"b": ["0.1*x2", 0, 0, 0]}, "samples": 8}),
+    ("conformal", {"family": "quartic_minkowski", "sigma": "0.1*x1", "samples": 4}),
+])
+def test_reports_on_the_shifted_ball_cone(capsys, tmp_path, command, doc):
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps({**doc, "domain": {"y_cone": "unit_ball_interior_shifted"}}))
+    code, out, _ = _run(capsys, [command, str(path)])
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["points"]) == doc["samples"]
+    assert not any("eval_error" in p for p in report["points"])
+    if command == "classify":
+        summary = report["route_agreement"]["summary"]
+        agree = (summary["landsberg_agree"], summary["berwald_agree"])
+    else:
+        agree = (report["landsberg_cooccurrence"]["agree"], report["berwald_cooccurrence"]["agree"])
+    assert agree == (doc["samples"], doc["samples"])
+
+
 def test_frame_dump(capsys, quartic_spec):
     code, out, _ = _run(
         capsys, ["frame", quartic_spec, "--x", "0,0,0,0", "--y", "1,2,1,1"]

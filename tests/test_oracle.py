@@ -190,3 +190,22 @@ def test_stencil_of_all_orders_matches_one_order_at_a_time(cfg):
         ref = [_stencil_per_order(at, o, cfg, room) for o in orders]
         assert points.tobytes() == np.concatenate([p for p, _ in ref], axis=1).tobytes()
         assert weights.tobytes() == np.concatenate([w for _, w in ref]).tobytes()
+
+
+SHIFTED_BALL = metrics.DomainSpec(y_cone="unit_ball_interior_shifted")
+
+
+@pytest.mark.parametrize("family, params", [
+    ("quartic_minkowski", None),
+    ("randers", {"b": ["0.1*x2", 0, 0, 0]}),
+], ids=["quartic", "randers"])
+def test_oracle_matches_jets_on_the_shifted_ball_cone(family, params):
+    # the one cone whose stencils get finite room, 0.1 |y| per y slot
+    spec = make_builtin_metric(family, params, domain=SHIFTED_BALL)
+    for x, y in metrics.sample_domain(spec.domain, SamplePlan(4, 11)):
+        assert np.all(spec.domain.stencil_radius(y)[4:] == 0.1 * np.linalg.norm(y))
+        pe = geometry.point_eval(spec, x, y)
+        ora = oracle_tensors(spec, x, y)
+        for ours, theirs in ((pe.metric.g, ora.g), (pe.cartan.C, ora.C),
+                             (pe.spray.G, ora.G), (pe.spray.N, ora.N)):
+            assert relative_error(ours, theirs) <= 1e-7
