@@ -3,11 +3,13 @@ Landsberg character, with a cross-check between the tensor route (torsion
 h-derivatives, spray cubic) and the frame route (connection vectors and
 scalar derivative tables).
 
-Verdicts are three-valued with a 10x hysteresis band: numerical sampling
-cannot certify exact vanishing, and the band keeps borderline points from
-flapping between yes and no.  The judge (``band``, ``all3``, ``agreement``),
-the h-derivative measurement and the per-point loop (``point_records``)
-are shared with the conformal audit.
+Verdicts are three-valued: numerical sampling cannot certify exact
+vanishing, and a band between "vanishes" and "clearly does not" keeps
+borderline points from flapping between yes and no.  One table,
+``JUDGES``, gives each judged question its quantity, reference and band
+edges; ``judge`` reads it, and it, ``all3``, ``agreement``, the
+h-derivative measurement and the per-point loop (``point_records``) are
+shared with the conformal audit.
 Every aggregate claim is over the sampled points only; the
 locally-Minkowski verdict is chart-relative by design.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,13 +27,7 @@ from .frame import FrameError
 from .metrics import MetricSpec, SamplePlan
 
 DEFAULT_TOL = 1e-6
-# verdict key -> (PointRecord residual, the scale it is judged against)
-VERDICTS = {
-    "riemannian": ("max_cartan", "metric_scale"),
-    "locally_minkowski_in_chart": ("max_dx_metric", "metric_scale"),
-    "berwald": ("max_cartan_hderiv", "hderiv_scale"),
-    "landsberg": ("max_cartan_hderiv_transvected", "hderiv_scale"),
-}
+VERDICTS = ("riemannian", "locally_minkowski_in_chart", "berwald", "landsberg")
 AGREEMENT = ("agree", "disagree", "inconclusive")
 _WORDS = {True: "yes", False: "no", None: "undetermined"}
 
@@ -48,6 +44,48 @@ def band(value: float, scale: float, small: float, large: float) -> Optional[boo
     if value > large * scale:
         return False
     return None
+
+
+class Judge(NamedTuple):
+    """How one question is judged: its quantity (a key of the values, or a
+    tuple of keys whose largest absolute entry it is) against
+    ``values[reference] + floor``, with band edges small and large, in units
+    of tol if ``of_tol``."""
+
+    quantity: str | tuple
+    reference: str
+    small: float
+    large: float
+    of_tol: bool = True
+    floor: float = 0.0
+
+
+# the verdicts judge a PointRecord's fields, the routes of theorem_crosscheck
+# also its frame fields, and the conformal audit a condition row or direct_barred
+JUDGES = {
+    "riemannian": Judge("max_cartan", "metric_scale", 1, 10),
+    "locally_minkowski_in_chart": Judge("max_dx_metric", "metric_scale", 1, 10),
+    "berwald": Judge("max_cartan_hderiv", "hderiv_scale", 1, 10),
+    "landsberg": Judge("max_cartan_hderiv_transvected", "hderiv_scale", 1, 10),
+    "berwald_frame": Judge(("max_hjk", "max_scalar_hderiv"), "hderiv_scale", 1, 10),
+    "landsberg_frame": Judge(("max_hjk_l", "max_scalar_hderiv_l"), "hderiv_scale", 1, 10),
+    "condition_row": Judge("residual", "scale", 1, 100, floor=1e-12),
+    "barred_hjk": Judge(("h_bar", "j_bar", "k_bar"), "hderiv_scale", 1, 100),
+    "berwald_measured": Judge("max_cartan_hderiv", "hderiv_scale", 1e-6, 1e-4, False),
+    "landsberg_measured": Judge("max_cartan_hderiv_transvected", "hderiv_scale", 1e-6, 1e-4,
+                                False),
+}
+
+
+def judge(question: str, values: Mapping, tol: float) -> Optional[bool]:
+    """:func:`band` of the question's quantity in ``values`` against its
+    reference, at the edges of its ``JUDGES`` row."""
+    row = JUDGES[question]
+    q = row.quantity
+    # one np.max over every key, which unlike max keeps a NaN in any of them
+    value = values[q] if isinstance(q, str) else np.abs(np.hstack([values[k] for k in q])).max()
+    unit = tol if row.of_tol else 1.0
+    return band(value, values[row.reference] + row.floor, row.small * unit, row.large * unit)
 
 
 def all3(flags: Iterable[Optional[bool]]) -> Optional[bool]:
@@ -245,16 +283,9 @@ def classify_metric(
         lambda i, x, y, fields: PointRecord(index=i, x=x, y=y, **fields),
     )
 
-    usable = [r for r in records if r.eval_error is None]
-
-    def verdict(attr: str, scale_attr: str) -> str:
-        """yes if every point vanishes at tol, no if any clearly does not."""
-        return _WORDS[all3(
-            band(getattr(r, attr) / getattr(r, scale_attr), 1.0, tol, 10 * tol)
-            for r in usable
-        )]
-
-    verdicts = {key: verdict(*attrs) for key, attrs in VERDICTS.items()}
+    usable = [vars(r) for r in records if r.eval_error is None]
+    # yes if every point vanishes at tol, no if any clearly does not
+    verdicts = {key: _WORDS[all3(judge(key, r, tol) for r in usable)] for key in VERDICTS}
     notes = []
     if verdicts["berwald"] == "yes" and verdicts["landsberg"] == "undetermined":
         # transvecting by |y| <= 2 cannot grow the residual past the band
@@ -262,7 +293,7 @@ def classify_metric(
         notes.append("landsberg promoted to yes: transvection of a vanishing h-derivative")
 
     deciding = {
-        attr: max((getattr(r, attr) for r in usable), default=float("nan"))
+        attr: max((r[attr] for r in usable), default=float("nan"))
         for attr in ("max_cartan", "max_dx_metric", "max_spray_cubic",
                      "max_cartan_hderiv", "max_cartan_hderiv_transvected")
     }
@@ -293,20 +324,13 @@ def theorem_crosscheck(report: ClassificationReport) -> dict:
         r for r in report.points if r.frame is not None and r.eval_error is None
     ]
 
-    def judge(value: float, r: PointRecord) -> Optional[bool]:
-        return band(value, r.hderiv_scale, tol, 10 * tol)
-
     per_point = []
     counts = {f"{kind}_{word}": 0 for kind in ("landsberg", "berwald") for word in AGREEMENT}
     for r in frame_points:
+        values = {**vars(r), **r.frame}
         entry = {"index": r.index}
-        for kind, tensor, frame in (
-            ("landsberg", r.max_cartan_hderiv_transvected,
-             max(r.frame["max_hjk_l"], r.frame["max_scalar_hderiv_l"])),
-            ("berwald", r.max_cartan_hderiv,
-             max(r.frame["max_hjk"], r.frame["max_scalar_hderiv"])),
-        ):
-            entry[kind] = agreement(judge(tensor, r), judge(frame, r))
+        for kind in ("landsberg", "berwald"):
+            entry[kind] = agreement(judge(kind, values, tol), judge(f"{kind}_frame", values, tol))
             counts[f"{kind}_{entry[kind]}"] += 1
         per_point.append(entry)
     return {"points": per_point, "summary": counts, "frame_valid_points": len(frame_points)}

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import exprdsl, geometry, jets, metrics
 from .classify import (
-    AGREEMENT, DEFAULT_TOL, agreement, all3, band, check_tol, hderiv_measurement, point_records,
+    AGREEMENT, DEFAULT_TOL, agreement, all3, check_tol, hderiv_measurement, judge, point_records,
     profile_of,
 )
 from .frame import ProfileResult, SCALAR_NAMES
@@ -46,9 +46,6 @@ TAU_SIGMA = 1e-8
 # spray-difference extraction residuals above this share of the extraction
 # scale make the Berwald conditions unusable at a point
 EXTRACTION_TOL = 1e-6
-# band edges for the measured character of the rescaled space
-BAR_SMALL = 1e-6
-BAR_LARGE = 1e-4
 
 # support patterns of (sigma2, sigma3, sigma4), named by frame directions
 CASE_ALL = "m_n_p"
@@ -379,15 +376,6 @@ def evaluate_points(spec: MetricSpec, points: Sequence) -> list:
     )
 
 
-def _block_satisfied(residuals: dict, prefix: tuple, tol: float) -> Optional[bool]:
-    """True if every matching label vanishes relative to its scale, False
-    if some label clearly fails, None in the hysteresis band."""
-    return all3(
-        band(v["residual"] / (v["scale"] + 1e-12), 1.0, tol, 100 * tol)
-        for k, v in residuals.items() if k.startswith(prefix)
-    )
-
-
 @dataclass(frozen=True)
 class ConformalAudit:
     reports: list
@@ -410,25 +398,12 @@ def audit_pair(spec: MetricSpec, plan: SamplePlan, tol: float = DEFAULT_TOL) -> 
             if rep.frame_error is not None:
                 counts["skipped_frame_errors"] += 1
                 continue
-            direct = rep.direct_barred
-            scale = direct["hderiv_scale"]
-            if kind == "landsberg":
-                cond = _block_satisfied(rep.landsberg_residuals, ("landsberg:", "reduced:"), tol)
-                meas = band(
-                    direct["max_cartan_hderiv_transvected"], scale, BAR_SMALL, BAR_LARGE
-                )
-            else:
-                hjk = max(
-                    float(np.abs(direct["h_bar"]).max()),
-                    float(np.abs(direct["j_bar"]).max()),
-                    float(np.abs(direct["k_bar"]).max()),
-                )
-                cond = all3((
-                    _block_satisfied(rep.berwald_residuals, ("berwald:", "ratio:"), tol),
-                    band(hjk, scale, tol, 100 * tol),
-                ))
-                meas = band(direct["max_cartan_hderiv"], scale, BAR_SMALL, BAR_LARGE)
-            counts[agreement(cond, meas)] += 1
+            rows = rep.landsberg_residuals if kind == "landsberg" else rep.berwald_residuals
+            flags = [judge("condition_row", row, tol) for row in rows.values()]
+            if kind == "berwald":
+                flags.append(judge("barred_hjk", rep.direct_barred, tol))
+            measured = judge(f"{kind}_measured", rep.direct_barred, tol)
+            counts[agreement(all3(flags), measured)] += 1
         return counts
 
     return ConformalAudit(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finsler4 import classify, conformal, frame, geometry
-from finsler4.classify import agreement, all3, band, classify_metric
+from finsler4.classify import agreement, all3, band, classify_metric, judge
 from finsler4.geometry import SingularMetric, point_eval
 from finsler4.jets import Finsler4Error, InvalidArgument
 from finsler4.metrics import SamplePlan, make_builtin_metric, make_conformal, sample_domain
@@ -154,6 +154,44 @@ def test_judge_truth_table():
     for a in (True, False, None):
         assert agreement(a, None) == agreement(None, a) == "inconclusive"
 
+
+
+def _judged(question, value, reference):
+    """Values in which the question's quantity is ``value`` (a tuple
+    quantity holds it negated in its last key) and its reference
+    ``reference``."""
+    row = classify.JUDGES[question]
+    if isinstance(row.quantity, str):
+        return {row.quantity: value, row.reference: reference}
+    return {**dict.fromkeys(row.quantity, 0.0), row.quantity[-1]: [0.0, -value],
+            row.reference: reference}
+
+
+@pytest.mark.parametrize("question", list(classify.JUDGES))
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+def test_judge_edges(question, tol):
+    row = classify.JUDGES[question]
+    ref = 3.0
+    unit = tol if row.of_tol else 1.0
+    small = row.small * unit * (ref + row.floor)
+    large = row.large * unit * (ref + row.floor)
+    assert judge(question, _judged(question, small, ref), tol) is True
+    assert judge(question, _judged(question, math.sqrt(small * large), ref), tol) is None
+    assert judge(question, _judged(question, large, ref), tol) is None
+    assert judge(question, _judged(question, np.nextafter(large, math.inf), ref), tol) is False
+    assert judge(question, _judged(question, math.nan, ref), tol) is None
+
+
+@pytest.mark.parametrize("question", list(classify.JUDGES))
+def test_judge_edges_move_with_tol_unless_fixed(question):
+    row = classify.JUDGES[question]
+    # between the edges at tol = 1e-6, below the small edge at tol = 1e-3
+    values = _judged(question, 2 * row.small * 1e-6 * (1.0 + row.floor), 1.0)
+    at_fine, at_coarse = judge(question, values, 1e-6), judge(question, values, 1e-3)
+    if row.of_tol:
+        assert (at_fine, at_coarse) == (None, True)
+    else:
+        assert at_fine is at_coarse is True
 
 def _lone_record(spec, index, x, y):
     """The record of one point evaluated alone, outside any stack."""

@@ -14,3 +14,31 @@ def test_readme_python_blocks_run_in_order():
     namespace: dict = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+
+
+def _edge(text: str) -> tuple:
+    """(multiple, of_tol) of a table edge: ``10 tol`` or a fixed number."""
+    if text.endswith("tol"):
+        return float(text[:-3] or 1), True
+    return float(text), False
+
+
+def test_readme_verdict_table_lists_every_judge():
+    from finsler4.classify import JUDGES
+
+    section = README.read_text(encoding="utf-8").split("**Verdicts.**", 1)[1]
+    table = {}
+    for question, quantity, reference, small, large in re.findall(
+        r"^\| `(\w+)` \| (.+?) \| (.+?) \| (.+?) \| (.+?) \|$", section, re.MULTILINE
+    ):
+        (small, of_tol), (large, large_of_tol) = _edge(small.strip("`")), _edge(large.strip("`"))
+        assert of_tol == large_of_tol, question
+        key, _, floor = reference.partition(" + ")
+        table[question] = (tuple(re.findall(r"`(\w+)`", quantity)), key.strip("`"),
+                           small, large, of_tol, float(floor or 0))
+    want = {
+        question: ((row.quantity,) if isinstance(row.quantity, str) else row.quantity,
+                   row.reference, row.small, row.large, row.of_tol, row.floor)
+        for question, row in JUDGES.items()
+    }
+    assert table == want
