@@ -262,17 +262,6 @@ def fd_partials(
     return out
 
 
-def fd_partial(
-    f: Callable[[np.ndarray], np.ndarray],
-    at: Sequence[float],
-    order,
-    cfg: FDConfig = FDConfig(),
-    room: Optional[np.ndarray] = None,
-) -> float:
-    """One central-difference mixed partial of f at `at` (see fd_partials)."""
-    return fd_partials(f, at, [order], cfg, room)[0]
-
-
 # -- tensor recomputation ---------------------------------------------------
 
 

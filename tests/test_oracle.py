@@ -6,7 +6,7 @@ import pytest
 from finsler4 import cli, geometry, metrics, oracle
 from finsler4.jets import InvalidArgument, OrderExceedsCaps
 from finsler4.metrics import SamplePlan, make_builtin_metric
-from finsler4.oracle import FDConfig, fd_partial, fd_partials, oracle_tensors, relative_error
+from finsler4.oracle import FDConfig, fd_partials, oracle_tensors, relative_error
 
 X0 = np.zeros(4)
 ONES = np.ones(4)
@@ -15,7 +15,7 @@ ONES = np.ones(4)
 def test_fd_second_derivative_of_cube():
     f = lambda z: z[4] ** 3
     at = np.array([0.0] * 4 + [2.0, 0, 0, 0])
-    got = fd_partial(f, at, {4: 2})
+    got = fd_partials(f, at, [{4: 2}])[0]
     assert got == pytest.approx(12.0, abs=1e-6)
 
 
@@ -23,7 +23,7 @@ def test_fd_quartic_L2_first_partial():
     # closed form: d(L^2)/dy1 = 2 y1^3 / sqrt(Q); Q = 4 at the ones point
     spec = make_builtin_metric("quartic_minkowski")
     f = lambda z: metrics.eval_L_value(spec, z[:4], z[4:]) ** 2
-    got = fd_partial(f, np.concatenate([X0, ONES]), {4: 1})
+    got = fd_partials(f, np.concatenate([X0, ONES]), [{4: 1}])[0]
     assert got == pytest.approx(1.0, abs=1e-6)
 
 
@@ -31,15 +31,15 @@ def test_fd_depth_limit():
     f = lambda z: z[4] ** 6
     at = np.array([0.0] * 4 + [1.0, 0, 0, 0])
     with pytest.raises(OrderExceedsCaps):
-        fd_partial(f, at, {4: 4})
+        fd_partials(f, at, [{4: 4}])
     with pytest.raises(OrderExceedsCaps):
-        fd_partial(f, at, {4: 5})
+        fd_partials(f, at, [{4: 5}])
 
 
 def test_fd_explicit_step_respected():
     f = lambda z: np.sin(z[0])
     at = np.zeros(8)
-    got = fd_partial(f, at, {0: 1}, FDConfig(step=1e-3, richardson=False))
+    got = fd_partials(f, at, [{0: 1}], FDConfig(step=1e-3, richardson=False))[0]
     # plain central difference at h=1e-3: cos(0) - h^2/6 truncation visible
     assert got == pytest.approx(1.0 - 1e-6 / 6.0, abs=1e-9)
 
@@ -84,7 +84,7 @@ def test_fd_partials_equal_one_call_per_order(cfg):
     at = np.array([0.3, -0.2, 0.1, 0.4, 1.1, -0.7, 0.9, 0.5])
     room = np.array([np.inf] * 4 + [0.5] * 4)
     batched = fd_partials(_poly_sqrt, at, POLY_ORDERS, cfg, room)
-    singles = [fd_partial(_poly_sqrt, at, o, cfg, room) for o in POLY_ORDERS]
+    singles = [fd_partials(_poly_sqrt, at, [o], cfg, room)[0] for o in POLY_ORDERS]
     assert np.array_equal(batched, singles)
     assert batched[0] == _poly_sqrt(at[:, None])[0]
 
@@ -110,7 +110,7 @@ def test_fd_step_must_be_positive_and_finite(step):
 @pytest.mark.parametrize("order", [{4: 1, 5: -1}, {9: 1}, (1, 0, 0), (0,) * 7 + (-1,)])
 def test_fd_order_must_be_non_negative_degrees_of_the_eight_slots(order):
     with pytest.raises(InvalidArgument):
-        fd_partial(lambda z: z[4] ** 3, np.ones(8), order)
+        fd_partials(lambda z: z[4] ** 3, np.ones(8), [order])
 
 
 def test_oracle_tensors_evaluates_L_once(monkeypatch):
