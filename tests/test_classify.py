@@ -155,7 +155,6 @@ def test_judge_truth_table():
         assert agreement(a, None) == agreement(None, a) == "inconclusive"
 
 
-
 def _judged(question, value, reference):
     """Values in which the question's quantity is ``value`` (a tuple
     quantity holds it negated in its last key) and its reference
@@ -192,6 +191,7 @@ def test_judge_edges_move_with_tol_unless_fixed(question):
         assert (at_fine, at_coarse) == (None, True)
     else:
         assert at_fine is at_coarse is True
+
 
 def _lone_record(spec, index, x, y):
     """The record of one point evaluated alone, outside any stack."""

@@ -26,7 +26,9 @@ def _edge(text: str) -> tuple:
 def test_readme_verdict_table_lists_every_judge():
     from finsler4.classify import JUDGES
 
-    section = README.read_text(encoding="utf-8").split("**Verdicts.**", 1)[1]
+    # the Verdicts paragraph up to the next bold heading
+    text = README.read_text(encoding="utf-8")
+    section = text.split("**Verdicts.**", 1)[1].split("\n**", 1)[0]
     table = {}
     for question, quantity, reference, small, large in re.findall(
         r"^\| `(\w+)` \| (.+?) \| (.+?) \| (.+?) \| (.+?) \|$", section, re.MULTILINE
