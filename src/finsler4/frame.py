@@ -66,6 +66,7 @@ angular metric g - l (x) l.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,7 +129,13 @@ class ProfileResult:
     v_derivs: np.ndarray  # (8, 4): row order SCALAR_NAMES, columns frame index
     h_derivs: np.ndarray  # (8, 4)
     vectors: np.ndarray  # (6, 4): row order VECTOR_NAMES, columns frame index
-    residuals: dict
+    e_flat_jets: np.ndarray  # (4, 4, n): e_flat as FRAME_CAPS coefficient arrays
+
+    @cached_property
+    def residuals(self) -> dict:
+        """The frame's consistency residuals (:func:`_frame_residuals`),
+        built when first read."""
+        return _frame_residuals(self)
 
 
 # -- frame fields as FRAME_CAPS coefficient arrays ---------------------------
@@ -287,21 +294,38 @@ _PAIR_A = [a for a, _ in _PAIRS]
 _PAIR_B = [b for _, b in _PAIRS]
 
 
-def _connection_vectors(L0, e, e_flat, g, e_flat_jets, spray, conn) -> tuple:
-    """Frame components of the h- and v-connection vectors of a stack of
-    frames, a (K, 6, 4) array in VECTOR_NAMES order, plus the
-    residuals of the frame-derivative reconstruction identities (module
-    doc, "Connection forms"), (K,) each.  ``L0`` is (K,), ``e``,
-    ``e_flat`` and ``g`` (K, 4, 4)."""
-    # [member, frame vector, i, k]: nabla_k of each frame covector field
+def _forms(L0, e, e_flat_jets, spray, conn) -> tuple:
+    """The covariant derivatives of a stack of frame covector fields
+    ([member, frame vector, i, k] = nabla_k e_a_i), and the h-form and L
+    times the v-form at the frame pairs :data:`_PAIRS`, (K, 3, 4) each.
+    ``L0`` is (K,), ``e`` (K, 4, 4)."""
     cov = covariant_derivatives(e_flat_jets, spray, conn)
     # e[b] @ cov.h[a] for every pair (a, b), as vector-matrix products
     h_form = (e[:, _PAIR_B, None] @ cov.h[:, _PAIR_A])[:, :, 0]
     v_form = L0[:, None, None] * (e[:, _PAIR_B, None] @ cov.v[:, _PAIR_A])[:, :, 0]
-    vectors = (e[:, None] @ np.concatenate([h_form, v_form], axis=1)[..., None])[..., 0]
+    return cov, h_form, v_form
+
+
+def _connection_vectors(L0, e, e_flat_jets, spray, conn) -> np.ndarray:
+    """Frame components of the h- and v-connection vectors of a stack of
+    frames, a (K, 6, 4) array in VECTOR_NAMES order."""
+    _, h_form, v_form = _forms(L0, e, e_flat_jets, spray, conn)
+    return (e[:, None] @ np.concatenate([h_form, v_form], axis=1)[..., None])[..., 0]
+
+
+def _frame_residuals(prof: "ProfileResult") -> dict:
+    """The residuals of the frame-derivative reconstruction identities
+    (module doc, "Connection forms"), the orthonormality of the frame and
+    the torsion-trace sum H + I + K - L |C| of one profile, as floats.  The
+    member is computed alone from its FRAME_CAPS covector jets and the
+    stages its PointEval has cached, bit for bit as in its stack."""
+    st = prof.pe.as_stack()
+    L0, g = st.L, st.metric.g
+    e, e_flat = prof.e[None], prof.e_flat[None]
+    cov, h_form, v_form = _forms(L0, e, prof.e_flat_jets[None], st.spray, st.connection)
 
     # A[member, form, a, b]: the h-form and L times the v-form, antisymmetric in (a, b)
-    A = np.zeros((len(e), 2, 4, 4, 4))
+    A = np.zeros((1, 2, 4, 4, 4))
     A[:, 1, 0, 1:] = e_flat[:, 1:]
     A[:, 0, _PAIR_A, _PAIR_B] = h_form
     A[:, 1, _PAIR_A, _PAIR_B] = v_form
@@ -320,7 +344,8 @@ def _connection_vectors(L0, e, e_flat, g, e_flat_jets, spray, conn) -> tuple:
     angular = g - l_flat[:, :, None] * l_flat[:, None, :]
     # e[l] @ cov.h[m] and e[m] @ cov.h[m]
     m_h = (e[:, :2, None] @ cov.h[:, 1, None])[:, :, 0]
-    return vectors, {
+    H, I, K = (prof.scalars[None, SCALAR_NAMES.index(name)] for name in ("H", "I", "K"))
+    out = {
         "l_hderiv_zero": mx(cov.h[:, 0]),
         "l_vderiv_angular": mx(L0[:, None, None] * cov.v[:, 0] - angular),
         **{
@@ -331,7 +356,9 @@ def _connection_vectors(L0, e, e_flat, g, e_flat_jets, spray, conn) -> tuple:
         "hderiv_m_l_component": mx(m_h[:, 0]),
         "hderiv_m_m_component": mx(m_h[:, 1]),
         "orthonormality": mx(e @ g @ e.transpose(0, 2, 1) - np.eye(4)),
+        "unified_scalar_sum": np.abs(H + I + K - L0 * st.cartan.C_norm),
     }
+    return {name: value.item() for name, value in out.items()}
 
 
 def _profiles(st: PointEval) -> list:
@@ -341,28 +368,23 @@ def _profiles(st: PointEval) -> list:
         raise NotPositiveDefinite("the fundamental tensor is not positive definite")
     g_j, g_inv_j, C_j, y_j, L_j = _field_jets(st)
     e_jets, e_flat_jets, gauges = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
-    metric, spray, conn = st.metric, st.spray, st.connection
     L0 = st.L
     e = e_jets[..., 0].copy()
     e_flat = e_flat_jets[..., 0].copy()
 
     scalar_jets = _scalar_jets(C_j, e_jets, L_j)
-    derivs = scalar_derivatives(scalar_jets, spray)
+    derivs = scalar_derivatives(scalar_jets, st.spray)
     e_t = e.transpose(0, 2, 1)
     v_derivs = L0[:, None, None] * (derivs.v @ e_t)
     h_derivs = derivs.h @ e_t
 
-    vectors, residuals = _connection_vectors(L0, e, e_flat, metric.g, e_flat_jets, spray, conn)
+    vectors = _connection_vectors(L0, e, e_flat_jets, st.spray, st.connection)
     scalars = scalar_jets[..., 0].copy()
-    H, I, K = (scalars[:, SCALAR_NAMES.index(name)] for name in ("H", "I", "K"))
-    residuals["unified_scalar_sum"] = np.abs(H + I + K - L0 * st.cartan.C_norm)
-    names = list(residuals)
-    rows = np.array(list(residuals.values())).T.tolist()
     return [
         ProfileResult(
             pe=member, e=e[i], e_flat=e_flat[i], gauge_tag=gauges[i], scalars=scalars[i],
             v_derivs=v_derivs[i], h_derivs=h_derivs[i], vectors=vectors[i],
-            residuals=dict(zip(names, rows[i])),
+            e_flat_jets=e_flat_jets[i],
         )
         for i, member in enumerate(st.members)
     ]

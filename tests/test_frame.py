@@ -370,12 +370,15 @@ def test_profile_result_is_one_flat_record_of_arrays():
     prof = scalar_profile(point_eval(QUARTIC, X0, Y2))
     assert [f.name for f in dataclasses.fields(prof)] == [
         "pe", "e", "e_flat", "gauge_tag", "scalars", "v_derivs", "h_derivs", "vectors",
-        "residuals",
+        "e_flat_jets",
     ]
     assert VECTOR_NAMES == ("h", "j", "k", "u", "v", "w")
     shapes = [a.shape for a in (prof.e, prof.e_flat, prof.scalars, prof.v_derivs,
-                                prof.h_derivs, prof.vectors)]
-    assert shapes == [(4, 4), (4, 4), (8,), (8, 4), (8, 4), (6, 4)]
+                                prof.h_derivs, prof.vectors, prof.e_flat_jets)]
+    assert shapes == [(4, 4), (4, 4), (8,), (8, 4), (8, 4), (6, 4), (4, 4, 9)]
+    # the residuals are built when first read, not stored as a field
+    assert "residuals" not in vars(prof)
+    assert np.array_equal(prof.e_flat_jets[..., 0], prof.e_flat)
 
 
 # members of one mixed stack: (spec, x, y, lone outcome)
