@@ -79,13 +79,23 @@ JUDGES = {
 
 def judge(question: str, values: Mapping, tol: float) -> Optional[bool]:
     """:func:`band` of the question's quantity in ``values`` against its
-    reference, at the edges of its ``JUDGES`` row."""
+    reference, at the edges of its ``JUDGES`` row.  If the quantity and
+    reference are arrays of rows, the three-valued AND of the rows' bands:
+    False if any row is past ``large``, else None for no rows or any NaN or
+    in-band row, else True."""
     row = JUDGES[question]
     q = row.quantity
     # one np.max over every key, which unlike max keeps a NaN in any of them
     value = values[q] if isinstance(q, str) else np.abs(np.hstack([values[k] for k in q])).max()
     unit = tol if row.of_tol else 1.0
-    return band(value, values[row.reference] + row.floor, row.small * unit, row.large * unit)
+    small, large, scale = row.small * unit, row.large * unit, values[row.reference] + row.floor
+    if not isinstance(value, np.ndarray):
+        return band(value, scale, small, large)
+    if (value > large * scale).any():
+        return False
+    if not value.size or not (value <= small * scale).all():
+        return None
+    return True
 
 
 def all3(flags: Iterable[Optional[bool]]) -> Optional[bool]:
@@ -157,29 +167,41 @@ def evaluate_stack(pes: list) -> list:
     the Finsler4Error that stopped it.  Each member caches its stages.
 
     The tensor stages run first and the frame last, so a frame refusal
-    comes after everything the records read is cached.  If the stack
-    raises a Finsler4Error and has more than one member, each member runs
-    again alone from :meth:`PointEval.as_stack`, which keeps the stages it
-    has cached, and a member that raises gets its own error.  Errors are
-    kept without their traceback, whose frames would hold the stack."""
+    comes after everything the records read is cached.  A refusal that
+    names its members (``FrameError.refused``) gives each of them its own
+    error, and the others run again as one stack from their cached stages.
+    If the stack raises any other Finsler4Error and has more than one
+    member, each member runs again alone from :meth:`PointEval.as_stack`,
+    which keeps the stages it has cached, and a member that raises gets its
+    own error.  Errors are kept without their traceback, whose frames would
+    hold the stack."""
 
     def work(stack: geometry.PointEval) -> list:
         stack.cartan_h_derivatives  # reads every other tensor stage
         return frame_mod.scalar_profile(stack)
 
-    if not pes:
-        return []
-    try:
-        return work(geometry.PointEval.stack(pes))
-    except jets.Finsler4Error as err:
-        if len(pes) == 1:
-            return [err.with_traceback(None)]
-    out = []
-    for pe in pes:
+    out: list = [None] * len(pes)
+    todo = list(range(len(pes)))
+    while todo:
         try:
-            out += work(pe.as_stack())
+            for i, got in zip(todo, work(geometry.PointEval.stack([pes[i] for i in todo]))):
+                out[i] = got
+            return out
         except jets.Finsler4Error as err:
-            out.append(err.with_traceback(None))
+            if len(todo) == 1:
+                out[todo[0]] = err.with_traceback(None)
+                return out
+            refused = err.refused if isinstance(err, FrameError) else {}
+            if not refused:
+                break
+            for k, msg in refused.items():
+                out[todo[k]] = type(err)(msg, {0: msg})
+            todo = [i for k, i in enumerate(todo) if k not in refused]
+    for i in todo:
+        try:
+            out[i] = work(pes[i].as_stack())[0]
+        except jets.Finsler4Error as err:
+            out[i] = err.with_traceback(None)
     return out
 
 

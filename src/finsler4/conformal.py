@@ -26,8 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,7 +38,7 @@ from .classify import (
 )
 from .frame import ProfileResult, SCALAR_NAMES
 from .geometry import PointEval
-from .jets import DegreeCaps, Finsler4Error, derivative_tensor
+from .jets import DegreeCaps, Finsler4Error, derivative_tensor, ring_sum
 from .metrics import MetricSpec, SamplePlan
 
 TAU_SIGMA = 1e-8
@@ -97,62 +96,87 @@ class SigmaComponents:
         return self.components[4:]
 
 
+_SIGMA_CAPS = DegreeCaps(1, 0)
+
+
+def _sigma_stack(spec: MetricSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma and d sigma / dx at each row of ``xs`` (P, 4) of a conformal
+    spec, from one stacked first-order jet evaluation: (P,) and (P, 4)."""
+    caps = _SIGMA_CAPS
+    c = caps.tables.units[None, :4].repeat(len(xs), axis=0)
+    c[:, :, 0] = xs
+    env = [jets.JetScalar(caps, c[:, i], (1, 0)) for i in range(4)] + [0.0] * 4
+    val = exprdsl.eval_expr(spec.sigma_ast, env)
+    if not isinstance(val, jets.JetScalar):
+        return np.full(len(xs), float(val)), np.zeros((len(xs), 4))
+    return val.c[:, 0], derivative_tensor(val, 1, 0)
+
+
 def sigma_gradient(spec: MetricSpec, x: Sequence[float]) -> tuple[float, np.ndarray]:
     """(sigma(x), d sigma / dx) of a conformal spec via a first-order jet
     evaluation."""
-    caps = DegreeCaps(1, 0)
-    env = [jets.variable(i, float(x[i]), caps) for i in range(4)] + [0.0] * 4
-    val = exprdsl.eval_expr(spec.sigma_ast, env)
-    if not isinstance(val, jets.JetScalar):
-        return float(val), np.zeros(4)
-    grad = derivative_tensor(val, 1, 0)
-    return val.base, grad
+    value, grad = _sigma_stack(spec, np.asarray(x, dtype=float)[None])
+    return value.item(), grad[0]
 
 
-def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaComponents:
+# sigma5..sigma10 are the entries (a, b) of the symmetrised (m, n, p) block
+# of the connection difference, with these signs; B is minus that block
+_BLOCK_A = np.array([1, 1, 1, 2, 2, 3])
+_BLOCK_B = np.array([1, 2, 3, 2, 3, 3])
+_BLOCK_SIGN = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+_B_SLOTS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # spray-block index of B[a, b]
+_B_SIGN = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [1.0, -1.0, -1.0]])
+# the off-diagonal pairs of the (m, n, p) block, in the order mn, mp, np
+_SYM_A, _SYM_B = (np.array(axis) for axis in zip(*itertools.combinations((1, 2, 3), 2)))
+_EXTRACTION_KEYS = (
+    *(f"sym_{_FRAME_NAMES[a]}{_FRAME_NAMES[b]}" for a, b in zip(_SYM_A, _SYM_B)),
+    *(f"antisym_l{_FRAME_NAMES[b]}" for b in (1, 2, 3)),
+    *(f"grad_slot_{name}" for name in _FRAME_NAMES),
+    "spray_transvection",
+)
+
+
+def sigma_components(
+    base: ProfileResult, lifted: ProfileResult, sigma: Optional[tuple] = None
+) -> SigmaComponents:
     """Frame components of the sigma gradient plus the six scalars read off
     the frame-projected nonlinear-connection difference, from the profiles
-    of the base and the rescaled space at the same point; sigma is that of
-    the rescaled space's spec (MissingSigma if it has none)."""
+    of the base and the rescaled space at the same point.  ``sigma`` is
+    (sigma, d sigma) at the point; by default they are those of the
+    rescaled space's spec (MissingSigma if it has none)."""
     base_pe, lifted_pe = base.pe, lifted.pe
     y = base_pe.y
 
-    sigma_value, grad = sigma_gradient(pair_from_spec(lifted_pe.spec), base_pe.x)
+    if sigma is None:
+        sigma = sigma_gradient(pair_from_spec(lifted_pe.spec), base_pe.x)
+    sigma_value, grad = sigma
     s_frame = base.e @ grad  # sigma_alpha = (d sigma)_i e_(alpha)^i
 
     L0 = base_pe.L
     delta_n = lifted_pe.spray.N - base_pe.spray.N
     D = base.e_flat @ delta_n @ base.e.T / L0
-
-    spray_block = (
-        D[1, 1], -0.5 * (D[1, 2] + D[2, 1]), -0.5 * (D[1, 3] + D[3, 1]),
-        D[2, 2], 0.5 * (D[2, 3] + D[3, 2]), D[3, 3],
-    )
+    sym = 0.5 * (D + D.T)
+    np.fill_diagonal(sym, D.diagonal())
 
     # the (m, n, p) block is symmetric, the l row and column antisymmetric,
     # and the l row holds the frame gradient
-    resid = {
-        f"sym_{_FRAME_NAMES[a]}{_FRAME_NAMES[b]}": abs(D[a, b] - D[b, a])
-        for a, b in itertools.combinations((1, 2, 3), 2)
-    }
-    for b in (1, 2, 3):
-        resid[f"antisym_l{_FRAME_NAMES[b]}"] = abs(D[0, b] + D[b, 0])
-    for a in range(4):
-        resid[f"grad_slot_{_FRAME_NAMES[a]}"] = abs(D[0, a] - s_frame[a])
     # transvecting the connection difference recovers the spray difference:
     # delta G^i = sigma0 y^i - (L^2/2) grad-sharp^i, with sigma0 = grad . y
     sigma0 = float(grad @ y)
     grad_sharp = base_pe.metric.g_inv @ grad
     delta_g_pred = sigma0 * y - 0.5 * L0**2 * grad_sharp
     delta_g = lifted_pe.spray.G - base_pe.spray.G
-    resid["spray_transvection"] = float(
-        np.abs(delta_g - delta_g_pred).max() / (1.0 + np.abs(delta_g_pred).max())
-    )
+    resid = np.concatenate([
+        np.abs(D[_SYM_A, _SYM_B] - D[_SYM_B, _SYM_A]),
+        np.abs(D[0, 1:] + D[1:, 0]),
+        np.abs(D[0] - s_frame),
+        [np.abs(delta_g - delta_g_pred).max() / (1.0 + np.abs(delta_g_pred).max())],
+    ])
 
     return SigmaComponents(
-        components=np.array([*s_frame, *spray_block]),
+        components=np.concatenate([s_frame, _BLOCK_SIGN * sym[_BLOCK_A, _BLOCK_B]]),
         sigma_value=float(sigma_value), sigma_grad=grad,
-        extraction_residuals={k: float(v) for k, v in resid.items()},
+        extraction_residuals=dict(zip(_EXTRACTION_KEYS, resid.tolist())),
         extraction_scale=1.0 + float(np.abs(D).max()),
     )
 
@@ -175,26 +199,64 @@ def case_of(sc: SigmaComponents) -> tuple[str, bool]:
     return (f"{name}_only" if len(support) == 1 else name), near
 
 
-def _entry(*terms: float) -> dict:
-    return {
-        "residual": abs(math.fsum(terms)),
-        "scale": math.fsum(map(abs, terms)),
-    }
+# -- condition systems as term arrays ----------------------------------------
 
 
-def _scalar_terms(profile: ProfileResult, sc: SigmaComponents) -> list:
-    """Terms of sigma_a S;_a, one list per main scalar S."""
-    sigma = sc.components[1:4].tolist()
-    return [[s * d for s, d in zip(sigma, row)] for row in profile.v_derivs[:, 1:].tolist()]
+def _condition_rows(blocks) -> tuple[dict, dict]:
+    """The condition rows of (labels, terms) blocks, ``terms`` an (R, T)
+    array with one row of terms per label.  Returns the report dict, label
+    -> {"residual": |sum|, "scale": sum of |term|}, each sum exact over its
+    row, and the same residuals and scales as two arrays in label order, as
+    :func:`classify.judge` reads them."""
+    labels, residual, scale = [], [], []
+    for names, terms in blocks:
+        labels += names
+        for row in terms.tolist():
+            residual.append(abs(math.fsum(row)))
+            scale.append(math.fsum(map(abs, row)))
+    out = {k: {"residual": r, "scale": s} for k, r, s in zip(labels, residual, scale)}
+    return out, {"residual": np.array(residual), "scale": np.array(scale)}
 
 
-def _first_component_terms(profile: ProfileResult, sc: SigmaComponents) -> list:
-    """Terms of h_1 + sigma_a u_a, j_1 + sigma_a v_a and k_1 + sigma_a w_a."""
-    sigma = sc.components[1:4].tolist()
-    return [
-        [f[0]] + [s * c for s, c in zip(sigma, g[1:])]
-        for f, g in zip(profile.vectors[:3].tolist(), profile.vectors[3:].tolist())
-    ]
+def _scalar_terms(profile: ProfileResult, sc: SigmaComponents) -> np.ndarray:
+    """Terms of sigma_a S;_a, one row per main scalar S: (8, 3)."""
+    return sc.components[1:4] * profile.v_derivs[:, 1:]
+
+
+def _first_component_terms(profile: ProfileResult, sc: SigmaComponents) -> np.ndarray:
+    """Terms of h_1 + sigma_a u_a, j_1 + sigma_a v_a and k_1 + sigma_a w_a:
+    (3, 4)."""
+    vec = profile.vectors
+    return np.concatenate([vec[:3, :1], sc.components[1:4] * vec[3:, 1:]], axis=1)
+
+
+@lru_cache(maxsize=None)
+def _labels(kind: str, case: str = "") -> list:
+    """The row labels of one block of a condition system."""
+    if kind == "landsberg":
+        return ([f"landsberg:scalar:{name}" for name in SCALAR_NAMES]
+                + [f"landsberg:{vec}1" for vec in "hjk"])
+    if kind == "berwald":
+        return [f"berwald:{name}:{d}" for name in SCALAR_NAMES for d in "mnp"]
+    if kind == "ratio":
+        return ([f"ratio:{case}:{name}:{label}" for name in SCALAR_NAMES for label in "abc"]
+                + [f"ratio:{case}:chain:{label}" for label in "ab"])
+    return [f"{kind}:{case}:{name}" for name in SCALAR_NAMES]
+
+
+def _landsberg(profile: ProfileResult, sc: SigmaComponents) -> tuple:
+    """(case, near_degenerate, residuals, rows) of the Landsberg system;
+    see :func:`landsberg_case_conditions`."""
+    case, near = case_of(sc)
+    support = _support(sc)
+    scalar_terms = _scalar_terms(profile, sc)
+    blocks = [(_labels("landsberg")[:8], scalar_terms),
+              (_labels("landsberg")[8:], _first_component_terms(profile, sc))]
+    if len(support) == 1:
+        blocks.append((_labels("reduced", case), profile.v_derivs[:, support[0] + 1, None]))
+    elif len(support) == 2:
+        blocks.append((_labels("reduced", case), scalar_terms[:, support]))
+    return (case, near, *_condition_rows(blocks))
 
 
 def landsberg_case_conditions(
@@ -204,21 +266,34 @@ def landsberg_case_conditions(
     locally Minkowski): the sigma_a S;_a rows, the first-component laws, and
     the reduced rows (S;_a alone for one supported direction, sigma_a S;_a
     over the support for two).  Returns (case, near_degenerate, residuals)."""
+    return _landsberg(profile, sc)[:3]
+
+
+def _berwald(profile: ProfileResult, sc: SigmaComponents) -> tuple:
+    """(case, near_degenerate, residuals, rows) of the Berwald system; see
+    :func:`berwald_case_conditions`."""
+    bad = {
+        k: v
+        for k, v in sc.extraction_residuals.items()
+        if v > EXTRACTION_TOL * sc.extraction_scale
+    }
+    if bad:
+        raise ExtractionUnreliable(
+            f"spray-difference extraction residuals above tolerance: {bad}"
+        )
     case, near = case_of(sc)
     support = _support(sc)
-    scalar_terms = _scalar_terms(profile, sc)
-    out: dict = {}
-    for name, terms in zip(SCALAR_NAMES, scalar_terms):
-        out[f"landsberg:scalar:{name}"] = _entry(*terms)
-    for vec, terms in zip("hjk", _first_component_terms(profile, sc)):
-        out[f"landsberg:{vec}1"] = _entry(*terms)
+    # B: minus the symmetrised (m, n, p) block of the connection difference
+    B = _B_SIGN * sc.spray_block()[_B_SLOTS]
+    # [scalar, row of B, column]: B[row, column] S;_column
+    terms = B * profile.v_derivs[:, None, 1:]
+    blocks = [(_labels("berwald"), terms.reshape(24, 3))]
     if len(support) == 1:
-        for row, name in enumerate(SCALAR_NAMES):
-            out[f"reduced:{case}:{name}"] = _entry(profile.v_derivs[row, support[0] + 1])
-    elif len(support) == 2:
-        for name, terms in zip(SCALAR_NAMES, scalar_terms):
-            out[f"reduced:{case}:{name}"] = _entry(*(terms[a] for a in support))
-    return case, near, out
+        i, j = (c for c in range(3) if c != support[0])
+        chains = np.stack([B[:2, i] * B[1:, j], -(B[:2, j] * B[1:, i])], axis=1)
+        blocks.append((_labels("ratio", case),
+                       np.concatenate([terms[:, :, [i, j]].reshape(24, 2), chains])))
+    return (case, near, *_condition_rows(blocks))
 
 
 def berwald_case_conditions(
@@ -233,35 +308,7 @@ def berwald_case_conditions(
     engine does not model symbolically; callers pair these residuals with
     the directly computed connection vectors of the rescaled space.
     """
-    bad = {
-        k: v
-        for k, v in sc.extraction_residuals.items()
-        if v > EXTRACTION_TOL * sc.extraction_scale
-    }
-    if bad:
-        raise ExtractionUnreliable(
-            f"spray-difference extraction residuals above tolerance: {bad}"
-        )
-    case, near = case_of(sc)
-    support = _support(sc)
-    # B: minus the symmetrised (m, n, p) block of the connection difference
-    s5, s6, s7, s8, s9, s10 = sc.spray_block().tolist()
-    rows = ((-s5, s6, s7), (s6, -s8, -s9), (s7, -s9, -s10))
-    v_derivs = profile.v_derivs[:, 1:].tolist()
-    out: dict = {}
-    for name, d_s in zip(SCALAR_NAMES, v_derivs):
-        for direction, row in zip("mnp", rows):
-            out[f"berwald:{name}:{direction}"] = _entry(*[b * d for b, d in zip(row, d_s)])
-    if len(support) == 1:
-        i, j = (c for c in range(3) if c != support[0])
-        for name, d_s in zip(SCALAR_NAMES, v_derivs):
-            for label, row in zip("abc", rows):
-                out[f"ratio:{case}:{name}:{label}"] = _entry(row[i] * d_s[i], row[j] * d_s[j])
-        for label, (upper, lower) in zip("ab", zip(rows, rows[1:])):
-            out[f"ratio:{case}:chain:{label}"] = _entry(
-                upper[i] * lower[j], -(upper[j] * lower[i])
-            )
-    return case, near, out
+    return _berwald(profile, sc)[:3]
 
 
 # -- invariance suite --------------------------------------------------------
@@ -274,18 +321,12 @@ def invariance_check(
     es = math.exp(sc.sigma_value)
     bpe, lpe = base.pe, lifted.pe
 
-    out: dict = {}
-    if base.gauge_tag != lifted.gauge_tag:
-        out["gauge_match"] = float("nan")
-    else:
-        out["gauge_match"] = 0.0
-    for idx, name in enumerate(_FRAME_NAMES):
-        out[f"covector_scale:{name}"] = float(
-            np.abs(lifted.e_flat[idx] - es * base.e_flat[idx]).max()
-        )
-        out[f"vector_scale:{name}"] = float(
-            np.abs(lifted.e[idx] - base.e[idx] / es).max()
-        )
+    out: dict = {"gauge_match": 0.0 if base.gauge_tag == lifted.gauge_tag else float("nan")}
+    covector = np.abs(lifted.e_flat - es * base.e_flat).max(axis=1).tolist()
+    vector = np.abs(lifted.e - base.e / es).max(axis=1).tolist()
+    for name, co, vec in zip(_FRAME_NAMES, covector, vector):
+        out[f"covector_scale:{name}"] = co
+        out[f"vector_scale:{name}"] = vec
     out["metric_scale"] = float(np.abs(lpe.metric.g - es**2 * bpe.metric.g).max())
     out["inverse_metric_scale"] = float(
         np.abs(lpe.metric.g_inv - bpe.metric.g_inv / es**2).max()
@@ -295,21 +336,15 @@ def invariance_check(
         np.abs(lpe.connection.Cmix - bpe.connection.Cmix).max()
     )
     gaps = np.abs(lifted.scalars - base.scalars).tolist()
-    for name, gap in zip(SCALAR_NAMES, gaps):
-        out[f"main_scalar:{name}"] = gap
+    out.update(zip((f"main_scalar:{name}" for name in SCALAR_NAMES), gaps))
 
     # barred first components and l-derivatives: the Landsberg terms summed
     # left to right, over e^sigma
-    for vec, barred, terms in zip(
-        "hjk", lifted.vectors[:3, 0].tolist(), _first_component_terms(base, sc)
-    ):
-        out[f"{vec}bar1_law"] = abs(barred - reduce(add, terms) / es)
+    laws = np.abs(lifted.vectors[:3, 0] - ring_sum(_first_component_terms(base, sc).T) / es)
+    out.update(zip((f"{vec}bar1_law" for vec in "hjk"), laws.tolist()))
     if _flat_in_chart(bpe):
-        scalar_terms = _scalar_terms(base, sc)
-        for row, (name, terms) in enumerate(zip(SCALAR_NAMES, scalar_terms)):
-            out[f"scalar_hderiv_l_law:{name}"] = abs(
-                lifted.h_derivs[row, 0] - reduce(add, terms) / es
-            )
+        laws = np.abs(lifted.h_derivs[:, 0] - ring_sum(_scalar_terms(base, sc).T) / es)
+        out.update(zip((f"scalar_hderiv_l_law:{name}" for name in SCALAR_NAMES), laws.tolist()))
     return out
 
 
@@ -329,18 +364,24 @@ class PointConformalReport:
     invariance_residuals: dict = field(default_factory=dict)
     frame_error: Optional[str] = None
     eval_error: Optional[str] = None
+    # "landsberg" and "berwald": the residuals and scales of the rows of
+    # landsberg_residuals and berwald_residuals as arrays, in their order
+    condition_rows: dict = field(default_factory=dict, repr=False)
 
 
 def _flat_in_chart(pe: PointEval) -> bool:
     return float(np.abs(pe.dx_g).max()) < 1e-9
 
 
-def evaluate_point(base: ProfileResult, lifted: ProfileResult) -> PointConformalReport:
+def evaluate_point(
+    base: ProfileResult, lifted: ProfileResult, sigma: Optional[tuple] = None
+) -> PointConformalReport:
     """The report at one point from the frame profiles of its base and
-    rescaled space (as :func:`evaluate_points` makes them)."""
-    sc = sigma_components(base, lifted)
-    case, near, lands = landsberg_case_conditions(base, sc)
-    _, _, berw = berwald_case_conditions(base, sc)
+    rescaled space (as :func:`evaluate_points` makes them); ``sigma`` as
+    :func:`sigma_components` takes it."""
+    sc = sigma_components(base, lifted, sigma)
+    case, near, lands, lands_rows = _landsberg(base, sc)
+    _, _, berw, berw_rows = _berwald(base, sc)
 
     direct = {
         **{f"{name}_bar": row for name, row in zip("hjk", lifted.vectors[:3].tolist())},
@@ -352,27 +393,47 @@ def evaluate_point(base: ProfileResult, lifted: ProfileResult) -> PointConformal
         x=base.pe.x, y=base.pe.y, case=case, near_degenerate=near, sigma=sc,
         landsberg_residuals=lands, berwald_residuals=berw,
         direct_barred=direct, invariance_residuals=inv,
+        condition_rows={"landsberg": lands_rows, "berwald": berw_rows},
     )
+
+
+def _sigma_at(spec: MetricSpec, points: Sequence):
+    """sigma and d sigma at the x of every point, from one stacked jet; None
+    if the points do not form a (P, 4) array or sigma fails at any of
+    them, so that each point evaluates its own."""
+    try:
+        xs = np.array([x for x, _ in points], dtype=float)
+    except ValueError:
+        return None
+    if xs.shape != (len(points), 4):
+        return None
+    try:
+        return _sigma_stack(spec, xs)
+    except Finsler4Error:
+        return None
 
 
 def evaluate_points(spec: MetricSpec, points: Sequence) -> list:
     """One report per (x, y) point of a conformal spec (MissingSigma for
     any other).  The base and the rescaled space of every point are
-    evaluated as one stack (:func:`classify.point_records`); a point that
-    cannot be evaluated gets an ``eval_error`` record, and a point whose
-    base or rescaled frame is refused (the base is judged first) a
-    ``frame_error`` record."""
+    evaluated as one stack (:func:`classify.point_records`), and sigma at
+    every point as one stacked jet; a point that cannot be evaluated gets
+    an ``eval_error`` record, and a point whose base or rescaled frame is
+    refused (the base is judged first) a ``frame_error`` record."""
     pair_from_spec(spec)
+    sigmas = _sigma_at(spec, points)
 
     def spaces(x, y) -> tuple:
         base = geometry.point_eval(spec.base, x, y)
         # e^sigma times the base's jet of L; the lifted tensors are measured from it
         return base, geometry.point_eval(spec, x, y, base)
 
+    def read(i, pes, outcomes) -> PointConformalReport:
+        sigma = None if sigmas is None else (sigmas[0][i], sigmas[1][i])
+        return evaluate_point(*map(profile_of, outcomes), sigma)
+
     return point_records(
-        points, spaces,
-        lambda i, pes, outcomes: evaluate_point(*map(profile_of, outcomes)),
-        lambda i, x, y, fields: PointConformalReport(x=x, y=y, **fields),
+        points, spaces, read, lambda i, x, y, fields: PointConformalReport(x=x, y=y, **fields),
     )
 
 
@@ -398,8 +459,7 @@ def audit_pair(spec: MetricSpec, plan: SamplePlan, tol: float = DEFAULT_TOL) -> 
             if rep.frame_error is not None:
                 counts["skipped_frame_errors"] += 1
                 continue
-            rows = rep.landsberg_residuals if kind == "landsberg" else rep.berwald_residuals
-            flags = [judge("condition_row", row, tol) for row in rows.values()]
+            flags = [judge("condition_row", rep.condition_rows[kind], tol)]
             if kind == "berwald":
                 flags.append(judge("barred_hjk", rep.direct_barred, tol))
             measured = judge(f"{kind}_measured", rep.direct_barred, tol)

@@ -23,8 +23,11 @@ gets the bits of its own build alone.  The stack is built as one or
 refused as one: if any member's metric is not positive definite, its
 torsion vanishes or its seeds run out, the stack raises that refusal,
 and a seed that some members skip and others take raises
-:class:`SeedsDiffer`.  The caller reruns the members one by one
-(:func:`classify.evaluate_stack`), so each gets its own frame or error.
+:class:`SeedsDiffer`.  A NotPositiveDefinite or VanishingTorsion names
+the members it refuses (``FrameError.refused``), so the caller builds the
+rest again as one stack; after any other refusal it reruns the members
+one by one (:func:`classify.evaluate_stack`), so each gets its own frame
+or error.
 1/L and q^(-1/2) are :func:`jets.recip` and :func:`jets.power` of the
 stack's L and q as one stacked :class:`jets.JetScalar`, each member's row
 bit for bit as its own jet.
@@ -99,7 +102,13 @@ SCALAR_SLOTS = {
 
 
 class FrameError(Finsler4Error):
-    pass
+    """A refused frame.  ``refused`` maps the stack index of each member the
+    error refuses to the message that member's error carries when it is
+    built alone; it is empty for a refusal not told member by member."""
+
+    def __init__(self, message: str, refused: dict | None = None):
+        super().__init__(message)
+        self.refused = refused or {}
 
 
 class VanishingTorsion(FrameError):
@@ -204,7 +213,7 @@ def _frame_from_ring(g, g_inv, C, y, L):
     g, g_inv: (B, 4, 4, n); C: (B, 4, 4, 4, n); y: (B, 4, n); L: (B, n).
     Returns (e, e_flat, gauge_tags): e and e_flat of shape (B, 4, 4, n)
     with rows l, m, n, p, and one gauge tag per member.  Raises
-    VanishingTorsion if any member's torsion vanishes, and what
+    VanishingTorsion, naming every member whose torsion vanishes, and what
     :func:`_complete` raises.  Refusals read base values only.
     """
     caps = FRAME_CAPS
@@ -212,13 +221,16 @@ def _frame_from_ring(g, g_inv, C, y, L):
     C_low = contract("zijk,zjk->zi", C, g_inv, caps)
     C_up = contract("zij,zj->zi", g_inv, C_low, caps)
     q = contract("zi,zi->z", C_up, C_low, caps)
-    for L0, q0 in zip(L[:, 0].tolist(), q[:, 0].tolist()):
+    refused = {}
+    for i, (L0, q0) in enumerate(zip(L[:, 0].tolist(), q[:, 0].tolist())):
         # L^2 q is the square of L |C|, which does not change when L is rescaled
         weighted = L0**2 * q0
         if weighted < TAU_TORSION**2:
-            raise VanishingTorsion(
+            refused[i] = (
                 f"weighted torsion length {max(weighted, 0.0) ** 0.5:.3e} below {TAU_TORSION:.1e}"
             )
+    if refused:
+        raise VanishingTorsion(next(iter(refused.values())), refused)
     e = np.empty(g.shape)
     e[:, 0] = l
     e[:, 1] = contract("zi,z->zi", C_up, jets.power(JetScalar(caps, q), -0.5).c, caps)
@@ -364,8 +376,10 @@ def _frame_residuals(prof: "ProfileResult") -> dict:
 def _profiles(st: PointEval) -> list:
     """The ProfileResult of each member of the stack ``st``; raises the
     FrameError that refuses any member's frame."""
-    if not st.metric.positive_definite.all():
-        raise NotPositiveDefinite("the fundamental tensor is not positive definite")
+    indefinite = np.flatnonzero(~st.metric.positive_definite).tolist()
+    if indefinite:
+        msg = "the fundamental tensor is not positive definite"
+        raise NotPositiveDefinite(msg, dict.fromkeys(indefinite, msg))
     g_j, g_inv_j, C_j, y_j, L_j = _field_jets(st)
     e_jets, e_flat_jets, gauges = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
     L0 = st.L

@@ -105,6 +105,19 @@ def _map_leaves(fn, value):
     return fn(value)
 
 
+def _stack_leaves(values: list):
+    """The stage value of a stack from its members' values of one stage:
+    each leaf stacked along a new first axis, the inverse of the slicing
+    that :func:`_stage` hands the members."""
+    first = values[0]
+    if isinstance(first, tuple):
+        return tuple(_stack_leaves(list(v)) for v in zip(*values))
+    if hasattr(first, "__dataclass_fields__"):
+        fields = zip(*(vars(v).values() for v in values))
+        return type(first)(*(_stack_leaves(list(v)) for v in fields))
+    return np.array(values)
+
+
 # names of the PointEval stages, in definition order
 _STAGES: list = []
 
@@ -187,7 +200,8 @@ class PointEval:
     def stack(cls, members: Sequence["PointEval"]) -> "PointEval":
         """One PointEval over the given lone PointEvals, which may belong to
         different metrics; L is not evaluated again.  ``x``, ``y`` and ``L``
-        of a stack carry the stack axis first, and ``spec`` is None."""
+        of a stack carry the stack axis first, and ``spec`` is None.  A
+        stage that every member has cached is the stack's too."""
         members = tuple(members)
         if not members or any(m.is_stack for m in members):
             raise InvalidArgument("a stack is made of one or more lone PointEvals")
@@ -203,6 +217,9 @@ class PointEval:
         st.L = np.array([m.L for m in members])
         st._L = np.array([m.L_jet.c for m in members])
         st._L2 = np.array([m.L2_jet.c for m in members])
+        for name in _STAGES:
+            if all(name in m.__dict__ for m in members):
+                st.__dict__[name] = _stack_leaves([m.__dict__[name] for m in members])
         return st
 
     # the members of a stack; a lone PointEval keeps None (not itself, which
@@ -220,13 +237,7 @@ class PointEval:
     def as_stack(self) -> "PointEval":
         """This stack, or for a lone PointEval a new stack of one that holds
         the stages this PointEval has already cached."""
-        if self.is_stack:
-            return self
-        st = PointEval.stack([self])
-        for name in _STAGES:
-            if name in self.__dict__:
-                st.__dict__[name] = _map_leaves(lambda a: np.asarray(a)[None], self.__dict__[name])
-        return st
+        return self if self.is_stack else PointEval.stack([self])
 
     @_stage
     def metric(self) -> MetricTensorAt:
