@@ -206,16 +206,22 @@ def _condition_rows(blocks) -> tuple[dict, dict]:
     """The condition rows of (labels, terms) blocks, ``terms`` an (R, T)
     array with one row of terms per label.  Returns the report dict, label
     -> {"residual": |sum|, "scale": sum of |term|}, each sum exact over its
-    row, and the same residuals and scales as two arrays in label order, as
-    :func:`classify.judge` reads them."""
-    labels, residual, scale = [], [], []
-    for names, terms in blocks:
-        labels += names
-        for row in terms.tolist():
-            residual.append(abs(math.fsum(row)))
-            scale.append(math.fsum(map(abs, row)))
-    out = {k: {"residual": r, "scale": s} for k, r, s in zip(labels, residual, scale)}
-    return out, {"residual": np.array(residual), "scale": np.array(scale)}
+    row (``math.fsum``; the zeros that pad the rows to one width change no
+    exact sum), and the same residuals and scales as two arrays in label
+    order, as :func:`classify.judge` reads them."""
+    labels = [label for names, _ in blocks for label in names]
+    terms = np.zeros((len(labels), max(t.shape[1] for _, t in blocks)))
+    row = 0
+    for _, t in blocks:
+        terms[row : row + len(t), : t.shape[1]] = t
+        row += len(t)
+    residual = np.abs(list(map(math.fsum, terms.tolist())))
+    scale = np.array(list(map(math.fsum, np.abs(terms).tolist())))
+    out = {
+        label: {"residual": r, "scale": s}
+        for label, r, s in zip(labels, residual.tolist(), scale.tolist())
+    }
+    return out, {"residual": residual, "scale": scale}
 
 
 def _scalar_terms(profile: ProfileResult, sc: SigmaComponents) -> np.ndarray:

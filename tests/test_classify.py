@@ -227,6 +227,43 @@ def test_stacked_sample_gives_the_records_of_lone_points():
         assert [_as_json(r) for r in records] == [_as_json(r) for r in want]
 
 
+def test_refused_members_leave_the_others_in_one_stack(monkeypatch):
+    # 10 of the 15 evaluated points are NotPositiveDefinite; the other five
+    # take the same seeds, so they form one stack after the refusal
+    spec = make_builtin_metric("expression", {"L": "sqrt(y1^2+y2^2+y3^2+x1*y4^2)+0.1*x2*y1"})
+    plan = SamplePlan(16, 3)
+    calls = []
+    profile = frame.scalar_profile
+
+    def counted(pe):
+        calls.append(len(pe.members))
+        return profile(pe)
+
+    monkeypatch.setattr(frame, "scalar_profile", counted)
+    records = classify_metric(spec, plan).points
+    assert calls == [15, 5]
+    assert [r.frame_error for r in records].count("NotPositiveDefinite") == 10
+    want = [_lone_record(spec, i, x, y)
+            for i, (x, y) in enumerate(sample_domain(spec.domain, plan))]
+    assert [_as_json(r) for r in records] == [_as_json(r) for r in want]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_judging_a_row_array_is_the_and_of_its_rows(seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-6
+    for size in (0, 1, 3, 12):
+        scale = rng.uniform(0.5, 2.0, size)
+        # vanishing, in-band and clearly non-vanishing rows, and NaN
+        residual = scale * tol * rng.choice([0.5, 1.0, 30.0, 100.0, 150.0], size)
+        if size and rng.random() < 0.3:
+            residual[rng.integers(size)] = math.nan
+        for rows in (residual, np.minimum(residual, scale * tol)):
+            flags = [judge("condition_row", {"residual": r, "scale": s}, tol)
+                     for r, s in zip(rows.tolist(), scale.tolist())]
+            assert judge("condition_row", {"residual": rows, "scale": scale}, tol) is all3(flags)
+
+
 def test_a_stage_failure_reruns_the_stack_member_by_member():
     # the quartic metric is singular where a direction component vanishes:
     # that member fails the stack's metric, and each member then runs alone

@@ -572,3 +572,41 @@ def test_an_unreliable_extraction_becomes_an_eval_error_record(monkeypatch):
         assert "np.float64" not in err
     for summary in (audit.landsberg_summary, audit.berwald_summary):
         assert set(summary.values()) == {0}
+
+
+def _report_bits(value):
+    """A report, or any part of it, with every array and float as its exact
+    bits, so that two reports compare equal only bit for bit."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,
+                [(f.name, _report_bits(getattr(value, f.name))) for f in dataclasses.fields(value)])
+    if isinstance(value, dict):
+        return [(k, _report_bits(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_report_bits(v) for v in value]
+    if isinstance(value, (np.ndarray, np.floating)):
+        value = np.asarray(value)
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return float.hex(value)
+    return value
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "randers", "params": {"b": ["0.1*x2", 0, 0, 0]}, "sigma": "0.1*x1"},
+    {"family": "quartic_minkowski", "sigma": "0.2*x1+0.1*sin(x2)"},
+])
+def test_a_sample_audit_gives_each_point_its_lone_report(doc):
+    # the conformal pairs the benchmark audits: sixteen points in one stack,
+    # with sigma as one stacked jet, report each point bit for bit as alone
+    spec, _ = metrics.spec_from_json_dict(doc)
+    plan = SamplePlan(16, 7)
+    audit = audit_pair(spec, plan)
+    points = sample_domain(spec.domain, plan)
+    assert len(audit.reports) == len(points) == 16
+    for rep, point in zip(audit.reports, points):
+        assert rep.frame_error is None and rep.eval_error is None
+        lone = evaluate_points(spec, [point])[0]
+        assert _report_bits(rep) == _report_bits(lone)
+        base, lifted = profiles(spec, *point)
+        assert _report_bits(evaluate_point(base, lifted)) == _report_bits(rep)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +367,58 @@ def test_connection_vectors_equal_the_written_out_formulas():
             assert prof.residuals[key] == want, (key, prof.residuals[key], want)
 
 
+def test_first_read_of_residuals_equals_the_written_out_formulas():
+    # a profile of a stack member builds its residuals alone when they are
+    # first read, bit for bit as the written-out formulas at a lone point
+    outcomes = classify.evaluate_stack([point_eval(spec, x, y) for spec, x, y, _ in _MIXED])
+    profs = [o for o in outcomes if isinstance(o, frame.ProfileResult)]
+    assert len(profs) == 3
+    profs.append(scalar_profile(point_eval(_RANDERS_X2, np.array([0.1, 0.2, 0.3, 0.4]), Y2)))
+    for prof in profs:
+        assert "residuals" not in vars(prof)
+        _, residuals = _written_out_connection_vectors(prof.pe)
+        got = prof.residuals
+        assert list(got) == [*residuals, "unified_scalar_sum"]
+        for key, want in residuals.items():
+            assert got[key] == want, key
+        H, I, K = (prof.scalars[frame.SCALAR_NAMES.index(n)] for n in ("H", "I", "K"))
+        assert got["unified_scalar_sum"] == abs(H + I + K - prof.pe.L * prof.pe.cartan.C_norm)
+        assert all(type(v) is float for v in got.values())
+
+
+def _perfbench_corpus():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_residuals_are_built_only_where_they_are_read(monkeypatch, tmp_path):
+    from finsler4 import cli, conformal
+
+    calls = []
+    build = frame._frame_residuals
+
+    def counted(prof):
+        calls.append(prof)
+        return build(prof)
+
+    monkeypatch.setattr(frame, "_frame_residuals", counted)
+    corpus = _perfbench_corpus()
+    for _, doc, *_ in corpus.CLASSIFY_CORPUS:
+        classify.classify_metric(spec_from_json_dict(dict(doc))[0], SamplePlan(4, 5))
+    for _, doc in corpus.CONFORMAL_PAIRS:
+        conformal.audit_pair(spec_from_json_dict(dict(doc))[0], SamplePlan(4, 5))
+    assert calls == []
+    golden = str(Path(__file__).parent / "goldens" / "quartic_small.json")
+    out = str(tmp_path / "frame.json")
+    assert cli.main(["frame", golden, "--x", "0,0,0,0", "--y", "1,2,1,1", "--output", out]) == 0
+    assert len(calls) == 1
+
+
 def test_profile_result_is_one_flat_record_of_arrays():
     prof = scalar_profile(point_eval(QUARTIC, X0, Y2))
     assert [f.name for f in dataclasses.fields(prof)] == [
@@ -410,11 +463,12 @@ def _profile_bits(prof):
 
 
 def test_refusals_take_only_their_own_member_out_of_a_stack():
-    # a refusal raises for the whole stack, and the rerun member by member
-    # gives each member the profile or refusal it gets alone
+    # a refusal raises for the whole stack and names the members it refuses;
+    # evaluate_stack gives each member the profile or refusal it gets alone
     pes = [point_eval(spec, x, y) for spec, x, y, _ in _MIXED]
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite) as refusal:
         scalar_profile(geometry.PointEval.stack(pes))
+    assert refusal.value.refused == {3: str(refusal.value)}
     outcomes = classify.evaluate_stack(pes)
     for (spec, x, y, kind), got in zip(_MIXED, outcomes):
         try:
@@ -425,6 +479,9 @@ def test_refusals_take_only_their_own_member_out_of_a_stack():
         assert type(got) is type(want)
         if kind == "profile":
             assert _profile_bits(got) == _profile_bits(want)
+        else:
+            assert str(got) == str(want)
+            assert got.refused == want.refused == {0: str(want)}
     seeds = [out.gauge_tag["seeds"] for out in outcomes if not isinstance(out, Exception)]
     # three seed patterns, one per member left with a frame
     assert seeds == [(0, 2), (0, 1), (2, 3)]
@@ -432,7 +489,9 @@ def test_refusals_take_only_their_own_member_out_of_a_stack():
 
 def test_the_rerun_builds_only_the_frame_again(monkeypatch):
     # the stack caches every tensor stage before its frame build refuses,
-    # and each member's rerun starts from those stages
+    # and each rerun starts from those stages: the stack refuses the
+    # NotPositiveDefinite member, the four others the VanishingTorsion one,
+    # and the three left take different seeds, so each runs alone
     stages = ("metric", "cartan", "spray", "dx_g", "connection", "cartan_h_derivatives")
     calls = dict.fromkeys(stages + ("scalar_profile",), 0)
 
