@@ -156,7 +156,7 @@ def sigma_components(
     delta_n = lifted_pe.spray.N - base_pe.spray.N
     D = base.e_flat @ delta_n @ base.e.T / L0
     sym = 0.5 * (D + D.T)
-    np.fill_diagonal(sym, D.diagonal())
+    sym.flat[::5] = D.flat[::5]  # the diagonal as it is, not halved twice
 
     # the (m, n, p) block is symmetric, the l row and column antisymmetric,
     # and the l row holds the frame gradient
@@ -181,22 +181,24 @@ def sigma_components(
     )
 
 
-def _support(sc: SigmaComponents) -> tuple:
-    """Indices into (m, n, p) where |sigma2|, |sigma3|, |sigma4| >= TAU_SIGMA."""
-    return tuple(a for a, s in enumerate(sc.components[1:4].tolist()) if abs(s) >= TAU_SIGMA)
+def _case(sc: SigmaComponents) -> tuple[str, bool, tuple]:
+    """(case, near_degenerate, support): the support is the indices into
+    (m, n, p) where |sigma2|, |sigma3|, |sigma4| >= TAU_SIGMA."""
+    sizes = [abs(c) for c in sc.components[1:4].tolist()]
+    near = any(TAU_SIGMA / 2 < c < 2 * TAU_SIGMA for c in sizes)
+    support = tuple(a for a, c in enumerate(sizes) if c >= TAU_SIGMA)
+    if not support:
+        if abs(sc.components[0]) < TAU_SIGMA:
+            return CASE_HOMOTHETIC, near, support
+        return CASE_SUPPORTING_ONLY, near, support
+    name = "_".join(_FRAME_NAMES[a + 1] for a in support)
+    return (f"{name}_only" if len(support) == 1 else name), near, support
 
 
 def case_of(sc: SigmaComponents) -> tuple[str, bool]:
     """The case the support names ("m_n", "p_only", ...); near-degenerate
     points (components hovering around the threshold) are flagged, not hidden."""
-    near = any(TAU_SIGMA / 2 < abs(c) < 2 * TAU_SIGMA for c in sc.components[1:4].tolist())
-    support = _support(sc)
-    if not support:
-        if abs(sc.components[0]) < TAU_SIGMA:
-            return CASE_HOMOTHETIC, near
-        return CASE_SUPPORTING_ONLY, near
-    name = "_".join(_FRAME_NAMES[a + 1] for a in support)
-    return (f"{name}_only" if len(support) == 1 else name), near
+    return _case(sc)[:2]
 
 
 # -- condition systems as term arrays ----------------------------------------
@@ -233,7 +235,10 @@ def _first_component_terms(profile: ProfileResult, sc: SigmaComponents) -> np.nd
     """Terms of h_1 + sigma_a u_a, j_1 + sigma_a v_a and k_1 + sigma_a w_a:
     (3, 4)."""
     vec = profile.vectors
-    return np.concatenate([vec[:3, :1], sc.components[1:4] * vec[3:, 1:]], axis=1)
+    terms = np.empty((3, 4))
+    terms[:, 0] = vec[:3, 0]
+    np.multiply(sc.components[1:4], vec[3:, 1:], out=terms[:, 1:])
+    return terms
 
 
 @lru_cache(maxsize=None)
@@ -250,11 +255,10 @@ def _labels(kind: str, case: str = "") -> list:
     return [f"{kind}:{case}:{name}" for name in SCALAR_NAMES]
 
 
-def _landsberg(profile: ProfileResult, sc: SigmaComponents) -> tuple:
-    """(case, near_degenerate, residuals, rows) of the Landsberg system;
-    see :func:`landsberg_case_conditions`."""
-    case, near = case_of(sc)
-    support = _support(sc)
+def _landsberg(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tuple:
+    """(residuals, rows) of the Landsberg system at the ``case``
+    (:func:`_case`); see :func:`landsberg_case_conditions`."""
+    case, _, support = case
     scalar_terms = _scalar_terms(profile, sc)
     blocks = [(_labels("landsberg")[:8], scalar_terms),
               (_labels("landsberg")[8:], _first_component_terms(profile, sc))]
@@ -262,7 +266,7 @@ def _landsberg(profile: ProfileResult, sc: SigmaComponents) -> tuple:
         blocks.append((_labels("reduced", case), profile.v_derivs[:, support[0] + 1, None]))
     elif len(support) == 2:
         blocks.append((_labels("reduced", case), scalar_terms[:, support]))
-    return (case, near, *_condition_rows(blocks))
+    return _condition_rows(blocks)
 
 
 def landsberg_case_conditions(
@@ -272,12 +276,13 @@ def landsberg_case_conditions(
     locally Minkowski): the sigma_a S;_a rows, the first-component laws, and
     the reduced rows (S;_a alone for one supported direction, sigma_a S;_a
     over the support for two).  Returns (case, near_degenerate, residuals)."""
-    return _landsberg(profile, sc)[:3]
+    case = _case(sc)
+    return case[0], case[1], _landsberg(profile, sc, case)[0]
 
 
-def _berwald(profile: ProfileResult, sc: SigmaComponents) -> tuple:
-    """(case, near_degenerate, residuals, rows) of the Berwald system; see
-    :func:`berwald_case_conditions`."""
+def _berwald(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tuple:
+    """(residuals, rows) of the Berwald system at the ``case``
+    (:func:`_case`); see :func:`berwald_case_conditions`."""
     bad = {
         k: v
         for k, v in sc.extraction_residuals.items()
@@ -287,8 +292,7 @@ def _berwald(profile: ProfileResult, sc: SigmaComponents) -> tuple:
         raise ExtractionUnreliable(
             f"spray-difference extraction residuals above tolerance: {bad}"
         )
-    case, near = case_of(sc)
-    support = _support(sc)
+    case, _, support = case
     # B: minus the symmetrised (m, n, p) block of the connection difference
     B = _B_SIGN * sc.spray_block()[_B_SLOTS]
     # [scalar, row of B, column]: B[row, column] S;_column
@@ -299,7 +303,7 @@ def _berwald(profile: ProfileResult, sc: SigmaComponents) -> tuple:
         chains = np.stack([B[:2, i] * B[1:, j], -(B[:2, j] * B[1:, i])], axis=1)
         blocks.append((_labels("ratio", case),
                        np.concatenate([terms[:, :, [i, j]].reshape(24, 2), chains])))
-    return (case, near, *_condition_rows(blocks))
+    return _condition_rows(blocks)
 
 
 def berwald_case_conditions(
@@ -314,10 +318,22 @@ def berwald_case_conditions(
     engine does not model symbolically; callers pair these residuals with
     the directly computed connection vectors of the rescaled space.
     """
-    return _berwald(profile, sc)[:3]
+    case = _case(sc)
+    return case[0], case[1], _berwald(profile, sc, case)[0]
 
 
 # -- invariance suite --------------------------------------------------------
+
+
+_FRAME_SCALE_KEYS = tuple(
+    f"{kind}_scale:{name}" for name in _FRAME_NAMES for kind in ("covector", "vector")
+)
+_TENSOR_SCALE_KEYS = (
+    "metric_scale", "inverse_metric_scale", "torsion_scale", "mixed_torsion_invariance",
+    *(f"main_scalar:{name}" for name in SCALAR_NAMES),
+    *(f"{vec}bar1_law" for vec in "hjk"),
+)
+_SCALAR_LAW_KEYS = tuple(f"scalar_hderiv_l_law:{name}" for name in SCALAR_NAMES)
 
 
 def invariance_check(
@@ -328,29 +344,25 @@ def invariance_check(
     bpe, lpe = base.pe, lifted.pe
 
     out: dict = {"gauge_match": 0.0 if base.gauge_tag == lifted.gauge_tag else float("nan")}
-    covector = np.abs(lifted.e_flat - es * base.e_flat).max(axis=1).tolist()
-    vector = np.abs(lifted.e - base.e / es).max(axis=1).tolist()
-    for name, co, vec in zip(_FRAME_NAMES, covector, vector):
-        out[f"covector_scale:{name}"] = co
-        out[f"vector_scale:{name}"] = vec
-    out["metric_scale"] = float(np.abs(lpe.metric.g - es**2 * bpe.metric.g).max())
-    out["inverse_metric_scale"] = float(
-        np.abs(lpe.metric.g_inv - bpe.metric.g_inv / es**2).max()
-    )
-    out["torsion_scale"] = float(np.abs(lpe.cartan.C - es**2 * bpe.cartan.C).max())
-    out["mixed_torsion_invariance"] = float(
-        np.abs(lpe.connection.Cmix - bpe.connection.Cmix).max()
-    )
-    gaps = np.abs(lifted.scalars - base.scalars).tolist()
-    out.update(zip((f"main_scalar:{name}" for name in SCALAR_NAMES), gaps))
-
-    # barred first components and l-derivatives: the Landsberg terms summed
-    # left to right, over e^sigma
-    laws = np.abs(lifted.vectors[:3, 0] - ring_sum(_first_component_terms(base, sc).T) / es)
-    out.update(zip((f"{vec}bar1_law" for vec in "hjk"), laws.tolist()))
+    # [frame vector, covector or vector]
+    frame = np.stack([np.abs(lifted.e_flat - es * base.e_flat).max(axis=1),
+                      np.abs(lifted.e - base.e / es).max(axis=1)], axis=1)
+    out.update(zip(_FRAME_SCALE_KEYS, frame.ravel().tolist()))
+    tensors = [
+        np.abs(lpe.metric.g - es**2 * bpe.metric.g).max(),
+        np.abs(lpe.metric.g_inv - bpe.metric.g_inv / es**2).max(),
+        np.abs(lpe.cartan.C - es**2 * bpe.cartan.C).max(),
+        np.abs(lpe.connection.Cmix - bpe.connection.Cmix).max(),
+        *np.abs(lifted.scalars - base.scalars),
+        # barred first components: the Landsberg terms summed left to right,
+        # over e^sigma
+        *np.abs(lifted.vectors[:3, 0] - ring_sum(_first_component_terms(base, sc).T) / es),
+    ]
+    out.update(zip(_TENSOR_SCALE_KEYS, np.array(tensors).tolist()))
     if _flat_in_chart(bpe):
+        # and the l-derivatives of the main scalars
         laws = np.abs(lifted.h_derivs[:, 0] - ring_sum(_scalar_terms(base, sc).T) / es)
-        out.update(zip((f"scalar_hderiv_l_law:{name}" for name in SCALAR_NAMES), laws.tolist()))
+        out.update(zip(_SCALAR_LAW_KEYS, laws.tolist()))
     return out
 
 
@@ -386,8 +398,9 @@ def evaluate_point(
     rescaled space (as :func:`evaluate_points` makes them); ``sigma`` as
     :func:`sigma_components` takes it."""
     sc = sigma_components(base, lifted, sigma)
-    case, near, lands, lands_rows = _landsberg(base, sc)
-    _, _, berw, berw_rows = _berwald(base, sc)
+    case = _case(sc)
+    lands, lands_rows = _landsberg(base, sc, case)
+    berw, berw_rows = _berwald(base, sc, case)
 
     direct = {
         **{f"{name}_bar": row for name, row in zip("hjk", lifted.vectors[:3].tolist())},
@@ -396,7 +409,7 @@ def evaluate_point(
     }
     inv = invariance_check(base, lifted, sc)
     return PointConformalReport(
-        x=base.pe.x, y=base.pe.y, case=case, near_degenerate=near, sigma=sc,
+        x=base.pe.x, y=base.pe.y, case=case[0], near_degenerate=case[1], sigma=sc,
         landsberg_residuals=lands, berwald_residuals=berw,
         direct_barred=direct, invariance_residuals=inv,
         condition_rows={"landsberg": lands_rows, "berwald": berw_rows},

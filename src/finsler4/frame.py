@@ -244,17 +244,29 @@ def _frame_from_ring(g, g_inv, C, y, L):
 
 # -- main scalars and derivative tables -------------------------------------
 
-_SLOT_ROWS = tuple(np.array(axis) for axis in zip(*(SCALAR_SLOTS[n] for n in SCALAR_NAMES)))
+def _distinct(rows: list) -> tuple:
+    """(the distinct entries of ``rows`` in order of first appearance, the
+    index of each entry of ``rows`` among them)."""
+    seen = list(dict.fromkeys(rows))
+    return seen, np.array([seen.index(r) for r in rows])
+
+
+# the slots' frame indices, contracted one at a time: the first vectors and
+# the (first, second) pairs repeat, so each distinct one is contracted once
+_FIRST, _ = _distinct([SCALAR_SLOTS[n][0] for n in SCALAR_NAMES])
+_PAIR, _PAIR_OF_SLOT = _distinct([SCALAR_SLOTS[n][:2] for n in SCALAR_NAMES])
+_PAIR_FIRST = np.array([_FIRST.index(a) for a, _ in _PAIR])
+_PAIR_SECOND = np.array([b for _, b in _PAIR])
+_THIRD = np.array([SCALAR_SLOTS[n][2] for n in SCALAR_NAMES])
 
 
 def _scalar_jets(C, e, L) -> np.ndarray:
     """The eight main scalars of each member, rows in SCALAR_NAMES order, as
     a (B, 8, n) FRAME_CAPS coefficient array from the C, frame-vector and L
     jets."""
-    a, b, c = (e[:, rows] for rows in _SLOT_ROWS)
-    first = contract("zijk,zsi->zsjk", C, a, FRAME_CAPS)
-    second = contract("zsjk,zsj->zsk", first, b, FRAME_CAPS)
-    M = contract("zsk,zsk->zs", second, c, FRAME_CAPS)
+    first = contract("zijk,zsi->zsjk", C, e[:, _FIRST], FRAME_CAPS)
+    second = contract("zsjk,zsj->zsk", first[:, _PAIR_FIRST], e[:, _PAIR_SECOND], FRAME_CAPS)
+    M = contract("zsk,zsk->zs", second[:, _PAIR_OF_SLOT], e[:, _THIRD], FRAME_CAPS)
     return contract("zs,z->zs", M, L, FRAME_CAPS)
 
 
@@ -304,24 +316,25 @@ def covariant_derivatives(field, spray: SprayAt, conn: ConnectionAt) -> Covarian
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 _PAIR_A = [a for a, _ in _PAIRS]
 _PAIR_B = [b for _, b in _PAIRS]
+_PAIR_A_MN = [a - 1 for a in _PAIR_A]  # the rows of (m, n) that _PAIR_A names
 
 
-def _forms(L0, e, e_flat_jets, spray, conn) -> tuple:
-    """The covariant derivatives of a stack of frame covector fields
-    ([member, frame vector, i, k] = nabla_k e_a_i), and the h-form and L
-    times the v-form at the frame pairs :data:`_PAIRS`, (K, 3, 4) each.
-    ``L0`` is (K,), ``e`` (K, 4, 4)."""
-    cov = covariant_derivatives(e_flat_jets, spray, conn)
+def _forms(L0, e, cov_mn: CovariantDerivatives) -> tuple:
+    """The h-form and L times the v-form at the frame pairs :data:`_PAIRS`,
+    (K, 3, 4) each, from the covariant derivatives ``cov_mn`` of the
+    covector fields m and n ([member, m or n, i, k] = nabla_k e_a_i), which
+    are the only rows the pairs differentiate.  ``L0`` is (K,), ``e``
+    (K, 4, 4)."""
     # e[b] @ cov.h[a] for every pair (a, b), as vector-matrix products
-    h_form = (e[:, _PAIR_B, None] @ cov.h[:, _PAIR_A])[:, :, 0]
-    v_form = L0[:, None, None] * (e[:, _PAIR_B, None] @ cov.v[:, _PAIR_A])[:, :, 0]
-    return cov, h_form, v_form
+    h_form = (e[:, _PAIR_B, None] @ cov_mn.h[:, _PAIR_A_MN])[:, :, 0]
+    v_form = L0[:, None, None] * (e[:, _PAIR_B, None] @ cov_mn.v[:, _PAIR_A_MN])[:, :, 0]
+    return h_form, v_form
 
 
 def _connection_vectors(L0, e, e_flat_jets, spray, conn) -> np.ndarray:
     """Frame components of the h- and v-connection vectors of a stack of
     frames, a (K, 6, 4) array in VECTOR_NAMES order."""
-    _, h_form, v_form = _forms(L0, e, e_flat_jets, spray, conn)
+    h_form, v_form = _forms(L0, e, covariant_derivatives(e_flat_jets[:, 1:3], spray, conn))
     return (e[:, None] @ np.concatenate([h_form, v_form], axis=1)[..., None])[..., 0]
 
 
@@ -334,7 +347,9 @@ def _frame_residuals(prof: "ProfileResult") -> dict:
     st = prof.pe.as_stack()
     L0, g = st.L, st.metric.g
     e, e_flat = prof.e[None], prof.e_flat[None]
-    cov, h_form, v_form = _forms(L0, e, prof.e_flat_jets[None], st.spray, st.connection)
+    # [member, frame vector, i, k]: nabla_k of each frame covector field
+    cov = covariant_derivatives(prof.e_flat_jets[None], st.spray, st.connection)
+    h_form, v_form = _forms(L0, e, CovariantDerivatives(cov.h[:, 1:3], cov.v[:, 1:3]))
 
     # A[member, form, a, b]: the h-form and L times the v-form, antisymmetric in (a, b)
     A = np.zeros((1, 2, 4, 4, 4))

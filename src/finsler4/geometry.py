@@ -217,9 +217,10 @@ class PointEval:
         st.L = np.array([m.L for m in members])
         st._L = np.array([m.L_jet.c for m in members])
         st._L2 = np.array([m.L2_jet.c for m in members])
+        cached = [m.__dict__ for m in members]
         for name in _STAGES:
-            if all(name in m.__dict__ for m in members):
-                st.__dict__[name] = _stack_leaves([m.__dict__[name] for m in members])
+            if name in cached[0] and all(name in c for c in cached):
+                st.__dict__[name] = _stack_leaves([c[name] for c in cached])
         return st
 
     # the members of a stack; a lone PointEval keeps None (not itself, which
