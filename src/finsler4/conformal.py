@@ -158,14 +158,14 @@ def sigma_components(
     sym = 0.5 * (D + D.T)
     sym.flat[::5] = D.flat[::5]  # the diagonal as it is, not halved twice
 
-    # the (m, n, p) block is symmetric, the l row and column antisymmetric,
-    # and the l row holds the frame gradient
     # transvecting the connection difference recovers the spray difference:
     # delta G^i = sigma0 y^i - (L^2/2) grad-sharp^i, with sigma0 = grad . y
     sigma0 = float(grad @ y)
     grad_sharp = base_pe.metric.g_inv @ grad
     delta_g_pred = sigma0 * y - 0.5 * L0**2 * grad_sharp
     delta_g = lifted_pe.spray.G - base_pe.spray.G
+    # the (m, n, p) block is symmetric, the l row and column antisymmetric,
+    # and the l row holds the frame gradient
     resid = np.concatenate([
         np.abs(D[_SYM_A, _SYM_B] - D[_SYM_B, _SYM_A]),
         np.abs(D[0, 1:] + D[1:, 0]),
@@ -242,17 +242,18 @@ def _first_component_terms(profile: ProfileResult, sc: SigmaComponents) -> np.nd
 
 
 @lru_cache(maxsize=None)
-def _labels(kind: str, case: str = "") -> list:
+def _labels(kind: str, case: str = "") -> tuple:
     """The row labels of one block of a condition system."""
-    if kind == "landsberg":
-        return ([f"landsberg:scalar:{name}" for name in SCALAR_NAMES]
-                + [f"landsberg:{vec}1" for vec in "hjk"])
+    if kind == "scalar":
+        return tuple(f"landsberg:scalar:{name}" for name in SCALAR_NAMES)
+    if kind == "first":
+        return tuple(f"landsberg:{vec}1" for vec in "hjk")
     if kind == "berwald":
-        return [f"berwald:{name}:{d}" for name in SCALAR_NAMES for d in "mnp"]
+        return tuple(f"berwald:{name}:{d}" for name in SCALAR_NAMES for d in "mnp")
     if kind == "ratio":
-        return ([f"ratio:{case}:{name}:{label}" for name in SCALAR_NAMES for label in "abc"]
-                + [f"ratio:{case}:chain:{label}" for label in "ab"])
-    return [f"{kind}:{case}:{name}" for name in SCALAR_NAMES]
+        return (*(f"ratio:{case}:{name}:{label}" for name in SCALAR_NAMES for label in "abc"),
+                *(f"ratio:{case}:chain:{label}" for label in "ab"))
+    return tuple(f"{kind}:{case}:{name}" for name in SCALAR_NAMES)
 
 
 def _landsberg(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tuple:
@@ -260,8 +261,8 @@ def _landsberg(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tupl
     (:func:`_case`); see :func:`landsberg_case_conditions`."""
     case, _, support = case
     scalar_terms = _scalar_terms(profile, sc)
-    blocks = [(_labels("landsberg")[:8], scalar_terms),
-              (_labels("landsberg")[8:], _first_component_terms(profile, sc))]
+    blocks = [(_labels("scalar"), scalar_terms),
+              (_labels("first"), _first_component_terms(profile, sc))]
     if len(support) == 1:
         blocks.append((_labels("reduced", case), profile.v_derivs[:, support[0] + 1, None]))
     elif len(support) == 2:
@@ -345,9 +346,9 @@ def invariance_check(
 
     out: dict = {"gauge_match": 0.0 if base.gauge_tag == lifted.gauge_tag else float("nan")}
     # [frame vector, covector or vector]
-    frame = np.stack([np.abs(lifted.e_flat - es * base.e_flat).max(axis=1),
-                      np.abs(lifted.e - base.e / es).max(axis=1)], axis=1)
-    out.update(zip(_FRAME_SCALE_KEYS, frame.ravel().tolist()))
+    scales = np.stack([np.abs(lifted.e_flat - es * base.e_flat).max(axis=1),
+                       np.abs(lifted.e - base.e / es).max(axis=1)], axis=1)
+    out.update(zip(_FRAME_SCALE_KEYS, scales.ravel().tolist()))
     tensors = [
         np.abs(lpe.metric.g - es**2 * bpe.metric.g).max(),
         np.abs(lpe.metric.g_inv - bpe.metric.g_inv / es**2).max(),
@@ -416,22 +417,6 @@ def evaluate_point(
     )
 
 
-def _sigma_at(spec: MetricSpec, points: Sequence):
-    """sigma and d sigma at the x of every point, from one stacked jet; None
-    if the points do not form a (P, 4) array or sigma fails at any of
-    them, so that each point evaluates its own."""
-    try:
-        xs = np.array([x for x, _ in points], dtype=float)
-    except ValueError:
-        return None
-    if xs.shape != (len(points), 4):
-        return None
-    try:
-        return _sigma_stack(spec, xs)
-    except Finsler4Error:
-        return None
-
-
 def evaluate_points(spec: MetricSpec, points: Sequence) -> list:
     """One report per (x, y) point of a conformal spec (MissingSigma for
     any other).  The base and the rescaled space of every point are
@@ -440,7 +425,11 @@ def evaluate_points(spec: MetricSpec, points: Sequence) -> list:
     an ``eval_error`` record, and a point whose base or rescaled frame is
     refused (the base is judged first) a ``frame_error`` record."""
     pair_from_spec(spec)
-    sigmas = _sigma_at(spec, points)
+    try:
+        xs = np.array([x for x, _ in points], dtype=float).reshape(len(points), 4)
+        sigmas = _sigma_stack(spec, xs)
+    except Finsler4Error:
+        sigmas = None  # sigma fails at some point: each point evaluates its own
 
     def spaces(x, y) -> tuple:
         base = geometry.point_eval(spec.base, x, y)
