@@ -63,7 +63,10 @@ components.  ``recon_{h,v}deriv_{m,n,p}`` is the largest entry of
 nabla e_a (L nabla e_a for the v-form) minus the model row
 sum_b e_b (x) A[a, b].  The l row is checked on its own: ``l_hderiv_zero``
 is |nabla_h l| and ``l_vderiv_angular`` compares L nabla_v l with the
-angular metric g - l (x) l.
+angular metric g - l (x) l.  No verdict reads these residuals, so a
+profile builds them when they are first read (``ProfileResult.residuals``),
+from its covector jets ``e_flat_jets`` and the stages its PointEval has
+cached.
 """
 
 from __future__ import annotations

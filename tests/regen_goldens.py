@@ -53,6 +53,12 @@ SPECS = {
         "family": "expression", "L": INDEFINITE_L, "sigma": "0.1*x2",
         "samples": 6, "seed": 1,
     },
+    "riemannian_curved_small.json": {
+        "family": "riemannian",
+        "params": {"g0": [["1+0.1*sin(x1)", 0, 0, 0], [0, "1+0.05*x2^2", 0, 0],
+                          [0, 0, 1, 0], [0, 0, 0, 1]]},
+        "samples": 2, "seed": 12,
+    },
     # sigma with every frame component in the support (case m_n_p), and a
     # constant sigma (case homothetic)
     "quartic_mnp_conformal_small.json": {
@@ -60,12 +66,6 @@ SPECS = {
     },
     "randers_homothetic_small.json": {
         "family": "randers", "params": RANDERS_B, "sigma": "0.3", "samples": 2, "seed": 12,
-    },
-    "riemannian_curved_small.json": {
-        "family": "riemannian",
-        "params": {"g0": [["1+0.1*sin(x1)", 0, 0, 0], [0, "1+0.05*x2^2", 0, 0],
-                          [0, 0, 1, 0], [0, 0, 0, 1]]},
-        "samples": 2, "seed": 12,
     },
 }
 
@@ -82,9 +82,6 @@ REPORTS = (
     (["frame", "{d}/randers_small.json", "--x", "0.1,0.2,0.3,0.4", "--y", "1,2,1,1"],
      "frame_randers.json"),
     (["conformal", "{d}/randers_conformal_small.json"], "conformal_randers.json"),
-    # the m_n_p and homothetic cases of the condition systems
-    (["conformal", "{d}/quartic_mnp_conformal_small.json"], "conformal_quartic_mnp.json"),
-    (["conformal", "{d}/randers_homothetic_small.json"], "conformal_homothetic.json"),
     # refused frames: an eval_error, two NotPositiveDefinite and three
     # profiles in one sample, and a curved Riemannian metric whose torsion
     # vanishes at every point, so each point is a frame_error record
@@ -93,6 +90,9 @@ REPORTS = (
     (["classify", "{d}/riemannian_curved_small.json"], "classify_riemannian_curved.json"),
     # the jet pipeline against the finite-difference oracle
     (["selftest"], "selftest.json"),
+    # the m_n_p and homothetic cases of the condition systems
+    (["conformal", "{d}/quartic_mnp_conformal_small.json"], "conformal_quartic_mnp.json"),
+    (["conformal", "{d}/randers_homothetic_small.json"], "conformal_homothetic.json"),
 )
 
 

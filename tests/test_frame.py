@@ -386,17 +386,11 @@ def test_first_read_of_residuals_equals_the_written_out_formulas():
         assert all(type(v) is float for v in got.values())
 
 
-def _perfbench_corpus():
-    import importlib.util
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_residuals_are_built_only_where_they_are_read(monkeypatch, tmp_path):
+    # classify and the audit on the benchmark's specs never read them, and
+    # finsler4 frame reads them once
+    from test_geometry import _perfbench_specs
+
     from finsler4 import cli, conformal
 
     calls = []
@@ -407,11 +401,14 @@ def test_residuals_are_built_only_where_they_are_read(monkeypatch, tmp_path):
         return build(prof)
 
     monkeypatch.setattr(frame, "_frame_residuals", counted)
-    corpus = _perfbench_corpus()
-    for _, doc, *_ in corpus.CLASSIFY_CORPUS:
-        classify.classify_metric(spec_from_json_dict(dict(doc))[0], SamplePlan(4, 5))
-    for _, doc in corpus.CONFORMAL_PAIRS:
-        conformal.audit_pair(spec_from_json_dict(dict(doc))[0], SamplePlan(4, 5))
+    specs = _perfbench_specs()
+    pairs = [spec for spec in specs if spec.family == "conformal"]
+    assert len(pairs) == 2
+    for spec in specs:
+        if spec in pairs:
+            conformal.audit_pair(spec, SamplePlan(4, 5))
+        else:
+            classify.classify_metric(spec, SamplePlan(4, 5))
     assert calls == []
     golden = str(Path(__file__).parent / "goldens" / "quartic_small.json")
     out = str(tmp_path / "frame.json")
