@@ -429,7 +429,8 @@ def scalar_profile(pe: PointEval):
     member; for a lone PointEval, its ProfileResult, computed as a stack of
     one.  A refusal (NotPositiveDefinite, VanishingTorsion, DegenerateSeed,
     or SeedsDiffer for a stack whose members take different seeds) is
-    raised for the whole stack.
+    raised for the whole stack; a NotPositiveDefinite or VanishingTorsion
+    names the members it refuses in ``refused``.
     """
     out = _profiles(pe.as_stack())
     return out if pe.is_stack else out[0]
