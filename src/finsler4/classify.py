@@ -35,14 +35,16 @@ _WORDS = {True: "yes", False: "no", None: "undetermined"}
 # -- the judge ---------------------------------------------------------------
 
 
-def band(value: float, scale: float, small: float, large: float) -> Optional[bool]:
-    """True if value vanishes relative to scale (<= small * scale), False if
-    it clearly does not (> large * scale), None in the band between them and
-    for NaN."""
-    if value <= small * scale:
-        return True
-    if value > large * scale:
+def band(value, scale, small: float, large: float) -> Optional[bool]:
+    """The three-valued AND of the rows of ``value`` (a float is one row)
+    against ``scale``: False if any row clearly does not vanish
+    (> large * scale), else True if there are rows and every one vanishes
+    (<= small * scale), else None (no rows, or a row in the band between
+    them or NaN)."""
+    if np.greater(value, large * scale).any():
         return False
+    if np.size(value) and np.less_equal(value, small * scale).all():
+        return True
     return None
 
 
@@ -78,24 +80,15 @@ JUDGES = {
 
 
 def judge(question: str, values: Mapping, tol: float) -> Optional[bool]:
-    """:func:`band` of the question's quantity in ``values`` against its
-    reference, at the edges of its ``JUDGES`` row.  If the quantity and
-    reference are arrays of rows, the three-valued AND of the rows' bands:
-    False if any row is past ``large``, else None for no rows or any NaN or
-    in-band row, else True."""
+    """:func:`band` of the question's quantity in ``values`` (a float, or
+    an array of rows such as a condition block's residuals) against its
+    reference, at the edges of its ``JUDGES`` row."""
     row = JUDGES[question]
     q = row.quantity
     # one np.max over every key, which unlike max keeps a NaN in any of them
     value = values[q] if isinstance(q, str) else np.abs(np.hstack([values[k] for k in q])).max()
     unit = tol if row.of_tol else 1.0
-    small, large, scale = row.small * unit, row.large * unit, values[row.reference] + row.floor
-    if not isinstance(value, np.ndarray):
-        return band(value, scale, small, large)
-    if (value > large * scale).any():
-        return False
-    if not value.size or not (value <= small * scale).all():
-        return None
-    return True
+    return band(value, values[row.reference] + row.floor, row.small * unit, row.large * unit)
 
 
 def all3(flags: Iterable[Optional[bool]]) -> Optional[bool]:
@@ -222,6 +215,15 @@ def profile_of(outcome) -> frame_mod.ProfileResult:
     return outcome
 
 
+def _as_array(v) -> np.ndarray:
+    """The x or y of a point whose evaluation failed as a float array, or,
+    if it is not one (a ragged list), as an object array."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        return np.asarray(v, dtype=object)
+
+
 def point_records(points: Sequence, spaces: Callable, read: Callable, failed: Callable) -> list:
     """One record per (x, y) of ``points``, every point's PointEvals
     ``spaces(x, y)`` evaluated as one stack (:func:`evaluate_stack`).
@@ -234,8 +236,7 @@ def point_records(points: Sequence, spaces: Callable, read: Callable, failed: Ca
         try:
             built.append((i, spaces(x, y)))
         except jets.Finsler4Error as err:
-            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-            records[i] = failed(i, x, y, error_fields(err))
+            records[i] = failed(i, _as_array(x), _as_array(y), error_fields(err))
     outcomes = iter(evaluate_stack([pe for _, pes in built for pe in pes]))
     for i, pes in built:
         got = [next(outcomes) for _ in pes]

@@ -96,27 +96,16 @@ class SigmaComponents:
         return self.components[4:]
 
 
-_SIGMA_CAPS = DegreeCaps(1, 0)
-
-
-def _sigma_stack(spec: MetricSpec, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigma and d sigma / dx at each row of ``xs`` (P, 4) of a conformal
-    spec, from one stacked first-order jet evaluation: (P,) and (P, 4)."""
-    caps = _SIGMA_CAPS
-    c = caps.tables.units[None, :4].repeat(len(xs), axis=0)
-    c[:, :, 0] = xs
-    env = [jets.JetScalar(caps, c[:, i], (1, 0)) for i in range(4)] + [0.0] * 4
-    val = exprdsl.eval_expr(spec.sigma_ast, env)
-    if not isinstance(val, jets.JetScalar):
-        return np.full(len(xs), float(val)), np.zeros((len(xs), 4))
-    return val.c[:, 0], derivative_tensor(val, 1, 0)
-
-
 def sigma_gradient(spec: MetricSpec, x: Sequence[float]) -> tuple[float, np.ndarray]:
     """(sigma(x), d sigma / dx) of a conformal spec via a first-order jet
     evaluation."""
-    value, grad = _sigma_stack(spec, np.asarray(x, dtype=float)[None])
-    return value.item(), grad[0]
+    caps = DegreeCaps(1, 0)
+    env = [jets.variable(i, float(x[i]), caps) for i in range(4)] + [0.0] * 4
+    val = exprdsl.eval_expr(spec.sigma_ast, env)
+    if not isinstance(val, jets.JetScalar):
+        return float(val), np.zeros(4)
+    grad = derivative_tensor(val, 1, 0)
+    return val.base, grad
 
 
 # sigma5..sigma10 are the entries (a, b) of the symmetrised (m, n, p) block
@@ -136,20 +125,15 @@ _EXTRACTION_KEYS = (
 )
 
 
-def sigma_components(
-    base: ProfileResult, lifted: ProfileResult, sigma: Optional[tuple] = None
-) -> SigmaComponents:
+def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaComponents:
     """Frame components of the sigma gradient plus the six scalars read off
     the frame-projected nonlinear-connection difference, from the profiles
-    of the base and the rescaled space at the same point.  ``sigma`` is
-    (sigma, d sigma) at the point; by default they are those of the
-    rescaled space's spec (MissingSigma if it has none)."""
+    of the base and the rescaled space at the same point; sigma is that of
+    the rescaled space's spec (MissingSigma if it has none)."""
     base_pe, lifted_pe = base.pe, lifted.pe
     y = base_pe.y
 
-    if sigma is None:
-        sigma = sigma_gradient(pair_from_spec(lifted_pe.spec), base_pe.x)
-    sigma_value, grad = sigma
+    sigma_value, grad = sigma_gradient(pair_from_spec(lifted_pe.spec), base_pe.x)
     s_frame = base.e @ grad  # sigma_alpha = (d sigma)_i e_(alpha)^i
 
     L0 = base_pe.L
@@ -195,12 +179,6 @@ def _case(sc: SigmaComponents) -> tuple[str, bool, tuple]:
     return (f"{name}_only" if len(support) == 1 else name), near, support
 
 
-def case_of(sc: SigmaComponents) -> tuple[str, bool]:
-    """The case the support names ("m_n", "p_only", ...); near-degenerate
-    points (components hovering around the threshold) are flagged, not hidden."""
-    return _case(sc)[:2]
-
-
 # -- condition systems as term arrays ----------------------------------------
 
 
@@ -241,19 +219,20 @@ def _first_component_terms(profile: ProfileResult, sc: SigmaComponents) -> np.nd
     return terms
 
 
+# the row labels of the blocks of the condition systems that every case has
+_SCALAR_LABELS = tuple(f"landsberg:scalar:{name}" for name in SCALAR_NAMES)
+_FIRST_LABELS = tuple(f"landsberg:{vec}1" for vec in "hjk")
+_BERWALD_LABELS = tuple(f"berwald:{name}:{d}" for name in SCALAR_NAMES for d in "mnp")
+
+
 @lru_cache(maxsize=None)
-def _labels(kind: str, case: str = "") -> tuple:
-    """The row labels of one block of a condition system."""
-    if kind == "scalar":
-        return tuple(f"landsberg:scalar:{name}" for name in SCALAR_NAMES)
-    if kind == "first":
-        return tuple(f"landsberg:{vec}1" for vec in "hjk")
-    if kind == "berwald":
-        return tuple(f"berwald:{name}:{d}" for name in SCALAR_NAMES for d in "mnp")
-    if kind == "ratio":
-        return (*(f"ratio:{case}:{name}:{label}" for name in SCALAR_NAMES for label in "abc"),
-                *(f"ratio:{case}:chain:{label}" for label in "ab"))
-    return tuple(f"{kind}:{case}:{name}" for name in SCALAR_NAMES)
+def _case_labels(case: str) -> tuple:
+    """(labels of the reduced block, labels of the ratio block) at ``case``."""
+    return (
+        tuple(f"reduced:{case}:{name}" for name in SCALAR_NAMES),
+        (*(f"ratio:{case}:{name}:{label}" for name in SCALAR_NAMES for label in "abc"),
+         *(f"ratio:{case}:chain:{label}" for label in "ab")),
+    )
 
 
 def _landsberg(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tuple:
@@ -261,12 +240,12 @@ def _landsberg(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tupl
     (:func:`_case`); see :func:`landsberg_case_conditions`."""
     case, _, support = case
     scalar_terms = _scalar_terms(profile, sc)
-    blocks = [(_labels("scalar"), scalar_terms),
-              (_labels("first"), _first_component_terms(profile, sc))]
+    blocks = [(_SCALAR_LABELS, scalar_terms),
+              (_FIRST_LABELS, _first_component_terms(profile, sc))]
     if len(support) == 1:
-        blocks.append((_labels("reduced", case), profile.v_derivs[:, support[0] + 1, None]))
+        blocks.append((_case_labels(case)[0], profile.v_derivs[:, support[0] + 1, None]))
     elif len(support) == 2:
-        blocks.append((_labels("reduced", case), scalar_terms[:, support]))
+        blocks.append((_case_labels(case)[0], scalar_terms[:, support]))
     return _condition_rows(blocks)
 
 
@@ -298,11 +277,11 @@ def _berwald(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tuple:
     B = _B_SIGN * sc.spray_block()[_B_SLOTS]
     # [scalar, row of B, column]: B[row, column] S;_column
     terms = B * profile.v_derivs[:, None, 1:]
-    blocks = [(_labels("berwald"), terms.reshape(24, 3))]
+    blocks = [(_BERWALD_LABELS, terms.reshape(24, 3))]
     if len(support) == 1:
         i, j = (c for c in range(3) if c != support[0])
         chains = np.stack([B[:2, i] * B[1:, j], -(B[:2, j] * B[1:, i])], axis=1)
-        blocks.append((_labels("ratio", case),
+        blocks.append((_case_labels(case)[1],
                        np.concatenate([terms[:, :, [i, j]].reshape(24, 2), chains])))
     return _condition_rows(blocks)
 
@@ -392,13 +371,10 @@ def _flat_in_chart(pe: PointEval) -> bool:
     return float(np.abs(pe.dx_g).max()) < 1e-9
 
 
-def evaluate_point(
-    base: ProfileResult, lifted: ProfileResult, sigma: Optional[tuple] = None
-) -> PointConformalReport:
+def evaluate_point(base: ProfileResult, lifted: ProfileResult) -> PointConformalReport:
     """The report at one point from the frame profiles of its base and
-    rescaled space (as :func:`evaluate_points` makes them); ``sigma`` as
-    :func:`sigma_components` takes it."""
-    sc = sigma_components(base, lifted, sigma)
+    rescaled space (as :func:`evaluate_points` makes them)."""
+    sc = sigma_components(base, lifted)
     case = _case(sc)
     lands, lands_rows = _landsberg(base, sc, case)
     berw, berw_rows = _berwald(base, sc, case)
@@ -420,28 +396,21 @@ def evaluate_point(
 def evaluate_points(spec: MetricSpec, points: Sequence) -> list:
     """One report per (x, y) point of a conformal spec (MissingSigma for
     any other).  The base and the rescaled space of every point are
-    evaluated as one stack (:func:`classify.point_records`), and sigma at
-    every point as one stacked jet; a point that cannot be evaluated gets
-    an ``eval_error`` record, and a point whose base or rescaled frame is
-    refused (the base is judged first) a ``frame_error`` record."""
+    evaluated as one stack (:func:`classify.point_records`); a point that
+    cannot be evaluated gets an ``eval_error`` record, and a point whose
+    base or rescaled frame is refused (the base is judged first) a
+    ``frame_error`` record."""
     pair_from_spec(spec)
-    try:
-        xs = np.array([x for x, _ in points], dtype=float).reshape(len(points), 4)
-        sigmas = _sigma_stack(spec, xs)
-    except Finsler4Error:
-        sigmas = None  # sigma fails at some point: each point evaluates its own
 
     def spaces(x, y) -> tuple:
         base = geometry.point_eval(spec.base, x, y)
         # e^sigma times the base's jet of L; the lifted tensors are measured from it
         return base, geometry.point_eval(spec, x, y, base)
 
-    def read(i, pes, outcomes) -> PointConformalReport:
-        sigma = None if sigmas is None else (sigmas[0][i], sigmas[1][i])
-        return evaluate_point(*map(profile_of, outcomes), sigma)
-
     return point_records(
-        points, spaces, read, lambda i, x, y, fields: PointConformalReport(x=x, y=y, **fields),
+        points, spaces,
+        lambda i, pes, outcomes: evaluate_point(*map(profile_of, outcomes)),
+        lambda i, x, y, fields: PointConformalReport(x=x, y=y, **fields),
     )
 
 

@@ -181,8 +181,8 @@ class PointEval:
         base: "PointEval | None" = None,
     ):
         self.spec = spec
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
+        self.x = metrics.point_components("x", x)
+        self.y = metrics.point_components("y", y)
         base_L = None
         if base is not None:
             if base.spec != spec.base or not (

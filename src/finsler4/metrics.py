@@ -294,6 +294,18 @@ def _rescale(spec: MetricSpec, env: list, base_L):
     return jets.exp(exprdsl.eval_expr(spec.sigma_ast, env)) * base_L
 
 
+def point_components(name: str, v: Sequence[float]) -> np.ndarray:
+    """``v`` (the x or the y of a point) as an array of four floats;
+    InvalidArgument for any other shape."""
+    try:
+        out = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape != (4,):
+        raise InvalidArgument(f"{name} must be four numbers, got {v!r}")
+    return out
+
+
 def eval_L(
     spec: MetricSpec,
     x: Sequence[float],
@@ -306,13 +318,15 @@ def eval_L(
     For a conformal spec, ``base_L`` may hold the jet of its base metric at
     the same point and caps; it is then rescaled, not evaluated again.
     An arithmetic error on the way, and any non-finite coefficient of the
-    result, raise :class:`DomainViolation`.
+    result, raise :class:`DomainViolation`; an x or y that is not four
+    numbers raises :class:`InvalidArgument`.
     """
+    x, y = point_components("x", x), point_components("y", y)
     if base_L is not None and (spec.family != "conformal" or base_L.caps != caps):
         raise InvalidArgument("base_L needs a conformal spec and a jet at the same caps")
     if not spec.domain.contains(x, y):
         raise DomainViolation(
-            f"point y={np.asarray(y, dtype=float).tolist()} outside the {spec.domain.y_cone} cone"
+            f"point y={y.tolist()} outside the {spec.domain.y_cone} cone"
         )
     env = [jets.variable(i, float(x[i]), caps) for i in range(4)]
     env += [jets.variable(4 + i, float(y[i]), caps) for i in range(4)]

@@ -13,9 +13,9 @@ from finsler4.conformal import (
     CASE_M,
     CASE_N_P,
     ExtractionUnreliable,
+    _case,
     audit_pair,
     berwald_case_conditions,
-    case_of,
     evaluate_point,
     evaluate_points,
     invariance_check,
@@ -92,7 +92,7 @@ def test_homothety_zero_components():
     sc = sigma_at(pair, X1, YGEN)
     assert max(abs(v) for v in sc.components[:4]) <= 1e-10
     assert np.max(np.abs(sc.spray_block())) <= 1e-10
-    assert case_of(sc)[0] == CASE_HOMOTHETIC
+    assert _case(sc)[0] == CASE_HOMOTHETIC
 
 
 def test_sigma_gradient_reconstruction():
@@ -165,17 +165,17 @@ def test_case_dispatch_constructed_gradients():
     flat = prof.e_flat
 
     sc = sigma_at(gradient_pair(QUARTIC, flat[2] + flat[3]), X1, YGEN)
-    case, _ = case_of(sc)
+    case, _ = _case(sc)[:2]
     assert case == CASE_N_P
     assert abs(sc.components[1]) < 1e-9
     assert sc.components[2] == pytest.approx(1.0, rel=1e-9)
     assert sc.components[3] == pytest.approx(1.0, rel=1e-9)
 
     sc = sigma_at(gradient_pair(QUARTIC, flat[1]), X1, YGEN)
-    assert case_of(sc)[0] == CASE_M
+    assert _case(sc)[0] == CASE_M
 
     sc = sigma_at(gradient_pair(QUARTIC, flat[1] + flat[2] + flat[3]), X1, YGEN)
-    assert case_of(sc)[0] == CASE_ALL
+    assert _case(sc)[0] == CASE_ALL
 
 
 def test_landsberg_conditions_homothetic_all_zero():
@@ -277,11 +277,11 @@ def test_case_dispatch_flags_near_threshold_components():
 
     # an m-component hovering just above the dispatch threshold is flagged
     sc = sigma_at(gradient_pair(QUARTIC, 1.5e-8 * flat[1] + 1.0 * flat[2]), X1, YGEN)
-    case, near = case_of(sc)
+    case, near = _case(sc)[:2]
     assert near
     # gradient along the supporting covector alone: anomalous pattern
     sc = sigma_at(gradient_pair(QUARTIC, flat[0]), X1, YGEN)
-    case, near = case_of(sc)
+    case, near = _case(sc)[:2]
     assert case == conformal.CASE_SUPPORTING_ONLY
 
 
@@ -595,12 +595,12 @@ def _report_bits(value):
 @pytest.mark.parametrize("doc,failures", [
     ({"family": "randers", "params": {"b": ["0.1*x2", 0, 0, 0]}, "sigma": "0.1*x1"}, 0),
     ({"family": "quartic_minkowski", "sigma": "0.2*x1+0.1*sin(x2)"}, 0),
-    # sigma fails where x1 <= -0.5, so each point evaluates its own sigma
+    # sigma fails where x1 <= -0.5: those points get an eval_error record
     ({"family": "quartic_minkowski", "sigma": "log(x1+0.5)"}, 2),
 ])
 def test_a_sample_audit_gives_each_point_its_lone_report(doc, failures):
-    # the conformal pairs the benchmark audits: sixteen points in one stack,
-    # with sigma as one stacked jet, report each point bit for bit as alone
+    # the conformal pairs the benchmark audits: sixteen points in one stack
+    # report each point bit for bit as alone
     spec, _ = metrics.spec_from_json_dict(doc)
     plan = SamplePlan(16, 7)
     audit = audit_pair(spec, plan)
@@ -614,3 +614,25 @@ def test_a_sample_audit_gives_each_point_its_lone_report(doc, failures):
         if rep.eval_error is None:
             base, lifted = profiles(spec, *point)
             assert _report_bits(evaluate_point(base, lifted)) == _report_bits(rep)
+
+
+def test_a_point_that_is_not_four_numbers_gets_its_own_eval_error():
+    # a short, a long and a ragged x, and a long y: each of those points is
+    # refused alone, and the others keep their lone reports
+    spec, _ = metrics.spec_from_json_dict(
+        {"family": "quartic_minkowski", "sigma": "0.2*x1+0.1*sin(x2)"})
+    points = sample_domain(spec.domain, SamplePlan(6, 3))
+    (x0, y0), (x1, _), (x2, _), (x3, _) = points[:4]
+    points[0] = (x0, [*y0, 1.0])
+    points[1] = (x1[:3], points[1][1])
+    points[2] = ([*x2, 0.0], points[2][1])
+    points[3] = ([x3[:2], x3[2:3]], points[3][1])
+    reports = evaluate_points(spec, points)
+    assert [rep.eval_error for rep in reports[:4]] == [
+        f"{name} must be four numbers, got {value!r}"
+        for name, value in (("y", points[0][1]), ("x", points[1][0]), ("x", points[2][0]),
+                            ("x", points[3][0]))
+    ]
+    for rep, point in zip(reports[4:], points[4:]):
+        assert rep.eval_error is None
+        assert _report_bits(rep) == _report_bits(evaluate_points(spec, [point])[0])

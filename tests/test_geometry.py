@@ -378,6 +378,18 @@ def test_stack_members_equal_lone_evaluations_bit_for_bit(size):
             assert _stack_outputs(pes) == want, (doc, start)
 
 
+def test_a_point_that_is_not_four_numbers_is_refused():
+    # not cut to its first four components, nor left to fail with a bare error
+    spec = make_builtin_metric("quartic_minkowski")
+    y = [1.0, 2.0, 1.0, 1.0]
+    for x, y in ((np.zeros(5), y), (np.zeros(3), y), ([[0.0, 0.0], [0.0]], y),
+                 (np.zeros(4), [*y, 3.0]), (np.zeros(4), "abcd")):
+        with pytest.raises(jets.InvalidArgument, match="must be four numbers"):
+            point_eval(spec, x, y)
+        with pytest.raises(jets.InvalidArgument, match="must be four numbers"):
+            metrics.eval_L(spec, x, y, DegreeCaps(1, 1))
+
+
 def test_stack_of_stacks_is_refused():
     spec = make_builtin_metric("quartic_minkowski")
     stack = geometry.PointEval.stack([point_eval(spec, X0, Y2)])
