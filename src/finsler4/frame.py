@@ -247,29 +247,17 @@ def _frame_from_ring(g, g_inv, C, y, L):
 
 # -- main scalars and derivative tables -------------------------------------
 
-def _distinct(rows: list) -> tuple:
-    """(the distinct entries of ``rows`` in order of first appearance, the
-    index of each entry of ``rows`` among them)."""
-    seen = list(dict.fromkeys(rows))
-    return seen, np.array([seen.index(r) for r in rows])
-
-
-# the slots' frame indices, contracted one at a time: the first vectors and
-# the (first, second) pairs repeat, so each distinct one is contracted once
-_FIRST, _ = _distinct([SCALAR_SLOTS[n][0] for n in SCALAR_NAMES])
-_PAIR, _PAIR_OF_SLOT = _distinct([SCALAR_SLOTS[n][:2] for n in SCALAR_NAMES])
-_PAIR_FIRST = np.array([_FIRST.index(a) for a, _ in _PAIR])
-_PAIR_SECOND = np.array([b for _, b in _PAIR])
-_THIRD = np.array([SCALAR_SLOTS[n][2] for n in SCALAR_NAMES])
+_SLOT_ROWS = tuple(np.array(axis) for axis in zip(*(SCALAR_SLOTS[n] for n in SCALAR_NAMES)))
 
 
 def _scalar_jets(C, e, L) -> np.ndarray:
     """The eight main scalars of each member, rows in SCALAR_NAMES order, as
     a (B, 8, n) FRAME_CAPS coefficient array from the C, frame-vector and L
     jets."""
-    first = contract("zijk,zsi->zsjk", C, e[:, _FIRST], FRAME_CAPS)
-    second = contract("zsjk,zsj->zsk", first[:, _PAIR_FIRST], e[:, _PAIR_SECOND], FRAME_CAPS)
-    M = contract("zsk,zsk->zs", second[:, _PAIR_OF_SLOT], e[:, _THIRD], FRAME_CAPS)
+    a, b, c = (e[:, rows] for rows in _SLOT_ROWS)
+    first = contract("zijk,zsi->zsjk", C, a, FRAME_CAPS)
+    second = contract("zsjk,zsj->zsk", first, b, FRAME_CAPS)
+    M = contract("zsk,zsk->zs", second, c, FRAME_CAPS)
     return contract("zs,z->zs", M, L, FRAME_CAPS)
 
 
