@@ -51,15 +51,14 @@ def band(value, scale, small: float, large: float) -> Optional[bool]:
 class Judge(NamedTuple):
     """How one question is judged: its quantity (a key of the values, or a
     tuple of keys whose largest absolute entry it is) against
-    ``values[reference] + floor``, with band edges small and large, in units
-    of tol if ``of_tol``."""
+    ``values[reference]``, with band edges small and large, in units of tol
+    if ``of_tol``."""
 
     quantity: str | tuple
     reference: str
     small: float
     large: float
     of_tol: bool = True
-    floor: float = 0.0
 
 
 # the verdicts judge a PointRecord's fields, the routes of theorem_crosscheck
@@ -71,7 +70,7 @@ JUDGES = {
     "landsberg": Judge("max_cartan_hderiv_transvected", "hderiv_scale", 1, 10),
     "berwald_frame": Judge(("max_hjk", "max_scalar_hderiv"), "hderiv_scale", 1, 10),
     "landsberg_frame": Judge(("max_hjk_l", "max_scalar_hderiv_l"), "hderiv_scale", 1, 10),
-    "condition_row": Judge("residual", "scale", 1, 100, floor=1e-12),
+    "condition_row": Judge("residual", "scale", 1, 100),
     "barred_hjk": Judge(("h_bar", "j_bar", "k_bar"), "hderiv_scale", 1, 100),
     "berwald_measured": Judge("max_cartan_hderiv", "hderiv_scale", 1e-6, 1e-4, False),
     "landsberg_measured": Judge("max_cartan_hderiv_transvected", "hderiv_scale", 1e-6, 1e-4,
@@ -88,7 +87,7 @@ def judge(question: str, values: Mapping, tol: float) -> Optional[bool]:
     # one np.max over every key, which unlike max keeps a NaN in any of them
     value = values[q] if isinstance(q, str) else np.abs(np.hstack([values[k] for k in q])).max()
     unit = tol if row.of_tol else 1.0
-    return band(value, values[row.reference] + row.floor, row.small * unit, row.large * unit)
+    return band(value, values[row.reference], row.small * unit, row.large * unit)
 
 
 def all3(flags: Iterable[Optional[bool]]) -> Optional[bool]:

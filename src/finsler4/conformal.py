@@ -41,6 +41,9 @@ from .geometry import PointEval
 from .jets import DegreeCaps, Finsler4Error, derivative_tensor, ring_sum
 from .metrics import MetricSpec, SamplePlan
 
+# sigma's ring: sigma depends on x alone, and the layer reads its value and
+# its gradient
+_SIGMA_CAPS = DegreeCaps(1, 0)
 TAU_SIGMA = 1e-8
 # spray-difference extraction residuals above this share of the extraction
 # scale make the Berwald conditions unusable at a point
@@ -99,8 +102,7 @@ class SigmaComponents:
 def sigma_gradient(spec: MetricSpec, x: Sequence[float]) -> tuple[float, np.ndarray]:
     """(sigma(x), d sigma / dx) of a conformal spec via a first-order jet
     evaluation."""
-    caps = DegreeCaps(1, 0)
-    env = [jets.variable(i, float(x[i]), caps) for i in range(4)] + [0.0] * 4
+    env = [jets.variable(i, float(x[i]), _SIGMA_CAPS) for i in range(4)] + [0.0] * 4
     val = exprdsl.eval_expr(spec.sigma_ast, env)
     if not isinstance(val, jets.JetScalar):
         return float(val), np.zeros(4)

@@ -20,14 +20,16 @@ Stacks
 (``PointEval.stack``) at once: every frame field carries the stack axis
 first, and every contraction has a leading stack label, so each member
 gets the bits of its own build alone.  The stack is built as one or
-refused as one: if any member's metric is not positive definite, its
-torsion vanishes or its seeds run out, the stack raises that refusal,
-and a seed that some members skip and others take raises
-:class:`SeedsDiffer`.  A NotPositiveDefinite or VanishingTorsion names
-the members it refuses (``FrameError.refused``), so the caller builds the
-rest again as one stack; after any other refusal it reruns the members
-one by one (:func:`classify.evaluate_stack`), so each gets its own frame
-or error.
+refused as one, and the refusals come in this order: a member whose
+metric is not positive definite, then one whose weighted torsion length
+L |C| (``L * cartan.C_norm``, read from the stack's cached stages before
+any frame field is built) is below TAU_TORSION or NaN, then seeds that
+run out; the stack raises that refusal, and a seed that some members
+skip and others take raises :class:`SeedsDiffer`.  A NotPositiveDefinite
+or VanishingTorsion names the members it refuses (``FrameError.refused``),
+so the caller builds the rest again as one stack; after any other refusal
+it reruns the members one by one (:func:`classify.evaluate_stack`), so
+each gets its own frame or error.
 1/L and q^(-1/2) are :func:`jets.recip` and :func:`jets.power` of the
 stack's L and q as one stacked :class:`jets.JetScalar`, each member's row
 bit for bit as its own jet.
@@ -63,10 +65,12 @@ components.  ``recon_{h,v}deriv_{m,n,p}`` is the largest entry of
 nabla e_a (L nabla e_a for the v-form) minus the model row
 sum_b e_b (x) A[a, b].  The l row is checked on its own: ``l_hderiv_zero``
 is |nabla_h l| and ``l_vderiv_angular`` compares L nabla_v l with the
-angular metric g - l (x) l.  No verdict reads these residuals, so a
-profile builds them when they are first read (``ProfileResult.residuals``),
-from its covector jets ``e_flat_jets`` and the stages its PointEval has
-cached.
+angular metric g - l (x) l.  The profile keeps nabla_h e_a and nabla_v
+e_a of all four rows (``cov_h``, ``cov_v``), from one
+:func:`covariant_derivatives` call over the stack.  No verdict reads the
+residuals, so a profile builds them when they are first read
+(``ProfileResult.residuals``), from those arrays and the stages its
+PointEval has cached.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ import numpy as np
 from . import jets
 from .geometry import ConnectionAt, PointEval, SprayAt, _y_jets
 from .jets import (
-    DegreeCaps, Finsler4Error, InvalidArgument, JetScalar, contract, derivative_tensor, ring_sum,
+    DegreeCaps, Finsler4Error, InvalidArgument, JetScalar, contract, derivative_tensor, einsum,
+    ring_sum,
 )
 
 # the frame ring: the frame build reads values and first derivatives only,
@@ -141,7 +146,8 @@ class ProfileResult:
     v_derivs: np.ndarray  # (8, 4): row order SCALAR_NAMES, columns frame index
     h_derivs: np.ndarray  # (8, 4)
     vectors: np.ndarray  # (6, 4): row order VECTOR_NAMES, columns frame index
-    e_flat_jets: np.ndarray  # (4, 4, n): e_flat as FRAME_CAPS coefficient arrays
+    cov_h: np.ndarray  # (4, 4, 4): [a, i, k] = nabla_k e_a_i, horizontal
+    cov_v: np.ndarray  # (4, 4, 4): the same, vertical
 
     @cached_property
     def residuals(self) -> dict:
@@ -215,25 +221,15 @@ def _frame_from_ring(g, g_inv, C, y, L):
 
     g, g_inv: (B, 4, 4, n); C: (B, 4, 4, 4, n); y: (B, 4, n); L: (B, n).
     Returns (e, e_flat, gauge_tags): e and e_flat of shape (B, 4, 4, n)
-    with rows l, m, n, p, and one gauge tag per member.  Raises
-    VanishingTorsion, naming every member whose torsion vanishes, and what
-    :func:`_complete` raises.  Refusals read base values only.
+    with rows l, m, n, p, and one gauge tag per member.  The torsion of
+    every member must not vanish (:func:`_profiles` refuses it first);
+    raises what :func:`_complete` raises, which reads base values only.
     """
     caps = FRAME_CAPS
     l = contract("zi,z->zi", y, jets.recip(JetScalar(caps, L)).c, caps)
     C_low = contract("zijk,zjk->zi", C, g_inv, caps)
     C_up = contract("zij,zj->zi", g_inv, C_low, caps)
     q = contract("zi,zi->z", C_up, C_low, caps)
-    refused = {}
-    for i, (L0, q0) in enumerate(zip(L[:, 0].tolist(), q[:, 0].tolist())):
-        # L^2 q is the square of L |C|, which does not change when L is rescaled
-        weighted = L0**2 * q0
-        if weighted < TAU_TORSION**2:
-            refused[i] = (
-                f"weighted torsion length {max(weighted, 0.0) ** 0.5:.3e} below {TAU_TORSION:.1e}"
-            )
-    if refused:
-        raise VanishingTorsion(next(iter(refused.values())), refused)
     e = np.empty(g.shape)
     e[:, 0] = l
     e[:, 1] = contract("zi,z->zi", C_up, jets.power(JetScalar(caps, q), -0.5).c, caps)
@@ -298,8 +294,8 @@ def covariant_derivatives(field, spray: SprayAt, conn: ConnectionAt) -> Covarian
     vals = field[..., 0]
     z = "z" * (conn.F.ndim - 3)
     spec = f"{z}...r,{z}rik->{z}...ik"
-    h = cov.h - np.einsum(spec, vals, conn.F)
-    v = cov.v - np.einsum(spec, vals, conn.Cmix)
+    h = cov.h - einsum(spec, vals, conn.F)
+    v = cov.v - einsum(spec, vals, conn.Cmix)
     return CovariantDerivatives(h=h, v=v)
 
 
@@ -307,40 +303,38 @@ def covariant_derivatives(field, spray: SprayAt, conn: ConnectionAt) -> Covarian
 _PAIRS = ((1, 2), (1, 3), (2, 3))
 _PAIR_A = [a for a, _ in _PAIRS]
 _PAIR_B = [b for _, b in _PAIRS]
-_PAIR_A_MN = [a - 1 for a in _PAIR_A]  # the rows of (m, n) that _PAIR_A names
 
 
-def _forms(L0, e, cov_mn: CovariantDerivatives) -> tuple:
+def _forms(L0, e, cov_h, cov_v) -> tuple:
     """The h-form and L times the v-form at the frame pairs :data:`_PAIRS`,
-    (K, 3, 4) each, from the covariant derivatives ``cov_mn`` of the
-    covector fields m and n ([member, m or n, i, k] = nabla_k e_a_i), which
-    are the only rows the pairs differentiate.  ``L0`` is (K,), ``e``
-    (K, 4, 4)."""
-    # e[b] @ cov.h[a] for every pair (a, b), as vector-matrix products
-    h_form = (e[:, _PAIR_B, None] @ cov_mn.h[:, _PAIR_A_MN])[:, :, 0]
-    v_form = L0[:, None, None] * (e[:, _PAIR_B, None] @ cov_mn.v[:, _PAIR_A_MN])[:, :, 0]
+    (K, 3, 4) each, from the covariant derivatives ``cov_h`` and ``cov_v``
+    of the four covector fields ([member, a, i, k] = nabla_k e_a_i).
+    ``L0`` is (K,), ``e`` (K, 4, 4)."""
+    # e[b] @ cov_h[a] for every pair (a, b), as vector-matrix products
+    h_form = (e[:, _PAIR_B, None] @ cov_h[:, _PAIR_A])[:, :, 0]
+    v_form = L0[:, None, None] * (e[:, _PAIR_B, None] @ cov_v[:, _PAIR_A])[:, :, 0]
     return h_form, v_form
 
 
-def _connection_vectors(L0, e, e_flat_jets, spray, conn) -> np.ndarray:
+def _connection_vectors(L0, e, cov_h, cov_v) -> np.ndarray:
     """Frame components of the h- and v-connection vectors of a stack of
     frames, a (K, 6, 4) array in VECTOR_NAMES order."""
-    h_form, v_form = _forms(L0, e, covariant_derivatives(e_flat_jets[:, 1:3], spray, conn))
+    h_form, v_form = _forms(L0, e, cov_h, cov_v)
     return (e[:, None] @ np.concatenate([h_form, v_form], axis=1)[..., None])[..., 0]
 
 
 def _frame_residuals(prof: "ProfileResult") -> dict:
     """The residuals of the frame-derivative reconstruction identities
     (module doc, "Connection forms"), the orthonormality of the frame and
-    the torsion-trace sum H + I + K - L |C| of one profile, as floats.  The
-    member is computed alone from its FRAME_CAPS covector jets and the
-    stages its PointEval has cached, bit for bit as in its stack."""
-    st = prof.pe.as_stack()
-    L0, g = st.L, st.metric.g
+    the torsion-trace sum H + I + K - L |C| of one profile, as floats, from
+    its covariant derivatives and the stages its PointEval has cached, as a
+    stack of one."""
+    pe = prof.pe
+    L0, g = np.array([pe.L]), pe.metric.g[None]
     e, e_flat = prof.e[None], prof.e_flat[None]
     # [member, frame vector, i, k]: nabla_k of each frame covector field
-    cov = covariant_derivatives(prof.e_flat_jets[None], st.spray, st.connection)
-    h_form, v_form = _forms(L0, e, CovariantDerivatives(cov.h[:, 1:3], cov.v[:, 1:3]))
+    cov_h, cov_v = prof.cov_h[None], prof.cov_v[None]
+    h_form, v_form = _forms(L0, e, cov_h, cov_v)
 
     # A[member, form, a, b]: the h-form and L times the v-form, antisymmetric in (a, b)
     A = np.zeros((1, 2, 4, 4, 4))
@@ -352,7 +346,7 @@ def _frame_residuals(prof: "ProfileResult") -> dict:
     model = ring_sum(
         e_flat[:, None, None, b, :, None] * A[:, :, 1:, b, None, :] for b in range(4)
     )
-    derivs = (cov.h[:, 1:], L0[:, None, None, None] * cov.v[:, 1:])
+    derivs = (cov_h[:, 1:], L0[:, None, None, None] * cov_v[:, 1:])
     gap = [np.abs(d - model[:, f]).max(axis=(2, 3)) for f, d in enumerate(derivs)]
 
     def mx(a):
@@ -360,12 +354,12 @@ def _frame_residuals(prof: "ProfileResult") -> dict:
 
     l_flat = e_flat[:, 0]
     angular = g - l_flat[:, :, None] * l_flat[:, None, :]
-    # e[l] @ cov.h[m] and e[m] @ cov.h[m]
-    m_h = (e[:, :2, None] @ cov.h[:, 1, None])[:, :, 0]
+    # e[l] @ cov_h[m] and e[m] @ cov_h[m]
+    m_h = (e[:, :2, None] @ cov_h[:, 1, None])[:, :, 0]
     H, I, K = (prof.scalars[None, SCALAR_NAMES.index(name)] for name in ("H", "I", "K"))
     out = {
-        "l_hderiv_zero": mx(cov.h[:, 0]),
-        "l_vderiv_angular": mx(L0[:, None, None] * cov.v[:, 0] - angular),
+        "l_hderiv_zero": mx(cov_h[:, 0]),
+        "l_vderiv_angular": mx(L0[:, None, None] * cov_v[:, 0] - angular),
         **{
             f"recon_{kind}deriv_{name}": gap[f][:, a]
             for f, kind in enumerate("hv")
@@ -374,21 +368,31 @@ def _frame_residuals(prof: "ProfileResult") -> dict:
         "hderiv_m_l_component": mx(m_h[:, 0]),
         "hderiv_m_m_component": mx(m_h[:, 1]),
         "orthonormality": mx(e @ g @ e.transpose(0, 2, 1) - np.eye(4)),
-        "unified_scalar_sum": np.abs(H + I + K - L0 * st.cartan.C_norm),
+        "unified_scalar_sum": np.abs(H + I + K - L0 * pe.cartan.C_norm),
     }
     return {name: value.item() for name, value in out.items()}
 
 
 def _profiles(st: PointEval) -> list:
     """The ProfileResult of each member of the stack ``st``; raises the
-    FrameError that refuses any member's frame."""
+    FrameError that refuses any member's frame.  NotPositiveDefinite and
+    VanishingTorsion are decided from the stack's cached stages, before any
+    frame field is built."""
     indefinite = np.flatnonzero(~st.metric.positive_definite).tolist()
     if indefinite:
         msg = "the fundamental tensor is not positive definite"
         raise NotPositiveDefinite(msg, dict.fromkeys(indefinite, msg))
+    L0 = st.L
+    # L |C| does not change when L is rescaled; a NaN length is refused too
+    length = L0 * st.cartan.C_norm
+    short = np.flatnonzero(~(length >= TAU_TORSION)).tolist()
+    if short:
+        refused = {
+            i: f"weighted torsion length {length[i]:.3e} below {TAU_TORSION:.1e}" for i in short
+        }
+        raise VanishingTorsion(refused[short[0]], refused)
     g_j, g_inv_j, C_j, y_j, L_j = _field_jets(st)
     e_jets, e_flat_jets, gauges = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
-    L0 = st.L
     e = e_jets[..., 0].copy()
     e_flat = e_flat_jets[..., 0].copy()
 
@@ -398,13 +402,15 @@ def _profiles(st: PointEval) -> list:
     v_derivs = L0[:, None, None] * (derivs.v @ e_t)
     h_derivs = derivs.h @ e_t
 
-    vectors = _connection_vectors(L0, e, e_flat_jets, st.spray, st.connection)
+    # [member, frame covector, i, k]: nabla_k e_a_i of all four rows at once
+    cov = covariant_derivatives(e_flat_jets, st.spray, st.connection)
+    vectors = _connection_vectors(L0, e, cov.h, cov.v)
     scalars = scalar_jets[..., 0].copy()
     return [
         ProfileResult(
             pe=member, e=e[i], e_flat=e_flat[i], gauge_tag=gauges[i], scalars=scalars[i],
             v_derivs=v_derivs[i], h_derivs=h_derivs[i], vectors=vectors[i],
-            e_flat_jets=e_flat_jets[i],
+            cov_h=cov.h[i], cov_v=cov.v[i],
         )
         for i, member in enumerate(st.members)
     ]

@@ -26,8 +26,9 @@ its own slice as that member's cached value, so a reader of a member
 recomputes nothing.  A lone PointEval is computed as a stack of one, by
 the same code.  Each stage is a per-member formula: jet products go
 through :func:`jets.contract` with a leading label, float contractions
-through ``np.einsum`` with a leading label or a stacked ``matmul`` of the
-same per-member shape, and ``np.linalg`` works matrix by matrix.  So
+through NumPy's einsum (``jets.einsum``) with a leading label or a stacked
+``matmul`` of the same per-member shape, axis permutations are
+``transpose`` views, and ``np.linalg`` works matrix by matrix.  So
 every member comes out bit for bit as when it is evaluated alone.  A
 stage that fails for one member (a singular metric) raises for the
 stack, and the caller reruns the members one by one, each from
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import jets, metrics
 from .jets import (
-    DegreeCaps, Finsler4Error, InvalidArgument, contract, derivative_tensor,
+    DegreeCaps, Finsler4Error, InvalidArgument, contract, derivative_tensor, einsum,
 )
 from .metrics import MetricSpec
 
@@ -260,7 +261,7 @@ class PointEval:
     def cartan(self) -> CartanTensorAt:
         C = 0.25 * derivative_tensor(self._L2, 0, 3, f_caps=self._caps)
         g_inv = self.metric.g_inv
-        C_vec = np.einsum("zijk,zjk->zi", C, g_inv)
+        C_vec = einsum("zijk,zjk->zi", C, g_inv)
         square = (C_vec[:, None, :] @ g_inv @ C_vec[:, :, None])[:, 0, 0]
         C_norm = np.array([_length(v) for v in square.tolist()])
         return CartanTensorAt(C=C, C_vec=C_vec, C_norm=C_norm)
@@ -291,14 +292,11 @@ class PointEval:
         C = self.cartan.C
         N = self.spray.N
         # delta_j g_rk = d_j g_rk - N^m_j * dy_m g_rk, with dy g = 2C
-        delta_g = self.dx_g - 2.0 * np.einsum("zmj,zrkm->zjrk", N, C)
-        sym = (
-            delta_g
-            + np.einsum("zkrj->zjrk", delta_g)
-            - np.einsum("zrjk->zjrk", delta_g)
-        )
-        F = 0.5 * np.einsum("zir,zjrk->zijk", g_inv, sym)
-        Cmix = np.einsum("zir,zrjk->zijk", g_inv, C)
+        delta_g = self.dx_g - 2.0 * einsum("zmj,zrkm->zjrk", N, C)
+        # [z, j, r, k] + delta_g[z, k, r, j] - delta_g[z, r, j, k]
+        sym = delta_g + delta_g.transpose(0, 3, 2, 1) - delta_g.transpose(0, 2, 1, 3)
+        F = 0.5 * einsum("zir,zjrk->zijk", g_inv, sym)
+        Cmix = einsum("zir,zrjk->zijk", g_inv, C)
         return ConnectionAt(F=F, Cmix=Cmix)
 
     @_stage
@@ -309,16 +307,15 @@ class PointEval:
         F = self.connection.F
         dC_x = 0.25 * derivative_tensor(self._L2, 1, 3, f_caps=self._caps)  # [h, i, j, k]
         dC_y = 0.25 * derivative_tensor(self._L2, 0, 4, f_caps=self._caps)
-        delta_C = np.einsum("zhijk->zijkh", dC_x) - np.einsum(
-            "zmh,zmijk->zijkh", N, dC_y
-        )
+        # dC_x[z, h, i, j, k] moved to [z, i, j, k, h]
+        delta_C = dC_x.transpose(0, 2, 3, 4, 1) - einsum("zmh,zmijk->zijkh", N, dC_y)
         C_h = (
             delta_C
-            - np.einsum("zrjk,zrih->zijkh", C, F)
-            - np.einsum("zirk,zrjh->zijkh", C, F)
-            - np.einsum("zijr,zrkh->zijkh", C, F)
+            - einsum("zrjk,zrih->zijkh", C, F)
+            - einsum("zirk,zrjh->zijkh", C, F)
+            - einsum("zijr,zrkh->zijkh", C, F)
         )
-        C_0 = np.einsum("zijkh,zh->zijk", C_h, self.y)
+        C_0 = einsum("zijkh,zh->zijk", C_h, self.y)
         return C_h, C_0
 
 

@@ -66,6 +66,12 @@ Y_SLOTS = (4, 5, 6, 7)
 
 Number = Union[int, float]
 
+# NumPy's own einsum and bincount without their ``__array_function__``
+# dispatch: every operand in this package is a plain ndarray, which the
+# dispatch would hand straight back to these functions
+einsum = getattr(np.einsum, "_implementation", np.einsum)
+bincount = getattr(np.bincount, "_implementation", np.bincount)
+
 
 class Finsler4Error(Exception):
     """Root of every error the package raises."""
@@ -378,11 +384,11 @@ def _product(a: np.ndarray, b: np.ndarray, mul_i, mul_j, mul_k, n: int) -> np.nd
     row: one ``np.bincount`` sums each row's pairs (mul_i, mul_j) onto its
     monomials mul_k left to right, each row offset by ``n``."""
     if a.ndim == b.ndim == 1:
-        return np.bincount(mul_k, weights=a[mul_i] * b[mul_j], minlength=n)
+        return bincount(mul_k, weights=a[mul_i] * b[mul_j], minlength=n)
     prod = a.take(mul_i, axis=-1) * b.take(mul_j, axis=-1)
     rows = prod.size // len(mul_k)
     at = (np.arange(rows)[:, None] * n + mul_k).ravel()
-    coeffs = np.bincount(at, weights=prod.ravel(), minlength=rows * n)
+    coeffs = bincount(at, weights=prod.ravel(), minlength=rows * n)
     return coeffs.reshape(prod.shape[:-1] + (n,))
 
 
@@ -502,9 +508,9 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray, caps: DegreeCaps) -> np.nd
         ins, out = spec.split("->")
         left, right = ins.split(",")
         full = _PAIR_SPECS[spec] = f"{left}...,{right}...->{out}..."
-    pairs = np.einsum(full, a.take(t.mul_i, axis=-1), b.take(t.mul_j, axis=-1))
+    pairs = einsum(full, a.take(t.mul_i, axis=-1), b.take(t.mul_j, axis=-1))
     rows = pairs.size // len(t.mul_k)
-    coeffs = np.bincount(t.scatter_index(rows), weights=pairs.ravel(), minlength=rows * t.n)
+    coeffs = bincount(t.scatter_index(rows), weights=pairs.ravel(), minlength=rows * t.n)
     return coeffs.reshape(pairs.shape[:-1] + (t.n,))
 
 
@@ -525,8 +531,8 @@ def solve(m: np.ndarray, m0_inv: np.ndarray, rhs: np.ndarray, caps: DegreeCaps) 
     z = "ZYXW"[: m0_inv.ndim - 2]
     d = m.copy()
     d[..., 0] = 0.0
-    step = -np.einsum(f"{z}ij,{z}jk...->{z}ik...", m0_inv, d)
-    base = np.einsum(f"{z}ij,{z}j...->{z}i...", m0_inv, rhs)
+    step = -einsum(f"{z}ij,{z}jk...->{z}ik...", m0_inv, d)
+    base = einsum(f"{z}ij,{z}j...->{z}i...", m0_inv, rhs)
     rest = "klmnopqr"[: rhs.ndim - len(z) - 2]
     spec = f"{z}ij,{z}j{rest}->{z}i{rest}"
     out = base

@@ -169,8 +169,14 @@ _BERWALD_MOOR_L = exprdsl.parse_expr("(y1*y2*y3*y4)^0.25")
 
 
 def _sum(terms) -> ExprAst:
-    """Left-to-right sum of expressions, starting from the first term."""
-    return reduce(lambda a, b: exprdsl.BinOp("+", a, b), terms)
+    """Left-to-right sum of expressions, starting from the first term;
+    ``Lit(0.0)`` if there is none."""
+    terms = list(terms)
+    return reduce(lambda a, b: exprdsl.BinOp("+", a, b), terms) if terms else exprdsl.Lit(0.0)
+
+
+def _is_zero(ast: ExprAst) -> bool:
+    return isinstance(ast, exprdsl.Lit) and ast.value == 0.0
 
 
 def _times(*factors) -> ExprAst:
@@ -202,8 +208,18 @@ def make_builtin_metric(
         for row in entries:
             for entry in row:
                 _require_x_only(entry, "riemannian coefficients")
-        # sqrt of the sum of g0_ij y_i y_j over all (i, j), zero entries included
-        q = _sum(_times(entries[i][j], _Y[i], _Y[j]) for i in range(4) for j in range(4))
+        # sqrt of the sum of g0_ij y_i y_j, left to right, over the entries
+        # that are not a literal zero; leaving those out changes no bit of L.
+        # In jets each term ends in a ring product, whose sums start at
+        # +0.0, so no term or partial sum holds a -0.0, a zero term is all
+        # +0.0 and adding it is the identity, and its degree bound (0, 2)
+        # lies within every other term's.  In NumPy a zero term is +-0.0,
+        # which moves no nonzero sum, and sqrt refuses a zero sum of either
+        # sign as it refuses the Lit(0.0) of an all-zero g0.
+        q = _sum(
+            _times(entries[i][j], _Y[i], _Y[j])
+            for i in range(4) for j in range(4) if not _is_zero(entries[i][j])
+        )
         dom = domain or DomainSpec(y_cone="all_nonzero")
         return MetricSpec(family, dom, L_ast=exprdsl.Call("sqrt", q))
     if family == "randers":
@@ -215,9 +231,14 @@ def make_builtin_metric(
             _require_x_only(entry, "randers drift coefficients")
         dom = domain or DomainSpec(y_cone="all_nonzero")
         _check_randers_valid(b_ast, dom)
-        # sqrt(y1*y1+y2*y2+y3*y3+y4*y4) + (b1*y1+b2*y2+b3*y3+b4*y4)
+        # sqrt(y1*y1+y2*y2+y3*y3+y4*y4) + (b1*y1+b2*y2+b3*y3+b4*y4), with
+        # each b_i that is a literal zero left out (Lit(0.0) if all are),
+        # which changes no bit of L: 0*y_i is +-0.0 throughout, so leaving
+        # it out moves only the sign of zero entries of the drift, and
+        # alpha, which holds no -0.0, takes each of them to the same sum;
+        # alpha's degree bound covers the drift's (0, 1)
         alpha = exprdsl.Call("sqrt", _sum(_times(v, v) for v in _Y))
-        drift = _sum(_times(bi, v) for bi, v in zip(b_ast, _Y))
+        drift = _sum(_times(bi, v) for bi, v in zip(b_ast, _Y) if not _is_zero(bi))
         return MetricSpec(family, dom, L_ast=exprdsl.BinOp("+", alpha, drift), b_ast=b_ast)
     if family == "expression":
         src = params.get("L")

@@ -172,8 +172,8 @@ def test_judge_edges(question, tol):
     row = classify.JUDGES[question]
     ref = 3.0
     unit = tol if row.of_tol else 1.0
-    small = row.small * unit * (ref + row.floor)
-    large = row.large * unit * (ref + row.floor)
+    small = row.small * unit * ref
+    large = row.large * unit * ref
     assert judge(question, _judged(question, small, ref), tol) is True
     assert judge(question, _judged(question, math.sqrt(small * large), ref), tol) is None
     assert judge(question, _judged(question, large, ref), tol) is None
@@ -185,7 +185,7 @@ def test_judge_edges(question, tol):
 def test_judge_edges_move_with_tol_unless_fixed(question):
     row = classify.JUDGES[question]
     # between the edges at tol = 1e-6, below the small edge at tol = 1e-3
-    values = _judged(question, 2 * row.small * 1e-6 * (1.0 + row.floor), 1.0)
+    values = _judged(question, 2 * row.small * 1e-6, 1.0)
     at_fine, at_coarse = judge(question, values, 1e-6), judge(question, values, 1e-3)
     if row.of_tol:
         assert (at_fine, at_coarse) == (None, True)
@@ -262,6 +262,14 @@ def test_judging_a_row_array_is_the_and_of_its_rows(seed):
             flags = [judge("condition_row", {"residual": r, "scale": s}, tol)
                      for r, s in zip(rows.tolist(), scale.tolist())]
             assert judge("condition_row", {"residual": rows, "scale": scale}, tol) is all3(flags)
+
+
+def test_a_condition_block_of_zero_terms_vanishes():
+    # rows whose terms are all zero have residual 0 and scale 0, and 0 <= small * 0
+    _, rows = conformal._condition_rows([(("a", "b"), np.zeros((2, 3)))])
+    assert rows["residual"].tolist() == rows["scale"].tolist() == [0.0, 0.0]
+    for tol in (1e-6, 1e-3):
+        assert judge("condition_row", rows, tol) is True
 
 
 def test_a_stage_failure_reruns_the_stack_member_by_member():

@@ -420,15 +420,18 @@ def test_profile_result_is_one_flat_record_of_arrays():
     prof = scalar_profile(point_eval(QUARTIC, X0, Y2))
     assert [f.name for f in dataclasses.fields(prof)] == [
         "pe", "e", "e_flat", "gauge_tag", "scalars", "v_derivs", "h_derivs", "vectors",
-        "e_flat_jets",
+        "cov_h", "cov_v",
     ]
     assert VECTOR_NAMES == ("h", "j", "k", "u", "v", "w")
     shapes = [a.shape for a in (prof.e, prof.e_flat, prof.scalars, prof.v_derivs,
-                                prof.h_derivs, prof.vectors, prof.e_flat_jets)]
-    assert shapes == [(4, 4), (4, 4), (8,), (8, 4), (8, 4), (6, 4), (4, 4, 9)]
+                                prof.h_derivs, prof.vectors, prof.cov_h, prof.cov_v)]
+    assert shapes == [(4, 4), (4, 4), (8,), (8, 4), (8, 4), (6, 4), (4, 4, 4), (4, 4, 4)]
     # the residuals are built when first read, not stored as a field
     assert "residuals" not in vars(prof)
-    assert np.array_equal(prof.e_flat_jets[..., 0], prof.e_flat)
+    # cov_h and cov_v are the covariant derivatives of the four covector rows
+    _, e_flat_jets, _ = frame._frame_from_ring(*frame._field_jets(prof.pe.as_stack()))
+    cov = frame.covariant_derivatives(e_flat_jets[0], prof.pe.spray, prof.pe.connection)
+    assert np.array_equal(prof.cov_h, cov.h) and np.array_equal(prof.cov_v, cov.v)
 
 
 # members of one mixed stack: (spec, x, y, lone outcome)
@@ -482,6 +485,34 @@ def test_refusals_take_only_their_own_member_out_of_a_stack():
     seeds = [out.gauge_tag["seeds"] for out in outcomes if not isinstance(out, Exception)]
     # three seed patterns, one per member left with a frame
     assert seeds == [(0, 2), (0, 1), (2, 3)]
+
+
+def _no_frame_jets(st):
+    raise AssertionError("frame field jets built for a refused frame")
+
+
+def test_vanishing_torsion_is_refused_before_any_frame_jet(monkeypatch):
+    # the refusal reads L and |C| from the PointEval's stages
+    monkeypatch.setattr(frame, "_field_jets", _no_frame_jets)
+    for x, y in sample_domain(_CURVED_RIEMANNIAN.domain, SamplePlan(count=3, seed=5)):
+        with pytest.raises(VanishingTorsion) as refusal:
+            scalar_profile(point_eval(_CURVED_RIEMANNIAN, x, y))
+        assert str(refusal.value).startswith("weighted torsion length ")
+        assert refusal.value.refused == {0: str(refusal.value)}
+
+
+def test_a_mixed_stack_names_only_its_torsion_free_member(monkeypatch):
+    members = [m for m in _MIXED if m[3] != "NotPositiveDefinite"]
+    k = [kind for *_, kind in members].index("VanishingTorsion")
+    lone = point_eval(*members[k][:3])
+    with pytest.raises(VanishingTorsion) as alone:
+        scalar_profile(lone)
+    pes = [point_eval(spec, x, y) for spec, x, y, _ in members]
+    monkeypatch.setattr(frame, "_field_jets", _no_frame_jets)
+    with pytest.raises(VanishingTorsion) as refusal:
+        scalar_profile(geometry.PointEval.stack(pes))
+    assert refusal.value.refused == {k: str(alone.value)}
+    assert str(refusal.value) == str(alone.value)
 
 
 def test_the_rerun_builds_only_the_frame_again(monkeypatch):

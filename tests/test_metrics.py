@@ -308,3 +308,59 @@ def test_family_L_equals_its_written_out_formula_bit_for_bit(name):
     xs, ys = _columns(points)
     want = _written_out(family, params, sigma, list(xs) + list(ys))
     assert eval_L_value(spec, xs, ys).tobytes() == want.tobytes()
+
+
+# built-in specs whose literal-zero g0 or b entries L leaves out
+ZERO_TERM_SPECS = {
+    "riemannian_diagonal": ("riemannian", {"g0": [[1, 0, 0, 0], [0, 2, 0, 0],
+                                                  [0, 0, 3, 0], [0, 0, 0, 4]]}),
+    "riemannian_negative": ("riemannian", {"g0": [[2, -0.5, 0, 0], [-0.5, 1, 0, -0.0],
+                                                  [0, 0, 1, -0.25], [0, -0.0, -0.25, 1]]}),
+    "riemannian_curved": ("riemannian", {"g0": CURVED_G0}),
+    "riemannian_zero_row": ("riemannian", {"g0": [[1, 0, 0, 0], [0, 0, 0, 0],
+                                                  [0, 0, 1, 0], [0, 0, 0, 1]]}),
+    "randers_zero": ("randers", {"b": [0, 0, 0, 0]}),
+    "randers_drift": ("randers", {"b": ["0.1*x2", 0, 0, 0]}),
+    "randers_negative": ("randers", {"b": [-0.3, 0, 0.1, -0.0]}),
+}
+
+
+def _with_every_term(family, params) -> str:
+    """The family's L as an expression string that keeps every zero term."""
+    if family == "riemannian":
+        g0 = params["g0"]
+        return "sqrt(" + "+".join(
+            f"({g0[i][j]})*y{i + 1}*y{j + 1}" for i in range(4) for j in range(4)
+        ) + ")"
+    drift = "+".join(f"({b})*y{i + 1}" for i, b in enumerate(params["b"]))
+    return f"sqrt(y1*y1+y2*y2+y3*y3+y4*y4)+({drift})"
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TERM_SPECS))
+def test_leaving_out_zero_terms_changes_no_bit_of_L(name):
+    family, params = ZERO_TERM_SPECS[name]
+    spec = make_builtin_metric(family, params)
+    full = make_builtin_metric("expression", {"L": _with_every_term(family, params)})
+    assert exprdsl.pretty(spec.L_ast) != exprdsl.pretty(full.L_ast)
+    points = sample_domain(spec.domain, SamplePlan(8, 11))
+    for x, y in points:
+        got, want = eval_L(spec, x, y, geometry.MASTER_CAPS), eval_L(full, x, y,
+                                                                     geometry.MASTER_CAPS)
+        assert _same_bits(got.c, want.c) and got.deg == want.deg
+    xs, ys = _columns(points)
+    env = [*xs, *ys]
+    got, want = exprdsl.eval_expr(spec.L_ast, env), exprdsl.eval_expr(full.L_ast, env)
+    assert _same_bits(got, want)
+
+
+def test_an_all_zero_g0_still_fails_as_sqrt_of_zero():
+    from finsler4.classify import classify_metric
+
+    spec = make_builtin_metric("riemannian", {"g0": [[0] * 4] * 4})
+    assert spec.L_ast == exprdsl.Call("sqrt", exprdsl.Lit(0.0))
+    report = classify_metric(spec, SamplePlan(2, 1))
+    assert [r.eval_error for r in report.points] == ["sqrt of a non-positive value"] * 2

@@ -35,12 +35,11 @@ def test_readme_verdict_table_lists_every_judge():
     ):
         (small, of_tol), (large, large_of_tol) = _edge(small.strip("`")), _edge(large.strip("`"))
         assert of_tol == large_of_tol, question
-        key, _, floor = reference.partition(" + ")
-        table[question] = (tuple(re.findall(r"`(\w+)`", quantity)), key.strip("`"),
-                           small, large, of_tol, float(floor or 0))
+        table[question] = (tuple(re.findall(r"`(\w+)`", quantity)), reference.strip("`"),
+                           small, large, of_tol)
     want = {
         question: ((row.quantity,) if isinstance(row.quantity, str) else row.quantity,
-                   row.reference, row.small, row.large, row.of_tol, row.floor)
+                   row.reference, row.small, row.large, row.of_tol)
         for question, row in JUDGES.items()
     }
     assert table == want
