@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from finsler4 import exprdsl, frame, geometry, jets, metrics
+from finsler4 import classify, exprdsl, frame, geometry, jets, metrics
 from finsler4.metrics import (
     DomainSpec,
     InvalidParameters,
@@ -348,8 +348,7 @@ def test_leaving_out_zero_terms_changes_no_bit_of_L(name):
     assert exprdsl.pretty(spec.L_ast) != exprdsl.pretty(full.L_ast)
     points = sample_domain(spec.domain, SamplePlan(8, 11))
     for x, y in points:
-        got, want = eval_L(spec, x, y, geometry.MASTER_CAPS), eval_L(full, x, y,
-                                                                     geometry.MASTER_CAPS)
+        got, want = (eval_L(s, x, y, geometry.MASTER_CAPS) for s in (spec, full))
         assert _same_bits(got.c, want.c) and got.deg == want.deg
     xs, ys = _columns(points)
     env = [*xs, *ys]
@@ -358,9 +357,7 @@ def test_leaving_out_zero_terms_changes_no_bit_of_L(name):
 
 
 def test_an_all_zero_g0_still_fails_as_sqrt_of_zero():
-    from finsler4.classify import classify_metric
-
     spec = make_builtin_metric("riemannian", {"g0": [[0] * 4] * 4})
     assert spec.L_ast == exprdsl.Call("sqrt", exprdsl.Lit(0.0))
-    report = classify_metric(spec, SamplePlan(2, 1))
+    report = classify.classify_metric(spec, SamplePlan(2, 1))
     assert [r.eval_error for r in report.points] == ["sqrt of a non-positive value"] * 2
