@@ -41,6 +41,10 @@ def band(value, scale, small: float, large: float) -> Optional[bool]:
     (> large * scale), else True if there are rows and every one vanishes
     (<= small * scale), else None (no rows, or a row in the band between
     them or NaN)."""
+    if isinstance(value, float):  # np.float64 too: Python operators, no 0-d ufuncs
+        if value > large * scale:
+            return False
+        return True if value <= small * scale else None
     if np.greater(value, large * scale).any():
         return False
     if np.size(value) and np.less_equal(value, small * scale).all():
@@ -169,7 +173,9 @@ def evaluate_stack(pes: list) -> list:
     hold the stack."""
 
     def work(stack: geometry.PointEval) -> list:
-        stack.cartan_h_derivatives  # reads every other tensor stage
+        # every stage by name: the zero stages of an x-free stack read no other
+        for name in geometry._STAGES:
+            getattr(stack, name)
         return frame_mod.scalar_profile(stack)
 
     out: list = [None] * len(pes)

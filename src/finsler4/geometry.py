@@ -34,6 +34,20 @@ stage that fails for one member (a singular metric) raises for the
 stack, and the caller reruns the members one by one, each from
 :meth:`PointEval.as_stack`, which keeps the stages the member has
 cached (``classify.evaluate_stack``).
+
+A stack whose members all have an L^2 jet of x-degree bound 0
+(``L2_jet.deg[0] == 0``: L does not depend on x, as for a locally
+Minkowski metric in an adapted chart) is x-free, and its ``dx_g``,
+``spray``, ``connection.F`` and ``cartan_h_derivatives`` are zeros of their
+stacked shapes, computed from nothing (Bao-Chern-Shen 2000: the spray,
+the Cartan connection and the torsion h-derivatives of an x-free L
+vanish).  This keeps every bit: the jet ring never writes a coefficient
+that the degree bound rules out, so on such a stack the general formulas
+read +0.0 x-derivatives only, and their sums, started at +0.0, come out
++0.0 too.  ``metric``, ``cartan``, ``connection.Cmix`` and the frame are
+computed as for any stack, and the zero stages still read ``metric``
+first, so a singular g raises as on the general path.  A stack with one
+member that may depend on x takes the general path for all its members.
 """
 
 from __future__ import annotations
@@ -202,7 +216,13 @@ class PointEval:
         """One PointEval over the given lone PointEvals, which may belong to
         different metrics; L is not evaluated again.  ``x``, ``y`` and ``L``
         of a stack carry the stack axis first, and ``spec`` is None.  A
-        stage that every member has cached is the stack's too."""
+        stage that every member has cached is the stack's too.
+
+        If every member's L^2 jet has x-degree bound 0, the stack is
+        x-free: ``dx_g``, ``spray``, ``connection.F`` and
+        ``cartan_h_derivatives`` are zeros, read from no jet, and equal
+        bit for bit to what the general formulas give on such jets, which
+        sum +0.0 terms only (module doc, "Stacks")."""
         members = tuple(members)
         if not members or any(m.is_stack for m in members):
             raise InvalidArgument("a stack is made of one or more lone PointEvals")
@@ -218,6 +238,8 @@ class PointEval:
         st.L = np.array([m.L for m in members])
         st._L = np.array([m.L_jet.c for m in members])
         st._L2 = np.array([m.L2_jet.c for m in members])
+        # no member's L^2 jet may hold an x-derivative (module doc, "Stacks")
+        st._x_free = all(m.L2_jet.deg[0] == 0 for m in members)
         cached = [m.__dict__ for m in members]
         for name in _STAGES:
             if name in cached[0] and all(name in c for c in cached):
@@ -268,6 +290,11 @@ class PointEval:
 
     @_stage
     def spray(self) -> SprayAt:
+        g_inv = self.metric.g_inv  # a singular g raises here, x-free or not
+        if self._x_free:
+            B = len(self.y)
+            return SprayAt(G=np.zeros((B, 4)), N=np.zeros((B, 4, 4)),
+                           G_hess3=np.zeros((B, 4, 4, 4, 4)))
         # G^i of each member as a (B, 4, n) coefficient array at _SPRAY_CAPS,
         # deep enough for three more y-derivatives
         caps, L2 = _SPRAY_CAPS, self._L2
@@ -276,7 +303,7 @@ class PointEval:
         dxdy = derivative_tensor(L2, 1, 1, caps, self._caps)  # [k, r]: d_xk d_yr
         # E_r = y^k d_xk d_yr L^2 - d_xr L^2, and G^i = g^ir E_r / 4
         e_vec = contract("zk,zkr->zr", _y_jets(self.y, caps), dxdy, caps) - dx
-        gj = 0.25 * jets.solve(g, self.metric.g_inv, e_vec, caps)
+        gj = 0.25 * jets.solve(g, g_inv, e_vec, caps)
         N = derivative_tensor(gj, 0, 1, f_caps=caps)
         hess = derivative_tensor(gj, 0, 3, f_caps=caps)
         return SprayAt(G=gj[..., 0].copy(), N=N, G_hess3=hess)
@@ -284,24 +311,32 @@ class PointEval:
     @_stage
     def dx_g(self) -> np.ndarray:
         """dxg[k, i, j] = x_k-derivative of g_ij."""
+        if self._x_free:
+            return np.zeros((len(self.y), 4, 4, 4))
         return 0.5 * derivative_tensor(self._L2, 1, 2, f_caps=self._caps)
 
     @_stage
     def connection(self) -> ConnectionAt:
         g_inv = self.metric.g_inv
         C = self.cartan.C
+        Cmix = einsum("zir,zrjk->zijk", g_inv, C)
+        if self._x_free:
+            return ConnectionAt(F=np.zeros_like(Cmix), Cmix=Cmix)
         N = self.spray.N
         # delta_j g_rk = d_j g_rk - N^m_j * dy_m g_rk, with dy g = 2C
         delta_g = self.dx_g - 2.0 * einsum("zmj,zrkm->zjrk", N, C)
         # [z, j, r, k] + delta_g[z, k, r, j] - delta_g[z, r, j, k]
         sym = delta_g + delta_g.transpose(0, 3, 2, 1) - delta_g.transpose(0, 2, 1, 3)
         F = 0.5 * einsum("zir,zjrk->zijk", g_inv, sym)
-        Cmix = einsum("zir,zrjk->zijk", g_inv, C)
         return ConnectionAt(F=F, Cmix=Cmix)
 
     @_stage
     def cartan_h_derivatives(self):
         """(C_h[i,j,k,h], C_h transvected by y) for the classification tests."""
+        if self._x_free:
+            self.metric  # a singular g raises, as on the general path
+            B = len(self.y)
+            return np.zeros((B, 4, 4, 4, 4)), np.zeros((B, 4, 4, 4))
         C = self.cartan.C
         N = self.spray.N
         F = self.connection.F

@@ -155,6 +155,22 @@ def test_judge_truth_table():
         assert agreement(a, None) == agreement(None, a) == "inconclusive"
 
 
+def test_band_of_a_float_equals_band_of_a_one_element_array():
+    # floats are compared with Python operators, arrays with NumPy reductions
+    small, large, scale = 1e-6, 1e-5, 3.0
+    edges = [small * scale, large * scale]
+    values = [math.nan, math.inf, -math.inf, 0.0, -0.0,
+              *edges, *(np.nextafter(e, side) for e in edges for side in (-math.inf, math.inf))]
+    seen = set()
+    for v in values:
+        for s in (scale, np.float64(scale)):
+            want = band(np.array([v]), s, small, large)
+            assert band(float(v), s, small, large) is want, (v, s)
+            assert band(np.float64(v), s, small, large) is want, (v, s)
+            seen.add(want)
+    assert seen == {True, None, False}
+
+
 def _judged(question, value, reference):
     """Values in which the question's quantity is ``value`` (a tuple
     quantity holds it negated in its last key) and its reference

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import warnings
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finsler4 import frame, geometry, jets, metrics, oracle
+from finsler4 import classify, frame, geometry, jets, metrics, oracle
 from finsler4.classify import classify_metric
 from finsler4.frame import covariant_derivatives
 from finsler4.geometry import SingularMetric, point_eval
@@ -196,6 +197,11 @@ def test_singular_metric_guard():
         point_eval(spec, X0, Y2).metric
     with pytest.raises(SingularMetric):
         point_eval(spec, X0, Y2).spray
+    # the stack is x-free, and its zero stages still read the metric
+    assert point_eval(spec, X0, Y2).as_stack()._x_free
+    for name in ("connection", "cartan_h_derivatives"):
+        with pytest.raises(SingularMetric):
+            getattr(point_eval(spec, X0, Y2), name)
 
 
 @pytest.mark.parametrize("factor", [1e-5, 1.0, 1e5])
@@ -285,20 +291,31 @@ def _perfbench_specs():
     return [metrics.spec_from_json_dict(dict(doc))[0] for doc in docs]
 
 
+def _leaves(value):
+    """The arrays and numbers of a stage value or profile field."""
+    if isinstance(value, tuple):
+        for v in value:
+            yield from _leaves(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _leaves(getattr(value, f.name))
+    else:
+        yield value
+
+
 def _outputs(pe, prof):
-    """Every tensor of a PointEval and every array of its profile (or the
-    name of the refusal in its place), as bytes."""
-    arrays = [pe.L_jet.c[0], pe.metric.g, pe.metric.g_inv, pe.cartan.C, pe.cartan.C_vec,
-              pe.cartan.C_norm, pe.spray.G, pe.spray.N, pe.spray.G_hess3, pe.dx_g,
-              pe.connection.F, pe.connection.Cmix, *pe.cartan_h_derivatives]
+    """Every stage value of a PointEval and every field of its profile (or
+    the name of the refusal in its place), as shapes and bytes; the bytes
+    keep the sign of each zero."""
+    arrays = [pe.L_jet.c[0], *(a for name in geometry._STAGES for a in _leaves(getattr(pe, name)))]
     if isinstance(prof, frame.FrameError):
         out = [type(prof).__name__]
     else:
-        arrays += [prof.e, prof.e_flat, prof.v_derivs,
-                   prof.h_derivs, prof.scalars, *prof.vectors,
-                   *prof.residuals.values()]
+        fields = [getattr(prof, f.name) for f in dataclasses.fields(prof)
+                  if f.name not in ("pe", "gauge_tag")]
+        arrays += [*fields, *prof.residuals.values()]
         out = [repr(prof.gauge_tag), repr(list(prof.residuals))]
-    return out + [np.asarray(a, dtype=float).tobytes() for a in arrays]
+    return out + [(np.shape(a), np.asarray(a, dtype=float).tobytes()) for a in arrays]
 
 
 def _lone_outputs(spec, x, y, base=None):
@@ -397,6 +414,96 @@ def test_stack_of_stacks_is_refused():
         geometry.PointEval.stack([stack])
     with pytest.raises(jets.InvalidArgument):
         geometry.PointEval.stack([])
+
+
+# -- x-free stacks -------------------------------------------------------------
+
+# L^2 jets of x-degree bound 0: their stacks take the zero stages
+X_FREE_DOCS = [
+    {"family": "quartic_minkowski"},
+    {"family": "berwald_moor"},
+    {"family": "randers", "params": {"b": [0.1, 0, -0.2, 0.05]}},
+    {"family": "riemannian",
+     "params": {"g0": [[2, 0.1, 0, 0], [0.1, 1, 0, -0.3], [0, 0, 1, 0], [0, -0.3, 0, 3]]}},
+    {"family": "expression", "L": "(y1^6+y2^6+y3^6+y4^6)^0.16666666666666666"},
+    {"family": "quartic_minkowski", "sigma": "0.3"},  # a homothetic lift
+]
+# x-free in value, but 0*x1*y1 gives the jet an x-degree bound of 1
+ZERO_X_TERM = {"family": "expression", "L": "sqrt(y1^2+y2^2+y3^2+y4^2)+0*x1*y1"}
+
+
+def _general_path(monkeypatch):
+    """Make every stack built from here on take the general path."""
+    stack = geometry.PointEval.stack
+
+    def general(members):
+        st = stack(members)
+        st._x_free = False
+        return st
+
+    monkeypatch.setattr(geometry.PointEval, "stack", staticmethod(general))
+
+
+def _x_free_outputs(spec, points):
+    """_outputs of each point evaluated alone, then of all of them as one
+    stack (each member's own refusal, if any)."""
+    lone = [_lone_outputs(spec, x, y) for x, y in points]
+    pes = [point_eval(spec, x, y) for x, y in points]
+    return lone + [_outputs(pe, got) for pe, got in zip(pes, classify.evaluate_stack(pes))]
+
+
+@pytest.mark.parametrize("doc", X_FREE_DOCS, ids=lambda d: d.get("L") or str(d))
+def test_x_free_stacks_change_no_bit(doc, monkeypatch):
+    # the zero stages equal what the general formulas give, +0.0 everywhere
+    spec = metrics.spec_from_json_dict(dict(doc))[0]
+    points = sample_domain(spec.domain, SamplePlan(count=12, seed=97))
+    stack = geometry.PointEval.stack([point_eval(spec, x, y) for x, y in points])
+    assert stack._x_free
+    assert not np.abs(stack.spray.G_hess3).any() and not np.signbit(stack.spray.N).any()
+    fast = _x_free_outputs(spec, points)
+    with monkeypatch.context() as m:
+        _general_path(m)
+        assert not geometry.PointEval.stack([point_eval(spec, *points[0])])._x_free
+        general = _x_free_outputs(spec, points)
+    assert fast == general
+
+
+def _jet_reads(monkeypatch, pe):
+    """Calls of geometry.derivative_tensor made by the stages after cartan."""
+    pe.cartan
+    calls = []
+    read = geometry.derivative_tensor
+    monkeypatch.setattr(geometry, "derivative_tensor", lambda *a, **k: calls.append(1) or read(*a, **k))
+    for name in ("dx_g", "spray", "connection", "cartan_h_derivatives"):
+        getattr(pe, name)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_only_a_jet_without_x_degree_takes_the_zero_stages(monkeypatch):
+    quartic = make_builtin_metric("quartic_minkowski")
+    assert _jet_reads(monkeypatch, point_eval(quartic, X0, Y2)) == 0
+    spec = metrics.spec_from_json_dict(dict(ZERO_X_TERM))[0]
+    pe = point_eval(spec, X0, Y2)
+    assert pe.L2_jet.deg[0] == 1 and not pe.as_stack()._x_free
+    assert _jet_reads(monkeypatch, pe) > 0
+
+
+def test_a_stack_with_an_x_dependent_member_takes_the_general_path():
+    specs = [make_builtin_metric("quartic_minkowski"),
+             make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]}),
+             metrics.spec_from_json_dict(dict(CURVED_ALPHA))[0]]
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    pes = [point_eval(spec, x, Y2) for spec in specs]
+    assert [pe.as_stack()._x_free for pe in pes] == [True, False, False]
+    stack = geometry.PointEval.stack(pes)
+    assert not stack._x_free
+    for name in geometry._STAGES:
+        getattr(stack, name)
+    # the members take different seeds, so their frames are built one by one
+    outcomes = classify.evaluate_stack(pes)
+    got = [_outputs(pe, outcome) for pe, outcome in zip(pes, outcomes)]
+    assert got == [_lone_outputs(spec, x, Y2) for spec in specs]
 
 
 # -- the Landsberg tensor from the spray ---------------------------------------
