@@ -473,10 +473,10 @@ def _jet_reads(monkeypatch, pe):
     pe.cartan
     calls = []
     read = geometry.derivative_tensor
-    monkeypatch.setattr(geometry, "derivative_tensor", lambda *a, **k: calls.append(1) or read(*a, **k))
-    for name in ("dx_g", "spray", "connection", "cartan_h_derivatives"):
-        getattr(pe, name)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "derivative_tensor", lambda *a, **k: calls.append(1) or read(*a, **k))
+        for name in ("dx_g", "spray", "connection", "cartan_h_derivatives"):
+            getattr(pe, name)
     return len(calls)
 
 
