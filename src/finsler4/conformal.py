@@ -31,19 +31,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exprdsl, geometry, jets, metrics
+from . import geometry, metrics
 from .classify import (
     AGREEMENT, DEFAULT_TOL, agreement, all3, check_tol, hderiv_measurement, judge, point_records,
     profile_of,
 )
 from .frame import ProfileResult, SCALAR_NAMES
 from .geometry import PointEval
-from .jets import DegreeCaps, Finsler4Error, derivative_tensor, ring_sum
+from .jets import Finsler4Error, derivative_tensor, ring_sum
 from .metrics import MetricSpec, SamplePlan
 
-# sigma's ring: sigma depends on x alone, and the layer reads its value and
-# its gradient
-_SIGMA_CAPS = DegreeCaps(1, 0)
 TAU_SIGMA = 1e-8
 # spray-difference extraction residuals above this share of the extraction
 # scale make the Berwald conditions unusable at a point
@@ -99,17 +96,6 @@ class SigmaComponents:
         return self.components[4:]
 
 
-def sigma_gradient(spec: MetricSpec, x: Sequence[float]) -> tuple[float, np.ndarray]:
-    """(sigma(x), d sigma / dx) of a conformal spec via a first-order jet
-    evaluation."""
-    env = [jets.variable(i, float(x[i]), _SIGMA_CAPS) for i in range(4)] + [0.0] * 4
-    val = exprdsl.eval_expr(spec.sigma_ast, env)
-    if not isinstance(val, jets.JetScalar):
-        return float(val), np.zeros(4)
-    grad = derivative_tensor(val, 1, 0)
-    return val.base, grad
-
-
 # sigma5..sigma10 are the entries (a, b) of the symmetrised (m, n, p) block
 # of the connection difference, with these signs; B is minus that block
 _BLOCK_A = np.array([1, 1, 1, 2, 2, 3])
@@ -130,12 +116,14 @@ _EXTRACTION_KEYS = (
 def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaComponents:
     """Frame components of the sigma gradient plus the six scalars read off
     the frame-projected nonlinear-connection difference, from the profiles
-    of the base and the rescaled space at the same point; sigma is that of
-    the rescaled space's spec (MissingSigma if it has none)."""
+    of the base and the rescaled space at the same point; sigma and its
+    gradient are read off ``lifted.pe.sigma`` (MissingSigma if it has none)."""
     base_pe, lifted_pe = base.pe, lifted.pe
     y = base_pe.y
 
-    sigma_value, grad = sigma_gradient(pair_from_spec(lifted_pe.spec), base_pe.x)
+    pair_from_spec(lifted_pe.spec)
+    sigma = lifted_pe.sigma
+    grad = derivative_tensor(sigma, 1, 0)
     s_frame = base.e @ grad  # sigma_alpha = (d sigma)_i e_(alpha)^i
 
     L0 = base_pe.L
@@ -161,7 +149,7 @@ def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaCompone
 
     return SigmaComponents(
         components=np.concatenate([s_frame, _BLOCK_SIGN * sym[_BLOCK_A, _BLOCK_B]]),
-        sigma_value=float(sigma_value), sigma_grad=grad,
+        sigma_value=sigma.base, sigma_grad=grad,
         extraction_residuals=dict(zip(_EXTRACTION_KEYS, resid.tolist())),
         extraction_scale=1.0 + float(np.abs(D).max()),
     )

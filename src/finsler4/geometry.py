@@ -198,14 +198,15 @@ class PointEval:
         self.spec = spec
         self.x = metrics.point_components("x", x)
         self.y = metrics.point_components("y", y)
-        base_L = None
-        if base is not None:
-            if base.spec != spec.base or not (
-                np.array_equal(base.x, self.x) and np.array_equal(base.y, self.y)
-            ):
-                raise InvalidArgument("base must evaluate the base metric at the same point")
-            base_L = base.L_jet
-        self.L_jet = metrics.eval_L(spec, self.x, self.y, MASTER_CAPS, base_L)
+        if base is not None and (base.spec != spec.base or not (
+            np.array_equal(base.x, self.x) and np.array_equal(base.y, self.y)
+        )):
+            raise InvalidArgument("base must evaluate the base metric at the same point")
+        if spec.base is None:
+            self.L_jet = metrics.eval_L(spec, self.x, self.y, MASTER_CAPS)
+        else:
+            base_L = None if base is None else base.L_jet
+            self.sigma, self.L_jet = metrics._lift(spec, self.x, self.y, MASTER_CAPS, base_L)
         if self.L_jet.base <= 0:
             raise metrics.DomainViolation("fundamental function not positive here")
         self.L2_jet = metrics.guarded(lambda: self.L_jet * self.L_jet, "the jet of L^2")
@@ -249,6 +250,8 @@ class PointEval:
     # the members of a stack; a lone PointEval keeps None (not itself, which
     # would make every PointEval a reference cycle)
     _stack_members: tuple | None = None
+    # a lone PointEval of a conformal spec keeps the jet of sigma its L is built from
+    sigma: jets.JetScalar | None = None
 
     @property
     def members(self) -> tuple:

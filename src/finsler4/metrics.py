@@ -302,7 +302,7 @@ def guarded(compute, what: str):
 def _eval_family(spec: MetricSpec, env: list):
     """L(x, y) in whatever ring the environment elements live in."""
     if spec.base is not None:
-        return _rescale(spec, env, _eval_family(spec.base, env))
+        return _rescale(_eval_family(spec.base, env), exprdsl.eval_expr(spec.sigma_ast, env))
     if spec.b_ast is not None:
         b_norm2 = sum(jets.base_of(exprdsl.eval_expr(e, env)) ** 2 for e in spec.b_ast)
         if np.any(b_norm2 >= 1.0):
@@ -310,9 +310,9 @@ def _eval_family(spec: MetricSpec, env: list):
     return exprdsl.eval_expr(spec.L_ast, env)
 
 
-def _rescale(spec: MetricSpec, env: list, base_L):
+def _rescale(base_L, sigma):
     """e^sigma(x) times the base metric's L: the one formula of a conformal spec."""
-    return jets.exp(exprdsl.eval_expr(spec.sigma_ast, env)) * base_L
+    return jets.exp(sigma) * base_L
 
 
 def point_components(name: str, v: Sequence[float]) -> np.ndarray:
@@ -327,35 +327,43 @@ def point_components(name: str, v: Sequence[float]) -> np.ndarray:
     return out
 
 
-def eval_L(
-    spec: MetricSpec,
-    x: Sequence[float],
-    y: Sequence[float],
-    caps: DegreeCaps,
-    base_L: Optional[JetScalar] = None,
-) -> JetScalar:
+def _env(spec: MetricSpec, x, y, caps: DegreeCaps) -> list:
+    """The jets of x1..x4 and y1..y4 at a point of the spec's domain."""
+    x, y = point_components("x", x), point_components("y", y)
+    if not spec.domain.contains(x, y):
+        raise DomainViolation(f"point y={y.tolist()} outside the {spec.domain.y_cone} cone")
+    return [jets.variable(i, v, caps) for i, v in enumerate([*x.tolist(), *y.tolist()])]
+
+
+def eval_L(spec: MetricSpec, x: Sequence, y: Sequence, caps: DegreeCaps) -> JetScalar:
     """Jet of L at (x, y); one evaluation carries all needed partials.
 
-    For a conformal spec, ``base_L`` may hold the jet of its base metric at
-    the same point and caps; it is then rescaled, not evaluated again.
     An arithmetic error on the way, and any non-finite coefficient of the
     result, raise :class:`DomainViolation`; an x or y that is not four
     numbers raises :class:`InvalidArgument`.
     """
-    x, y = point_components("x", x), point_components("y", y)
-    if base_L is not None and (spec.family != "conformal" or base_L.caps != caps):
-        raise InvalidArgument("base_L needs a conformal spec and a jet at the same caps")
-    if not spec.domain.contains(x, y):
-        raise DomainViolation(
-            f"point y={y.tolist()} outside the {spec.domain.y_cone} cone"
-        )
-    env = [jets.variable(i, float(x[i]), caps) for i in range(4)]
-    env += [jets.variable(4 + i, float(y[i]), caps) for i in range(4)]
-    out = guarded(
-        lambda: _eval_family(spec, env) if base_L is None else _rescale(spec, env, base_L),
-        "the jet of L",
-    )
+    env = _env(spec, x, y, caps)
+    out = guarded(lambda: _eval_family(spec, env), "the jet of L")
     return out if isinstance(out, JetScalar) else jets.const(float(out), caps)
+
+
+def _lift(spec: MetricSpec, x, y, caps: DegreeCaps, base_L: Optional[JetScalar]) -> tuple:
+    """(sigma, L) of a conformal spec at (x, y) as jets at ``caps``: sigma's
+    expression evaluated once, on the x variables (a constant jet if sigma is
+    a number), and L = e^sigma base_L, with ``base_L`` the jet of the base
+    metric's L at the point (evaluated here if None).  Fails as eval_L does."""
+    env = _env(spec, x, y, caps)
+    sigma = None
+
+    def rescaled():
+        nonlocal sigma
+        L = _eval_family(spec.base, env) if base_L is None else base_L
+        value = exprdsl.eval_expr(spec.sigma_ast, env)
+        sigma = value if isinstance(value, JetScalar) else jets.const(float(value), caps)
+        return _rescale(L, sigma)
+
+    L = guarded(rescaled, "the jet of L")
+    return sigma, L
 
 
 def eval_L_value(spec: MetricSpec, x: Sequence, y: Sequence):

@@ -14,12 +14,14 @@ path of the number that moved by it.  It exits 1
 on any other change: a key, a string, a bool, an integer, a null, a list
 length or a file that HEAD does not have.  A float that is exactly integral
 prints without a decimal point, so an integer beside a float counts as a
-number.
+number, ``-0`` reads as the float -0.0, and a zero whose sign moved counts
+as a changed number.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -100,6 +102,12 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def load(text: str):
+    """A JSON document as :func:`drift` reads it: ``-0`` (a float -0.0 that
+    prints without a decimal point) is the float -0.0, not the int 0."""
+    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+
+
 def drift(old, new, path: str = "$"):
     """(changed numbers, largest |new - old| / (1 + |old|), the JSON path of
     the first number that moved by it or None, other changes) between two
@@ -116,7 +124,8 @@ def drift(old, new, path: str = "$"):
         _is_number(old) and _is_number(new)
         and (isinstance(old, float) or isinstance(new, float))
     ):
-        if old == new:
+        # a zero whose sign moved is a changed number
+        if old == new and math.copysign(1.0, old) == math.copysign(1.0, new):
             return 0, 0.0, None, []
         return 1, abs(new - old) / (1.0 + abs(old)), path, []
     elif type(old) is type(new) and old == new:
@@ -147,7 +156,7 @@ def report_drift(goldens: Path, names) -> int:
             status = 1
             continue
         changed, worst, where, other = drift(
-            json.loads(shown.stdout), json.loads((goldens / name).read_text())
+            load(shown.stdout), load((goldens / name).read_text())
         )
         at = f" at {where}" if where else ""
         print(f"{name}: {changed} numbers changed, max |new-old|/(1+|old|) = {worst:.3g}{at}")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from finsler4 import cli, exprdsl
-from regen_goldens import REPORTS, SPECS, drift
+from regen_goldens import REPORTS, SPECS, drift, load
 
 
 @pytest.fixture()
@@ -470,6 +470,10 @@ def test_golden_drift_counts_numbers_and_flags_every_other_change():
     changed, worst, where, other = drift(nested, moved)
     assert (changed, where, other) == (2, "$.f[0][0]", [])
     assert worst == pytest.approx(0.5 / 3.0)
+    # a zero whose sign moved is a changed number, and -0 reads as -0.0
+    assert drift({"a": 0}, {"a": -0.0}) == (1, 0.0, "$.a", [])
+    assert drift(load('{"a": -0}'), load('{"a": 0}')) == (1, 0.0, "$.a", [])
+    assert drift(load('{"a": -0}'), load('{"a": -0.0}')) == (0, 0.0, None, [])
     for new in (
         {"a": [1.5, 0, 4], "b": {"c": "yes", "d": True}, "e": None},
         {"a": [1.5, 0, 3], "b": {"c": "no", "d": True}, "e": None},

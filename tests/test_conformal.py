@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from finsler4 import conformal, geometry, jets, metrics
+from finsler4 import conformal, exprdsl, geometry, jets, metrics
 from finsler4.classify import classify_metric
 from finsler4.conformal import (
     CASE_ALL,
@@ -150,7 +151,7 @@ def test_conformal_spray_law():
                 g_bar = lifted.spray.G
             except jets.Finsler4Error:
                 continue
-            _, grad = conformal.sigma_gradient(spec, x)
+            grad = jets.derivative_tensor(lifted.sigma, 1, 0)
             predicted = (base.spray.G + (grad @ y) * y
                          - 0.5 * base.L**2 * (base.metric.g_inv @ grad))
             assert np.abs(predicted - g_bar).max() <= 1e-14 * np.abs(g_bar).max(), (spec, x, y)
@@ -358,8 +359,6 @@ def test_lifted_point_eval_needs_the_base_at_the_same_point():
         geometry.point_eval(pair, X1, 2 * YGEN, base)
     with pytest.raises(jets.InvalidArgument):
         geometry.point_eval(pair.base, X1, YGEN, base)
-    with pytest.raises(jets.InvalidArgument):
-        metrics.eval_L(pair.base, X1, YGEN, geometry.MASTER_CAPS, base.L_jet)
 
 
 def test_audit_runs_the_base_family_once_per_point(monkeypatch):
@@ -375,6 +374,82 @@ def test_audit_runs_the_base_family_once_per_point(monkeypatch):
     audit = audit_pair(pair, SamplePlan(count=5, seed=2))
     assert all(rep.eval_error is None for rep in audit.reports)
     assert calls == [pair.base] * 5
+
+
+def test_the_audit_evaluates_sigma_once_per_point(monkeypatch):
+    # sigma's expression runs once per point, inside the lift; the conformal
+    # layer reads sigma and its gradient off the lift's jet of sigma
+    pair = _BENCH_PAIRS[1]
+    calls = []
+    eval_expr = exprdsl.eval_expr
+
+    def counting(node, env):
+        if node is pair.sigma_ast:
+            calls.append(env)
+        return eval_expr(node, env)
+
+    monkeypatch.setattr(exprdsl, "eval_expr", counting)
+    audit = audit_pair(pair, SamplePlan(count=5, seed=2))
+    assert all(rep.eval_error is None for rep in audit.reports)
+    assert len(calls) == 5
+
+
+def _first_order_sigma(ast, x) -> np.ndarray:
+    """[sigma(x), d sigma / dx] from sigma evaluated on its own, in the ring
+    of first-order jets in x."""
+    caps = jets.DegreeCaps(1, 0)
+    env = [jets.variable(i, v, caps) for i, v in enumerate(x)] + [0.0] * 4
+    val = metrics.guarded(lambda: exprdsl.eval_expr(ast, env), "sigma")
+    if not isinstance(val, jets.JetScalar):
+        return np.array([float(val), 0.0, 0.0, 0.0, 0.0])
+    return np.array([val.base, *jets.derivative_tensor(val, 1, 0)])
+
+
+def _sigma_sources(inner):
+    pair = st.tuples(inner, st.sampled_from("+-*/"), inner)
+    powers = st.sampled_from(["2", "3", "-1", "-2", "0.5", "-0.5", "1.5", "-0.25"])
+    return st.one_of(
+        pair.map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(inner, powers).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(sorted(exprdsl.FUNCTIONS)), inner).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+        inner.map(lambda src: f"-({src})"),
+    )
+
+
+_SIGMA_SOURCES = st.recursive(
+    st.sampled_from(["x1", "x2", "x3", "x4", "0", "0.5", "2", "0.1", "3.7"]),
+    _sigma_sources, max_leaves=8,
+)
+_LIFT_BASES = (QUARTIC, make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.sampled_from(_LIFT_BASES),
+    sigma=_SIGMA_SOURCES,
+    x=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+)
+def test_the_lift_keeps_sigma_as_its_first_order_evaluation(base, sigma, x):
+    # the jet of sigma that L is built from, read to first order, is sigma
+    # evaluated on its own in the ring of first-order jets, bit for bit
+    # (tobytes: signed zeros included); where that fails, so does the lift
+    spec = make_conformal(base, sigma)
+    try:
+        want = _first_order_sigma(spec.sigma_ast, x)
+    except jets.DomainViolation:
+        with pytest.raises(jets.DomainViolation):
+            geometry.point_eval(spec, x, YGEN)
+        return
+    for base_pe in (None, geometry.point_eval(base, x, YGEN)):
+        try:
+            lifted = geometry.point_eval(spec, x, YGEN, base_pe)
+        except jets.DomainViolation:  # a coefficient of higher order fails
+            continue
+        got = np.array([lifted.sigma.base, *jets.derivative_tensor(lifted.sigma, 1, 0)])
+        assert got.tobytes() == want.tobytes(), (sigma, x, got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_overflowing_factor_keeps_its_eval_error_records():
