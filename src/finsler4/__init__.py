@@ -17,14 +17,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "classify": ("ClassificationReport", "classify_metric", "theorem_crosscheck"),
-    "conformal": (
-        "SigmaComponents",
-        "audit_pair",
-        "berwald_case_conditions",
-        "invariance_check",
-        "landsberg_case_conditions",
-        "sigma_components",
-    ),
+    "conformal": ("SigmaComponents", "audit_pair", "invariance_check", "sigma_components"),
     "exprdsl": ("ExprError", "eval_expr", "parse_expr", "pretty"),
     "frame": ("ProfileResult", "covariant_derivatives", "scalar_profile"),
     "geometry": ("CartanTensorAt", "MetricTensorAt", "SprayAt", "point_eval"),

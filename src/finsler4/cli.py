@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -63,16 +64,20 @@ def dumps(obj, indent: int = 0) -> str:
     raise TypeError(f"not serialisable: {type(obj)!r}")
 
 
-def _open_output(path: Optional[str]):
-    """The report file at ``path``, opened before the command evaluates
-    anything, so that a path that cannot be written is refused at once; no
-    path (None or empty) gives a context of None, the report going to
-    stdout.  Append mode leaves an existing file's bytes as they are until
-    :func:`_emit` replaces them."""
+def _open_output(path: Optional[str]) -> tuple:
+    """(the report file at ``path``, whether this call created it), opened
+    before the command evaluates anything, so that a path that cannot be
+    written is refused at once; no path (None or empty) gives a context of
+    None, the report going to stdout.  An existing file is opened in append
+    mode, which leaves its bytes as they are until :func:`_emit` replaces
+    them."""
     if not path:
-        return contextlib.nullcontext()
+        return contextlib.nullcontext(), False
     try:
-        return open(path, "a", encoding="utf-8")
+        try:
+            return open(path, "x", encoding="utf-8"), True
+        except FileExistsError:
+            return open(path, "a", encoding="utf-8"), False
     except OSError as err:
         raise SpecSchemaError(f"cannot write report: {err}") from None
 
@@ -179,6 +184,12 @@ def _sigma_doc(sc) -> dict:
     }
 
 
+def _condition_doc(record: dict) -> dict:
+    """label -> {"residual", "scale"} of a condition-system record."""
+    rows = zip(record["residual"].tolist(), record["scale"].tolist())
+    return {label: {"residual": r, "scale": s} for label, (r, s) in zip(record["labels"], rows)}
+
+
 def cmd_conformal(args) -> int:
     from . import classify as classify_mod
     from . import conformal as conformal_mod
@@ -203,8 +214,8 @@ def cmd_conformal(args) -> int:
                     "case": rep.case,
                     "near_degenerate": rep.near_degenerate,
                     "sigma": _sigma_doc(rep.sigma),
-                    "landsberg_residuals": rep.landsberg_residuals,
-                    "berwald_residuals": rep.berwald_residuals,
+                    "landsberg_residuals": _condition_doc(rep.condition_rows["landsberg"]),
+                    "berwald_residuals": _condition_doc(rep.condition_rows["berwald"]),
                     "direct_barred": rep.direct_barred,
                     "invariance_residuals": rep.invariance_residuals,
                 }
@@ -364,16 +375,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    path, created = args.output, False
     try:
+        output, created = _open_output(path)
         # the command writes its report to the open file in place of the path
-        with _open_output(args.output) as args.output:
+        with output as args.output:
             return args.fn(args)
     except (SpecSchemaError, MetricError, ExprError) as err:
         print(f"finsler4: spec error: {err}", file=sys.stderr)
-        return 2
+        code = 2
     except Exception as err:  # noqa: BLE001 - CLI boundary
         print(f"finsler4: evaluation failed: {type(err).__name__}: {err}", file=sys.stderr)
-        return 3
+        code = 3
+    if created:
+        # a failed run leaves no file where it found none
+        with contextlib.suppress(OSError):
+            os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,10 +15,13 @@ The condition systems are one algebra over the support of sigma (the
 directions a of (m, n, p) with |sigma_a| >= TAU_SIGMA, which name the
 case) and B, minus the symmetrised (m, n, p) block: Landsberg asks
 sigma_a S;_a = 0 for each main scalar S and h_1 + sigma_a u_a = 0
-(likewise j/v, k/w); Berwald asks B (S;_m, S;_n, S;_p) = 0.  Each label
-carries |sum of its terms| and the sum of their absolute values as its
-scale; ratio-type conditions are cross-multiplied (2x2 minors), so a
-vanishing scalar derivative never divides.
+(likewise j/v, k/w); Berwald asks B (S;_m, S;_n, S;_p) = 0.  Each system
+is one record per point, ``evaluate_point(...).condition_rows[kind]``:
+its row labels, and per row |sum of its terms| as the residual and the
+sum of their absolute values as the scale, two arrays that the audit
+judges and the CLI report writes out label by label.  Ratio-type
+conditions are cross-multiplied (2x2 minors), so a vanishing scalar
+derivative never divides.
 """
 
 from __future__ import annotations
@@ -121,8 +124,9 @@ def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaCompone
     base_pe, lifted_pe = base.pe, lifted.pe
     y = base_pe.y
 
-    pair_from_spec(lifted_pe.spec)
     sigma = lifted_pe.sigma
+    if sigma is None:
+        raise MissingSigma("the spec carries no conformal factor")
     grad = derivative_tensor(sigma, 1, 0)
     s_frame = base.e @ grad  # sigma_alpha = (d sigma)_i e_(alpha)^i
 
@@ -172,26 +176,24 @@ def _case(sc: SigmaComponents) -> tuple[str, bool, tuple]:
 # -- condition systems as term arrays ----------------------------------------
 
 
-def _condition_rows(blocks) -> tuple[dict, dict]:
-    """The condition rows of (labels, terms) blocks, ``terms`` an (R, T)
-    array with one row of terms per label.  Returns the report dict, label
-    -> {"residual": |sum|, "scale": sum of |term|}, each sum exact over its
-    row (``math.fsum``; the zeros that pad the rows to one width change no
-    exact sum), and the same residuals and scales as two arrays in label
-    order, as :func:`classify.judge` reads them."""
-    labels = [label for names, _ in blocks for label in names]
+def _condition_rows(blocks) -> dict:
+    """The condition record of (labels, terms) blocks, ``terms`` an (R, T)
+    array with one row of terms per label: the labels in row order, and
+    per row the residual |sum| and the scale sum of |term| as two (R,)
+    arrays, each sum exact over its row (``math.fsum``; the zeros that pad
+    the rows to one width change no exact sum).  :func:`classify.judge`
+    reads the arrays."""
+    labels = tuple(label for names, _ in blocks for label in names)
     terms = np.zeros((len(labels), max(t.shape[1] for _, t in blocks)))
     row = 0
     for _, t in blocks:
         terms[row : row + len(t), : t.shape[1]] = t
         row += len(t)
-    residual = np.abs(list(map(math.fsum, terms.tolist())))
-    scale = np.array(list(map(math.fsum, np.abs(terms).tolist())))
-    out = {
-        label: {"residual": r, "scale": s}
-        for label, r, s in zip(labels, residual.tolist(), scale.tolist())
+    return {
+        "labels": labels,
+        "residual": np.abs(list(map(math.fsum, terms.tolist()))),
+        "scale": np.array(list(map(math.fsum, np.abs(terms).tolist()))),
     }
-    return out, {"residual": residual, "scale": scale}
 
 
 def _scalar_terms(profile: ProfileResult, sc: SigmaComponents) -> np.ndarray:
@@ -225,9 +227,12 @@ def _case_labels(case: str) -> tuple:
     )
 
 
-def _landsberg(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tuple:
-    """(residuals, rows) of the Landsberg system at the ``case``
-    (:func:`_case`); see :func:`landsberg_case_conditions`."""
+def _landsberg(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> dict:
+    """The record (:func:`_condition_rows`) of the Landsberg system at the
+    ``case`` (:func:`_case`).  The rescaled space is Landsberg iff its rows
+    all vanish (base space locally Minkowski): the sigma_a S;_a rows, the
+    first-component laws, and the reduced rows (S;_a alone for one
+    supported direction, sigma_a S;_a over the support for two)."""
     case, _, support = case
     scalar_terms = _scalar_terms(profile, sc)
     blocks = [(_SCALAR_LABELS, scalar_terms),
@@ -239,20 +244,17 @@ def _landsberg(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tupl
     return _condition_rows(blocks)
 
 
-def landsberg_case_conditions(
-    profile: ProfileResult, sc: SigmaComponents
-) -> tuple[str, bool, dict]:
-    """The rescaled space is Landsberg iff these all vanish (base space
-    locally Minkowski): the sigma_a S;_a rows, the first-component laws, and
-    the reduced rows (S;_a alone for one supported direction, sigma_a S;_a
-    over the support for two).  Returns (case, near_degenerate, residuals)."""
-    case = _case(sc)
-    return case[0], case[1], _landsberg(profile, sc, case)[0]
+def _berwald(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> dict:
+    """The record (:func:`_condition_rows`) of the scalar part of the
+    Berwald system at the ``case`` (:func:`_case`): each row of B times
+    (S;_m, S;_n, S;_p), and for one supported direction the ratio rows
+    (rows of B over the two other columns) and the chains (2x2 minors of
+    rows (m, n) and (n, p) over those columns).  ExtractionUnreliable if
+    the spray-difference extraction is off.
 
-
-def _berwald(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tuple:
-    """(residuals, rows) of the Berwald system at the ``case``
-    (:func:`_case`); see :func:`berwald_case_conditions`."""
+    The h/j/k part involves second-derivative data of sigma that this
+    engine does not model symbolically; the audit pairs these rows with
+    the directly computed connection vectors of the rescaled space."""
     bad = {
         k: v
         for k, v in sc.extraction_residuals.items()
@@ -274,22 +276,6 @@ def _berwald(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> tuple:
         blocks.append((_case_labels(case)[1],
                        np.concatenate([terms[:, :, [i, j]].reshape(24, 2), chains])))
     return _condition_rows(blocks)
-
-
-def berwald_case_conditions(
-    profile: ProfileResult, sc: SigmaComponents
-) -> tuple[str, bool, dict]:
-    """Scalar part of the Berwald conditions for the rescaled space: each
-    row of B times (S;_m, S;_n, S;_p), and for one supported direction the
-    ratio rows (rows of B over the two other columns) and the chains (2x2
-    minors of rows (m, n) and (n, p) over those columns).
-
-    The h/j/k part involves second-derivative data of sigma that this
-    engine does not model symbolically; callers pair these residuals with
-    the directly computed connection vectors of the rescaled space.
-    """
-    case = _case(sc)
-    return case[0], case[1], _berwald(profile, sc, case)[0]
 
 
 # -- invariance suite --------------------------------------------------------
@@ -346,14 +332,12 @@ class PointConformalReport:
     case: Optional[str] = None
     near_degenerate: bool = False
     sigma: Optional[SigmaComponents] = None
-    landsberg_residuals: dict = field(default_factory=dict)
-    berwald_residuals: dict = field(default_factory=dict)
     direct_barred: dict = field(default_factory=dict)
     invariance_residuals: dict = field(default_factory=dict)
     frame_error: Optional[str] = None
     eval_error: Optional[str] = None
-    # "landsberg" and "berwald": the residuals and scales of the rows of
-    # landsberg_residuals and berwald_residuals as arrays, in their order
+    # "landsberg" and "berwald": the record of each condition system
+    # (:func:`_condition_rows`), its labels with their residuals and scales
     condition_rows: dict = field(default_factory=dict, repr=False)
 
 
@@ -366,9 +350,7 @@ def evaluate_point(base: ProfileResult, lifted: ProfileResult) -> PointConformal
     rescaled space (as :func:`evaluate_points` makes them)."""
     sc = sigma_components(base, lifted)
     case = _case(sc)
-    lands, lands_rows = _landsberg(base, sc, case)
-    berw, berw_rows = _berwald(base, sc, case)
-
+    rows = {"landsberg": _landsberg(base, sc, case), "berwald": _berwald(base, sc, case)}
     direct = {
         **{f"{name}_bar": row for name, row in zip("hjk", lifted.vectors[:3].tolist())},
         "scalar_hderiv_l_bar": lifted.h_derivs[:, 0].tolist(),
@@ -377,9 +359,7 @@ def evaluate_point(base: ProfileResult, lifted: ProfileResult) -> PointConformal
     inv = invariance_check(base, lifted, sc)
     return PointConformalReport(
         x=base.pe.x, y=base.pe.y, case=case[0], near_degenerate=case[1], sigma=sc,
-        landsberg_residuals=lands, berwald_residuals=berw,
-        direct_barred=direct, invariance_residuals=inv,
-        condition_rows={"landsberg": lands_rows, "berwald": berw_rows},
+        direct_barred=direct, invariance_residuals=inv, condition_rows=rows,
     )
 
 

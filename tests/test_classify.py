@@ -282,7 +282,8 @@ def test_judging_a_row_array_is_the_and_of_its_rows(seed):
 
 def test_a_condition_block_of_zero_terms_vanishes():
     # rows whose terms are all zero have residual 0 and scale 0, and 0 <= small * 0
-    _, rows = conformal._condition_rows([(("a", "b"), np.zeros((2, 3)))])
+    rows = conformal._condition_rows([(("a", "b"), np.zeros((2, 3)))])
+    assert rows["labels"] == ("a", "b")
     assert rows["residual"].tolist() == rows["scale"].tolist() == [0.0, 0.0]
     for tol in (1e-6, 1e-3):
         assert judge("condition_row", rows, tol) is True

@@ -326,6 +326,19 @@ def test_failed_run_keeps_the_bytes_of_an_existing_report(capsys, tmp_path):
     assert output.read_bytes() == b"an earlier report\n"
 
 
+@pytest.mark.parametrize("code, argv", [
+    (2, ["classify", "{spec}"]),
+    (3, ["frame", str(_GOLDENS / "quartic_small.json"), "--x", "0,0,0,0", "--y", "0,0,0,0"]),
+])
+def test_failed_run_leaves_no_report_where_there_was_none(capsys, tmp_path, code, argv):
+    spec = tmp_path / "nope.json"
+    spec.write_text(json.dumps({"family": "nope"}))
+    output = tmp_path / "out.json"
+    got, out, err = _run(capsys, [a.format(spec=spec) for a in argv] + ["--output", str(output)])
+    assert got == code and out == "" and err.count("\n") == 1
+    assert not output.exists()
+
+
 def test_conformal_report(capsys, conformal_spec):
     code, out, _ = _run(capsys, ["conformal", conformal_spec])
     assert code == 0
@@ -445,6 +458,27 @@ def test_output_matches_golden(capsys, argv, golden):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (d / golden).read_text()
+
+
+@pytest.mark.parametrize("argv,golden", [r for r in REPORTS if r[0][0] == "conformal"])
+def test_condition_records_carry_the_golden_report_rows(argv, golden):
+    # each condition system's record holds the labels of the report's
+    # *_residuals in their order, and the very floats the report prints
+    from finsler4 import conformal, metrics
+
+    d = Path(__file__).parent / "goldens"
+    spec, plan = metrics.spec_from_json_dict(json.loads((d / Path(argv[1]).name).read_text()))
+    reports = conformal.evaluate_points(spec, metrics.sample_domain(spec.domain, plan))
+    points = json.loads((d / golden).read_text())["points"]
+    assert len(reports) == len(points)
+    for rep, point in zip(reports, points):
+        assert set(rep.condition_rows) == ({"landsberg", "berwald"} if "case" in point else set())
+        for kind, record in rep.condition_rows.items():
+            rows = point[f"{kind}_residuals"]
+            assert record["labels"] == tuple(rows)
+            for key in ("residual", "scale"):
+                assert [v.hex() for v in record[key].tolist()] == \
+                    [float(row[key]).hex() for row in rows.values()], (golden, kind, key)
 
 
 @pytest.mark.parametrize("name,doc", SPECS.items())

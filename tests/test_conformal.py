@@ -8,19 +8,19 @@ from hypothesis import given, settings, strategies as st
 
 from finsler4 import conformal, exprdsl, geometry, jets, metrics
 from finsler4.classify import classify_metric
+from finsler4.cli import _condition_doc
 from finsler4.conformal import (
     CASE_ALL,
     CASE_HOMOTHETIC,
     CASE_M,
     CASE_N_P,
     ExtractionUnreliable,
+    _berwald,
     _case,
     audit_pair,
-    berwald_case_conditions,
     evaluate_point,
     evaluate_points,
     invariance_check,
-    landsberg_case_conditions,
     sigma_components,
 )
 from finsler4.frame import SCALAR_NAMES, scalar_profile
@@ -66,11 +66,11 @@ def test_a_spec_without_a_factor_is_refused_before_any_point():
 
 
 def test_profiles_of_a_space_without_a_factor_are_refused():
-    # sigma is read from the spec of the rescaled space's profile
+    # sigma is read from the jet the rescaled space's PointEval keeps
     base = scalar_profile(geometry.point_eval(QUARTIC, X1, YGEN))
     other = scalar_profile(geometry.point_eval(QUARTIC, X1, 2 * YGEN))
     for fn in (sigma_components, evaluate_point):
-        with pytest.raises(conformal.MissingSigma):
+        with pytest.raises(conformal.MissingSigma, match="carries no conformal factor"):
             fn(base, other)
 
 
@@ -181,12 +181,10 @@ def test_case_dispatch_constructed_gradients():
 
 def test_landsberg_conditions_homothetic_all_zero():
     pair = make_conformal(QUARTIC, "0.25")
-    prof, lifted = profiles(pair, X1, YGEN)
-    sc = sigma_components(prof, lifted)
-    case, near, out = landsberg_case_conditions(prof, sc)
-    assert case == CASE_HOMOTHETIC
-    assert not near
-    assert max(v["residual"] for v in out.values()) <= 1e-10
+    rep = evaluate_point(*profiles(pair, X1, YGEN))
+    assert rep.case == CASE_HOMOTHETIC
+    assert not rep.near_degenerate
+    assert rep.condition_rows["landsberg"]["residual"].max() <= 1e-10
 
 
 def test_landsberg_conditions_fail_with_nonlandsberg_lift():
@@ -195,9 +193,10 @@ def test_landsberg_conditions_fail_with_nonlandsberg_lift():
     for rep in evaluate_points(pair, sample_domain(QUARTIC.domain, SamplePlan(count=8, seed=73))):
         if rep.frame_error:
             continue
+        rows = rep.condition_rows["landsberg"]
         ratios = [
-            v["residual"] / (v["scale"] + 1e-12)
-            for k, v in rep.landsberg_residuals.items()
+            r / (s + 1e-12)
+            for k, r, s in zip(rows["labels"], rows["residual"], rows["scale"])
             if k.startswith("landsberg:")
         ]
         barred = rep.direct_barred["max_cartan_hderiv_transvected"]
@@ -210,10 +209,8 @@ def test_landsberg_conditions_fail_with_nonlandsberg_lift():
 
 def test_berwald_conditions_homothetic_zero():
     pair = make_conformal(QUARTIC, "0.25")
-    prof, lifted = profiles(pair, X1, YGEN)
-    sc = sigma_components(prof, lifted)
-    _, _, out = berwald_case_conditions(prof, sc)
-    assert max(v["residual"] for v in out.values()) <= 1e-10
+    rep = evaluate_point(*profiles(pair, X1, YGEN))
+    assert rep.condition_rows["berwald"]["residual"].max() <= 1e-10
 
 
 def test_berwald_conditions_reject_bad_extraction():
@@ -224,7 +221,7 @@ def test_berwald_conditions_reject_bad_extraction():
         sc, extraction_residuals={"sym_mn": 1.0}, extraction_scale=1.0
     )
     with pytest.raises(ExtractionUnreliable):
-        berwald_case_conditions(prof, corrupted)
+        _berwald(prof, corrupted, _case(corrupted))
 
 
 def test_invariance_suite_nonhomothetic():
@@ -613,13 +610,13 @@ def test_condition_systems_equal_the_written_out_formulas_in_every_case():
                 pair = gradient_pair(spec, sum(flat[i] for i in subset)) if subset \
                     else make_conformal(spec, "0.3")
                 base, lifted = profiles(pair, x, y)
-                sc = sigma_components(base, lifted)
-                case, _, lands = landsberg_case_conditions(base, sc)
-                berw_case, _, berw = berwald_case_conditions(base, sc)
-                assert case == berw_case == _ref_case(sc), subset
+                rep = evaluate_point(base, lifted)
+                sc, case = rep.sigma, rep.case
+                assert case == _ref_case(sc), subset
                 seen.add(case)
-                for got, want in ((lands, _ref_landsberg(base, sc)),
-                                  (berw, _ref_berwald(base, sc))):
+                for kind, want in (("landsberg", _ref_landsberg(base, sc)),
+                                   ("berwald", _ref_berwald(base, sc))):
+                    got = _condition_doc(rep.condition_rows[kind])
                     assert list(got) == list(want), (case, subset)
                     for label, entry in want.items():
                         assert got[label] == entry, (case, label)

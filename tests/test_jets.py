@@ -4,7 +4,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finsler4 import frame, geometry, jets, oracle
 from finsler4.jets import (
@@ -278,6 +278,8 @@ def test_inverse_times_matrix_is_the_identity_jet(caps):
 @settings(max_examples=30, deadline=None)
 @given(caps=st.sampled_from(_KERNEL_CAPS), rhs_ndim=st.sampled_from((1, 2)),
        seed=st.integers(0, 2**32 - 1))
+# a draw whose max|inv m - I| of 1.33e-15 is round-off, six ulp of 1
+@example(caps=DegreeCaps(1, 1, 1), rhs_ndim=1, seed=798440)
 def test_solve_equals_the_inverse_contracted_with_the_right_side(caps, rhs_ndim, seed):
     rng = np.random.default_rng(seed)
     n = caps.tables.n
@@ -288,9 +290,15 @@ def test_solve_equals_the_inverse_contracted_with_the_right_side(caps, rhs_ndim,
     rhs = rng.normal(size=(4,) * rhs_ndim + (n,))
     eye = jets.identity(4, caps)
     inv = jets.solve(m, m0_inv, eye, caps)
-    # solve on the identity is a two-sided inverse in the ring
-    assert np.max(np.abs(jets.contract("ij,jk->ik", inv, m, caps) - eye)) <= 1e-15
-    assert np.max(np.abs(jets.contract("ij,jk->ik", m, inv, caps) - eye)) <= 1e-15
+    # solve on the identity is a two-sided inverse in the ring, up to the
+    # rounding of the products: each coefficient of a product sums rounded
+    # terms, so its error scales with the size of the factors, the largest
+    # coefficient of the ring product of their absolute values, and not
+    # with 1 (fresh seeds stay below a sixth of this bound)
+    for left, right in ((inv, m), (m, inv)):
+        size = jets.contract("ij,jk->ik", np.abs(left), np.abs(right), caps).max()
+        residual = np.max(np.abs(jets.contract("ij,jk->ik", left, right, caps) - eye))
+        assert residual <= 16 * np.finfo(float).eps * size
     spec = "ij,j->i" if rhs_ndim == 1 else "ij,jk->ik"
     want = jets.contract(spec, inv, rhs, caps)
     got = jets.solve(m, m0_inv, rhs, caps)

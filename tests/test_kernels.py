@@ -52,12 +52,26 @@ def _kernel_dimensions(base) -> tuple:
     return (*(4 - int((v > CUT).sum()) for v in values), *values)
 
 
-# name -> (family, params, dim K_B = dim K_L)
+ALPHA = "sqrt(y1^2+y2^2+y3^2+y4^2)"
+# name -> (family, params, dim K_B = dim K_L); the comments give the smallest
+# singular values of the Berwald and the Landsberg map where they are 0
 _NORMS = {
     "quartic": ("quartic_minkowski", None, 0),
-    "randers_constant_b": ("expression", {"L": "sqrt(y1^2+y2^2+y3^2+y4^2)+0.3*y3"}, 0),
+    "randers_constant_b": ("expression", {"L": f"{ALPHA}+0.3*y3"}, 0),
     "riemannian": ("expression", {"L": "sqrt(y1^2+2*y2^2+y3^2+y4^2)"}, 4),
     "berwald_moor": ("berwald_moor", None, 4),
+    # (alpha, beta) norms with a constant beta = 0.3 y3 or 0.9 y3
+    "alpha_plus_beta2_over_alpha":  # 0.77, 0.26
+        ("expression", {"L": f"{ALPHA}+(0.3*y3)^2/{ALPHA}"}, 0),
+    "square_metric":  # (alpha + beta)^2 / alpha: 21, 5.9
+        ("expression", {"L": f"({ALPHA}+0.3*y3)^2/{ALPHA}"}, 0),
+    "exponential":  # 8.6, 3.3
+        ("expression", {"L": f"{ALPHA}*exp(0.3*y3/{ALPHA})"}, 0),
+    "randers_large_b": ("expression", {"L": f"{ALPHA}+0.9*y3"}, 0),  # 24, 6.8
+    # the p = 6 norm, and quartic with mixed terms under the root
+    "p6": ("expression", {"L": "(y1^6+y2^6+y3^6+y4^6)^0.16666666666666666"}, 0),  # 2.3e4, 51
+    "quartic_mixed": ("expression",  # 7.7e2, 43
+                      {"L": "(y1^4+y2^4+y3^4+y4^4+0.5*(y1^2*y2^2+y3^2*y4^2))^0.25"}, 0),
 }
 
 
