@@ -128,6 +128,12 @@ def hderiv_measurement(pe: geometry.PointEval) -> dict:
 # -- classification ----------------------------------------------------------
 
 
+# the per-point maxima a report writes for each point; the largest of each
+# over the evaluated points are the deciding residuals
+POINT_MAXIMA = ("max_cartan", "max_dx_metric", "max_spray_cubic", "max_cartan_hderiv",
+                "max_cartan_hderiv_transvected")
+
+
 @dataclass(frozen=True)
 class PointRecord:
     index: int
@@ -322,8 +328,7 @@ def classify_metric(
 
     deciding = {
         attr: max((r[attr] for r in usable), default=float("nan"))
-        for attr in ("max_cartan", "max_dx_metric", "max_spray_cubic",
-                     "max_cartan_hderiv", "max_cartan_hderiv_transvected")
+        for attr in POINT_MAXIMA
     }
 
     report = ClassificationReport(

@@ -109,41 +109,43 @@ def _load_spec(path: str):
     return metrics.spec_from_json_dict(doc)
 
 
-def _apply_overrides(plan: SamplePlan, args) -> SamplePlan:
+def _sampled_run(args) -> tuple:
+    """(spec, plan, tol, effective_config) of a sampled command: the spec
+    file's plan with ``--samples`` and ``--seed`` in place of its own, and
+    ``--tol`` checked, or the default tolerance."""
+    from .classify import DEFAULT_TOL
+
+    spec, plan = _load_spec(args.spec)
     count = args.samples if args.samples is not None else plan.count
     seed = args.seed if args.seed is not None else plan.seed
-    return SamplePlan(count=count, seed=seed)
+    plan = SamplePlan(count=count, seed=seed)
+    tol = DEFAULT_TOL
+    if args.tol is not None:
+        if not 0.0 < args.tol < math.inf:
+            raise SpecSchemaError(f"--tol needs a finite number > 0, got {args.tol!r}")
+        tol = args.tol
+    return spec, plan, tol, {"samples": plan.count, "seed": plan.seed, "tol": tol}
 
 
-def _tol(args, default: float) -> float:
-    if args.tol is None:
-        return default
-    if not 0.0 < args.tol < math.inf:
-        raise SpecSchemaError(f"--tol needs a finite number > 0, got {args.tol!r}")
-    return args.tol
-
-
-def _effective_config(plan: SamplePlan, tol: float) -> dict:
-    return {"samples": plan.count, "seed": plan.seed, "tol": tol}
+def _write_failure(doc: dict, point) -> bool:
+    """Write the point's ``eval_error``, else its ``frame_error``, into
+    ``doc``; False if it has neither."""
+    if point.eval_error is not None:
+        doc["eval_error"] = point.eval_error
+    elif point.frame_error is not None:
+        doc["frame_error"] = point.frame_error
+    else:
+        return False
+    return True
 
 
 def _point_record_doc(rec) -> dict:
-    doc = {
-        "index": rec.index,
-        "x": rec.x,
-        "y": rec.y,
-        "torsion_norm": rec.torsion_norm,
-        "max_cartan": rec.max_cartan,
-        "max_dx_metric": rec.max_dx_metric,
-        "max_spray_cubic": rec.max_spray_cubic,
-        "max_cartan_hderiv": rec.max_cartan_hderiv,
-        "max_cartan_hderiv_transvected": rec.max_cartan_hderiv_transvected,
-    }
-    if rec.eval_error is not None:
-        doc["eval_error"] = rec.eval_error
-    elif rec.frame_error is not None:
-        doc["frame_error"] = rec.frame_error
-    elif rec.frame is not None:
+    from .classify import POINT_MAXIMA
+
+    doc = {"index": rec.index, "x": rec.x, "y": rec.y, "torsion_norm": rec.torsion_norm}
+    for name in POINT_MAXIMA:
+        doc[name] = getattr(rec, name)
+    if not _write_failure(doc, rec) and rec.frame is not None:
         doc["frame"] = {
             "h": rec.frame["h"],
             "j": rec.frame["j"],
@@ -157,13 +159,11 @@ def _point_record_doc(rec) -> dict:
 def cmd_classify(args) -> int:
     from . import classify as classify_mod
 
-    spec, plan = _load_spec(args.spec)
-    plan = _apply_overrides(plan, args)
-    tol = _tol(args, classify_mod.DEFAULT_TOL)
+    spec, plan, tol, config = _sampled_run(args)
     report = classify_mod.classify_metric(spec, plan, tol)
     doc = {
         "command": "classify",
-        "effective_config": _effective_config(plan, tol),
+        "effective_config": config,
         "verdicts": report.verdicts,
         "deciding_residuals": report.deciding_residuals,
         "notes": report.notes,
@@ -191,12 +191,9 @@ def _condition_doc(record: dict) -> dict:
 
 
 def cmd_conformal(args) -> int:
-    from . import classify as classify_mod
     from . import conformal as conformal_mod
 
-    spec, plan = _load_spec(args.spec)
-    plan = _apply_overrides(plan, args)
-    tol = _tol(args, classify_mod.DEFAULT_TOL)
+    spec, plan, tol, config = _sampled_run(args)
     try:
         audit = conformal_mod.audit_pair(spec, plan, tol=tol)
     except conformal_mod.MissingSigma as err:
@@ -204,11 +201,7 @@ def cmd_conformal(args) -> int:
     points = []
     for rep in audit.reports:
         doc = {"x": rep.x, "y": rep.y}
-        if rep.eval_error is not None:
-            doc["eval_error"] = rep.eval_error
-        elif rep.frame_error is not None:
-            doc["frame_error"] = rep.frame_error
-        else:
+        if not _write_failure(doc, rep):
             doc.update(
                 {
                     "case": rep.case,
@@ -223,7 +216,7 @@ def cmd_conformal(args) -> int:
         points.append(doc)
     doc = {
         "command": "conformal",
-        "effective_config": _effective_config(plan, tol),
+        "effective_config": config,
         "points": points,
         "landsberg_cooccurrence": audit.landsberg_summary,
         "berwald_cooccurrence": audit.berwald_summary,

@@ -26,7 +26,6 @@ derivative never divides.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,7 +38,7 @@ from .classify import (
     AGREEMENT, DEFAULT_TOL, agreement, all3, check_tol, hderiv_measurement, judge, point_records,
     profile_of,
 )
-from .frame import ProfileResult, SCALAR_NAMES
+from .frame import PAIR_A, PAIR_B, PAIRS, ProfileResult, SCALAR_NAMES
 from .geometry import PointEval
 from .jets import Finsler4Error, derivative_tensor, ring_sum
 from .metrics import MetricSpec, SamplePlan
@@ -106,10 +105,9 @@ _BLOCK_B = np.array([1, 2, 3, 2, 3, 3])
 _BLOCK_SIGN = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
 _B_SLOTS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # spray-block index of B[a, b]
 _B_SIGN = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [1.0, -1.0, -1.0]])
-# the off-diagonal pairs of the (m, n, p) block, in the order mn, mp, np
-_SYM_A, _SYM_B = (np.array(axis) for axis in zip(*itertools.combinations((1, 2, 3), 2)))
 _EXTRACTION_KEYS = (
-    *(f"sym_{_FRAME_NAMES[a]}{_FRAME_NAMES[b]}" for a, b in zip(_SYM_A, _SYM_B)),
+    # the off-diagonal pairs of the (m, n, p) block, in the order mn, mp, np
+    *(f"sym_{_FRAME_NAMES[a]}{_FRAME_NAMES[b]}" for a, b in PAIRS),
     *(f"antisym_l{_FRAME_NAMES[b]}" for b in (1, 2, 3)),
     *(f"grad_slot_{name}" for name in _FRAME_NAMES),
     "spray_transvection",
@@ -145,7 +143,7 @@ def sigma_components(base: ProfileResult, lifted: ProfileResult) -> SigmaCompone
     # the (m, n, p) block is symmetric, the l row and column antisymmetric,
     # and the l row holds the frame gradient
     resid = np.concatenate([
-        np.abs(D[_SYM_A, _SYM_B] - D[_SYM_B, _SYM_A]),
+        np.abs(D[PAIR_A, PAIR_B] - D[PAIR_B, PAIR_A]),
         np.abs(D[0, 1:] + D[1:, 0]),
         np.abs(D[0] - s_frame),
         [np.abs(delta_g - delta_g_pred).max() / (1.0 + np.abs(delta_g_pred).max())],

@@ -60,7 +60,7 @@ A[a, b] = e_b^i nabla e_a_i:
     v-form   L A[m,n] = u   L A[m,p] = v   L A[n,p] = w   L A[l,b] = e_b
 
 The connection covectors are the (m, n, p) block entries at the frame
-pairs :data:`_PAIRS`, and the vectors h, j, k, u, v, w are their frame
+pairs :data:`PAIRS`, and the vectors h, j, k, u, v, w are their frame
 components.  ``recon_{h,v}deriv_{m,n,p}`` is the largest entry of
 nabla e_a (L nabla e_a for the v-form) minus the model row
 sum_b e_b (x) A[a, b].  The l row is checked on its own: ``l_hderiv_zero``
@@ -300,27 +300,20 @@ def covariant_derivatives(field, spray: SprayAt, conn: ConnectionAt) -> Covarian
 
 
 # frame pairs (a, b) of the (m, n, p) block, in the order h, j, k (u, v, w)
-_PAIRS = ((1, 2), (1, 3), (2, 3))
-_PAIR_A = [a for a, _ in _PAIRS]
-_PAIR_B = [b for _, b in _PAIRS]
+PAIRS = ((1, 2), (1, 3), (2, 3))
+PAIR_A = [a for a, _ in PAIRS]
+PAIR_B = [b for _, b in PAIRS]
 
 
 def _forms(L0, e, cov_h, cov_v) -> tuple:
-    """The h-form and L times the v-form at the frame pairs :data:`_PAIRS`,
+    """The h-form and L times the v-form at the frame pairs :data:`PAIRS`,
     (K, 3, 4) each, from the covariant derivatives ``cov_h`` and ``cov_v``
     of the four covector fields ([member, a, i, k] = nabla_k e_a_i).
     ``L0`` is (K,), ``e`` (K, 4, 4)."""
     # e[b] @ cov_h[a] for every pair (a, b), as vector-matrix products
-    h_form = (e[:, _PAIR_B, None] @ cov_h[:, _PAIR_A])[:, :, 0]
-    v_form = L0[:, None, None] * (e[:, _PAIR_B, None] @ cov_v[:, _PAIR_A])[:, :, 0]
+    h_form = (e[:, PAIR_B, None] @ cov_h[:, PAIR_A])[:, :, 0]
+    v_form = L0[:, None, None] * (e[:, PAIR_B, None] @ cov_v[:, PAIR_A])[:, :, 0]
     return h_form, v_form
-
-
-def _connection_vectors(L0, e, cov_h, cov_v) -> np.ndarray:
-    """Frame components of the h- and v-connection vectors of a stack of
-    frames, a (K, 6, 4) array in VECTOR_NAMES order."""
-    h_form, v_form = _forms(L0, e, cov_h, cov_v)
-    return (e[:, None] @ np.concatenate([h_form, v_form], axis=1)[..., None])[..., 0]
 
 
 def _frame_residuals(prof: "ProfileResult") -> dict:
@@ -339,8 +332,8 @@ def _frame_residuals(prof: "ProfileResult") -> dict:
     # A[member, form, a, b]: the h-form and L times the v-form, antisymmetric in (a, b)
     A = np.zeros((1, 2, 4, 4, 4))
     A[:, 1, 0, 1:] = e_flat[:, 1:]
-    A[:, 0, _PAIR_A, _PAIR_B] = h_form
-    A[:, 1, _PAIR_A, _PAIR_B] = v_form
+    A[:, 0, PAIR_A, PAIR_B] = h_form
+    A[:, 1, PAIR_A, PAIR_B] = v_form
     A = A - A.transpose(0, 1, 3, 2, 4)
     # rows m, n, p of the model sum_b e_b (x) A[a, b], summed in frame order
     model = ring_sum(
@@ -404,7 +397,9 @@ def _profiles(st: PointEval) -> list:
 
     # [member, frame covector, i, k]: nabla_k e_a_i of all four rows at once
     cov = covariant_derivatives(e_flat_jets, st.spray, st.connection)
-    vectors = _connection_vectors(L0, e, cov.h, cov.v)
+    # frame components of the h- and v-connection vectors, in VECTOR_NAMES order
+    h_form, v_form = _forms(L0, e, cov.h, cov.v)
+    vectors = (e[:, None] @ np.concatenate([h_form, v_form], axis=1)[..., None])[..., 0]
     scalars = scalar_jets[..., 0].copy()
     return [
         ProfileResult(

@@ -110,27 +110,18 @@ class ConnectionAt:
     Cmix: np.ndarray
 
 
-def _map_leaves(fn, value):
-    """Apply fn to every array or number of a stage value: a tuple of
-    values, a frozen dataclass of them, or a leaf."""
-    if isinstance(value, tuple):
-        return tuple(_map_leaves(fn, v) for v in value)
-    if hasattr(value, "__dataclass_fields__"):
-        return type(value)(*(_map_leaves(fn, v) for v in vars(value).values()))
-    return fn(value)
-
-
-def _stack_leaves(values: list):
-    """The stage value of a stack from its members' values of one stage:
-    each leaf stacked along a new first axis, the inverse of the slicing
-    that :func:`_stage` hands the members."""
+def _zip_leaves(fn, values):
+    """fn of the matching leaves (arrays or numbers) of one or more stage
+    values of one shape: a tuple of values, a frozen dataclass of them, or
+    a leaf.  :func:`_stage` slices a stack's value for each member with it,
+    and :meth:`PointEval.stack` stacks the members' values."""
     first = values[0]
     if isinstance(first, tuple):
-        return tuple(_stack_leaves(list(v)) for v in zip(*values))
+        return tuple(_zip_leaves(fn, v) for v in zip(*values))
     if hasattr(first, "__dataclass_fields__"):
         fields = zip(*(vars(v).values() for v in values))
-        return type(first)(*(_stack_leaves(list(v)) for v in fields))
-    return np.array(values)
+        return type(first)(*(_zip_leaves(fn, v) for v in fields))
+    return fn(values)
 
 
 # names of the PointEval stages, in definition order
@@ -152,8 +143,9 @@ def _stage(compute: Callable) -> cached_property:
         for b, member in enumerate(members):
             # a per-member number becomes a Python float or bool, as a lone
             # evaluation returns it
-            member.__dict__[name] = _map_leaves(
-                lambda a: a[b] if a.ndim > 1 else a[b].item(), value
+            member.__dict__[name] = _zip_leaves(
+                lambda leaves: leaves[0][b] if leaves[0].ndim > 1 else leaves[0][b].item(),
+                (value,),
             )
         return value
 
@@ -244,7 +236,7 @@ class PointEval:
         cached = [m.__dict__ for m in members]
         for name in _STAGES:
             if name in cached[0] and all(name in c for c in cached):
-                st.__dict__[name] = _stack_leaves([c[name] for c in cached])
+                st.__dict__[name] = _zip_leaves(np.array, [c[name] for c in cached])
         return st
 
     # the members of a stack; a lone PointEval keeps None (not itself, which

@@ -607,12 +607,12 @@ def _binomial(f, r: float, p):
 
 
 def recip(f):
-    """1/f: u = b and a_k = (-1)**k / b."""
-    b, m = _base(f)
+    """1/f: the binomial series at r = -1, a_k = (-1)**k / b, each factor
+    (r - k + 1)/k = -1 exact."""
+    b, _ = _base(f)
     if (b == 0).any():
         raise DomainViolation("reciprocal of zero")
-    inv = 1.0 / b
-    return _compose(f, b, [-inv if k % 2 else inv for k in range(m + 1)])
+    return _binomial(f, -1.0, 1.0 / b)
 
 
 def exp(f):

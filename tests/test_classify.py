@@ -243,6 +243,16 @@ def test_stacked_sample_gives_the_records_of_lone_points():
         assert [_as_json(r) for r in records] == [_as_json(r) for r in want]
 
 
+def test_a_zero_exponent_factor_changes_no_record():
+    # y1^0 is the constant jet 1, so multiplying L by it moves no bit
+    L = "sqrt(y1^2+2*y2^2+y3^2+y4^2)+0.1*x2*y1"
+    plan = SamplePlan(8, 5)
+    plain, times_one = (classify_metric(make_builtin_metric("expression", {"L": doc}), plan)
+                        for doc in (L, f"({L})*y1^0"))
+    assert [_as_json(r) for r in times_one.points] == [_as_json(r) for r in plain.points]
+    assert times_one.verdicts == plain.verdicts
+
+
 def test_refused_members_leave_the_others_in_one_stack(monkeypatch):
     # 10 of the 15 evaluated points are NotPositiveDefinite; the other five
     # take the same seeds, so they form one stack after the refusal

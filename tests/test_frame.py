@@ -300,7 +300,7 @@ def _written_out_connection_vectors(pe):
     signs placed by hand: m_i|j = n_i h_j + p_i j_j, n_i|j = -m_i h_j +
     p_i k_j, p_i|j = -m_i j_j - n_i k_j, and L m_i|_j = -l_i m_j + n_i u_j
     + p_i v_j and so on.  This is the reference the connection-form algebra
-    of frame._connection_vectors must reproduce bit for bit."""
+    of frame._profiles must reproduce bit for bit."""
     e_jets, e_flat_jets, _ = frame._frame_from_ring(*frame._field_jets(pe.as_stack()))
     e_jets, e_flat_jets = e_jets[0], e_flat_jets[0]
     e, e_flat = e_jets[..., 0].copy(), e_flat_jets[..., 0].copy()

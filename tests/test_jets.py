@@ -106,6 +106,23 @@ def test_log_sqrt_domain():
         jets.power(0.0, -1)
 
 
+def test_zero_exponent_gives_the_constant_one():
+    # f^0 is the constant 1 with degree bound (0, 0), for a lone jet (of zero
+    # base too) and for a stack; a number gives 1.0, 0^0 included
+    caps = DegreeCaps(1, 3)
+    rows = np.random.default_rng(3).uniform(-1.0, 1.0, (3, caps.tables.n))
+    rows[:, 0] = [0.7, -1.3, 0.0]
+    for f in (variable(4, 0.0, caps), variable(1, 2.5, caps), JetScalar(caps, rows)):
+        one = jets.power(f, 0)
+        want = np.zeros(f.c.shape)
+        want[..., 0] = 1.0
+        assert one.deg == (0, 0)
+        assert one.c.tobytes() == want.tobytes()
+    for b in (0.0, -1.3, 2.5):
+        assert jets.power(b, 0) == 1.0
+    assert np.array_equal(jets.power(np.array([0.0, -1.3, 2.5]), 0), np.ones(3))
+
+
 def test_integer_power_allows_negative_base():
     j = variable(0, -2.0, CAPS)
     sq = jets.power(j, 2)

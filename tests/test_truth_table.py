@@ -18,6 +18,7 @@ SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6)
 EUCLID = "sqrt(y1^2+y2^2+y3^2+y4^2)"
 QUARTIC = "(y1^4+y2^4+y3^4+y4^4)^0.25"
 SIGMA = "0.1*x1+0.2*x3"
+CURVED_ALPHA_RANDERS = "sqrt(y1^2+(1+0.1*x1^2)^2*y2^2+y3^2+y4^2)+0.3*y3"
 YES4 = ("yes", "yes", "yes", "yes")
 
 # name -> (L, sigma or None, verdicts in riemannian, locally_minkowski_in_chart,
@@ -39,13 +40,16 @@ ROWS = {
     "randers_drift": (f"{EUCLID}+0.1*x2*y1", None, ("no", "no", "no", "no")),
     # curved alpha with an alpha-parallel beta: Berwald (Bao-Chern-Shen
     # 2000), not flat in its chart
-    "randers_curved_alpha": ("sqrt(y1^2+(1+0.1*x1^2)^2*y2^2+y3^2+y4^2)+0.3*y3", None,
-                             ("no", "no", "yes", "yes")),
+    "randers_curved_alpha": (CURVED_ALPHA_RANDERS, None, ("no", "no", "yes", "yes")),
     # a conformally rescaled Riemannian metric is Riemannian
     "conf_euclid": (EUCLID, SIGMA, ("yes", "no", "yes", "yes")),
     # not Berwald and not Landsberg by the engine's own kernel (ROADMAP
     # item 14: K_B = K_L = {0} for quartic), not by a theorem
     "conf_quartic": (QUARTIC, SIGMA, ("no", "no", "no", "no")),
+    # not Berwald and not Landsberg by the engine's own kernel at each x
+    # (ROADMAP item 17: K_B(x) = K_L(x) = {0} for the Berwald base
+    # randers_curved_alpha, tests/test_kernels.py), not by a theorem
+    "conf_randers_curved_alpha": (CURVED_ALPHA_RANDERS, SIGMA, ("no", "no", "no", "no")),
 }
 
 ITEM_1_VERDICTS = "item 1: the verdicts are not scale-free"
@@ -58,10 +62,14 @@ FAILING = {
     ("conf_euclid", 1e6): ITEM_1_VERDICTS,
     ("conf_quartic", 1e-6): ITEM_1_VERDICTS,
     ("conf_quartic", 1e-3): ITEM_1_VERDICTS,
+    ("conf_randers_curved_alpha", 1e-6): ITEM_1_VERDICTS,
+    ("conf_randers_curved_alpha", 1e-3): ITEM_1_VERDICTS,
     ("randers_drift", 1e3): ITEM_1_ROUTES,
     ("randers_drift", 1e6): ITEM_1_ROUTES,
     ("conf_quartic", 1e3): ITEM_1_ROUTES,
     ("conf_quartic", 1e6): ITEM_1_ROUTES,
+    ("conf_randers_curved_alpha", 1e3): ITEM_1_ROUTES,
+    ("conf_randers_curved_alpha", 1e6): ITEM_1_ROUTES,
     ("randers_curved_alpha", 1e-6): ITEM_4,
     ("randers_curved_alpha", 1e-3): ITEM_4,
     ("randers_curved_alpha", 1.0): ITEM_4,
