@@ -24,7 +24,7 @@ _EXPORTS = {
     "jets": ("DegreeCaps", "Finsler4Error", "InvalidArgument", "JetScalar", "partial_extract"),
     "metrics": ("DomainSpec", "MetricSpec", "SamplePlan", "eval_L", "make_builtin_metric",
                 "make_conformal", "sample_domain"),
-    "oracle": ("FDConfig", "fd_partials", "oracle_tensors"),
+    "oracle": ("fd_partials", "oracle_tensors"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -104,7 +104,6 @@ _BLOCK_A = np.array([1, 1, 1, 2, 2, 3])
 _BLOCK_B = np.array([1, 2, 3, 2, 3, 3])
 _BLOCK_SIGN = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
 _B_SLOTS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # spray-block index of B[a, b]
-_B_SIGN = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [1.0, -1.0, -1.0]])
 _EXTRACTION_KEYS = (
     # the off-diagonal pairs of the (m, n, p) block, in the order mn, mp, np
     *(f"sym_{_FRAME_NAMES[a]}{_FRAME_NAMES[b]}" for a, b in PAIRS),
@@ -264,7 +263,7 @@ def _berwald(profile: ProfileResult, sc: SigmaComponents, case: tuple) -> dict:
         )
     case, _, support = case
     # B: minus the symmetrised (m, n, p) block of the connection difference
-    B = _B_SIGN * sc.spray_block()[_B_SLOTS]
+    B = -(_BLOCK_SIGN * sc.spray_block())[_B_SLOTS]
     # [scalar, row of B, column]: B[row, column] S;_column
     terms = B * profile.v_derivs[:, None, 1:]
     blocks = [(_BERWALD_LABELS, terms.reshape(24, 3))]

@@ -261,18 +261,28 @@ def multi(*slots: int) -> tuple[int, ...]:
     return tuple(order)
 
 
+def whole_degrees(order) -> tuple[int, ...] | None:
+    """The entries of ``order`` as ints, or None if one is not a whole number."""
+    order = tuple(order)
+    try:
+        degs = tuple(map(int, order))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return degs if degs == order else None
+
+
 def _as_order(order: OrderLike) -> tuple[int, ...]:
     if isinstance(order, Mapping):
         out = [0] * N_VARS
         for slot, deg in order.items():
             if not 0 <= slot < N_VARS:
                 raise OrderExceedsCaps(f"variable slot {slot} out of range 0..7")
-            out[slot] = int(deg)
-        return tuple(out)
-    order = tuple(int(d) for d in order)
-    if len(order) != N_VARS or any(d < 0 for d in order):
+            out[slot] = deg
+        order = out
+    degs = whole_degrees(order)
+    if degs is None or len(degs) != N_VARS or any(d < 0 for d in degs):
         raise OrderExceedsCaps("order must be 8 non-negative integers")
-    return order
+    return degs
 
 
 class JetScalar:

@@ -12,10 +12,10 @@ stacks every stencil point of every requested partial and every step
 into one block, so each call of :func:`oracle_tensors` evaluates L^2
 exactly once.
 
-Steps are chosen per derivative order (balancing truncation against
-rounding for second-order central stencils), optionally sharpened by
-Richardson extrapolation, and clamped so stencils never leave the
-metric's validity cone.
+The estimator is fixed: second-order central stencils on a ladder of
+8 steps halving from 2% of (1 + |coordinate|), combined by a Richardson
+tableau whose entry with the smallest error estimate wins.  Steps are
+clamped so stencils never leave the metric's validity cone.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .jets import Finsler4Error, InvalidArgument, OrderExceedsCaps, multi
+from .jets import Finsler4Error, InvalidArgument, OrderExceedsCaps, multi, whole_degrees
 from .metrics import MetricSpec
 
 MAX_ORDER = 3
@@ -38,28 +38,9 @@ class StencilLeavesDomain(Finsler4Error):
     pass
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    """Central differences, O(step^2) per stencil, O(step^4) after one
-    Richardson extrapolation.
-
-    With an explicit relative ``step`` the scheme is evaluated exactly
-    once (plus the half-step companion when ``richardson`` is on).  With
-    ``step=None`` the step descends a geometric ladder and the entry with
-    the smallest neighbour-disagreement error estimate wins; no single
-    fixed step balances truncation against rounding across all metric
-    families at third order.
-    """
-
-    step: Optional[float] = None
-    richardson: bool = True
-
-    def __post_init__(self) -> None:
-        if self.step is not None and not 0.0 < self.step < np.inf:
-            raise InvalidArgument("finite-difference step must be positive and finite")
-
-
-# step ladder for the adaptive default: relative anchor, ratio 2, depth 8
+# step ladder: relative anchor, ratio 2, depth 8.  No single fixed step
+# balances truncation against rounding across all metric families at third
+# order, so every level is evaluated and the Richardson tableau picks one
 _LADDER_ANCHOR = 0.02
 _LADDER_LEVELS = 8
 
@@ -102,7 +83,7 @@ def _product_stencil(degs: tuple) -> tuple:
 
 
 @lru_cache(maxsize=16)  # a plan of the 90 oracle orders holds about 0.7 MB
-def _stencil_plan(orders: tuple, levels: int, n_slots: int) -> _StencilPlan:
+def _stencil_plan(orders: tuple, n_slots: int) -> _StencilPlan:
     blocks = []  # (step, offset, weight, real) of each order's rows
     powers: dict = {}
     shapes: dict = {}
@@ -113,7 +94,7 @@ def _stencil_plan(orders: tuple, levels: int, n_slots: int) -> _StencilPlan:
         slots = [s for s, d in enumerate(order) if d > 0]
         degs = tuple(order[s] for s in slots)
         offsets, weights = _product_stencil(degs)
-        lev, n, pad = levels if slots else 1, len(offsets), MAX_ORDER - len(slots)
+        lev, n, pad = _LADDER_LEVELS if slots else 1, len(offsets), MAX_ORDER - len(slots)
         used[o, slots] = True
         reach[o] = np.abs(offsets).max(initial=1.0)
         rows = np.arange(first, first + lev * n)
@@ -143,7 +124,7 @@ def _stencil_plan(orders: tuple, levels: int, n_slots: int) -> _StencilPlan:
     )
 
 
-def _stencil(at: np.ndarray, orders: tuple, cfg: FDConfig, room) -> tuple:
+def _stencil(at: np.ndarray, orders: tuple, room) -> tuple:
     """Every stencil point of every partial at every step level, as columns.
 
     Returns ``points`` of shape ``(len(at), rows)``, ``weights`` of shape
@@ -151,12 +132,8 @@ def _stencil(at: np.ndarray, orders: tuple, cfg: FDConfig, room) -> tuple:
     quotients, and the plan's ``quotients``, which group the rows into one
     quotient per order and step level.
     """
-    if cfg.step is None:
-        h_rel, levels = _LADDER_ANCHOR, _LADDER_LEVELS
-    else:
-        h_rel, levels = cfg.step, 2 if cfg.richardson else 1
-    plan = _stencil_plan(orders, levels, len(at))
-    steps0 = np.broadcast_to(h_rel * (1.0 + np.abs(at)), plan.used.shape)
+    plan = _stencil_plan(orders, len(at))
+    steps0 = np.broadcast_to(_LADDER_ANCHOR * (1.0 + np.abs(at)), plan.used.shape)
     if room is not None:
         room = np.asarray(room, dtype=float)
         bounded = np.isfinite(room)
@@ -166,7 +143,7 @@ def _stencil(at: np.ndarray, orders: tuple, cfg: FDConfig, room) -> tuple:
         clamp = 0.2 * room / plan.reach[:, None]
         steps0 = np.where(bounded, np.minimum(steps0, clamp), steps0)
     # exact halving keeps every extrapolation ratio at 2
-    steps = steps0 / 2.0 ** np.arange(levels)[:, None, None]  # (levels, orders, slots)
+    steps = steps0 / 2.0 ** np.arange(_LADDER_LEVELS)[:, None, None]  # (levels, orders, slots)
     h = steps.ravel()[plan.step]
     rows, cols, slots, offsets = plan.moves
     points = np.repeat(at[:, None], len(h), axis=1)
@@ -179,25 +156,10 @@ def _stencil(at: np.ndarray, orders: tuple, cfg: FDConfig, room) -> tuple:
     return points, np.prod(plan.weight / h_pow, axis=1), plan.quotients
 
 
-def _pick(d_vals: list, cfg: FDConfig) -> float:
+def _pick(d_vals: list) -> float:
     """The partial from its difference quotients, one per step level."""
     if len(d_vals) == 1:
         return d_vals[0]
-    if cfg.step is not None:  # step and half step
-        return (4.0 * d_vals[1] - d_vals[0]) / 3.0
-
-    if not cfg.richardson:
-        # walk the ladder while the neighbour disagreement keeps shrinking;
-        # growth past the best estimate means rounding noise took over
-        best, best_est = d_vals[0], float("inf")
-        for i in range(len(d_vals) - 1):
-            est = abs(d_vals[i] - d_vals[i + 1])
-            if est < best_est:
-                best_est, best = est, d_vals[i + 1]
-            elif est > 2.0 * best_est:
-                break
-        return best
-
     # polynomial extrapolation over the ladder with error tracking; each
     # tableau entry is compared with its parents and the best estimate wins
     best, best_est = d_vals[0], float("inf")
@@ -226,21 +188,20 @@ def _full_order(order, n: int) -> tuple:
         for slot, deg in order.items():
             full[slot] = deg
         order = full
-    order = tuple(int(d) for d in order)
-    if len(order) != n or min(order) < 0:
-        raise InvalidArgument(f"order must be {n} non-negative degrees; got {order}")
-    if sum(order) > MAX_ORDER:
+    degs = whole_degrees(order)
+    if degs is None or len(degs) != n or min(degs) < 0:
+        raise InvalidArgument(f"order must be {n} non-negative whole degrees; got {order}")
+    if sum(degs) > MAX_ORDER:
         raise OrderExceedsCaps(
-            f"finite-difference depth is {MAX_ORDER}; got total order {sum(order)}"
+            f"finite-difference depth is {MAX_ORDER}; got total order {sum(degs)}"
         )
-    return order
+    return degs
 
 
 def fd_partials(
     f: Callable[[np.ndarray], np.ndarray],
     at: Sequence[float],
     orders: Sequence,
-    cfg: FDConfig = FDConfig(),
     room: Optional[np.ndarray] = None,
 ) -> list:
     """Central-difference mixed partials of f at `at`, one per order.
@@ -252,13 +213,13 @@ def fd_partials(
     """
     at = np.asarray(at, dtype=float)
     orders = tuple(_full_order(o, len(at)) for o in orders)
-    points, weights, groups = _stencil(at, orders, cfg, room)
+    points, weights, groups = _stencil(at, orders, room)
     terms = np.asarray(f(points), dtype=float) * weights
     out = [0.0] * len(orders)
     for members, rows in groups:
         # one difference quotient per order and step level
         for o, d_vals in zip(members.tolist(), np.sum(terms[rows], axis=-1).tolist()):
-            out[o] = _pick(d_vals, cfg)
+            out[o] = _pick(d_vals)
     return out
 
 
@@ -278,7 +239,6 @@ def oracle_tensors(
     spec: MetricSpec,
     x: Sequence[float],
     y: Sequence[float],
-    cfg: FDConfig = FDConfig(),
 ) -> OracleTensors:
     """Fundamental tensors, spray, and nonlinear connection from finite
     differences of L^2 alone (maximum depth three)."""
@@ -301,7 +261,7 @@ def oracle_tensors(
         + [multi(k, 4 + r) for k in range(4) for r in range(4)]
         + [multi(k, 4 + r, 4 + j) for k, r, j in xyy_idx]
     )
-    vals = iter(fd_partials(f2, at, orders, cfg, room))
+    vals = iter(fd_partials(f2, at, orders, room))
 
     g = np.empty((4, 4))
     for i, j in g_idx:

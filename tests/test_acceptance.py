@@ -61,21 +61,19 @@ FRAME_CORPUS = [
 PLAN16 = SamplePlan(count=16, seed=2026)
 
 
-@criterion(1, "jet derivatives match the finite-difference oracle (1e-5 plain, 1e-7 extrapolated)")
+@criterion(1, "jet derivatives match the finite-difference oracle to 1e-7")
 def test_c01_ad_correctness():
     for _, spec in AD_FAMILIES:
         for x, y in metrics.sample_domain(spec.domain, PLAN16):
             pe = geometry.point_eval(spec, x, y)
-            rich = oracle.oracle_tensors(spec, x, y, oracle.FDConfig(richardson=True))
-            plain = oracle.oracle_tensors(spec, x, y, oracle.FDConfig(richardson=False))
-            for ours, fast, slow in (
-                (pe.metric.g, rich.g, plain.g),
-                (pe.cartan.C, rich.C, plain.C),
-                (pe.spray.G, rich.G, plain.G),
-                (pe.spray.N, rich.N, plain.N),
+            ora = oracle.oracle_tensors(spec, x, y)
+            for ours, theirs in (
+                (pe.metric.g, ora.g),
+                (pe.cartan.C, ora.C),
+                (pe.spray.G, ora.G),
+                (pe.spray.N, ora.N),
             ):
-                assert oracle.relative_error(ours, fast) <= 1e-7
-                assert oracle.relative_error(ours, slow) <= 1e-5
+                assert oracle.relative_error(ours, theirs) <= 1e-7
 
 
 @criterion(2, "Euler identities: g y y = L^2 and the torsion transvection vanishes")

@@ -36,7 +36,7 @@ PUBLIC = {
     "jets": ["DegreeCaps", "Finsler4Error", "InvalidArgument", "JetScalar", "partial_extract"],
     "metrics": ["DomainSpec", "MetricSpec", "SamplePlan", "eval_L", "make_builtin_metric",
                 "make_conformal", "sample_domain"],
-    "oracle": ["FDConfig", "fd_partials", "oracle_tensors"],
+    "oracle": ["fd_partials", "oracle_tensors"],
 }
 
 
@@ -83,8 +83,8 @@ def test_every_public_name_resolves_to_its_module_attribute():
         for name in names:
             assert getattr(finsler4, name) is getattr(mod, name), name
     assert set(dir(finsler4)) >= {n for names in PUBLIC.values() for n in names}
-    # no name beyond these 33 is exported
+    # no name beyond these 32 is exported
     assert {m: list(names) for m, names in finsler4._EXPORTS.items()} == PUBLIC
-    assert sum(map(len, PUBLIC.values())) == 33
+    assert sum(map(len, PUBLIC.values())) == 32
     with pytest.raises(AttributeError):
         finsler4.no_such_name  # noqa: B018

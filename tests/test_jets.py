@@ -527,10 +527,6 @@ def test_elementary_functions_match_finite_differences():
         "exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt,
         "sin": jets.sin, "cos": jets.cos, "recip": lambda f: 1.0 / f,
     }
-    # fixed 1e-5 step for first partials; second partials need the adaptive
-    # step (plain central differences at 1e-5 carry ~eps/h^2 = 2e-6 noise)
-    cfg1 = oracle.FDConfig(step=1e-5, richardson=False)
-    cfg2 = oracle.FDConfig(richardson=False)
     for name, (fn, draw_base) in funcs.items():
         for _ in range(100):
             a = rng.uniform(0.3, 1.5)
@@ -544,12 +540,12 @@ def test_elementary_functions_match_finite_differences():
             def func(z, fn=fn, a=a, slot=slot):
                 return fn(a * z[slot])
 
-            for order, cfg in ((multi(slot), cfg1), (multi(slot, slot), cfg2)):
+            for order in (multi(slot), multi(slot, slot)):
                 if sum(order[:4]) > 1:
                     continue
                 got = partial_extract(j, order)
-                want = oracle.fd_partials(func, point, [order], cfg)[0]
-                assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (name, order)
+                want = oracle.fd_partials(func, point, [order])[0]
+                assert got == pytest.approx(want, rel=1e-8, abs=1e-8), (name, order)
 
 
 def test_ring_sum_adds_left_to_right():
@@ -622,6 +618,20 @@ def test_reads_past_the_total_degree_cap_are_rejected():
     assert derivative_jet(master, multi(0)).caps == DegreeCaps(0, 4)
     with pytest.raises(CapTooSmall):
         variable(0, 0.2, DegreeCaps(1, 1, 0))
+
+
+@pytest.mark.parametrize("order", [(0, 0, 0, 0, 2.7, 0, 0, 0), {4: 2.7}, {4: 0.5},
+                                   (0, 0, 0, 0, float("nan"), 0, 0, 0)])
+def test_orders_must_be_whole_degrees(order):
+    # int() would truncate 2.7 to the second partial without a word
+    f = variable(4, 2.0, DegreeCaps(0, 3)) ** 3
+    with pytest.raises(OrderExceedsCaps):
+        partial_extract(f, order)
+
+
+def test_whole_float_degrees_read_like_ints():
+    f = variable(4, 2.0, DegreeCaps(0, 3)) ** 3
+    assert partial_extract(f, {4: 2.0}) == partial_extract(f, (0, 0, 0, 0, 2, 0, 0, 0)) == 12.0
 
 
 # -- degree bounds -------------------------------------------------------------

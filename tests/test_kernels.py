@@ -19,11 +19,15 @@ curvature vanishes, so e^sigma F is Berwald at x iff d sigma(x) lies in
 K_B(x), and Landsberg iff it lies in K_L(x), kernels that now depend on x.
 """
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from finsler4 import geometry
+from finsler4 import cli, geometry
 from finsler4.metrics import SamplePlan, make_builtin_metric, make_conformal, sample_domain
 
 CUT = 1e-6
@@ -122,3 +126,34 @@ def test_kernels_of_a_berwald_base_at_a_point(name, x):
 def test_curved_alpha_randers_kernels_agree_at_every_point(x):
     _assert_kernels(make_builtin_metric("expression", {"L": CURVED_ALPHA_RANDERS}),
                     np.array(x), 0)
+
+
+# base norm -> the verdicts the CLI gives e^sigma F for a linear sigma with
+# a != 0: K_B = K_L = R^4 for the first two, {0} for quartic.  The first two
+# refuse their frames (VanishingTorsion, NotPositiveDefinite), so the tensor
+# route decides alone; quartic's frame route must agree at every point
+_CLI_NORMS = {
+    "euclidean": ({"family": "expression", "params": {"L": ALPHA}}, "yes"),
+    "berwald_moor": ({"family": "berwald_moor"}, "yes"),
+    "quartic": ({"family": "quartic_minkowski"}, "no"),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4)
+       .filter(lambda a: max(map(abs, a)) >= 0.1))
+@example(a=[0.1, 0.0, 0.0, 0.0])
+@example(a=[0.0, 0.0, 0.0, -0.1])
+def test_cli_classifies_linear_lifts_as_the_kernels_say(a, tmp_path_factory):
+    sigma = "+".join(f"{c!r}*x{i}" for i, c in enumerate(a, 1))
+    path = tmp_path_factory.mktemp("lift") / "spec.json"
+    for name, (base, want) in _CLI_NORMS.items():
+        path.write_text(json.dumps({**base, "sigma": sigma, "samples": 8, "seed": 5}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["classify", str(path)]) == 0
+        doc = json.loads(out.getvalue())
+        assert (doc["verdicts"]["berwald"], doc["verdicts"]["landsberg"]) == (want, want), name
+        if name == "quartic":
+            summary = doc["route_agreement"]["summary"]
+            assert (summary["berwald_agree"], summary["landsberg_agree"]) == (8, 8)

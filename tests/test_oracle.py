@@ -6,7 +6,7 @@ import pytest
 from finsler4 import cli, geometry, metrics, oracle
 from finsler4.jets import InvalidArgument, OrderExceedsCaps
 from finsler4.metrics import SamplePlan, make_builtin_metric
-from finsler4.oracle import FDConfig, fd_partials, oracle_tensors, relative_error
+from finsler4.oracle import fd_partials, oracle_tensors, relative_error
 
 X0 = np.zeros(4)
 ONES = np.ones(4)
@@ -17,6 +17,7 @@ def test_fd_second_derivative_of_cube():
     at = np.array([0.0] * 4 + [2.0, 0, 0, 0])
     got = fd_partials(f, at, [{4: 2}])[0]
     assert got == pytest.approx(12.0, abs=1e-6)
+    assert fd_partials(f, at, [{4: 2.0}])[0] == got
 
 
 def test_fd_quartic_L2_first_partial():
@@ -34,14 +35,6 @@ def test_fd_depth_limit():
         fd_partials(f, at, [{4: 4}])
     with pytest.raises(OrderExceedsCaps):
         fd_partials(f, at, [{4: 5}])
-
-
-def test_fd_explicit_step_respected():
-    f = lambda z: np.sin(z[0])
-    at = np.zeros(8)
-    got = fd_partials(f, at, [{0: 1}], FDConfig(step=1e-3, richardson=False))[0]
-    # plain central difference at h=1e-3: cos(0) - h^2/6 truncation visible
-    assert got == pytest.approx(1.0 - 1e-6 / 6.0, abs=1e-9)
 
 
 def test_oracle_quartic_metric_closed_form():
@@ -75,16 +68,11 @@ POLY_ORDERS = [{}, {4: 1}, {0: 1, 4: 1}, {5: 2}, {4: 3}, {6: 2, 5: 1},
                {1: 1, 7: 1, 6: 1}, {7: 2}, {0: 1}]
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [FDConfig(), FDConfig(richardson=False), FDConfig(step=1e-3),
-     FDConfig(step=1e-3, richardson=False)],
-)
-def test_fd_partials_equal_one_call_per_order(cfg):
+def test_fd_partials_equal_one_call_per_order():
     at = np.array([0.3, -0.2, 0.1, 0.4, 1.1, -0.7, 0.9, 0.5])
     room = np.array([np.inf] * 4 + [0.5] * 4)
-    batched = fd_partials(_poly_sqrt, at, POLY_ORDERS, cfg, room)
-    singles = [fd_partials(_poly_sqrt, at, [o], cfg, room)[0] for o in POLY_ORDERS]
+    batched = fd_partials(_poly_sqrt, at, POLY_ORDERS, room)
+    singles = [fd_partials(_poly_sqrt, at, [o], room)[0] for o in POLY_ORDERS]
     assert np.array_equal(batched, singles)
     assert batched[0] == _poly_sqrt(at[:, None])[0]
 
@@ -100,14 +88,10 @@ def test_fd_partials_calls_f_once_on_one_block():
     assert len(blocks) == 1 and blocks[0][0] == 8
 
 
-@pytest.mark.parametrize("step", [-1.0, 0.0, float("nan"), float("inf")])
-def test_fd_step_must_be_positive_and_finite(step):
-    # an order-zero partial never reads the step, so the config checks it
-    with pytest.raises(InvalidArgument):
-        FDConfig(step=step)
-
-
-@pytest.mark.parametrize("order", [{4: 1, 5: -1}, {9: 1}, (1, 0, 0), (0,) * 7 + (-1,)])
+# the last four are not whole numbers, which int() would truncate
+@pytest.mark.parametrize("order", [{4: 1, 5: -1}, {9: 1}, (1, 0, 0), (0,) * 7 + (-1,),
+                                   {4: 2.9}, (0, 0, 0, 0, 2.9, 0, 0, 0), {4: 0.5},
+                                   (0, 0, 0, 0, float("nan"), 0, 0, 0)])
 def test_fd_order_must_be_non_negative_degrees_of_the_eight_slots(order):
     with pytest.raises(InvalidArgument):
         fd_partials(lambda z: z[4] ** 3, np.ones(8), [order])
@@ -149,12 +133,12 @@ def test_batched_oracle_matches_columnwise_float_reference(monkeypatch):
             assert relative_error(getattr(got, name), getattr(ref, name)) <= 1e-7, name
 
 
-def _stencil_per_order(at, order, cfg, room):
+def _stencil_per_order(at, order, room):
     # reference: one order at a time, the tensor-product stencil built in loops
     vars_orders = [(slot, deg) for slot, deg in enumerate(order) if deg > 0]
     if not vars_orders:
         return at[:, None], np.ones(1)
-    h_rel, levels = (0.02, 8) if cfg.step is None else (cfg.step, 2 if cfg.richardson else 1)
+    h_rel, levels = 0.02, 8
     reach = max(max(abs(o) for o, _ in oracle._STENCILS[deg]) for _, deg in vars_orders)
     steps0 = np.zeros(len(at))
     for slot, _ in vars_orders:
@@ -173,10 +157,7 @@ def _stencil_per_order(at, order, cfg, room):
     return z.reshape(-1, len(at)).T, np.prod(w / h**degs, axis=-1).ravel()
 
 
-@pytest.mark.parametrize(
-    "cfg", [FDConfig(), FDConfig(step=1e-3), FDConfig(step=1e-3, richardson=False)]
-)
-def test_stencil_of_all_orders_matches_one_order_at_a_time(cfg):
+def test_stencil_of_all_orders_matches_one_order_at_a_time():
     # the same points and weights, bit for bit, as stencils built per order
     rng = np.random.default_rng(5)
     orders = tuple(oracle._full_order(o, 8) for o in POLY_ORDERS) + tuple(
@@ -186,8 +167,8 @@ def test_stencil_of_all_orders_matches_one_order_at_a_time(cfg):
     for _ in range(4):
         at = rng.normal(size=8)
         room = np.where(rng.random(8) < 0.5, np.inf, rng.random(8) + 0.01)
-        points, weights, _ = oracle._stencil(at, orders, cfg, room)
-        ref = [_stencil_per_order(at, o, cfg, room) for o in orders]
+        points, weights, _ = oracle._stencil(at, orders, room)
+        ref = [_stencil_per_order(at, o, room) for o in orders]
         assert points.tobytes() == np.concatenate([p for p, _ in ref], axis=1).tobytes()
         assert weights.tobytes() == np.concatenate([w for _, w in ref]).tobytes()
 
