@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classify": ("ClassificationReport", "classify_metric", "theorem_crosscheck"),
     "conformal": ("SigmaComponents", "audit_pair", "invariance_check", "sigma_components"),
-    "exprdsl": ("ExprError", "eval_expr", "parse_expr", "pretty"),
+    "exprdsl": ("ExprError", "eval_expr", "parse_expr"),
     "frame": ("ProfileResult", "covariant_derivatives", "scalar_profile"),
     "geometry": ("CartanTensorAt", "MetricTensorAt", "SprayAt", "point_eval"),
     "jets": ("DegreeCaps", "Finsler4Error", "InvalidArgument", "JetScalar", "partial_extract"),

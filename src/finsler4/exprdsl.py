@@ -265,6 +265,17 @@ def parse_expr(text: str) -> ExprAst:
     return node
 
 
+def _children(node: ExprAst) -> tuple:
+    """The subtrees of ``node``, left to right."""
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    return ()
+
+
 def _depth(node: ExprAst) -> int:
     """The levels of the tree under ``node``, a leaf being one, counted
     without recursion."""
@@ -272,12 +283,7 @@ def _depth(node: ExprAst) -> int:
     while todo:
         node, level = todo.pop()
         deepest = max(deepest, level)
-        if isinstance(node, BinOp):
-            todo += [(node.left, level + 1), (node.right, level + 1)]
-        elif isinstance(node, Pow):
-            todo.append((node.base, level + 1))
-        elif isinstance(node, (Neg, Call)):
-            todo.append((node.arg, level + 1))
+        todo += [(child, level + 1) for child in _children(node)]
     return deepest
 
 
@@ -316,60 +322,10 @@ def eval_expr(ast: ExprAst, env: Sequence):
 
 def variables_used(ast: ExprAst) -> set[int]:
     """Slots of all variables appearing in the expression."""
-    if isinstance(ast, Var):
-        return {ast.slot}
-    if isinstance(ast, Neg):
-        return variables_used(ast.arg)
-    if isinstance(ast, Pow):
-        return variables_used(ast.base)
-    if isinstance(ast, Call):
-        return variables_used(ast.arg)
-    if isinstance(ast, BinOp):
-        return variables_used(ast.left) | variables_used(ast.right)
-    return set()
-
-
-# -- pretty printer -------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(node: ExprAst) -> int:
-    if isinstance(node, BinOp):
-        return _PREC_ADD if node.op in "+-" else _PREC_MUL
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def pretty(node: ExprAst) -> str:
-    """Source form that re-parses to a structurally identical AST."""
-    if isinstance(node, Lit):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({pretty(node.arg)})"
-    if isinstance(node, Neg):
-        inner = pretty(node.arg)
-        if _prec(node.arg) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
-        base = pretty(node.base)
-        if _prec(node.base) < _PREC_ATOM:
-            base = f"({base})"
-        return f"{base}^{repr(node.exponent)}"
-    if isinstance(node, BinOp):
-        prec = _prec(node)
-        left = pretty(node.left)
-        if _prec(node.left) < prec:
-            left = f"({left})"
-        right = pretty(node.right)
-        # parenthesise same-precedence right children: parsing is left-associative
-        if _prec(node.right) <= prec:
-            right = f"({right})"
-        return f"{left}{node.op}{right}"
-    raise TypeError(f"not an expression node: {node!r}")
+    slots, todo = set(), [ast]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Var):
+            slots.add(node.slot)
+        todo += _children(node)
+    return slots

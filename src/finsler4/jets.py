@@ -251,37 +251,52 @@ def _tables(caps: DegreeCaps) -> _Tables:
 OrderLike = Union[Sequence[int], Mapping[int, int]]
 
 
+def _slot(s, n: int = N_VARS) -> int:
+    """``s`` as a slot in 0..n-1: an integer that ``operator.index`` takes
+    (a NumPy integer, or a bool read as its int); else OrderExceedsCaps."""
+    try:
+        slot = operator.index(s)
+    except TypeError:
+        slot = -1
+    if not 0 <= slot < n:
+        raise OrderExceedsCaps(f"variable slot {s!r} is not an integer in 0..{n - 1}")
+    return slot
+
+
 def multi(*slots: int) -> tuple[int, ...]:
     """Multi-index from a list of slots, e.g. ``multi(4, 4, 5)`` = y1^2 y2."""
     order = [0] * N_VARS
     for s in slots:
-        if not 0 <= s < N_VARS:
-            raise OrderExceedsCaps(f"variable slot {s} out of range 0..7")
-        order[s] += 1
+        order[_slot(s)] += 1
     return tuple(order)
 
 
-def whole_degrees(order) -> tuple[int, ...] | None:
-    """The entries of ``order`` as ints, or None if one is not a whole number."""
-    order = tuple(order)
+def order_degrees(order: OrderLike, n: int = N_VARS) -> tuple[int, ...] | None:
+    """The ``n`` degrees of a derivative order as ints, or None if ``order``
+    is not one.  An order is a sequence of ``n`` degrees or a mapping from
+    slot (see :func:`_slot`) to degree; a degree is a whole number >= 0, and
+    a whole float reads like an int."""
     try:
+        if isinstance(order, Mapping):
+            full = [0] * n
+            for s, deg in order.items():
+                full[_slot(s, n)] = deg
+            order = full
+        order = tuple(order)
         degs = tuple(map(int, order))
-    except (TypeError, ValueError, OverflowError):
+    except (OrderExceedsCaps, TypeError, ValueError, OverflowError):
         return None
-    return degs if degs == order else None
+    if len(degs) != n or degs != order or min(degs, default=0) < 0:
+        return None
+    return degs
 
 
 def _as_order(order: OrderLike) -> tuple[int, ...]:
-    if isinstance(order, Mapping):
-        out = [0] * N_VARS
-        for slot, deg in order.items():
-            if not 0 <= slot < N_VARS:
-                raise OrderExceedsCaps(f"variable slot {slot} out of range 0..7")
-            out[slot] = deg
-        order = out
-    degs = whole_degrees(order)
-    if degs is None or len(degs) != N_VARS or any(d < 0 for d in degs):
-        raise OrderExceedsCaps("order must be 8 non-negative integers")
+    degs = order_degrees(order)
+    if degs is None:
+        raise OrderExceedsCaps(
+            f"order {order!r} is not 8 whole degrees >= 0 or a mapping of slots 0..7 to them"
+        )
     return degs
 
 
@@ -410,8 +425,7 @@ def const(value: float, caps: DegreeCaps) -> JetScalar:
 
 def variable(slot: int, value: float, caps: DegreeCaps) -> JetScalar:
     """Jet of the coordinate function of one slot at the given value."""
-    if not 0 <= slot < N_VARS:
-        raise OrderExceedsCaps(f"variable slot {slot} out of range 0..7")
+    slot = _slot(slot)
     group_cap = caps.x_max if slot in X_SLOTS else caps.y_max
     if min(group_cap, caps.total_max) < 1:
         raise CapTooSmall(f"slot {slot} needs degree >= 1 in its group, caps {caps}")

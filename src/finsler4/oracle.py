@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .jets import Finsler4Error, InvalidArgument, OrderExceedsCaps, multi, whole_degrees
+from .jets import Finsler4Error, InvalidArgument, OrderExceedsCaps, multi, order_degrees
 from .metrics import MetricSpec
 
 MAX_ORDER = 3
@@ -181,16 +181,10 @@ def _pick(d_vals: list) -> float:
 
 
 def _full_order(order, n: int) -> tuple:
-    if isinstance(order, dict):
-        if not all(0 <= slot < n for slot in order):
-            raise InvalidArgument(f"order slots must lie in 0..{n - 1}; got {sorted(order)}")
-        full = [0] * n
-        for slot, deg in order.items():
-            full[slot] = deg
-        order = full
-    degs = whole_degrees(order)
-    if degs is None or len(degs) != n or min(degs) < 0:
-        raise InvalidArgument(f"order must be {n} non-negative whole degrees; got {order}")
+    degs = order_degrees(order, n)
+    if degs is None:
+        raise InvalidArgument(f"order {order!r} is not {n} whole degrees >= 0 "
+                              f"or a mapping of slots 0..{n - 1} to them")
     if sum(degs) > MAX_ORDER:
         raise OrderExceedsCaps(
             f"finite-difference depth is {MAX_ORDER}; got total order {sum(degs)}"

@@ -10,12 +10,12 @@ install and no ``PYTHONPATH``:
 ``--drift`` compares each regenerated file with its committed version
 (``git show HEAD:tests/goldens/<file>``).  Per file it prints how many
 numbers changed, the largest ``|new - old| / (1 + |old|)`` and the JSON
-path of the number that moved by it.  It exits 1
-on any other change: a key, a string, a bool, an integer, a null, a list
-length or a file that HEAD does not have.  A float that is exactly integral
-prints without a decimal point, so an integer beside a float counts as a
-number, ``-0`` reads as the float -0.0, and a zero whose sign moved counts
-as a changed number.
+path of the number that moved by it.  It exits 1 on any other change: a
+key, a string, a bool, an integer, a null, a list length or a file that
+HEAD does not have.  A float that is exactly integral prints without a
+decimal point, so an integer beside a float counts as a number, ``-0``
+reads as the float -0.0, and a zero whose sign moved counts as a changed
+number.  Outside a git checkout ``--drift`` writes nothing and exits 2.
 """
 
 from __future__ import annotations
@@ -166,11 +166,24 @@ def report_drift(goldens: Path, names) -> int:
     return status
 
 
+def _has_head(root: Path) -> bool:
+    try:
+        shown = subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=root,
+                               capture_output=True)
+    except OSError:  # no git
+        return False
+    return shown.returncode == 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv not in ([], ["--drift"]):
         raise SystemExit("usage: python3 tests/regen_goldens.py [--drift]")
     goldens = Path(__file__).resolve().parent / "goldens"
+    if argv and not _has_head(goldens.parent.parent):
+        print("--drift compares with git's HEAD, so it needs a git checkout; nothing written",
+              file=sys.stderr)
+        return 2
     goldens.mkdir(exist_ok=True)
     for name, doc in SPECS.items():
         (goldens / name).write_text(json.dumps(doc, indent=2) + "\n")

@@ -16,7 +16,7 @@ from finsler4.exprdsl import (
     Var,
     eval_expr,
     parse_expr,
-    pretty,
+    variables_used,
 )
 
 
@@ -126,9 +126,16 @@ def _corpus(n=50):
     return [_random_ast(rng) for _ in range(n)]
 
 
-def test_pretty_roundtrip_corpus():
-    for ast in _corpus(50):
-        assert parse_expr(pretty(ast)) == ast
+def test_operators_of_one_precedence_associate_left_unless_bracketed():
+    x1, x2, x3 = (Var(i, f"x{i + 1}") for i in range(3))
+    assert parse_expr("x1-x2-x3") == BinOp("-", BinOp("-", x1, x2), x3)
+    assert parse_expr("x1/x2*x3") == BinOp("*", BinOp("/", x1, x2), x3)
+    assert parse_expr("x1-(x2-x3)") == BinOp("-", x1, BinOp("-", x2, x3))
+
+
+def test_variables_used_reaches_every_kind_of_node():
+    assert variables_used(parse_expr("sqrt(x1^2)+-y3*exp(x1)/x4")) == {0, 3, 6}
+    assert variables_used(parse_expr("2*3")) == set()
 
 
 def test_real_ring_matches_jet_base_on_corpus():

@@ -44,6 +44,22 @@ def test_variable_slot_out_of_range():
         variable(9, 0.0, CAPS)
 
 
+@pytest.mark.parametrize("slot", [4.5, 4.0, "4", -1, 8])
+def test_a_slot_must_be_an_integer_in_0_to_7(slot):
+    with pytest.raises(OrderExceedsCaps):
+        multi(slot)
+    with pytest.raises(OrderExceedsCaps):
+        variable(slot, 1.0, DegreeCaps(1, 2))
+
+
+def test_a_bool_slot_reads_as_its_int():
+    # NumPy would read a bool index as a mask
+    caps = DegreeCaps(1, 2)
+    got, want = variable(True, 1.0, caps), variable(1, 1.0, caps)
+    assert got.c.tobytes() == want.c.tobytes() and got.deg == want.deg
+    assert multi(True) == multi(1)
+
+
 def test_variable_cap_too_small():
     with pytest.raises(CapTooSmall):
         variable(0, 1.0, DegreeCaps(0, 4))
@@ -620,13 +636,16 @@ def test_reads_past_the_total_degree_cap_are_rejected():
         variable(0, 0.2, DegreeCaps(1, 1, 0))
 
 
+# the last two name a slot that is not an integer
 @pytest.mark.parametrize("order", [(0, 0, 0, 0, 2.7, 0, 0, 0), {4: 2.7}, {4: 0.5},
-                                   (0, 0, 0, 0, float("nan"), 0, 0, 0)])
+                                   (0, 0, 0, 0, float("nan"), 0, 0, 0), {4.5: 2}, {"4": 2}])
 def test_orders_must_be_whole_degrees(order):
     # int() would truncate 2.7 to the second partial without a word
     f = variable(4, 2.0, DegreeCaps(0, 3)) ** 3
     with pytest.raises(OrderExceedsCaps):
         partial_extract(f, order)
+    with pytest.raises(OrderExceedsCaps):
+        derivative_jet(f, order)
 
 
 def test_whole_float_degrees_read_like_ints():

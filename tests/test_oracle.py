@@ -88,10 +88,12 @@ def test_fd_partials_calls_f_once_on_one_block():
     assert len(blocks) == 1 and blocks[0][0] == 8
 
 
-# the last four are not whole numbers, which int() would truncate
+# cases 5 to 8 are not whole numbers, which int() would truncate; the last
+# three name a slot that is not an integer
 @pytest.mark.parametrize("order", [{4: 1, 5: -1}, {9: 1}, (1, 0, 0), (0,) * 7 + (-1,),
                                    {4: 2.9}, (0, 0, 0, 0, 2.9, 0, 0, 0), {4: 0.5},
-                                   (0, 0, 0, 0, float("nan"), 0, 0, 0)])
+                                   (0, 0, 0, 0, float("nan"), 0, 0, 0),
+                                   {4.5: 2}, {4.0: 2}, {"4": 2}])
 def test_fd_order_must_be_non_negative_degrees_of_the_eight_slots(order):
     with pytest.raises(InvalidArgument):
         fd_partials(lambda z: z[4] ** 3, np.ones(8), [order])
