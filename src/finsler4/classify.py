@@ -169,14 +169,13 @@ def evaluate_stack(pes: list) -> list:
     the Finsler4Error that stopped it.  Each member caches its stages.
 
     The tensor stages run first and the frame last, so a frame refusal
-    comes after everything the records read is cached.  A refusal that
-    names its members (``FrameError.refused``) gives each of them its own
-    error, and the others run again as one stack from their cached stages.
-    If the stack raises any other Finsler4Error and has more than one
-    member, each member runs again alone from :meth:`PointEval.as_stack`,
-    which keeps the stages it has cached, and a member that raises gets its
-    own error.  Errors are kept without their traceback, whose frames would
-    hold the stack."""
+    comes after everything the records read is cached; the stack gives a
+    refused member its refusal in place (:func:`frame.scalar_profile`).
+    If the stack raises a Finsler4Error and has more than one member, each
+    member runs again alone from :meth:`PointEval.as_stack`, which keeps
+    the stages it has cached, and a member that raises gets its own error.
+    Errors are kept without their traceback, whose frames would hold the
+    stack."""
 
     def work(stack: geometry.PointEval) -> list:
         # every stage by name: the zero stages of an x-free stack read no other
@@ -184,29 +183,18 @@ def evaluate_stack(pes: list) -> list:
             getattr(stack, name)
         return frame_mod.scalar_profile(stack)
 
-    out: list = [None] * len(pes)
-    todo = list(range(len(pes)))
-    while todo:
+    def alone(pe: geometry.PointEval):
         try:
-            for i, got in zip(todo, work(geometry.PointEval.stack([pes[i] for i in todo]))):
-                out[i] = got
-            return out
+            return work(pe.as_stack())[0]
         except jets.Finsler4Error as err:
-            if len(todo) == 1:
-                out[todo[0]] = err.with_traceback(None)
-                return out
-            refused = err.refused if isinstance(err, FrameError) else {}
-            if not refused:
-                break
-            for k, msg in refused.items():
-                out[todo[k]] = type(err)(msg, {0: msg})
-            todo = [i for k, i in enumerate(todo) if k not in refused]
-    for i in todo:
+            return err.with_traceback(None)
+
+    if len(pes) > 1:
         try:
-            out[i] = work(pes[i].as_stack())[0]
-        except jets.Finsler4Error as err:
-            out[i] = err.with_traceback(None)
-    return out
+            return work(geometry.PointEval.stack(pes))
+        except jets.Finsler4Error:
+            pass
+    return [alone(pe) for pe in pes]
 
 
 def error_fields(err: jets.Finsler4Error) -> dict:

@@ -177,19 +177,14 @@ def _condition_rows(blocks) -> dict:
     """The condition record of (labels, terms) blocks, ``terms`` an (R, T)
     array with one row of terms per label: the labels in row order, and
     per row the residual |sum| and the scale sum of |term| as two (R,)
-    arrays, each sum exact over its row (``math.fsum``; the zeros that pad
-    the rows to one width change no exact sum).  :func:`classify.judge`
-    reads the arrays."""
+    arrays, each sum exact over its row (``math.fsum``).
+    :func:`classify.judge` reads the arrays."""
     labels = tuple(label for names, _ in blocks for label in names)
-    terms = np.zeros((len(labels), max(t.shape[1] for _, t in blocks)))
-    row = 0
-    for _, t in blocks:
-        terms[row : row + len(t), : t.shape[1]] = t
-        row += len(t)
+    rows = [row for _, t in blocks for row in t.tolist()]
     return {
         "labels": labels,
-        "residual": np.abs(list(map(math.fsum, terms.tolist()))),
-        "scale": np.array(list(map(math.fsum, np.abs(terms).tolist()))),
+        "residual": np.abs([math.fsum(row) for row in rows]),
+        "scale": np.array([math.fsum(map(abs, row)) for row in rows]),
     }
 
 

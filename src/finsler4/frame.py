@@ -19,17 +19,16 @@ Stacks
 :func:`scalar_profile` builds the frames of a whole stack of points
 (``PointEval.stack``) at once: every frame field carries the stack axis
 first, and every contraction has a leading stack label, so each member
-gets the bits of its own build alone.  The stack is built as one or
-refused as one, and the refusals come in this order: a member whose
-metric is not positive definite, then one whose weighted torsion length
-L |C| (``L * cartan.C_norm``, read from the stack's cached stages before
-any frame field is built) is below TAU_TORSION or NaN, then seeds that
-run out; the stack raises that refusal, and a seed that some members
-skip and others take raises :class:`SeedsDiffer`.  A NotPositiveDefinite
-or VanishingTorsion names the members it refuses (``FrameError.refused``),
-so the caller builds the rest again as one stack; after any other refusal
-it reruns the members one by one (:func:`classify.evaluate_stack`), so
-each gets its own frame or error.
+gets the bits of its own build alone.  Each member is first judged from
+the stack's cached stages, before any frame field is built: one whose
+metric is not positive definite is refused, then one whose weighted
+torsion length L |C| (``L * cartan.C_norm``) is below TAU_TORSION or NaN.
+Its refusal is its entry in the result, and the other members are built
+as one stack.  Seeds that run out raise DegenerateSeed for that stack,
+and a seed that some members skip and others take raises
+:class:`SeedsDiffer`; after those the caller reruns the members one by
+one (:func:`classify.evaluate_stack`), so each gets its own frame or
+error.  A stack of one raises its refusal, as a lone point does.
 1/L and q^(-1/2) are :func:`jets.recip` and :func:`jets.power` of the
 stack's L and q as one stacked :class:`jets.JetScalar`, each member's row
 bit for bit as its own jet.
@@ -110,13 +109,7 @@ SCALAR_SLOTS = {
 
 
 class FrameError(Finsler4Error):
-    """A refused frame.  ``refused`` maps the stack index of each member the
-    error refuses to the message that member's error carries when it is
-    built alone; it is empty for a refusal not told member by member."""
-
-    def __init__(self, message: str, refused: dict | None = None):
-        super().__init__(message)
-        self.refused = refused or {}
+    """A refused frame."""
 
 
 class VanishingTorsion(FrameError):
@@ -366,24 +359,31 @@ def _frame_residuals(prof: "ProfileResult") -> dict:
     return {name: value.item() for name, value in out.items()}
 
 
-def _profiles(st: PointEval) -> list:
-    """The ProfileResult of each member of the stack ``st``; raises the
-    FrameError that refuses any member's frame.  NotPositiveDefinite and
-    VanishingTorsion are decided from the stack's cached stages, before any
-    frame field is built."""
-    indefinite = np.flatnonzero(~st.metric.positive_definite).tolist()
-    if indefinite:
-        msg = "the fundamental tensor is not positive definite"
-        raise NotPositiveDefinite(msg, dict.fromkeys(indefinite, msg))
-    L0 = st.L
+def _refusal(positive_definite: bool, length: float):
+    """The FrameError that refuses a member's frame, read from its cached
+    stages (NotPositiveDefinite first, then VanishingTorsion), or None."""
+    if not positive_definite:
+        return NotPositiveDefinite("the fundamental tensor is not positive definite")
     # L |C| does not change when L is rescaled; a NaN length is refused too
-    length = L0 * st.cartan.C_norm
-    short = np.flatnonzero(~(length >= TAU_TORSION)).tolist()
-    if short:
-        refused = {
-            i: f"weighted torsion length {length[i]:.3e} below {TAU_TORSION:.1e}" for i in short
-        }
-        raise VanishingTorsion(refused[short[0]], refused)
+    if not length >= TAU_TORSION:
+        return VanishingTorsion(f"weighted torsion length {length:.3e} below {TAU_TORSION:.1e}")
+    return None
+
+
+def _profiles(st: PointEval) -> list:
+    """One entry per member of the stack ``st``: its ProfileResult, or the
+    NotPositiveDefinite or VanishingTorsion that refuses its frame, decided
+    before any frame field is built.  The admitted members are built as one
+    stack from their cached stages; a DegenerateSeed or SeedsDiffer is
+    raised for the whole stack."""
+    lengths = st.L * st.cartan.C_norm
+    out = [_refusal(*m) for m in zip(st.metric.positive_definite.tolist(), lengths.tolist())]
+    admitted = [i for i, entry in enumerate(out) if entry is None]
+    if not admitted:
+        return out
+    if len(admitted) < len(out):
+        st = PointEval.stack([st.members[i] for i in admitted])
+    L0 = st.L
     g_j, g_inv_j, C_j, y_j, L_j = _field_jets(st)
     e_jets, e_flat_jets, gauges = _frame_from_ring(g_j, g_inv_j, C_j, y_j, L_j)
     e = e_jets[..., 0].copy()
@@ -401,25 +401,26 @@ def _profiles(st: PointEval) -> list:
     h_form, v_form = _forms(L0, e, cov.h, cov.v)
     vectors = (e[:, None] @ np.concatenate([h_form, v_form], axis=1)[..., None])[..., 0]
     scalars = scalar_jets[..., 0].copy()
-    return [
-        ProfileResult(
-            pe=member, e=e[i], e_flat=e_flat[i], gauge_tag=gauges[i], scalars=scalars[i],
-            v_derivs=v_derivs[i], h_derivs=h_derivs[i], vectors=vectors[i],
-            cov_h=cov.h[i], cov_v=cov.v[i],
+    for k, i in enumerate(admitted):
+        out[i] = ProfileResult(
+            pe=st.members[k], e=e[k], e_flat=e_flat[k], gauge_tag=gauges[k], scalars=scalars[k],
+            v_derivs=v_derivs[k], h_derivs=h_derivs[k], vectors=vectors[k],
+            cov_h=cov.h[k], cov_v=cov.v[k],
         )
-        for i, member in enumerate(st.members)
-    ]
+    return out
 
 
 def scalar_profile(pe: PointEval):
     """Full frame profile: scalars, derivative tables, vectors.
 
-    For a stack (``PointEval.stack``), a list with one ProfileResult per
-    member; for a lone PointEval, its ProfileResult, computed as a stack of
-    one.  A refusal (NotPositiveDefinite, VanishingTorsion, DegenerateSeed,
-    or SeedsDiffer for a stack whose members take different seeds) is
-    raised for the whole stack; a NotPositiveDefinite or VanishingTorsion
-    names the members it refuses in ``refused``.
+    For a stack (``PointEval.stack``), a list with one entry per member:
+    its ProfileResult, or the NotPositiveDefinite or VanishingTorsion that
+    refuses its frame.  A DegenerateSeed, or SeedsDiffer for a stack whose
+    members take different seeds, is raised for the whole stack.  A lone
+    PointEval gives its ProfileResult, computed as a stack of one, and a
+    stack of one raises its refusal, as a lone PointEval does.
     """
     out = _profiles(pe.as_stack())
+    if len(out) == 1 and isinstance(out[0], FrameError):
+        raise out[0]
     return out if pe.is_stack else out[0]

@@ -41,6 +41,22 @@ def test_randers_nonconstant_truth_vector():
     assert report.verdicts["locally_minkowski_in_chart"] == "no"
 
 
+def test_a_vanishing_h_derivative_promotes_an_undetermined_landsberg():
+    # at this point the transvected h-derivative is the larger one, so a tol
+    # just above the full one's ratio leaves Landsberg in the band
+    spec = make_builtin_metric("randers", {"b": ["0.1*x2", 0, 0, 0]})
+    plan = SamplePlan(1, 10)
+    point = classify_metric(spec, plan).points[0]
+    ratio = point.max_cartan_hderiv / point.hderiv_scale
+    assert point.max_cartan_hderiv_transvected / point.hderiv_scale > 1.01 * ratio
+    above = classify_metric(spec, plan, 1.01 * ratio)
+    assert above.verdicts["berwald"] == above.verdicts["landsberg"] == "yes"
+    assert above.notes == ["landsberg promoted to yes: transvection of a vanishing h-derivative"]
+    below = classify_metric(spec, plan, 0.99 * ratio)
+    assert below.verdicts["berwald"] == below.verdicts["landsberg"] == "undetermined"
+    assert below.notes == []
+
+
 def test_randers_constant_truth_vector():
     spec = make_builtin_metric("randers", {"b": [0.2, 0.1, 0, 0]})
     report = classify_metric(spec, PLAN)
@@ -255,19 +271,21 @@ def test_a_zero_exponent_factor_changes_no_record():
 
 def test_refused_members_leave_the_others_in_one_stack(monkeypatch):
     # 10 of the 15 evaluated points are NotPositiveDefinite; the other five
-    # take the same seeds, so they form one stack after the refusal
+    # take the same seeds, so the one profile call builds their frames as one stack
     spec = make_builtin_metric("expression", {"L": "sqrt(y1^2+y2^2+y3^2+x1*y4^2)+0.1*x2*y1"})
     plan = SamplePlan(16, 3)
     calls = []
-    profile = frame.scalar_profile
 
-    def counted(pe):
-        calls.append(len(pe.members))
-        return profile(pe)
+    def counted(name, fn):
+        def wrapper(st):
+            calls.append((name, len(st.members)))
+            return fn(st)
+        return wrapper
 
-    monkeypatch.setattr(frame, "scalar_profile", counted)
+    monkeypatch.setattr(frame, "scalar_profile", counted("profile", frame.scalar_profile))
+    monkeypatch.setattr(frame, "_field_jets", counted("field_jets", frame._field_jets))
     records = classify_metric(spec, plan).points
-    assert calls == [15, 5]
+    assert calls == [("profile", 15), ("field_jets", 5)]
     assert [r.frame_error for r in records].count("NotPositiveDefinite") == 10
     want = [_lone_record(spec, i, x, y)
             for i, (x, y) in enumerate(sample_domain(spec.domain, plan))]

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from finsler4 import cli, exprdsl
+from finsler4 import classify, cli, conformal, exprdsl
+from finsler4.metrics import SamplePlan
 from regen_goldens import REPORTS, SPECS, drift, load
 
 
@@ -74,13 +75,35 @@ def test_classify_is_byte_deterministic(capsys, quartic_spec):
     assert out1 == out2
 
 
-def test_classify_override_changes_echo(capsys, quartic_spec):
+def test_classify_override_changes_echo(capsys, quartic_spec, randers_spec):
     code, out, _ = _run(capsys, ["classify", quartic_spec, "--samples", "2", "--seed", "1"])
     assert code == 0
     doc = json.loads(out)
     assert doc["effective_config"] == {
         "samples": 2, "seed": 1, "tol": 1e-06,
     }
+    # a valid --tol is the tolerance of the run; on Randers 0.05 moves a verdict
+    for path, tol in ((quartic_spec, "1e-3"), (randers_spec, "0.05")):
+        code, out, _ = _run(capsys, ["classify", path, "--samples", "2", "--seed", "1",
+                                     "--tol", tol])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["effective_config"] == {"samples": 2, "seed": 1, "tol": float(tol)}
+        spec, _ = cli._load_spec(path)
+        report = classify.classify_metric(spec, SamplePlan(2, 1), float(tol))
+        assert doc["verdicts"] == report.verdicts
+        assert doc["route_agreement"] == report.route_agreement
+    assert doc["verdicts"]["berwald"] == "undetermined"
+
+
+def test_conformal_runs_at_a_valid_tolerance(capsys, conformal_spec):
+    code, out, _ = _run(capsys, ["conformal", conformal_spec, "--tol", "1e-3"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["effective_config"] == {"samples": 4, "seed": 7, "tol": 0.001}
+    audit = conformal.audit_pair(*cli._load_spec(conformal_spec), tol=1e-3)
+    assert doc["landsberg_cooccurrence"] == audit.landsberg_summary
+    assert doc["berwald_cooccurrence"] == audit.berwald_summary
 
 
 def test_malformed_json_exits_2(capsys, tmp_path):
@@ -280,6 +303,59 @@ def test_parser_error_echoes_a_short_token(capsys, tmp_path, L, message):
     code, out, err = _run(capsys, ["classify", path])
     _one_spec_error(code, out, err)
     assert message in err and "...'" in err
+
+
+_QUARTIC = "quartic_minkowski"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "spec document must be a JSON object"),
+    ({"family": 5}, "spec requires a 'family' string"),
+    ({"family": _QUARTIC, "params": []}, "'params' must be an object"),
+    ({"family": _QUARTIC, "domain": 5}, "'domain' must be an object"),
+    ({"family": _QUARTIC, "domain": {"x_box": [[0, 1]] * 3}},
+     "'x_box' must have exactly four intervals"),
+    ({"family": _QUARTIC, "domain": {"y_cone": "bogus"}}, "unknown y_cone 'bogus'"),
+    (_box(1, 0), "x_box interval with lo > hi"),
+    ({"family": _QUARTIC, "samples": "16"}, "'samples' must be an integer"),
+    ({"family": _QUARTIC, "seed": 1.5}, "'seed' must be an integer"),
+    ({"family": _QUARTIC, "samples": -1}, "sample count must be non-negative"),
+    ({"family": _QUARTIC, "params": {"a": 1}}, "quartic_minkowski takes no parameters"),
+    ({"family": "berwald_moor", "params": {"a": 1}}, "berwald_moor takes no parameters"),
+    ({"family": "berwald_moor", "domain": {"y_cone": "all_nonzero"}},
+     "berwald_moor requires the all_positive cone"),
+    ({"family": "expression"}, "expression family requires 'L'"),
+    ({"family": "randers", "params": {"b": ["y1", 0, 0, 0]}},
+     "randers drift coefficients may depend on x1..x4 only"),
+    (_g0("1+y2"), "riemannian coefficients may depend on x1..x4 only"),
+    ({"family": "expression", "L": _SQRT + " $ y3"}, "unexpected character '$' (at offset 26)"),
+    ({"family": "expression", "L": "sqrt(y1^2+y2^2"},
+     "expected ')', found 'end of input' (at offset 14)"),
+    ({"family": "expression", "L": "y1^(2)"}, "expected a numeric exponent (at offset 3)"),
+], ids=["not_an_object", "family_not_a_string", "params_not_an_object",
+        "domain_not_an_object", "three_intervals", "unknown_cone", "lo_above_hi",
+        "samples_string", "seed_float", "samples_negative", "quartic_params",
+        "berwald_moor_params", "berwald_moor_cone", "expression_without_L", "randers_b_in_y",
+        "riemannian_g0_in_y", "unexpected_character", "unclosed_bracket",
+        "exponent_not_numeric"])
+def test_rejected_spec_document_exits_2_with_one_line(capsys, tmp_path, doc, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"finsler4: spec error: {message}\n"
+
+
+def test_a_point_where_L_is_not_positive_is_an_eval_error_record(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "expression", "L": _SQRT + "-2*y1",
+                                "samples": 4, "seed": 3}))
+    code, out, _ = _run(capsys, ["classify", str(path)])
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert [p.get("eval_error") for p in points] == [
+        None, "fundamental function not positive here", None, None,
+    ]
 
 
 @pytest.mark.parametrize("where", ["missing_directory", "directory"])
@@ -580,6 +656,9 @@ def test_bad_point_syntax_exits_2(capsys, quartic_spec):
     code = cli.main(["frame", quartic_spec, "--x", "0,0,0", "--y", "1,2,1,1"])
     capsys.readouterr()
     assert code == 2
+    code, out, err = _run(capsys, ["frame", quartic_spec, "--x", "a,b,c,d", "--y", "1,2,1,1"])
+    assert code == 2 and out == ""
+    assert err == "finsler4: spec error: --x needs four comma-separated numbers\n"
 
 
 def test_randers_drift_undefined_at_a_probe_exits_2(capsys, tmp_path):

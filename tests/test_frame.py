@@ -463,12 +463,11 @@ def _profile_bits(prof):
 
 
 def test_refusals_take_only_their_own_member_out_of_a_stack():
-    # a refusal raises for the whole stack and names the members it refuses;
-    # evaluate_stack gives each member the profile or refusal it gets alone
+    # the three members with a frame take different seeds, so the stack
+    # raises; evaluate_stack gives each member the profile or refusal it gets alone
     pes = [point_eval(spec, x, y) for spec, x, y, _ in _MIXED]
-    with pytest.raises(NotPositiveDefinite) as refusal:
+    with pytest.raises(frame.SeedsDiffer):
         scalar_profile(geometry.PointEval.stack(pes))
-    assert refusal.value.refused == {3: str(refusal.value)}
     outcomes = classify.evaluate_stack(pes)
     for (spec, x, y, kind), got in zip(_MIXED, outcomes):
         try:
@@ -481,7 +480,6 @@ def test_refusals_take_only_their_own_member_out_of_a_stack():
             assert _profile_bits(got) == _profile_bits(want)
         else:
             assert str(got) == str(want)
-            assert got.refused == want.refused == {0: str(want)}
     seeds = [out.gauge_tag["seeds"] for out in outcomes if not isinstance(out, Exception)]
     # three seed patterns, one per member left with a frame
     assert seeds == [(0, 2), (0, 1), (2, 3)]
@@ -494,32 +492,54 @@ def _no_frame_jets(st):
 def test_vanishing_torsion_is_refused_before_any_frame_jet(monkeypatch):
     # the refusal reads L and |C| from the PointEval's stages
     monkeypatch.setattr(frame, "_field_jets", _no_frame_jets)
-    for x, y in sample_domain(_CURVED_RIEMANNIAN.domain, SamplePlan(count=3, seed=5)):
+    points = sample_domain(_CURVED_RIEMANNIAN.domain, SamplePlan(count=3, seed=5))
+    messages = []
+    for x, y in points:
         with pytest.raises(VanishingTorsion) as refusal:
             scalar_profile(point_eval(_CURVED_RIEMANNIAN, x, y))
         assert str(refusal.value).startswith("weighted torsion length ")
-        assert refusal.value.refused == {0: str(refusal.value)}
+        messages.append(str(refusal.value))
+    # a stack of them refuses each member in place, with its lone message
+    entries = scalar_profile(
+        geometry.PointEval.stack([point_eval(_CURVED_RIEMANNIAN, x, y) for x, y in points])
+    )
+    assert [type(entry) for entry in entries] == [VanishingTorsion] * 3
+    assert [str(entry) for entry in entries] == messages
 
 
 def test_a_mixed_stack_names_only_its_torsion_free_member(monkeypatch):
-    members = [m for m in _MIXED if m[3] != "NotPositiveDefinite"]
-    k = [kind for *_, kind in members].index("VanishingTorsion")
-    lone = point_eval(*members[k][:3])
-    with pytest.raises(VanishingTorsion) as alone:
-        scalar_profile(lone)
+    # one member with a frame, one without torsion and one indefinite: the
+    # refused members are their lone errors, and the frame fields are built
+    # once, for the admitted member alone
+    members = [next(m for m in _MIXED if m[3] == kind)
+               for kind in ("profile", "VanishingTorsion", "NotPositiveDefinite")]
+    want = []
+    for spec, x, y, _ in members:
+        try:
+            want.append(scalar_profile(point_eval(spec, x, y)))
+        except frame.FrameError as err:
+            want.append(err)
     pes = [point_eval(spec, x, y) for spec, x, y, _ in members]
-    monkeypatch.setattr(frame, "_field_jets", _no_frame_jets)
-    with pytest.raises(VanishingTorsion) as refusal:
-        scalar_profile(geometry.PointEval.stack(pes))
-    assert refusal.value.refused == {k: str(alone.value)}
-    assert str(refusal.value) == str(alone.value)
+    built = []
+    field_jets = frame._field_jets
+
+    def counted(st):
+        built.append(st.members)
+        return field_jets(st)
+
+    monkeypatch.setattr(frame, "_field_jets", counted)
+    got = scalar_profile(geometry.PointEval.stack(pes))
+    assert built == [(pes[0],)]
+    assert _profile_bits(got[0]) == _profile_bits(want[0])
+    for entry, lone in zip(got[1:], want[1:]):
+        assert type(entry) is type(lone) and str(entry) == str(lone)
+        assert entry.__traceback__ is None
 
 
 def test_the_rerun_builds_only_the_frame_again(monkeypatch):
     # the stack caches every tensor stage before its frame build refuses,
-    # and each rerun starts from those stages: the stack refuses the
-    # NotPositiveDefinite member, the four others the VanishingTorsion one,
-    # and the three left take different seeds, so each runs alone
+    # and each rerun starts from those stages: the three members the stack
+    # admits take different seeds, so each of the five runs alone
     stages = ("metric", "cartan", "spray", "dx_g", "connection", "cartan_h_derivatives")
     calls = dict.fromkeys(stages + ("scalar_profile",), 0)
 
