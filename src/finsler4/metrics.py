@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -119,10 +120,19 @@ class SamplePlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise InvalidParameters("sample count must be non-negative")
-        if self.seed < 0:
-            raise InvalidParameters("sample seed must be non-negative")
+        # a NumPy integer is read as the int it holds; a bool or a float is
+        # refused, as the JSON schema refuses them
+        for name in ("count", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                value = operator.index(value)
+            except TypeError:
+                raise InvalidParameters(f"sample {name} must be an integer") from None
+            if value < 0:
+                raise InvalidParameters(f"sample {name} must be non-negative")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -383,36 +393,100 @@ def eval_L_value(spec: MetricSpec, x: Sequence, y: Sequence):
 # -- sampling -------------------------------------------------------------
 
 
-def _draw_direction(rng: np.random.Generator, domain: DomainSpec) -> np.ndarray:
+# SeedSequence's hash constants (pool of four 32-bit words) and the
+# PCG64 multiplier, as NumPy's random module defines them
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _pcg64_doubles(seed: int) -> Iterator[float]:
+    """The doubles in [0, 1) of NumPy's ``default_rng(seed).random()``, bit
+    for bit, from Python ints alone: the seed's 32-bit words are mixed into a
+    SeedSequence pool, which yields the 128-bit state and increment of a
+    PCG64 generator (O'Neill 2014) with XSL-RR 128/64 output.  Owning the
+    stream keeps NumPy's random module (some 6 MB) out of every process."""
+    # the seed's words, low word first, padded with zeros to at least four
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 128), 32)]
+    h = _INIT_A
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * _MULT_A & _M32
+        v = v * h & _M32
+        return v ^ v >> _XSHIFT
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return r ^ r >> _XSHIFT
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h, out = _INIT_B, []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * _MULT_B & _M32
+        v = v * h & _M32
+        out.append(v ^ v >> _XSHIFT)
+    # the words pair up, low word first, into 64-bit words a, b, c, d: the
+    # state seed is a:b and the increment seed c:d
+    a, b, c, d = (out[k] | out[k + 1] << 32 for k in range(0, 8, 2))
+    inc = ((c << 64 | d) << 1 | 1) & _M128
+    # seeding steps from state 0 (giving inc), adds a:b and steps again
+    state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG_MULT + inc) & _M128
+        word, rot = (state >> 64 ^ state) & _M64, state >> 122
+        yield (((word >> rot | word << (64 - rot)) & _M64) >> 11) * 2.0**-53
+
+
+def _uniform(rng: Iterator[float], lo: float, hi: float) -> float:
+    """One draw of ``Generator.uniform(lo, hi)``, in numpy's operation order."""
+    return lo + (hi - lo) * next(rng)
+
+
+def _draw_direction(rng: Iterator[float], domain: DomainSpec) -> np.ndarray:
     margin = domain.component_margin
     if domain.y_cone == "all_positive":
         lo = max(margin, _CONE_MARGIN)
-        return rng.uniform(lo, 1.0, 4)
+        return np.array([_uniform(rng, lo, 1.0) for _ in range(4)])
     if domain.y_cone == "unit_ball_interior_shifted":
         for _ in range(256):
-            p = rng.uniform(-1.0, 1.0, 4)
+            p = np.array([_uniform(rng, -1.0, 1.0) for _ in range(4)])
             if np.linalg.norm(p) <= 1.0 - max(margin, _CONE_MARGIN):
-                out = p.copy()
-                out[0] += _SHIFTED_BALL_CENTER
-                return out
+                p[0] += _SHIFTED_BALL_CENTER
+                return p
         raise EmptyDomain("could not sample the shifted-ball cone")
     # all_nonzero: keep components off the coordinate hyperplanes, where
     # fractional-power metrics lose smooth nondegeneracy
     for _ in range(256):
-        u = rng.uniform(-1.0, 1.0, 4)
-        if np.all(np.abs(u) >= margin):
-            return u
+        u = [_uniform(rng, -1.0, 1.0) for _ in range(4)]
+        if all(abs(v) >= margin for v in u):
+            return np.array(u)
     raise EmptyDomain("could not sample the all_nonzero cone")
 
 
 def sample_domain(domain: DomainSpec, plan: SamplePlan) -> list:
-    """Deterministic (x, y) pairs; |y| is normalised into [0.5, 2]."""
-    rng = np.random.default_rng(plan.seed)
+    """Deterministic (x, y) pairs; |y| is normalised into [0.5, 2].
+
+    The points are those of NumPy's ``default_rng(plan.seed).uniform``
+    draws, bit for bit, from finsler4's own PCG64 stream."""
+    rng = _pcg64_doubles(plan.seed)
     points = []
     for _ in range(plan.count):
-        x = np.array([rng.uniform(lo, hi) for lo, hi in domain.x_box])
+        x = np.array([_uniform(rng, lo, hi) for lo, hi in domain.x_box])
         u = _draw_direction(rng, domain)
-        scale = rng.uniform(0.5, 2.0)
+        scale = _uniform(rng, 0.5, 2.0)
         y = u * (scale / np.linalg.norm(u))
         points.append((x, y))
     return points

@@ -16,7 +16,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # runs the CLI as ``python -m finsler4.cli`` does, then prints the loaded
-# finsler4 modules on the last line of stdout
+# finsler4 modules, and numpy.random if it was loaded, on the last line of
+# stdout
 RUN_CLI = """
 import json, runpy, sys
 sys.argv = ["finsler4"] + sys.argv[1:]
@@ -24,7 +25,7 @@ try:
     runpy.run_module("finsler4.cli", run_name="__main__")
 except SystemExit:
     pass
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("finsler4"))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(("finsler4", "numpy.random")))))
 """
 # the names the package exports, each with the module that defines it
 PUBLIC = {
@@ -56,7 +57,7 @@ def test_import_finsler4_loads_no_submodule_and_no_numpy():
 
 
 def test_cold_frame_loads_exactly_its_modules():
-    # the CLI module itself runs as __main__
+    # the CLI module itself runs as __main__; numpy.random is not loaded
     loaded = _loaded(RUN_CLI, "frame", "tests/goldens/quartic_small.json",
                      "--x", "0,0,0,0", "--y", "1,0.5,0.25,0.125")
     assert loaded == {"finsler4", "finsler4.jets", "finsler4.exprdsl", "finsler4.metrics",
@@ -73,6 +74,8 @@ def test_a_cold_command_leaves_out_the_modules_it_does_not_run(argv, absent):
     loaded = _loaded(RUN_CLI, *argv)
     assert "finsler4.metrics" in loaded
     assert not loaded & absent
+    # sample points come from finsler4's own stream
+    assert "numpy.random" not in loaded
 
 
 def test_every_public_name_resolves_to_its_module_attribute():

@@ -1,8 +1,10 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finsler4 import classify, exprdsl, frame, geometry, jets, metrics
 from finsler4.metrics import (
@@ -122,6 +124,90 @@ def test_negative_sample_seed_is_invalid():
     with pytest.raises(InvalidParameters):
         SamplePlan(1, -1)
     assert SamplePlan(1, 0).seed == 0
+
+
+@pytest.mark.parametrize("count, seed, name", [
+    (2.5, 1, "count"), (True, 1, "count"), (2, 1.5, "seed"), (2, True, "seed"), (2, "1", "seed"),
+], ids=["float-count", "bool-count", "float-seed", "bool-seed", "str-seed"])
+def test_sample_plan_refuses_a_count_or_seed_that_is_not_a_whole_number(count, seed, name):
+    with pytest.raises(InvalidParameters, match=f"^sample {name} must be an integer$"):
+        SamplePlan(count, seed)
+
+
+def test_a_numpy_integer_plan_is_the_plan_of_its_int():
+    plan = SamplePlan(np.int64(3), np.uint64(2**63 + 5))
+    assert plan == SamplePlan(3, 2**63 + 5)
+    assert type(plan.count) is int and type(plan.seed) is int
+    assert len(sample_domain(DomainSpec(), plan)) == 3
+
+
+def _first_doubles(seed: int, n: int) -> list:
+    return list(itertools.islice(metrics._pcg64_doubles(seed), n))
+
+
+def test_the_sample_stream_is_fixed():
+    # the first draws of numpy.random.default_rng(seed).random(), as literals
+    assert _first_doubles(0, 3) == [0.6369616873214543, 0.2697867137638703, 0.04097352393619469]
+    assert _first_doubles(11, 3) == [0.12857020276919962, 0.49927786244011496, 0.6014983576233575]
+    assert _first_doubles(2**64, 3) == [0.4492388188116676, 0.39104163833546157, 0.5769687853211488]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**128 + 1])
+def test_the_sample_stream_is_numpys_at_word_boundaries(seed):
+    assert _first_doubles(seed, 300) == np.random.default_rng(seed).random(300).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**200 - 1))
+def test_the_sample_stream_is_numpys(seed):
+    assert _first_doubles(seed, 300) == np.random.default_rng(seed).random(300).tolist()
+
+
+def _numpy_draw_direction(rng, domain: DomainSpec) -> np.ndarray:
+    margin = domain.component_margin
+    if domain.y_cone == "all_positive":
+        lo = max(margin, metrics._CONE_MARGIN)
+        return rng.uniform(lo, 1.0, 4)
+    if domain.y_cone == "unit_ball_interior_shifted":
+        for _ in range(256):
+            p = rng.uniform(-1.0, 1.0, 4)
+            if np.linalg.norm(p) <= 1.0 - max(margin, metrics._CONE_MARGIN):
+                out = p.copy()
+                out[0] += metrics._SHIFTED_BALL_CENTER
+                return out
+        raise metrics.EmptyDomain("could not sample the shifted-ball cone")
+    for _ in range(256):
+        u = rng.uniform(-1.0, 1.0, 4)
+        if np.all(np.abs(u) >= margin):
+            return u
+    raise metrics.EmptyDomain("could not sample the all_nonzero cone")
+
+
+def _numpy_sample_domain(domain: DomainSpec, plan: SamplePlan) -> list:
+    """sample_domain as it was written on numpy.random: the reference."""
+    rng = np.random.default_rng(plan.seed)
+    points = []
+    for _ in range(plan.count):
+        x = np.array([rng.uniform(lo, hi) for lo, hi in domain.x_box])
+        u = _numpy_draw_direction(rng, domain)
+        scale = rng.uniform(0.5, 2.0)
+        y = u * (scale / np.linalg.norm(u))
+        points.append((x, y))
+    return points
+
+
+@pytest.mark.parametrize("cone", metrics.Y_CONES)
+@pytest.mark.parametrize("margin", [0.0, 0.05, 0.4])
+def test_sample_points_are_those_of_numpy_random(cone, margin):
+    # a margin of 0.4 rejects about 7 of 8 all_nonzero draws and about 24
+    # of 25 shifted-ball draws
+    dom = DomainSpec(x_box=((-1.0, 1.0), (0.0, 0.5), (-3.0, -2.0), (2.0, 2.0)),
+                     y_cone=cone, component_margin=margin)
+    for seed in (0, 7, 2**64 + 3):
+        got = sample_domain(dom, SamplePlan(12, seed))
+        want = _numpy_sample_domain(dom, SamplePlan(12, seed))
+        assert [(x.tolist(), y.tolist()) for x, y in got] == \
+            [(x.tolist(), y.tolist()) for x, y in want]
 
 
 @pytest.mark.parametrize("cone", metrics.Y_CONES)
