@@ -18,10 +18,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "classify": ("ClassificationReport", "classify_metric", "theorem_crosscheck"),
     "conformal": ("SigmaComponents", "audit_pair", "invariance_check", "sigma_components"),
-    "exprdsl": ("ExprError", "eval_expr", "parse_expr"),
+    "exprdsl": ("eval_expr", "parse_expr"),
     "frame": ("ProfileResult", "covariant_derivatives", "scalar_profile"),
     "geometry": ("CartanTensorAt", "MetricTensorAt", "SprayAt", "point_eval"),
-    "jets": ("DegreeCaps", "Finsler4Error", "InvalidArgument", "JetScalar", "partial_extract"),
+    "jets": ("DegreeCaps", "Finsler4Error", "InvalidArgument", "JetScalar", "SpecError",
+             "partial_extract"),
     "metrics": ("DomainSpec", "MetricSpec", "SamplePlan", "eval_L", "make_builtin_metric",
                 "make_conformal", "sample_domain"),
     "oracle": ("fd_partials", "oracle_tensors"),

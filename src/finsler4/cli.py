@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import geometry, metrics
-from .exprdsl import ExprError
-from .metrics import MetricError, SamplePlan, SpecSchemaError
+from .jets import SpecError
+from .metrics import SamplePlan, SpecSchemaError
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -194,10 +194,7 @@ def cmd_conformal(args) -> int:
     from . import conformal as conformal_mod
 
     spec, plan, tol, config = _sampled_run(args)
-    try:
-        audit = conformal_mod.audit_pair(spec, plan, tol=tol)
-    except conformal_mod.MissingSigma as err:
-        raise SpecSchemaError(str(err)) from None
+    audit = conformal_mod.audit_pair(spec, plan, tol=tol)
     points = []
     for rep in audit.reports:
         doc = {"x": rep.x, "y": rep.y}
@@ -374,7 +371,7 @@ def main(argv=None) -> int:
         # the command writes its report to the open file in place of the path
         with output as args.output:
             return args.fn(args)
-    except (SpecSchemaError, MetricError, ExprError) as err:
+    except SpecError as err:
         print(f"finsler4: spec error: {err}", file=sys.stderr)
         code = 2
     except Exception as err:  # noqa: BLE001 - CLI boundary

@@ -40,7 +40,7 @@ from .classify import (
 )
 from .frame import PAIR_A, PAIR_B, PAIRS, ProfileResult, SCALAR_NAMES
 from .geometry import PointEval
-from .jets import Finsler4Error, derivative_tensor, ring_sum
+from .jets import Finsler4Error, SpecError, derivative_tensor, ring_sum
 from .metrics import MetricSpec, SamplePlan
 
 TAU_SIGMA = 1e-8
@@ -62,15 +62,11 @@ CASE_SUPPORTING_ONLY = "supporting_only"  # gradient along l alone (anomalous)
 _FRAME_NAMES = "lmnp"
 
 
-class ConformalError(Finsler4Error):
+class ExtractionUnreliable(Finsler4Error):
     pass
 
 
-class ExtractionUnreliable(ConformalError):
-    pass
-
-
-class MissingSigma(ConformalError):
+class MissingSigma(SpecError):
     pass
 
 

@@ -44,7 +44,7 @@ MAX_DEPTH = 150
 ECHO_CHARS = 40  # a rejected input is echoed up to this many characters
 
 
-class ExprError(jets.Finsler4Error):
+class ExprError(jets.SpecError):
     def __init__(self, message: str, offset: int | None = None) -> None:
         if offset is not None:
             message = f"{message} (at offset {offset})"
@@ -317,7 +317,7 @@ def eval_expr(ast: ExprAst, env: Sequence):
         if not isinstance(rhs, jets.JetScalar) and np.any(rhs == 0):
             raise jets.DomainViolation("division by zero")
         return lhs / rhs
-    raise TypeError(f"not an expression node: {ast!r}")
+    raise jets.InvalidArgument(f"not an expression node: {ast!r}")
 
 
 def variables_used(ast: ExprAst) -> set[int]:

@@ -75,11 +75,7 @@ _SPRAY_CAPS = DegreeCaps(0, 3)
 _SINGULAR_GUARD = 1e-12
 
 
-class GeometryError(Finsler4Error):
-    pass
-
-
-class SingularMetric(GeometryError):
+class SingularMetric(Finsler4Error):
     pass
 
 

@@ -77,27 +77,27 @@ class Finsler4Error(Exception):
     """Root of every error the package raises."""
 
 
-class JetError(Finsler4Error):
-    """Base class for jet arithmetic failures."""
-
-
 class InvalidArgument(Finsler4Error, ValueError):
     """A library function was called with an argument outside its contract."""
 
 
-class DomainViolation(JetError):
+class SpecError(Finsler4Error):
+    """A refused spec, expression or option: the CLI's usage error (exit 2)."""
+
+
+class DomainViolation(Finsler4Error):
     """An elementary function was evaluated outside its real domain."""
 
 
-class CapMismatch(JetError):
+class CapMismatch(Finsler4Error):
     """Binary operation between jets carrying different degree caps."""
 
 
-class CapTooSmall(JetError):
+class CapTooSmall(Finsler4Error):
     """A requested construction needs more degrees than the caps allow."""
 
 
-class OrderExceedsCaps(JetError):
+class OrderExceedsCaps(Finsler4Error):
     """A partial of higher order than the stored truncation was requested."""
 
 

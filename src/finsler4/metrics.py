@@ -27,7 +27,7 @@ import numpy as np
 from . import exprdsl, jets
 from .exprdsl import ExprAst
 from .jets import (
-    DegreeCaps, DomainViolation, Finsler4Error, InvalidArgument, JetScalar,
+    DegreeCaps, DomainViolation, Finsler4Error, InvalidArgument, JetScalar, SpecError,
 )
 
 Y_CONES = ("all_nonzero", "all_positive", "unit_ball_interior_shifted")
@@ -39,19 +39,15 @@ _CONE_MARGIN = 1e-3
 _EPS_Y = 1e-6  # the minimum |y| ever accepted
 
 
-class MetricError(Finsler4Error):
+class InvalidParameters(SpecError):
     pass
 
 
-class InvalidParameters(MetricError):
+class EmptyDomain(SpecError):
     pass
 
 
-class EmptyDomain(MetricError):
-    pass
-
-
-class SigmaUsesY(MetricError):
+class SigmaUsesY(SpecError):
     pass
 
 
@@ -254,9 +250,8 @@ def make_builtin_metric(
         src = params.get("L")
         if src is None:
             raise InvalidParameters("expression family requires 'L'")
-        ast = exprdsl.parse_expr(src) if isinstance(src, str) else src
         dom = domain or DomainSpec(y_cone="all_nonzero")
-        return MetricSpec(family, dom, L_ast=ast)
+        return MetricSpec(family, dom, L_ast=_expression(src, "'L'"))
     raise InvalidParameters(f"unknown metric family {family!r}")
 
 
@@ -281,9 +276,20 @@ def _check_randers_valid(b_ast, dom: DomainSpec) -> None:
             )
 
 
+def _expression(value, what: str) -> ExprAst:
+    """``value``, an expression string or node, as a node."""
+    if isinstance(value, str):
+        return exprdsl.parse_expr(value)
+    if not isinstance(value, ExprAst):
+        raise InvalidParameters(
+            f"{what} must be an expression string or node, got {exprdsl.echo(repr(value))}"
+        )
+    return value
+
+
 def make_conformal(base: MetricSpec, sigma) -> MetricSpec:
     """Position-only conformal rescaling of a base metric."""
-    ast = exprdsl.parse_expr(sigma) if isinstance(sigma, str) else sigma
+    ast = _expression(sigma, "the conformal factor")
     if any(slot >= 4 for slot in exprdsl.variables_used(ast)):
         raise SigmaUsesY("the conformal factor may depend on x1..x4 only")
     return MetricSpec("conformal", base.domain, sigma_ast=ast, base=base)
@@ -498,7 +504,7 @@ _TOP_KEYS = {"family", "params", "L", "sigma", "domain", "samples", "seed"}
 _DOMAIN_KEYS = {"x_box", "y_cone"}
 
 
-class SpecSchemaError(MetricError):
+class SpecSchemaError(SpecError):
     pass
 
 
@@ -506,6 +512,7 @@ def spec_from_json_dict(doc: dict):
     """(MetricSpec, SamplePlan) from the documented JSON layout.
 
     Unknown fields are rejected so that typos never silently change a run.
+    A refused document raises the SpecError of whatever refused it.
     """
     if not isinstance(doc, dict):
         raise SpecSchemaError("spec document must be a JSON object")
@@ -550,17 +557,11 @@ def spec_from_json_dict(doc: dict):
                 raise SpecSchemaError("'x_box' must have exactly four intervals")
         if "y_cone" in dom:
             kwargs["y_cone"] = dom["y_cone"]
-        try:
-            domain = DomainSpec(**kwargs)
-        except MetricError as err:
-            raise SpecSchemaError(str(err)) from None
+        domain = DomainSpec(**kwargs)
 
-    try:
-        spec = make_builtin_metric(family, params, domain)
-        if "sigma" in doc:
-            spec = make_conformal(spec, doc["sigma"])
-    except (MetricError, exprdsl.ExprError) as err:
-        raise SpecSchemaError(str(err)) from None
+    spec = make_builtin_metric(family, params, domain)
+    if "sigma" in doc:
+        spec = make_conformal(spec, doc["sigma"])
 
     samples = doc.get("samples", 16)
     seed = doc.get("seed", 0)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from finsler4 import classify, cli, conformal, exprdsl
+from finsler4 import classify, cli, conformal, exprdsl, frame, geometry, jets, metrics, oracle
+from finsler4.jets import SpecError
 from finsler4.metrics import SamplePlan
 from regen_goldens import REPORTS, SPECS, drift, load
 
@@ -344,6 +345,61 @@ def test_rejected_spec_document_exits_2_with_one_line(capsys, tmp_path, doc, mes
     code, out, err = _run(capsys, ["classify", str(path)])
     assert code == 2 and out == ""
     assert err == f"finsler4: spec error: {message}\n"
+
+
+# one refused document per SpecError class; the conformal command runs each,
+# and the last is refused by audit_pair, not by the schema
+_SPEC_ERRORS = {
+    exprdsl.ExprSyntaxError: {"family": "expression", "L": "y1 $"},
+    exprdsl.UnknownIdentifier: {"family": "expression", "L": "z1"},
+    exprdsl.NonConstantExponent: {"family": "expression", "L": "y1^x1"},
+    metrics.InvalidParameters: {"family": "bogus"},
+    metrics.EmptyDomain: _box(1, 0),
+    metrics.SigmaUsesY: {"family": _QUARTIC, "sigma": "y1"},
+    metrics.SpecSchemaError: {"family": _QUARTIC, "bogus": 1},
+    conformal.MissingSigma: {"family": _QUARTIC},
+}
+
+
+@pytest.mark.parametrize("cls", list(_SPEC_ERRORS), ids=lambda cls: cls.__name__)
+def test_each_refused_input_raises_its_own_spec_error_class(capsys, tmp_path, cls):
+    assert issubclass(cls, SpecError)
+    doc = _SPEC_ERRORS[cls]
+    with pytest.raises(SpecError) as refused:
+        spec, plan = metrics.spec_from_json_dict(doc)
+        conformal.audit_pair(spec, plan)
+    assert type(refused.value) is cls
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["conformal", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"finsler4: spec error: {refused.value}\n"
+
+
+@pytest.mark.parametrize("cls", [
+    jets.DomainViolation, jets.CapMismatch, jets.CapTooSmall, jets.OrderExceedsCaps,
+    jets.InvalidArgument, geometry.SingularMetric, conformal.ExtractionUnreliable,
+    oracle.StencilLeavesDomain, frame.FrameError, frame.VanishingTorsion,
+    frame.NotPositiveDefinite, frame.DegenerateSeed, frame.SeedsDiffer,
+], ids=lambda cls: cls.__name__)
+def test_a_failed_evaluation_is_no_spec_error(cls):
+    assert issubclass(cls, jets.Finsler4Error) and not issubclass(cls, SpecError)
+
+
+def test_a_spec_file_that_cannot_be_read_exits_2_with_one_line(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = _run(capsys, ["classify", str(missing)])
+    assert code == 2 and out == ""
+    assert err == (f"finsler4: spec error: cannot read spec file: "
+                   f"[Errno 2] No such file or directory: {str(missing)!r}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_report_that_fails_to_write_exits_2_with_one_line(capsys, quartic_spec):
+    code, out, err = _run(capsys, ["classify", quartic_spec, "--output", "/dev/full"])
+    assert code == 2 and out == ""
+    assert err.startswith("finsler4: spec error: cannot write report: ")
+    assert err.count("\n") == 1
 
 
 def test_a_point_where_L_is_not_positive_is_an_eval_error_record(capsys, tmp_path):

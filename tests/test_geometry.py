@@ -416,6 +416,17 @@ def test_stack_of_stacks_is_refused():
         geometry.PointEval.stack([])
 
 
+def test_stack_of_members_with_different_caps_is_refused(monkeypatch):
+    spec = make_builtin_metric("quartic_minkowski")
+    master = point_eval(spec, X0, Y2)
+    monkeypatch.setattr(geometry, "MASTER_CAPS", DegreeCaps(1, 4))
+    shallow = point_eval(spec, X0, Y2)
+    assert shallow.L_jet.caps != master.L_jet.caps
+    with pytest.raises(jets.InvalidArgument,
+                       match="^stack members carry jets of different caps$"):
+        geometry.PointEval.stack([master, shallow])
+
+
 # -- x-free stacks -------------------------------------------------------------
 
 # L^2 jets of x-degree bound 0: their stacks take the zero stages

@@ -580,15 +580,17 @@ def test_every_error_class_derives_from_the_root():
     import finsler4
     from finsler4 import conformal, exprdsl, frame, geometry, metrics
 
-    roots = (jets.JetError, exprdsl.ExprError, metrics.MetricError,
-             geometry.GeometryError, frame.FrameError, conformal.ConformalError,
-             oracle.StencilLeavesDomain, jets.InvalidArgument)
+    roots = (jets.SpecError, jets.DomainViolation, jets.CapMismatch, jets.CapTooSmall,
+             jets.OrderExceedsCaps, exprdsl.ExprError, metrics.SpecSchemaError,
+             geometry.SingularMetric, frame.FrameError, conformal.ExtractionUnreliable,
+             conformal.MissingSigma, oracle.StencilLeavesDomain, jets.InvalidArgument)
     for cls in roots:
         assert issubclass(cls, finsler4.Finsler4Error), cls
     assert finsler4.Finsler4Error is jets.Finsler4Error
     # bad library arguments stay catchable as ValueError too
     assert issubclass(jets.InvalidArgument, ValueError)
     assert finsler4.InvalidArgument is jets.InvalidArgument
+    assert finsler4.SpecError is jets.SpecError
 
 
 def test_negative_degree_caps_are_invalid_arguments():

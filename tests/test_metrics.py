@@ -447,3 +447,58 @@ def test_an_all_zero_g0_still_fails_as_sqrt_of_zero():
     assert spec.L_ast == exprdsl.Call("sqrt", exprdsl.Lit(0.0))
     report = classify.classify_metric(spec, SamplePlan(2, 1))
     assert [r.eval_error for r in report.points] == ["sqrt of a non-positive value"] * 2
+
+
+# -- refusals ---------------------------------------------------------------
+
+
+def test_an_x_box_of_three_intervals_is_invalid():
+    with pytest.raises(InvalidParameters, match=r"^x_box must be four \[lo, hi\] intervals$"):
+        DomainSpec(x_box=((0, 1),) * 3)
+
+
+@pytest.mark.parametrize("cone, margin, message", [
+    ("all_nonzero", 0.999, "could not sample the all_nonzero cone"),
+    ("unit_ball_interior_shifted", 0.9999, "could not sample the shifted-ball cone"),
+])
+def test_a_margin_that_leaves_no_direction_is_an_empty_domain(cone, margin, message):
+    dom = DomainSpec(y_cone=cone, component_margin=margin)
+    with pytest.raises(metrics.EmptyDomain, match=f"^{message}$"):
+        sample_domain(dom, SamplePlan(count=1))
+
+
+def test_a_python_overflow_on_the_way_is_a_domain_violation():
+    # jets.power turns the infinite exponent into an int, which Python refuses
+    inf_power = exprdsl.Pow(exprdsl.Var(4, "y1"), math.inf)
+    spec = make_builtin_metric("expression", {"L": inf_power})
+    message = "^cannot convert float infinity to integer$"
+    with pytest.raises(jets.DomainViolation, match=message):
+        eval_L(spec, X0, ONES, jets.DegreeCaps(1, 2))
+    with pytest.raises(jets.DomainViolation, match=message):
+        eval_L_value(spec, X0, ONES)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_conformal(make_builtin_metric("quartic_minkowski"), 0.3),
+     "the conformal factor must be an expression string or node, got 0.3"),
+    (lambda: make_builtin_metric("expression", {"L": 5}),
+     "'L' must be an expression string or node, got 5"),
+])
+def test_a_sigma_or_L_that_is_not_an_expression_is_refused_at_construction(make, message):
+    with pytest.raises(InvalidParameters, match=f"^{message}$"):
+        make()
+
+
+def test_a_malformed_node_inside_a_library_tree_is_an_eval_error_of_each_point():
+    from finsler4.conformal import audit_pair
+
+    bad = exprdsl.BinOp("+", exprdsl.Var(0, "x1"), 0.3)  # 0.3 is no node
+    with pytest.raises(jets.InvalidArgument, match=r"^not an expression node: 0\.3$"):
+        exprdsl.eval_expr(bad, [0.0] * 8)
+    quartic = make_builtin_metric("quartic_minkowski")
+    plan = SamplePlan(count=2, seed=1)
+    want = ["not an expression node: 0.3"] * 2
+    spec = make_builtin_metric("expression", {"L": exprdsl.BinOp("+", quartic.L_ast, bad)})
+    assert [r.eval_error for r in classify.classify_metric(spec, plan).points] == want
+    audit = audit_pair(make_conformal(quartic, bad), plan)
+    assert [r.eval_error for r in audit.reports] == want

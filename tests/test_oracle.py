@@ -77,6 +77,15 @@ def test_fd_partials_equal_one_call_per_order():
     assert batched[0] == _poly_sqrt(at[:, None])[0]
 
 
+def test_fd_partials_refuse_a_differentiated_slot_without_room():
+    at = np.array([0.3, -0.2, 0.1, 0.4, 1.1, -0.7, 0.9, 0.5])
+    room = np.array([np.inf] * 4 + [0.5, 0.0, 0.5, 0.5])
+    with pytest.raises(oracle.StencilLeavesDomain, match="^no room to differentiate slot 5$"):
+        fd_partials(_poly_sqrt, at, [{4: 1}, {5: 2}], room)
+    # a slot without room that no order differentiates is no obstacle
+    fd_partials(_poly_sqrt, at, [{4: 1}], room)
+
+
 def test_fd_partials_calls_f_once_on_one_block():
     blocks = []
 
