@@ -286,9 +286,9 @@ def _evaluate_record(index: int, pe: geometry.PointEval, prof) -> PointRecord:
 
 
 def check_tol(tol: float) -> None:
-    """Raise InvalidArgument unless the tolerance is a finite number > 0."""
+    """Raise InvalidParameters unless the tolerance is a finite number > 0."""
     if not 0.0 < tol < math.inf:
-        raise jets.InvalidArgument(f"tol must be a finite number > 0, got {tol!r}")
+        raise metrics.InvalidParameters(f"tol needs a finite number > 0, got {tol!r}")
 
 
 def classify_metric(

@@ -112,18 +112,14 @@ def _load_spec(path: str):
 def _sampled_run(args) -> tuple:
     """(spec, plan, tol, effective_config) of a sampled command: the spec
     file's plan with ``--samples`` and ``--seed`` in place of its own, and
-    ``--tol`` checked, or the default tolerance."""
+    ``--tol`` or the default tolerance, which the command checks."""
     from .classify import DEFAULT_TOL
 
     spec, plan = _load_spec(args.spec)
     count = args.samples if args.samples is not None else plan.count
     seed = args.seed if args.seed is not None else plan.seed
     plan = SamplePlan(count=count, seed=seed)
-    tol = DEFAULT_TOL
-    if args.tol is not None:
-        if not 0.0 < args.tol < math.inf:
-            raise SpecSchemaError(f"--tol needs a finite number > 0, got {args.tol!r}")
-        tol = args.tol
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     return spec, plan, tol, {"samples": plan.count, "seed": plan.seed, "tol": tol}
 
 

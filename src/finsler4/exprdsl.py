@@ -82,8 +82,7 @@ class Lit:
 
 @dataclass(frozen=True)
 class Var:
-    slot: int
-    name: str
+    slot: int  # x1..x4 are 0..3, y1..y4 are 4..7
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,7 @@ class _Parser:
             slot = VAR_SLOT.get(text)
             if slot is None:
                 raise UnknownIdentifier(text, off)
-            return Var(slot, text)
+            return Var(slot)
         if kind == "op" and text == "(":
             node = self.expression()
             self.expect_op(")")

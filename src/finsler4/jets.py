@@ -6,8 +6,8 @@ the position variables ``x1..x4``, slots 4..7 the direction variables
 ``y1..y4``.  Degree is capped per group and in total (see
 :class:`DegreeCaps`); one evaluation of a fundamental function in this
 ring yields every mixed partial the downstream tensor calculus reads.
-Each jet carries a degree bound per group, so a product of factors free
-of x (or of y) forms only the coefficient pairs that can be nonzero.
+Each jet carries a degree bound per group, so a product of two lone jets
+free of x (or of y) forms only the coefficient pairs that can be nonzero.
 A coefficient of total degree d depends only on factor coefficients of
 degree <= d, so a ring cut to a smaller total keeps every coefficient it
 stores bit for bit.  Each ring keeps its monomials as one exponent array,
@@ -37,7 +37,10 @@ Taylor arithmetic in vector mode (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., ch. 13).  A :class:`JetScalar` is the case without
 tensor axes, a lone jet or a stack of them (coefficients of shape
 ``S + (n,)``), with the elementary functions below; every one of them acts
-on a stack row by row, each row bit for bit as alone.
+on a stack row by row, each row bit for bit as alone.  The ring sums
+coefficient pairs in two places: a lone product's one ``np.bincount`` over
+its degree-bounded pairs, and :func:`contract`, which a product with a
+stack calls with no tensor axes.
 
 Each elementary function (:func:`exp`, :func:`log`, :func:`recip`,
 :func:`power`, :func:`sqrt`, :func:`sin`, :func:`cos`) is one NumPy series
@@ -167,7 +170,7 @@ class _Tables:
         # Pair each monomial i with the partners j that fit its leftover
         # degree budget; np.nonzero reads the (n, n) fit mask row by row, so
         # the pairs come in ascending (i, j) order, which fixes the summation
-        # order of JetScalar.__mul__ and so every reported digit.
+        # order of every jet product and so every reported digit.
         dx, dy = self.degs.T
         tot = dx + dy
         fits = ((dx <= caps.x_max - dx[:, None]) & (dy <= caps.y_max - dy[:, None])
@@ -180,7 +183,7 @@ class _Tables:
         self._product_cache: dict = {
             (full, full): (self.mul_i, self.mul_j, self.mul_k, full)
         }
-        self._scatter_cache: dict = {}
+        self._scatter = self.mul_k  # the scatter index of one row
         self._tensor_cache: dict = {}
 
     def products(self, da: tuple, db: tuple):
@@ -201,12 +204,14 @@ class _Tables:
     def scatter_index(self, rows: int) -> np.ndarray:
         """Flat ``np.bincount`` index that sums each of ``rows`` stacked rows
         of coefficient products (mul_i, mul_j) onto its monomials: product
-        p of row r lands on r * n + mul_k[p]."""
-        hit = self._scatter_cache.get(rows)
-        if hit is None:
-            hit = (np.arange(rows)[:, None] * self.n + self.mul_k).ravel()
-            self._scatter_cache[rows] = hit
-        return hit
+        p of row r lands on r * n + mul_k[p].  The index of fewer rows is a
+        prefix of it, so the ring keeps one, grown when more rows come, and
+        returns a view of its first entries."""
+        size = rows * len(self.mul_k)
+        index = self._scatter
+        if len(index) < size:
+            index = self._scatter = (np.arange(rows)[:, None] * self.n + self.mul_k).ravel()
+        return index[:size]
 
     def read_map(self, betas: np.ndarray, dst: "_Tables"):
         """Index and scale arrays, of shape ``betas.shape[:-1] + (dst.n,)``,
@@ -307,11 +312,14 @@ class JetScalar:
     each row bit for bit as alone.
 
     ``deg = (dx, dy)`` bounds the x-degree and the y-degree of every nonzero
-    coefficient; it defaults to the caps.  A product forms only the
-    coefficient pairs inside the bounds of its factors: the pairs it skips
-    hold an exact zero, so every finite coefficient comes out bit for bit
-    as with the full table, and a non-finite one still reaches the output
-    through its pair with the base coefficient of the other factor.
+    coefficient; it defaults to the caps.  A product of two lone jets forms
+    only the coefficient pairs inside the bounds of its factors: the pairs
+    it skips hold an exact zero, so every finite coefficient comes out bit
+    for bit as with the full table, and a non-finite one still reaches the
+    output through its pair with the base coefficient of the other factor.
+    A product with a stack is :func:`contract` with no tensor axes, over
+    the full table, so each row matches the lone product in every finite
+    coefficient; a non-finite one may come out nan where alone it is inf.
     """
 
     __slots__ = ("caps", "c", "deg")
@@ -376,9 +384,7 @@ class JetScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        t = self.caps.tables
-        mul_i, mul_j, mul_k, deg = t.products(self.deg, o.deg)
-        return JetScalar(self.caps, _product(self.c, o.c, mul_i, mul_j, mul_k, t.n), deg)
+        return JetScalar(self.caps, *_product(self.c, o.c, self.deg, o.deg, self.caps))
 
     __rmul__ = __mul__
 
@@ -404,17 +410,17 @@ class JetScalar:
         return NotImplemented
 
 
-def _product(a: np.ndarray, b: np.ndarray, mul_i, mul_j, mul_k, n: int) -> np.ndarray:
-    """Ring product of two coefficient arrays of shape ``S + (n,)``, row by
-    row: one ``np.bincount`` sums each row's pairs (mul_i, mul_j) onto its
-    monomials mul_k left to right, each row offset by ``n``."""
+def _product(a: np.ndarray, b: np.ndarray, da: tuple, db: tuple, caps: DegreeCaps):
+    """Ring product of two coefficient arrays of shape ``S + (n,)`` with
+    degree bounds da and db, and the degree bound of the product.  Lone
+    jets sum their degree-bounded pairs onto their monomials with one
+    ``np.bincount``; a stack is :func:`contract` with no tensor axes, over
+    the full table."""
+    t = caps.tables
+    mul_i, mul_j, mul_k, deg = t.products(da, db)
     if a.ndim == b.ndim == 1:
-        return bincount(mul_k, weights=a[mul_i] * b[mul_j], minlength=n)
-    prod = a.take(mul_i, axis=-1) * b.take(mul_j, axis=-1)
-    rows = prod.size // len(mul_k)
-    at = (np.arange(rows)[:, None] * n + mul_k).ravel()
-    coeffs = bincount(at, weights=prod.ravel(), minlength=rows * n)
-    return coeffs.reshape(prod.shape[:-1] + (n,))
+        return bincount(mul_k, weights=a[mul_i] * b[mul_j], minlength=t.n), deg
+    return contract(",->", a, b, caps), deg
 
 
 def const(value: float, caps: DegreeCaps) -> JetScalar:
@@ -522,9 +528,10 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray, caps: DegreeCaps) -> np.nd
     tensor axes: each pair's sum runs left to right over the contracted
     index tuples in row-major order, the labels taken as they first appear
     in ``spec``.  Last, one ``np.bincount`` adds the pairs onto their
-    monomials left to right in table order, as :meth:`JetScalar.__mul__`
-    does.  Every sum is sequential and per entry, so an extra leading
-    axis in ``spec`` (a stack of points) changes no bit of any member.
+    monomials left to right in table order, as a lone product does.  Every
+    sum is sequential and per entry, so an extra leading axis in ``spec``
+    (a stack of points) changes no bit of any member.  With no tensor axes,
+    ``",->"``, it is the ring product of two stacks of jets, row by row.
     """
     t = caps.tables
     full = _PAIR_SPECS.get(spec)
@@ -594,28 +601,17 @@ def _compose(f, u, a):
     """h(f) from the coefficients ``a[k]`` of h(b + u t) in t: ``a[0]`` for
     a number or an array, and for a jet the series in t = (f - b)/u up to
     ``caps.total_max`` (higher orders are nilpotent), each row of a stack as
-    on its own, by Horner recursion, one degree-bounded product per order."""
+    on its own, by Horner recursion, one ring product per order."""
     if not isinstance(f, JetScalar):
         return a[0]
-    t = f.caps.tables
     m = f.caps.total_max
     s = f.c / np.asarray(u)[..., None]  # the jet of t, once its base is 0
     s[..., 0] = 0.0
     r = np.zeros(s.shape)
     deg = (0, 0)
     for k in range(m, -1, -1):
-        if k == m - 1:
-            # the first product multiplies s by a constant: each pair (0, j)
-            # lands on monomial j alone, so it is elementwise, and adding
-            # 0.0 gives the 0.0 a ring sum gives for a -0.0
-            _, cols, _, deg = t.products(deg, f.deg)
-            if len(cols) == t.n:
-                r = r[..., :1] * s + 0.0
-            else:
-                r[..., cols] = r[..., :1] * s[..., cols] + 0.0
-        elif k < m:
-            mul_i, mul_j, mul_k, deg = t.products(deg, f.deg)
-            r = _product(r, s, mul_i, mul_j, mul_k, t.n)
+        if k < m:
+            r, deg = _product(r, s, deg, f.deg, f.caps)
         r[..., 0] += a[k]
     return JetScalar(f.caps, r, deg)
 

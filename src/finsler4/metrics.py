@@ -169,7 +169,7 @@ def _require_x_only(ast: ExprAst, what: str) -> None:
         raise InvalidParameters(f"{what} may depend on x1..x4 only")
 
 
-_Y = tuple(exprdsl.Var(slot, exprdsl.VAR_NAMES[slot]) for slot in range(4, 8))
+_Y = tuple(exprdsl.Var(slot) for slot in range(4, 8))
 _QUARTIC_L = exprdsl.parse_expr("(y1^4+y2^4+y3^4+y4^4)^0.25")
 _BERWALD_MOOR_L = exprdsl.parse_expr("(y1*y2*y3*y4)^0.25")
 

@@ -8,7 +8,7 @@ import pytest
 from finsler4 import classify, conformal, frame, geometry
 from finsler4.classify import agreement, all3, band, classify_metric, judge
 from finsler4.geometry import SingularMetric, point_eval
-from finsler4.jets import Finsler4Error, InvalidArgument
+from finsler4.jets import Finsler4Error, SpecError
 from finsler4.metrics import SamplePlan, make_builtin_metric, make_conformal, sample_domain
 
 PLAN = SamplePlan(count=8, seed=101)
@@ -346,9 +346,9 @@ def test_a_stage_failure_reruns_the_stack_member_by_member():
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
 def test_tolerance_must_be_a_finite_positive_number(tol):
     spec = make_builtin_metric("quartic_minkowski")
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(SpecError):
         classify_metric(spec, SamplePlan(1, 0), tol=tol)
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(SpecError):
         conformal.audit_pair(make_conformal(spec, "0.1*x1"), SamplePlan(1, 0), tol=tol)
 
 

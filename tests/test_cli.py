@@ -522,7 +522,7 @@ def test_tolerance_that_is_not_a_finite_positive_number_exits_2(capsys, conforma
                                                                 command, tol):
     code, out, err = _run(capsys, [command, conformal_spec, "--tol", tol])
     assert code == 2 and out == ""
-    assert "--tol needs a finite number > 0" in err
+    assert "tol needs a finite number > 0" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--x", "nan,0,0,0"), ("--x", "0,0,inf,0"),

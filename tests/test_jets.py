@@ -855,6 +855,64 @@ def test_stacked_reads_equal_each_row_alone(caps):
             assert got.c[i].tobytes() == want.c.tobytes(), (name, i)
 
 
+def _signed_zeros(rows: np.ndarray, share: float, seed: int) -> np.ndarray:
+    """rows with about ``share`` of the coefficients past the base set to a
+    zero of the sign of the value they held."""
+    rng = np.random.default_rng(seed)
+    hit = rng.random(rows.shape) < share
+    hit[..., 0] = False
+    return np.where(hit, np.copysign(0.0, rows), rows)
+
+
+@pytest.mark.parametrize(
+    "caps", [frame.FRAME_CAPS, DegreeCaps(0, 3), DegreeCaps(1, 3), geometry.MASTER_CAPS],
+    ids=["frame", "0_3", "1_3", "master"],
+)
+def test_signed_zero_coefficients_give_each_stack_row_its_lone_bytes(caps):
+    # a product with a stack sums the full pair table, a lone product only
+    # its degree-bounded pairs: with +0.0 and -0.0 among the coefficients,
+    # each row of every operation still comes out byte for byte as alone
+    t = caps.tables
+    rows = _signed_zeros(np.random.default_rng(13).uniform(-1.0, 1.0, (3, t.n)), 0.4, 17)
+    rows[:, 0] = [0.7, 1.3, 2.9]
+    x_free = rows[::-1].copy()
+    x_free[:, t.degs[:, 0] > 0] = np.copysign(0.0, x_free[:, t.degs[:, 0] > 0])
+    assert np.signbit(rows[rows == 0.0]).any() and not np.signbit(rows[rows == 0.0]).all()
+    full = JetScalar(caps, rows)
+    free = JetScalar(caps, x_free, (0, caps.y_max))
+    lone_c = _signed_zeros(np.random.default_rng(19).uniform(-1.0, 1.0, t.n), 0.4, 23)
+    lone_c[0] = 1.9
+    lone = JetScalar(caps, lone_c)
+    unary = dict(_STACK_UNARY, neg=operator.neg)
+    cases = [(name, fn, (f,)) for name, fn in unary.items() for f in (full, free)]
+    cases += [(name, _STACK_BINARY[name], pair) for name in "*+/" for f in (full, free)
+              for pair in ((lone, f), (f, lone))]
+    for name, fn, args in cases:
+        got = fn(*args)
+        for i in range(3):
+            want = fn(*(JetScalar(caps, f.c[i].copy(), f.deg) if f.c.ndim == 2 else f
+                        for f in args))
+            assert got.c[i].tobytes() == want.c.tobytes(), (name, i)
+
+
+def test_one_scatter_index_per_ring_whose_prefix_serves_fewer_rows():
+    # the scatter index of r rows is the first r * P entries of the index of
+    # any more rows (P pairs), so the ring grows one array and reads prefixes
+    caps = frame.FRAME_CAPS
+    t = caps.tables
+    rng = np.random.default_rng(29)
+    counts = [*rng.permutation(np.arange(1, 41)).tolist(), 300, 7]
+    for rows in counts:
+        a, b = rng.normal(size=(2, rows, t.n))
+        got = jets.contract(",->", a, b, caps)
+        assert got.shape == (rows, t.n)
+    whole = t.scatter_index(300)
+    for rows in counts:
+        index = t.scatter_index(rows)
+        assert np.array_equal(index, (np.arange(rows)[:, None] * t.n + t.mul_k).ravel())
+        assert index.ctypes.data == whole.ctypes.data and not index.flags.owndata
+
+
 _ELEMENTARY = {
     "exp": jets.exp,
     "log": jets.log,

@@ -469,7 +469,7 @@ def test_a_margin_that_leaves_no_direction_is_an_empty_domain(cone, margin, mess
 
 def test_a_python_overflow_on_the_way_is_a_domain_violation():
     # jets.power turns the infinite exponent into an int, which Python refuses
-    inf_power = exprdsl.Pow(exprdsl.Var(4, "y1"), math.inf)
+    inf_power = exprdsl.Pow(exprdsl.Var(4), math.inf)
     spec = make_builtin_metric("expression", {"L": inf_power})
     message = "^cannot convert float infinity to integer$"
     with pytest.raises(jets.DomainViolation, match=message):
@@ -492,7 +492,7 @@ def test_a_sigma_or_L_that_is_not_an_expression_is_refused_at_construction(make,
 def test_a_malformed_node_inside_a_library_tree_is_an_eval_error_of_each_point():
     from finsler4.conformal import audit_pair
 
-    bad = exprdsl.BinOp("+", exprdsl.Var(0, "x1"), 0.3)  # 0.3 is no node
+    bad = exprdsl.BinOp("+", exprdsl.Var(0), 0.3)  # 0.3 is no node
     with pytest.raises(jets.InvalidArgument, match=r"^not an expression node: 0\.3$"):
         exprdsl.eval_expr(bad, [0.0] * 8)
     quartic = make_builtin_metric("quartic_minkowski")
